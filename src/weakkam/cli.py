@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -32,22 +31,26 @@ from .errors import (
     WeakKAMError,
 )
 from .grids import build_grid, build_transition, build_velocity_set
-from .limits import enric1_values, vanishing_discount_study
+from .limits import vanishing_discount_study
 from .measures import (
     build_discounted_lp,
     build_ergodic_lp,
-    build_mather_polytope,
     closedness_residual,
     holonomy_residual,
     lp_solve,
     support_check,
 )
-from .models import SampledTable, make_model, superlinearize, validate_assumptions
-
-_FAMILIES = ("eikonal", "quadratic", "sampled")
+from .models import (
+    FAMILIES,
+    SampledTable,
+    make_model,
+    resolve_potential,
+    superlinearize,
+    validate_assumptions,
+)
 
 DEFAULTS = {
-    "model": {"dimension": 1, "normalization_shift": 0.0, "superlinearize": None},
+    "model": {"normalization_shift": 0.0, "superlinearize": None},
     "solver": {"tol": 1e-6, "max_iter": None},
     "ergodic": {"bisection_tol": 1e-3, "eps_aubry": None},
     "measures": {"slack": None, "n_objectives": 4, "q_bound": None, "mass_tol": None},
@@ -120,18 +123,25 @@ def validate_config(cfg, need_schedule=False):
     """Schema check with precise key-path messages; fills defaults."""
     _merge_defaults(cfg)
     family = _require(cfg, "model.family", str,
-                      lambda v: v in _FAMILIES, f"one of {_FAMILIES}")
-    if family != "sampled":
-        _require(cfg, "model.potential", (str, dict))
-    else:
+                      lambda v: v in FAMILIES, f"one of {tuple(FAMILIES)}")
+    if FAMILIES[family].tabulated:
         _require(cfg, "model.sampled_csv", str)
         _require(cfg, "model.p_grid", list, lambda v: len(v) >= 3,
                  "(list of at least 3 momenta)")
+    else:
+        try:
+            resolve_potential(_require(cfg, "model.potential", (str, dict)))
+        except (KeyError, ValueError) as exc:
+            raise ConfigError(f"model.potential: {exc.args[0]}") from None
     box = _require(cfg, "grid.box", list, lambda v: len(v) >= 1)
     for k, pair in enumerate(box):
         if not (isinstance(pair, list) and len(pair) == 2 and pair[0] < pair[1]):
             raise ConfigError(f"grid.box[{k}]: expected [lo, hi] with lo < hi")
-    _require(cfg, "grid.h", (int, float), lambda v: v > 0, "(positive number)")
+    h = _require(cfg, "grid.h", (int, float), lambda v: v > 0, "(positive number)")
+    try:
+        build_grid(box, h)
+    except ValueError as exc:
+        raise ConfigError(f"grid.h: {exc}") from None
     _require(cfg, "velocity.q_max", (int, float), lambda v: v > 0, "(positive number)")
     _require(cfg, "velocity.per_axis_count", int,
              lambda v: v >= 3 and v % 2 == 1, "(odd integer >= 3)")
@@ -198,6 +208,16 @@ def _load_sampled(cfg, grid):
     return SampledTable(x_coords=grid.coords[:, 0], p_grid=p_grid, values=values)
 
 
+def _raw_model(cfg, grid):
+    """The configured model before auto-normalization and superlinearization."""
+    m = cfg["model"]
+    shift = m["normalization_shift"]
+    sampled = _load_sampled(cfg, grid) if FAMILIES[m["family"]].tabulated else None
+    return make_model(m["family"], m.get("potential"), dimension=grid.dimension,
+                      normalization_shift=0.0 if shift == "auto" else float(shift),
+                      sampled=sampled)
+
+
 def build_context(cfg):
     """Grid, velocity set, transition, and the prepared (normalized,
     superlinearized-as-needed) model."""
@@ -207,22 +227,17 @@ def build_context(cfg):
                               cfg["velocity"]["per_axis_count"],
                               dimension=grid.dimension)
     transition = build_transition(grid, vset)
-    m = cfg["model"]
-    shift = m.get("normalization_shift", 0.0)
-    sampled = _load_sampled(cfg, grid) if m["family"] == "sampled" else None
-    model = make_model(m["family"], m.get("potential"), dimension=grid.dimension,
-                       normalization_shift=0.0 if shift == "auto" else float(shift),
-                       sampled=sampled)
-    if shift == "auto":
+    model = _raw_model(cfg, grid)
+    if cfg["model"]["normalization_shift"] == "auto":
         from .critical import critical_value
         raw = critical_value(model, grid, vset, tol=cfg["ergodic"]["bisection_tol"],
                              transition=transition)
         if abs(raw.c) > cfg["ergodic"]["bisection_tol"]:
             model = dataclasses.replace(model, normalization_shift=raw.c)
             warnings.append(f"normalization_shift auto-set to {raw.c:.6g}")
-    want_super = m.get("superlinearize")
+    want_super = cfg["model"]["superlinearize"]
     if want_super is None:
-        want_super = model.family == "eikonal"
+        want_super = model.ops.superlinearize_by_default
     if want_super:
         model = superlinearize(model, grid)
     half = grid.scaled_box(0.5)
@@ -242,14 +257,7 @@ def _claim(value, op, tol):
 
 
 def cmd_validate(cfg, ctx, out, args):
-    grid, vset = ctx["grid"], ctx["velocity_set"]
-    m = cfg["model"]
-    sampled = _load_sampled(cfg, grid) if m["family"] == "sampled" else None
-    raw = make_model(m["family"], m.get("potential"), dimension=grid.dimension,
-                     normalization_shift=(0.0 if m["normalization_shift"] == "auto"
-                                          else float(m["normalization_shift"])),
-                     sampled=sampled)
-    report = validate_assumptions(raw, grid)
+    report = validate_assumptions(_raw_model(cfg, ctx["grid"]), ctx["grid"])
     payload = {
         "a3_lhs": report.a3_lhs, "a3_rhs": report.a3_rhs,
         "epsilon_used": report.epsilon_used, "margin": report.margin,
@@ -403,52 +411,45 @@ def cmd_mather(cfg, ctx, out, args):
     return 0, arts
 
 
+def _study(cfg, ctx, schedule):
+    return vanishing_discount_study(
+        ctx["model"], ctx["grid"], ctx["velocity_set"], schedule,
+        probes=cfg["probes"] or [(0.0,) * ctx["grid"].dimension],
+        sub_box=cfg["study"]["sub_box"], solver_tol=cfg["solver"]["tol"],
+        bisect_tol=cfg["ergodic"]["bisection_tol"],
+        eps_aubry=cfg["ergodic"]["eps_aubry"], slack=cfg["measures"]["slack"],
+        n_objectives=cfg["measures"]["n_objectives"], seed=cfg["seeds"]["master"],
+        agreement_count=cfg["study"]["agreement_count"],
+        transition=ctx["transition"], max_iter=cfg["solver"]["max_iter"])
+
+
+def _write_w(out, grid, rep):
+    return io.write_csv(out / "w.csv",
+                        ["node", *[f"x{k}" for k in range(grid.dimension)], "value"],
+                        io.field_rows(grid, rep.w_field.values))
+
+
+def _agreement_claim(rep):
+    return _claim(rep.estimator_agreement, "sup |barrier-form - trace-form|", 0.03)
+
+
 def cmd_limit(cfg, ctx, out, args):
-    model, grid, vset, tr = (ctx["model"], ctx["grid"], ctx["velocity_set"],
-                             ctx["transition"])
-    data = _critical(cfg, ctx)
-    ergodic = lp_solve(build_ergodic_lp(model, grid, vset, transition=tr))
-    polytope = build_mather_polytope(model, grid, vset, transition=tr,
-                                     ergodic_result=ergodic,
-                                     slack=cfg["measures"]["slack"])
-    from .limits import mather_set, selected_solution_deflim
-    w = selected_solution_deflim(data, [ergodic.measure])
-    mnodes = mather_set(polytope, cfg["measures"]["n_objectives"],
-                        cfg["seeds"]["master"], grid, base_measure=ergodic.measure)
-    from .limits import _agreement_nodes
-    sub = (np.asarray(cfg["study"]["sub_box"], dtype=float)
-           if cfg["study"]["sub_box"] else grid.scaled_box(0.5))
-    nodes = _agreement_nodes(grid, sub.reshape(grid.dimension, 2),
-                             cfg["study"]["agreement_count"], cfg["probes"])
-    e1 = enric1_values(data, polytope, nodes)
-    agreement = float(np.max(np.abs(e1 - w.values[nodes])))
+    """The study's limit w and its estimator agreement, with no discount schedule."""
+    rep = _study(cfg, ctx, [])
     arts = [
-        io.write_csv(out / "w.csv",
-                     ["node", *[f"x{k}" for k in range(grid.dimension)], "value"],
-                     io.field_rows(grid, w.values)),
+        _write_w(out, ctx["grid"], rep),
         io.write_json(out / "limit.json", {
-            "estimator_agreement": _claim(agreement,
-                                          "sup |barrier-form - trace-form|", 0.03),
-            "ergodic_objective": ergodic.objective,
-            "critical_crosscheck": abs(data.c + ergodic.objective),
-            "mather_nodes": [int(z) for z in mnodes],
+            "estimator_agreement": _agreement_claim(rep),
+            "ergodic_objective": rep.ergodic_objective,
+            "critical_crosscheck": rep.critical_crosscheck,
+            "mather_nodes": [int(z) for z in rep.mather_nodes],
         }),
     ]
     return 0, arts
 
 
 def cmd_study(cfg, ctx, out, args):
-    schedule = resolve_schedule(cfg)
-    sub = cfg["study"]["sub_box"]
-    rep = vanishing_discount_study(
-        ctx["model"], ctx["grid"], ctx["velocity_set"], schedule,
-        probes=cfg["probes"] or [(0.0,) * ctx["grid"].dimension],
-        sub_box=sub, solver_tol=cfg["solver"]["tol"],
-        bisect_tol=cfg["ergodic"]["bisection_tol"],
-        eps_aubry=cfg["ergodic"]["eps_aubry"], slack=cfg["measures"]["slack"],
-        n_objectives=cfg["measures"]["n_objectives"], seed=cfg["seeds"]["master"],
-        agreement_count=cfg["study"]["agreement_count"],
-        transition=ctx["transition"], max_iter=cfg["solver"]["max_iter"])
+    rep = _study(cfg, ctx, resolve_schedule(cfg))
     grid = ctx["grid"]
     rows = []
     for r in rep.rows:
@@ -463,15 +464,12 @@ def cmd_study(cfg, ctx, out, args):
                      ["lambda", "sup_gap", "iterations", "residual", "probe",
                       "lp_objective", "lambda_u_z", "rep81_gap", "transport"],
                      rows),
-        io.write_csv(out / "w.csv",
-                     ["node", *[f"x{k}" for k in range(grid.dimension)], "value"],
-                     io.field_rows(grid, rep.w_field.values)),
+        _write_w(out, grid, rep),
         io.write_json(out / "study.json", {
             "lambda_schedule": rep.lambda_schedule,
-            "sup_gaps": _claim(rep.sup_gaps, "sup |u_lambda - w| on sub-box",
-                               cfg["solver"]["tol"]),
-            "estimator_agreement": _claim(rep.estimator_agreement,
-                                          "sup |barrier-form - trace-form|", 0.03),
+            # a discount/discretization gap: no claimed tolerance bounds it
+            "sup_gaps": _claim(rep.sup_gaps, "sup |u_lambda - w| on sub-box", None),
+            "estimator_agreement": _agreement_claim(rep),
             "critical_crosscheck": _claim(rep.critical_crosscheck,
                                           "|c_bisection + ergodic LP optimum|", 0.02),
             "mather_nodes": [int(z) for z in rep.mather_nodes],
@@ -516,8 +514,6 @@ def make_parser():
         p.add_argument("--out", default=None)
         p.add_argument("--set", dest="overrides", action="append", default=[])
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--threads", type=int,
-                       default=int(os.environ.get("WEAKKAM_THREADS", "1")))
         if name == "distance":
             p.add_argument("--source", required=True)
             p.add_argument("--direction", choices=("from", "to"), default="from")
@@ -545,8 +541,7 @@ def main(argv=None):
         code, artifacts = HANDLERS[args.command](cfg, ctx, out, args)
         io.write_manifest(out, cfg, cfg["seeds"]["master"], artifacts,
                           warnings=ctx["warnings"],
-                          extra={"command": args.command,
-                                 "threads": args.threads})
+                          extra={"command": args.command})
         for w in ctx["warnings"]:
             print(f"warning: {w}", file=sys.stderr)
         return code

@@ -16,7 +16,6 @@ points scale like h^2 * Lip(sigma), which fixes the default threshold.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -29,8 +28,7 @@ from .models import (
     h_max_small_ball,
     h_min_over_p,
     lagrangian_table,
-    support_batch,
-    sublevel_radius,
+    support_function,
 )
 
 INF = 1e30
@@ -54,7 +52,8 @@ def edge_costs(model, grid, velocity_set, a, transition=None):
     empty a-sublevel."""
     if transition is None:
         transition = build_transition(grid, velocity_set)
-    sigma = support_batch(model, a, grid.coords, velocity_set.vectors)
+    sigma = support_function(model, a, grid.coords[:, None, :],
+                             velocity_set.vectors[None, :, :])
     bad = np.isnan(sigma[:, velocity_set.zero_index()])
     if bad.any():
         i = int(np.argmax(bad))
@@ -67,21 +66,7 @@ def edge_costs(model, grid, velocity_set, a, transition=None):
 def reverse_edge_costs(model, grid, velocity_set, a, transition):
     """Costs for walking edges backwards: step (j, u) mirrors the forward edge
     foot(j,u) --(-u)--> j, so it pays h*sigma_a(foot(j,u), -u)."""
-    n, M = transition.clipped.shape
-    feet = transition.feet.reshape(n * M, grid.dimension)
-    V = velocity_set.vectors
-    if model.family == "sampled":
-        out = np.empty((n, M))
-        from .models import _sampled_support
-        for j in range(n):
-            for m in range(M):
-                s = _sampled_support(model, a, transition.feet[j, m], float(-V[m][0]))
-                out[j, m] = np.nan if s is None else grid.h * s
-    else:
-        rad = np.array([r if (r := sublevel_radius(model, a, f)) is not None else np.nan
-                        for f in feet]).reshape(n, M)
-        speed = np.sqrt(np.sum(V ** 2, axis=1))
-        out = grid.h * rad * speed[None, :]
+    out = grid.h * support_function(model, a, transition.feet, -velocity_set.vectors)
     out[np.isnan(out)] = INF
     out[transition.clipped] = INF
     return out
@@ -138,47 +123,10 @@ def has_negative_cycle(costs, transition, neg_tol=1e-9, max_sweeps=None):
     return False
 
 
-def _heap_relax(costs, transition, target):
-    """Label-correcting relaxation with a priority queue; exact at termination
-    (empty heap = fixed point).  Requires nonnegative costs to be efficient."""
-    n, M = costs.shape
-    idx, w = transition.idx, transition.w
-    depend = [[] for _ in range(n)]
-    for i in range(n):
-        for m in range(M):
-            if costs[i, m] >= INF / 2:
-                continue
-            for k in range(idx.shape[2]):
-                if w[i, m, k] > 0:
-                    depend[idx[i, m, k]].append((i, m))
-    D = np.full(n, INF)
-    D[target] = 0.0
-    heap = [(0.0, target)]
-    while heap:
-        d, j = heapq.heappop(heap)
-        if d > D[j]:
-            continue
-        for (i, m) in depend[j]:
-            vals = D[idx[i, m]]
-            live = w[i, m] > 0
-            if np.any(vals[live] >= INF / 2):
-                continue
-            cand = costs[i, m] + float(np.dot(w[i, m][live], vals[live]))
-            if cand < D[i] - 1e-15:
-                D[i] = cand
-                heapq.heappush(heap, (cand, i))
-    return D
-
-
-def distances_to_targets(costs, transition, targets, method="bellman"):
+def distances_to_targets(costs, transition, targets):
     """Matrix S[t, i] = least cost of walking from node i to targets[t]."""
     targets = list(targets)
     n = costs.shape[0]
-    if method == "dijkstra":
-        finite = costs[costs < INF / 2]
-        if finite.size and np.min(finite) < 0:
-            raise ValueError("dijkstra fast path requires nonnegative costs")
-        return np.stack([_heap_relax(costs, transition, t) for t in targets])
     D0 = np.full((len(targets), n), INF)
     for r, t in enumerate(targets):
         D0[r, t] = 0.0
@@ -187,7 +135,7 @@ def distances_to_targets(costs, transition, targets, method="bellman"):
 
 
 def intrinsic_distance(model, grid, velocity_set, a, source, transition=None,
-                       direction="from", method="bellman"):
+                       direction="from"):
     """Distance field of the level-a metric: S_a(source, .) for direction
     "from" (cost of reaching each node from `source`), S_a(., source) for
     direction "to".  Raises NegativeCycle when a is subcritical."""
@@ -200,7 +148,7 @@ def intrinsic_distance(model, grid, velocity_set, a, source, transition=None,
         if isinstance(ec, SubcriticalCertificate):
             raise NegativeCycle(f"empty sublevel at node {ec.node}: level {a} subcritical")
         costs = ec
-    D = distances_to_targets(costs, transition, [source], method=method)[0]
+    D = distances_to_targets(costs, transition, [source])[0]
     name = f"S_{a:g}({'., source' if direction == 'to' else 'source, .'})"
     return ValueField(grid=grid, values=D, name=name)
 
@@ -288,7 +236,7 @@ def sigma_lipschitz_estimate(model, grid, a):
     """Largest axis-difference quotient of sigma_a(., e) over the grid."""
     e = np.zeros((1, grid.dimension))
     e[0, 0] = 1.0
-    vals = support_batch(model, a, grid.coords, e)[:, 0]
+    vals = support_function(model, a, grid.coords, e)
     vals = np.where(np.isnan(vals), 0.0, vals).reshape(grid.shape)
     worst = 0.0
     for k in range(grid.dimension):
@@ -304,8 +252,7 @@ def default_eps_aubry(model, grid, a, q_max=1.0):
     return 2.0 * lip * grid.h ** 2
 
 
-def aubry_set(model, grid, velocity_set, c, eps_aubry=None, transition=None,
-              candidates="auto"):
+def aubry_set(model, grid, velocity_set, c, eps_aubry=None, transition=None):
     """Nodes traversed by nontrivial cycles of intrinsic cost <= eps_aubry.
 
     cycle_cost(y) = min over q != 0 of [cost(y,q) + S(foot(y,q) -> y)], with
@@ -329,7 +276,7 @@ def aubry_set(model, grid, velocity_set, c, eps_aubry=None, transition=None,
     first_edge = np.min(np.where(moving[None, :], ec, INF), axis=1)
     finite = ec[ec < INF / 2]
     nonneg = finite.size == 0 or float(np.min(finite)) >= -1e-15
-    if candidates == "all" or not nonneg:
+    if not nonneg:
         cand_nodes = np.arange(n)
     else:
         cand_nodes = np.nonzero(first_edge <= eps_aubry * (1 + 1e-9) + 1e-15)[0]

@@ -46,7 +46,7 @@ def upper_start(model, grid, velocity_set, lam):
 
 
 def solve_discounted(model, grid, velocity_set, lam, tol=1e-6, max_iter=None,
-                     transition=None, trace_every=1):
+                     transition=None):
     """Iterate the discounted Bellman operator to the fixed point.
 
     Stops when the sup-norm update falls below tol; raises MaxIterExceeded
@@ -75,8 +75,7 @@ def solve_discounted(model, grid, velocity_set, lam, tol=1e-6, max_iter=None,
             raise RuntimeError(f"monotone decrease violated by {rise:.3e} at sweep {it}")
         residual = float(np.max(u - new))
         u = new
-        if it % trace_every == 0 or residual <= tol:
-            trace.append((it, residual))
+        trace.append((it, residual))
         if residual <= tol:
             return DiscountedSolve(lam=lam, field=ValueField(grid, u, name=f"u_{lam:g}"),
                                    iterations=it, residual=residual, trace=trace)

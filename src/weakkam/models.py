@@ -12,13 +12,17 @@ subtracted from H so that the working critical value can be pinned to 0;
 for the built-in families this amounts to replacing the potential f by
 F = f + c0.
 
-The module provides the convex conjugate L(x,q) = sup_p [p.q - H(x,p)],
-the superlinear surrogate H + (max(0, H - b))^2 with b = max_x H(x,0)
-(which leaves every sublevel {H <= a}, a <= b, untouched), the level-set
-support function sigma_a(x,q) = max{p.q : H(x,p) <= a}, and a numeric
-validator for the standing assumptions (continuity, convexity/coercivity,
-and the localization condition comparing the outer-shell values of H on
-small momentum balls against max_x min_p H).
+Each family is one object in ``FAMILIES`` with the same vectorized
+interface: H(X,P), the convex conjugate L(X,Q) = sup_p [p.q - H(x,p)],
+the level-set support function sigma_a(X,Q) = max{p.q : H(x,p) <= a}
+(NaN where the sublevel is empty), min_p H(X) and max_{|p|<=eps} H(X).
+Point arrays X, P, Q have shape (..., dimension) and their leading axes
+broadcast, so one call evaluates a whole node x velocity table.  The
+superlinear surrogate H + (max(0, H - b))^2 with b = max_x H(x,0) leaves
+every sublevel {H <= a}, a <= b, untouched.  The module also provides a
+numeric validator for the standing assumptions (continuity,
+convexity/coercivity, and the localization condition comparing the
+outer-shell values of H on small momentum balls against max_x min_p H).
 """
 
 from __future__ import annotations
@@ -32,12 +36,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import A3Violated, NonCoercive, NotNormalized
-
-EIKONAL = "eikonal"
-QUADRATIC = "quadratic"
-SAMPLED = "sampled"
-
-_FAMILIES = (EIKONAL, QUADRATIC, SAMPLED)
 
 
 # ---------------------------------------------------------------------------
@@ -92,10 +90,10 @@ class SampledTable:
     values: np.ndarray            # (num_x, P)
     convexified: bool = False
 
-    def row_for(self, x):
-        x = float(np.asarray(x).reshape(-1)[0])
-        i = int(np.argmin(np.abs(self.x_coords - x)))
-        return self.values[i]
+    def rows_at(self, X):
+        """Rows of the tabulated nodes nearest to the points X (..., 1)."""
+        x = np.asarray(X, dtype=float)[..., 0]
+        return self.values[np.argmin(np.abs(x[..., None] - self.x_coords), axis=-1)]
 
 
 def lower_convex_envelope(p, v):
@@ -126,6 +124,18 @@ def convexify_table(table: SampledTable) -> tuple[SampledTable, float]:
     return dataclasses.replace(table, values=vals, convexified=True), worst
 
 
+def _interp_rows(xp, rows, x):
+    """np.interp(x, xp, row) row by row; x broadcasts against rows[..., 0]."""
+    x = np.clip(x, xp[0], xp[-1])
+    j = np.clip(np.searchsorted(xp, x, side="right") - 1, 0, len(xp) - 2)
+    shape = np.broadcast_shapes(rows.shape[:-1], np.shape(x))
+    rows = np.broadcast_to(rows, shape + rows.shape[-1:])
+    j = np.broadcast_to(j, shape)
+    f0 = np.take_along_axis(rows, j[..., None], axis=-1)[..., 0]
+    f1 = np.take_along_axis(rows, j[..., None] + 1, axis=-1)[..., 0]
+    return f0 + (x - xp[j]) * ((f1 - f0) / (xp[j + 1] - xp[j]))
+
+
 # ---------------------------------------------------------------------------
 # model
 # ---------------------------------------------------------------------------
@@ -142,21 +152,26 @@ class HamiltonianModel:
     potential_spec: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.family not in _FAMILIES:
-            raise ValueError(f"family must be one of {_FAMILIES}, got {self.family!r}")
-        if self.family == SAMPLED:
-            if self.sampled is None:
-                raise ValueError("sampled family needs a SampledTable")
-            if self.dimension != 1:
-                raise ValueError("sampled family is implemented for dimension 1 only")
-        elif self.potential is None:
-            raise ValueError("closed-form families need a potential")
+        if self.family not in FAMILIES:
+            raise ValueError(f"family must be one of {tuple(FAMILIES)}, got {self.family!r}")
+        if not self.ops.tabulated:
+            if self.potential is None:
+                raise ValueError("closed-form families need a potential")
+        elif self.sampled is None:
+            raise ValueError("sampled family needs a SampledTable")
+        elif self.dimension != 1:
+            raise ValueError("sampled family is implemented for dimension 1 only")
+
+    @property
+    def ops(self):
+        """The family object that evaluates this model."""
+        return FAMILIES[self.family]
 
 
 def make_model(family, potential=None, dimension=1, normalization_shift=0.0,
                sampled=None):
     pot_fn, pot_spec = (None, {}) if potential is None else resolve_potential(potential)
-    if family == SAMPLED and sampled is not None and not sampled.convexified:
+    if sampled is not None and not sampled.convexified:
         sampled, worst = convexify_table(sampled)
         if worst > 1e-9:
             warnings.warn(f"sampled table convexified; largest correction {worst:.3g}",
@@ -166,10 +181,179 @@ def make_model(family, potential=None, dimension=1, normalization_shift=0.0,
                             sampled=sampled, potential_spec=pot_spec)
 
 
-def effective_potential(model, points):
-    """F = f + c0 so that the working Hamiltonian reads |p|-F or |p|^2/2-F."""
-    return model.potential(points) + model.normalization_shift
+def effective_potential(model, X):
+    """F = f + c0 on points (..., dimension), so that H reads |p|-F or |p|^2/2-F."""
+    X = np.asarray(X, dtype=float)
+    f = model.potential(X.reshape(-1, X.shape[-1])).reshape(X.shape[:-1])
+    return f + model.normalization_shift
 
+
+def _speed(Q):
+    return np.sqrt(np.sum(Q * Q, axis=-1))
+
+
+def _superlinear(model, v):
+    """v + (max(0, v - b))^2 once the model is superlinearized."""
+    if not model.superlinearized:
+        return v
+    return v + np.maximum(0.0, v - model.super_b) ** 2
+
+
+def _unsuperlinear_level(model, a):
+    """The level v with {H <= a} = {H before superlinearization <= v}."""
+    if not model.superlinearized or a <= model.super_b:
+        return a
+    return model.super_b + 0.5 * (-1.0 + math.sqrt(1.0 + 4.0 * (a - model.super_b)))
+
+
+# ---------------------------------------------------------------------------
+# the families
+# ---------------------------------------------------------------------------
+
+class _Radial:
+    """H(x,p) = profile(F(x), |p|) with a nondecreasing profile, so that
+    min_p H sits at p = 0 and every sublevel is a ball of radius r_a(x)."""
+
+    tabulated = False
+    convexity_tol = 1e-12
+
+    def H(self, model, X, P):
+        return self.profile(model, effective_potential(model, X), _speed(P))
+
+    def h_min(self, model, X):
+        return self.profile(model, effective_potential(model, X), 0.0)
+
+    def h_ball(self, model, X, eps):
+        return self.profile(model, effective_potential(model, X), eps)
+
+    def sigma(self, model, a, X, Q):
+        return self.radius(model, a, effective_potential(model, X)) * _speed(Q)
+
+    def velocity_bound(self, model):
+        return math.inf
+
+
+class Eikonal(_Radial):
+    """H = |p| - F; not superlinear, so the CLI superlinearizes it by default."""
+
+    superlinearize_by_default = True
+
+    def profile(self, model, F, r):
+        return _superlinear(model, r - F)
+
+    def radius(self, model, a, F):
+        val = F + _unsuperlinear_level(model, a)
+        return np.where(val >= 0, val, np.nan)
+
+    def L(self, model, X, Q):
+        F = effective_potential(model, X)
+        speed = _speed(Q)
+        if model.superlinearized:
+            return _eikonal_super_lagrangian(F, model.super_b, speed)
+        return np.where(speed <= 1.0 + 1e-12, F, np.inf)
+
+    def velocity_bound(self, model):
+        return math.inf if model.superlinearized else 1.0
+
+
+class Quadratic(_Radial):
+    """H = |p|^2/2 - F; already superlinear, so superlinearization is a no-op."""
+
+    superlinearize_by_default = False
+
+    def profile(self, model, F, r):
+        return 0.5 * r * r - F
+
+    def radius(self, model, a, F):
+        val = F + a
+        return np.where(val >= 0, np.sqrt(2.0 * np.maximum(val, 0.0)), np.nan)
+
+    def L(self, model, X, Q):
+        return 0.5 * _speed(Q) ** 2 + effective_potential(model, X)
+
+
+class Sampled:
+    """H tabulated on a momentum grid and interpolated linearly in p."""
+
+    tabulated = True
+    superlinearize_by_default = False
+    convexity_tol = 1e-8
+
+    def _working(self, model, raw):
+        """Table values -> working H: the normalization shift, then the surrogate."""
+        return _superlinear(model, raw - model.normalization_shift)
+
+    def H(self, model, X, P):
+        raw = model.sampled.rows_at(X)
+        return self._working(model, _interp_rows(model.sampled.p_grid, raw, P[..., 0]))
+
+    def h_min(self, model, X):
+        return self._working(model, np.min(model.sampled.rows_at(X), axis=-1))
+
+    def h_ball(self, model, X, eps):
+        # a convex row peaks at an end of the interval [-eps, eps]
+        P = np.full(X.shape, float(eps))
+        return np.maximum(self.H(model, X, -P), self.H(model, X, P))
+
+    def sigma(self, model, a, X, Q):
+        # {H <= a} is the interval of p where the interpolated row is <= v;
+        # its ends are grid momenta or linear crossings of the level v
+        pg = model.sampled.p_grid
+        v = _unsuperlinear_level(model, a) + model.normalization_shift
+        raw = model.sampled.rows_at(X)
+        lo, hi = raw[..., :-1], raw[..., 1:]
+        cross = (lo - v) * (hi - v) < 0
+        t = (v - lo) / np.where(cross, hi - lo, 1.0)
+        ends = np.concatenate([np.where(raw <= v, pg, np.nan),
+                               np.where(cross, pg[:-1] + t * (pg[1:] - pg[:-1]), np.nan)],
+                              axis=-1)
+        q = Q[..., 0]
+        return np.maximum(np.fmin.reduce(ends, axis=-1) * q,
+                          np.fmax.reduce(ends, axis=-1) * q)
+
+    def L(self, model, X, Q):
+        # discrete maximizer of p.q - H over the p-grid, then golden-section
+        # refinement of the concave objective on the bracketing interval
+        pg = model.sampled.p_grid
+        q = Q[..., 0]
+        raw = model.sampled.rows_at(X)
+        shape = np.broadcast_shapes(raw.shape[:-1], q.shape)
+        raw = np.broadcast_to(raw, shape + pg.shape)
+        q = np.broadcast_to(q, shape)
+        obj = pg * q[..., None] - self._working(model, raw)
+        k = np.argmax(obj, axis=-1)
+        best = np.take_along_axis(obj, k[..., None], axis=-1)[..., 0]
+        beside = np.take_along_axis(obj, np.where(k == 0, 1, k - 1)[..., None],
+                                    axis=-1)[..., 0]
+        runaway = (((k == 0) | (k == len(pg) - 1)) & (np.abs(q) > 1e-14)
+                   & (best - beside > 1e-12 * (1 + np.abs(best))))
+        if runaway.any():
+            # maximizer pushed to the probe boundary: cannot certify the sup
+            raise NonCoercive("sampled transform maximizer on the p-grid boundary")
+
+        def f(p):
+            return p * q - self._working(model, _interp_rows(pg, raw, p))
+
+        phi = (math.sqrt(5.0) - 1.0) / 2.0
+        a = pg[np.maximum(k - 1, 0)]
+        b = pg[np.minimum(k + 1, len(pg) - 1)]
+        c, d = b - phi * (b - a), a + phi * (b - a)
+        fc, fd = f(c), f(d)
+        for _ in range(60):
+            left = fc >= fd
+            a, b = np.where(left, a, c), np.where(left, d, b)
+            c, d = np.where(left, b - phi * (b - a), d), np.where(left, c, a + phi * (b - a))
+            fnew = f(np.where(left, c, d))
+            fc, fd = np.where(left, fnew, fd), np.where(left, fc, fnew)
+        return np.maximum(f(0.5 * (a + b)), np.max(obj, axis=-1))
+
+
+FAMILIES = {"eikonal": Eikonal(), "quadratic": Quadratic(), "sampled": Sampled()}
+
+
+# ---------------------------------------------------------------------------
+# evaluation
+# ---------------------------------------------------------------------------
 
 def _as_points(x, dim):
     pts = np.atleast_2d(np.asarray(x, dtype=float))
@@ -178,66 +362,31 @@ def _as_points(x, dim):
     return pts
 
 
+def _scalar_or_array(out):
+    out = np.asarray(out)
+    return out if out.size > 1 else float(out.reshape(-1)[0])
+
+
 def hamiltonian(model, x, p):
     """H(x,p) after normalization shift (and superlinearization if flagged)."""
-    X = _as_points(x, model.dimension)
-    P = _as_points(p, model.dimension)
-    r = np.sqrt(np.sum(P * P, axis=-1))
-    if model.family == SAMPLED:
-        base = np.array([np.interp(pv[0], model.sampled.p_grid, model.sampled.row_for(xv))
-                         for xv, pv in zip(np.broadcast_to(X, (max(len(X), len(P)), X.shape[1])),
-                                           np.broadcast_to(P, (max(len(X), len(P)), P.shape[1])))])
-        base = base - model.normalization_shift
-    else:
-        F = effective_potential(model, X)
-        base = (r - F) if model.family == EIKONAL else (0.5 * r * r - F)
-    if model.superlinearized and model.family != QUADRATIC:
-        base = base + np.maximum(0.0, base - model.super_b) ** 2
-    return base if base.size > 1 else float(base[0])
+    return _scalar_or_array(model.ops.H(model, _as_points(x, model.dimension),
+                                        _as_points(p, model.dimension)))
 
 
 def h_at_zero(model, points):
     """H(x,0) on an array of points (superlinearization never changes it when b>=0)."""
     X = _as_points(points, model.dimension)
-    if model.family == SAMPLED:
-        vals = np.array([np.interp(0.0, model.sampled.p_grid, model.sampled.row_for(xv))
-                         for xv in X]) - model.normalization_shift
-        if model.superlinearized:
-            vals = vals + np.maximum(0.0, vals - model.super_b) ** 2
-        return vals
-    return -effective_potential(model, X)
+    return model.ops.H(model, X, np.zeros_like(X))
 
 
 def h_min_over_p(model, points):
-    """min_p H(x,p) per point (attained at p=0 for the built-in families)."""
-    X = _as_points(points, model.dimension)
-    if model.family == SAMPLED:
-        return np.array([np.min(model.sampled.row_for(xv)) for xv in X]) - model.normalization_shift
-    return -effective_potential(model, X)
+    """min_p H(x,p) per point."""
+    return model.ops.h_min(model, _as_points(points, model.dimension))
 
 
 def h_max_small_ball(model, points, eps):
-    """max_{|p| <= eps} H(x,p) per point (radial profiles are nondecreasing)."""
-    X = _as_points(points, model.dimension)
-    if model.family == EIKONAL:
-        out = eps - effective_potential(model, X)
-    elif model.family == QUADRATIC:
-        out = 0.5 * eps * eps - effective_potential(model, X)
-    else:
-        pg = model.sampled.p_grid
-        out = np.empty(len(X))
-        for i, xv in enumerate(X):
-            row = model.sampled.row_for(xv)
-            inside = np.abs(pg) <= eps
-            cand = [row[inside].max()] if inside.any() else []
-            for s in (-eps, eps):
-                if pg[0] <= s <= pg[-1]:
-                    cand.append(np.interp(s, pg, row))
-            out[i] = max(cand)
-        out = out - model.normalization_shift
-    if model.superlinearized and model.family != QUADRATIC:
-        out = out + np.maximum(0.0, out - model.super_b) ** 2
-    return out
+    """max_{|p| <= eps} H(x,p) per point."""
+    return model.ops.h_ball(model, _as_points(points, model.dimension), eps)
 
 
 # ---------------------------------------------------------------------------
@@ -266,73 +415,15 @@ def fenchel_transform(model, x, q):
 
     Closed forms for the built-in families; grid maximization with a
     golden-section refinement for the sampled family.  Raises NonCoercive
-    when the supremum runs away along the probe radius (H not superlinear,
-    e.g. the raw eikonal family at |q| > 1).
+    when the supremum runs away (H not superlinear, e.g. the raw eikonal
+    family at |q| > 1).
     """
-    X = _as_points(x, model.dimension)
-    Q = _as_points(q, model.dimension)
-    speed = np.sqrt(np.sum(Q * Q, axis=-1))
-    if model.family == QUADRATIC:
-        out = 0.5 * speed ** 2 + effective_potential(model, X)
-        return out if out.size > 1 else float(out[0])
-    if model.family == EIKONAL:
-        F = effective_potential(model, X)
-        if model.superlinearized:
-            out = _eikonal_super_lagrangian(F, model.super_b, speed)
-        else:
-            if np.any(speed > 1.0 + 1e-12):
-                raise NonCoercive(
-                    "eikonal transform diverges for |q| > 1; superlinearize first")
-            out = F
-        return out if out.size > 1 else float(out[0])
-    # sampled, dimension 1
-    out = np.empty(max(len(X), len(Q)))
-    Xb = np.broadcast_to(X, (out.size, 1))
-    Qb = np.broadcast_to(Q, (out.size, 1))
-    for i in range(out.size):
-        out[i] = _sampled_transform(model, Xb[i], float(Qb[i][0]))
-    return out if out.size > 1 else float(out[0])
-
-
-def _sampled_h_scalar(model, row, p):
-    v = np.interp(p, model.sampled.p_grid, row) - model.normalization_shift
-    if model.superlinearized:
-        v = v + max(0.0, v - model.super_b) ** 2
-    return v
-
-
-def _sampled_transform(model, x, qv):
-    row = model.sampled.row_for(x)
-    pg = model.sampled.p_grid
-    obj = pg * qv - (row - model.normalization_shift)
-    if model.superlinearized:
-        h = (row - model.normalization_shift)
-        obj = pg * qv - (h + np.maximum(0.0, h - model.super_b) ** 2)
-    k = int(np.argmax(obj))
-    if k in (0, len(pg) - 1) and abs(qv) > 1e-14:
-        # maximizer pushed to the probe boundary: cannot certify the sup
-        edge = obj[k] - obj[k - 1 if k else k + 1]
-        if edge > 1e-12 * (1 + abs(obj[k])):
-            raise NonCoercive("sampled transform maximizer on the p-grid boundary")
-    lo = pg[max(k - 1, 0)]
-    hi = pg[min(k + 1, len(pg) - 1)]
-    # golden-section refinement on the bracketing interval
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-    fobj = lambda p: p * qv - _sampled_h_scalar(model, row, p)
-    a, bnd = lo, hi
-    c = bnd - phi * (bnd - a)
-    d = a + phi * (bnd - a)
-    fc, fd = fobj(c), fobj(d)
-    for _ in range(60):
-        if fc >= fd:
-            bnd, d, fd = d, c, fc
-            c = bnd - phi * (bnd - a)
-            fc = fobj(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + phi * (bnd - a)
-            fd = fobj(d)
-    return max(fobj(0.5 * (a + bnd)), float(np.max(obj)))
+    out = model.ops.L(model, _as_points(x, model.dimension),
+                      _as_points(q, model.dimension))
+    if np.any(np.isinf(out)):
+        raise NonCoercive("transform diverges where H is not superlinear; "
+                          "superlinearize first")
+    return _scalar_or_array(out)
 
 
 def lagrangian_table(model, points, velocities):
@@ -340,21 +431,7 @@ def lagrangian_table(model, points, velocities):
     where the transform is infinite (raw eikonal beyond the unit ball)."""
     X = np.atleast_2d(np.asarray(points, dtype=float))
     V = np.atleast_2d(np.asarray(velocities, dtype=float))
-    speed = np.sqrt(np.sum(V * V, axis=-1))
-    n, m = len(X), len(V)
-    if model.family == QUADRATIC:
-        return 0.5 * speed[None, :] ** 2 + effective_potential(model, X)[:, None]
-    if model.family == EIKONAL:
-        F = effective_potential(model, X)
-        if model.superlinearized:
-            return _eikonal_super_lagrangian(F[:, None], model.super_b, speed[None, :])
-        out = np.where(speed[None, :] <= 1.0 + 1e-12, F[:, None], np.inf)
-        return np.broadcast_to(out, (n, m)).copy()
-    out = np.empty((n, m))
-    for i in range(n):
-        for j in range(m):
-            out[i, j] = _sampled_transform(model, X[i], float(V[j][0]))
-    return out
+    return model.ops.L(model, X[:, None, :], V[None, :, :])
 
 
 # ---------------------------------------------------------------------------
@@ -387,75 +464,16 @@ def superlinearize(model, grid):
 # ---------------------------------------------------------------------------
 
 def support_function(model, a, x, q):
-    """sigma_a(x,q) = max{p.q : H(x,p) <= a}; None when the sublevel is empty.
+    """sigma_a(x,q) = max{p.q : H(x,p) <= a}; x and q broadcast over their
+    leading axes, and NaN marks an empty sublevel (a single query returns a
+    float, or None when the sublevel is empty).
 
     An empty sublevel certifies that the level a is subcritical at x.
     """
-    rad = sublevel_radius(model, a, x)
-    if rad is None:
-        return None
-    Q = _as_points(q, model.dimension)
-    speed = float(np.sqrt(np.sum(Q * Q, axis=-1))[0])
-    if model.family == SAMPLED:
-        return _sampled_support(model, a, x, float(Q[0][0]))
-    return rad * speed
-
-
-def sublevel_radius(model, a, x):
-    """Radius of {p : H(x,p) <= a} for the radial families; None if empty."""
-    if model.family == SAMPLED:
-        row = model.sampled.row_for(x) - model.normalization_shift
-        if model.superlinearized:
-            row = row + np.maximum(0.0, row - model.super_b) ** 2
-        if np.min(row) > a:
-            return None
-        return float(np.max(np.abs(model.sampled.p_grid[row <= a])))
-    F = float(effective_potential(model, np.atleast_2d(np.asarray(x, dtype=float)))[0])
-    if model.family == QUADRATIC:
-        val = F + a
-        return math.sqrt(2.0 * val) if val >= 0 else None
-    # eikonal; superlinearization only matters above the level b
-    if model.superlinearized and a > model.super_b:
-        w = F + model.super_b
-        s = 0.5 * (-1.0 + math.sqrt(1.0 + 4.0 * (a - model.super_b)))
-        return max(w, 0.0) + s if w + s >= 0 else None
-    val = F + a
-    return val if val >= 0 else None
-
-
-def support_batch(model, a, points, velocities):
-    """sigma_a on (points x velocities); nan marks empty sublevels."""
-    X = np.atleast_2d(np.asarray(points, dtype=float))
-    V = np.atleast_2d(np.asarray(velocities, dtype=float))
-    speed = np.sqrt(np.sum(V * V, axis=-1))
-    if model.family == SAMPLED:
-        out = np.empty((len(X), len(V)))
-        for i in range(len(X)):
-            for j in range(len(V)):
-                s = _sampled_support(model, a, X[i], float(V[j][0]))
-                out[i, j] = np.nan if s is None else s
-        return out
-    rad = np.array([r if (r := sublevel_radius(model, a, xv)) is not None else np.nan
-                    for xv in X])
-    return rad[:, None] * speed[None, :]
-
-
-def _sampled_support(model, a, x, qv):
-    row = model.sampled.row_for(x) - model.normalization_shift
-    if model.superlinearized:
-        row = row + np.maximum(0.0, row - model.super_b) ** 2
-    pg = model.sampled.p_grid
-    keep = row <= a
-    if not keep.any():
-        return None
-    cand = list(pg[keep] * qv)
-    # sharpen with the linear crossings of the level a
-    for i in range(len(pg) - 1):
-        lo, hi = row[i], row[i + 1]
-        if (lo - a) * (hi - a) < 0:
-            t = (a - lo) / (hi - lo)
-            cand.append((pg[i] + t * (pg[i + 1] - pg[i])) * qv)
-    return float(max(cand))
+    out = model.ops.sigma(model, a, _as_points(x, model.dimension),
+                          _as_points(q, model.dimension))
+    out = _scalar_or_array(out)
+    return None if isinstance(out, float) and math.isnan(out) else out
 
 
 # ---------------------------------------------------------------------------
@@ -504,7 +522,7 @@ def validate_assumptions(model, grid, probe_density=2000, eps_sweep=None,
     verdicts["A1"] = Verdict("A1", bool(finite), "finite nodal values")
 
     if convexity_tol is None:
-        convexity_tol = 1e-12 if model.family != SAMPLED else 1e-8
+        convexity_tol = model.ops.convexity_tol
     n_tri = min(probe_density, 5000)
     xs = pts[rng.integers(0, len(pts), size=n_tri)]
     p1 = rng.uniform(-3.0, 3.0, size=(n_tri, model.dimension))
@@ -569,9 +587,7 @@ def lagrangian_eval(model, grid, velocities):
     Finds the smallest centered sub-box K with min_q L > 0 outside it, then
     reports delta0 = min L/|q| and m0 = min_q L over the exterior sample.
     """
-    vbound = np.inf
-    if model.family == EIKONAL and not model.superlinearized:
-        vbound = 1.0
+    vbound = model.ops.velocity_bound(model)
     pts = grid.node_coords()
     V = np.atleast_2d(np.asarray(velocities, dtype=float))
     speed = np.sqrt(np.sum(V * V, axis=-1))

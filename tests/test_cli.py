@@ -1,10 +1,13 @@
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from weakkam.cli import main
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 TINY_STUDY = {
     "model": {"family": "eikonal", "potential": {"name": "abs"}},
@@ -38,6 +41,7 @@ def test_study_end_to_end(tmp_path):
     study = json.loads((out / "study.json").read_text())
     gaps = study["sup_gaps"]["value"]
     assert len(gaps) == 2 and all(np.isfinite(g) for g in gaps)
+    assert study["sup_gaps"]["tolerance"] is None
     assert not study["failures"]
 
 
@@ -65,6 +69,38 @@ def test_bad_family_exit_2(tmp_path, capsys):
     cfg = write_cfg(tmp_path, bad)
     assert main(["critical", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert "model.family" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("override", ['model.potential="foo"', "grid.h=0.3"])
+def test_bad_value_exit_2(tmp_path, capsys, override):
+    cfg = write_cfg(tmp_path, TINY_STUDY)
+    assert main(["critical", "--config", cfg, "--out", str(tmp_path / "o"),
+                 "--set", override]) == 2
+    assert override.split("=")[0] in capsys.readouterr().err
+
+
+def test_dimension_follows_box(tmp_path):
+    cfg = write_cfg(tmp_path, {
+        "model": {"family": "quadratic", "potential": "half_square"},
+        "grid": {"box": [[-1.0, 1.0], [-1.0, 1.0]], "h": 0.25},
+        "velocity": {"q_max": 1.0, "per_axis_count": 3},
+    })
+    out = tmp_path / "o"
+    assert main(["critical", "--config", cfg, "--out", str(out)]) == 0
+    rep = json.loads((out / "critical.json").read_text())
+    assert abs(rep["c"]["value"]) <= 1e-3
+
+
+def test_limit_matches_study_double_well(tmp_path):
+    # the limit subcommand is the study's limit w without a discount schedule
+    cfg = str(CONFIGS / "quadratic.json")
+    well = ["--set", 'model.potential="double_well"']
+    assert main(["limit", "--config", cfg, "--out", str(tmp_path / "limit"), *well]) == 0
+    assert main(["study", "--config", cfg, "--out", str(tmp_path / "study"), *well]) == 0
+    assert ((tmp_path / "limit" / "w.csv").read_bytes()
+            == (tmp_path / "study" / "w.csv").read_bytes())
+    rep = json.loads((tmp_path / "limit" / "limit.json").read_text())
+    assert rep["estimator_agreement"]["value"] <= 0.03
 
 
 def test_set_override(tmp_path):

@@ -130,15 +130,6 @@ def test_distance_brute_force_oracle_negative_edges(grid_tiny, vs3, tr_tiny):
     np.testing.assert_allclose(fld.values, oracle, atol=1e-12)
 
 
-def test_dijkstra_fast_path_matches_bellman(quad, grid_tiny, vs3, tr_tiny):
-    src = grid_tiny.node_near([-0.5])
-    bf = intrinsic_distance(quad, grid_tiny, vs3, 0.0, src, transition=tr_tiny,
-                            direction="to")
-    dj = intrinsic_distance(quad, grid_tiny, vs3, 0.0, src, transition=tr_tiny,
-                            direction="to", method="dijkstra")
-    np.testing.assert_allclose(bf.values, dj.values, atol=1e-12)
-
-
 def test_negative_cycle_detection_synthetic(grid_tiny, vs3, tr_tiny):
     costs = np.full((grid_tiny.num_nodes, vs3.size), 1.0)
     costs[tr_tiny.clipped] = 1e30
@@ -150,7 +141,7 @@ def test_negative_cycle_detection_synthetic(grid_tiny, vs3, tr_tiny):
     costs[i + 1, m_minus] = 0.5  # two-cycle of total cost -0.5
     assert has_negative_cycle(costs, tr_tiny)
     with pytest.raises(NegativeCycle):
-        distances_to_targets(costs, tr_tiny, [0], method="bellman")
+        distances_to_targets(costs, tr_tiny, [0])
 
 
 def test_distance_subsolution_at_critical_level(quad, grid_c, vs7, tr_c):

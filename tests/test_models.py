@@ -12,9 +12,7 @@ from weakkam.models import (
     lagrangian_table,
     lower_convex_envelope,
     make_model,
-    sublevel_radius,
     superlinearize,
-    support_batch,
     support_function,
     validate_assumptions,
 )
@@ -159,12 +157,23 @@ def test_support_asymmetric_sampled(grid_tiny):
 def test_sublevel_radius_superlinearized_above_b(eik_super):
     # above the level b the quadratic tail shrinks the radius: r + r^2 = a at x=0
     a = 2.0
-    r = sublevel_radius(eik_super, a, [0.0])
+    r = support_function(eik_super, a, [0.0], [1.0])
     assert r + r * r == pytest.approx(a, abs=1e-12)
 
 
+def test_support_table_matches_pointwise(quad, eik_super, grid_tiny, vs7):
+    for model in (quad, eik_super, make_asymmetric_sampled(grid_tiny)):
+        for a in (-0.1, 0.0, 0.3):
+            table = support_function(model, a, grid_tiny.coords[:, None, :],
+                                     vs7.vectors[None, :, :])
+            for i in range(grid_tiny.num_nodes):
+                for m in range(vs7.size):
+                    s = support_function(model, a, grid_tiny.coords[i], vs7.vectors[m])
+                    assert table[i, m] == s if s is not None else np.isnan(table[i, m])
+
+
 def test_support_batch_marks_empty_with_nan(quad, grid_c, vs7):
-    table = support_batch(quad, -0.1, grid_c.coords, vs7.vectors)
+    table = support_function(quad, -0.1, grid_c.coords[:, None, :], vs7.vectors[None, :, :])
     assert np.isnan(table[grid_c.node_near([0.0])]).all()
     assert np.isfinite(table[grid_c.node_near([2.0])]).all()
 

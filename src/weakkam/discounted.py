@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import MaxIterExceeded
+from .errors import MaxIterExceeded, WeakKAMError
 from .grids import ValueField, build_grid, build_transition, interpolate
 from .models import lagrangian_table
 
@@ -72,7 +72,7 @@ def solve_discounted(model, grid, velocity_set, lam, tol=1e-6, max_iter=None,
         new = np.min(stage + cont, axis=1) / denom
         rise = float(np.max(new - u))
         if rise > 1e-10 * scale:
-            raise RuntimeError(f"monotone decrease violated by {rise:.3e} at sweep {it}")
+            raise WeakKAMError(f"monotone decrease violated by {rise:.3e} at sweep {it}")
         residual = float(np.max(u - new))
         u = new
         trace.append((it, residual))

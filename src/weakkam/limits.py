@@ -32,10 +32,9 @@ from .errors import NoMeasures
 from .grids import ValueField, build_transition
 from .measures import (
     build_discounted_lp,
-    build_mather_polytope,
     build_ergodic_lp,
+    build_mather_polytope,
     lp_solve,
-    optimize_over_mather,
     transport_distance,
 )
 
@@ -48,31 +47,24 @@ _STATUS_NA = "NotApplicable"
 # estimator 1: barrier form, one LP per query
 # ---------------------------------------------------------------------------
 
-def selected_solution_enric1(critical, polytope, x, basis0=None):
-    """min over the Mather polytope of <mu, P(., x)>; x is a node index.
-
-    Returns (value, basis) so repeated queries can warm-start each other.
-    """
+def selected_solution_enric1(critical, polytope, x):
+    """min over the Mather polytope of <mu, P(., x)>; x is a node index."""
     grid = critical.grid
     if not np.isscalar(x):
         x = grid.node_near(x)
     pfield = peierls_field_to(critical, int(x))
     objective = np.array([pfield[i] for (i, _m) in polytope.var_pairs])
-    measure, sol = optimize_over_mather(polytope, objective, basis0=basis0)
-    return float(sol.objective), sol.basis
+    return lp_solve(polytope, objective).objective
 
 
 def enric1_values(critical, polytope, query_nodes):
-    """Barrier-form values at several nodes, warm-starting consecutive LPs."""
-    out = np.empty(len(query_nodes))
-    basis = None
-    for k, x in enumerate(query_nodes):
-        try:
-            out[k], basis = selected_solution_enric1(critical, polytope, int(x),
-                                                     basis0=basis)
-        except Exception:
-            out[k], basis = selected_solution_enric1(critical, polytope, int(x))
-    return out
+    """Barrier-form values at several nodes, one LP each from phase 1.
+
+    An optimal basis of one query cannot start the next: phase 1 drops the
+    polytope's redundant stationarity row, so that basis is one entry short.
+    """
+    return np.array([selected_solution_enric1(critical, polytope, int(x))
+                     for x in query_nodes], dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -144,20 +136,11 @@ def selected_solution_deflim(critical, measures):
 # ---------------------------------------------------------------------------
 
 def sample_vertex_measures(polytope, n_objectives, seed):
-    """Polytope vertices under seeded random objectives, warm-started."""
+    """Polytope vertices under seeded random objectives."""
     rng = np.random.default_rng(seed)
     nvar = len(polytope.var_pairs)
-    measures = []
-    basis = None
-    for _ in range(int(n_objectives)):
-        objective = rng.uniform(0.0, 1.0, size=nvar)
-        try:
-            measure, sol = optimize_over_mather(polytope, objective, basis0=basis)
-        except Exception:
-            measure, sol = optimize_over_mather(polytope, objective)
-        basis = sol.basis
-        measures.append(measure)
-    return measures
+    return [lp_solve(polytope, rng.uniform(0.0, 1.0, size=nvar)).measure
+            for _ in range(int(n_objectives))]
 
 
 def mather_set(polytope, n_objectives, seed, grid, base_measure=None,
@@ -283,17 +266,12 @@ class StudyReport:
 
 
 def _agreement_nodes(grid, sub_box, count, probes):
-    lo, hi = sub_box[0]
     nodes = []
-    if grid.dimension == 1:
-        for x in np.linspace(lo, hi, count):
-            nodes.append(grid.node_near([x]))
-    else:
-        center = 0.5 * (sub_box[:, 0] + sub_box[:, 1])
-        for x in np.linspace(sub_box[0, 0], sub_box[0, 1], count):
-            p = center.copy()
-            p[0] = x
-            nodes.append(grid.node_near(p))
+    center = 0.5 * (sub_box[:, 0] + sub_box[:, 1])
+    for x in np.linspace(sub_box[0, 0], sub_box[0, 1], count):
+        p = center.copy()
+        p[0] = x
+        nodes.append(grid.node_near(p))
     for p in probes:
         nodes.append(grid.node_near(p))
     seen, out = set(), []
@@ -326,9 +304,10 @@ def vanishing_discount_study(model, grid, velocity_set, schedule,
 
     critical = build_critical_data(model, grid, velocity_set, tol=bisect_tol,
                                    eps_aubry=eps_aubry, transition=transition)
-    ergodic = lp_solve(build_ergodic_lp(model, grid, velocity_set, transition=transition))
-    polytope = build_mather_polytope(model, grid, velocity_set, transition=transition,
-                                     ergodic_result=ergodic, slack=slack)
+    problem = build_ergodic_lp(model, grid, velocity_set, transition=transition)
+    ergodic = lp_solve(problem)
+    polytope = build_mather_polytope(problem, ergodic, slack=slack)
+    del problem                  # the polytope holds its own copy of the dense A
     vertices = sample_vertex_measures(polytope, n_objectives, seed)
     mnodes = mather_set(polytope, n_objectives, seed, grid,
                         base_measure=ergodic.measure, measures=vertices)

@@ -15,10 +15,16 @@ are built against the foot-point transition:
               and the stored measure is the normalized occupation measure
               of the discounted problem anchored at z.
 
+  mather      the ergodic rows plus the budget row <mu, L> + s = optimum +
+              slack with one slack column s >= 0: the closed probability
+              measures within `slack` of the ergodic optimum, over which
+              any linear objective can be minimized.
+
 Both use the unit-mass normalization; for the discounted program the mass
 row is implied exactly by the holonomy rows (their sum reads
 lambda*h*(total mass) = lambda*h) and is therefore not repeated, which
 also makes the q = 0 self-loop columns a feasible diagonal crash basis.
+All three are solved by `lp_solve`.
 """
 
 from __future__ import annotations
@@ -40,9 +46,10 @@ class LPProblem:
     c: np.ndarray
     A: np.ndarray
     b: np.ndarray
-    var_pairs: list              # (node, velocity_index) per column
+    var_pairs: list              # (node, velocity_index) per measure column;
+                                 # slack columns follow the measure columns
     row_kind: list               # "stationarity" | "mass" | "budget"
-    kind: str                    # "ergodic" | "discounted"
+    kind: str                    # "ergodic" | "discounted" | "mather"
     meta: dict = field(default_factory=dict)
 
 
@@ -69,7 +76,6 @@ class LPResult:
     objective: float
     duals: np.ndarray
     iterations: int
-    basis: np.ndarray
 
 
 def _finite_variables(L_flat):
@@ -135,10 +141,9 @@ def build_discounted_lp(model, grid, velocity_set, lam, z, transition=None):
     # lam*h*(total mass) = lam*h
     M = velocity_set.size
     pairs = [(int(v // M), int(v % M)) for v in active]
-    zero_m = velocity_set.zero_index()
-    col_of = {pair: col for col, pair in enumerate(pairs)}
-    crash = [col_of.get((i, zero_m)) for i in range(grid.num_nodes)]
-    crash = crash if all(cb is not None for cb in crash) else None
+    # the q = 0 column of each node, in node order, when every node has one
+    crash = np.nonzero(active % M == velocity_set.zero_index())[0]
+    crash = crash if len(crash) == grid.num_nodes else None
     return LPProblem(c=L[active], A=A, b=b, var_pairs=pairs,
                      row_kind=["stationarity"] * grid.num_nodes,
                      kind="discounted",
@@ -147,23 +152,32 @@ def build_discounted_lp(model, grid, velocity_set, lam, z, transition=None):
                            "lambda": lam, "z": z, "crash_basis": crash})
 
 
-def lp_solve(problem, tol=1e-9, basis0=None):
+def lp_solve(problem, objective=None):
     """Solve the program; returns the measure, the optimum, and the duals
     (the multipliers on the stationarity rows approximate a subsolution
-    potential and are reported for diagnostics)."""
-    if basis0 is None:
-        basis0 = problem.meta.get("crash_basis")
-    sol = solve_lp(problem.c, problem.A, problem.b, tol=tol, basis0=basis0)
+    potential and are reported for diagnostics).
+
+    `objective`, indexed like `var_pairs`, replaces the measure costs
+    `problem.c`; slack columns cost 0.  The vertices of the Mather polytope
+    are measures of kind "ergodic".
+    """
+    c = problem.c
+    if objective is not None:
+        c = np.zeros(len(problem.c))
+        c[:len(objective)] = objective
+    sol = solve_lp(c, problem.A, problem.b, basis0=problem.meta.get("crash_basis"))
+    x = sol.x[:len(problem.var_pairs)]
     entries = {}
-    for col, mass in enumerate(sol.x):
+    for col, mass in enumerate(x):
         if mass > SUPPORT_TOL:
             entries[problem.var_pairs[col]] = float(mass)
     meta = {k: v for k, v in problem.meta.items()
             if k in ("lambda", "z")}
-    measure = DiscreteMeasure(entries=entries, total_mass=float(np.sum(sol.x)),
-                              kind=problem.kind, meta=meta)
+    kind = "ergodic" if problem.kind == "mather" else problem.kind
+    measure = DiscreteMeasure(entries=entries, total_mass=float(np.sum(x)),
+                              kind=kind, meta=meta)
     return LPResult(measure=measure, objective=sol.objective, duals=sol.duals,
-                    iterations=sol.iterations, basis=sol.basis)
+                    iterations=sol.iterations)
 
 
 # ---------------------------------------------------------------------------
@@ -292,55 +306,27 @@ def random_bump_residuals(mu, grid, velocity_set, transition, n_fields=20,
 # the Mather polytope (ergodic feasible set cut at the optimal value)
 # ---------------------------------------------------------------------------
 
-@dataclass
-class MatherPolytope:
-    A: np.ndarray
-    b: np.ndarray
-    var_pairs: list              # per measure column; final column is the budget slack
-    L_active: np.ndarray
-    ergodic_objective: float
-    c_slack: float
-    meta: dict
-
-
-def build_mather_polytope(model, grid, velocity_set, transition=None,
-                          ergodic_result=None, slack=None):
+def build_mather_polytope(problem, ergodic_result, slack=None):
     """Closed unit-mass measures with <mu, L> within `slack` of the optimum.
 
-    The budget row <mu, L> + s = optimum + slack (s >= 0) is appended as an
-    extra column so any linear objective over the measures can be optimized
-    on the epsilon-argmin face of the ergodic program.
+    `problem` is the ergodic program and `ergodic_result` its solution.  The
+    budget row <mu, L> + s = optimum + slack (s >= 0) is appended with its
+    slack column, so `lp_solve(polytope, objective)` optimizes any linear
+    objective over the measures on the epsilon-argmin face.
     """
-    problem = build_ergodic_lp(model, grid, velocity_set, transition=transition)
-    if ergodic_result is None:
-        ergodic_result = lp_solve(problem)
     if slack is None:
-        slack = 1e-7 * (1.0 + abs(ergodic_result.objective)) + 1e-3 * grid.h ** 2
-    nvar = len(problem.var_pairs)
-    A = np.zeros((problem.A.shape[0] + 1, nvar + 1))
+        slack = (1e-7 * (1.0 + abs(ergodic_result.objective))
+                 + 1e-3 * problem.meta["grid"].h ** 2)
+    rows, cols = problem.A.shape
+    A = np.zeros((rows + 1, cols + 1))
     A[:-1, :-1] = problem.A
     A[-1, :-1] = problem.c
     A[-1, -1] = 1.0
     b = np.concatenate([problem.b, [ergodic_result.objective + slack]])
-    return MatherPolytope(A=A, b=b, var_pairs=problem.var_pairs,
-                          L_active=problem.c,
-                          ergodic_objective=ergodic_result.objective,
-                          c_slack=ergodic_result.objective + slack,
-                          meta=dict(problem.meta))
-
-
-def optimize_over_mather(polytope, objective, basis0=None, tol=1e-9):
-    """min objective.mu over the Mather polytope; objective indexed like
-    var_pairs (the slack column gets cost 0)."""
-    c = np.concatenate([np.asarray(objective, dtype=float), [0.0]])
-    sol = solve_lp(c, polytope.A, polytope.b, tol=tol, basis0=basis0)
-    entries = {}
-    for col, mass in enumerate(sol.x[:-1]):
-        if mass > SUPPORT_TOL:
-            entries[polytope.var_pairs[col]] = float(mass)
-    measure = DiscreteMeasure(entries=entries, total_mass=float(np.sum(sol.x[:-1])),
-                              kind="ergodic", meta={"polytope": True})
-    return measure, sol
+    return LPProblem(c=np.append(problem.c, 0.0), A=A, b=b,
+                     var_pairs=problem.var_pairs,
+                     row_kind=problem.row_kind + ["budget"], kind="mather",
+                     meta={**problem.meta, "slack": slack})
 
 
 def transport_distance(mu1, mu2, grid, velocity_set):

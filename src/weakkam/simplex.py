@@ -20,7 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleLP, UnboundedLP
+from .errors import InfeasibleLP, MaxIterExceeded, UnboundedLP
+
+TOL = 1e-9          # pricing, ratio-test and pivot tolerance
+PERTURB = 1e-8      # grading of the right-hand side during pivoting
 
 
 @dataclass
@@ -42,7 +45,7 @@ def _pivot_update(Binv, xB, d, row, theta):
     Binv[others] -= np.outer(d[others], Binv[row])
 
 
-def _core(A, b, c, basis, Binv, tol, max_iter, stall_limit=200, refresh=128):
+def _core(A, b, c, basis, Binv, max_iter, stall_limit=200, refresh=128):
     m, n = A.shape
     xB = Binv @ b
     bland = False
@@ -54,35 +57,36 @@ def _core(A, b, c, basis, Binv, tol, max_iter, stall_limit=200, refresh=128):
             Binv = np.linalg.inv(A[:, basis])
             xB = Binv @ b
         if it >= max_iter:
-            raise RuntimeError(f"simplex exceeded {max_iter} iterations "
-                               f"(bland={bland}, obj={float(c[basis] @ xB):.6g})")
+            raise MaxIterExceeded(f"simplex exceeded {max_iter} iterations "
+                                  f"(bland={bland}, obj={float(c[basis] @ xB):.6g})",
+                                  iterations=it)
         y = c[basis] @ Binv
         reduced = c - y @ A
         reduced[basis] = 0.0
         if bland:
-            cand = np.nonzero(reduced < -tol)[0]
+            cand = np.nonzero(reduced < -TOL)[0]
             if cand.size == 0:
                 break
             enter = int(cand[0])
         else:
             enter = int(np.argmin(reduced))
-            if reduced[enter] >= -tol:
+            if reduced[enter] >= -TOL:
                 break
         d = Binv @ A[:, enter]
-        pos = d > tol
+        pos = d > TOL
         if not pos.any():
             raise UnboundedLP("unbounded improving ray")
         ratios = np.full(m, np.inf)
         ratios[pos] = xB[pos] / d[pos]
         ratios[pos] = np.maximum(ratios[pos], 0.0)
         theta = float(np.min(ratios))
-        rows = np.nonzero(ratios <= theta + tol * (1 + abs(theta)))[0]
+        rows = np.nonzero(ratios <= theta + TOL * (1 + abs(theta)))[0]
         leave_row = int(rows[np.argmin(basis[rows])])
         _pivot_update(Binv, xB, d, leave_row, max(theta, 0.0))
         basis[leave_row] = enter
         it += 1
         obj = float(c[basis] @ xB)
-        if obj >= last_obj - tol * (1 + abs(obj)):
+        if obj >= last_obj - TOL * (1 + abs(obj)):
             stall += 1
             if stall >= stall_limit:
                 bland = True
@@ -92,7 +96,7 @@ def _core(A, b, c, basis, Binv, tol, max_iter, stall_limit=200, refresh=128):
     return basis, Binv, xB, it
 
 
-def _dual_cleanup(A, b, c, basis, Binv, tol, max_iter=5000):
+def _dual_cleanup(A, b, c, basis, Binv, max_iter=5000):
     """Dual-simplex pivots restoring primal feasibility of an optimal basis
     (used after the grading of the right-hand side is removed)."""
     m, n = A.shape
@@ -110,7 +114,7 @@ def _dual_cleanup(A, b, c, basis, Binv, tol, max_iter=5000):
         reduced[basis] = 0.0
         alpha = Binv[r] @ A
         alpha[basis] = 0.0
-        cand = np.nonzero(alpha < -tol)[0]
+        cand = np.nonzero(alpha < -TOL)[0]
         if cand.size == 0:
             raise InfeasibleLP("no dual pivot: problem infeasible at this vertex")
         ratios = np.maximum(reduced[cand], 0.0) / (-alpha[cand])
@@ -122,92 +126,89 @@ def _dual_cleanup(A, b, c, basis, Binv, tol, max_iter=5000):
         it += 1
 
 
-def solve_lp(c, A, b, tol=1e-9, max_iter=None, basis0=None, perturb=1e-8):
+def _phase1(A, b_work, scale_b, max_iter):
+    """Feasible basis of A x = b_work from an artificial identity start.
+
+    Returns the basis, its inverse, the pivots made and the mask of the rows
+    kept: a row whose artificial cannot be driven out is redundant.
+    """
+    m, n = A.shape
+    A1 = np.hstack([A, np.eye(m)])
+    c1 = np.concatenate([np.zeros(n), np.ones(m)])
+    basis, Binv, xB, it = _core(A1, b_work, c1, np.arange(n, n + m), np.eye(m),
+                                max_iter)
+    infeas = float(c1[basis] @ xB)
+    if infeas > 1e-7 * scale_b + 10.0 * PERTURB * scale_b * m:
+        raise InfeasibleLP(f"phase-1 infeasibility {infeas:.3e}")
+    keep_rows = np.ones(m, dtype=bool)
+    for r in range(m):
+        if basis[r] < n:
+            continue
+        row_vals = Binv[r] @ A
+        j = int(np.argmax(np.abs(row_vals)))
+        if abs(row_vals[j]) > 1e-9:
+            d = Binv @ A[:, j]
+            _pivot_update(Binv, xB, d, r, xB[r] / d[r] if abs(d[r]) > 1e-12 else 0.0)
+            basis[r] = j
+            it += 1
+        else:
+            keep_rows[r] = False
+    return basis, Binv, it, keep_rows
+
+
+def solve_lp(c, A, b, basis0=None):
     """Optimal basic feasible solution of min c.x, A x = b, x >= 0.
 
-    `basis0` (a previously optimal basis for the same constraints) skips
-    phase 1 when it is still feasible, which makes repeated solves with
-    changing objectives cheap.  `perturb` grades the right-hand side during
-    pivoting only; set 0 to disable.
+    `basis0` is a known-feasible starting basis (the discounted program's
+    q = 0 crash); it replaces phase 1 when its basic solution is
+    nonnegative.  `iterations` counts every pivot: phase 1, the drive-out
+    of artificials, phase 2 and the dual clean-up.  The caller's arrays are
+    never modified.
     """
-    A = np.array(A, dtype=float)
-    b = np.array(b, dtype=float)
-    c = np.array(c, dtype=float)
+    A = np.asarray(A, dtype=float)
+    b = np.asarray(b, dtype=float)
+    c = np.asarray(c, dtype=float)
     m, n = A.shape
-    row_sign = np.ones(m)
-    neg = b < 0
-    A[neg] *= -1.0
-    b[neg] *= -1.0
-    row_sign[neg] = -1.0
+    row_sign = np.where(b < 0, -1.0, 1.0)
+    if (row_sign < 0).any():
+        A = A * row_sign[:, None]
+        b = b * row_sign
     scale_b = max(1.0, float(np.max(np.abs(b))) if b.size else 1.0)
-    b_work = b + perturb * scale_b * (1.0 + np.arange(m)) / max(m, 1)
-    if max_iter is None:
-        max_iter = 50 * (m + n) + 2000
+    b_work = b + PERTURB * scale_b * (1.0 + np.arange(m)) / max(m, 1)
+    max_iter = 50 * (m + n) + 2000
     total_it = 0
-    dropped = []
+    keep_rows = np.ones(m, dtype=bool)
 
-    basis = None
+    basis = Binv = None
     if basis0 is not None:
-        basis_try = np.array(basis0, dtype=int)
-        if len(basis_try) == m and np.all(basis_try < n):
-            try:
-                Binv = np.linalg.inv(A[:, basis_try])
-                if np.all(Binv @ b >= -1e-8):
-                    basis = basis_try
-            except np.linalg.LinAlgError:
-                basis = None
+        basis = np.array(basis0, dtype=int)
+        try:
+            Binv = np.linalg.inv(A[:, basis])
+        except np.linalg.LinAlgError:
+            Binv = None
+        if Binv is None or not np.all(Binv @ b >= -1e-8):
+            basis = None
 
     if basis is None:
-        # phase 1 with an artificial identity basis
-        A1 = np.hstack([A, np.eye(m)])
-        c1 = np.concatenate([np.zeros(n), np.ones(m)])
-        basis = np.arange(n, n + m)
-        Binv = np.eye(m)
-        basis, Binv, xB, it1 = _core(A1, b_work, c1, basis, Binv, tol, max_iter)
-        total_it += it1
-        infeas = float(c1[basis] @ xB)
-        if infeas > 1e-7 * scale_b + 10.0 * perturb * scale_b * m:
-            raise InfeasibleLP(f"phase-1 infeasibility {infeas:.3e}")
-        # drive artificials out of the basis; rows that cannot pivot are redundant
-        keep_rows = np.ones(m, dtype=bool)
-        for r in range(m):
-            if basis[r] < n:
-                continue
-            row_vals = Binv[r] @ A
-            j = int(np.argmax(np.abs(row_vals)))
-            if abs(row_vals[j]) > 1e-9:
-                d = Binv @ A[:, j]
-                _pivot_update(Binv, xB, d, r, xB[r] / d[r] if abs(d[r]) > 1e-12 else 0.0)
-                basis[r] = j
-            else:
-                keep_rows[r] = False
+        basis, Binv, total_it, keep_rows = _phase1(A, b_work, scale_b, max_iter)
         if not keep_rows.all():
-            dropped = list(np.nonzero(~keep_rows)[0])
-            A = A[keep_rows]
-            b = b[keep_rows]
-            b_work = b_work[keep_rows]
+            A, b, b_work = A[keep_rows], b[keep_rows], b_work[keep_rows]
             basis = basis[keep_rows]
             Binv = np.linalg.inv(A[:, basis])
-            m = A.shape[0]
-    else:
-        Binv = np.linalg.inv(A[:, basis])
 
-    basis, Binv, xB, it2 = _core(A, b_work, c, basis, Binv, tol, max_iter)
-    total_it += it2
+    basis, Binv, xB, it = _core(A, b_work, c, basis, Binv, max_iter)
+    total_it += it
     # re-solve the final basis against the unperturbed right-hand side; a
     # graded vertex can sit just outside the exact feasible set, in which
     # case dual pivots walk it back while preserving optimality
     Binv = np.linalg.inv(A[:, basis])
     xB = Binv @ b
     if float(np.min(xB)) < -1e-9 * scale_b:
-        basis, Binv, xB, it3 = _dual_cleanup(A, b, c, basis, Binv, tol)
-        total_it += it3
+        basis, Binv, xB, it = _dual_cleanup(A, b, c, basis, Binv)
+        total_it += it
     x = np.zeros(n)
     x[basis] = np.maximum(xB, 0.0)
-    y = c[basis] @ Binv
     duals = np.zeros(len(row_sign))
-    kept_idx = [i for i in range(len(row_sign)) if i not in set(dropped)]
-    for pos, i in enumerate(kept_idx):
-        duals[i] = y[pos] * row_sign[i]
-    return LPSolution(x=x, objective=float(c @ x), duals=duals,
-                      iterations=total_it, basis=basis.copy(), dropped_rows=dropped)
+    duals[keep_rows] = (c[basis] @ Binv) * row_sign[keep_rows]
+    return LPSolution(x=x, objective=float(c @ x), duals=duals, iterations=total_it,
+                      basis=basis.copy(), dropped_rows=list(np.nonzero(~keep_rows)[0]))

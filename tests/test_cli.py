@@ -241,3 +241,15 @@ def test_a3_violation_exits_2(tmp_path, capsys):
     # superlinearize (default for the eikonal family) must refuse the model
     assert main(["critical", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert "A3Violated" in capsys.readouterr().err
+
+
+def test_solver_failure_exits_3_without_traceback(tmp_path, capsys, monkeypatch):
+    # a start below the fixed point breaks the monotone-decrease guard
+    import weakkam.discounted
+    monkeypatch.setattr(weakkam.discounted, "upper_start", lambda *args: -1e3)
+    cfg = write_cfg(tmp_path, TINY_STUDY)
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o"),
+                 "--lambda", "0.5"]) == 3
+    err = capsys.readouterr().err
+    assert "error[WeakKAMError]: monotone decrease violated" in err
+    assert "Traceback" not in err

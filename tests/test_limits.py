@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from weakkam import limits, measures
 from weakkam.critical import build_critical_data, weak_kam_solution
 from weakkam.errors import NoMeasures
 from weakkam.grids import ValueField, build_grid, build_transition, build_velocity_set
@@ -20,9 +21,9 @@ from weakkam.models import make_model, superlinearize
 @pytest.fixture(scope="module")
 def quad_setup(quad, grid_c, vs7, tr_c):
     crit = build_critical_data(quad, grid_c, vs7, tol=1e-3, transition=tr_c)
-    ergodic = lp_solve(build_ergodic_lp(quad, grid_c, vs7, transition=tr_c))
-    poly = build_mather_polytope(quad, grid_c, vs7, transition=tr_c,
-                                 ergodic_result=ergodic)
+    problem = build_ergodic_lp(quad, grid_c, vs7, transition=tr_c)
+    ergodic = lp_solve(problem)
+    poly = build_mather_polytope(problem, ergodic)
     return crit, ergodic, poly
 
 
@@ -32,9 +33,9 @@ def quad_setup(quad, grid_c, vs7, tr_c):
 
 def test_enric1_barrier_values(quad_setup, grid_c):
     crit, ergodic, poly = quad_setup
-    v1, _ = selected_solution_enric1(crit, poly, grid_c.node_near([1.0]))
+    v1 = selected_solution_enric1(crit, poly, grid_c.node_near([1.0]))
     assert v1 == pytest.approx(0.5, abs=3 * grid_c.h)
-    vz, _ = selected_solution_enric1(crit, poly, int(crit.aubry_nodes[0]))
+    vz = selected_solution_enric1(crit, poly, int(crit.aubry_nodes[0]))
     assert abs(vz) <= 2 * crit.eps_aubry + 1e-6
 
 
@@ -42,10 +43,9 @@ def test_enric1_eikonal(grid_c, vs7):
     eik = superlinearize(make_model("eikonal", "abs"), grid_c)
     tr = build_transition(grid_c, vs7)
     crit = build_critical_data(eik, grid_c, vs7, tol=1e-3, transition=tr)
-    ergodic = lp_solve(build_ergodic_lp(eik, grid_c, vs7, transition=tr))
-    poly = build_mather_polytope(eik, grid_c, vs7, transition=tr,
-                                 ergodic_result=ergodic)
-    v2, _ = selected_solution_enric1(crit, poly, grid_c.node_near([2.0]))
+    problem = build_ergodic_lp(eik, grid_c, vs7, transition=tr)
+    poly = build_mather_polytope(problem, lp_solve(problem))
+    v2 = selected_solution_enric1(crit, poly, grid_c.node_near([2.0]))
     assert v2 == pytest.approx(2.0, abs=0.12)
 
 
@@ -110,8 +110,9 @@ def test_mather_set_double_well():
     vs = build_velocity_set(1.0, 3)
     model = make_model("quadratic", "double_well")
     tr = build_transition(g, vs)
-    ergodic = lp_solve(build_ergodic_lp(model, g, vs, transition=tr))
-    poly = build_mather_polytope(model, g, vs, transition=tr, ergodic_result=ergodic)
+    problem = build_ergodic_lp(model, g, vs, transition=tr)
+    ergodic = lp_solve(problem)
+    poly = build_mather_polytope(problem, ergodic)
     nodes = mather_set(poly, 8, 0, g, base_measure=ergodic.measure)
     pts = g.coords[nodes][:, 0]
     assert np.min(np.abs(pts - 1.0)) <= g.h + 1e-12
@@ -229,3 +230,21 @@ def test_w_is_subsolution_at_critical_level(quad_setup, grid_c, quad, vs7, tr_c)
     ok, worst = is_subsolution(w, quad, grid_c, vs7, crit.level,
                                slack=2 * grid_c.h * lip, transition=tr_c)
     assert ok, worst
+
+
+def test_study_builds_the_ergodic_lp_once(monkeypatch):
+    calls = []
+    build = measures.build_ergodic_lp
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(measures, "build_ergodic_lp", counting)
+    monkeypatch.setattr(limits, "build_ergodic_lp", counting)
+    g = build_grid([[-2.0, 2.0]], 0.1)
+    vs = build_velocity_set(1.0, 5)
+    rep = vanishing_discount_study(make_model("quadratic", "half_square"), g, vs,
+                                   [0.5], n_objectives=2, agreement_count=3)
+    assert not rep.failures
+    assert len(calls) == 1

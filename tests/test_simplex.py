@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
 
-from weakkam.errors import InfeasibleLP, UnboundedLP
+from weakkam import simplex
+from weakkam.errors import InfeasibleLP, MaxIterExceeded, UnboundedLP
+from weakkam.grids import build_grid, build_velocity_set
+from weakkam.measures import build_ergodic_lp, lp_solve
+from weakkam.models import make_model
 from weakkam.simplex import solve_lp
 
 from helpers import brute_force_lp
@@ -81,3 +85,28 @@ def test_warm_start_reuses_basis():
     cold = solve_lp(c2, A, b)
     assert warm.objective == pytest.approx(cold.objective, abs=1e-8)
     assert warm.iterations <= cold.iterations
+
+
+def test_iterations_count_every_pivot(monkeypatch):
+    # phase 1 leaves artificials in the basis of this degenerate flow LP, so
+    # the drive-out pivots are most of the basis changes
+    calls = []
+    pivot = simplex._pivot_update
+
+    def counting(*args):
+        calls.append(1)
+        return pivot(*args)
+
+    monkeypatch.setattr(simplex, "_pivot_update", counting)
+    g = build_grid([[-2.0, 2.0]], 0.1)
+    vs = build_velocity_set(1.0, 5)
+    res = lp_solve(build_ergodic_lp(make_model("quadratic", "half_square"), g, vs))
+    assert len(calls) > 0
+    assert res.iterations == len(calls)
+
+
+def test_iteration_cap_raises_max_iter_exceeded():
+    A = np.array([[1.0, 1.0]])
+    with pytest.raises(MaxIterExceeded):
+        simplex._core(A, np.array([1.0]), np.array([1.0, 0.0]), np.array([0]),
+                      np.eye(1), max_iter=0)

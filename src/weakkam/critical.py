@@ -12,6 +12,9 @@ constants become subsolutions).
 A node belongs to the (discrete) Aubry set when some nontrivial cycle
 through it has intrinsic cost below eps_aubry; cycle costs at true Aubry
 points scale like h^2 * Lip(sigma), which fixes the default threshold.
+`build_critical_data` keeps the distance fields to and from the Aubry
+nodes as two (k, n) arrays whose rows follow `aubry_nodes`; the Peierls
+barrier and the weak KAM min-formula are array expressions over them.
 """
 
 from __future__ import annotations
@@ -21,17 +24,18 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import BracketInvalid, IncompatibleTrace, KTooLarge, NegativeCycle
+from .errors import BracketInvalid, IncompatibleTrace, NegativeCycle
 from .grids import ValueField, build_transition, interpolate
 from .models import (
     h_at_zero,
-    h_max_small_ball,
     h_min_over_p,
     lagrangian_table,
     support_function,
 )
 
 INF = 1e30
+NEG_TOL = 1e-9    # relative drop at the sweep cap that certifies a negative cycle
+CHUNK = 64        # distance rows relaxed together
 
 
 # ---------------------------------------------------------------------------
@@ -76,48 +80,46 @@ def reverse_edge_costs(model, grid, velocity_set, a, transition):
 # min-plus relaxation
 # ---------------------------------------------------------------------------
 
-def relax_batch(costs, transition, D0, max_sweeps=None, neg_tol=1e-9, chunk=64):
+def relax_batch(costs, transition, D0):
     """Sweep D <- min(D, min_q [c(i,q) + sum_k w(i,q,k) D(idx(i,q,k))]) to a
-    fixed point.  D0 has shape (T, n); rows relax independently.
+    fixed point.  D0 has shape (T, n) and holds finite values, with INF for
+    unreachable; rows relax independently.
 
-    Raises NegativeCycle when the sweep cap is hit while values still drop
-    by more than neg_tol (the min-plus operator is unbounded below).
+    Raises NegativeCycle when 2n+64 sweeps end while values still drop by
+    more than NEG_TOL relative to the field (the min-plus operator is
+    unbounded below).
     """
     D = np.array(D0, dtype=float)
     T, n = D.shape
-    if max_sweeps is None:
-        max_sweeps = 2 * n + 64
+    max_sweeps = 2 * n + 64
     idx, w = transition.idx, transition.w
     sweeps = 0
     while sweeps < max_sweeps:
         sweeps += 1
         improvement = 0.0
-        for t0 in range(0, T, chunk):
-            block = D[t0:t0 + chunk]
-            vals = block[:, idx]                       # (b, n, M, K)
-            vals = np.minimum(vals, INF)
-            cont = np.einsum("bnmk,nmk->bnm", vals, w)
+        for t0 in range(0, T, CHUNK):
+            block = D[t0:t0 + CHUNK]
+            cont = np.einsum("bnmk,nmk->bnm", block[:, idx], w)
             cand = np.min(costs[None, :, :] + cont, axis=2)
             new = np.minimum(block, cand)
             improvement = max(improvement, float(np.max(block - new)))
-            D[t0:t0 + chunk] = new
+            D[t0:t0 + CHUNK] = new
         if improvement <= 0.0:
             return D, sweeps
     scale = 1.0 + float(np.max(np.abs(D[D < INF / 2]))) if np.any(D < INF / 2) else 1.0
-    if improvement > neg_tol * scale:
+    if improvement > NEG_TOL * scale:
         raise NegativeCycle(
             f"min-plus relaxation still improving by {improvement:.3e} after {sweeps} sweeps")
     return D, sweeps
 
 
-def has_negative_cycle(costs, transition, neg_tol=1e-9, max_sweeps=None):
+def has_negative_cycle(costs, transition):
     """Negative-cycle test: relax from the zero field.  Negative path values
     are legitimate (edges may cost less than nothing); a negative cycle is
     exactly the failure of the relaxation to reach a fixed point."""
     n = costs.shape[0]
     try:
-        relax_batch(costs, transition, np.zeros((1, n)),
-                    max_sweeps=max_sweeps, neg_tol=neg_tol)
+        relax_batch(costs, transition, np.zeros((1, n)))
     except NegativeCycle:
         return True
     return False
@@ -159,6 +161,9 @@ def intrinsic_distance(model, grid, velocity_set, a, source, transition=None,
 
 @dataclass
 class CriticalData:
+    """Bisection result plus the Aubry set at `level` (the upper end of the
+    bracket).  Row r of S_to is S(., aubry_nodes[r]) and row r of S_from is
+    S(aubry_nodes[r], .), both (k, n) arrays of level-`level` distances."""
     c: float
     bracket: tuple
     trace: list = field(default_factory=list)
@@ -167,24 +172,11 @@ class CriticalData:
     cycle_exact: Optional[np.ndarray] = None
     eps_aubry: Optional[float] = None
     level: Optional[float] = None          # level used for distances (c_hi)
-    S_from: dict = field(default_factory=dict)
-    S_to: dict = field(default_factory=dict)
+    S_to: Optional[np.ndarray] = None
+    S_from: Optional[np.ndarray] = None
     grid: object = None
     model: object = None
     velocity_set: object = None
-    transition: object = None
-
-    def ensure_fields(self, node):
-        """Lazily add the pair of distance fields anchored at `node`."""
-        if node not in self.S_from:
-            self.S_from[node] = intrinsic_distance(
-                self.model, self.grid, self.velocity_set, self.level, node,
-                transition=self.transition, direction="from").values
-        if node not in self.S_to:
-            self.S_to[node] = intrinsic_distance(
-                self.model, self.grid, self.velocity_set, self.level, node,
-                transition=self.transition, direction="to").values
-        return self.S_to[node], self.S_from[node]
 
 
 def is_subcritical(model, grid, velocity_set, a, transition):
@@ -224,7 +216,7 @@ def critical_value(model, grid, velocity_set, tol=1e-3, transition=None):
             a_hi = mid
     data = CriticalData(c=0.5 * (a_lo + a_hi), bracket=(a_lo, a_hi), trace=trace,
                         level=a_hi, grid=grid, model=model,
-                        velocity_set=velocity_set, transition=transition)
+                        velocity_set=velocity_set)
     return data
 
 
@@ -246,29 +238,34 @@ def sigma_lipschitz_estimate(model, grid, a):
     return worst
 
 
-def default_eps_aubry(model, grid, a, q_max=1.0):
+def default_eps_aubry(model, grid, a):
     """Cycle costs at true Aubry points scale like Lip(sigma) * h^2."""
     lip = max(sigma_lipschitz_estimate(model, grid, a), 1e-9)
     return 2.0 * lip * grid.h ** 2
 
 
-def aubry_set(model, grid, velocity_set, c, eps_aubry=None, transition=None):
-    """Nodes traversed by nontrivial cycles of intrinsic cost <= eps_aubry.
+def build_critical_data(model, grid, velocity_set, tol=1e-3, eps_aubry=None,
+                        transition=None):
+    """Bisection, then the Aubry set and its distance fields at data.level.
 
-    cycle_cost(y) = min over q != 0 of [cost(y,q) + S(foot(y,q) -> y)], with
-    the return distance interpolated at the foot.  When all edge costs are
-    nonnegative, nodes whose cheapest outgoing edge already exceeds the
-    threshold cannot be Aubry (the return leg costs >= 0), so the exact
-    cycle cost is only computed on the surviving candidates; elsewhere the
-    stored value is that first-edge lower bound (exact mask reports which).
+    Aubry nodes are those traversed by nontrivial cycles of intrinsic cost
+    <= eps_aubry: cycle_cost(y) = min over q != 0 of [cost(y,q) +
+    S(foot(y,q) -> y)], with the return distance interpolated at the foot.
+    When all edge costs are nonnegative, nodes whose cheapest outgoing edge
+    already exceeds the threshold cannot be Aubry (the return leg costs
+    >= 0), so the exact cycle cost is only computed on the surviving
+    candidates; elsewhere the stored value is that first-edge lower bound
+    (cycle_exact reports which).  The return distances of the Aubry
+    candidates are kept as S_to; S_from takes one more relaxation over the
+    reversed edges.
     """
     if transition is None:
         transition = build_transition(grid, velocity_set)
-    ec = edge_costs(model, grid, velocity_set, c, transition)
-    if isinstance(ec, SubcriticalCertificate):
-        raise NegativeCycle(f"level {c} subcritical at node {ec.node}")
+    data = critical_value(model, grid, velocity_set, tol=tol, transition=transition)
+    # the bisection certified data.level feasible, so no sublevel is empty
+    ec = edge_costs(model, grid, velocity_set, data.level, transition)
     if eps_aubry is None:
-        eps_aubry = default_eps_aubry(model, grid, c, velocity_set.q_max)
+        eps_aubry = default_eps_aubry(model, grid, data.level)
     n, M = ec.shape
     zero_m = velocity_set.zero_index()
     moving = np.ones(M, dtype=bool)
@@ -282,32 +279,23 @@ def aubry_set(model, grid, velocity_set, c, eps_aubry=None, transition=None):
         cand_nodes = np.nonzero(first_edge <= eps_aubry * (1 + 1e-9) + 1e-15)[0]
     cycle = first_edge.copy()
     exact = np.zeros(n, dtype=bool)
-    if len(cand_nodes):
-        D = distances_to_targets(ec, transition, list(cand_nodes))
-        for r, y in enumerate(cand_nodes):
-            cont = np.sum(transition.w[y] * D[r][transition.idx[y]], axis=1)  # (M,)
-            vals = ec[y] + cont
-            vals[zero_m] = INF
-            cycle[y] = float(np.min(vals))
-            exact[y] = True
-    nodes = np.nonzero(cycle <= eps_aubry)[0]
-    return nodes, cycle, exact, eps_aubry
-
-
-def build_critical_data(model, grid, velocity_set, tol=1e-3, eps_aubry=None,
-                        transition=None):
-    """Bisection, Aubry detection, and the per-Aubry distance fields."""
-    if transition is None:
-        transition = build_transition(grid, velocity_set)
-    data = critical_value(model, grid, velocity_set, tol=tol, transition=transition)
-    nodes, cycle, exact, eps = aubry_set(model, grid, velocity_set, data.level,
-                                         eps_aubry=eps_aubry, transition=transition)
-    data.aubry_nodes = nodes
+    D = distances_to_targets(ec, transition, cand_nodes)
+    for r, y in enumerate(cand_nodes):
+        cont = np.sum(transition.w[y] * D[r][transition.idx[y]], axis=1)  # (M,)
+        vals = ec[y] + cont
+        vals[zero_m] = INF
+        cycle[y] = float(np.min(vals))
+        exact[y] = True
+    # a node outside the candidates has a first edge above eps_aubry
+    in_aubry = cycle[cand_nodes] <= eps_aubry
+    data.aubry_nodes = cand_nodes[in_aubry]
     data.cycle_cost = cycle
     data.cycle_exact = exact
-    data.eps_aubry = eps
-    for z in nodes:
-        data.ensure_fields(int(z))
+    data.eps_aubry = eps_aubry
+    data.S_to = D[in_aubry]
+    data.S_from = distances_to_targets(
+        reverse_edge_costs(model, grid, velocity_set, data.level, transition),
+        transition, data.aubry_nodes)
     return data
 
 
@@ -317,20 +305,12 @@ def build_critical_data(model, grid, velocity_set, tol=1e-3, eps_aubry=None,
 
 def peierls_barrier(critical, x, y):
     """P(x,y) = min over Aubry z of S(x,z) + S(z,y), from the stored fields."""
-    best = np.inf
-    for z in critical.aubry_nodes:
-        s_to, s_from = critical.ensure_fields(int(z))
-        best = min(best, float(s_to[x] + s_from[y]))
-    return best
+    return float(np.min(critical.S_to[:, x] + critical.S_from[:, y], initial=np.inf))
 
 
 def peierls_field_to(critical, y):
     """P(., y) as a vector over nodes."""
-    out = np.full(critical.grid.num_nodes, np.inf)
-    for z in critical.aubry_nodes:
-        s_to, s_from = critical.ensure_fields(int(z))
-        out = np.minimum(out, s_to + s_from[y])
-    return out
+    return np.min(critical.S_to + critical.S_from[:, y, None], axis=0, initial=np.inf)
 
 
 def weak_kam_solution(critical, v0, tol=1e-9):
@@ -349,17 +329,17 @@ def weak_kam_solution(critical, v0, tol=1e-9):
     else:
         trace = {z: float(v) for z, v in zip(nodes, np.asarray(v0, dtype=float))}
     scale = 1.0 + max(abs(v) for v in trace.values())
-    for z in nodes:
-        _, s_from = critical.ensure_fields(z)
-        for y in nodes:
-            if trace[y] - trace[z] > s_from[y] + tol * scale:
-                raise IncompatibleTrace(
-                    f"v0({y}) - v0({z}) = {trace[y] - trace[z]:.6g} exceeds "
-                    f"S({z},{y}) = {s_from[y]:.6g}")
-    out = np.full(critical.grid.num_nodes, np.inf)
-    for z in nodes:
-        _, s_from = critical.ensure_fields(z)
-        out = np.minimum(out, trace[z] + s_from)
+    t = np.array([trace[z] for z in nodes], dtype=float)
+    S_from = critical.S_from
+    # bad[r, s]: v0(y_s) - v0(z_r) exceeds S(z_r, y_s)
+    bad = t[None, :] - t[:, None] > S_from[:, nodes] + tol * scale
+    if bad.any():
+        r, s = np.argwhere(bad)[0]
+        z, y = nodes[r], nodes[s]
+        raise IncompatibleTrace(
+            f"v0({y}) - v0({z}) = {t[s] - t[r]:.6g} exceeds "
+            f"S({z},{y}) = {S_from[r, y]:.6g}")
+    out = np.min(t[:, None] + S_from, axis=0, initial=np.inf)
     return ValueField(grid=critical.grid, values=out, name="weak_kam")
 
 
@@ -382,52 +362,3 @@ def is_subsolution(u, model, grid, velocity_set, a, slack, transition=None):
     mask = (~transition.clipped) & np.isfinite(L)
     worst = float(np.max(res[mask])) if mask.any() else 0.0
     return worst <= slack, worst
-
-
-def compactify_subsolution(u, core_box, model, grid, level=0.0, eps=None,
-                           margin_cells=2):
-    """Cap a subsolution so it is constant near the box boundary.
-
-    Builds the cone phi = -(eps/2)|x|, lifts it just above u on the smallest
-    centered sub-box C containing `core_box` and every node where
-    max_{|p|<=eps} H >= level, and returns max(min(phi + b, u), min_C u),
-    which agrees with u on the core and flattens outside.  When eps is not
-    given, the steepest slope that still keeps C strictly inside the box is
-    used (steeper cones flatten sooner on a truncated domain).  KTooLarge
-    when no admissible eps lets C fit.
-    """
-    vals = u.values if isinstance(u, ValueField) else np.asarray(u, dtype=float)
-    core = np.asarray(core_box, dtype=float).reshape(grid.dimension, 2)
-    pad = margin_cells * grid.h
-
-    def c_box_for(e):
-        bad = h_max_small_ball(model, grid.coords, e) >= level - 1e-12
-        lo = core[:, 0].copy()
-        hi = core[:, 1].copy()
-        if bad.any():
-            pts = grid.coords[bad]
-            lo = np.minimum(lo, pts.min(axis=0))
-            hi = np.maximum(hi, pts.max(axis=0))
-        C = np.stack([lo - pad, hi + pad], axis=1)
-        fits = not (np.any(C[:, 0] <= grid.box[:, 0] + grid.h - 1e-12)
-                    or np.any(C[:, 1] >= grid.box[:, 1] - grid.h + 1e-12))
-        return C, fits
-
-    if eps is None:
-        for e in np.linspace(1.0, 0.01, 100):
-            C, fits = c_box_for(e)
-            if fits:
-                eps = float(e)
-                break
-        else:
-            raise KTooLarge("no slope keeps the capped set inside the box")
-    else:
-        C, fits = c_box_for(eps)
-        if not fits:
-            raise KTooLarge("no room between the core set and the box boundary")
-    c_mask = grid.box_mask(C)
-    phi = -(eps / 2.0) * np.sqrt(np.sum(grid.coords ** 2, axis=1))
-    b = float(np.max(vals[c_mask]) - np.min(phi[c_mask])) + eps * grid.h
-    v = np.minimum(phi + b, vals)
-    w0 = np.maximum(v, float(np.min(vals[c_mask])))
-    return ValueField(grid=grid, values=w0, name="compactified")

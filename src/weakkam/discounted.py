@@ -19,13 +19,12 @@ the ansatz alpha x^2 gives alpha = (-lambda + sqrt(lambda^2 + 4))/4.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import MaxIterExceeded, WeakKAMError
-from .grids import ValueField, build_grid, build_transition, interpolate
+from .grids import ValueField, build_transition, interpolate
 from .models import lagrangian_table
 
 
@@ -36,7 +35,6 @@ class DiscountedSolve:
     iterations: int
     residual: float
     trace: list = None                    # (iteration, sup-update) pairs
-    truncation_check: Optional[list] = None
 
 
 def upper_start(model, grid, velocity_set, lam):
@@ -102,31 +100,3 @@ def oracle_quadratic(lam, x):
     """Solution alpha x^2 of lambda u + (u')^2/2 = x^2/2."""
     out = quadratic_rate(lam) * np.asarray(x, dtype=float) ** 2
     return out if out.size > 1 else float(out)
-
-
-# ---------------------------------------------------------------------------
-# truncation validation
-# ---------------------------------------------------------------------------
-
-def validate_truncation(model, grid, velocity_set, lam, probes, scales=(1.5, 2.0),
-                        tol=1e-6, pass_tol=0.02, max_iter=None):
-    """Re-solve on boxes scaled about the center and report probe movement.
-
-    Each row is (probe, scale, |u_scaled(z) - u(z)|, passed, near_boundary);
-    probes near the original boundary are expected to move (state-constraint
-    artifact) and are reported, not failed.
-    """
-    base = solve_discounted(model, grid, velocity_set, lam, tol=tol, max_iter=max_iter)
-    probes = np.atleast_2d(np.asarray(probes, dtype=float))
-    shell = grid.shell_mask(0.2)
-    rows = []
-    for s in scales:
-        gbig = build_grid(grid.scaled_box(s), grid.h)
-        sol = solve_discounted(model, gbig, velocity_set, lam, tol=tol, max_iter=max_iter)
-        for z in probes:
-            d = abs(float(sol.field.at(z)) - float(base.field.at(z)))
-            near = bool(shell[grid.node_near(z)])
-            rows.append({"probe": tuple(float(v) for v in z), "scale": float(s),
-                         "delta": d, "passed": bool(d <= pass_tol) or near,
-                         "near_boundary": near})
-    return rows

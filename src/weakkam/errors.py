@@ -36,10 +36,6 @@ class IncompatibleTrace(WeakKAMError):
     """Prescribed boundary values violate the intrinsic-distance compatibility."""
 
 
-class KTooLarge(WeakKAMError):
-    """No room between the requested core set and the box boundary."""
-
-
 class MaxIterExceeded(WeakKAMError):
     """Iteration budget exhausted before reaching the tolerance."""
 

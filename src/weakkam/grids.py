@@ -32,14 +32,8 @@ class Grid:
     def num_nodes(self):
         return int(np.prod(self.shape))
 
-    def node_coords(self):
-        return self.coords
-
     def multi_to_flat(self, multi):
         return int(np.ravel_multi_index(multi, self.shape))
-
-    def flat_to_multi(self, flat):
-        return tuple(int(t) for t in np.unravel_index(flat, self.shape))
 
     def node_near(self, point):
         """Flat index of the node closest to the given coordinates."""
@@ -47,16 +41,6 @@ class Grid:
         multi = [int(round((p[k] - self.box[k, 0]) / self.h)) for k in range(self.dimension)]
         multi = [min(max(m, 0), self.shape[k] - 1) for k, m in enumerate(multi)]
         return self.multi_to_flat(multi)
-
-    def boundary_mask(self):
-        m = np.zeros(self.shape, dtype=bool)
-        for k in range(self.dimension):
-            sl = [slice(None)] * self.dimension
-            sl[k] = 0
-            m[tuple(sl)] = True
-            sl[k] = -1
-            m[tuple(sl)] = True
-        return m.reshape(-1)
 
     def shell_mask(self, fraction=0.10):
         """Outermost `fraction` of the box (per axis, split between the two sides)."""
@@ -184,10 +168,7 @@ class Transition:
 
 
 def build_transition(grid, velocity_set):
-    span = float(np.min(grid.box[:, 1] - grid.box[:, 0]))
-    if grid.h * velocity_set.q_max > span:
-        warnings.warn("foot displacement h*q_max exceeds the box span; "
-                      "every transition will clip", stacklevel=2)
+    """Warns when more than half of the moving (q != 0) feet clip."""
     pts = grid.coords
     V = velocity_set.vectors
     n, N = pts.shape
@@ -197,6 +178,11 @@ def build_transition(grid, velocity_set):
     hi = grid.box[:, 1][None, None, :]
     feet = np.clip(feet_raw, lo, hi)
     clipped = np.any(np.abs(feet - feet_raw) > 1e-12, axis=2)
+    moving = np.any(V != 0.0, axis=1)
+    share = float(np.mean(clipped[:, moving]))
+    if share > 0.5:
+        warnings.warn(f"{share:.0%} of the moving feet x_i + h*q clip to the box; "
+                      "lower velocity.q_max or refine the grid", stacklevel=2)
     idx, w = grid.interp_weights(feet.reshape(n * M, N))
     K = idx.shape[1]
     return Transition(grid=grid, velocity_set=velocity_set,
@@ -223,7 +209,3 @@ class ValueField:
         idx, w = self.grid.interp_weights(points)
         out = np.sum(w * self.values[idx], axis=1)
         return out if out.size > 1 else float(out[0])
-
-    def restrict_max(self, mask, other=None):
-        v = self.values if other is None else np.abs(self.values - np.asarray(other))
-        return float(np.max(v[mask]))

@@ -85,7 +85,7 @@ def maximal_trace(critical, measures, sweeps=200, tol=1e-12):
     if not measures:
         raise NoMeasures("maximal_trace needs at least one Mather measure")
     nodes = [int(z) for z in critical.aubry_nodes]
-    S = {z: critical.ensure_fields(z)[1] for z in nodes}
+    S = dict(zip(nodes, critical.S_from))
     marginals = []
     for mu in measures:
         m = {}

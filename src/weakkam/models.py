@@ -229,9 +229,6 @@ class _Radial:
     def sigma(self, model, a, X, Q):
         return self.radius(model, a, effective_potential(model, X)) * _speed(Q)
 
-    def velocity_bound(self, model):
-        return math.inf
-
 
 class Eikonal(_Radial):
     """H = |p| - F; not superlinear, so the CLI superlinearizes it by default."""
@@ -251,9 +248,6 @@ class Eikonal(_Radial):
         if model.superlinearized:
             return _eikonal_super_lagrangian(F, model.super_b, speed)
         return np.where(speed <= 1.0 + 1e-12, F, np.inf)
-
-    def velocity_bound(self, model):
-        return math.inf if model.superlinearized else 1.0
 
 
 class Quadratic(_Radial):
@@ -448,7 +442,7 @@ def superlinearize(model, grid):
     (the localization assumption has no interior maximizer) and NotNormalized
     when b < 0 (the model is not normalized to critical value 0).
     """
-    pts = grid.node_coords()
+    pts = grid.coords
     vals = h_at_zero(model, pts)
     k = int(np.argmax(vals))
     b = float(vals[k])
@@ -514,7 +508,7 @@ def validate_assumptions(model, grid, probe_density=2000, eps_sweep=None,
     """
     if eps_sweep is None:
         eps_sweep = [k / 100.0 for k in range(1, 101)]
-    pts = grid.node_coords()
+    pts = grid.coords
     rng = np.random.default_rng(rng_seed)
     verdicts = {}
 
@@ -565,50 +559,3 @@ def validate_assumptions(model, grid, probe_density=2000, eps_sweep=None,
     return AssumptionReport(a3_lhs=a3_lhs, a3_rhs=a3_rhs, epsilon_used=eps_used,
                             margin=margin, verdicts=verdicts,
                             coercivity_radius=coer_radius)
-
-
-# ---------------------------------------------------------------------------
-# Lagrangian witnesses (velocity bound, core compact, lower bounds)
-# ---------------------------------------------------------------------------
-
-@dataclass
-class LagrangianEval:
-    source: HamiltonianModel
-    superlinearized: bool
-    velocity_bound: float
-    delta0: float = 0.0
-    m0: float = 0.0
-    core_box: Optional[np.ndarray] = None
-
-
-def lagrangian_eval(model, grid, velocities):
-    """Concrete witnesses for the lower bounds of L outside a core sub-box.
-
-    Finds the smallest centered sub-box K with min_q L > 0 outside it, then
-    reports delta0 = min L/|q| and m0 = min_q L over the exterior sample.
-    """
-    vbound = model.ops.velocity_bound(model)
-    pts = grid.node_coords()
-    V = np.atleast_2d(np.asarray(velocities, dtype=float))
-    speed = np.sqrt(np.sum(V * V, axis=-1))
-    finite_v = speed <= vbound + 1e-12 if np.isfinite(vbound) else np.ones(len(V), bool)
-    L = lagrangian_table(model, pts, V[finite_v])
-    spd = speed[finite_v]
-    core = None
-    for shrink in np.linspace(0.05, 0.95, 19):
-        sub = grid.scaled_box(shrink)
-        outside = ~grid.box_mask(sub)
-        if outside.any() and np.min(L[outside]) > 0:
-            core = sub
-            break
-    if core is None:
-        core = grid.box.copy()
-    outside = ~grid.box_mask(core)
-    if outside.any():
-        moving = spd > 1e-12
-        delta0 = float(np.min(L[np.ix_(outside, moving)] / spd[moving][None, :])) if moving.any() else 0.0
-        m0 = float(np.min(L[outside]))
-    else:
-        delta0, m0 = 0.0, 0.0
-    return LagrangianEval(source=model, superlinearized=model.superlinearized,
-                          velocity_bound=vbound, delta0=delta0, m0=m0, core_box=core)

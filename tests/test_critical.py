@@ -3,9 +3,7 @@ import pytest
 
 from weakkam.critical import (
     SubcriticalCertificate,
-    aubry_set,
     build_critical_data,
-    compactify_subsolution,
     critical_value,
     distances_to_targets,
     edge_costs,
@@ -13,9 +11,10 @@ from weakkam.critical import (
     intrinsic_distance,
     is_subsolution,
     peierls_barrier,
+    peierls_field_to,
     weak_kam_solution,
 )
-from weakkam.errors import IncompatibleTrace, KTooLarge, NegativeCycle
+from weakkam.errors import IncompatibleTrace, NegativeCycle
 from weakkam.grids import ValueField, build_grid, build_transition, build_velocity_set
 from weakkam.models import make_model
 
@@ -181,7 +180,7 @@ def test_aubry_double_well_five_nodes():
     g = build_grid([[-2.0, 2.0]], 0.5)
     vs = build_velocity_set(1.0, 3)
     model = make_model("quadratic", "double_well")
-    nodes, cycle, exact, eps = aubry_set(model, g, vs, 0.0, eps_aubry=0.6)
+    nodes = build_critical_data(model, g, vs, eps_aubry=0.6).aubry_nodes
     captured = {g.coords[int(z)][0] for z in nodes}
     assert {-1.0, 1.0} <= captured
     assert 2.0 not in captured and -2.0 not in captured
@@ -191,7 +190,7 @@ def test_aubry_double_well_fine():
     g = build_grid([[-2.0, 2.0]], 0.05)
     vs = build_velocity_set(1.0, 3)
     model = make_model("quadratic", "double_well")
-    nodes, cycle, exact, eps = aubry_set(model, g, vs, 0.0)
+    nodes = build_critical_data(model, g, vs).aubry_nodes
     pts = g.coords[nodes][:, 0]
     assert np.min(np.abs(pts - 1.0)) == 0.0 and np.min(np.abs(pts + 1.0)) == 0.0
     assert np.all(np.minimum(np.abs(pts - 1.0), np.abs(pts + 1.0)) <= 5 * g.h)
@@ -199,6 +198,44 @@ def test_aubry_double_well_fine():
 
 def test_aubry_exact_flags(quad_crit):
     assert np.all(quad_crit.cycle_exact[quad_crit.aubry_nodes])
+
+
+def _assert_fields_match_intrinsic_distance(data, model, grid, vset, transition):
+    assert len(data.aubry_nodes) > 1
+    assert data.S_to.shape == data.S_from.shape == (len(data.aubry_nodes), grid.num_nodes)
+    for r, z in enumerate(data.aubry_nodes):
+        for direction, rows in (("to", data.S_to), ("from", data.S_from)):
+            fld = intrinsic_distance(model, grid, vset, data.level, int(z),
+                                     transition=transition, direction=direction)
+            np.testing.assert_array_equal(rows[r], fld.values)
+
+
+def test_aubry_fields_are_exact_distances_1d(quad_crit, quad, grid_c, vs7, tr_c):
+    _assert_fields_match_intrinsic_distance(quad_crit, quad, grid_c, vs7, tr_c)
+
+
+def test_aubry_fields_are_exact_distances_2d():
+    g = build_grid([[-1.0, 1.0], [-1.0, 1.0]], 0.25)
+    vs = build_velocity_set(1.0, 3, dimension=2)
+    tr = build_transition(g, vs)
+    model = make_model("quadratic", "half_square", dimension=2)
+    data = build_critical_data(model, g, vs, transition=tr)
+    _assert_fields_match_intrinsic_distance(data, model, g, vs, tr)
+
+
+def test_critical_data_relaxes_two_distance_batches(quad, grid_c, vs7, tr_c, monkeypatch):
+    import weakkam.critical as critical
+    calls = []
+    real = critical.distances_to_targets
+
+    def counting(costs, transition, targets):
+        calls.append(targets)
+        return real(costs, transition, targets)
+
+    monkeypatch.setattr(critical, "distances_to_targets", counting)
+    data = critical.build_critical_data(quad, grid_c, vs7, tol=1e-3, transition=tr_c)
+    assert len(data.aubry_nodes) > 1
+    assert len(calls) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +273,29 @@ def test_weak_kam_additive_invariance(quad_crit):
     np.testing.assert_allclose(lifted.values, base.values + 3.25, atol=1e-12)
 
 
+def test_row_expressions_match_loops_over_aubry_rows(quad_crit, grid_c):
+    # the loops over Aubry nodes that the array expressions replaced
+    S_to, S_from = quad_crit.S_to, quad_crit.S_from
+    nodes = [int(z) for z in quad_crit.aubry_nodes]
+    y = grid_c.node_near([1.0])
+    ref = np.full(grid_c.num_nodes, np.inf)
+    for r in range(len(nodes)):
+        ref = np.minimum(ref, S_to[r] + S_from[r, y])
+    np.testing.assert_array_equal(peierls_field_to(quad_crit, y), ref)
+    # distinct values, all within the compatibility tolerance of each other
+    trace = {z: 5e-11 * k for k, z in enumerate(nodes)}
+    ref = np.full(grid_c.num_nodes, np.inf)
+    for r, z in enumerate(nodes):
+        ref = np.minimum(ref, trace[z] + S_from[r])
+    np.testing.assert_array_equal(weak_kam_solution(quad_crit, trace).values, ref)
+    # an incompatible trace names the first violating (z, y) in loop order
+    trace[nodes[-1]] = 10.0
+    first = next((z, y) for r, z in enumerate(nodes) for y in nodes
+                 if trace[y] - trace[z] > S_from[r, y] + 1e-9 * 11.0)
+    with pytest.raises(IncompatibleTrace, match=rf"v0\({first[1]}\) - v0\({first[0]}\) "):
+        weak_kam_solution(quad_crit, trace)
+
+
 def test_weak_kam_incompatible_trace():
     g = build_grid([[-2.0, 2.0]], 0.05)
     vs = build_velocity_set(1.0, 3)
@@ -244,7 +304,8 @@ def test_weak_kam_incompatible_trace():
     zplus = [int(z) for z in data.aubry_nodes if g.coords[int(z)][0] > 0]
     zminus = [int(z) for z in data.aubry_nodes if g.coords[int(z)][0] < 0]
     trace = {z: 0.0 for z in data.aubry_nodes}
-    diam = float(np.nanmax([v for z in (zplus[0],) for v in data.S_from[z]]))
+    row = [int(z) for z in data.aubry_nodes].index(zplus[0])
+    diam = float(np.nanmax([v for v in data.S_from[row]]))
     trace[zplus[0]] = 10.0 * diam
     with pytest.raises(IncompatibleTrace):
         weak_kam_solution(data, {int(k): v for k, v in trace.items()})
@@ -275,28 +336,3 @@ def test_is_subsolution_constant_at_upper_level(quad, grid_c, vs7, tr_c):
     ok, worst = is_subsolution(ValueField(grid_c, np.zeros(grid_c.num_nodes)),
                                quad, grid_c, vs7, a, slack=1e-12, transition=tr_c)
     assert ok, worst
-
-
-def test_compactify_subsolution(quad, grid_c, vs7, tr_c):
-    xg = grid_c.coords[:, 0]
-    u = ValueField(grid_c, 0.5 * xg ** 2)
-    w0 = compactify_subsolution(u, [[-1.0, 1.0]], quad, grid_c)
-    core = grid_c.box_mask([[-1.0, 1.0]])
-    np.testing.assert_allclose(w0.values[core], u.values[core], atol=1e-12)
-    shell = grid_c.shell_mask(0.05)
-    assert np.ptp(w0.values[shell]) <= 1e-12          # constant near the boundary
-    ok, worst = is_subsolution(w0, quad, grid_c, vs7, 0.0,
-                               slack=4 * grid_c.h, transition=tr_c)
-    assert ok, worst
-
-
-def test_compactify_constant_stays_constant(quad, grid_c):
-    u = ValueField(grid_c, np.full(grid_c.num_nodes, 2.0))
-    w0 = compactify_subsolution(u, [[-1.0, 1.0]], quad, grid_c)
-    assert np.ptp(w0.values) <= 1e-12
-
-
-def test_compactify_whole_box_rejected(quad, grid_c):
-    u = ValueField(grid_c, 0.5 * grid_c.coords[:, 0] ** 2)
-    with pytest.raises(KTooLarge):
-        compactify_subsolution(u, grid_c.box, quad, grid_c)

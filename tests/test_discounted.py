@@ -9,7 +9,6 @@ from weakkam.discounted import (
     quadratic_rate,
     solve_discounted,
     upper_start,
-    validate_truncation,
 )
 from weakkam.errors import MaxIterExceeded
 from weakkam.grids import build_grid, build_transition, build_velocity_set
@@ -125,18 +124,3 @@ def test_max_iter_exceeded_carries_residual(quad, grid_m, vs_m):
 def test_lambda_must_be_positive(quad, grid_m, vs_m):
     with pytest.raises(ValueError):
         solve_discounted(quad, grid_m, vs_m, 0.0)
-
-
-def test_truncation_validation(eik_super_m, grid_m, vs_m):
-    rows = validate_truncation(eik_super_m, grid_m, vs_m, 0.5, probes=[[0.0]],
-                               scales=(1.5,), tol=1e-7, pass_tol=0.02)
-    assert len(rows) == 1
-    assert rows[0]["delta"] <= 0.02 and rows[0]["passed"]
-
-
-def test_truncation_boundary_probe_reported_not_failed(quad, vs_m):
-    g = build_grid([[-2.0, 2.0]], 0.05)
-    rows = validate_truncation(quad, g, vs_m, 0.5, probes=[[1.9]],
-                               scales=(2.0,), tol=1e-7, pass_tol=1e-4)
-    assert rows[0]["near_boundary"]
-    assert rows[0]["passed"]  # reported as a state-constraint artifact

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -76,6 +78,22 @@ def test_clipping_flags_boundary_feet():
     assert tr.clipped[g.num_nodes - 1, m_plus]           # outward at the edge
     assert not tr.clipped[g.num_nodes - 2, m_plus]
     np.testing.assert_allclose(tr.feet[g.num_nodes - 1, m_plus], [1.0])
+
+
+def test_warns_when_most_moving_feet_clip():
+    # h * q_max = 1.75 on [-1, 1]: 8 of the 10 moving feet clip
+    g = build_grid([[-1.0, 1.0]], 0.5)
+    vs = build_velocity_set(3.5, 3)
+    with pytest.warns(UserWarning, match="80% of the moving feet"):
+        tr = build_transition(g, vs)
+    moving = vs.speeds() > 0
+    assert tr.clipped[:, moving].mean() == pytest.approx(0.8)
+
+
+def test_no_clip_warning_on_the_workhorse_grid(grid_c, vs7):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        build_transition(grid_c, vs7)
 
 
 def test_forward_backward_mass_returns(grid_c, vs7, tr_c):

@@ -8,7 +8,6 @@ from weakkam.models import (
     convexify_table,
     fenchel_transform,
     hamiltonian,
-    lagrangian_eval,
     lagrangian_table,
     lower_convex_envelope,
     make_model,
@@ -249,23 +248,6 @@ def test_lagrangian_table_matches_pointwise(quad, eik_super, grid_tiny, vs7):
             for m in (0, 3, 6):
                 assert table[i, m] == pytest.approx(
                     fenchel_transform(model, grid_tiny.coords[i], vs7.vectors[m]))
-
-
-def test_lagrangian_witnesses(quad, grid_c, vs7):
-    ev = lagrangian_eval(quad, grid_c, vs7.vectors)
-    assert ev.m0 > 0
-    assert ev.delta0 > 0
-    # lower bounds hold outside the reported core box
-    outside = ~grid_c.box_mask(ev.core_box)
-    L = lagrangian_table(quad, grid_c.coords[outside], vs7.vectors)
-    speeds = vs7.speeds()
-    assert np.all(L >= ev.delta0 * speeds[None, :] - 1e-12)
-    assert np.all(np.min(L, axis=1) >= ev.m0 - 1e-12)
-
-
-def test_raw_eikonal_velocity_bound(eik, grid_c, vs7):
-    ev = lagrangian_eval(eik, grid_c, vs7.vectors)
-    assert ev.velocity_bound == pytest.approx(1.0)
 
 
 def test_potential_scale_and_offset():

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, io
-from .critical import build_critical_data, intrinsic_distance
+from .critical import build_critical_data, critical_value, intrinsic_distance
 from .discounted import solve_discounted
 from .errors import (
     A3Violated,
@@ -313,7 +313,7 @@ def cmd_aubry(cfg, ctx, out, args):
                       "cycle_cost", "exact", "in_aubry"],
                      _aubry_rows(grid, data)),
         io.write_json(out / "aubry.json", {
-            "eps_aubry": _claim(data.eps_aubry, "aubry_set cycle threshold",
+            "eps_aubry": _claim(data.eps_aubry, "build_critical_data cycle threshold",
                                 data.eps_aubry),
             "nodes": [int(z) for z in data.aubry_nodes],
             "coordinates": grid.coords[data.aubry_nodes],
@@ -327,7 +327,10 @@ def cmd_distance(cfg, ctx, out, args):
     source = [float(v) for v in args.source.split(",")]
     if len(source) != grid.dimension:
         raise ConfigError(f"--source: expected {grid.dimension} coordinates")
-    data = _critical(cfg, ctx)
+    # the distances are taken at the upper end of the bisection bracket
+    data = critical_value(ctx["model"], grid, ctx["velocity_set"],
+                          tol=cfg["ergodic"]["bisection_tol"],
+                          transition=ctx["transition"])
     fld = intrinsic_distance(ctx["model"], grid, ctx["velocity_set"], data.level,
                              grid.node_near(source), transition=ctx["transition"],
                              direction=args.direction)
@@ -347,11 +350,12 @@ def cmd_solve(cfg, ctx, out, args):
         io.write_csv(out / "field.csv",
                      ["node", *[f"x{k}" for k in range(grid.dimension)], "value"],
                      io.field_rows(grid, sol.field.values)),
-        io.write_csv(out / "trace.csv", ["iteration", "residual"], sol.trace),
+        io.write_csv(out / "trace.csv", ["iteration", "residual", "policy_changes"],
+                     [[it, r, c] for (it, r), c in zip(sol.trace, sol.policy_changes)]),
         io.write_json(out / "solve.json", {
             "lambda": lam,
             "iterations": sol.iterations,
-            "residual": _claim(sol.residual, "solve_discounted sup-update",
+            "residual": _claim(sol.residual, "solve_discounted Bellman residual",
                                cfg["solver"]["tol"]),
         }),
     ]
@@ -386,7 +390,7 @@ def cmd_mather(cfg, ctx, out, args):
         res = lp_solve(build_discounted_lp(model, grid, vset, args.lam, zpt,
                                            transition=tr))
         sol = solve_discounted(model, grid, vset, args.lam, tol=cfg["solver"]["tol"],
-                               transition=tr)
+                               max_iter=cfg["solver"]["max_iter"], transition=tr)
         lam_u = args.lam * float(sol.field.values[grid.node_near(zpt)])
         payload = {
             "kind": "discounted",

@@ -28,7 +28,7 @@ import numpy as np
 
 from .critical import build_critical_data, peierls_field_to, weak_kam_solution
 from .discounted import solve_discounted
-from .errors import NoMeasures
+from .errors import NoMeasures, WeakKAMError
 from .grids import ValueField, build_transition
 from .measures import (
     build_discounted_lp,
@@ -289,8 +289,8 @@ def vanishing_discount_study(model, grid, velocity_set, schedule,
                              transition=None, max_iter=None):
     """Decreasing-discount convergence study against the selected limit.
 
-    Per-lambda solves that fail are recorded in `failures` and the study
-    continues with the remaining schedule.
+    Per-lambda solves that fail with a WeakKAMError are recorded in
+    `failures` and the study continues with the remaining schedule.
     """
     schedule = [float(l) for l in schedule]
     if any(b >= a for a, b in zip(schedule, schedule[1:])):
@@ -327,7 +327,7 @@ def vanishing_discount_study(model, grid, velocity_set, schedule,
         try:
             sol = solve_discounted(model, grid, velocity_set, lam, tol=solver_tol,
                                    transition=transition, max_iter=max_iter)
-        except Exception as exc:                      # noqa: BLE001
+        except WeakKAMError as exc:
             failures.append({"lambda": lam, "stage": "solve", "error": repr(exc)})
             sup_gaps.append(float("nan"))
             continue

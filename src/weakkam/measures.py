@@ -11,7 +11,7 @@ are built against the foot-point transition:
   discounted  minimize <mu, L> subject to the holonomy rows
               (1+lambda*h) sum_q mu(j,q) - inflow(j) = lambda*h*[j == z];
               this is the exact linear-programming dual of the discounted
-              value iteration, so the optimum equals lambda * u_lambda(z)
+              scheme, so the optimum equals lambda * u_lambda(z)
               and the stored measure is the normalized occupation measure
               of the discounted problem anchored at z.
 
@@ -124,7 +124,7 @@ def build_discounted_lp(model, grid, velocity_set, lam, z, transition=None):
     z may be a node index or coordinates (snapped to the nearest node).
     The unnormalized dual has mass 1/(lambda*h); the rows below are already
     scaled so the optimal measure is a probability and <mu, L> equals
-    lambda * u_lambda(z) for the value-iteration fixed point u_lambda.
+    lambda * u_lambda(z) for the discrete fixed point u_lambda of the scheme.
     """
     if transition is None:
         transition = build_transition(grid, velocity_set)

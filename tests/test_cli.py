@@ -253,3 +253,28 @@ def test_solver_failure_exits_3_without_traceback(tmp_path, capsys, monkeypatch)
     err = capsys.readouterr().err
     assert "error[WeakKAMError]: monotone decrease violated" in err
     assert "Traceback" not in err
+
+
+def test_trace_csv_has_one_row_per_policy_step(tmp_path):
+    cfg = write_cfg(tmp_path, TINY_STUDY)
+    out = tmp_path / "s"
+    assert main(["solve", "--config", cfg, "--out", str(out), "--lambda", "0.25"]) == 0
+    with open(out / "trace.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["iteration", "residual", "policy_changes"]
+    iterations = json.loads((out / "solve.json").read_text())["iterations"]
+    assert 1 <= iterations == len(rows) - 1
+    assert [int(r[0]) for r in rows[1:]] == list(range(1, iterations + 1))
+
+
+def test_distance_runs_only_the_bisection(tmp_path, monkeypatch):
+    import weakkam.cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("distance must not build the Aubry data")
+
+    monkeypatch.setattr(weakkam.cli, "build_critical_data", refuse)
+    cfg = write_cfg(tmp_path, TINY_STUDY)
+    out = tmp_path / "d"
+    assert main(["distance", "--config", cfg, "--out", str(out), "--source", "0.0"]) == 0
+    assert (out / "distance.csv").exists()

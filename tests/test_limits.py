@@ -248,3 +248,16 @@ def test_study_builds_the_ergodic_lp_once(monkeypatch):
                                    [0.5], n_objectives=2, agreement_count=3)
     assert not rep.failures
     assert len(calls) == 1
+
+
+def test_study_propagates_programming_errors_from_the_solve(monkeypatch):
+    # only solver failures (WeakKAMError) are recorded; a TypeError is a bug
+    def broken(*args, **kwargs):
+        raise TypeError("broken solve")
+
+    monkeypatch.setattr(limits, "solve_discounted", broken)
+    g = build_grid([[-2.0, 2.0]], 0.1)
+    vs = build_velocity_set(1.0, 5)
+    with pytest.raises(TypeError, match="broken solve"):
+        vanishing_discount_study(make_model("quadratic", "half_square"), g, vs,
+                                 [0.5], n_objectives=0, agreement_count=3)

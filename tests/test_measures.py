@@ -119,13 +119,24 @@ def test_discounted_lp_eikonal_origin():
 
 
 def test_rep81_identity_shares_no_code_path(disc_setup):
-    # LP optimum vs lambda * u_lambda(z) from value iteration
+    # LP optimum vs lambda * u_lambda(z) from policy iteration
     g, vs, tr, quad = disc_setup
     for lam, z in ((1.0, 1.0), (0.5, 0.0), (0.5, 1.0)):
         res = lp_solve(build_discounted_lp(quad, g, vs, lam, [z], transition=tr))
         sol = solve_discounted(quad, g, vs, lam, tol=1e-9, transition=tr)
         lam_u = lam * float(sol.field.values[g.node_near([z])])
         assert abs(res.objective - lam_u) <= 1e-6
+
+
+def test_discounted_lp_is_the_exact_dual_of_the_scheme(disc_setup):
+    # the solver returns the discrete fixed point itself, so at its default
+    # tol the LP optimum matches lambda * u_lambda(z) to round-off
+    g, vs, tr, quad = disc_setup
+    for lam, z in ((1.0, 1.0), (0.5, 0.0), (0.5, 1.0), (0.1, 1.0)):
+        res = lp_solve(build_discounted_lp(quad, g, vs, lam, [z], transition=tr))
+        sol = solve_discounted(quad, g, vs, lam, transition=tr)
+        lam_u = lam * float(sol.field.values[g.node_near([z])])
+        assert abs(res.objective - lam_u) <= 1e-9, (lam, z)
 
 
 def test_discounted_lp_holonomy_residual(disc_setup):

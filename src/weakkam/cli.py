@@ -21,7 +21,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, io
-from .critical import build_critical_data, critical_value, intrinsic_distance
+from .critical import (
+    build_aubry_data,
+    build_critical_data,
+    critical_value,
+    intrinsic_distance,
+)
 from .discounted import solve_discounted
 from .errors import (
     A3Violated,
@@ -270,21 +275,23 @@ def cmd_validate(cfg, ctx, out, args):
     return (0 if report.all_passed else 2), arts
 
 
-def _critical(cfg, ctx):
-    return build_critical_data(ctx["model"], ctx["grid"], ctx["velocity_set"],
-                               tol=cfg["ergodic"]["bisection_tol"],
-                               eps_aubry=cfg["ergodic"]["eps_aubry"],
-                               transition=ctx["transition"])
+def _critical(cfg, ctx, build):
+    """`build_aubry_data` or `build_critical_data` on the run's configuration."""
+    return build(ctx["model"], ctx["grid"], ctx["velocity_set"],
+                 tol=cfg["ergodic"]["bisection_tol"],
+                 eps_aubry=cfg["ergodic"]["eps_aubry"],
+                 transition=ctx["transition"])
 
 
 def _aubry_rows(grid, data):
+    aubry = set(int(z) for z in data.aubry_nodes)
     for i in range(grid.num_nodes):
         yield [i, *grid.coords[i], data.cycle_cost[i], bool(data.cycle_exact[i]),
-               bool(i in set(int(z) for z in data.aubry_nodes))]
+               i in aubry]
 
 
 def cmd_critical(cfg, ctx, out, args):
-    data = _critical(cfg, ctx)
+    data = _critical(cfg, ctx, build_aubry_data)
     arts = [
         io.write_json(out / "critical.json", {
             "c": _claim(data.c, "critical_value bisection midpoint",
@@ -305,7 +312,7 @@ def cmd_critical(cfg, ctx, out, args):
 
 
 def cmd_aubry(cfg, ctx, out, args):
-    data = _critical(cfg, ctx)
+    data = _critical(cfg, ctx, build_aubry_data)
     grid = ctx["grid"]
     arts = [
         io.write_csv(out / "aubry.csv",
@@ -313,7 +320,7 @@ def cmd_aubry(cfg, ctx, out, args):
                       "cycle_cost", "exact", "in_aubry"],
                      _aubry_rows(grid, data)),
         io.write_json(out / "aubry.json", {
-            "eps_aubry": _claim(data.eps_aubry, "build_critical_data cycle threshold",
+            "eps_aubry": _claim(data.eps_aubry, "build_aubry_data cycle threshold",
                                 data.eps_aubry),
             "nodes": [int(z) for z in data.aubry_nodes],
             "coordinates": grid.coords[data.aubry_nodes],
@@ -365,7 +372,7 @@ def cmd_solve(cfg, ctx, out, args):
 def cmd_mather(cfg, ctx, out, args):
     model, grid, vset, tr = (ctx["model"], ctx["grid"], ctx["velocity_set"],
                              ctx["transition"])
-    data = _critical(cfg, ctx)
+    data = _critical(cfg, ctx, build_critical_data)
     arts = []
     if args.lam is None:
         res = lp_solve(build_ergodic_lp(model, grid, vset, transition=tr))

@@ -12,9 +12,10 @@ constants become subsolutions).
 A node belongs to the (discrete) Aubry set when some nontrivial cycle
 through it has intrinsic cost below eps_aubry; cycle costs at true Aubry
 points scale like h^2 * Lip(sigma), which fixes the default threshold.
-`build_critical_data` keeps the distance fields to and from the Aubry
-nodes as two (k, n) arrays whose rows follow `aubry_nodes`; the Peierls
-barrier and the weak KAM min-formula are array expressions over them.
+`build_aubry_data` finds the Aubry set and keeps the distance fields to
+the Aubry nodes; `build_critical_data` adds the fields from them.  Both are
+(k, n) arrays whose rows follow `aubry_nodes`; the Peierls barrier and the
+weak KAM min-formula are array expressions over them.
 """
 
 from __future__ import annotations
@@ -244,9 +245,9 @@ def default_eps_aubry(model, grid, a):
     return 2.0 * lip * grid.h ** 2
 
 
-def build_critical_data(model, grid, velocity_set, tol=1e-3, eps_aubry=None,
-                        transition=None):
-    """Bisection, then the Aubry set and its distance fields at data.level.
+def build_aubry_data(model, grid, velocity_set, tol=1e-3, eps_aubry=None,
+                     transition=None):
+    """Bisection, then the Aubry set and the distances to it at data.level.
 
     Aubry nodes are those traversed by nontrivial cycles of intrinsic cost
     <= eps_aubry: cycle_cost(y) = min over q != 0 of [cost(y,q) +
@@ -256,8 +257,7 @@ def build_critical_data(model, grid, velocity_set, tol=1e-3, eps_aubry=None,
     >= 0), so the exact cycle cost is only computed on the surviving
     candidates; elsewhere the stored value is that first-edge lower bound
     (cycle_exact reports which).  The return distances of the Aubry
-    candidates are kept as S_to; S_from takes one more relaxation over the
-    reversed edges.
+    nodes are kept as S_to; S_from is left unset.
     """
     if transition is None:
         transition = build_transition(grid, velocity_set)
@@ -293,6 +293,18 @@ def build_critical_data(model, grid, velocity_set, tol=1e-3, eps_aubry=None,
     data.cycle_exact = exact
     data.eps_aubry = eps_aubry
     data.S_to = D[in_aubry]
+    return data
+
+
+def build_critical_data(model, grid, velocity_set, tol=1e-3, eps_aubry=None,
+                        transition=None):
+    """`build_aubry_data` plus S_from, the distances from the Aubry nodes
+    (one relaxation over the reversed edges), which the Peierls barrier
+    and the weak KAM min-formula read."""
+    if transition is None:
+        transition = build_transition(grid, velocity_set)
+    data = build_aubry_data(model, grid, velocity_set, tol=tol, eps_aubry=eps_aubry,
+                            transition=transition)
     data.S_from = distances_to_targets(
         reverse_edge_costs(model, grid, velocity_set, data.level, transition),
         transition, data.aubry_nodes)

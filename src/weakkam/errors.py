@@ -53,6 +53,10 @@ class UnboundedLP(WeakKAMError):
     """The linear program is unbounded (internal error for the programs built here)."""
 
 
+class SingularBasis(WeakKAMError):
+    """A simplex basis matrix is numerically singular."""
+
+
 class NoMeasures(WeakKAMError):
     """An operation quantified over measures received an empty collection."""
 

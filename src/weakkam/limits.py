@@ -207,7 +207,7 @@ def uniqueness_test(critical, mather_nodes, v, w, tol=1e-6, factor=3.0,
         trace = {int(z): float(fld[int(z)]) for z in critical.aubry_nodes}
         try:
             rec = weak_kam_solution(critical, trace)
-        except Exception as exc:
+        except WeakKAMError as exc:
             raise ValueError(f"field is not weak-KAM reconstructible: {exc}") from exc
         errs.append(float(np.max(np.abs(rec.values - fld)[region_mask])))
     if max(errs) > recon_tol:
@@ -289,8 +289,9 @@ def vanishing_discount_study(model, grid, velocity_set, schedule,
                              transition=None, max_iter=None):
     """Decreasing-discount convergence study against the selected limit.
 
-    Per-lambda solves that fail with a WeakKAMError are recorded in
-    `failures` and the study continues with the remaining schedule.
+    Per-lambda solves and discounted LPs that fail with a WeakKAMError are
+    recorded in `failures` and the study continues with the remaining
+    schedule; any other exception propagates.
     """
     schedule = [float(l) for l in schedule]
     if any(b >= a for a, b in zip(schedule, schedule[1:])):
@@ -307,7 +308,7 @@ def vanishing_discount_study(model, grid, velocity_set, schedule,
     problem = build_ergodic_lp(model, grid, velocity_set, transition=transition)
     ergodic = lp_solve(problem)
     polytope = build_mather_polytope(problem, ergodic, slack=slack)
-    del problem                  # the polytope holds its own copy of the dense A
+    del problem                  # the polytope holds its own copy of the columns
     vertices = sample_vertex_measures(polytope, n_objectives, seed)
     mnodes = mather_set(polytope, n_objectives, seed, grid,
                         base_measure=ergodic.measure, measures=vertices)
@@ -340,7 +341,7 @@ def vanishing_discount_study(model, grid, velocity_set, schedule,
             try:
                 lp = lp_solve(build_discounted_lp(model, grid, velocity_set, lam, z,
                                                   transition=transition))
-            except Exception as exc:                  # noqa: BLE001
+            except WeakKAMError as exc:
                 failures.append({"lambda": lam, "stage": f"lp@{p}", "error": repr(exc)})
                 continue
             lam_u = lam * float(sol.field.values[z])

@@ -24,7 +24,8 @@ Both use the unit-mass normalization; for the discounted program the mass
 row is implied exactly by the holonomy rows (their sum reads
 lambda*h*(total mass) = lambda*h) and is therefore not repeated, which
 also makes the q = 0 self-loop columns a feasible diagonal crash basis.
-All three are solved by `lp_solve`.
+Each constraint matrix is a `simplex.Columns` store built column by column
+(no m x n array is formed).  All three are solved by `lp_solve`.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import numpy as np
 
 from .grids import build_transition
 from .models import lagrangian_table
-from .simplex import solve_lp
+from .simplex import Columns, solve_lp
 
 SUPPORT_TOL = 1e-9
 
@@ -44,7 +45,7 @@ SUPPORT_TOL = 1e-9
 @dataclass
 class LPProblem:
     c: np.ndarray
-    A: np.ndarray
+    A: Columns                   # the constraint matrix, stored by columns
     b: np.ndarray
     var_pairs: list              # (node, velocity_index) per measure column;
                                  # slack columns follow the measure columns
@@ -83,20 +84,31 @@ def _finite_variables(L_flat):
 
 
 def _stationarity_matrix(transition, active, factor_out=1.0):
-    """Rows j: factor_out * outflow(j) - inflow(j), columns = active (i,q)."""
-    grid = transition.grid
-    n = grid.num_nodes
+    """Rows j: factor_out * outflow(j) - inflow(j), columns = active (i,q),
+    stored in 1 + K slots per column.
+
+    Slot 0 is the out-entry at row i, slot 1 + k the k-th interpolation
+    weight; a weight landing on a row already held by an earlier slot is
+    added there (in slot order, so each value is the same float as the
+    dense sum), leaving its own slot empty.
+    """
+    n = transition.grid.num_nodes
     M = transition.velocity_set.size
     K = transition.idx.shape[2]
-    nodes = active // M
-    A = np.zeros((n, len(active)))
-    cols = np.arange(len(active))
-    np.add.at(A, (nodes, cols), factor_out)
     idx = transition.idx.reshape(n * M, K)[active]
     w = transition.w.reshape(n * M, K)[active]
+    cols = np.arange(len(active))
+    rows = np.full((len(active), 1 + K), -1)
+    vals = np.zeros((len(active), 1 + K))
+    rows[:, 0] = active // M
+    vals[:, 0] = factor_out
     for k in range(K):
-        np.add.at(A, (idx[:, k], cols), -w[:, k])
-    return A, nodes
+        match = rows[:, :k + 1] == idx[:, k, None]
+        slot = np.where(match.any(axis=1), np.argmax(match, axis=1), k + 1)
+        rows[cols, slot] = idx[:, k]
+        vals[cols, slot] -= w[:, k]
+    rows[rows < 0] = 0
+    return Columns(rows=rows, vals=vals, m=n)
 
 
 def build_ergodic_lp(model, grid, velocity_set, transition=None):
@@ -105,8 +117,7 @@ def build_ergodic_lp(model, grid, velocity_set, transition=None):
         transition = build_transition(grid, velocity_set)
     L = lagrangian_table(model, grid.coords, velocity_set.vectors).reshape(-1)
     active = _finite_variables(L)
-    A_st, nodes = _stationarity_matrix(transition, active, factor_out=1.0)
-    A = np.vstack([A_st, np.ones((1, len(active)))])
+    A = _stationarity_matrix(transition, active).with_row(np.ones(len(active)))
     b = np.zeros(grid.num_nodes + 1)
     b[-1] = 1.0
     M = velocity_set.size
@@ -134,7 +145,7 @@ def build_discounted_lp(model, grid, velocity_set, lam, z, transition=None):
     L = lagrangian_table(model, grid.coords, velocity_set.vectors).reshape(-1)
     active = _finite_variables(L)
     lam_h = lam * grid.h
-    A, nodes = _stationarity_matrix(transition, active, factor_out=1.0 + lam_h)
+    A = _stationarity_matrix(transition, active, factor_out=1.0 + lam_h)
     b = np.zeros(grid.num_nodes)
     b[z] = lam_h
     # the unit-mass row is implied exactly: summing the holonomy rows gives
@@ -248,61 +259,6 @@ def support_check(mu, critical, q_bound=None, mass_tol=None):
 
 
 # ---------------------------------------------------------------------------
-# closedness against smooth test fields
-# ---------------------------------------------------------------------------
-
-def _bump(points, center, radius, amp):
-    u = np.sum((points - center) ** 2, axis=-1) / radius ** 2
-    return amp * np.maximum(0.0, 1.0 - u) ** 2
-
-
-def _bump_grad(points, center, radius, amp):
-    u = np.sum((points - center) ** 2, axis=-1) / radius ** 2
-    fac = amp * 2.0 * np.maximum(0.0, 1.0 - u) * (-2.0 / radius ** 2)
-    return fac[:, None] * (points - center)
-
-
-def gradient_pairing(mu, grid, velocity_set, transition, psi_values=None,
-                     grad_fn=None, mode="upwind"):
-    """<mu, Dpsi . q> with psi given on the grid.
-
-    mode "upwind" uses the foot-point difference (psi(x+hq) - psi(x))/h,
-    the discrete pairing the stationarity rows annihilate exactly; mode
-    "analytic" uses the true gradient and measures the O(h) defect.
-    """
-    vec = mu.vector(grid, velocity_set)
-    if mode == "upwind":
-        from .grids import interpolate
-        diff = (interpolate(transition, np.asarray(psi_values)) -
-                np.asarray(psi_values)[:, None]) / grid.h
-        return float(np.sum(vec * diff))
-    grads = grad_fn(grid.coords)                      # (n, N)
-    dots = grads @ velocity_set.vectors.T             # (n, M)
-    return float(np.sum(vec * dots))
-
-
-def random_bump_residuals(mu, grid, velocity_set, transition, n_fields=20,
-                          seed=0, mode="upwind"):
-    """|<mu, Dpsi . q>| for seeded random quadratic bumps psi."""
-    rng = np.random.default_rng(seed)
-    res = []
-    for _ in range(n_fields):
-        center = np.array([rng.uniform(lo, hi) for lo, hi in grid.box])
-        radius = rng.uniform(0.3, 1.0) * float(np.min(grid.box[:, 1] - grid.box[:, 0]))
-        amp = rng.uniform(0.5, 2.0)
-        if mode == "upwind":
-            psi = _bump(grid.coords, center, radius, amp)
-            r = gradient_pairing(mu, grid, velocity_set, transition,
-                                 psi_values=psi, mode="upwind")
-        else:
-            r = gradient_pairing(mu, grid, velocity_set, transition,
-                                 grad_fn=lambda pts: _bump_grad(pts, center, radius, amp),
-                                 mode="analytic")
-        res.append(abs(r))
-    return np.array(res)
-
-
-# ---------------------------------------------------------------------------
 # the Mather polytope (ergodic feasible set cut at the optimal value)
 # ---------------------------------------------------------------------------
 
@@ -317,11 +273,10 @@ def build_mather_polytope(problem, ergodic_result, slack=None):
     if slack is None:
         slack = (1e-7 * (1.0 + abs(ergodic_result.objective))
                  + 1e-3 * problem.meta["grid"].h ** 2)
-    rows, cols = problem.A.shape
-    A = np.zeros((rows + 1, cols + 1))
-    A[:-1, :-1] = problem.A
-    A[-1, :-1] = problem.c
-    A[-1, -1] = 1.0
+    # each measure column gains its cost in the budget row, and the slack
+    # column is the unit column of that row
+    budget = problem.A.m
+    A = problem.A.with_row(problem.c).with_unit_columns([budget])
     b = np.concatenate([problem.b, [ergodic_result.objective + slack]])
     return LPProblem(c=np.append(problem.c, 0.0), A=A, b=b,
                      var_pairs=problem.var_pairs,

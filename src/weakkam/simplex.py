@@ -1,17 +1,20 @@
-"""Dense two-phase revised simplex for the occupation-measure programs.
+"""Two-phase revised simplex on a column-stored constraint matrix.
 
-Standard form: minimize c.x subject to A x = b, x >= 0.  The basis inverse
-is maintained explicitly and refreshed periodically; pricing is Dantzig's
-rule with an automatic, permanent switch to Bland's rule after a run of
-degenerate pivots, which keeps the method cycling-proof while staying fast
-on the highly degenerate flow polytopes built here.  Degeneracy itself is
-defused by a deterministic graded perturbation of the right-hand side
-(the flow rows are all zero, so the unperturbed phase 1 starts maximally
-degenerate); the final basic solution is recomputed against the original
-right-hand side, so feasibility residuals of the returned point are exact.
-Redundant equality rows (the stationarity systems carry one) are detected
-in phase 1 and dropped.  Deterministic throughout: ties break on the
-lowest index.
+Standard form: minimize c.x subject to A x = b, x >= 0.  A is held as a
+`Columns` store: each column keeps its few nonzeros (row index and value)
+in a fixed number of slots, so pricing is a gather-and-sum over the stored
+entries and no m x n array is ever formed.  The basis inverse is maintained
+explicitly by rank-1 updates and refreshed periodically from the m x m basis;
+pricing is Dantzig's rule with an automatic, permanent switch to Bland's
+rule after a run of degenerate pivots, which keeps the method cycling-proof
+while staying fast on the highly degenerate flow polytopes built here.
+Degeneracy itself is defused by a deterministic graded perturbation of the
+right-hand side (the flow rows are all zero, so the unperturbed phase 1
+starts maximally degenerate); the final basic solution is recomputed
+against the original right-hand side, so feasibility residuals of the
+returned point are exact.  Redundant equality rows (the stationarity
+systems carry one) are detected in phase 1 and dropped.  Deterministic
+throughout: ties break on the lowest index.
 """
 
 from __future__ import annotations
@@ -20,10 +23,83 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleLP, MaxIterExceeded, UnboundedLP
+from .errors import InfeasibleLP, MaxIterExceeded, SingularBasis, UnboundedLP
 
 TOL = 1e-9          # pricing, ratio-test and pivot tolerance
 PERTURB = 1e-8      # grading of the right-hand side during pivoting
+
+
+@dataclass
+class Columns:
+    """An m x n matrix stored by columns in P slots each: column j holds
+    vals[j, s] at row rows[j, s].  Unused slots hold row 0 and value 0, and
+    no row repeats within a column."""
+    rows: np.ndarray             # (n, P) row indices
+    vals: np.ndarray             # (n, P) values
+    m: int
+
+    @property
+    def shape(self):
+        return (self.m, self.rows.shape[0])
+
+    @property
+    def nnz(self):
+        return int(np.count_nonzero(self.vals))
+
+    @classmethod
+    def from_dense(cls, A):
+        A = np.asarray(A, dtype=float)
+        m, n = A.shape
+        nz = A != 0.0
+        P = max(1, int(nz.sum(axis=0).max(initial=0)))
+        # the rows of each column's nonzeros first, in increasing order
+        rows = np.argsort(~nz, axis=0, kind="stable")[:P].T
+        keep = nz[rows, np.arange(n)[:, None]]
+        vals = np.where(keep, A[rows, np.arange(n)[:, None]], 0.0)
+        return cls(rows=np.where(keep, rows, 0), vals=vals, m=m)
+
+    def vecmat(self, y):
+        """y @ A."""
+        return np.sum(y[self.rows] * self.vals, axis=1)
+
+    def matcol(self, B, j):
+        """B @ A[:, j]."""
+        return B[:, self.rows[j]] @ self.vals[j]
+
+    def dense(self, cols):
+        """A[:, cols] as an m x len(cols) array (the basis, at a refresh)."""
+        out = np.zeros((self.m, len(cols)))
+        np.add.at(out, (self.rows[cols], np.arange(len(cols))[:, None]),
+                  self.vals[cols])
+        return out
+
+    def scale_rows(self, factor):
+        """diag(factor) @ A."""
+        return Columns(rows=self.rows, vals=self.vals * factor[self.rows], m=self.m)
+
+    def take_rows(self, keep):
+        """A[keep] for a boolean row mask; entries of dropped rows go."""
+        new_index = np.cumsum(keep) - 1
+        kept = keep[self.rows]
+        return Columns(rows=np.where(kept, new_index[self.rows], 0),
+                       vals=np.where(kept, self.vals, 0.0), m=int(keep.sum()))
+
+    def with_row(self, values):
+        """[A; values]: one more row, held in one more slot of every column."""
+        n = self.rows.shape[0]
+        return Columns(rows=np.hstack([self.rows, np.full((n, 1), self.m)]),
+                       vals=np.hstack([self.vals, np.reshape(values, (n, 1))]),
+                       m=self.m + 1)
+
+    def with_unit_columns(self, at):
+        """[A | e_at[0] | e_at[1] | ...]: unit columns at the rows `at`."""
+        at = np.asarray(at)
+        rows = np.zeros((len(at), self.rows.shape[1]), dtype=self.rows.dtype)
+        vals = np.zeros((len(at), self.rows.shape[1]))
+        rows[:, 0] = at
+        vals[:, 0] = 1.0
+        return Columns(rows=np.vstack([self.rows, rows]),
+                       vals=np.vstack([self.vals, vals]), m=self.m)
 
 
 @dataclass
@@ -36,16 +112,24 @@ class LPSolution:
     dropped_rows: list
 
 
+def _inverse(A, basis):
+    """Inverse of the basis A[:, basis]; a singular basis is a solver failure."""
+    try:
+        return np.linalg.inv(A.dense(basis))
+    except np.linalg.LinAlgError as exc:
+        raise SingularBasis(f"basis matrix is singular: {exc}") from exc
+
+
 def _pivot_update(Binv, xB, d, row, theta):
     xB -= theta * d
     xB[row] = theta
-    piv = d[row]
-    Binv[row] /= piv
-    others = np.arange(len(d)) != row
-    Binv[others] -= np.outer(d[others], Binv[row])
+    prow = Binv[row] / d[row]
+    Binv -= np.outer(d, prow)
+    Binv[row] = prow
 
 
 def _core(A, b, c, basis, Binv, max_iter, stall_limit=200, refresh=128):
+    """Primal simplex from a feasible basis; A is a `Columns` store."""
     m, n = A.shape
     xB = Binv @ b
     bland = False
@@ -54,14 +138,14 @@ def _core(A, b, c, basis, Binv, max_iter, stall_limit=200, refresh=128):
     it = 0
     while True:
         if it and it % refresh == 0:
-            Binv = np.linalg.inv(A[:, basis])
+            Binv = _inverse(A, basis)
             xB = Binv @ b
         if it >= max_iter:
             raise MaxIterExceeded(f"simplex exceeded {max_iter} iterations "
                                   f"(bland={bland}, obj={float(c[basis] @ xB):.6g})",
                                   iterations=it)
         y = c[basis] @ Binv
-        reduced = c - y @ A
+        reduced = c - A.vecmat(y)
         reduced[basis] = 0.0
         if bland:
             cand = np.nonzero(reduced < -TOL)[0]
@@ -72,7 +156,7 @@ def _core(A, b, c, basis, Binv, max_iter, stall_limit=200, refresh=128):
             enter = int(np.argmin(reduced))
             if reduced[enter] >= -TOL:
                 break
-        d = Binv @ A[:, enter]
+        d = A.matcol(Binv, enter)
         pos = d > TOL
         if not pos.any():
             raise UnboundedLP("unbounded improving ray")
@@ -110,16 +194,16 @@ def _dual_cleanup(A, b, c, basis, Binv, max_iter=5000):
         if it >= max_iter:
             raise InfeasibleLP(f"dual cleanup stalled with xB[{r}] = {xB[r]:.3e}")
         y = c[basis] @ Binv
-        reduced = c - y @ A
+        reduced = c - A.vecmat(y)
         reduced[basis] = 0.0
-        alpha = Binv[r] @ A
+        alpha = A.vecmat(Binv[r])
         alpha[basis] = 0.0
         cand = np.nonzero(alpha < -TOL)[0]
         if cand.size == 0:
             raise InfeasibleLP("no dual pivot: problem infeasible at this vertex")
         ratios = np.maximum(reduced[cand], 0.0) / (-alpha[cand])
         j = int(cand[np.argmin(ratios)])
-        d = Binv @ A[:, j]
+        d = A.matcol(Binv, j)
         theta = xB[r] / d[r]
         _pivot_update(Binv, xB, d, r, theta)
         basis[r] = j
@@ -133,10 +217,9 @@ def _phase1(A, b_work, scale_b, max_iter):
     kept: a row whose artificial cannot be driven out is redundant.
     """
     m, n = A.shape
-    A1 = np.hstack([A, np.eye(m)])
     c1 = np.concatenate([np.zeros(n), np.ones(m)])
-    basis, Binv, xB, it = _core(A1, b_work, c1, np.arange(n, n + m), np.eye(m),
-                                max_iter)
+    basis, Binv, xB, it = _core(A.with_unit_columns(np.arange(m)), b_work, c1,
+                                np.arange(n, n + m), np.eye(m), max_iter)
     infeas = float(c1[basis] @ xB)
     if infeas > 1e-7 * scale_b + 10.0 * PERTURB * scale_b * m:
         raise InfeasibleLP(f"phase-1 infeasibility {infeas:.3e}")
@@ -144,10 +227,10 @@ def _phase1(A, b_work, scale_b, max_iter):
     for r in range(m):
         if basis[r] < n:
             continue
-        row_vals = Binv[r] @ A
+        row_vals = A.vecmat(Binv[r])
         j = int(np.argmax(np.abs(row_vals)))
         if abs(row_vals[j]) > 1e-9:
-            d = Binv @ A[:, j]
+            d = A.matcol(Binv, j)
             _pivot_update(Binv, xB, d, r, xB[r] / d[r] if abs(d[r]) > 1e-12 else 0.0)
             basis[r] = j
             it += 1
@@ -159,19 +242,21 @@ def _phase1(A, b_work, scale_b, max_iter):
 def solve_lp(c, A, b, basis0=None):
     """Optimal basic feasible solution of min c.x, A x = b, x >= 0.
 
-    `basis0` is a known-feasible starting basis (the discounted program's
-    q = 0 crash); it replaces phase 1 when its basic solution is
+    `A` is a `Columns` store, or a dense array that is stored by columns
+    here.  `basis0` is a known-feasible starting basis (the discounted
+    program's q = 0 crash); it replaces phase 1 when its basic solution is
     nonnegative.  `iterations` counts every pivot: phase 1, the drive-out
     of artificials, phase 2 and the dual clean-up.  The caller's arrays are
-    never modified.
+    never modified.  Every failure raises a WeakKAMError.
     """
-    A = np.asarray(A, dtype=float)
+    if not isinstance(A, Columns):
+        A = Columns.from_dense(A)
     b = np.asarray(b, dtype=float)
     c = np.asarray(c, dtype=float)
     m, n = A.shape
     row_sign = np.where(b < 0, -1.0, 1.0)
     if (row_sign < 0).any():
-        A = A * row_sign[:, None]
+        A = A.scale_rows(row_sign)
         b = b * row_sign
     scale_b = max(1.0, float(np.max(np.abs(b))) if b.size else 1.0)
     b_work = b + PERTURB * scale_b * (1.0 + np.arange(m)) / max(m, 1)
@@ -183,8 +268,8 @@ def solve_lp(c, A, b, basis0=None):
     if basis0 is not None:
         basis = np.array(basis0, dtype=int)
         try:
-            Binv = np.linalg.inv(A[:, basis])
-        except np.linalg.LinAlgError:
+            Binv = _inverse(A, basis)
+        except SingularBasis:
             Binv = None
         if Binv is None or not np.all(Binv @ b >= -1e-8):
             basis = None
@@ -192,16 +277,16 @@ def solve_lp(c, A, b, basis0=None):
     if basis is None:
         basis, Binv, total_it, keep_rows = _phase1(A, b_work, scale_b, max_iter)
         if not keep_rows.all():
-            A, b, b_work = A[keep_rows], b[keep_rows], b_work[keep_rows]
+            A, b, b_work = A.take_rows(keep_rows), b[keep_rows], b_work[keep_rows]
             basis = basis[keep_rows]
-            Binv = np.linalg.inv(A[:, basis])
+            Binv = _inverse(A, basis)
 
     basis, Binv, xB, it = _core(A, b_work, c, basis, Binv, max_iter)
     total_it += it
     # re-solve the final basis against the unperturbed right-hand side; a
     # graded vertex can sit just outside the exact feasible set, in which
     # case dual pivots walk it back while preserving optimality
-    Binv = np.linalg.inv(A[:, basis])
+    Binv = _inverse(A, basis)
     xB = Binv @ b
     if float(np.min(xB)) < -1e-9 * scale_b:
         basis, Binv, xB, it = _dual_cleanup(A, b, c, basis, Binv)

@@ -83,6 +83,35 @@ def brute_force_lp(c, A, b, tol=1e-9):
     return best
 
 
+def dense_lp_matrix(problem):
+    """The constraint matrix of an ergodic, discounted or Mather LPProblem,
+    built densely from its transition by accumulating each (i, q) column's
+    out-entry and interpolation weights with np.add.at."""
+    meta = problem.meta
+    tr = meta["transition"]
+    active = meta["active"]
+    n = tr.grid.num_nodes
+    M = tr.velocity_set.size
+    K = tr.idx.shape[2]
+    factor = 1.0
+    if problem.kind == "discounted":
+        factor += meta["lambda"] * tr.grid.h
+    cols = np.arange(len(active))
+    A = np.zeros((n, len(active)))
+    np.add.at(A, (active // M, cols), factor)
+    idx = tr.idx.reshape(n * M, K)[active]
+    w = tr.w.reshape(n * M, K)[active]
+    for k in range(K):
+        np.add.at(A, (idx[:, k], cols), -w[:, k])
+    if problem.kind == "discounted":
+        return A
+    A = np.vstack([A, np.ones((1, len(active)))])
+    if problem.kind == "ergodic":
+        return A
+    budget = np.append(problem.c[:len(active)], 1.0)
+    return np.vstack([np.hstack([A, np.zeros((n + 1, 1))]), budget])
+
+
 def make_asymmetric_sampled(grid, offset=0.3, p_span=3.0, p_count=121):
     """Tabulated H(x,p) = |p + offset| - x^2/2: convex, coercive, and with a
     genuinely asymmetric support function (negative edge costs appear)."""

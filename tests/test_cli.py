@@ -274,7 +274,37 @@ def test_distance_runs_only_the_bisection(tmp_path, monkeypatch):
         raise AssertionError("distance must not build the Aubry data")
 
     monkeypatch.setattr(weakkam.cli, "build_critical_data", refuse)
+    monkeypatch.setattr(weakkam.cli, "build_aubry_data", refuse)
     cfg = write_cfg(tmp_path, TINY_STUDY)
     out = tmp_path / "d"
     assert main(["distance", "--config", cfg, "--out", str(out), "--source", "0.0"]) == 0
     assert (out / "distance.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["aubry", "critical"])
+def test_aubry_and_critical_skip_the_weak_kam_fields(tmp_path, monkeypatch, command):
+    import weakkam.cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the S_from batch is read by no output of this command")
+
+    monkeypatch.setattr(weakkam.cli, "build_critical_data", refuse)
+    cfg = write_cfg(tmp_path, TINY_STUDY)
+    out = tmp_path / command
+    assert main([command, "--config", cfg, "--out", str(out)]) == 0
+    assert (out / "aubry.csv").exists()
+
+
+def test_singular_simplex_basis_exits_3_without_traceback(tmp_path, capsys,
+                                                          monkeypatch):
+    import weakkam.simplex
+
+    def singular(matrix):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(weakkam.simplex.np.linalg, "inv", singular)
+    cfg = write_cfg(tmp_path, TINY_STUDY)
+    assert main(["mather", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert "SingularBasis" in err
+    assert "Traceback" not in err

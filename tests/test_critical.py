@@ -238,6 +238,24 @@ def test_critical_data_relaxes_two_distance_batches(quad, grid_c, vs7, tr_c, mon
     assert len(calls) == 2
 
 
+def test_aubry_data_relaxes_one_distance_batch(quad, grid_c, vs7, tr_c, quad_crit,
+                                              monkeypatch):
+    import weakkam.critical as critical
+    calls = []
+    real = critical.distances_to_targets
+
+    def counting(costs, transition, targets):
+        calls.append(targets)
+        return real(costs, transition, targets)
+
+    monkeypatch.setattr(critical, "distances_to_targets", counting)
+    data = critical.build_aubry_data(quad, grid_c, vs7, tol=1e-3, transition=tr_c)
+    assert len(calls) == 1
+    assert data.S_from is None
+    np.testing.assert_array_equal(data.aubry_nodes, quad_crit.aubry_nodes)
+    np.testing.assert_array_equal(data.S_to, quad_crit.S_to)
+
+
 # ---------------------------------------------------------------------------
 # Peierls barrier and weak KAM
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ import pytest
 
 from weakkam import limits, measures
 from weakkam.critical import build_critical_data, weak_kam_solution
-from weakkam.errors import NoMeasures
+from weakkam.errors import NoMeasures, SingularBasis
 from weakkam.grids import ValueField, build_grid, build_transition, build_velocity_set
 from weakkam.limits import (
     enric1_values,
@@ -261,3 +261,41 @@ def test_study_propagates_programming_errors_from_the_solve(monkeypatch):
     with pytest.raises(TypeError, match="broken solve"):
         vanishing_discount_study(make_model("quadratic", "half_square"), g, vs,
                                  [0.5], n_objectives=0, agreement_count=3)
+
+
+def test_study_propagates_programming_errors_from_the_lp(monkeypatch):
+    # the discounted LP stage records solver failures only; a TypeError is a bug
+    def broken(*args, **kwargs):
+        raise TypeError("broken lp")
+
+    monkeypatch.setattr(limits, "build_discounted_lp", broken)
+    g = build_grid([[-2.0, 2.0]], 0.1)
+    vs = build_velocity_set(1.0, 5)
+    with pytest.raises(TypeError, match="broken lp"):
+        vanishing_discount_study(make_model("quadratic", "half_square"), g, vs,
+                                 [0.5], n_objectives=0, agreement_count=3)
+
+
+def test_study_records_lp_solver_failures(monkeypatch):
+    def singular(*args, **kwargs):
+        raise SingularBasis("basis matrix is singular")
+
+    monkeypatch.setattr(limits, "build_discounted_lp", singular)
+    g = build_grid([[-2.0, 2.0]], 0.1)
+    vs = build_velocity_set(1.0, 5)
+    rep = vanishing_discount_study(make_model("quadratic", "half_square"), g, vs,
+                                   [0.5], n_objectives=0, agreement_count=3)
+    assert [f["stage"] for f in rep.failures] == ["lp@(0.0,)"]
+    assert "SingularBasis" in rep.failures[0]["error"]
+
+
+def test_uniqueness_test_propagates_programming_errors(quad_setup, monkeypatch):
+    crit, ergodic, _ = quad_setup
+    w = selected_solution_deflim(crit, [ergodic.measure])
+
+    def broken(*args, **kwargs):
+        raise TypeError("broken reconstruction")
+
+    monkeypatch.setattr(limits, "weak_kam_solution", broken)
+    with pytest.raises(TypeError, match="broken reconstruction"):
+        uniqueness_test(crit, crit.aubry_nodes, w, w, tol=1e-6)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,16 +11,14 @@ from weakkam.measures import (
     build_ergodic_lp,
     build_mather_polytope,
     closedness_residual,
-    gradient_pairing,
     holonomy_residual,
     lp_solve,
-    random_bump_residuals,
     support_check,
     transport_distance,
 )
 from weakkam.models import lagrangian_table, make_model, superlinearize
 
-from helpers import min_cycle_mean
+from helpers import dense_lp_matrix, min_cycle_mean
 
 
 # ---------------------------------------------------------------------------
@@ -194,31 +194,6 @@ def test_support_check_uniform_fails(quad_crit, grid_c, vs7):
 
 
 # ---------------------------------------------------------------------------
-# closedness against smooth test fields
-# ---------------------------------------------------------------------------
-
-def test_upwind_pairing_vanishes_on_lp_measures(quad_ergodic, grid_c, vs7, tr_c):
-    res = random_bump_residuals(quad_ergodic.measure, grid_c, vs7, tr_c,
-                                n_fields=20, seed=3, mode="upwind")
-    assert float(np.max(res)) <= 1e-8
-
-
-def test_analytic_pairing_is_order_h(quad_ergodic, grid_c, vs7, tr_c):
-    res = random_bump_residuals(quad_ergodic.measure, grid_c, vs7, tr_c,
-                                n_fields=20, seed=3, mode="analytic")
-    assert float(np.max(res)) <= 10.0 * grid_c.h
-
-
-def test_pairing_detects_open_measure(grid_c, vs7, tr_c):
-    i = grid_c.node_near([1.0])
-    m = int(np.argmax(vs7.vectors[:, 0]))
-    mu = DiscreteMeasure(entries={(i, m): 1.0}, total_mass=1.0, kind="ergodic")
-    psi = grid_c.coords[:, 0] ** 2
-    val = gradient_pairing(mu, grid_c, vs7, tr_c, psi_values=psi, mode="upwind")
-    assert abs(val) > 0.1
-
-
-# ---------------------------------------------------------------------------
 # generalized-Lagrangian family on the Mather face
 # ---------------------------------------------------------------------------
 
@@ -267,3 +242,90 @@ def test_double_well_ties_resolve_deterministically():
     assert runs[0].measure.entries == runs[1].measure.entries
     assert runs[0].objective == runs[1].objective
     assert runs[0].objective == pytest.approx(0.0, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# column storage of the constraint matrices
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module", params=["1d", "2d"])
+def three_lps(request):
+    if request.param == "1d":
+        g = build_grid([[-2.0, 2.0]], 0.1)
+        vs = build_velocity_set(1.0, 5)
+    else:
+        g = build_grid([[-1.0, 1.0], [-1.0, 1.0]], 0.25)
+        vs = build_velocity_set(1.0, 5, dimension=2)
+    tr = build_transition(g, vs)
+    model = make_model("quadratic", "double_well", dimension=g.dimension)
+    ergodic = build_ergodic_lp(model, g, vs, transition=tr)
+    discounted = build_discounted_lp(model, g, vs, 0.5, g.num_nodes // 3, transition=tr)
+    mather = build_mather_polytope(ergodic, lp_solve(ergodic))
+    return ergodic, discounted, mather
+
+
+def test_column_store_equals_dense_reference(three_lps):
+    for problem in three_lps:
+        A = problem.A
+        m, n = A.shape
+        dense = dense_lp_matrix(problem)
+        assert dense.shape == (m, n)
+        np.testing.assert_array_equal(A.dense(np.arange(n)), dense)
+        assert A.nnz == np.count_nonzero(dense)
+        # no row is stored twice in one column
+        P = A.rows.shape[1]
+        held = np.sort(np.where(A.vals != 0.0, A.rows, -1 - np.arange(P)), axis=1)
+        assert np.all(np.diff(held, axis=1) > 0), problem.kind
+
+
+def test_column_pricing_matches_dense_products(three_lps):
+    rng = np.random.default_rng(2)
+    for problem in three_lps:
+        A = problem.A
+        m, n = A.shape
+        dense = dense_lp_matrix(problem)
+        y = rng.normal(size=m)
+        np.testing.assert_allclose(A.vecmat(y), y @ dense, rtol=0.0, atol=1e-13)
+        B = rng.normal(size=(m, m))
+        for j in rng.choice(n, size=10, replace=False):
+            np.testing.assert_allclose(A.matcol(B, j), B @ dense[:, j],
+                                       rtol=0.0, atol=1e-12)
+
+
+def test_ergodic_lp_stores_order_nnz_bytes_on_the_2d_grid():
+    g = build_grid([[-2.0, 2.0], [-2.0, 2.0]], 0.1)
+    vs = build_velocity_set(1.5, 5, dimension=2)
+    tr = build_transition(g, vs)
+    model = make_model("quadratic", "half_square", dimension=2)
+    tracemalloc.start()
+    try:
+        problem = build_ergodic_lp(model, g, vs, transition=tr)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    A = problem.A
+    m, n = A.shape
+    assert (m, n) == (g.num_nodes + 1, g.num_nodes * vs.size)
+    stored = A.rows.nbytes + A.vals.nbytes
+    # 16 bytes per slot and at most 2 + 2^N slots per column, of which
+    # fewer than half are padding on this grid
+    assert A.rows.shape[1] <= 2 + 4
+    assert stored <= 2 * 16 * A.nnz
+    assert peak < m * n * 8 / 20          # the dense A would be m*n*8 bytes
+
+
+def test_lp_solve_forms_no_m_by_n_array(quad):
+    # 33 velocities make n = 33 m, so an m x n array (a dense A or the
+    # phase-1 [A | I]) would dwarf the m x m basis inverse
+    g = build_grid([[-4.0, 4.0]], 0.05)
+    vs = build_velocity_set(2.0, 33)
+    problem = build_ergodic_lp(quad, g, vs)
+    m, n = problem.A.shape
+    tracemalloc.start()
+    try:
+        res = lp_solve(problem)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.objective == pytest.approx(0.0, abs=1e-9)
+    assert peak < m * n * 8 / 3

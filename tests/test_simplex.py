@@ -2,11 +2,17 @@ import numpy as np
 import pytest
 
 from weakkam import simplex
-from weakkam.errors import InfeasibleLP, MaxIterExceeded, UnboundedLP
+from weakkam.errors import (
+    InfeasibleLP,
+    MaxIterExceeded,
+    SingularBasis,
+    UnboundedLP,
+    WeakKAMError,
+)
 from weakkam.grids import build_grid, build_velocity_set
 from weakkam.measures import build_ergodic_lp, lp_solve
 from weakkam.models import make_model
-from weakkam.simplex import solve_lp
+from weakkam.simplex import Columns, solve_lp
 
 from helpers import brute_force_lp
 
@@ -106,7 +112,60 @@ def test_iterations_count_every_pivot(monkeypatch):
 
 
 def test_iteration_cap_raises_max_iter_exceeded():
-    A = np.array([[1.0, 1.0]])
+    A = simplex.Columns.from_dense(np.array([[1.0, 1.0]]))
     with pytest.raises(MaxIterExceeded):
         simplex._core(A, np.array([1.0]), np.array([1.0, 0.0]), np.array([0]),
                       np.eye(1), max_iter=0)
+
+
+def _sparse_matrix(rng, m, n):
+    A = rng.normal(size=(m, n)) * (rng.uniform(size=(m, n)) < 0.3)
+    A[:, 1] = 0.0                       # an empty column
+    return A
+
+
+def test_columns_round_trip_dense_input():
+    rng = np.random.default_rng(3)
+    D = _sparse_matrix(rng, 6, 11)
+    A = Columns.from_dense(D)
+    assert A.shape == D.shape
+    assert A.nnz == np.count_nonzero(D)
+    assert A.rows.shape[1] == np.count_nonzero(D, axis=0).max()
+    np.testing.assert_array_equal(A.dense(np.arange(11)), D)
+    np.testing.assert_array_equal(A.dense(np.array([4, 0, 4])), D[:, [4, 0, 4]])
+    keep = np.array([True, False, True, True, False, True])
+    np.testing.assert_array_equal(A.take_rows(keep).dense(np.arange(11)), D[keep])
+    sign = np.array([1.0, -1.0, 1.0, -1.0, -1.0, 1.0])
+    np.testing.assert_array_equal(A.scale_rows(sign).dense(np.arange(11)),
+                                  D * sign[:, None])
+    np.testing.assert_array_equal(A.with_unit_columns(np.arange(6)).dense(np.arange(17)),
+                                  np.hstack([D, np.eye(6)]))
+    row = rng.normal(size=11)
+    np.testing.assert_array_equal(A.with_row(row).dense(np.arange(11)),
+                                  np.vstack([D, row]))
+
+
+def test_column_pricing_matches_dense_products():
+    rng = np.random.default_rng(4)
+    D = _sparse_matrix(rng, 7, 30)
+    A = Columns.from_dense(D)
+    y = rng.normal(size=7)
+    np.testing.assert_allclose(A.vecmat(y), y @ D, rtol=0.0, atol=1e-14)
+    B = rng.normal(size=(7, 7))
+    for j in range(30):
+        np.testing.assert_allclose(A.matcol(B, j), B @ D[:, j], rtol=0.0, atol=1e-14)
+
+
+def test_singular_basis_raises_a_weakkam_error():
+    A = Columns.from_dense([[1.0, 1.0, 1.0], [1.0, 1.0, 2.0]])
+    with pytest.raises(SingularBasis) as info:
+        simplex._inverse(A, np.array([0, 1]))
+    assert isinstance(info.value, WeakKAMError)
+
+
+def test_singular_crash_basis_falls_back_to_phase_1():
+    c = [1.0, 1.0, 0.0]
+    A = [[1.0, 1.0, 1.0], [1.0, 1.0, 2.0]]
+    b = [1.0, 1.5]
+    sol = solve_lp(c, A, b, basis0=[0, 1])
+    assert sol.objective == pytest.approx(brute_force_lp(c, np.array(A), b), abs=1e-9)

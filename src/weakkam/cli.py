@@ -23,7 +23,6 @@ import numpy as np
 from . import __version__, io
 from .critical import (
     build_aubry_data,
-    build_critical_data,
     critical_value,
     intrinsic_distance,
 )
@@ -275,12 +274,13 @@ def cmd_validate(cfg, ctx, out, args):
     return (0 if report.all_passed else 2), arts
 
 
-def _critical(cfg, ctx, build):
-    """`build_aubry_data` or `build_critical_data` on the run's configuration."""
-    return build(ctx["model"], ctx["grid"], ctx["velocity_set"],
-                 tol=cfg["ergodic"]["bisection_tol"],
-                 eps_aubry=cfg["ergodic"]["eps_aubry"],
-                 transition=ctx["transition"])
+def _critical(cfg, ctx):
+    """`build_aubry_data` on the run's configuration (no command that calls
+    this reads the distances from the Aubry set)."""
+    return build_aubry_data(ctx["model"], ctx["grid"], ctx["velocity_set"],
+                            tol=cfg["ergodic"]["bisection_tol"],
+                            eps_aubry=cfg["ergodic"]["eps_aubry"],
+                            transition=ctx["transition"])
 
 
 def _aubry_rows(grid, data):
@@ -291,7 +291,7 @@ def _aubry_rows(grid, data):
 
 
 def cmd_critical(cfg, ctx, out, args):
-    data = _critical(cfg, ctx, build_aubry_data)
+    data = _critical(cfg, ctx)
     arts = [
         io.write_json(out / "critical.json", {
             "c": _claim(data.c, "critical_value bisection midpoint",
@@ -312,7 +312,7 @@ def cmd_critical(cfg, ctx, out, args):
 
 
 def cmd_aubry(cfg, ctx, out, args):
-    data = _critical(cfg, ctx, build_aubry_data)
+    data = _critical(cfg, ctx)
     grid = ctx["grid"]
     arts = [
         io.write_csv(out / "aubry.csv",
@@ -372,7 +372,7 @@ def cmd_solve(cfg, ctx, out, args):
 def cmd_mather(cfg, ctx, out, args):
     model, grid, vset, tr = (ctx["model"], ctx["grid"], ctx["velocity_set"],
                              ctx["transition"])
-    data = _critical(cfg, ctx, build_critical_data)
+    data = _critical(cfg, ctx)
     arts = []
     if args.lam is None:
         res = lp_solve(build_ergodic_lp(model, grid, vset, transition=tr))

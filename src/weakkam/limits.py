@@ -58,11 +58,8 @@ def selected_solution_enric1(critical, polytope, x):
 
 
 def enric1_values(critical, polytope, query_nodes):
-    """Barrier-form values at several nodes, one LP each from phase 1.
-
-    An optimal basis of one query cannot start the next: phase 1 drops the
-    polytope's redundant stationarity row, so that basis is one entry short.
-    """
+    """Barrier-form values at several nodes, one LP each, started from the
+    polytope's crash basis (the ergodic optimum plus the budget slack)."""
     return np.array([selected_solution_enric1(critical, polytope, int(x))
                      for x in query_nodes], dtype=float)
 

@@ -6,7 +6,11 @@ are built against the foot-point transition:
   ergodic     minimize <mu, L> over closed probability measures: for every
               node j the outflow sum_q mu(j,q) balances the interpolated
               inflow sum_{i,q} w(i,q->j) mu(i,q); the optimum value equals
-              minus the critical value of the model.
+              minus the critical value of the model.  Every transition row
+              is stochastic, so every column of the balance block sums to
+              zero and one balance row is implied by the others: the last
+              node's row is left out, which gives the program full row
+              rank and pins that node's potential (its dual) at 0.
 
   discounted  minimize <mu, L> subject to the holonomy rows
               (1+lambda*h) sum_q mu(j,q) - inflow(j) = lambda*h*[j == z];
@@ -18,7 +22,8 @@ are built against the foot-point transition:
   mather      the ergodic rows plus the budget row <mu, L> + s = optimum +
               slack with one slack column s >= 0: the closed probability
               measures within `slack` of the ergodic optimum, over which
-              any linear objective can be minimized.
+              any linear objective can be minimized.  The ergodic optimal
+              basis plus the slack column is a feasible crash basis.
 
 Both use the unit-mass normalization; for the discounted program the mass
 row is implied exactly by the holonomy rows (their sum reads
@@ -77,6 +82,7 @@ class LPResult:
     objective: float
     duals: np.ndarray
     iterations: int
+    basis: np.ndarray            # the optimal basis, one column per row
 
 
 def _finite_variables(L_flat):
@@ -117,13 +123,16 @@ def build_ergodic_lp(model, grid, velocity_set, transition=None):
         transition = build_transition(grid, velocity_set)
     L = lagrangian_table(model, grid.coords, velocity_set.vectors).reshape(-1)
     active = _finite_variables(L)
-    A = _stationarity_matrix(transition, active).with_row(np.ones(len(active)))
-    b = np.zeros(grid.num_nodes + 1)
+    n = grid.num_nodes
+    # the last balance row is the negated sum of the others
+    A = (_stationarity_matrix(transition, active).take_rows(np.arange(n) < n - 1)
+         .with_row(np.ones(len(active))))
+    b = np.zeros(n)
     b[-1] = 1.0
     M = velocity_set.size
     pairs = [(int(v // M), int(v % M)) for v in active]
     return LPProblem(c=L[active], A=A, b=b, var_pairs=pairs,
-                     row_kind=["stationarity"] * grid.num_nodes + ["mass"],
+                     row_kind=["stationarity"] * (n - 1) + ["mass"],
                      kind="ergodic",
                      meta={"grid": grid, "velocity_set": velocity_set,
                            "transition": transition, "active": active})
@@ -188,7 +197,7 @@ def lp_solve(problem, objective=None):
     measure = DiscreteMeasure(entries=entries, total_mass=float(np.sum(x)),
                               kind=kind, meta=meta)
     return LPResult(measure=measure, objective=sol.objective, duals=sol.duals,
-                    iterations=sol.iterations)
+                    iterations=sol.iterations, basis=sol.basis)
 
 
 # ---------------------------------------------------------------------------
@@ -278,10 +287,12 @@ def build_mather_polytope(problem, ergodic_result, slack=None):
     budget = problem.A.m
     A = problem.A.with_row(problem.c).with_unit_columns([budget])
     b = np.concatenate([problem.b, [ergodic_result.objective + slack]])
+    # the ergodic optimum with s = slack > 0 is a vertex of the polytope
+    crash = np.append(ergodic_result.basis, len(problem.c))
     return LPProblem(c=np.append(problem.c, 0.0), A=A, b=b,
                      var_pairs=problem.var_pairs,
                      row_kind=problem.row_kind + ["budget"], kind="mather",
-                     meta={**problem.meta, "slack": slack})
+                     meta={**problem.meta, "slack": slack, "crash_basis": crash})
 
 
 def transport_distance(mu1, mu2, grid, velocity_set):

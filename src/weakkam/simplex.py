@@ -12,9 +12,10 @@ Degeneracy itself is defused by a deterministic graded perturbation of the
 right-hand side (the flow rows are all zero, so the unperturbed phase 1
 starts maximally degenerate); the final basic solution is recomputed
 against the original right-hand side, so feasibility residuals of the
-returned point are exact.  Redundant equality rows (the stationarity
-systems carry one) are detected in phase 1 and dropped.  Deterministic
-throughout: ties break on the lowest index.
+returned point are exact.  Redundant equality rows are detected in
+phase 1 and dropped (the occupation-measure programs are built with full
+row rank, so none is dropped there).  Deterministic throughout: ties break
+on the lowest index.
 """
 
 from __future__ import annotations
@@ -59,8 +60,11 @@ class Columns:
         return cls(rows=np.where(keep, rows, 0), vals=vals, m=m)
 
     def vecmat(self, y):
-        """y @ A."""
-        return np.sum(y[self.rows] * self.vals, axis=1)
+        """y @ A, summed slot by slot in slot order."""
+        out = y[self.rows[:, 0]] * self.vals[:, 0]
+        for s in range(1, self.rows.shape[1]):
+            out += y[self.rows[:, s]] * self.vals[:, s]
+        return out
 
     def matcol(self, B, j):
         """B @ A[:, j]."""
@@ -124,7 +128,13 @@ def _pivot_update(Binv, xB, d, row, theta):
     xB -= theta * d
     xB[row] = theta
     prow = Binv[row] / d[row]
-    Binv -= np.outer(d, prow)
+    # rows where d is zero are unchanged; a mostly dense d (the dual
+    # clean-up's columns) is cheaper to apply in place than by gather/scatter
+    t = np.flatnonzero(d)
+    if 2 * len(t) > len(d):
+        Binv -= np.outer(d, prow)
+    else:
+        Binv[t] -= np.outer(d[t], prow)
     Binv[row] = prow
 
 
@@ -180,7 +190,7 @@ def _core(A, b, c, basis, Binv, max_iter, stall_limit=200, refresh=128):
     return basis, Binv, xB, it
 
 
-def _dual_cleanup(A, b, c, basis, Binv, max_iter=5000):
+def _dual_cleanup(A, b, c, basis, Binv, max_iter):
     """Dual-simplex pivots restoring primal feasibility of an optimal basis
     (used after the grading of the right-hand side is removed)."""
     m, n = A.shape
@@ -192,7 +202,8 @@ def _dual_cleanup(A, b, c, basis, Binv, max_iter=5000):
         if xB[r] >= -feas_tol:
             return basis, Binv, xB, it
         if it >= max_iter:
-            raise InfeasibleLP(f"dual cleanup stalled with xB[{r}] = {xB[r]:.3e}")
+            raise MaxIterExceeded(f"dual cleanup exceeded {max_iter} iterations "
+                                  f"with xB[{r}] = {xB[r]:.3e}", iterations=it)
         y = c[basis] @ Binv
         reduced = c - A.vecmat(y)
         reduced[basis] = 0.0
@@ -244,9 +255,11 @@ def solve_lp(c, A, b, basis0=None):
 
     `A` is a `Columns` store, or a dense array that is stored by columns
     here.  `basis0` is a known-feasible starting basis (the discounted
-    program's q = 0 crash); it replaces phase 1 when its basic solution is
-    nonnegative.  `iterations` counts every pivot: phase 1, the drive-out
-    of artificials, phase 2 and the dual clean-up.  The caller's arrays are
+    program's q = 0 crash, the Mather polytope's ergodic optimal basis); it
+    replaces phase 1 when its basic solution is nonnegative.  `iterations`
+    counts every pivot: phase 1, the drive-out of artificials, phase 2 and
+    the dual clean-up; phase 1, phase 2 and the clean-up are each capped at
+    50(m + n) + 2000 pivots (`MaxIterExceeded`).  The caller's arrays are
     never modified.  Every failure raises a WeakKAMError.
     """
     if not isinstance(A, Columns):
@@ -289,7 +302,7 @@ def solve_lp(c, A, b, basis0=None):
     Binv = _inverse(A, basis)
     xB = Binv @ b
     if float(np.min(xB)) < -1e-9 * scale_b:
-        basis, Binv, xB, it = _dual_cleanup(A, b, c, basis, Binv)
+        basis, Binv, xB, it = _dual_cleanup(A, b, c, basis, Binv, max_iter)
         total_it += it
     x = np.zeros(n)
     x[basis] = np.maximum(xB, 0.0)

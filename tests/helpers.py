@@ -105,11 +105,12 @@ def dense_lp_matrix(problem):
         np.add.at(A, (idx[:, k], cols), -w[:, k])
     if problem.kind == "discounted":
         return A
-    A = np.vstack([A, np.ones((1, len(active)))])
+    # the last balance row is left out (it is implied by the others)
+    A = np.vstack([A[:-1], np.ones((1, len(active)))])
     if problem.kind == "ergodic":
         return A
     budget = np.append(problem.c[:len(active)], 1.0)
-    return np.vstack([np.hstack([A, np.zeros((n + 1, 1))]), budget])
+    return np.vstack([np.hstack([A, np.zeros((n, 1))]), budget])
 
 
 def make_asymmetric_sampled(grid, offset=0.3, p_span=3.0, p_count=121):

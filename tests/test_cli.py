@@ -273,7 +273,6 @@ def test_distance_runs_only_the_bisection(tmp_path, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("distance must not build the Aubry data")
 
-    monkeypatch.setattr(weakkam.cli, "build_critical_data", refuse)
     monkeypatch.setattr(weakkam.cli, "build_aubry_data", refuse)
     cfg = write_cfg(tmp_path, TINY_STUDY)
     out = tmp_path / "d"
@@ -281,18 +280,23 @@ def test_distance_runs_only_the_bisection(tmp_path, monkeypatch):
     assert (out / "distance.csv").exists()
 
 
-@pytest.mark.parametrize("command", ["aubry", "critical"])
-def test_aubry_and_critical_skip_the_weak_kam_fields(tmp_path, monkeypatch, command):
-    import weakkam.cli
+@pytest.mark.parametrize("command,artifact", [("aubry", "aubry.csv"),
+                                              ("critical", "aubry.csv"),
+                                              ("mather", "measure.csv")],
+                         ids=["aubry", "critical", "mather"])
+def test_aubry_and_critical_skip_the_weak_kam_fields(tmp_path, monkeypatch, command,
+                                                     artifact):
+    import weakkam.critical
 
     def refuse(*args, **kwargs):
         raise AssertionError("the S_from batch is read by no output of this command")
 
-    monkeypatch.setattr(weakkam.cli, "build_critical_data", refuse)
+    # the reversed edge costs feed only the S_from relaxation batch
+    monkeypatch.setattr(weakkam.critical, "reverse_edge_costs", refuse)
     cfg = write_cfg(tmp_path, TINY_STUDY)
     out = tmp_path / command
     assert main([command, "--config", cfg, "--out", str(out)]) == 0
-    assert (out / "aubry.csv").exists()
+    assert (out / artifact).exists()
 
 
 def test_singular_simplex_basis_exits_3_without_traceback(tmp_path, capsys,

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from weakkam import limits, measures
-from weakkam.critical import build_critical_data, weak_kam_solution
+from weakkam import limits, measures, simplex
+from weakkam.critical import build_critical_data, peierls_field_to, weak_kam_solution
 from weakkam.errors import NoMeasures, SingularBasis
 from weakkam.grids import ValueField, build_grid, build_transition, build_velocity_set
 from weakkam.limits import (
@@ -248,6 +248,36 @@ def test_study_builds_the_ergodic_lp_once(monkeypatch):
                                    [0.5], n_objectives=2, agreement_count=3)
     assert not rep.failures
     assert len(calls) == 1
+
+
+def test_study_runs_phase_1_only_for_the_ergodic_lp(monkeypatch):
+    # the Mather-face LPs start from the ergodic optimal basis and the
+    # discounted LPs from their q = 0 self-loops
+    calls = []
+    phase1 = simplex._phase1
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return phase1(*args, **kwargs)
+
+    monkeypatch.setattr(simplex, "_phase1", counting)
+    g = build_grid([[-2.0, 2.0]], 0.1)
+    vs = build_velocity_set(1.0, 5)
+    rep = vanishing_discount_study(make_model("quadratic", "half_square"), g, vs,
+                                   [0.5], n_objectives=2, agreement_count=3)
+    assert not rep.failures
+    assert len(calls) == 1
+
+
+def test_warm_started_barrier_queries_match_cold_solves(quad_setup, grid_c):
+    crit, _, poly = quad_setup
+    nodes = [grid_c.node_near([x]) for x in (-1.5, -0.5, 0.0, 0.5, 1.5)]
+    warm = enric1_values(crit, poly, nodes)
+    for x, value in zip(nodes, warm):
+        pfield = peierls_field_to(crit, x)
+        c = np.append([pfield[i] for (i, _m) in poly.var_pairs], 0.0)
+        cold = simplex.solve_lp(c, poly.A, poly.b)
+        assert abs(value - cold.objective) <= 1e-12
 
 
 def test_study_propagates_programming_errors_from_the_solve(monkeypatch):

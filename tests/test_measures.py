@@ -292,6 +292,17 @@ def test_column_pricing_matches_dense_products(three_lps):
                                        rtol=0.0, atol=1e-12)
 
 
+def test_vecmat_sums_the_slots_in_numpy_order(three_lps):
+    # these stores hold at most 7 slots per column, below the 8 at which
+    # np.sum switches from a running sum to pairwise summation
+    rng = np.random.default_rng(3)
+    for problem in three_lps:
+        A = problem.A
+        y = rng.normal(size=A.m)
+        np.testing.assert_array_equal(A.vecmat(y),
+                                      np.sum(y[A.rows] * A.vals, axis=1))
+
+
 def test_ergodic_lp_stores_order_nnz_bytes_on_the_2d_grid():
     g = build_grid([[-2.0, 2.0], [-2.0, 2.0]], 0.1)
     vs = build_velocity_set(1.5, 5, dimension=2)
@@ -305,7 +316,7 @@ def test_ergodic_lp_stores_order_nnz_bytes_on_the_2d_grid():
         tracemalloc.stop()
     A = problem.A
     m, n = A.shape
-    assert (m, n) == (g.num_nodes + 1, g.num_nodes * vs.size)
+    assert (m, n) == (g.num_nodes, g.num_nodes * vs.size)
     stored = A.rows.nbytes + A.vals.nbytes
     # 16 bytes per slot and at most 2 + 2^N slots per column, of which
     # fewer than half are padding on this grid

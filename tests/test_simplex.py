@@ -118,6 +118,38 @@ def test_iteration_cap_raises_max_iter_exceeded():
                       np.eye(1), max_iter=0)
 
 
+def test_dual_cleanup_cap_raises_max_iter_exceeded():
+    # x1, x2 >= 1 as x_i - s_i = 1: the surplus basis is dual feasible, both
+    # of its rows are infeasible, and each takes one dual pivot
+    A = Columns.from_dense([[1.0, 0.0, -1.0, 0.0], [0.0, 1.0, 0.0, -1.0]])
+    b = np.array([1.0, 1.0])
+    c = np.array([1.0, 1.0, 0.0, 0.0])
+    basis, Binv, xB, it = simplex._dual_cleanup(A, b, c, np.array([2, 3]), -np.eye(2),
+                                                max_iter=2)
+    assert sorted(basis) == [0, 1] and it == 2
+    with pytest.raises(MaxIterExceeded) as info:
+        simplex._dual_cleanup(A, b, c, np.array([2, 3]), -np.eye(2), max_iter=1)
+    assert info.value.iterations == 1
+
+
+@pytest.mark.parametrize("density", [0.04, 1.0])
+def test_pivot_update_matches_the_full_outer_product(density):
+    rng = np.random.default_rng(6)
+    m, row, theta = 200, 150, 0.3
+    d = rng.normal(size=m) * (rng.uniform(size=m) < density)
+    d[row] = 1.7
+    Binv = rng.normal(size=(m, m))
+    xB = rng.uniform(size=m)
+    want, want_xB = Binv.copy(), xB - theta * d
+    want_xB[row] = theta
+    prow = want[row] / d[row]
+    want -= np.outer(d, prow)
+    want[row] = prow
+    simplex._pivot_update(Binv, xB, d, row, theta)
+    np.testing.assert_array_equal(Binv, want)
+    np.testing.assert_array_equal(xB, want_xB)
+
+
 def _sparse_matrix(rng, m, n):
     A = rng.normal(size=(m, n)) * (rng.uniform(size=(m, n)) < 0.3)
     A[:, 1] = 0.0                       # an empty column

@@ -13,8 +13,10 @@ Values can be overridden on the command line with --set key.path=value.
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -123,8 +125,13 @@ def _merge_defaults(cfg):
     return cfg
 
 
+def _is_number(value):
+    return type(value) in (int, float) and math.isfinite(value)
+
+
 def validate_config(cfg, need_schedule=False):
-    """Schema check with precise key-path messages; fills defaults."""
+    """Schema check with precise key-path messages; fills defaults.  The
+    schedule is checked when the command needs one or the config has one."""
     _merge_defaults(cfg)
     family = _require(cfg, "model.family", str,
                       lambda v: v in FAMILIES, f"one of {tuple(FAMILIES)}")
@@ -153,16 +160,16 @@ def validate_config(cfg, need_schedule=False):
     if dim != len(box):
         raise ConfigError(f"model.dimension: {dim} does not match grid.box of length {len(box)}")
     cfg["model"]["dimension"] = dim
-    if need_schedule:
+    if need_schedule or "schedule" in cfg:
         resolve_schedule(cfg)
     probes = cfg.get("probes", [])
     if not isinstance(probes, list):
         raise ConfigError("probes: expected a list of points")
     for k, p in enumerate(probes):
-        if np.ndim(p) == 0:
+        if _is_number(p) and dim == 1:
             probes[k] = [float(p)]
-        elif len(p) != dim:
-            raise ConfigError(f"probes[{k}]: expected {dim} coordinates")
+        elif not (isinstance(p, list) and len(p) == dim and all(map(_is_number, p))):
+            raise ConfigError(f"probes[{k}]: expected a list of {dim} numbers, got {p!r}")
     cfg["probes"] = probes
     return cfg
 
@@ -174,21 +181,47 @@ def resolve_schedule(cfg):
     if "lambdas" in block:
         lam = block["lambdas"]
         if not (isinstance(lam, list) and len(lam) >= 1
-                and all(isinstance(v, (int, float)) and v > 0 for v in lam)
+                and all(_is_number(v) and v > 0 for v in lam)
                 and all(a > b for a, b in zip(lam, lam[1:]))):
             raise ConfigError("schedule.lambdas: expected a strictly decreasing "
                               "list of positive numbers")
         return [float(v) for v in lam]
     if "geometric" in block:
         geo = block["geometric"]
+        if not isinstance(geo, dict):
+            raise ConfigError("schedule.geometric: expected an object")
         for key in ("start", "ratio", "count"):
             if key not in geo:
                 raise ConfigError(f"schedule.geometric.{key}: required")
-        if not 0 < geo["ratio"] < 1:
+        if not (_is_number(geo["start"]) and geo["start"] > 0):
+            raise ConfigError("schedule.geometric.start: expected a positive number")
+        if not (_is_number(geo["ratio"]) and 0 < geo["ratio"] < 1):
             raise ConfigError("schedule.geometric.ratio: expected a value in (0, 1)")
+        if not (type(geo["count"]) is int and geo["count"] > 0):
+            raise ConfigError("schedule.geometric.count: expected a positive integer")
         return [float(geo["start"]) * float(geo["ratio"]) ** k
-                for k in range(int(geo["count"]))]
+                for k in range(geo["count"])]
     raise ConfigError("schedule: needs either 'lambdas' or 'geometric'")
+
+
+def validate_args(args, dim):
+    """Check the command-line values against the config (errors exit 2 as
+    config errors do); --z and --source become coordinate lists."""
+    lam = getattr(args, "lam", None)
+    if lam is not None and not (math.isfinite(lam) and lam > 0):
+        raise ConfigError(f"--lambda: expected a positive number, got {lam!r}")
+    for name in ("z", "source"):
+        text = getattr(args, name, None)
+        if text is None:
+            continue
+        try:
+            point = [float(v) for v in text.split(",")]
+        except ValueError:
+            point = []
+        if len(point) != dim or not all(map(math.isfinite, point)):
+            raise ConfigError(f"--{name}: expected {dim} comma-separated numbers, "
+                              f"got {text!r}")
+        setattr(args, name, point)
 
 
 # ---------------------------------------------------------------------------
@@ -199,9 +232,8 @@ def _load_sampled(cfg, grid):
     path = cfg["model"]["sampled_csv"]
     p_grid = np.asarray(cfg["model"]["p_grid"], dtype=float)
     values = np.full((grid.num_nodes, len(p_grid)), np.nan)
-    import csv as _csv
     with open(path, "r", encoding="utf-8") as fh:
-        for row in _csv.reader(fh):
+        for row in csv.reader(fh):
             if not row or row[0].startswith("#") or row[0] == "node_index":
                 continue
             i, j, v = int(row[0]), int(row[1]), float(row[2])
@@ -233,7 +265,6 @@ def build_context(cfg):
     transition = build_transition(grid, vset)
     model = _raw_model(cfg, grid)
     if cfg["model"]["normalization_shift"] == "auto":
-        from .critical import critical_value
         raw = critical_value(model, grid, vset, tol=cfg["ergodic"]["bisection_tol"],
                              transition=transition)
         if abs(raw.c) > cfg["ergodic"]["bisection_tol"]:
@@ -283,11 +314,17 @@ def _critical(cfg, ctx):
                             transition=ctx["transition"])
 
 
-def _aubry_rows(grid, data):
+def _node_columns(grid, *columns):
+    return ["node", *[f"x{k}" for k in range(grid.dimension)], *columns]
+
+
+def _write_aubry_csv(out, grid, data):
+    """Per node: coordinates, cycle cost, whether it is exact, Aubry membership."""
     aubry = set(int(z) for z in data.aubry_nodes)
-    for i in range(grid.num_nodes):
-        yield [i, *grid.coords[i], data.cycle_cost[i], bool(data.cycle_exact[i]),
-               i in aubry]
+    rows = ([i, *grid.coords[i], data.cycle_cost[i], bool(data.cycle_exact[i]),
+             i in aubry] for i in range(grid.num_nodes))
+    return io.write_csv(out / "aubry.csv",
+                        _node_columns(grid, "cycle_cost", "exact", "in_aubry"), rows)
 
 
 def cmd_critical(cfg, ctx, out, args):
@@ -303,10 +340,7 @@ def cmd_critical(cfg, ctx, out, args):
         }),
         io.write_csv(out / "bisection.csv", ["level", "subcritical", "reason"],
                      [[a, sub, reason] for a, sub, reason in data.trace]),
-        io.write_csv(out / "aubry.csv",
-                     ["node", *[f"x{k}" for k in range(ctx["grid"].dimension)],
-                      "cycle_cost", "exact", "in_aubry"],
-                     _aubry_rows(ctx["grid"], data)),
+        _write_aubry_csv(out, ctx["grid"], data),
     ]
     return 0, arts
 
@@ -315,10 +349,7 @@ def cmd_aubry(cfg, ctx, out, args):
     data = _critical(cfg, ctx)
     grid = ctx["grid"]
     arts = [
-        io.write_csv(out / "aubry.csv",
-                     ["node", *[f"x{k}" for k in range(grid.dimension)],
-                      "cycle_cost", "exact", "in_aubry"],
-                     _aubry_rows(grid, data)),
+        _write_aubry_csv(out, grid, data),
         io.write_json(out / "aubry.json", {
             "eps_aubry": _claim(data.eps_aubry, "build_aubry_data cycle threshold",
                                 data.eps_aubry),
@@ -331,18 +362,14 @@ def cmd_aubry(cfg, ctx, out, args):
 
 def cmd_distance(cfg, ctx, out, args):
     grid = ctx["grid"]
-    source = [float(v) for v in args.source.split(",")]
-    if len(source) != grid.dimension:
-        raise ConfigError(f"--source: expected {grid.dimension} coordinates")
     # the distances are taken at the upper end of the bisection bracket
     data = critical_value(ctx["model"], grid, ctx["velocity_set"],
                           tol=cfg["ergodic"]["bisection_tol"],
                           transition=ctx["transition"])
     fld = intrinsic_distance(ctx["model"], grid, ctx["velocity_set"], data.level,
-                             grid.node_near(source), transition=ctx["transition"],
+                             grid.node_near(args.source), transition=ctx["transition"],
                              direction=args.direction)
-    arts = [io.write_csv(out / "distance.csv",
-                         ["node", *[f"x{k}" for k in range(grid.dimension)], "value"],
+    arts = [io.write_csv(out / "distance.csv", _node_columns(grid, "value"),
                          io.field_rows(grid, fld.values))]
     return 0, arts
 
@@ -354,8 +381,7 @@ def cmd_solve(cfg, ctx, out, args):
                            transition=ctx["transition"])
     grid = ctx["grid"]
     arts = [
-        io.write_csv(out / "field.csv",
-                     ["node", *[f"x{k}" for k in range(grid.dimension)], "value"],
+        io.write_csv(out / "field.csv", _node_columns(grid, "value"),
                      io.field_rows(grid, sol.field.values)),
         io.write_csv(out / "trace.csv", ["iteration", "residual", "policy_changes"],
                      [[it, r, c] for (it, r), c in zip(sol.trace, sol.policy_changes)]),
@@ -390,10 +416,8 @@ def cmd_mather(cfg, ctx, out, args):
             "support_passed": sup.passed,
             "iterations": res.iterations,
         }
-        measure = res.measure
     else:
-        z = args.z if args.z is not None else "0.0"
-        zpt = [float(v) for v in z.split(",")]
+        zpt = args.z if args.z is not None else [0.0] * grid.dimension
         res = lp_solve(build_discounted_lp(model, grid, vset, args.lam, zpt,
                                            transition=tr))
         sol = solve_discounted(model, grid, vset, args.lam, tol=cfg["solver"]["tol"],
@@ -411,10 +435,9 @@ def cmd_mather(cfg, ctx, out, args):
                 "holonomy recheck", 1e-8),
             "iterations": res.iterations,
         }
-        measure = res.measure
     arts.append(io.write_csv(out / "measure.csv",
                              ["node_index", "velocity_index", "mass"],
-                             io.measure_rows(measure)))
+                             io.measure_rows(res.measure)))
     # stationarity-row multipliers approximate a subsolution potential
     arts.append(io.write_csv(out / "duals.csv", ["row", "dual"],
                              [[i, d] for i, d in enumerate(res.duals)]))
@@ -435,8 +458,7 @@ def _study(cfg, ctx, schedule):
 
 
 def _write_w(out, grid, rep):
-    return io.write_csv(out / "w.csv",
-                        ["node", *[f"x{k}" for k in range(grid.dimension)], "value"],
+    return io.write_csv(out / "w.csv", _node_columns(grid, "value"),
                         io.field_rows(grid, rep.w_field.values))
 
 
@@ -546,6 +568,7 @@ def main(argv=None):
         if args.out is not None:
             cfg.setdefault("outputs", {})["directory"] = args.out
         validate_config(cfg, need_schedule=args.command in _NEEDS_SCHEDULE)
+        validate_args(args, cfg["model"]["dimension"])
         out = Path(cfg["outputs"]["directory"])
         out.mkdir(parents=True, exist_ok=True)
         ctx = build_context(cfg)

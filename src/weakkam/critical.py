@@ -14,8 +14,9 @@ through it has intrinsic cost below eps_aubry; cycle costs at true Aubry
 points scale like h^2 * Lip(sigma), which fixes the default threshold.
 `build_aubry_data` finds the Aubry set and keeps the distance fields to
 the Aubry nodes; `build_critical_data` adds the fields from them.  Both are
-(k, n) arrays whose rows follow `aubry_nodes`; the Peierls barrier and the
-weak KAM min-formula are array expressions over them.
+(k, n) arrays whose rows follow `aubry_nodes`, and a trace on the Aubry set
+is a length-k array in the same order; the Peierls barrier and the weak
+KAM min-formula are array expressions over them.
 """
 
 from __future__ import annotations
@@ -328,20 +329,14 @@ def peierls_field_to(critical, y):
 def weak_kam_solution(critical, v0, tol=1e-9):
     """Field v(x) = min over Aubry y of [v0(y) + S(y,x)].
 
-    v0 maps Aubry nodes to trace values (dict, or array aligned with
-    critical.aubry_nodes, or a scalar).  The trace must satisfy
-    v0(y) - v0(y') <= S(y', y); otherwise the min formula cannot reproduce
-    it and IncompatibleTrace is raised.
+    v0 is the trace: an array aligned with critical.aubry_nodes, or anything
+    that broadcasts to one (a scalar gives a constant trace).  The trace
+    must satisfy v0(y) - v0(y') <= S(y', y); otherwise the min formula
+    cannot reproduce it and IncompatibleTrace is raised.
     """
-    nodes = [int(z) for z in critical.aubry_nodes]
-    if np.isscalar(v0):
-        trace = {z: float(v0) for z in nodes}
-    elif isinstance(v0, dict):
-        trace = {int(k): float(v) for k, v in v0.items()}
-    else:
-        trace = {z: float(v) for z, v in zip(nodes, np.asarray(v0, dtype=float))}
-    scale = 1.0 + max(abs(v) for v in trace.values())
-    t = np.array([trace[z] for z in nodes], dtype=float)
+    nodes = critical.aubry_nodes
+    t = np.broadcast_to(np.asarray(v0, dtype=float), nodes.shape)
+    scale = 1.0 + float(np.max(np.abs(t)))
     S_from = critical.S_from
     # bad[r, s]: v0(y_s) - v0(z_r) exceeds S(z_r, y_s)
     bad = t[None, :] - t[:, None] > S_from[:, nodes] + tol * scale

@@ -63,8 +63,10 @@ def field_rows(grid, values):
 
 
 def measure_rows(measure):
-    for (i, m), mass in sorted(measure.entries.items()):
-        yield [i, m, mass]
+    """(node, velocity, mass) for the nonzero masses, in node-major order."""
+    mass = measure.mass
+    for i, m in zip(*np.nonzero(mass)):
+        yield [i, m, mass[i, m]]
 
 
 # ---------------------------------------------------------------------------

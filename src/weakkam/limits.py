@@ -7,9 +7,13 @@ that share no code path with the PDE solver:
     <mu, P(., x)> with P the Peierls barrier, one small LP per query point;
 
   * maximal-trace form: the largest Aubry trace t with t(y) - t(y') bounded
-    by the intrinsic distances and <mu_1, t> <= 0 for every supplied Mather
-    measure (coordinate ascent over t, dimension = number of Aubry nodes),
-    extended by the weak KAM min-formula.
+    by the intrinsic distances and <mu, v_t> <= 0 for every supplied Mather
+    measure mu, v_t being the weak KAM min-formula field of t (coordinate
+    ascent over t), extended by that same min-formula.
+
+A trace is an array aligned with `critical.aubry_nodes`, and a measure an
+(n, M) node-by-velocity mass array (`measures.DiscreteMeasure`), so the
+pairings are array expressions over the (k, n) distance array S_from.
 
 The study drives a decreasing discount schedule, records the sup-norm gap
 between each discounted solution and the limit on a reporting sub-box (the
@@ -21,7 +25,7 @@ minimizer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -35,6 +39,7 @@ from .measures import (
     build_ergodic_lp,
     build_mather_polytope,
     lp_solve,
+    sequential_sum,
     transport_distance,
 )
 
@@ -48,13 +53,10 @@ _STATUS_NA = "NotApplicable"
 # ---------------------------------------------------------------------------
 
 def selected_solution_enric1(critical, polytope, x):
-    """min over the Mather polytope of <mu, P(., x)>; x is a node index."""
-    grid = critical.grid
-    if not np.isscalar(x):
-        x = grid.node_near(x)
-    pfield = peierls_field_to(critical, int(x))
-    objective = np.array([pfield[i] for (i, _m) in polytope.var_pairs])
-    return lp_solve(polytope, objective).objective
+    """min over the Mather polytope of <mu, P(., x)> at the node index x."""
+    M = polytope.meta["velocity_set"].size
+    pfield = peierls_field_to(critical, x)
+    return lp_solve(polytope, pfield[polytope.active // M]).objective
 
 
 def enric1_values(critical, polytope, query_nodes):
@@ -68,58 +70,67 @@ def enric1_values(critical, polytope, query_nodes):
 # estimator 2: maximal admissible Aubry trace
 # ---------------------------------------------------------------------------
 
-def maximal_trace(critical, measures, sweeps=200, tol=1e-12):
+TRACE_SWEEPS = 200     # coordinate-ascent sweeps at most
+TRACE_TOL = 1e-12      # a sweep raising no coordinate by more (relative) ends it
+
+
+def maximal_trace(critical, measures):
     """Coordinate ascent for the largest trace t on the Aubry nodes with
     t(y) - t(y') <= S(y', y) and <mu, v_t> <= 0 per measure, where v_t is
-    the min-formula field of t.
+    the min-formula field of t.  Returns t as an array aligned with
+    critical.aubry_nodes.
 
     Starts from t = 0 (feasible: constant traces are compatible and the
     measure rows vanish) and raises each coordinate in a fixed order to its
     ceiling.  Measure mass sitting off the trace nodes is priced at the
     current field value; a final downward shift restores feasibility
-    exactly when that lagged pricing overshoots.
+    exactly when that lagged pricing overshoots.  The pairings <mu, v_t>
+    add the nodes in index order, left to right.
     """
     if not measures:
         raise NoMeasures("maximal_trace needs at least one Mather measure")
-    nodes = [int(z) for z in critical.aubry_nodes]
-    S = dict(zip(nodes, critical.S_from))
-    marginals = []
-    for mu in measures:
-        m = {}
-        for (i, _q), mass in mu.entries.items():
-            m[int(i)] = m.get(int(i), 0.0) + mass
-        marginals.append(m)
-    t = {z: 0.0 for z in nodes}
+    nodes = critical.aubry_nodes
+    S = critical.S_from
+    k = len(nodes)
+    # x-marginals, (measures, n), each node's velocities added in order
+    marg = np.array([sequential_sum(mu.mass, axis=1) for mu in measures])
+    support = np.flatnonzero(marg.any(axis=0))
+    P = marg[:, support]
+    S_sup = S[:, support]
+    row = np.full(S.shape[1], -1)
+    row[nodes] = np.arange(k)
+    # support nodes on the trace are priced at t, the others at the field
+    on_trace = row[support] >= 0
+    trace_rows = row[support][on_trace]
+    # S between trace nodes; the diagonal is left out of each ceiling
+    S_nodes = S[:, nodes]
+    np.fill_diagonal(S_nodes, np.inf)
+    t = np.zeros(k)
 
-    def field_at(i):
-        return min(t[z] + float(S[z][i]) for z in nodes)
+    def support_values():
+        vals = np.min(t[:, None] + S_sup, axis=0)
+        vals[on_trace] = t[trace_rows]
+        return vals
 
-    scale = 1.0 + max(float(np.max(np.abs(S[z][np.isfinite(S[z])]))) for z in nodes)
-    for _ in range(sweeps):
+    scale = 1.0 + float(np.max(np.abs(S[np.isfinite(S)])))
+    for _ in range(TRACE_SWEEPS):
         change = 0.0
-        for y in nodes:
-            ceil = min((t[z] + float(S[z][y]) for z in nodes if z != y),
-                       default=np.inf)
-            for m in marginals:
-                my = m.get(y, 0.0)
-                if my > 1e-12:
-                    rest = sum(mass * (t[i] if i in t else field_at(i))
-                               for i, mass in m.items() if i != y)
-                    ceil = min(ceil, -rest / my)
-            if np.isfinite(ceil) and ceil > t[y]:
-                change = max(change, ceil - t[y])
-                t[y] = ceil
-        if change <= tol * scale:
+        for r in range(k):
+            ceil = np.min(t + S_nodes[:, r])
+            my = marg[:, nodes[r]]
+            priced = my > 1e-12
+            if priced.any():
+                terms = P[priced] * support_values()
+                terms[:, np.searchsorted(support, nodes[r])] = 0.0
+                ceil = min(ceil, np.min(-sequential_sum(terms, axis=1) / my[priced]))
+            if np.isfinite(ceil) and ceil > t[r]:
+                change = max(change, ceil - t[r])
+                t[r] = ceil
+        if change <= TRACE_TOL * scale:
             break
     # lagged off-trace pricing can overshoot; shift down to restore <mu, v_t> <= 0
-    worst = 0.0
-    for m in marginals:
-        worst = max(worst, sum(mass * (t[i] if i in t else field_at(i))
-                               for i, mass in m.items()))
-    if worst > 0.0:
-        for z in nodes:
-            t[z] -= worst
-    return t
+    worst = max(0.0, float(np.max(sequential_sum(P * support_values(), axis=1))))
+    return t - worst
 
 
 def selected_solution_deflim(critical, measures):
@@ -132,42 +143,30 @@ def selected_solution_deflim(critical, measures):
 # Mather set by vertex sampling
 # ---------------------------------------------------------------------------
 
+MATHER_SUPPORT_TOL = 1e-4
+
+
 def sample_vertex_measures(polytope, n_objectives, seed):
     """Polytope vertices under seeded random objectives."""
     rng = np.random.default_rng(seed)
-    nvar = len(polytope.var_pairs)
-    return [lp_solve(polytope, rng.uniform(0.0, 1.0, size=nvar)).measure
+    return [lp_solve(polytope, rng.uniform(0.0, 1.0, len(polytope.active))).measure
             for _ in range(int(n_objectives))]
 
 
-def mather_set(polytope, n_objectives, seed, grid, base_measure=None,
-               support_tol=1e-4, measures=None):
-    """Union of x-projections of polytope vertices under random objectives,
-    dilated by one grid cell.
+def mather_set(measures, grid):
+    """Union of the x-projections of the measures' supports, dilated by one
+    grid cell in the max norm.
 
-    The budget slack lets vertices park wisps of mass (at most slack over
-    the local Lagrangian) away from the minimizing set, so only nodes
-    carrying more than support_tol count as support.  Pass `measures` to
-    reuse previously sampled vertices.
+    The budget slack lets polytope vertices park wisps of mass (at most
+    slack over the local Lagrangian) away from the minimizing set, so only
+    (node, velocity) masses above MATHER_SUPPORT_TOL count as support.
     """
-    if measures is None:
-        measures = sample_vertex_measures(polytope, n_objectives, seed)
-    support = set()
-    if base_measure is not None:
-        support.update(i for (i, _m), mass in base_measure.entries.items()
-                       if mass > support_tol)
-    for measure in measures:
-        support.update(i for (i, _m), mass in measure.entries.items()
-                       if mass > support_tol)
-    if not support:
-        return np.array([], dtype=int)
-    nodes = np.array(sorted(support), dtype=int)
+    heavy = np.zeros(grid.num_nodes, dtype=bool)
+    for mu in measures:
+        heavy |= (mu.mass > MATHER_SUPPORT_TOL).any(axis=1)
     pts = grid.coords
-    dil = grid.h * (1.0 + 1e-9)
-    near = np.zeros(grid.num_nodes, dtype=bool)
-    for i in nodes:
-        near |= np.max(np.abs(pts - pts[i]), axis=1) <= dil
-    return np.nonzero(near)[0]
+    gap = np.max(np.abs(pts[:, None, :] - pts[None, heavy, :]), axis=2)
+    return np.flatnonzero(np.any(gap <= grid.h * (1.0 + 1e-9), axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -201,9 +200,8 @@ def uniqueness_test(critical, mather_nodes, v, w, tol=1e-6, factor=3.0,
         recon_tol = 1e-9 + 8.0 * grid.h * (1.0 + float(np.max(np.abs(vv - ww))))
     errs = []
     for fld in (vv, ww):
-        trace = {int(z): float(fld[int(z)]) for z in critical.aubry_nodes}
         try:
-            rec = weak_kam_solution(critical, trace)
+            rec = weak_kam_solution(critical, fld[critical.aubry_nodes])
         except WeakKAMError as exc:
             raise ValueError(f"field is not weak-KAM reconstructible: {exc}") from exc
         errs.append(float(np.max(np.abs(rec.values - fld)[region_mask])))
@@ -259,7 +257,6 @@ class StudyReport:
     ergodic_objective: float
     critical_crosscheck: float        # |c_bisection + ergodic LP optimum|
     sub_box: np.ndarray
-    mather_measures: list = field(default_factory=list)
 
 
 def _agreement_nodes(grid, sub_box, count, probes):
@@ -306,12 +303,10 @@ def vanishing_discount_study(model, grid, velocity_set, schedule,
     ergodic = lp_solve(problem)
     polytope = build_mather_polytope(problem, ergodic, slack=slack)
     del problem                  # the polytope holds its own copy of the columns
-    vertices = sample_vertex_measures(polytope, n_objectives, seed)
-    mnodes = mather_set(polytope, n_objectives, seed, grid,
-                        base_measure=ergodic.measure, measures=vertices)
     # the trace estimator is constrained by the sampled vertex set, the
     # finite stand-in for the quantifier over all minimizing measures
-    measures = [ergodic.measure] + vertices
+    measures = [ergodic.measure] + sample_vertex_measures(polytope, n_objectives, seed)
+    mnodes = mather_set(measures, grid)
 
     w_field = selected_solution_deflim(critical, measures)
     agree_nodes = _agreement_nodes(grid, sub_box, agreement_count, probes)
@@ -347,11 +342,11 @@ def vanishing_discount_study(model, grid, velocity_set, schedule,
                 residual=sol.residual, probe=p, lp_objective=lp.objective,
                 lambda_u_z=lam_u, rep81_gap=abs(lp.objective - lam_u),
                 transport_to_ergodic=transport_distance(
-                    lp.measure, ergodic.measure, grid, velocity_set)))
+                    lp.measure, ergodic.measure, grid)))
     return StudyReport(lambda_schedule=schedule, sup_gaps=sup_gaps, w_field=w_field,
                        mather_nodes=mnodes, estimator_agreement=agreement,
                        agreement_nodes=agree_nodes, enric1_at_nodes=e1,
                        deflim_at_nodes=d1, rows=rows, failures=failures,
                        critical=critical, ergodic_objective=ergodic.objective,
                        critical_crosscheck=abs(critical.c + ergodic.objective),
-                       sub_box=sub_box, mather_measures=measures)
+                       sub_box=sub_box)

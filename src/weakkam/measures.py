@@ -1,7 +1,9 @@
 """Occupation-measure linear programs and their diagnostics.
 
-Variables are masses mu(i,q) >= 0 on (node, velocity) pairs.  Two programs
-are built against the foot-point transition:
+Variables are masses mu(i,q) >= 0 on (node, velocity) pairs.  A measure is
+an (n, M) array of masses over the node-by-velocity table, and an LP column
+is the flat index of its pair in that table (`LPProblem.active`).  Two
+programs are built against the foot-point transition:
 
   ergodic     minimize <mu, L> over closed probability measures: for every
               node j the outflow sum_q mu(j,q) balances the interpolated
@@ -52,28 +54,16 @@ class LPProblem:
     c: np.ndarray
     A: Columns                   # the constraint matrix, stored by columns
     b: np.ndarray
-    var_pairs: list              # (node, velocity_index) per measure column;
-                                 # slack columns follow the measure columns
-    row_kind: list               # "stationarity" | "mass" | "budget"
+    active: np.ndarray           # flat (node * M + velocity) index per measure
+                                 # column; slack columns follow them
     kind: str                    # "ergodic" | "discounted" | "mather"
     meta: dict = field(default_factory=dict)
 
 
 @dataclass
 class DiscreteMeasure:
-    entries: dict                # (node, velocity_index) -> mass
-    total_mass: float
-    kind: str
-    meta: dict = field(default_factory=dict)
-
-    def vector(self, grid, velocity_set):
-        out = np.zeros((grid.num_nodes, velocity_set.size))
-        for (i, m), v in self.entries.items():
-            out[i, m] = v
-        return out
-
-    def x_marginal(self, grid, velocity_set):
-        return self.vector(grid, velocity_set).sum(axis=1)
+    mass: np.ndarray             # (n, M) node-by-velocity masses
+    kind: str                    # "ergodic" | "discounted"
 
 
 @dataclass
@@ -129,13 +119,9 @@ def build_ergodic_lp(model, grid, velocity_set, transition=None):
          .with_row(np.ones(len(active))))
     b = np.zeros(n)
     b[-1] = 1.0
-    M = velocity_set.size
-    pairs = [(int(v // M), int(v % M)) for v in active]
-    return LPProblem(c=L[active], A=A, b=b, var_pairs=pairs,
-                     row_kind=["stationarity"] * (n - 1) + ["mass"],
-                     kind="ergodic",
+    return LPProblem(c=L[active], A=A, b=b, active=active, kind="ergodic",
                      meta={"grid": grid, "velocity_set": velocity_set,
-                           "transition": transition, "active": active})
+                           "transition": transition})
 
 
 def build_discounted_lp(model, grid, velocity_set, lam, z, transition=None):
@@ -159,17 +145,13 @@ def build_discounted_lp(model, grid, velocity_set, lam, z, transition=None):
     b[z] = lam_h
     # the unit-mass row is implied exactly: summing the holonomy rows gives
     # lam*h*(total mass) = lam*h
-    M = velocity_set.size
-    pairs = [(int(v // M), int(v % M)) for v in active]
     # the q = 0 column of each node, in node order, when every node has one
-    crash = np.nonzero(active % M == velocity_set.zero_index())[0]
+    crash = np.nonzero(active % velocity_set.size == velocity_set.zero_index())[0]
     crash = crash if len(crash) == grid.num_nodes else None
-    return LPProblem(c=L[active], A=A, b=b, var_pairs=pairs,
-                     row_kind=["stationarity"] * grid.num_nodes,
-                     kind="discounted",
+    return LPProblem(c=L[active], A=A, b=b, active=active, kind="discounted",
                      meta={"grid": grid, "velocity_set": velocity_set,
-                           "transition": transition, "active": active,
-                           "lambda": lam, "z": z, "crash_basis": crash})
+                           "transition": transition, "lambda": lam, "z": z,
+                           "crash_basis": crash})
 
 
 def lp_solve(problem, objective=None):
@@ -177,26 +159,23 @@ def lp_solve(problem, objective=None):
     (the multipliers on the stationarity rows approximate a subsolution
     potential and are reported for diagnostics).
 
-    `objective`, indexed like `var_pairs`, replaces the measure costs
-    `problem.c`; slack columns cost 0.  The vertices of the Mather polytope
-    are measures of kind "ergodic".
+    `objective`, indexed like `active`, replaces the measure costs
+    `problem.c`; slack columns cost 0.  Masses at or below SUPPORT_TOL are
+    zeroed.  The vertices of the Mather polytope are measures of kind
+    "ergodic".
     """
     c = problem.c
     if objective is not None:
         c = np.zeros(len(problem.c))
         c[:len(objective)] = objective
     sol = solve_lp(c, problem.A, problem.b, basis0=problem.meta.get("crash_basis"))
-    x = sol.x[:len(problem.var_pairs)]
-    entries = {}
-    for col, mass in enumerate(x):
-        if mass > SUPPORT_TOL:
-            entries[problem.var_pairs[col]] = float(mass)
-    meta = {k: v for k, v in problem.meta.items()
-            if k in ("lambda", "z")}
+    x = sol.x[:len(problem.active)]
+    meta = problem.meta
+    mass = np.zeros((meta["grid"].num_nodes, meta["velocity_set"].size))
+    mass.reshape(-1)[problem.active] = np.where(x > SUPPORT_TOL, x, 0.0)
     kind = "ergodic" if problem.kind == "mather" else problem.kind
-    measure = DiscreteMeasure(entries=entries, total_mass=float(np.sum(x)),
-                              kind=kind, meta=meta)
-    return LPResult(measure=measure, objective=sol.objective, duals=sol.duals,
+    return LPResult(measure=DiscreteMeasure(mass=mass, kind=kind),
+                    objective=sol.objective, duals=sol.duals,
                     iterations=sol.iterations, basis=sol.basis)
 
 
@@ -204,32 +183,37 @@ def lp_solve(problem, objective=None):
 # feasibility rechecks, independent of the solver
 # ---------------------------------------------------------------------------
 
-def _flows(mu, grid, velocity_set, transition):
-    vec = mu.vector(grid, velocity_set)
-    out = vec.sum(axis=1)
-    inflow = np.zeros(grid.num_nodes)
+def sequential_sum(values, axis=-1):
+    """Sums along `axis` added left to right from 0.0, the order of a Python
+    loop (np.sum adds pairwise, which can move the last bits)."""
+    values = np.asarray(values, dtype=float)
+    pad = [(0, 0)] * values.ndim
+    pad[axis] = (1, 0)
+    return np.cumsum(np.pad(values, pad), axis=axis).take(-1, axis=axis)
+
+
+def _flows(mu, transition):
     K = transition.idx.shape[2]
-    flat = vec.reshape(-1)
+    flat = mu.mass.reshape(-1)
     idx = transition.idx.reshape(-1, K)
     w = transition.w.reshape(-1, K)
+    inflow = np.zeros(transition.grid.num_nodes)
     for k in range(K):
         np.add.at(inflow, idx[:, k], w[:, k] * flat)
-    return out, inflow
+    return mu.mass.sum(axis=1), inflow
 
 
 def closedness_residual(mu, transition):
-    grid = transition.grid
-    out, inflow = _flows(mu, grid, transition.velocity_set, transition)
+    out, inflow = _flows(mu, transition)
     return float(np.max(np.abs(out - inflow)))
 
 
 def holonomy_residual(mu, lam, z, transition):
+    """Holonomy-row residual of mu for the discounted LP anchored at node z."""
     grid = transition.grid
-    if not np.isscalar(z):
-        z = grid.node_near(z)
-    out, inflow = _flows(mu, grid, transition.velocity_set, transition)
+    out, inflow = _flows(mu, transition)
     rhs = np.zeros(grid.num_nodes)
-    rhs[int(z)] = lam * grid.h
+    rhs[z] = lam * grid.h
     return float(np.max(np.abs((1.0 + lam * grid.h) * out - inflow - rhs)))
 
 
@@ -256,14 +240,13 @@ def support_check(mu, critical, q_bound=None, mass_tol=None):
         mass_tol = 1e-3 + 2.0 * grid.h
     dil = 2.0 * grid.h
     aubry_pts = grid.coords[critical.aubry_nodes]
-    speeds = vset.speeds()
-    outside = 0.0
-    for (i, m), mass in mu.entries.items():
-        d = np.min(np.sqrt(np.sum((grid.coords[i] - aubry_pts) ** 2, axis=1)))
-        if d > dil + 1e-12 or speeds[m] > q_bound + 1e-12:
-            outside += mass
+    nodes = np.flatnonzero(mu.mass.any(axis=1))
+    d = np.min(np.sqrt(np.sum((grid.coords[nodes, None, :] - aubry_pts) ** 2, axis=2)),
+               axis=1)
+    far = (d > dil + 1e-12)[:, None] | (vset.speeds() > q_bound + 1e-12)
+    outside = float(sequential_sum(mu.mass[nodes][far]))
     passed = (outside <= mass_tol) if mu.kind == "ergodic" else None
-    return SupportReport(outside_mass=float(outside), passed=passed,
+    return SupportReport(outside_mass=outside, passed=passed,
                          dilation=dil, q_bound=float(q_bound))
 
 
@@ -290,15 +273,14 @@ def build_mather_polytope(problem, ergodic_result, slack=None):
     # the ergodic optimum with s = slack > 0 is a vertex of the polytope
     crash = np.append(ergodic_result.basis, len(problem.c))
     return LPProblem(c=np.append(problem.c, 0.0), A=A, b=b,
-                     var_pairs=problem.var_pairs,
-                     row_kind=problem.row_kind + ["budget"], kind="mather",
+                     active=problem.active, kind="mather",
                      meta={**problem.meta, "slack": slack, "crash_basis": crash})
 
 
-def transport_distance(mu1, mu2, grid, velocity_set):
+def transport_distance(mu1, mu2, grid):
     """1-Wasserstein distance of the position marginals (per-axis CDFs)."""
-    m1 = mu1.x_marginal(grid, velocity_set).reshape(grid.shape)
-    m2 = mu2.x_marginal(grid, velocity_set).reshape(grid.shape)
+    m1 = mu1.mass.sum(axis=1).reshape(grid.shape)
+    m2 = mu2.mass.sum(axis=1).reshape(grid.shape)
     total = 0.0
     for k in range(grid.dimension):
         axes = tuple(a for a in range(grid.dimension) if a != k)

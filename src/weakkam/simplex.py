@@ -3,7 +3,7 @@
 Standard form: minimize c.x subject to A x = b, x >= 0.  A is held as a
 `Columns` store: each column keeps its few nonzeros (row index and value)
 in a fixed number of slots, so pricing is a gather-and-sum over the stored
-entries and no m x n array is ever formed.  The basis inverse is maintained
+nonzeros and no m x n array is ever formed.  The basis inverse is maintained
 explicitly by rank-1 updates and refreshed periodically from the m x m basis;
 pricing is Dantzig's rule with an automatic, permanent switch to Bland's
 rule after a run of degenerate pivots, which keeps the method cycling-proof
@@ -82,7 +82,7 @@ class Columns:
         return Columns(rows=self.rows, vals=self.vals * factor[self.rows], m=self.m)
 
     def take_rows(self, keep):
-        """A[keep] for a boolean row mask; entries of dropped rows go."""
+        """A[keep] for a boolean row mask; values in dropped rows go."""
         new_index = np.cumsum(keep) - 1
         kept = keep[self.rows]
         return Columns(rows=np.where(kept, new_index[self.rows], 0),

@@ -89,7 +89,7 @@ def dense_lp_matrix(problem):
     out-entry and interpolation weights with np.add.at."""
     meta = problem.meta
     tr = meta["transition"]
-    active = meta["active"]
+    active = problem.active
     n = tr.grid.num_nodes
     M = tr.velocity_set.size
     K = tr.idx.shape[2]
@@ -122,3 +122,60 @@ def make_asymmetric_sampled(grid, offset=0.3, p_span=3.0, p_count=121):
     vals = np.abs(pg[None, :] + offset) - f[:, None]
     table = SampledTable(x_coords=grid.coords[:, 0].copy(), p_grid=pg, values=vals)
     return make_model("sampled", sampled=table)
+
+
+def maximal_trace_loop(critical, measures, sweeps=200, tol=1e-12):
+    """`limits.maximal_trace` as a loop over per-node dicts: the marginals
+    map node -> mass, the trace maps Aubry node -> value, and every min and
+    pairing is a Python loop.  Returns the dict trace."""
+    nodes = [int(z) for z in critical.aubry_nodes]
+    S = dict(zip(nodes, critical.S_from))
+    marginals = []
+    for mu in measures:
+        m = {}
+        for i, q in zip(*np.nonzero(mu.mass)):
+            m[int(i)] = m.get(int(i), 0.0) + float(mu.mass[i, q])
+        marginals.append(m)
+    t = {z: 0.0 for z in nodes}
+
+    def field_at(i):
+        return min(t[z] + float(S[z][i]) for z in nodes)
+
+    scale = 1.0 + max(float(np.max(np.abs(S[z][np.isfinite(S[z])]))) for z in nodes)
+    for _ in range(sweeps):
+        change = 0.0
+        for y in nodes:
+            ceil = min((t[z] + float(S[z][y]) for z in nodes if z != y),
+                       default=np.inf)
+            for m in marginals:
+                my = m.get(y, 0.0)
+                if my > 1e-12:
+                    rest = sum(mass * (t[i] if i in t else field_at(i))
+                               for i, mass in m.items() if i != y)
+                    ceil = min(ceil, -rest / my)
+            if np.isfinite(ceil) and ceil > t[y]:
+                change = max(change, ceil - t[y])
+                t[y] = ceil
+        if change <= tol * scale:
+            break
+    worst = 0.0
+    for m in marginals:
+        worst = max(worst, sum(mass * (t[i] if i in t else field_at(i))
+                               for i, mass in m.items()))
+    if worst > 0.0:
+        for z in nodes:
+            t[z] -= worst
+    return t
+
+
+def mather_set_loop(measures, grid, support_tol=1e-4):
+    """`limits.mather_set` with a set of support nodes and one dilation
+    step per node."""
+    support = set()
+    for mu in measures:
+        support.update(int(i) for i, q in zip(*np.nonzero(mu.mass > support_tol)))
+    pts = grid.coords
+    near = np.zeros(grid.num_nodes, dtype=bool)
+    for i in sorted(support):
+        near |= np.max(np.abs(pts - pts[i]), axis=1) <= grid.h * (1.0 + 1e-9)
+    return np.nonzero(near)[0]

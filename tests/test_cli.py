@@ -71,12 +71,41 @@ def test_bad_family_exit_2(tmp_path, capsys):
     assert "model.family" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("override", ['model.potential="foo"', "grid.h=0.3"])
-def test_bad_value_exit_2(tmp_path, capsys, override):
+GEOMETRIC = 'schedule={"geometric":{"start":1.0,"ratio":0.5,"count":3}}'
+BOX_2D = "grid.box=[[-2.0,2.0],[-2.0,2.0]]"
+
+
+# each case applies its overrides in order; the last one is malformed
+@pytest.mark.parametrize("overrides", [
+    ['model.potential="foo"'],
+    ["grid.h=0.3"],
+    [BOX_2D, "probes=[0.0]"],
+    ['probes=[["a"]]'],
+    [GEOMETRIC, "schedule.geometric.start=-1"],
+    [GEOMETRIC, 'schedule.geometric.start="x"'],
+    [GEOMETRIC, "schedule.geometric.count=0"],
+    [GEOMETRIC, "schedule.geometric.count=2.5"],
+], ids=" ".join)
+def test_bad_value_exit_2(tmp_path, capsys, overrides):
     cfg = write_cfg(tmp_path, TINY_STUDY)
-    assert main(["critical", "--config", cfg, "--out", str(tmp_path / "o"),
-                 "--set", override]) == 2
-    assert override.split("=")[0] in capsys.readouterr().err
+    sets = [arg for o in overrides for arg in ("--set", o)]
+    assert main(["critical", "--config", cfg, "--out", str(tmp_path / "o"), *sets]) == 2
+    assert overrides[-1].split("=")[0] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--lambda", "-1"],
+    ["solve", "--lambda", "0"],
+    ["mather", "--lambda", "-1"],
+    ["mather", "--lambda", "0"],
+    ["mather", "--lambda", "0.5", "--z", "0,0"],
+    ["mather", "--z", "abc"],
+    ["distance", "--source", "abc"],
+], ids=" ".join)
+def test_bad_argument_exit_2(tmp_path, capsys, argv):
+    cfg = write_cfg(tmp_path, TINY_STUDY)
+    assert main([argv[0], "--config", cfg, "--out", str(tmp_path / "o"), *argv[1:]]) == 2
+    assert f"error: {argv[-2]}: " in capsys.readouterr().err
 
 
 def test_dimension_follows_box(tmp_path):

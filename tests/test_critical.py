@@ -301,15 +301,15 @@ def test_row_expressions_match_loops_over_aubry_rows(quad_crit, grid_c):
         ref = np.minimum(ref, S_to[r] + S_from[r, y])
     np.testing.assert_array_equal(peierls_field_to(quad_crit, y), ref)
     # distinct values, all within the compatibility tolerance of each other
-    trace = {z: 5e-11 * k for k, z in enumerate(nodes)}
+    trace = 5e-11 * np.arange(len(nodes))
     ref = np.full(grid_c.num_nodes, np.inf)
-    for r, z in enumerate(nodes):
-        ref = np.minimum(ref, trace[z] + S_from[r])
+    for r in range(len(nodes)):
+        ref = np.minimum(ref, trace[r] + S_from[r])
     np.testing.assert_array_equal(weak_kam_solution(quad_crit, trace).values, ref)
     # an incompatible trace names the first violating (z, y) in loop order
-    trace[nodes[-1]] = 10.0
-    first = next((z, y) for r, z in enumerate(nodes) for y in nodes
-                 if trace[y] - trace[z] > S_from[r, y] + 1e-9 * 11.0)
+    trace[-1] = 10.0
+    first = next((z, y) for r, z in enumerate(nodes) for s, y in enumerate(nodes)
+                 if trace[s] - trace[r] > S_from[r, y] + 1e-9 * 11.0)
     with pytest.raises(IncompatibleTrace, match=rf"v0\({first[1]}\) - v0\({first[0]}\) "):
         weak_kam_solution(quad_crit, trace)
 
@@ -321,12 +321,12 @@ def test_weak_kam_incompatible_trace():
     data = build_critical_data(model, g, vs, tol=1e-3)
     zplus = [int(z) for z in data.aubry_nodes if g.coords[int(z)][0] > 0]
     zminus = [int(z) for z in data.aubry_nodes if g.coords[int(z)][0] < 0]
-    trace = {z: 0.0 for z in data.aubry_nodes}
+    trace = np.zeros(len(data.aubry_nodes))
     row = [int(z) for z in data.aubry_nodes].index(zplus[0])
     diam = float(np.nanmax([v for v in data.S_from[row]]))
-    trace[zplus[0]] = 10.0 * diam
+    trace[row] = 10.0 * diam
     with pytest.raises(IncompatibleTrace):
-        weak_kam_solution(data, {int(k): v for k, v in trace.items()})
+        weak_kam_solution(data, trace)
 
 
 # ---------------------------------------------------------------------------

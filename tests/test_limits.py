@@ -9,13 +9,21 @@ from weakkam.limits import (
     enric1_values,
     mather_set,
     maximal_trace,
+    sample_vertex_measures,
     selected_solution_deflim,
     selected_solution_enric1,
     uniqueness_test,
     vanishing_discount_study,
 )
-from weakkam.measures import build_ergodic_lp, build_mather_polytope, lp_solve
+from weakkam.measures import (
+    DiscreteMeasure,
+    build_ergodic_lp,
+    build_mather_polytope,
+    lp_solve,
+)
 from weakkam.models import make_model, superlinearize
+
+from helpers import mather_set_loop, maximal_trace_loop
 
 
 @pytest.fixture(scope="module")
@@ -56,7 +64,8 @@ def test_deflim_field_and_trace(quad_setup, grid_c):
     mask = np.abs(xg) <= 2.0
     assert np.max(np.abs(w.values - 0.5 * xg ** 2)[mask]) <= 2 * grid_c.h
     t = maximal_trace(crit, [ergodic.measure])
-    assert t[grid_c.node_near([0.0])] == pytest.approx(0.0, abs=1e-12)
+    origin = list(crit.aubry_nodes).index(grid_c.node_near([0.0]))
+    assert t[origin] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_deflim_requires_measures(quad_setup):
@@ -76,15 +85,14 @@ def test_estimators_agree(quad_setup, grid_c):
 def test_deflim_constraint_validates_post_hoc(quad_setup):
     crit, ergodic, _ = quad_setup
     w = selected_solution_deflim(crit, [ergodic.measure])
-    pairing = sum(mass * w.values[i] for (i, m), mass in ergodic.measure.entries.items())
+    pairing = float(np.sum(ergodic.measure.mass * w.values[:, None]))
     assert pairing <= 4 * crit.grid.h
 
 
 def test_w_reconstructs_through_min_formula(quad_setup):
     crit, ergodic, _ = quad_setup
     w = selected_solution_deflim(crit, [ergodic.measure])
-    trace = {int(z): float(w.values[int(z)]) for z in crit.aubry_nodes}
-    rec = weak_kam_solution(crit, trace)
+    rec = weak_kam_solution(crit, w.values[crit.aubry_nodes])
     assert float(np.max(np.abs(rec.values - w.values))) <= 1e-9
 
 
@@ -96,7 +104,8 @@ def test_mather_set_quadratic_single_cluster(quad_setup, grid_c, quad_crit):
     crit, ergodic, poly = quad_setup
     aubry_pts = grid_c.coords[quad_crit.aubry_nodes][:, 0]
     for seed in (0, 1, 7):
-        nodes = mather_set(poly, 4, seed, grid_c, base_measure=ergodic.measure)
+        nodes = mather_set([ergodic.measure] + sample_vertex_measures(poly, 4, seed),
+                           grid_c)
         pts = grid_c.coords[nodes][:, 0]
         assert grid_c.node_near([0.0]) in set(int(z) for z in nodes)
         # support within the 2h Aubry dilation, plus the one-cell reporting
@@ -113,7 +122,7 @@ def test_mather_set_double_well():
     problem = build_ergodic_lp(model, g, vs, transition=tr)
     ergodic = lp_solve(problem)
     poly = build_mather_polytope(problem, ergodic)
-    nodes = mather_set(poly, 8, 0, g, base_measure=ergodic.measure)
+    nodes = mather_set([ergodic.measure] + sample_vertex_measures(poly, 8, 0), g)
     pts = g.coords[nodes][:, 0]
     assert np.min(np.abs(pts - 1.0)) <= g.h + 1e-12
     assert np.min(np.abs(pts + 1.0)) <= g.h + 1e-12
@@ -121,10 +130,56 @@ def test_mather_set_double_well():
 
 def test_mather_set_zero_objectives(quad_setup, grid_c):
     crit, ergodic, poly = quad_setup
-    nodes = mather_set(poly, 0, 0, grid_c, base_measure=ergodic.measure)
-    support = {i for (i, m) in ergodic.measure.entries}
+    nodes = mather_set([ergodic.measure], grid_c)
+    support = set(np.flatnonzero(ergodic.measure.mass.any(axis=1)).tolist())
     assert support <= set(int(z) for z in nodes)
     assert len(nodes) <= 3 * len(support)
+
+
+# ---------------------------------------------------------------------------
+# the array forms against the loops over per-node dicts they replaced
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module", params=["double_well_1d", "double_well_2d"])
+def loop_case(request):
+    # configs/quadratic.json with the double well (65 Aubry nodes), and the
+    # 2D double well, whose Aubry set is the unit circle (112 nodes)
+    if request.param == "double_well_1d":
+        g = build_grid([[-4.0, 4.0]], 0.05)
+        vs = build_velocity_set(2.0, 17)
+    else:
+        g = build_grid([[-1.5, 1.5], [-1.5, 1.5]], 0.25)
+        vs = build_velocity_set(1.5, 5, dimension=2)
+    model = make_model("quadratic", "double_well", dimension=g.dimension)
+    tr = build_transition(g, vs)
+    crit = build_critical_data(model, g, vs, tol=1e-3, transition=tr)
+    problem = build_ergodic_lp(model, g, vs, transition=tr)
+    ergodic = lp_solve(problem)
+    poly = build_mather_polytope(problem, ergodic)
+    # the LP measures sit on a node or two; add scattered masses, whose
+    # pairings add many terms, on three nodes with every velocity below the
+    # per-entry support threshold and their node marginal above it
+    rng = np.random.default_rng(0)
+    mass = np.zeros((g.num_nodes, vs.size))
+    mass.reshape(-1)[rng.choice(mass.size, 40, replace=False)] = rng.uniform(0.0, 2e-4, 40)
+    mass[rng.choice(g.num_nodes, 3), :] = 6e-5
+    scattered = DiscreteMeasure(mass=mass, kind="ergodic")
+    return g, crit, [ergodic.measure, scattered] + sample_vertex_measures(poly, 4, 0)
+
+
+def test_maximal_trace_matches_the_dict_loop(loop_case):
+    g, crit, measures = loop_case
+    assert len(crit.aubry_nodes) > 50
+    ref = maximal_trace_loop(crit, measures)
+    np.testing.assert_array_equal(maximal_trace(crit, measures),
+                                  [ref[int(z)] for z in crit.aubry_nodes])
+
+
+def test_mather_set_matches_the_per_node_loop(loop_case):
+    g, crit, measures = loop_case
+    nodes = mather_set(measures, g)
+    assert len(nodes) > 0
+    np.testing.assert_array_equal(nodes, mather_set_loop(measures, g))
 
 
 # ---------------------------------------------------------------------------
@@ -269,13 +324,13 @@ def test_study_runs_phase_1_only_for_the_ergodic_lp(monkeypatch):
     assert len(calls) == 1
 
 
-def test_warm_started_barrier_queries_match_cold_solves(quad_setup, grid_c):
+def test_warm_started_barrier_queries_match_cold_solves(quad_setup, grid_c, vs7):
     crit, _, poly = quad_setup
     nodes = [grid_c.node_near([x]) for x in (-1.5, -0.5, 0.0, 0.5, 1.5)]
     warm = enric1_values(crit, poly, nodes)
     for x, value in zip(nodes, warm):
         pfield = peierls_field_to(crit, x)
-        c = np.append([pfield[i] for (i, _m) in poly.var_pairs], 0.0)
+        c = np.append(pfield[poly.active // vs7.size], 0.0)
         cold = simplex.solve_lp(c, poly.A, poly.b)
         assert abs(value - cold.objective) <= 1e-12
 

@@ -21,6 +21,14 @@ from weakkam.models import lagrangian_table, make_model, superlinearize
 from helpers import dense_lp_matrix, min_cycle_mean
 
 
+def _measure(grid, vs, masses):
+    """Ergodic-kind measure from a {(node, velocity_index): mass} table."""
+    mass = np.zeros((grid.num_nodes, vs.size))
+    for (i, m), v in masses.items():
+        mass[i, m] = v
+    return DiscreteMeasure(mass=mass, kind="ergodic")
+
+
 # ---------------------------------------------------------------------------
 # ergodic program
 # ---------------------------------------------------------------------------
@@ -31,8 +39,9 @@ def test_ergodic_lp_hand_enumeration():
     quad = make_model("quadratic", "half_square")
     res = lp_solve(build_ergodic_lp(quad, g, vs))
     assert res.objective == pytest.approx(0.0, abs=1e-9)
-    assert set(res.measure.entries) == {(g.node_near([0.0]), vs.zero_index())}
-    assert res.measure.total_mass == pytest.approx(1.0, abs=1e-9)
+    support = np.argwhere(res.measure.mass).tolist()
+    assert support == [[g.node_near([0.0]), vs.zero_index()]]
+    assert res.measure.mass.sum() == pytest.approx(1.0, abs=1e-9)
 
 
 def test_ergodic_lp_shifted_model(grid_c, vs7, tr_c):
@@ -48,11 +57,11 @@ def test_ergodic_optimum_matches_bisection(quad_crit, quad_ergodic):
 
 def test_uniform_rest_measure_feasible_but_suboptimal(quad, grid_c, vs7, tr_c):
     n = grid_c.num_nodes
-    entries = {(i, vs7.zero_index()): 1.0 / n for i in range(n)}
-    mu = DiscreteMeasure(entries=entries, total_mass=1.0, kind="ergodic")
+    z = vs7.zero_index()
+    mu = _measure(grid_c, vs7, {(i, z): 1.0 / n for i in range(n)})
     assert closedness_residual(mu, tr_c) <= 1e-15
     L = lagrangian_table(quad, grid_c.coords, vs7.vectors)
-    obj = sum(mass * L[i, m] for (i, m), mass in entries.items())
+    obj = float(np.sum(mu.mass[:, z] * L[:, z]))
     assert obj == pytest.approx(float(np.mean(0.5 * grid_c.coords[:, 0] ** 2)))
     assert obj > 0.0  # weak duality: any feasible measure dominates the optimum
 
@@ -143,7 +152,7 @@ def test_discounted_lp_holonomy_residual(disc_setup):
     g, vs, tr, quad = disc_setup
     res = lp_solve(build_discounted_lp(quad, g, vs, 0.5, [1.0], transition=tr))
     assert holonomy_residual(res.measure, 0.5, g.node_near([1.0]), tr) <= 1e-8
-    assert res.measure.total_mass == pytest.approx(1.0, abs=1e-9)
+    assert res.measure.mass.sum() == pytest.approx(1.0, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -153,15 +162,14 @@ def test_discounted_lp_holonomy_residual(disc_setup):
 def test_residual_of_moving_delta(grid_c, vs7, tr_c):
     i = grid_c.node_near([1.0])
     m = int(np.argmax(vs7.vectors[:, 0]))
-    mu = DiscreteMeasure(entries={(i, m): 1.0}, total_mass=1.0, kind="ergodic")
+    mu = _measure(grid_c, vs7, {(i, m): 1.0})
     w_self = 0.0  # exact hit away from itself
     assert closedness_residual(mu, tr_c) == pytest.approx(1.0 - w_self)
 
 
 def test_residual_of_resting_delta(quad_crit, grid_c, vs7, tr_c):
     z = int(quad_crit.aubry_nodes[0])
-    mu = DiscreteMeasure(entries={(z, vs7.zero_index()): 1.0}, total_mass=1.0,
-                         kind="ergodic")
+    mu = _measure(grid_c, vs7, {(z, vs7.zero_index()): 1.0})
     assert closedness_residual(mu, tr_c) == 0.0
 
 
@@ -186,8 +194,7 @@ def test_support_check_discounted_is_informational(disc_setup, quad_crit, grid_c
 
 def test_support_check_uniform_fails(quad_crit, grid_c, vs7):
     n = grid_c.num_nodes
-    entries = {(i, vs7.zero_index()): 1.0 / n for i in range(n)}
-    mu = DiscreteMeasure(entries=entries, total_mass=1.0, kind="ergodic")
+    mu = _measure(grid_c, vs7, {(i, vs7.zero_index()): 1.0 / n for i in range(n)})
     rep = support_check(mu, quad_crit)
     assert not rep.passed
     assert rep.outside_mass > 0.8
@@ -207,7 +214,7 @@ def test_perturbed_lagrangians_stay_nonnegative(quad, grid_c, vs7, tr_c,
     rho = np.maximum(0.0, 1.0 - ((xg - 1.0) / 0.4) ** 2) ** 2
     rho *= 0.9 * strict_gap[grid_c.node_near([1.0])]
     phi = L - rho[:, None]
-    val = sum(mass * phi[i, m] for (i, m), mass in quad_ergodic.measure.entries.items())
+    val = float(np.sum(quad_ergodic.measure.mass * phi))
     assert val >= -1e-8
 
 
@@ -215,22 +222,19 @@ def test_mather_polytope_weak_duality(quad, grid_c, vs7, tr_c, quad_ergodic):
     poly = build_mather_polytope(build_ergodic_lp(quad, grid_c, vs7, transition=tr_c),
                                  quad_ergodic)
     rng = np.random.default_rng(0)
-    objective = rng.uniform(0.0, 1.0, size=len(poly.var_pairs))
+    objective = rng.uniform(0.0, 1.0, size=len(poly.active))
     measure = lp_solve(poly, objective).measure
     # the budget row keeps <mu, L> within slack of the ergodic optimum
-    Lsum = sum(mass * poly.c[[p == (i, m) for p in poly.var_pairs].index(True)]
-               for (i, m), mass in measure.entries.items())
+    Lsum = float(measure.mass.reshape(-1)[poly.active] @ poly.c[:len(poly.active)])
     assert Lsum <= quad_ergodic.objective + poly.meta["slack"] + 1e-9
     assert closedness_residual(measure, tr_c) <= 1e-8
 
 
 def test_transport_distance_basics(grid_c, vs7):
-    a = DiscreteMeasure(entries={(grid_c.node_near([0.0]), vs7.zero_index()): 1.0},
-                        total_mass=1.0, kind="ergodic")
-    b = DiscreteMeasure(entries={(grid_c.node_near([1.0]), vs7.zero_index()): 1.0},
-                        total_mass=1.0, kind="ergodic")
-    assert transport_distance(a, a, grid_c, vs7) == 0.0
-    assert transport_distance(a, b, grid_c, vs7) == pytest.approx(1.0, abs=1e-9)
+    a = _measure(grid_c, vs7, {(grid_c.node_near([0.0]), vs7.zero_index()): 1.0})
+    b = _measure(grid_c, vs7, {(grid_c.node_near([1.0]), vs7.zero_index()): 1.0})
+    assert transport_distance(a, a, grid_c) == 0.0
+    assert transport_distance(a, b, grid_c) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_double_well_ties_resolve_deterministically():
@@ -239,7 +243,7 @@ def test_double_well_ties_resolve_deterministically():
     model = make_model("quadratic", "double_well")
     tr = build_transition(g, vs)
     runs = [lp_solve(build_ergodic_lp(model, g, vs, transition=tr)) for _ in range(2)]
-    assert runs[0].measure.entries == runs[1].measure.entries
+    np.testing.assert_array_equal(runs[0].measure.mass, runs[1].measure.mass)
     assert runs[0].objective == runs[1].objective
     assert runs[0].objective == pytest.approx(0.0, abs=1e-9)
 

@@ -6,7 +6,7 @@ discount limit, all checked against closed-form oracles at desk scale."""
 __version__ = "0.1.0"
 
 from . import errors
-from .grids import ValueField, build_grid, build_transition, build_velocity_set
+from .grids import build_grid, build_transition, build_velocity_set
 from .models import (
     fenchel_transform,
     make_model,
@@ -17,7 +17,6 @@ from .models import (
 
 __all__ = [
     "errors",
-    "ValueField",
     "build_grid",
     "build_transition",
     "build_velocity_set",

@@ -129,6 +129,31 @@ def _is_number(value):
     return type(value) in (int, float) and math.isfinite(value)
 
 
+def _is_interval(pair):
+    return (isinstance(pair, list) and len(pair) == 2 and all(map(_is_number, pair))
+            and pair[0] < pair[1])
+
+
+_POSITIVE = (lambda v: _is_number(v) and v > 0, "a positive number")
+_NONNEGATIVE = (lambda v: _is_number(v) and v >= 0, "a nonnegative number")
+_COUNT = (lambda v: type(v) is int and v >= 0, "a nonnegative integer")
+_POSITIVE_COUNT = (lambda v: type(v) is int and v > 0, "a positive integer")
+
+# the values each defaulted setting accepts, besides None where None is the default
+SETTINGS = {
+    "model.normalization_shift": (lambda v: v == "auto" or _is_number(v), 'a number or "auto"'),
+    "model.superlinearize": (lambda v: isinstance(v, bool), "true or false"),
+    "solver.tol": _POSITIVE, "solver.max_iter": _POSITIVE_COUNT,
+    "ergodic.bisection_tol": _POSITIVE, "ergodic.eps_aubry": _POSITIVE,
+    "measures.slack": _NONNEGATIVE, "measures.n_objectives": _COUNT,
+    "measures.q_bound": _POSITIVE, "measures.mass_tol": _NONNEGATIVE,
+    "study.agreement_count": _POSITIVE_COUNT, "seeds.master": _COUNT,
+    "outputs.directory": (lambda v: isinstance(v, str), "a path"),
+    "outputs.formats": (lambda v: isinstance(v, list) and all(isinstance(f, str) for f in v),
+                        "a list of format names"),
+}
+
+
 def validate_config(cfg, need_schedule=False):
     """Schema check with precise key-path messages; fills defaults.  The
     schedule is checked when the command needs one or the config has one."""
@@ -146,18 +171,18 @@ def validate_config(cfg, need_schedule=False):
             raise ConfigError(f"model.potential: {exc.args[0]}") from None
     box = _require(cfg, "grid.box", list, lambda v: len(v) >= 1)
     for k, pair in enumerate(box):
-        if not (isinstance(pair, list) and len(pair) == 2 and pair[0] < pair[1]):
+        if not _is_interval(pair):
             raise ConfigError(f"grid.box[{k}]: expected [lo, hi] with lo < hi")
-    h = _require(cfg, "grid.h", (int, float), lambda v: v > 0, "(positive number)")
+    h = _require(cfg, "grid.h", None, _POSITIVE[0], "(positive number)")
     try:
-        build_grid(box, h)
+        grid = build_grid(box, h)
     except ValueError as exc:
         raise ConfigError(f"grid.h: {exc}") from None
-    _require(cfg, "velocity.q_max", (int, float), lambda v: v > 0, "(positive number)")
+    _require(cfg, "velocity.q_max", None, _POSITIVE[0], "(positive number)")
     _require(cfg, "velocity.per_axis_count", int,
              lambda v: v >= 3 and v % 2 == 1, "(odd integer >= 3)")
     dim = cfg["model"].get("dimension", len(box))
-    if dim != len(box):
+    if type(dim) is not int or dim != len(box):
         raise ConfigError(f"model.dimension: {dim} does not match grid.box of length {len(box)}")
     cfg["model"]["dimension"] = dim
     if need_schedule or "schedule" in cfg:
@@ -171,6 +196,17 @@ def validate_config(cfg, need_schedule=False):
         elif not (isinstance(p, list) and len(p) == dim and all(map(_is_number, p))):
             raise ConfigError(f"probes[{k}]: expected a list of {dim} numbers, got {p!r}")
     cfg["probes"] = probes
+    for path, (accepts, what) in SETTINGS.items():
+        section, key = path.split(".")
+        value = cfg[section][key]
+        if not ((value is None and DEFAULTS[section][key] is None) or accepts(value)):
+            raise ConfigError(f"{path}: expected {what}, got {value!r}")
+    sub_box = cfg["study"]["sub_box"]
+    if sub_box is not None and not (isinstance(sub_box, list) and len(sub_box) == dim
+                                    and all(map(_is_interval, sub_box))
+                                    and grid.box_mask(sub_box).any()):
+        raise ConfigError(f"study.sub_box: expected {dim} [lo, hi] pairs with lo < hi "
+                          f"around at least one grid node, got {sub_box!r}")
     return cfg
 
 
@@ -370,7 +406,7 @@ def cmd_distance(cfg, ctx, out, args):
                              grid.node_near(args.source), transition=ctx["transition"],
                              direction=args.direction)
     arts = [io.write_csv(out / "distance.csv", _node_columns(grid, "value"),
-                         io.field_rows(grid, fld.values))]
+                         io.field_rows(grid, fld))]
     return 0, arts
 
 
@@ -382,7 +418,7 @@ def cmd_solve(cfg, ctx, out, args):
     grid = ctx["grid"]
     arts = [
         io.write_csv(out / "field.csv", _node_columns(grid, "value"),
-                     io.field_rows(grid, sol.field.values)),
+                     io.field_rows(grid, sol.u)),
         io.write_csv(out / "trace.csv", ["iteration", "residual", "policy_changes"],
                      [[it, r, c] for (it, r), c in zip(sol.trace, sol.policy_changes)]),
         io.write_json(out / "solve.json", {
@@ -412,7 +448,7 @@ def cmd_mather(cfg, ctx, out, args):
             "closedness_residual": _claim(closedness_residual(res.measure, tr),
                                           "closedness recheck", 1e-8),
             "support_outside_mass": _claim(sup.outside_mass, "support_check",
-                                           cfg["measures"]["mass_tol"]),
+                                           sup.mass_tol),
             "support_passed": sup.passed,
             "iterations": res.iterations,
         }
@@ -422,7 +458,7 @@ def cmd_mather(cfg, ctx, out, args):
                                            transition=tr))
         sol = solve_discounted(model, grid, vset, args.lam, tol=cfg["solver"]["tol"],
                                max_iter=cfg["solver"]["max_iter"], transition=tr)
-        lam_u = args.lam * float(sol.field.values[grid.node_near(zpt)])
+        lam_u = args.lam * float(sol.u[grid.node_near(zpt)])
         payload = {
             "kind": "discounted",
             "lambda": args.lam, "z": zpt,
@@ -459,7 +495,7 @@ def _study(cfg, ctx, schedule):
 
 def _write_w(out, grid, rep):
     return io.write_csv(out / "w.csv", _node_columns(grid, "value"),
-                        io.field_rows(grid, rep.w_field.values))
+                        io.field_rows(grid, rep.w))
 
 
 def _agreement_claim(rep):

@@ -4,10 +4,11 @@ Everything here lives on the weighted graph whose edges are the unclipped
 foot-point transitions (i -> x_i + h*q) with cost h * sigma_a(x_i, q), the
 discrete length element of the level-a Finsler metric.  Distances are
 computed by min-plus relaxation (Bellman-Ford sweeps) with multilinear
-interpolation of the continuation value at off-node feet; negative cycles
-certify that the level is subcritical, and the critical value is bracketed
-by bisection between max_x min_p H and max_x H(x,0) (the level at which
-constants become subsolutions).
+interpolation of the continuation value at off-node feet.  A subcritical
+level raises NegativeCycle: from the relaxation on a negative cycle, or its
+subclass EmptySublevel from `edge_costs` on an empty sublevel.  The
+critical value is bracketed by bisection between max_x min_p H and
+max_x H(x,0) (the level at which constants become subsolutions).
 
 A node belongs to the (discrete) Aubry set when some nontrivial cycle
 through it has intrinsic cost below eps_aubry; cycle costs at true Aubry
@@ -16,7 +17,8 @@ points scale like h^2 * Lip(sigma), which fixes the default threshold.
 the Aubry nodes; `build_critical_data` adds the fields from them.  Both are
 (k, n) arrays whose rows follow `aubry_nodes`, and a trace on the Aubry set
 is a length-k array in the same order; the Peierls barrier and the weak
-KAM min-formula are array expressions over them.
+KAM min-formula are array expressions over them.  Every field on the grid
+(a distance, a weak KAM solution) is an (n,) array over the nodes.
 """
 
 from __future__ import annotations
@@ -26,8 +28,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import BracketInvalid, IncompatibleTrace, NegativeCycle
-from .grids import ValueField, build_transition, interpolate
+from .errors import BracketInvalid, EmptySublevel, IncompatibleTrace, NegativeCycle
+from .grids import build_transition, interpolate
 from .models import (
     h_at_zero,
     h_min_over_p,
@@ -38,24 +40,17 @@ from .models import (
 INF = 1e30
 NEG_TOL = 1e-9    # relative drop at the sweep cap that certifies a negative cycle
 CHUNK = 64        # distance rows relaxed together
+COMPAT_TOL = 1e-9  # relative slack of the weak KAM trace compatibility check
 
 
 # ---------------------------------------------------------------------------
 # edge costs
 # ---------------------------------------------------------------------------
 
-@dataclass
-class SubcriticalCertificate:
-    """A node with empty sublevel set: the level is strictly below critical."""
-    node: int
-    coords: np.ndarray
-    level: float
-
-
 def edge_costs(model, grid, velocity_set, a, transition=None):
     """Cost h*sigma_a(x_i, q) per unclipped transition; +INF marks excluded
-    edges.  Returns a SubcriticalCertificate instead when some node has an
-    empty a-sublevel."""
+    edges.  Raises EmptySublevel, naming the first such node, when some node
+    has an empty a-sublevel."""
     if transition is None:
         transition = build_transition(grid, velocity_set)
     sigma = support_function(model, a, grid.coords[:, None, :],
@@ -63,7 +58,8 @@ def edge_costs(model, grid, velocity_set, a, transition=None):
     bad = np.isnan(sigma[:, velocity_set.zero_index()])
     if bad.any():
         i = int(np.argmax(bad))
-        return SubcriticalCertificate(node=i, coords=grid.coords[i], level=a)
+        raise EmptySublevel(f"empty sublevel at node {i} (x = {grid.coords[i].tolist()}): "
+                            f"level {a:g} is subcritical")
     costs = grid.h * sigma
     costs[transition.clipped] = INF
     return costs
@@ -115,18 +111,6 @@ def relax_batch(costs, transition, D0):
     return D, sweeps
 
 
-def has_negative_cycle(costs, transition):
-    """Negative-cycle test: relax from the zero field.  Negative path values
-    are legitimate (edges may cost less than nothing); a negative cycle is
-    exactly the failure of the relaxation to reach a fixed point."""
-    n = costs.shape[0]
-    try:
-        relax_batch(costs, transition, np.zeros((1, n)))
-    except NegativeCycle:
-        return True
-    return False
-
-
 def distances_to_targets(costs, transition, targets):
     """Matrix S[t, i] = least cost of walking from node i to targets[t]."""
     targets = list(targets)
@@ -142,19 +126,15 @@ def intrinsic_distance(model, grid, velocity_set, a, source, transition=None,
                        direction="from"):
     """Distance field of the level-a metric: S_a(source, .) for direction
     "from" (cost of reaching each node from `source`), S_a(., source) for
-    direction "to".  Raises NegativeCycle when a is subcritical."""
+    direction "to", as an (n,) array.  Raises NegativeCycle when a is
+    subcritical."""
     if transition is None:
         transition = build_transition(grid, velocity_set)
     if direction == "from":
         costs = reverse_edge_costs(model, grid, velocity_set, a, transition)
     else:
-        ec = edge_costs(model, grid, velocity_set, a, transition)
-        if isinstance(ec, SubcriticalCertificate):
-            raise NegativeCycle(f"empty sublevel at node {ec.node}: level {a} subcritical")
-        costs = ec
-    D = distances_to_targets(costs, transition, [source])[0]
-    name = f"S_{a:g}({'., source' if direction == 'to' else 'source, .'})"
-    return ValueField(grid=grid, values=D, name=name)
+        costs = edge_costs(model, grid, velocity_set, a, transition)
+    return distances_to_targets(costs, transition, [source])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -182,10 +162,16 @@ class CriticalData:
 
 
 def is_subcritical(model, grid, velocity_set, a, transition):
-    ec = edge_costs(model, grid, velocity_set, a, transition)
-    if isinstance(ec, SubcriticalCertificate):
+    """(subcritical, reason) for level a: the edge costs are relaxed from the
+    zero field, and the two exceptions that certify a subcritical level give
+    the reasons "empty-sublevel" and "negative-cycle" (negative path values
+    are legitimate; only a negative cycle keeps the sweeps from a fixed point)."""
+    try:
+        relax_batch(edge_costs(model, grid, velocity_set, a, transition), transition,
+                    np.zeros((1, grid.num_nodes)))
+    except EmptySublevel:
         return True, "empty-sublevel"
-    if has_negative_cycle(ec, transition):
+    except NegativeCycle:
         return True, "negative-cycle"
     return False, "feasible"
 
@@ -193,8 +179,11 @@ def is_subcritical(model, grid, velocity_set, a, transition):
 def critical_value(model, grid, velocity_set, tol=1e-3, transition=None):
     """Bisection for the critical value between max_x min_p H (below which
     some sublevel empties) and max_x H(x,0) (above which constants are
-    subsolutions).  A level is subcritical iff a sublevel is empty or the
-    cost graph carries a negative cycle."""
+    subsolutions), to a bracket no wider than tol > 0.  A level is
+    subcritical iff a sublevel is empty or the cost graph carries a
+    negative cycle."""
+    if not tol > 0:
+        raise ValueError(f"bisection tolerance must be positive, got {tol!r}")
     if transition is None:
         transition = build_transition(grid, velocity_set)
     pts = grid.coords
@@ -316,38 +305,34 @@ def build_critical_data(model, grid, velocity_set, tol=1e-3, eps_aubry=None,
 # Peierls barrier and weak KAM solutions
 # ---------------------------------------------------------------------------
 
-def peierls_barrier(critical, x, y):
-    """P(x,y) = min over Aubry z of S(x,z) + S(z,y), from the stored fields."""
-    return float(np.min(critical.S_to[:, x] + critical.S_from[:, y], initial=np.inf))
-
-
 def peierls_field_to(critical, y):
-    """P(., y) as a vector over nodes."""
+    """P(., y) as a vector over nodes: P(x, y) = min over Aubry z of
+    S(x,z) + S(z,y), from the stored fields."""
     return np.min(critical.S_to + critical.S_from[:, y, None], axis=0, initial=np.inf)
 
 
-def weak_kam_solution(critical, v0, tol=1e-9):
-    """Field v(x) = min over Aubry y of [v0(y) + S(y,x)].
+def weak_kam_solution(critical, v0):
+    """Field v(x) = min over Aubry y of [v0(y) + S(y,x)], an (n,) array.
 
     v0 is the trace: an array aligned with critical.aubry_nodes, or anything
     that broadcasts to one (a scalar gives a constant trace).  The trace
     must satisfy v0(y) - v0(y') <= S(y', y); otherwise the min formula
-    cannot reproduce it and IncompatibleTrace is raised.
+    cannot reproduce it and IncompatibleTrace is raised (up to COMPAT_TOL
+    relative to the trace).
     """
     nodes = critical.aubry_nodes
     t = np.broadcast_to(np.asarray(v0, dtype=float), nodes.shape)
     scale = 1.0 + float(np.max(np.abs(t)))
     S_from = critical.S_from
     # bad[r, s]: v0(y_s) - v0(z_r) exceeds S(z_r, y_s)
-    bad = t[None, :] - t[:, None] > S_from[:, nodes] + tol * scale
+    bad = t[None, :] - t[:, None] > S_from[:, nodes] + COMPAT_TOL * scale
     if bad.any():
         r, s = np.argwhere(bad)[0]
         z, y = nodes[r], nodes[s]
         raise IncompatibleTrace(
             f"v0({y}) - v0({z}) = {t[s] - t[r]:.6g} exceeds "
             f"S({z},{y}) = {S_from[r, y]:.6g}")
-    out = np.min(t[:, None] + S_from, axis=0, initial=np.inf)
-    return ValueField(grid=critical.grid, values=out, name="weak_kam")
+    return np.min(t[:, None] + S_from, axis=0, initial=np.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -355,14 +340,15 @@ def weak_kam_solution(critical, v0, tol=1e-9):
 # ---------------------------------------------------------------------------
 
 def is_subsolution(u, model, grid, velocity_set, a, slack, transition=None):
-    """Discrete Fenchel-form check u(foot(i,q)) - u(i) <= h*(L(x_i,q) + a).
+    """Discrete Fenchel-form check u(foot(i,q)) - u(i) <= h*(L(x_i,q) + a)
+    for a field u, an (n,) array over the nodes.
 
     Runs over unclipped (i,q) pairs with finite L; returns (verdict, worst
     residual) where the residual is the largest violation before slack.
     """
     if transition is None:
         transition = build_transition(grid, velocity_set)
-    vals = u.values if isinstance(u, ValueField) else np.asarray(u, dtype=float)
+    vals = np.asarray(u, dtype=float)
     L = lagrangian_table(model, grid.coords, velocity_set.vectors)
     cont = interpolate(transition, vals)
     res = cont - vals[:, None] - grid.h * (L + a)

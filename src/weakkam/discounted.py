@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MaxIterExceeded, WeakKAMError
-from .grids import ValueField, build_transition, interpolate
+from .grids import build_transition, interpolate
 from .models import lagrangian_table
 
 # Narrower blocks cost more in per-block overhead than they save in
@@ -41,7 +41,7 @@ MIN_BLOCK = 16
 @dataclass
 class DiscountedSolve:
     lam: float
-    field: ValueField
+    u: np.ndarray                         # the fixed point, one value per node
     iterations: int                       # policy steps
     residual: float                       # sup |T u - u| at the returned u
     trace: list = None                    # (step, sup-update) pairs
@@ -146,9 +146,8 @@ def solve_discounted(model, grid, velocity_set, lam, tol=1e-6, max_iter=None,
     if residual > tol:
         raise WeakKAMError(f"Bellman residual {residual:.3e} of the final policy "
                            f"exceeds tol {tol:g}")
-    return DiscountedSolve(lam=lam, field=ValueField(grid, u, name=f"u_{lam:g}"),
-                           iterations=len(trace), residual=residual, trace=trace,
-                           policy_changes=changes)
+    return DiscountedSolve(lam=lam, u=u, iterations=len(trace), residual=residual,
+                           trace=trace, policy_changes=changes)
 
 
 # ---------------------------------------------------------------------------
@@ -158,8 +157,7 @@ def solve_discounted(model, grid, velocity_set, lam, tol=1e-6, max_iter=None,
 def oracle_abs(lam, x):
     """Bounded-below solution of lambda u + |u'| = |x| on the line."""
     ax = np.abs(np.asarray(x, dtype=float))
-    out = ax / lam + (np.exp(-lam * ax) - 1.0) / lam ** 2
-    return out if out.size > 1 else float(out)
+    return ax / lam + (np.exp(-lam * ax) - 1.0) / lam ** 2
 
 
 def quadratic_rate(lam):
@@ -168,5 +166,4 @@ def quadratic_rate(lam):
 
 def oracle_quadratic(lam, x):
     """Solution alpha x^2 of lambda u + (u')^2/2 = x^2/2."""
-    out = quadratic_rate(lam) * np.asarray(x, dtype=float) ** 2
-    return out if out.size > 1 else float(out)
+    return quadratic_rate(lam) * np.asarray(x, dtype=float) ** 2

@@ -32,6 +32,11 @@ class NegativeCycle(WeakKAMError):
     """The cost graph has a negative cycle (certifies the level is subcritical)."""
 
 
+class EmptySublevel(NegativeCycle):
+    """Some node has an empty sublevel set, which also certifies that the
+    level is subcritical; the message names the node."""
+
+
 class IncompatibleTrace(WeakKAMError):
     """Prescribed boundary values violate the intrinsic-distance compatibility."""
 

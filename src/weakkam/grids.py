@@ -196,16 +196,3 @@ def interpolate(transition, values):
     """Continuation values at every foot point: (n, M) array."""
     v = np.asarray(values, dtype=float)
     return np.sum(transition.w * v[transition.idx], axis=2)
-
-
-@dataclass
-class ValueField:
-    """Grid-indexed scalar field (discounted solutions, distances, weak KAM)."""
-    grid: Grid
-    values: np.ndarray
-    name: str = ""
-
-    def at(self, points):
-        idx, w = self.grid.interp_weights(points)
-        out = np.sum(w * self.values[idx], axis=1)
-        return out if out.size > 1 else float(out[0])

@@ -73,18 +73,15 @@ def measure_rows(measure):
 # SVG line plot (no plotting dependency)
 # ---------------------------------------------------------------------------
 
-def write_line_svg(path, xs, ys, title="", xlabel="", ylabel="", loglog=True,
-                   size=(640, 420)):
+def write_line_svg(path, xs, ys, title="", xlabel="", ylabel=""):
+    """Log-log plot of the positive finite points (xs, ys), 640 x 420."""
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
-    keep = np.isfinite(xs) & np.isfinite(ys)
-    if loglog:
-        keep &= (xs > 0) & (ys > 0)
-    xs, ys = xs[keep], ys[keep]
-    W, H = size
+    keep = np.isfinite(xs) & np.isfinite(ys) & (xs > 0) & (ys > 0)
+    W, H = 640, 420
     ml, mr, mt, mb = 70, 20, 40, 50
-    tx = np.log10(xs) if loglog else xs
-    ty = np.log10(ys) if loglog else ys
+    tx = np.log10(xs[keep])
+    ty = np.log10(ys[keep])
 
     def span(v):
         lo, hi = float(np.min(v)), float(np.max(v))
@@ -109,13 +106,13 @@ def write_line_svg(path, xs, ys, title="", xlabel="", ylabel="", loglog=True,
         f'transform="rotate(-90 16 {H/2:.0f})">{ylabel}</text>',
     ]
     for v in np.linspace(xlo, xhi, 4):
-        lab = f"{10**v:.3g}" if loglog else f"{v:.3g}"
+        lab = f"{10**v:.3g}"
         parts.append(f'<line x1="{sx(v):.1f}" y1="{H-mb}" x2="{sx(v):.1f}" '
                      f'y2="{H-mb+5}" stroke="black"/>')
         parts.append(f'<text x="{sx(v):.1f}" y="{H-mb+18}" '
                      f'text-anchor="middle">{lab}</text>')
     for v in np.linspace(ylo, yhi, 4):
-        lab = f"{10**v:.3g}" if loglog else f"{v:.3g}"
+        lab = f"{10**v:.3g}"
         parts.append(f'<line x1="{ml-5}" y1="{sy(v):.1f}" x2="{ml}" '
                      f'y2="{sy(v):.1f}" stroke="black"/>')
         parts.append(f'<text x="{ml-8}" y="{sy(v)+4:.1f}" '

@@ -33,7 +33,7 @@ import numpy as np
 from .critical import build_critical_data, peierls_field_to, weak_kam_solution
 from .discounted import solve_discounted
 from .errors import NoMeasures, WeakKAMError
-from .grids import ValueField, build_transition
+from .grids import build_transition
 from .measures import (
     build_discounted_lp,
     build_ergodic_lp,
@@ -52,18 +52,13 @@ _STATUS_NA = "NotApplicable"
 # estimator 1: barrier form, one LP per query
 # ---------------------------------------------------------------------------
 
-def selected_solution_enric1(critical, polytope, x):
-    """min over the Mather polytope of <mu, P(., x)> at the node index x."""
-    M = polytope.meta["velocity_set"].size
-    pfield = peierls_field_to(critical, x)
-    return lp_solve(polytope, pfield[polytope.active // M]).objective
-
-
 def enric1_values(critical, polytope, query_nodes):
-    """Barrier-form values at several nodes, one LP each, started from the
-    polytope's crash basis (the ergodic optimum plus the budget slack)."""
-    return np.array([selected_solution_enric1(critical, polytope, int(x))
-                     for x in query_nodes], dtype=float)
+    """min over the Mather polytope of <mu, P(., x)> at each node index x of
+    query_nodes, one LP each, started from the polytope's crash basis (the
+    ergodic optimum plus the budget slack)."""
+    node_of_column = polytope.active // polytope.meta["velocity_set"].size
+    return np.array([lp_solve(polytope, peierls_field_to(critical, int(x))[node_of_column])
+                     .objective for x in query_nodes], dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +129,8 @@ def maximal_trace(critical, measures):
 
 
 def selected_solution_deflim(critical, measures):
-    """Limit candidate as the weak KAM field of the maximal admissible trace."""
+    """Limit candidate as the weak KAM field of the maximal admissible trace,
+    an (n,) array."""
     t = maximal_trace(critical, measures)
     return weak_kam_solution(critical, t)
 
@@ -183,34 +179,38 @@ class UniquenessVerdict:
     recon_err_w: float
 
 
-def uniqueness_test(critical, mather_nodes, v, w, tol=1e-6, factor=3.0,
-                    region_mask=None, recon_tol=None):
-    """If v <= w + tol on the Mather nodes then v <= w + factor*tol on the
-    reporting region; vacuous hypotheses report NotApplicable.
+UNIQUENESS_TOL = 1e-6     # the hypothesis v <= w + UNIQUENESS_TOL on the Mather nodes
+UNIQUENESS_FACTOR = 3.0   # the conclusion v <= w + UNIQUENESS_FACTOR * UNIQUENESS_TOL
+
+
+def uniqueness_test(critical, mather_nodes, v, w):
+    """If v <= w + UNIQUENESS_TOL on the Mather nodes then
+    v <= w + UNIQUENESS_FACTOR * UNIQUENESS_TOL on the reporting region (the
+    central half of the box); vacuous hypotheses report NotApplicable.  v
+    and w are (n,) arrays.
 
     Both fields must reproduce themselves through the weak KAM min-formula
-    from their own Aubry traces (checked within recon_tol).
+    from their own Aubry traces on the reporting region, within
+    1e-9 + 8h (1 + sup |v - w|).
     """
     grid = critical.grid
-    vv = v.values if isinstance(v, ValueField) else np.asarray(v, dtype=float)
-    ww = w.values if isinstance(w, ValueField) else np.asarray(w, dtype=float)
-    if region_mask is None:
-        region_mask = grid.box_mask(grid.scaled_box(0.5))
-    if recon_tol is None:
-        recon_tol = 1e-9 + 8.0 * grid.h * (1.0 + float(np.max(np.abs(vv - ww))))
+    vv = np.asarray(v, dtype=float)
+    ww = np.asarray(w, dtype=float)
+    region_mask = grid.box_mask(grid.scaled_box(0.5))
+    recon_tol = 1e-9 + 8.0 * grid.h * (1.0 + float(np.max(np.abs(vv - ww))))
     errs = []
     for fld in (vv, ww):
         try:
             rec = weak_kam_solution(critical, fld[critical.aubry_nodes])
         except WeakKAMError as exc:
             raise ValueError(f"field is not weak-KAM reconstructible: {exc}") from exc
-        errs.append(float(np.max(np.abs(rec.values - fld)[region_mask])))
+        errs.append(float(np.max(np.abs(rec - fld)[region_mask])))
     if max(errs) > recon_tol:
         raise ValueError(f"field is not weak-KAM reconstructible "
                          f"(errors {errs[0]:.3g}, {errs[1]:.3g} > {recon_tol:.3g})")
     mather_nodes = np.asarray(mather_nodes, dtype=int)
     hyp = float(np.max(vv[mather_nodes] - ww[mather_nodes]))
-    if hyp > tol:
+    if hyp > UNIQUENESS_TOL:
         return UniquenessVerdict(status=_STATUS_NA, worst_gap=np.nan, witness=None,
                                  hypothesis_gap=hyp, recon_err_v=errs[0],
                                  recon_err_w=errs[1])
@@ -218,7 +218,7 @@ def uniqueness_test(critical, mather_nodes, v, w, tol=1e-6, factor=3.0,
     gaps[~region_mask] = -np.inf
     witness = int(np.argmax(gaps))
     worst = float(gaps[witness])
-    status = _STATUS_PASS if worst <= factor * tol else _STATUS_FAIL
+    status = _STATUS_PASS if worst <= UNIQUENESS_FACTOR * UNIQUENESS_TOL else _STATUS_FAIL
     return UniquenessVerdict(status=status, worst_gap=worst, witness=witness,
                              hypothesis_gap=hyp, recon_err_v=errs[0],
                              recon_err_w=errs[1])
@@ -245,12 +245,9 @@ class StudyRow:
 class StudyReport:
     lambda_schedule: list
     sup_gaps: list
-    w_field: ValueField
+    w: np.ndarray                     # the selected limit, one value per node
     mather_nodes: np.ndarray
     estimator_agreement: float
-    agreement_nodes: list
-    enric1_at_nodes: np.ndarray
-    deflim_at_nodes: np.ndarray
     rows: list
     failures: list
     critical: object
@@ -266,14 +263,8 @@ def _agreement_nodes(grid, sub_box, count, probes):
         p = center.copy()
         p[0] = x
         nodes.append(grid.node_near(p))
-    for p in probes:
-        nodes.append(grid.node_near(p))
-    seen, out = set(), []
-    for n in nodes:
-        if n not in seen:
-            seen.add(n)
-            out.append(int(n))
-    return out
+    nodes += [grid.node_near(p) for p in probes]
+    return list(dict.fromkeys(nodes))       # first occurrences, in order
 
 
 def vanishing_discount_study(model, grid, velocity_set, schedule,
@@ -308,11 +299,10 @@ def vanishing_discount_study(model, grid, velocity_set, schedule,
     measures = [ergodic.measure] + sample_vertex_measures(polytope, n_objectives, seed)
     mnodes = mather_set(measures, grid)
 
-    w_field = selected_solution_deflim(critical, measures)
+    w = selected_solution_deflim(critical, measures)
     agree_nodes = _agreement_nodes(grid, sub_box, agreement_count, probes)
-    e1 = enric1_values(critical, polytope, agree_nodes)
-    d1 = w_field.values[agree_nodes]
-    agreement = float(np.max(np.abs(e1 - d1)))
+    agreement = float(np.max(np.abs(enric1_values(critical, polytope, agree_nodes)
+                                    - w[agree_nodes])))
 
     mask = grid.box_mask(sub_box)
     rows, failures, sup_gaps = [], [], []
@@ -324,7 +314,7 @@ def vanishing_discount_study(model, grid, velocity_set, schedule,
             failures.append({"lambda": lam, "stage": "solve", "error": repr(exc)})
             sup_gaps.append(float("nan"))
             continue
-        gap = float(np.max(np.abs(sol.field.values - w_field.values)[mask]))
+        gap = float(np.max(np.abs(sol.u - w)[mask]))
         sup_gaps.append(gap)
         rows.append(StudyRow(lam=lam, sup_gap=gap, iterations=sol.iterations,
                              residual=sol.residual))
@@ -336,17 +326,16 @@ def vanishing_discount_study(model, grid, velocity_set, schedule,
             except WeakKAMError as exc:
                 failures.append({"lambda": lam, "stage": f"lp@{p}", "error": repr(exc)})
                 continue
-            lam_u = lam * float(sol.field.values[z])
+            lam_u = lam * float(sol.u[z])
             rows.append(StudyRow(
                 lam=lam, sup_gap=gap, iterations=sol.iterations,
                 residual=sol.residual, probe=p, lp_objective=lp.objective,
                 lambda_u_z=lam_u, rep81_gap=abs(lp.objective - lam_u),
                 transport_to_ergodic=transport_distance(
                     lp.measure, ergodic.measure, grid)))
-    return StudyReport(lambda_schedule=schedule, sup_gaps=sup_gaps, w_field=w_field,
+    return StudyReport(lambda_schedule=schedule, sup_gaps=sup_gaps, w=w,
                        mather_nodes=mnodes, estimator_agreement=agreement,
-                       agreement_nodes=agree_nodes, enric1_at_nodes=e1,
-                       deflim_at_nodes=d1, rows=rows, failures=failures,
+                       rows=rows, failures=failures,
                        critical=critical, ergodic_objective=ergodic.objective,
                        critical_crosscheck=abs(critical.c + ergodic.objective),
                        sub_box=sub_box)

@@ -223,14 +223,15 @@ class SupportReport:
     passed: Optional[bool]       # None for discounted measures (informational)
     dilation: float
     q_bound: float
+    mass_tol: float              # the outside mass an ergodic measure may carry
 
 
 def support_check(mu, critical, q_bound=None, mass_tol=None):
     """Mass outside (Aubry set dilated by 2h) x {|q| <= q_bound}.
 
-    Pass/fail applies to ergodic measures only; discounted occupation
-    measures legitimately ride the approach path and are reported as
-    informational.
+    Pass/fail applies to ergodic measures only, with at most mass_tol
+    (default 1e-3 + 2h) outside; discounted occupation measures
+    legitimately ride the approach path and are reported as informational.
     """
     grid = critical.grid
     vset = critical.velocity_set
@@ -247,7 +248,7 @@ def support_check(mu, critical, q_bound=None, mass_tol=None):
     outside = float(sequential_sum(mu.mass[nodes][far]))
     passed = (outside <= mass_tol) if mu.kind == "ergodic" else None
     return SupportReport(outside_mass=outside, passed=passed,
-                         dilation=dil, q_bound=float(q_bound))
+                         dilation=dil, q_bound=float(q_bound), mass_tol=float(mass_tol))
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,9 @@ interface: H(X,P), the convex conjugate L(X,Q) = sup_p [p.q - H(x,p)],
 the level-set support function sigma_a(X,Q) = max{p.q : H(x,p) <= a}
 (NaN where the sublevel is empty), min_p H(X) and max_{|p|<=eps} H(X).
 Point arrays X, P, Q have shape (..., dimension) and their leading axes
-broadcast, so one call evaluates a whole node x velocity table.  The
+broadcast, so one call evaluates a whole node x velocity table; the point
+queries (`hamiltonian`, `fenchel_transform`, `support_function`) return an
+array of that broadcast shape, (1,) for a single point.  The
 superlinear surrogate H + (max(0, H - b))^2 with b = max_x H(x,0) leaves
 every sublevel {H <= a}, a <= b, untouched.  The module also provides a
 numeric validator for the standing assumptions (continuity,
@@ -30,7 +32,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -59,7 +61,7 @@ def resolve_potential(spec):
     """Turn a registry name, ``{"name":..., "scale":..., "offset":...}`` dict,
     or a bare callable into a vectorized potential f(points)->values."""
     if callable(spec):
-        return spec, {"name": getattr(spec, "__name__", "custom")}
+        return spec
     if isinstance(spec, str):
         spec = {"name": spec}
     name = spec.get("name")
@@ -69,8 +71,8 @@ def resolve_potential(spec):
     scale = float(spec.get("scale", 1.0))
     offset = float(spec.get("offset", 0.0))
     if scale == 1.0 and offset == 0.0:
-        return base, {"name": name}
-    return (lambda pts: scale * base(pts) + offset), dict(spec)
+        return base
+    return lambda pts: scale * base(pts) + offset
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +151,6 @@ class HamiltonianModel:
     superlinearized: bool = False
     super_b: float = 0.0              # b = max_x H(x,0), frozen at superlinearize time
     sampled: Optional[SampledTable] = None
-    potential_spec: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -170,7 +171,7 @@ class HamiltonianModel:
 
 def make_model(family, potential=None, dimension=1, normalization_shift=0.0,
                sampled=None):
-    pot_fn, pot_spec = (None, {}) if potential is None else resolve_potential(potential)
+    pot_fn = None if potential is None else resolve_potential(potential)
     if sampled is not None and not sampled.convexified:
         sampled, worst = convexify_table(sampled)
         if worst > 1e-9:
@@ -178,7 +179,7 @@ def make_model(family, potential=None, dimension=1, normalization_shift=0.0,
                           stacklevel=2)
     return HamiltonianModel(family=family, potential=pot_fn, dimension=dimension,
                             normalization_shift=float(normalization_shift),
-                            sampled=sampled, potential_spec=pot_spec)
+                            sampled=sampled)
 
 
 def effective_potential(model, X):
@@ -356,15 +357,10 @@ def _as_points(x, dim):
     return pts
 
 
-def _scalar_or_array(out):
-    out = np.asarray(out)
-    return out if out.size > 1 else float(out.reshape(-1)[0])
-
-
 def hamiltonian(model, x, p):
     """H(x,p) after normalization shift (and superlinearization if flagged)."""
-    return _scalar_or_array(model.ops.H(model, _as_points(x, model.dimension),
-                                        _as_points(p, model.dimension)))
+    return model.ops.H(model, _as_points(x, model.dimension),
+                       _as_points(p, model.dimension))
 
 
 def h_at_zero(model, points):
@@ -417,7 +413,7 @@ def fenchel_transform(model, x, q):
     if np.any(np.isinf(out)):
         raise NonCoercive("transform diverges where H is not superlinear; "
                           "superlinearize first")
-    return _scalar_or_array(out)
+    return out
 
 
 def lagrangian_table(model, points, velocities):
@@ -459,15 +455,12 @@ def superlinearize(model, grid):
 
 def support_function(model, a, x, q):
     """sigma_a(x,q) = max{p.q : H(x,p) <= a}; x and q broadcast over their
-    leading axes, and NaN marks an empty sublevel (a single query returns a
-    float, or None when the sublevel is empty).
+    leading axes, and NaN marks an empty sublevel.
 
     An empty sublevel certifies that the level a is subcritical at x.
     """
-    out = model.ops.sigma(model, a, _as_points(x, model.dimension),
-                          _as_points(q, model.dimension))
-    out = _scalar_or_array(out)
-    return None if isinstance(out, float) and math.isnan(out) else out
+    return model.ops.sigma(model, a, _as_points(x, model.dimension),
+                           _as_points(q, model.dimension))
 
 
 # ---------------------------------------------------------------------------
@@ -496,36 +489,37 @@ class AssumptionReport:
         return all(v.passed for v in self.verdicts.values())
 
 
-def validate_assumptions(model, grid, probe_density=2000, eps_sweep=None,
-                         rng_seed=0, convexity_tol=None):
+CONVEXITY_PROBES = 2000                             # random midpoint triples
+EPS_SWEEP = [k / 100.0 for k in range(1, 101)]     # localization ball radii
+
+
+def validate_assumptions(model, grid):
     """Numeric check of continuity, convexity/coercivity, and localization.
 
-    The localization check compares, over a sweep of momentum radii eps,
-    the largest value of H on small balls over the outermost 10% shell of
-    the box against max_x min_p H over the whole box; the most favorable
-    margin and its eps witness are reported.  All quantities are concrete
-    (witness-based): the report is evidence, not a proof.
+    Convexity is probed at CONVEXITY_PROBES random midpoints (seed 0)
+    against the family's `convexity_tol`.  The localization check compares,
+    over the momentum radii eps in EPS_SWEEP, the largest value of H on
+    small balls over the outermost 10% shell of the box against
+    max_x min_p H over the whole box; the most favorable margin and its
+    eps witness are reported.  All quantities are concrete (witness-based):
+    the report is evidence, not a proof.
     """
-    if eps_sweep is None:
-        eps_sweep = [k / 100.0 for k in range(1, 101)]
     pts = grid.coords
-    rng = np.random.default_rng(rng_seed)
+    rng = np.random.default_rng(0)
     verdicts = {}
 
     finite = np.all(np.isfinite(h_at_zero(model, pts)))
     verdicts["A1"] = Verdict("A1", bool(finite), "finite nodal values")
 
-    if convexity_tol is None:
-        convexity_tol = model.ops.convexity_tol
-    n_tri = min(probe_density, 5000)
-    xs = pts[rng.integers(0, len(pts), size=n_tri)]
-    p1 = rng.uniform(-3.0, 3.0, size=(n_tri, model.dimension))
-    p2 = rng.uniform(-3.0, 3.0, size=(n_tri, model.dimension))
+    xs = pts[rng.integers(0, len(pts), size=CONVEXITY_PROBES)]
+    p1 = rng.uniform(-3.0, 3.0, size=(CONVEXITY_PROBES, model.dimension))
+    p2 = rng.uniform(-3.0, 3.0, size=(CONVEXITY_PROBES, model.dimension))
     mid = hamiltonian(model, xs, 0.5 * (p1 + p2))
-    avg = 0.5 * (np.asarray(hamiltonian(model, xs, p1)) + np.asarray(hamiltonian(model, xs, p2)))
-    conv_gap = float(np.max(np.atleast_1d(mid - avg)))
+    avg = 0.5 * (hamiltonian(model, xs, p1) + hamiltonian(model, xs, p2))
+    conv_gap = float(np.max(mid - avg))
     verdicts["A2-convexity"] = Verdict(
-        "A2-convexity", conv_gap <= convexity_tol, f"worst midpoint gap {conv_gap:.3e}")
+        "A2-convexity", conv_gap <= model.ops.convexity_tol,
+        f"worst midpoint gap {conv_gap:.3e}")
 
     coer_radius = 0.0
     coercive = True
@@ -534,7 +528,7 @@ def validate_assumptions(model, grid, probe_density=2000, eps_sweep=None,
     for radius in (1.0, 2.0, 4.0, 8.0, 16.0, 32.0):
         e = np.zeros(model.dimension)
         e[0] = radius
-        vals = np.asarray(hamiltonian(model, sample, np.broadcast_to(e, sample.shape)))
+        vals = hamiltonian(model, sample, np.broadcast_to(e, sample.shape))
         if np.all(vals >= h0 + 1.0):
             coer_radius = radius
             break
@@ -545,8 +539,8 @@ def validate_assumptions(model, grid, probe_density=2000, eps_sweep=None,
 
     shell = grid.shell_mask()
     a3_rhs = float(np.max(h_min_over_p(model, pts)))
-    best = (-np.inf, eps_sweep[0], np.inf)
-    for eps in eps_sweep:
+    best = (-np.inf, EPS_SWEEP[0], np.inf)
+    for eps in EPS_SWEEP:
         lhs = float(np.max(h_max_small_ball(model, pts[shell], eps)))
         margin = a3_rhs - lhs
         if margin > best[0]:

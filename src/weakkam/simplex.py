@@ -28,6 +28,8 @@ from .errors import InfeasibleLP, MaxIterExceeded, SingularBasis, UnboundedLP
 
 TOL = 1e-9          # pricing, ratio-test and pivot tolerance
 PERTURB = 1e-8      # grading of the right-hand side during pivoting
+STALL_LIMIT = 200   # degenerate pivots in a row before the switch to Bland's rule
+REFRESH = 128       # pivots between recomputations of the basis inverse
 
 
 @dataclass
@@ -138,7 +140,7 @@ def _pivot_update(Binv, xB, d, row, theta):
     Binv[row] = prow
 
 
-def _core(A, b, c, basis, Binv, max_iter, stall_limit=200, refresh=128):
+def _core(A, b, c, basis, Binv, max_iter):
     """Primal simplex from a feasible basis; A is a `Columns` store."""
     m, n = A.shape
     xB = Binv @ b
@@ -147,7 +149,7 @@ def _core(A, b, c, basis, Binv, max_iter, stall_limit=200, refresh=128):
     last_obj = np.inf
     it = 0
     while True:
-        if it and it % refresh == 0:
+        if it and it % REFRESH == 0:
             Binv = _inverse(A, basis)
             xB = Binv @ b
         if it >= max_iter:
@@ -182,7 +184,7 @@ def _core(A, b, c, basis, Binv, max_iter, stall_limit=200, refresh=128):
         obj = float(c[basis] @ xB)
         if obj >= last_obj - TOL * (1 + abs(obj)):
             stall += 1
-            if stall >= stall_limit:
+            if stall >= STALL_LIMIT:
                 bland = True
         else:
             stall = 0

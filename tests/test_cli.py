@@ -85,12 +85,39 @@ BOX_2D = "grid.box=[[-2.0,2.0],[-2.0,2.0]]"
     [GEOMETRIC, 'schedule.geometric.start="x"'],
     [GEOMETRIC, "schedule.geometric.count=0"],
     [GEOMETRIC, "schedule.geometric.count=2.5"],
+    ["ergodic.bisection_tol=-1"],
+    ['measures.n_objectives="x"'],
+    ["measures.n_objectives=-1"],
+    ["study.agreement_count=-1"],
+    ['measures.mass_tol="x"'],
+    ['ergodic.eps_aubry="x"'],
+    ['seeds.master="x"'],
+    ['solver.tol="x"'],
+    ['model.normalization_shift="x"'],
+    ['study.sub_box="x"'],
+    ["study.sub_box=[[5,6]]"],
+    ["measures.slack=-1"],
+    ['solver.max_iter="x"'],
+    ["solver.max_iter=0"],
+    ['model.superlinearize="x"'],
+    ["grid.h=true"],
+    ["velocity.q_max=true"],
+    ["model.dimension=true"],
+    ["outputs.formats=5"],
 ], ids=" ".join)
 def test_bad_value_exit_2(tmp_path, capsys, overrides):
     cfg = write_cfg(tmp_path, TINY_STUDY)
     sets = [arg for o in overrides for arg in ("--set", o)]
     assert main(["critical", "--config", cfg, "--out", str(tmp_path / "o"), *sets]) == 2
     assert overrides[-1].split("=")[0] in capsys.readouterr().err
+
+
+def test_bad_output_directory_exit_2(tmp_path, capsys):
+    # --out would override the configured directory
+    bad = json.loads(json.dumps(TINY_STUDY))
+    bad["outputs"] = {"directory": 5}
+    assert main(["critical", "--config", write_cfg(tmp_path, bad)]) == 2
+    assert "outputs.directory" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [
@@ -130,6 +157,36 @@ def test_limit_matches_study_double_well(tmp_path):
             == (tmp_path / "study" / "w.csv").read_bytes())
     rep = json.loads((tmp_path / "limit" / "limit.json").read_text())
     assert rep["estimator_agreement"]["value"] <= 0.03
+
+
+@pytest.mark.parametrize("overrides,tolerance", [([], 1e-3 + 2 * 0.1),
+                                                 (["--set", "measures.mass_tol=0.05"], 0.05)],
+                         ids=["default", "set"])
+def test_mather_reports_applied_support_tolerance(tmp_path, overrides, tolerance):
+    cfg = str(CONFIGS / "quadratic.json")
+    out = tmp_path / "m"
+    assert main(["mather", "--config", cfg, "--out", str(out), "--set", "grid.h=0.1",
+                 *overrides]) == 0
+    rep = json.loads((out / "mather.json").read_text())
+    claim = rep["support_outside_mass"]
+    assert claim["tolerance"] == pytest.approx(tolerance, abs=1e-15)
+    assert rep["support_passed"] == (claim["value"] <= claim["tolerance"])
+
+
+def test_auto_normalization_shift(tmp_path, capsys):
+    # H = p^2/2 - x^2/2 - 0.3 has critical value -0.3; "auto" shifts it to 0
+    cfg = str(CONFIGS / "quadratic.json")
+    base = ["--set", "grid.h=0.1", "--set", 'model.potential={"name": "half_square", '
+            '"offset": 0.3}']
+    auto = tmp_path / "auto"
+    assert main(["critical", "--config", cfg, "--out", str(auto), *base,
+                 "--set", 'model.normalization_shift="auto"']) == 0
+    assert "warning: normalization_shift auto-set to -0.3\n" in capsys.readouterr().err
+    assert json.loads((auto / "critical.json").read_text())["c"]["value"] == 0.0
+    raw = tmp_path / "raw"
+    assert main(["critical", "--config", cfg, "--out", str(raw), *base]) == 0
+    assert "normalization_shift" not in capsys.readouterr().err
+    assert json.loads((raw / "critical.json").read_text())["c"]["value"] == -0.3
 
 
 def test_set_override(tmp_path):

@@ -2,20 +2,18 @@ import numpy as np
 import pytest
 
 from weakkam.critical import (
-    SubcriticalCertificate,
     build_critical_data,
     critical_value,
     distances_to_targets,
     edge_costs,
-    has_negative_cycle,
     intrinsic_distance,
     is_subsolution,
-    peierls_barrier,
     peierls_field_to,
+    relax_batch,
     weak_kam_solution,
 )
-from weakkam.errors import IncompatibleTrace, NegativeCycle
-from weakkam.grids import ValueField, build_grid, build_transition, build_velocity_set
+from weakkam.errors import EmptySublevel, IncompatibleTrace, NegativeCycle
+from weakkam.grids import build_grid, build_transition, build_velocity_set
 from weakkam.models import make_model
 
 from helpers import enumerate_paths_min_cost, make_asymmetric_sampled
@@ -34,9 +32,12 @@ def test_edge_cost_example(quad, grid_tiny, vs3, tr_tiny):
 
 
 def test_edge_cost_subcritical_certificate(quad, grid_tiny, vs3, tr_tiny):
-    cert = edge_costs(quad, grid_tiny, vs3, -0.1, tr_tiny)
-    assert isinstance(cert, SubcriticalCertificate)
-    assert cert.coords[0] == pytest.approx(0.0)
+    # the sublevel first empties at x = 0, the minimum of the potential
+    node = grid_tiny.node_near([0.0])
+    assert grid_tiny.coords[node, 0] == pytest.approx(0.0)
+    with pytest.raises(EmptySublevel, match=rf"empty sublevel at node {node} "):
+        edge_costs(quad, grid_tiny, vs3, -0.1, tr_tiny)
+    assert issubclass(EmptySublevel, NegativeCycle)
 
 
 def test_clipped_edges_are_excluded(quad, grid_tiny, vs3, tr_tiny):
@@ -68,6 +69,13 @@ def test_critical_value_shifted():
     assert data.c == pytest.approx(-0.3, abs=1e-3)
 
 
+def test_bisection_tol_must_be_positive(quad, grid_tiny, vs3):
+    # a collapsed bracket never gets narrower than a tolerance <= 0
+    for tol in (0.0, -1.0):
+        with pytest.raises(ValueError, match="bisection tolerance"):
+            critical_value(quad, grid_tiny, vs3, tol=tol)
+
+
 def test_critical_value_sampled_real_bisection(grid_tiny, vs3, tr_tiny):
     # |p + 0.3| - x^2/2: bracket [0, 0.3] forces the loop to actually bisect
     model = make_asymmetric_sampled(grid_tiny)
@@ -93,11 +101,11 @@ def test_bisection_monotone_verdicts(grid_tiny, vs3, tr_tiny):
 def test_distance_from_source_quadratic(quad, grid_c, vs7, tr_c):
     src = grid_c.node_near([0.0])
     fld = intrinsic_distance(quad, grid_c, vs7, 0.0, src, transition=tr_c)
-    assert fld.values[src] == 0.0
-    assert fld.values[grid_c.node_near([1.0])] == pytest.approx(0.5, abs=2 * 0.05)
+    assert fld[src] == 0.0
+    assert fld[grid_c.node_near([1.0])] == pytest.approx(0.5, abs=2 * 0.05)
     # symmetric potential: same distance to -1
-    assert fld.values[grid_c.node_near([-1.0])] == pytest.approx(
-        fld.values[grid_c.node_near([1.0])], abs=1e-9)
+    assert fld[grid_c.node_near([-1.0])] == pytest.approx(
+        fld[grid_c.node_near([1.0])], abs=1e-9)
 
 
 def test_distance_triangle_inequality_exact(quad, grid_tiny, vs3, tr_tiny):
@@ -116,7 +124,7 @@ def test_distance_brute_force_oracle(quad, grid_tiny, vs3, tr_tiny):
     src = grid_tiny.node_near([0.0])
     oracle = enumerate_paths_min_cost(costs, tr_tiny, src, max_depth=20)
     fld = intrinsic_distance(quad, grid_tiny, vs3, 0.0, src, transition=tr_tiny)
-    np.testing.assert_array_equal(fld.values, oracle)
+    np.testing.assert_array_equal(fld, oracle)
 
 
 def test_distance_brute_force_oracle_negative_edges(grid_tiny, vs3, tr_tiny):
@@ -126,19 +134,21 @@ def test_distance_brute_force_oracle_negative_edges(grid_tiny, vs3, tr_tiny):
     src = grid_tiny.node_near([0.0])
     oracle = enumerate_paths_min_cost(costs, tr_tiny, src, max_depth=20)
     fld = intrinsic_distance(model, grid_tiny, vs3, 0.05, src, transition=tr_tiny)
-    np.testing.assert_allclose(fld.values, oracle, atol=1e-12)
+    np.testing.assert_allclose(fld, oracle, atol=1e-12)
 
 
 def test_negative_cycle_detection_synthetic(grid_tiny, vs3, tr_tiny):
     costs = np.full((grid_tiny.num_nodes, vs3.size), 1.0)
     costs[tr_tiny.clipped] = 1e30
-    assert not has_negative_cycle(costs, tr_tiny)
+    zero = np.zeros((1, grid_tiny.num_nodes))
+    relax_batch(costs, tr_tiny, zero)   # no negative cycle: reaches a fixed point
     m_plus = int(np.argmax(vs3.vectors[:, 0]))
     m_minus = int(np.argmin(vs3.vectors[:, 0]))
     i = grid_tiny.node_near([0.0])
     costs[i, m_plus] = -1.0
     costs[i + 1, m_minus] = 0.5  # two-cycle of total cost -0.5
-    assert has_negative_cycle(costs, tr_tiny)
+    with pytest.raises(NegativeCycle):
+        relax_batch(costs, tr_tiny, zero)
     with pytest.raises(NegativeCycle):
         distances_to_targets(costs, tr_tiny, [0])
 
@@ -207,7 +217,7 @@ def _assert_fields_match_intrinsic_distance(data, model, grid, vset, transition)
         for direction, rows in (("to", data.S_to), ("from", data.S_from)):
             fld = intrinsic_distance(model, grid, vset, data.level, int(z),
                                      transition=transition, direction=direction)
-            np.testing.assert_array_equal(rows[r], fld.values)
+            np.testing.assert_array_equal(rows[r], fld)
 
 
 def test_aubry_fields_are_exact_distances_1d(quad_crit, quad, grid_c, vs7, tr_c):
@@ -263,32 +273,33 @@ def test_aubry_data_relaxes_one_distance_batch(quad, grid_c, vs7, tr_c, quad_cri
 def test_peierls_examples(quad_crit, grid_c):
     i0 = grid_c.node_near([0.0])
     i1 = grid_c.node_near([1.0])
-    assert peierls_barrier(quad_crit, i0, i1) == pytest.approx(0.5, abs=2 * grid_c.h)
-    assert peierls_barrier(quad_crit, i1, i1) == pytest.approx(1.0, abs=4 * grid_c.h)
+    to_i1 = peierls_field_to(quad_crit, i1)
+    assert to_i1[i0] == pytest.approx(0.5, abs=2 * grid_c.h)
+    assert to_i1[i1] == pytest.approx(1.0, abs=4 * grid_c.h)
     for z in quad_crit.aubry_nodes:
-        assert peierls_barrier(quad_crit, int(z), int(z)) <= 2 * quad_crit.eps_aubry
+        assert peierls_field_to(quad_crit, int(z))[int(z)] <= 2 * quad_crit.eps_aubry
 
 
 def test_distance_below_peierls(quad_crit, grid_c, quad, vs7, tr_c):
     y = grid_c.node_near([1.5])
     to_y = intrinsic_distance(quad, grid_c, vs7, quad_crit.level, y,
-                              transition=tr_c, direction="to").values
+                              transition=tr_c, direction="to")
     for x in (grid_c.node_near([-1.0]), grid_c.node_near([0.5])):
-        assert to_y[x] <= peierls_barrier(quad_crit, x, y) + 1e-9
+        assert to_y[x] <= peierls_field_to(quad_crit, y)[x] + 1e-9
 
 
 def test_weak_kam_zero_trace(quad_crit, grid_c):
     fld = weak_kam_solution(quad_crit, 0.0)
     xg = grid_c.coords[:, 0]
     mask = np.abs(xg) <= 2.0
-    assert np.max(np.abs(fld.values - 0.5 * xg ** 2)[mask]) <= 2 * grid_c.h
-    assert np.min(fld.values) >= -1e-12  # bounded below by min trace
+    assert np.max(np.abs(fld - 0.5 * xg ** 2)[mask]) <= 2 * grid_c.h
+    assert np.min(fld) >= -1e-12  # bounded below by min trace
 
 
 def test_weak_kam_additive_invariance(quad_crit):
     base = weak_kam_solution(quad_crit, 0.0)
     lifted = weak_kam_solution(quad_crit, 3.25)
-    np.testing.assert_allclose(lifted.values, base.values + 3.25, atol=1e-12)
+    np.testing.assert_allclose(lifted, base + 3.25, atol=1e-12)
 
 
 def test_row_expressions_match_loops_over_aubry_rows(quad_crit, grid_c):
@@ -305,7 +316,7 @@ def test_row_expressions_match_loops_over_aubry_rows(quad_crit, grid_c):
     ref = np.full(grid_c.num_nodes, np.inf)
     for r in range(len(nodes)):
         ref = np.minimum(ref, trace[r] + S_from[r])
-    np.testing.assert_array_equal(weak_kam_solution(quad_crit, trace).values, ref)
+    np.testing.assert_array_equal(weak_kam_solution(quad_crit, trace), ref)
     # an incompatible trace names the first violating (z, y) in loop order
     trace[-1] = 10.0
     first = next((z, y) for r, z in enumerate(nodes) for s, y in enumerate(nodes)
@@ -335,14 +346,14 @@ def test_weak_kam_incompatible_trace():
 
 def test_is_subsolution_exact_solution(quad, grid_c, vs7, tr_c):
     xg = grid_c.coords[:, 0]
-    ok, worst = is_subsolution(ValueField(grid_c, 0.5 * xg ** 2), quad, grid_c,
+    ok, worst = is_subsolution(0.5 * xg ** 2, quad, grid_c,
                                vs7, 0.0, slack=grid_c.h ** 2 * 2.2, transition=tr_c)
     assert ok, worst
 
 
 def test_is_subsolution_rejects_steep_field(quad, grid_c, vs7, tr_c):
     xg = grid_c.coords[:, 0]
-    ok, worst = is_subsolution(ValueField(grid_c, 2.0 * xg ** 2), quad, grid_c,
+    ok, worst = is_subsolution(2.0 * xg ** 2, quad, grid_c,
                                vs7, 0.0, slack=0.01, transition=tr_c)
     assert not ok
     assert worst > 0.1
@@ -351,6 +362,6 @@ def test_is_subsolution_rejects_steep_field(quad, grid_c, vs7, tr_c):
 def test_is_subsolution_constant_at_upper_level(quad, grid_c, vs7, tr_c):
     from weakkam.models import h_at_zero
     a = float(np.max(h_at_zero(quad, grid_c.coords)))
-    ok, worst = is_subsolution(ValueField(grid_c, np.zeros(grid_c.num_nodes)),
+    ok, worst = is_subsolution(np.zeros(grid_c.num_nodes),
                                quad, grid_c, vs7, a, slack=1e-12, transition=tr_c)
     assert ok, worst

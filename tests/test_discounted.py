@@ -64,15 +64,15 @@ def test_solve_eikonal_matches_oracle(eik_super_m, grid_m, vs_m):
     sol = solve_discounted(eik_super_m, grid_m, vs_m, 0.5, tol=1e-7)
     xg = grid_m.coords[:, 0]
     mask = np.abs(xg) <= 2.0
-    assert np.max(np.abs(sol.field.values - oracle_abs(0.5, xg))[mask]) <= 0.03
-    assert sol.field.values[grid_m.node_near([0.0])] == pytest.approx(0.0, abs=0.02)
+    assert np.max(np.abs(sol.u - oracle_abs(0.5, xg))[mask]) <= 0.03
+    assert sol.u[grid_m.node_near([0.0])] == pytest.approx(0.0, abs=0.02)
     assert sol.residual <= 1e-7
 
 
 def test_solve_quadratic_matches_oracle(quad, grid_m):
     vs = build_velocity_set(2.0, 33)
     sol = solve_discounted(quad, grid_m, vs, 1.0, tol=1e-8)
-    assert sol.field.values[grid_m.node_near([1.0])] == pytest.approx(
+    assert sol.u[grid_m.node_near([1.0])] == pytest.approx(
         quadratic_rate(1.0), abs=0.02)
 
 
@@ -80,13 +80,13 @@ def test_lambda_u_bounded_below_by_minus_b(eik_super_m, quad, grid_m, vs_m):
     for model, lam in ((eik_super_m, 0.5), (quad, 1.0)):
         b = float(np.max(h_at_zero(model, grid_m.coords)))
         sol = solve_discounted(model, grid_m, vs_m, lam, tol=1e-7)
-        assert float(np.min(lam * sol.field.values)) >= -b - 1e-6
+        assert float(np.min(lam * sol.u)) >= -b - 1e-6
 
 
 def test_iterates_start_above_and_decrease(quad, grid_m, vs_m):
     # the upper start dominates the fixed point
     sol = solve_discounted(quad, grid_m, vs_m, 0.5, tol=1e-7)
-    assert float(np.max(sol.field.values)) <= upper_start(quad, grid_m, vs_m, 0.5) + 1e-9
+    assert float(np.max(sol.u)) <= upper_start(quad, grid_m, vs_m, 0.5) + 1e-9
     # residual trace is the sup-norm of a monotone decreasing sequence
     assert all(r >= -1e-12 for _, r in sol.trace)
 
@@ -95,7 +95,7 @@ def test_discounted_subsolution_for_shifted_lagrangian(quad, grid_m, vs_m, tr_c=
     tr = build_transition(grid_m, vs_m)
     lam = 0.5
     sol = solve_discounted(quad, grid_m, vs_m, lam, tol=1e-9, transition=tr)
-    u = sol.field.values
+    u = sol.u
     L = lagrangian_table(quad, grid_m.coords, vs_m.vectors)
     from weakkam.grids import interpolate
     cont = interpolate(tr, u)
@@ -112,7 +112,7 @@ def test_lambda_u_at_origin_tracks_critical_value(quad, grid_m, vs_m):
     vals = []
     for lam in (1.0, 0.5, 0.25):
         sol = solve_discounted(quad, grid_m, vs_m, lam, tol=1e-8)
-        vals.append(abs(lam * sol.field.values[i0]))
+        vals.append(abs(lam * sol.u[i0]))
     assert all(v <= 0.02 for v in vals)
 
 
@@ -166,7 +166,7 @@ def test_small_lambda_reaches_the_fixed_point(eik_super_m, grid_m, vs_m):
     lam = 0.01
     tr = build_transition(grid_m, vs_m)
     sol = solve_discounted(eik_super_m, grid_m, vs_m, lam, tol=1e-12, transition=tr)
-    u = sol.field.values
+    u = sol.u
     L = lagrangian_table(eik_super_m, grid_m.coords, vs_m.vectors)
     Tu = np.min(grid_m.h * L + interpolate(tr, u), axis=1) / (1.0 + lam * grid_m.h)
     assert float(np.max(np.abs(Tu - u))) <= 1e-12

@@ -5,7 +5,6 @@ import pytest
 
 from weakkam.errors import DegenerateBox
 from weakkam.grids import (
-    ValueField,
     build_grid,
     build_transition,
     build_velocity_set,
@@ -106,7 +105,6 @@ def test_forward_backward_mass_returns(grid_c, vs7, tr_c):
     interior = ~grid_c.shell_mask(0.3)
     once = interpolate(build_transition(grid_c, vs7), vals)[:, m]
     # one step out, one step back, acting on the linear field x: exact return
-    fld = ValueField(grid_c, vals)
     feet = grid_c.coords + grid_c.h * q
     back = feet + grid_c.h * vs7.vectors[m_rev]
     np.testing.assert_allclose(back[interior], grid_c.coords[interior], atol=1e-12)
@@ -115,10 +113,15 @@ def test_forward_backward_mass_returns(grid_c, vs7, tr_c):
 
 def test_value_field_interpolation():
     g = build_grid([[-1.0, 1.0]], 0.5)
-    fld = ValueField(g, g.coords[:, 0] ** 2)
+    values = g.coords[:, 0] ** 2
+
+    def at(x):
+        idx, w = g.interp_weights([[x]])
+        return float(np.sum(w * values[idx]))
+
     # linear interpolation of x^2 at a midpoint: average of neighbor squares
-    assert fld.at([[0.25]]) == pytest.approx(0.5 * (0.0 + 0.25))
-    assert fld.at([[0.5]]) == pytest.approx(0.25)
+    assert at(0.25) == pytest.approx(0.5 * (0.0 + 0.25))
+    assert at(0.5) == pytest.approx(0.25)
 
 
 def test_interp_weights_2d():

@@ -4,14 +4,13 @@ import pytest
 from weakkam import limits, measures, simplex
 from weakkam.critical import build_critical_data, peierls_field_to, weak_kam_solution
 from weakkam.errors import NoMeasures, SingularBasis
-from weakkam.grids import ValueField, build_grid, build_transition, build_velocity_set
+from weakkam.grids import build_grid, build_transition, build_velocity_set
 from weakkam.limits import (
     enric1_values,
     mather_set,
     maximal_trace,
     sample_vertex_measures,
     selected_solution_deflim,
-    selected_solution_enric1,
     uniqueness_test,
     vanishing_discount_study,
 )
@@ -41,9 +40,9 @@ def quad_setup(quad, grid_c, vs7, tr_c):
 
 def test_enric1_barrier_values(quad_setup, grid_c):
     crit, ergodic, poly = quad_setup
-    v1 = selected_solution_enric1(crit, poly, grid_c.node_near([1.0]))
+    v1 = float(enric1_values(crit, poly, [grid_c.node_near([1.0])])[0])
     assert v1 == pytest.approx(0.5, abs=3 * grid_c.h)
-    vz = selected_solution_enric1(crit, poly, int(crit.aubry_nodes[0]))
+    vz = float(enric1_values(crit, poly, [int(crit.aubry_nodes[0])])[0])
     assert abs(vz) <= 2 * crit.eps_aubry + 1e-6
 
 
@@ -53,7 +52,7 @@ def test_enric1_eikonal(grid_c, vs7):
     crit = build_critical_data(eik, grid_c, vs7, tol=1e-3, transition=tr)
     problem = build_ergodic_lp(eik, grid_c, vs7, transition=tr)
     poly = build_mather_polytope(problem, lp_solve(problem))
-    v2 = selected_solution_enric1(crit, poly, grid_c.node_near([2.0]))
+    v2 = float(enric1_values(crit, poly, [grid_c.node_near([2.0])])[0])
     assert v2 == pytest.approx(2.0, abs=0.12)
 
 
@@ -62,7 +61,7 @@ def test_deflim_field_and_trace(quad_setup, grid_c):
     w = selected_solution_deflim(crit, [ergodic.measure])
     xg = grid_c.coords[:, 0]
     mask = np.abs(xg) <= 2.0
-    assert np.max(np.abs(w.values - 0.5 * xg ** 2)[mask]) <= 2 * grid_c.h
+    assert np.max(np.abs(w - 0.5 * xg ** 2)[mask]) <= 2 * grid_c.h
     t = maximal_trace(crit, [ergodic.measure])
     origin = list(crit.aubry_nodes).index(grid_c.node_near([0.0]))
     assert t[origin] == pytest.approx(0.0, abs=1e-12)
@@ -79,21 +78,21 @@ def test_estimators_agree(quad_setup, grid_c):
     w = selected_solution_deflim(crit, [ergodic.measure])
     nodes = [grid_c.node_near([x]) for x in (-1.5, -0.5, 0.0, 0.5, 1.5)]
     e1 = enric1_values(crit, poly, nodes)
-    assert float(np.max(np.abs(e1 - w.values[nodes]))) <= 4 * grid_c.h
+    assert float(np.max(np.abs(e1 - w[nodes]))) <= 4 * grid_c.h
 
 
 def test_deflim_constraint_validates_post_hoc(quad_setup):
     crit, ergodic, _ = quad_setup
     w = selected_solution_deflim(crit, [ergodic.measure])
-    pairing = float(np.sum(ergodic.measure.mass * w.values[:, None]))
+    pairing = float(np.sum(ergodic.measure.mass * w[:, None]))
     assert pairing <= 4 * crit.grid.h
 
 
 def test_w_reconstructs_through_min_formula(quad_setup):
     crit, ergodic, _ = quad_setup
     w = selected_solution_deflim(crit, [ergodic.measure])
-    rec = weak_kam_solution(crit, w.values[crit.aubry_nodes])
-    assert float(np.max(np.abs(rec.values - w.values))) <= 1e-9
+    rec = weak_kam_solution(crit, w[crit.aubry_nodes])
+    assert float(np.max(np.abs(rec - w))) <= 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +189,7 @@ def test_uniqueness_equal_fields_pass(quad_setup, grid_c):
     crit, ergodic, _ = quad_setup
     w = selected_solution_deflim(crit, [ergodic.measure])
     mnodes = crit.aubry_nodes
-    verdict = uniqueness_test(crit, mnodes, w, w, tol=1e-6)
+    verdict = uniqueness_test(crit, mnodes, w, w)
     assert verdict.status == "PASS"
     assert verdict.worst_gap <= 1e-12
 
@@ -198,8 +197,8 @@ def test_uniqueness_equal_fields_pass(quad_setup, grid_c):
 def test_uniqueness_vacuous_hypothesis(quad_setup):
     crit, ergodic, _ = quad_setup
     w = selected_solution_deflim(crit, [ergodic.measure])
-    v = ValueField(crit.grid, w.values + 1.0)
-    verdict = uniqueness_test(crit, crit.aubry_nodes, v, w, tol=1e-6)
+    v = w + 1.0
+    verdict = uniqueness_test(crit, crit.aubry_nodes, v, w)
     assert verdict.status == "NotApplicable"
 
 
@@ -207,17 +206,17 @@ def test_uniqueness_ordered_traces(quad_setup):
     crit, ergodic, _ = quad_setup
     w = weak_kam_solution(crit, 0.0)
     v = weak_kam_solution(crit, -0.2)
-    verdict = uniqueness_test(crit, crit.aubry_nodes, v, w, tol=1e-6)
+    verdict = uniqueness_test(crit, crit.aubry_nodes, v, w)
     assert verdict.status == "PASS"
     assert verdict.worst_gap <= -0.2 + 1e-9
 
 
 def test_uniqueness_rejects_non_weak_kam_field(quad_setup):
     crit, ergodic, _ = quad_setup
-    bad = ValueField(crit.grid, 2.0 * crit.grid.coords[:, 0] ** 2)
+    bad = 2.0 * crit.grid.coords[:, 0] ** 2
     w = weak_kam_solution(crit, 0.0)
     with pytest.raises(ValueError):
-        uniqueness_test(crit, crit.aubry_nodes, bad, w, tol=1e-6)
+        uniqueness_test(crit, crit.aubry_nodes, bad, w)
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +272,7 @@ def test_two_dimensional_smoke():
     assert closedness_residual(ergodic.measure, tr) <= 1e-8
     sol = solve_discounted(model, g, vs, 0.5, tol=1e-6, transition=tr)
     lp = lp_solve(build_discounted_lp(model, g, vs, 0.5, [1.0, 0.0], transition=tr))
-    lam_u = 0.5 * float(sol.field.values[g.node_near([1.0, 0.0])])
+    lam_u = 0.5 * float(sol.u[g.node_near([1.0, 0.0])])
     assert abs(lp.objective - lam_u) <= 1e-4
 
 
@@ -383,4 +382,4 @@ def test_uniqueness_test_propagates_programming_errors(quad_setup, monkeypatch):
 
     monkeypatch.setattr(limits, "weak_kam_solution", broken)
     with pytest.raises(TypeError, match="broken reconstruction"):
-        uniqueness_test(crit, crit.aubry_nodes, w, w, tol=1e-6)
+        uniqueness_test(crit, crit.aubry_nodes, w, w)

@@ -133,7 +133,7 @@ def test_rep81_identity_shares_no_code_path(disc_setup):
     for lam, z in ((1.0, 1.0), (0.5, 0.0), (0.5, 1.0)):
         res = lp_solve(build_discounted_lp(quad, g, vs, lam, [z], transition=tr))
         sol = solve_discounted(quad, g, vs, lam, tol=1e-9, transition=tr)
-        lam_u = lam * float(sol.field.values[g.node_near([z])])
+        lam_u = lam * float(sol.u[g.node_near([z])])
         assert abs(res.objective - lam_u) <= 1e-6
 
 
@@ -144,7 +144,7 @@ def test_discounted_lp_is_the_exact_dual_of_the_scheme(disc_setup):
     for lam, z in ((1.0, 1.0), (0.5, 0.0), (0.5, 1.0), (0.1, 1.0)):
         res = lp_solve(build_discounted_lp(quad, g, vs, lam, [z], transition=tr))
         sol = solve_discounted(quad, g, vs, lam, transition=tr)
-        lam_u = lam * float(sol.field.values[g.node_near([z])])
+        lam_u = lam * float(sol.u[g.node_near([z])])
         assert abs(res.objective - lam_u) <= 1e-9, (lam, z)
 
 

@@ -120,9 +120,9 @@ def test_support_zero_velocity(quad, eik):
         assert support_function(model, 0.0, [1.0], [0.0]) == pytest.approx(0.0)
 
 
-def test_support_empty_sublevel_returns_none(eik, quad):
-    assert support_function(eik, -0.1, [0.0], [1.0]) is None
-    assert support_function(quad, -0.1, [0.0], [1.0]) is None
+def test_support_empty_sublevel_returns_nan(eik, quad):
+    assert np.isnan(support_function(eik, -0.1, [0.0], [1.0]))
+    assert np.isnan(support_function(quad, -0.1, [0.0], [1.0]))
 
 
 def test_support_positive_homogeneity(quad, eik_super):
@@ -132,8 +132,8 @@ def test_support_positive_homogeneity(quad, eik_super):
             x = [rng.uniform(-3, 3)]
             q = [rng.uniform(-2, 2)]
             t = rng.uniform(0.0, 4.0)
-            s1 = support_function(model, 0.3, x, q)
-            st = support_function(model, 0.3, x, [t * q[0]])
+            s1 = support_function(model, 0.3, x, q)[0]
+            st = support_function(model, 0.3, x, [t * q[0]])[0]
             assert st == pytest.approx(t * s1, abs=1e-12 * (1 + abs(s1)))
 
 
@@ -167,8 +167,8 @@ def test_support_table_matches_pointwise(quad, eik_super, grid_tiny, vs7):
                                      vs7.vectors[None, :, :])
             for i in range(grid_tiny.num_nodes):
                 for m in range(vs7.size):
-                    s = support_function(model, a, grid_tiny.coords[i], vs7.vectors[m])
-                    assert table[i, m] == s if s is not None else np.isnan(table[i, m])
+                    s = support_function(model, a, grid_tiny.coords[i], vs7.vectors[m])[0]
+                    assert table[i, m] == s if not np.isnan(s) else np.isnan(table[i, m])
 
 
 def test_support_batch_marks_empty_with_nan(quad, grid_c, vs7):
@@ -237,7 +237,7 @@ def test_normalization_shift_moves_levels():
     assert support_function(down, 0.0, [0.0], [1.0]) == pytest.approx(
         math.sqrt(0.6), abs=1e-12)
     up = make_model("quadratic", "half_square", normalization_shift=-0.3)
-    assert support_function(up, 0.0, [0.0], [1.0]) is None
+    assert np.isnan(support_function(up, 0.0, [0.0], [1.0]))
     assert support_function(up, 0.3, [0.0], [1.0]) == pytest.approx(0.0, abs=1e-12)
 
 

@@ -54,11 +54,19 @@ _STATUS_NA = "NotApplicable"
 
 def enric1_values(critical, polytope, query_nodes):
     """min over the Mather polytope of <mu, P(., x)> at each node index x of
-    query_nodes, one LP each, started from the polytope's crash basis (the
-    ergodic optimum plus the budget slack)."""
+    query_nodes, one LP each.  The queries share the polytope, so each
+    starts from the optimal basis of the query before it, which is
+    feasible; the first starts from the polytope's crash basis (the ergodic
+    optimum plus the budget slack)."""
     node_of_column = polytope.active // polytope.meta["velocity_set"].size
-    return np.array([lp_solve(polytope, peierls_field_to(critical, int(x))[node_of_column])
-                     .objective for x in query_nodes], dtype=float)
+    values = []
+    basis = None
+    for x in query_nodes:
+        res = lp_solve(polytope, peierls_field_to(critical, int(x))[node_of_column],
+                       basis0=basis)
+        values.append(res.objective)
+        basis = res.basis
+    return np.array(values, dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -174,9 +182,6 @@ class UniquenessVerdict:
     status: str
     worst_gap: float            # max of v - w over the reporting region
     witness: Optional[int]
-    hypothesis_gap: float       # max of v - w over the Mather nodes
-    recon_err_v: float
-    recon_err_w: float
 
 
 UNIQUENESS_TOL = 1e-6     # the hypothesis v <= w + UNIQUENESS_TOL on the Mather nodes
@@ -211,17 +216,13 @@ def uniqueness_test(critical, mather_nodes, v, w):
     mather_nodes = np.asarray(mather_nodes, dtype=int)
     hyp = float(np.max(vv[mather_nodes] - ww[mather_nodes]))
     if hyp > UNIQUENESS_TOL:
-        return UniquenessVerdict(status=_STATUS_NA, worst_gap=np.nan, witness=None,
-                                 hypothesis_gap=hyp, recon_err_v=errs[0],
-                                 recon_err_w=errs[1])
+        return UniquenessVerdict(status=_STATUS_NA, worst_gap=np.nan, witness=None)
     gaps = vv - ww
     gaps[~region_mask] = -np.inf
     witness = int(np.argmax(gaps))
     worst = float(gaps[witness])
     status = _STATUS_PASS if worst <= UNIQUENESS_FACTOR * UNIQUENESS_TOL else _STATUS_FAIL
-    return UniquenessVerdict(status=status, worst_gap=worst, witness=witness,
-                             hypothesis_gap=hyp, recon_err_v=errs[0],
-                             recon_err_w=errs[1])
+    return UniquenessVerdict(status=status, worst_gap=worst, witness=witness)
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +254,6 @@ class StudyReport:
     critical: object
     ergodic_objective: float
     critical_crosscheck: float        # |c_bisection + ergodic LP optimum|
-    sub_box: np.ndarray
 
 
 def _agreement_nodes(grid, sub_box, count, probes):
@@ -306,6 +306,10 @@ def vanishing_discount_study(model, grid, velocity_set, schedule,
 
     mask = grid.box_mask(sub_box)
     rows, failures, sup_gaps = [], [], []
+    # every discounted LP has the same columns, and a basis of one column
+    # per node inverts to a nonnegative matrix, so each LP starts from the
+    # optimal basis of the last one solved (the first from the q = 0 crash)
+    lp_basis = None
     for lam in schedule:
         try:
             sol = solve_discounted(model, grid, velocity_set, lam, tol=solver_tol,
@@ -322,10 +326,12 @@ def vanishing_discount_study(model, grid, velocity_set, schedule,
             z = grid.node_near(p)
             try:
                 lp = lp_solve(build_discounted_lp(model, grid, velocity_set, lam, z,
-                                                  transition=transition))
+                                                  transition=transition),
+                              basis0=lp_basis)
             except WeakKAMError as exc:
                 failures.append({"lambda": lam, "stage": f"lp@{p}", "error": repr(exc)})
                 continue
+            lp_basis = lp.basis
             lam_u = lam * float(sol.u[z])
             rows.append(StudyRow(
                 lam=lam, sup_gap=gap, iterations=sol.iterations,
@@ -337,5 +343,4 @@ def vanishing_discount_study(model, grid, velocity_set, schedule,
                        mather_nodes=mnodes, estimator_agreement=agreement,
                        rows=rows, failures=failures,
                        critical=critical, ergodic_objective=ergodic.objective,
-                       critical_crosscheck=abs(critical.c + ergodic.objective),
-                       sub_box=sub_box)
+                       critical_crosscheck=abs(critical.c + ergodic.objective))

@@ -31,6 +31,12 @@ Both use the unit-mass normalization; for the discounted program the mass
 row is implied exactly by the holonomy rows (their sum reads
 lambda*h*(total mass) = lambda*h) and is therefore not repeated, which
 also makes the q = 0 self-loop columns a feasible diagonal crash basis.
+More generally, a discounted basis of one column per node is
+(1+lambda*h) I - W^T with W substochastic, an M-matrix with a nonnegative
+inverse, so it is feasible for every lambda and z: a sequence of
+discounted programs can start each from the optimal basis of the last.
+Likewise every program over one Mather polytope shares its feasible set,
+so any optimal basis of one is a feasible start for the next.
 Each constraint matrix is a `simplex.Columns` store built column by column
 (no m x n array is formed).  All three are solved by `lp_solve`.
 """
@@ -154,13 +160,16 @@ def build_discounted_lp(model, grid, velocity_set, lam, z, transition=None):
                            "crash_basis": crash})
 
 
-def lp_solve(problem, objective=None):
+def lp_solve(problem, objective=None, basis0=None):
     """Solve the program; returns the measure, the optimum, and the duals
     (the multipliers on the stationarity rows approximate a subsolution
     potential and are reported for diagnostics).
 
     `objective`, indexed like `active`, replaces the measure costs
-    `problem.c`; slack columns cost 0.  Masses at or below SUPPORT_TOL are
+    `problem.c`; slack columns cost 0.  `basis0` is the starting basis,
+    typically the `LPResult.basis` of an earlier program over the same
+    columns; None means the program's crash basis.  A start that is not
+    feasible falls back to phase 1.  Masses at or below SUPPORT_TOL are
     zeroed.  The vertices of the Mather polytope are measures of kind
     "ergodic".
     """
@@ -168,7 +177,9 @@ def lp_solve(problem, objective=None):
     if objective is not None:
         c = np.zeros(len(problem.c))
         c[:len(objective)] = objective
-    sol = solve_lp(c, problem.A, problem.b, basis0=problem.meta.get("crash_basis"))
+    if basis0 is None:
+        basis0 = problem.meta.get("crash_basis")
+    sol = solve_lp(c, problem.A, problem.b, basis0=basis0)
     x = sol.x[:len(problem.active)]
     meta = problem.meta
     mass = np.zeros((meta["grid"].num_nodes, meta["velocity_set"].size))
@@ -221,8 +232,6 @@ def holonomy_residual(mu, lam, z, transition):
 class SupportReport:
     outside_mass: float
     passed: Optional[bool]       # None for discounted measures (informational)
-    dilation: float
-    q_bound: float
     mass_tol: float              # the outside mass an ergodic measure may carry
 
 
@@ -247,8 +256,7 @@ def support_check(mu, critical, q_bound=None, mass_tol=None):
     far = (d > dil + 1e-12)[:, None] | (vset.speeds() > q_bound + 1e-12)
     outside = float(sequential_sum(mu.mass[nodes][far]))
     passed = (outside <= mass_tol) if mu.kind == "ergodic" else None
-    return SupportReport(outside_mass=outside, passed=passed,
-                         dilation=dil, q_bound=float(q_bound), mass_tol=float(mass_tol))
+    return SupportReport(outside_mass=outside, passed=passed, mass_tol=float(mass_tol))
 
 
 # ---------------------------------------------------------------------------

@@ -472,7 +472,6 @@ class Verdict:
     name: str
     passed: bool
     detail: str = ""
-    witness: Optional[tuple] = None
 
 
 @dataclass

@@ -256,13 +256,15 @@ def solve_lp(c, A, b, basis0=None):
     """Optimal basic feasible solution of min c.x, A x = b, x >= 0.
 
     `A` is a `Columns` store, or a dense array that is stored by columns
-    here.  `basis0` is a known-feasible starting basis (the discounted
-    program's q = 0 crash, the Mather polytope's ergodic optimal basis); it
-    replaces phase 1 when its basic solution is nonnegative.  `iterations`
-    counts every pivot: phase 1, the drive-out of artificials, phase 2 and
-    the dual clean-up; phase 1, phase 2 and the clean-up are each capped at
-    50(m + n) + 2000 pivots (`MaxIterExceeded`).  The caller's arrays are
-    never modified.  Every failure raises a WeakKAMError.
+    here.  `basis0` is a known-feasible starting basis: the discounted
+    program's q = 0 crash, the Mather polytope's ergodic optimal basis, or
+    the optimal basis of the previous program in a sequence over the same
+    columns (`measures.lp_solve(basis0=)`).  It replaces phase 1 when its
+    basic solution is nonnegative.  `iterations` counts every pivot: phase
+    1, the drive-out of artificials, phase 2 and the dual clean-up; phase 1,
+    phase 2 and the clean-up are each capped at 50(m + n) + 2000 pivots
+    (`MaxIterExceeded`).  The caller's arrays are never modified.  Every
+    failure raises a WeakKAMError.
     """
     if not isinstance(A, Columns):
         A = Columns.from_dense(A)
@@ -288,10 +290,13 @@ def solve_lp(c, A, b, basis0=None):
             Binv = None
         if Binv is None or not np.all(Binv @ b >= -1e-8):
             basis = None
+    # whether Binv is the plain inverse of the basis, free of rank-1 updates
+    fresh = basis is not None
 
     if basis is None:
         basis, Binv, total_it, keep_rows = _phase1(A, b_work, scale_b, max_iter)
-        if not keep_rows.all():
+        fresh = not keep_rows.all()
+        if fresh:
             A, b, b_work = A.take_rows(keep_rows), b[keep_rows], b_work[keep_rows]
             basis = basis[keep_rows]
             Binv = _inverse(A, basis)
@@ -300,8 +305,10 @@ def solve_lp(c, A, b, basis0=None):
     total_it += it
     # re-solve the final basis against the unperturbed right-hand side; a
     # graded vertex can sit just outside the exact feasible set, in which
-    # case dual pivots walk it back while preserving optimality
-    Binv = _inverse(A, basis)
+    # case dual pivots walk it back while preserving optimality.  A basis
+    # that phase 2 left alone is already inverted afresh.
+    if it or not fresh:
+        Binv = _inverse(A, basis)
     xB = Binv @ b
     if float(np.min(xB)) < -1e-9 * scale_b:
         basis, Binv, xB, it = _dual_cleanup(A, b, c, basis, Binv, max_iter)

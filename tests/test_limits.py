@@ -324,14 +324,57 @@ def test_study_runs_phase_1_only_for_the_ergodic_lp(monkeypatch):
 
 
 def test_warm_started_barrier_queries_match_cold_solves(quad_setup, grid_c, vs7):
+    # each query starts from the optimal basis of the one before it, so
+    # the chain is run in both orders
     crit, _, poly = quad_setup
     nodes = [grid_c.node_near([x]) for x in (-1.5, -0.5, 0.0, 0.5, 1.5)]
-    warm = enric1_values(crit, poly, nodes)
-    for x, value in zip(nodes, warm):
+    cold = []
+    for x in nodes:
         pfield = peierls_field_to(crit, x)
         c = np.append(pfield[poly.active // vs7.size], 0.0)
-        cold = simplex.solve_lp(c, poly.A, poly.b)
-        assert abs(value - cold.objective) <= 1e-12
+        cold.append(simplex.solve_lp(c, poly.A, poly.b).objective)
+    forward = enric1_values(crit, poly, nodes)
+    backward = enric1_values(crit, poly, nodes[::-1])[::-1]
+    assert np.max(np.abs(forward - cold)) <= 1e-12
+    assert np.max(np.abs(backward - cold)) <= 1e-12
+
+
+def test_study_pivot_budget(monkeypatch):
+    # The acceptance model at h = 0.1 (82 rows per Mather-face LP).  Chained
+    # starts make the barrier queries after the first and the discounted
+    # LPs after the first nearly free; restarted from the ergodic basis and
+    # the q = 0 crash they took 232 clean-up and 246 discounted pivots.
+    log = []
+    lp_solve_, cleanup = limits.lp_solve, simplex._dual_cleanup
+
+    def solving(problem, *args, **kwargs):
+        log.append([problem.kind, 0, 0])
+        res = lp_solve_(problem, *args, **kwargs)
+        log[-1][1] = res.iterations
+        return res
+
+    def cleaning(*args, **kwargs):
+        out = cleanup(*args, **kwargs)
+        log[-1][2] += out[3]
+        return out
+
+    monkeypatch.setattr(limits, "lp_solve", solving)
+    monkeypatch.setattr(simplex, "_dual_cleanup", cleaning)
+    g = build_grid([[-4.0, 4.0]], 0.1)
+    vs = build_velocity_set(1.5, 7)
+    rep = vanishing_discount_study(superlinearize(make_model("eikonal", "abs"), g), g, vs,
+                                   [0.5, 0.25], probes=((0.0,), (1.0,)), n_objectives=2,
+                                   agreement_count=3)
+    assert not rep.failures
+    # the ergodic LP, 2 vertex samples, 4 barrier queries (x = -2, 0, 2, 1)
+    # and 4 discounted LPs
+    kinds = [kind for kind, _, _ in log]
+    assert kinds == ["ergodic"] + ["mather"] * 6 + ["discounted"] * 4
+    queries, discounted = log[3:7], log[7:]
+    later_cleanup = sum(clean for _, _, clean in queries[1:])
+    later_discounted = sum(pivots for _, pivots, _ in discounted[1:])
+    assert later_cleanup <= 20, queries
+    assert later_discounted <= 20, discounted
 
 
 def test_study_propagates_programming_errors_from_the_solve(monkeypatch):

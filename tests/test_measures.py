@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from weakkam import simplex
 from weakkam.discounted import quadratic_rate, solve_discounted
 from weakkam.grids import build_grid, build_transition, build_velocity_set
 from weakkam.measures import (
@@ -146,6 +147,43 @@ def test_discounted_lp_is_the_exact_dual_of_the_scheme(disc_setup):
         sol = solve_discounted(quad, g, vs, lam, transition=tr)
         lam_u = lam * float(sol.u[g.node_near([z])])
         assert abs(res.objective - lam_u) <= 1e-9, (lam, z)
+
+
+def test_discounted_lps_chain_their_optimal_bases(disc_setup, monkeypatch):
+    # every discounted LP has the same columns, so an optimal basis of one
+    # (lambda, z) is a feasible start for any other; phase 1 never runs
+    g, vs, tr, quad = disc_setup
+    cases = ((1.0, 1.0), (0.5, 0.0), (0.5, 1.0), (0.1, 1.0))
+    problems = [build_discounted_lp(quad, g, vs, lam, [z], transition=tr)
+                for lam, z in cases]
+    cold = [lp_solve(p) for p in problems]
+
+    def no_phase_1(*args, **kwargs):
+        raise AssertionError("phase 1 ran")
+
+    monkeypatch.setattr(simplex, "_phase1", no_phase_1)
+    for (lam, z), problem, ref in zip(cases, problems, cold):
+        lam_u = lam * float(solve_discounted(quad, g, vs, lam, transition=tr)
+                            .u[g.node_near([z])])
+        for start in cold:
+            if start is ref:
+                continue
+            warm = lp_solve(problem, basis0=start.basis)
+            assert abs(warm.objective - ref.objective) <= 1e-12, (lam, z)
+            assert abs(warm.objective - lam_u) <= 1e-9, (lam, z)
+
+
+def test_one_column_per_node_bases_have_nonnegative_inverses(disc_setup):
+    # such a basis is (1 + lambda h) I - W^T with W substochastic, an
+    # M-matrix, so it is feasible for every right-hand side lambda h e_z
+    g, vs, tr, quad = disc_setup
+    rng = np.random.default_rng(4)
+    for lam in (1.0, 0.1, 0.01):
+        problem = build_discounted_lp(quad, g, vs, lam, 0, transition=tr)
+        node = problem.active // vs.size
+        for _ in range(5):
+            basis = [rng.choice(np.flatnonzero(node == i)) for i in range(g.num_nodes)]
+            assert np.all(np.linalg.inv(problem.A.dense(basis)) >= 0.0), lam
 
 
 def test_discounted_lp_holonomy_residual(disc_setup):

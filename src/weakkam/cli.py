@@ -55,17 +55,6 @@ from .models import (
     validate_assumptions,
 )
 
-DEFAULTS = {
-    "model": {"normalization_shift": 0.0, "superlinearize": None},
-    "solver": {"tol": 1e-6, "max_iter": None},
-    "ergodic": {"bisection_tol": 1e-3, "eps_aubry": None},
-    "measures": {"slack": None, "n_objectives": 4, "q_bound": None, "mass_tol": None},
-    "study": {"sub_box": None, "agreement_count": 9},
-    "outputs": {"directory": "out", "formats": ["csv", "svg"]},
-    "seeds": {"master": 0},
-}
-
-
 # ---------------------------------------------------------------------------
 # config handling
 # ---------------------------------------------------------------------------
@@ -115,16 +104,6 @@ def _require(cfg, path, types, predicate=None, what=""):
     return node
 
 
-def _merge_defaults(cfg):
-    for section, defaults in DEFAULTS.items():
-        block = cfg.setdefault(section, {})
-        if not isinstance(block, dict):
-            raise ConfigError(f"{section}: expected an object")
-        for key, val in defaults.items():
-            block.setdefault(key, val)
-    return cfg
-
-
 def _is_number(value):
     return type(value) in (int, float) and math.isfinite(value)
 
@@ -139,19 +118,34 @@ _NONNEGATIVE = (lambda v: _is_number(v) and v >= 0, "a nonnegative number")
 _COUNT = (lambda v: type(v) is int and v >= 0, "a nonnegative integer")
 _POSITIVE_COUNT = (lambda v: type(v) is int and v > 0, "a positive integer")
 
-# the values each defaulted setting accepts, besides None where None is the default
+# every defaulted setting: its default, then the values it accepts besides a
+# None default and their description (study.sub_box is checked against the grid)
 SETTINGS = {
-    "model.normalization_shift": (lambda v: v == "auto" or _is_number(v), 'a number or "auto"'),
-    "model.superlinearize": (lambda v: isinstance(v, bool), "true or false"),
-    "solver.tol": _POSITIVE, "solver.max_iter": _POSITIVE_COUNT,
-    "ergodic.bisection_tol": _POSITIVE, "ergodic.eps_aubry": _POSITIVE,
-    "measures.slack": _NONNEGATIVE, "measures.n_objectives": _COUNT,
-    "measures.q_bound": _POSITIVE, "measures.mass_tol": _NONNEGATIVE,
-    "study.agreement_count": _POSITIVE_COUNT, "seeds.master": _COUNT,
-    "outputs.directory": (lambda v: isinstance(v, str), "a path"),
-    "outputs.formats": (lambda v: isinstance(v, list) and all(isinstance(f, str) for f in v),
-                        "a list of format names"),
+    "model.normalization_shift": (0.0, lambda v: v == "auto" or _is_number(v),
+                                  'a number or "auto"'),
+    "model.superlinearize": (None, lambda v: isinstance(v, bool), "true or false"),
+    "solver.tol": (1e-6, *_POSITIVE),
+    "solver.max_iter": (None, *_POSITIVE_COUNT),
+    "ergodic.bisection_tol": (1e-3, *_POSITIVE),
+    "ergodic.eps_aubry": (None, *_POSITIVE),
+    "measures.slack": (None, *_NONNEGATIVE),
+    "measures.n_objectives": (4, *_COUNT),
+    "measures.mass_tol": (None, *_NONNEGATIVE),
+    "study.sub_box": (None, None, None),
+    "study.agreement_count": (9, *_POSITIVE_COUNT),
+    "outputs.directory": ("out", lambda v: isinstance(v, str), "a path"),
+    "seeds.master": (0, *_COUNT),
 }
+
+
+def _merge_defaults(cfg):
+    for path, (default, _, _) in SETTINGS.items():
+        section, key = path.split(".")
+        block = cfg.setdefault(section, {})
+        if not isinstance(block, dict):
+            raise ConfigError(f"{section}: expected an object")
+        block.setdefault(key, default)
+    return cfg
 
 
 def validate_config(cfg, need_schedule=False):
@@ -196,10 +190,10 @@ def validate_config(cfg, need_schedule=False):
         elif not (isinstance(p, list) and len(p) == dim and all(map(_is_number, p))):
             raise ConfigError(f"probes[{k}]: expected a list of {dim} numbers, got {p!r}")
     cfg["probes"] = probes
-    for path, (accepts, what) in SETTINGS.items():
+    for path, (default, accepts, what) in SETTINGS.items():
         section, key = path.split(".")
         value = cfg[section][key]
-        if not ((value is None and DEFAULTS[section][key] is None) or accepts(value)):
+        if accepts and not ((value is None and default is None) or accepts(value)):
             raise ConfigError(f"{path}: expected {what}, got {value!r}")
     sub_box = cfg["study"]["sub_box"]
     if sub_box is not None and not (isinstance(sub_box, list) and len(sub_box) == dim
@@ -438,8 +432,7 @@ def cmd_mather(cfg, ctx, out, args):
     arts = []
     if args.lam is None:
         res = lp_solve(build_ergodic_lp(model, grid, vset, transition=tr))
-        sup = support_check(res.measure, data, q_bound=cfg["measures"]["q_bound"],
-                            mass_tol=cfg["measures"]["mass_tol"])
+        sup = support_check(res.measure, data, mass_tol=cfg["measures"]["mass_tol"])
         payload = {
             "kind": "ergodic",
             "objective": _claim(res.objective, "ergodic LP optimum", 1e-9),
@@ -545,15 +538,14 @@ def cmd_study(cfg, ctx, out, args):
             "failures": rep.failures,
         }),
     ]
-    if "svg" in cfg["outputs"]["formats"]:
-        finite = [(l, gap) for l, gap in zip(rep.lambda_schedule, rep.sup_gaps)
-                  if np.isfinite(gap)]
-        if finite:
-            arts.append(io.write_line_svg(out / "gaps.svg",
-                                          [l for l, _ in finite],
-                                          [g for _, g in finite],
-                                          title="discount study",
-                                          xlabel="lambda", ylabel="sup gap"))
+    finite = [(l, gap) for l, gap in zip(rep.lambda_schedule, rep.sup_gaps)
+              if np.isfinite(gap)]
+    if finite:
+        arts.append(io.write_line_svg(out / "gaps.svg",
+                                      [l for l, _ in finite],
+                                      [g for _, g in finite],
+                                      title="discount study",
+                                      xlabel="lambda", ylabel="sup gap"))
     code = 3 if rep.failures else 0
     return code, arts
 

@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import BracketInvalid, EmptySublevel, IncompatibleTrace, NegativeCycle
-from .grids import build_transition, interpolate
+from .grids import interpolate
 from .models import (
     h_at_zero,
     h_min_over_p,
@@ -47,12 +47,10 @@ COMPAT_TOL = 1e-9  # relative slack of the weak KAM trace compatibility check
 # edge costs
 # ---------------------------------------------------------------------------
 
-def edge_costs(model, grid, velocity_set, a, transition=None):
+def edge_costs(model, grid, velocity_set, a, transition):
     """Cost h*sigma_a(x_i, q) per unclipped transition; +INF marks excluded
     edges.  Raises EmptySublevel, naming the first such node, when some node
     has an empty a-sublevel."""
-    if transition is None:
-        transition = build_transition(grid, velocity_set)
     sigma = support_function(model, a, grid.coords[:, None, :],
                              velocity_set.vectors[None, :, :])
     bad = np.isnan(sigma[:, velocity_set.zero_index()])
@@ -122,14 +120,12 @@ def distances_to_targets(costs, transition, targets):
     return D
 
 
-def intrinsic_distance(model, grid, velocity_set, a, source, transition=None,
+def intrinsic_distance(model, grid, velocity_set, a, source, transition,
                        direction="from"):
     """Distance field of the level-a metric: S_a(source, .) for direction
     "from" (cost of reaching each node from `source`), S_a(., source) for
     direction "to", as an (n,) array.  Raises NegativeCycle when a is
     subcritical."""
-    if transition is None:
-        transition = build_transition(grid, velocity_set)
     if direction == "from":
         costs = reverse_edge_costs(model, grid, velocity_set, a, transition)
     else:
@@ -157,7 +153,6 @@ class CriticalData:
     S_to: Optional[np.ndarray] = None
     S_from: Optional[np.ndarray] = None
     grid: object = None
-    model: object = None
     velocity_set: object = None
 
 
@@ -176,7 +171,7 @@ def is_subcritical(model, grid, velocity_set, a, transition):
     return False, "feasible"
 
 
-def critical_value(model, grid, velocity_set, tol=1e-3, transition=None):
+def critical_value(model, grid, velocity_set, tol=1e-3, *, transition):
     """Bisection for the critical value between max_x min_p H (below which
     some sublevel empties) and max_x H(x,0) (above which constants are
     subsolutions), to a bracket no wider than tol > 0.  A level is
@@ -184,8 +179,6 @@ def critical_value(model, grid, velocity_set, tol=1e-3, transition=None):
     negative cycle."""
     if not tol > 0:
         raise ValueError(f"bisection tolerance must be positive, got {tol!r}")
-    if transition is None:
-        transition = build_transition(grid, velocity_set)
     pts = grid.coords
     a_lo = float(np.max(h_min_over_p(model, pts)))
     a_hi = float(np.max(h_at_zero(model, pts)))
@@ -206,8 +199,7 @@ def critical_value(model, grid, velocity_set, tol=1e-3, transition=None):
         else:
             a_hi = mid
     data = CriticalData(c=0.5 * (a_lo + a_hi), bracket=(a_lo, a_hi), trace=trace,
-                        level=a_hi, grid=grid, model=model,
-                        velocity_set=velocity_set)
+                        level=a_hi, grid=grid, velocity_set=velocity_set)
     return data
 
 
@@ -235,8 +227,8 @@ def default_eps_aubry(model, grid, a):
     return 2.0 * lip * grid.h ** 2
 
 
-def build_aubry_data(model, grid, velocity_set, tol=1e-3, eps_aubry=None,
-                     transition=None):
+def build_aubry_data(model, grid, velocity_set, tol=1e-3, eps_aubry=None, *,
+                     transition):
     """Bisection, then the Aubry set and the distances to it at data.level.
 
     Aubry nodes are those traversed by nontrivial cycles of intrinsic cost
@@ -249,8 +241,6 @@ def build_aubry_data(model, grid, velocity_set, tol=1e-3, eps_aubry=None,
     (cycle_exact reports which).  The return distances of the Aubry
     nodes are kept as S_to; S_from is left unset.
     """
-    if transition is None:
-        transition = build_transition(grid, velocity_set)
     data = critical_value(model, grid, velocity_set, tol=tol, transition=transition)
     # the bisection certified data.level feasible, so no sublevel is empty
     ec = edge_costs(model, grid, velocity_set, data.level, transition)
@@ -286,13 +276,11 @@ def build_aubry_data(model, grid, velocity_set, tol=1e-3, eps_aubry=None,
     return data
 
 
-def build_critical_data(model, grid, velocity_set, tol=1e-3, eps_aubry=None,
-                        transition=None):
+def build_critical_data(model, grid, velocity_set, tol=1e-3, eps_aubry=None, *,
+                        transition):
     """`build_aubry_data` plus S_from, the distances from the Aubry nodes
     (one relaxation over the reversed edges), which the Peierls barrier
     and the weak KAM min-formula read."""
-    if transition is None:
-        transition = build_transition(grid, velocity_set)
     data = build_aubry_data(model, grid, velocity_set, tol=tol, eps_aubry=eps_aubry,
                             transition=transition)
     data.S_from = distances_to_targets(
@@ -339,15 +327,13 @@ def weak_kam_solution(critical, v0):
 # subsolution utilities
 # ---------------------------------------------------------------------------
 
-def is_subsolution(u, model, grid, velocity_set, a, slack, transition=None):
+def is_subsolution(u, model, grid, velocity_set, a, slack, transition):
     """Discrete Fenchel-form check u(foot(i,q)) - u(i) <= h*(L(x_i,q) + a)
     for a field u, an (n,) array over the nodes.
 
     Runs over unclipped (i,q) pairs with finite L; returns (verdict, worst
     residual) where the residual is the largest violation before slack.
     """
-    if transition is None:
-        transition = build_transition(grid, velocity_set)
     vals = np.asarray(u, dtype=float)
     L = lagrangian_table(model, grid.coords, velocity_set.vectors)
     cont = interpolate(transition, vals)

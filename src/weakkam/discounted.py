@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MaxIterExceeded, WeakKAMError
-from .grids import build_transition, interpolate
+from .grids import interpolate
 from .models import lagrangian_table
 
 # Narrower blocks cost more in per-block overhead than they save in
@@ -91,8 +91,8 @@ def policy_solve(transition, q, rhs, diag):
     return z.reshape(-1)[:n]
 
 
-def solve_discounted(model, grid, velocity_set, lam, tol=1e-6, max_iter=None,
-                     transition=None):
+def solve_discounted(model, grid, velocity_set, lam, tol=1e-6, max_iter=None, *,
+                     transition):
     """Howard policy iteration to the discrete fixed point.
 
     Each step improves the policy greedily (a node keeps its action unless
@@ -106,8 +106,6 @@ def solve_discounted(model, grid, velocity_set, lam, tol=1e-6, max_iter=None,
     """
     if lam <= 0:
         raise ValueError("discount rate lambda must be positive")
-    if transition is None:
-        transition = build_transition(grid, velocity_set)
     n = grid.num_nodes
     rows = np.arange(n)
     stage = grid.h * lagrangian_table(model, grid.coords, velocity_set.vectors)

@@ -33,7 +33,6 @@ import numpy as np
 from .critical import build_critical_data, peierls_field_to, weak_kam_solution
 from .discounted import solve_discounted
 from .errors import NoMeasures, WeakKAMError
-from .grids import build_transition
 from .measures import (
     build_discounted_lp,
     build_ergodic_lp,
@@ -181,7 +180,6 @@ def mather_set(measures, grid):
 class UniquenessVerdict:
     status: str
     worst_gap: float            # max of v - w over the reporting region
-    witness: Optional[int]
 
 
 UNIQUENESS_TOL = 1e-6     # the hypothesis v <= w + UNIQUENESS_TOL on the Mather nodes
@@ -216,13 +214,10 @@ def uniqueness_test(critical, mather_nodes, v, w):
     mather_nodes = np.asarray(mather_nodes, dtype=int)
     hyp = float(np.max(vv[mather_nodes] - ww[mather_nodes]))
     if hyp > UNIQUENESS_TOL:
-        return UniquenessVerdict(status=_STATUS_NA, worst_gap=np.nan, witness=None)
-    gaps = vv - ww
-    gaps[~region_mask] = -np.inf
-    witness = int(np.argmax(gaps))
-    worst = float(gaps[witness])
+        return UniquenessVerdict(status=_STATUS_NA, worst_gap=np.nan)
+    worst = float(np.max((vv - ww)[region_mask]))
     status = _STATUS_PASS if worst <= UNIQUENESS_FACTOR * UNIQUENESS_TOL else _STATUS_FAIL
-    return UniquenessVerdict(status=status, worst_gap=worst, witness=witness)
+    return UniquenessVerdict(status=status, worst_gap=worst)
 
 
 # ---------------------------------------------------------------------------
@@ -270,8 +265,8 @@ def _agreement_nodes(grid, sub_box, count, probes):
 def vanishing_discount_study(model, grid, velocity_set, schedule,
                              probes=((0.0,),), sub_box=None, solver_tol=1e-6,
                              bisect_tol=1e-3, eps_aubry=None, slack=None,
-                             n_objectives=4, seed=0, agreement_count=9,
-                             transition=None, max_iter=None):
+                             n_objectives=4, seed=0, agreement_count=9, *,
+                             transition, max_iter=None):
     """Decreasing-discount convergence study against the selected limit.
 
     Per-lambda solves and discounted LPs that fail with a WeakKAMError are
@@ -281,8 +276,6 @@ def vanishing_discount_study(model, grid, velocity_set, schedule,
     schedule = [float(l) for l in schedule]
     if any(b >= a for a, b in zip(schedule, schedule[1:])):
         raise ValueError("schedule must be strictly decreasing")
-    if transition is None:
-        transition = build_transition(grid, velocity_set)
     if sub_box is None:
         sub_box = grid.scaled_box(0.5)
     sub_box = np.asarray(sub_box, dtype=float).reshape(grid.dimension, 2)

@@ -48,7 +48,6 @@ from typing import Optional
 
 import numpy as np
 
-from .grids import build_transition
 from .models import lagrangian_table
 from .simplex import Columns, solve_lp
 
@@ -113,10 +112,8 @@ def _stationarity_matrix(transition, active, factor_out=1.0):
     return Columns(rows=rows, vals=vals, m=n)
 
 
-def build_ergodic_lp(model, grid, velocity_set, transition=None):
+def build_ergodic_lp(model, grid, velocity_set, transition):
     """min <mu, L> over {mu >= 0, closed, total mass 1}."""
-    if transition is None:
-        transition = build_transition(grid, velocity_set)
     L = lagrangian_table(model, grid.coords, velocity_set.vectors).reshape(-1)
     active = _finite_variables(L)
     n = grid.num_nodes
@@ -130,7 +127,7 @@ def build_ergodic_lp(model, grid, velocity_set, transition=None):
                            "transition": transition})
 
 
-def build_discounted_lp(model, grid, velocity_set, lam, z, transition=None):
+def build_discounted_lp(model, grid, velocity_set, lam, z, transition):
     """min <mu, L> over the discounted holonomy polytope anchored at node z.
 
     z may be a node index or coordinates (snapped to the nearest node).
@@ -138,8 +135,6 @@ def build_discounted_lp(model, grid, velocity_set, lam, z, transition=None):
     scaled so the optimal measure is a probability and <mu, L> equals
     lambda * u_lambda(z) for the discrete fixed point u_lambda of the scheme.
     """
-    if transition is None:
-        transition = build_transition(grid, velocity_set)
     if not np.isscalar(z):
         z = grid.node_near(z)
     z = int(z)
@@ -235,17 +230,14 @@ class SupportReport:
     mass_tol: float              # the outside mass an ergodic measure may carry
 
 
-def support_check(mu, critical, q_bound=None, mass_tol=None):
-    """Mass outside (Aubry set dilated by 2h) x {|q| <= q_bound}.
+def support_check(mu, critical, mass_tol=None):
+    """Mass at the nodes outside the Aubry set dilated by 2h.
 
     Pass/fail applies to ergodic measures only, with at most mass_tol
     (default 1e-3 + 2h) outside; discounted occupation measures
     legitimately ride the approach path and are reported as informational.
     """
     grid = critical.grid
-    vset = critical.velocity_set
-    if q_bound is None:
-        q_bound = vset.q_max
     if mass_tol is None:
         mass_tol = 1e-3 + 2.0 * grid.h
     dil = 2.0 * grid.h
@@ -253,8 +245,8 @@ def support_check(mu, critical, q_bound=None, mass_tol=None):
     nodes = np.flatnonzero(mu.mass.any(axis=1))
     d = np.min(np.sqrt(np.sum((grid.coords[nodes, None, :] - aubry_pts) ** 2, axis=2)),
                axis=1)
-    far = (d > dil + 1e-12)[:, None] | (vset.speeds() > q_bound + 1e-12)
-    outside = float(sequential_sum(mu.mass[nodes][far]))
+    far = nodes[d > dil + 1e-12]
+    outside = float(sequential_sum(mu.mass[far].reshape(-1)))
     passed = (outside <= mass_tol) if mu.kind == "ergodic" else None
     return SupportReport(outside_mass=outside, passed=passed, mass_tol=float(mass_tol))
 

@@ -12,10 +12,12 @@ Degeneracy itself is defused by a deterministic graded perturbation of the
 right-hand side (the flow rows are all zero, so the unperturbed phase 1
 starts maximally degenerate); the final basic solution is recomputed
 against the original right-hand side, so feasibility residuals of the
-returned point are exact.  Redundant equality rows are detected in
-phase 1 and dropped (the occupation-measure programs are built with full
-row rank, so none is dropped there).  Deterministic throughout: ties break
-on the lowest index.
+returned point are exact.  The constraint rows must have full rank (the
+occupation-measure programs are built that way): a redundant row is an
+error, `SingularBasis` naming the row, when phase 1 cannot drive its
+artificial out.  The ratio test breaks ties toward large pivot elements,
+then toward the lowest basis index, so it never pivots on an entry that
+is tiny next to the other tied candidates.  Deterministic throughout.
 """
 
 from __future__ import annotations
@@ -112,10 +114,10 @@ class Columns:
 class LPSolution:
     x: np.ndarray
     objective: float
-    duals: np.ndarray          # one multiplier per original row (0 for dropped)
+    duals: np.ndarray          # one multiplier per row
     iterations: int
     basis: np.ndarray
-    dropped_rows: list
+    dropped_rows: list         # always empty: a redundant row raises instead
 
 
 def _inverse(A, basis):
@@ -177,6 +179,9 @@ def _core(A, b, c, basis, Binv, max_iter):
         ratios[pos] = np.maximum(ratios[pos], 0.0)
         theta = float(np.min(ratios))
         rows = np.nonzero(ratios <= theta + TOL * (1 + abs(theta)))[0]
+        # among the tied rows, only pivot elements within a factor 10 of the
+        # largest: a tiny one would leave the next basis nearly singular
+        rows = rows[d[rows] >= 0.1 * np.max(d[rows])]
         leave_row = int(rows[np.argmin(basis[rows])])
         _pivot_update(Binv, xB, d, leave_row, max(theta, 0.0))
         basis[leave_row] = enter
@@ -226,8 +231,10 @@ def _dual_cleanup(A, b, c, basis, Binv, max_iter):
 def _phase1(A, b_work, scale_b, max_iter):
     """Feasible basis of A x = b_work from an artificial identity start.
 
-    Returns the basis, its inverse, the pivots made and the mask of the rows
-    kept: a row whose artificial cannot be driven out is redundant.
+    Returns the basis, its inverse and the pivots made.  An artificial left
+    in the basis at level zero is driven out by one pivot; a row where no
+    column can replace it is a linear combination of the others, and raises
+    SingularBasis.
     """
     m, n = A.shape
     c1 = np.concatenate([np.zeros(n), np.ones(m)])
@@ -236,38 +243,34 @@ def _phase1(A, b_work, scale_b, max_iter):
     infeas = float(c1[basis] @ xB)
     if infeas > 1e-7 * scale_b + 10.0 * PERTURB * scale_b * m:
         raise InfeasibleLP(f"phase-1 infeasibility {infeas:.3e}")
-    keep_rows = np.ones(m, dtype=bool)
     for r in range(m):
         if basis[r] < n:
             continue
         row_vals = A.vecmat(Binv[r])
         j = int(np.argmax(np.abs(row_vals)))
-        if abs(row_vals[j]) > 1e-9:
-            d = A.matcol(Binv, j)
-            _pivot_update(Binv, xB, d, r, xB[r] / d[r] if abs(d[r]) > 1e-12 else 0.0)
-            basis[r] = j
-            it += 1
-        else:
-            keep_rows[r] = False
-    return basis, Binv, it, keep_rows
+        if abs(row_vals[j]) <= 1e-9:
+            raise SingularBasis(f"constraint row {basis[r] - n} is a linear "
+                                f"combination of the others")
+        d = A.matcol(Binv, j)
+        _pivot_update(Binv, xB, d, r, xB[r] / d[r] if abs(d[r]) > 1e-12 else 0.0)
+        basis[r] = j
+        it += 1
+    return basis, Binv, it
 
 
 def solve_lp(c, A, b, basis0=None):
     """Optimal basic feasible solution of min c.x, A x = b, x >= 0.
 
-    `A` is a `Columns` store, or a dense array that is stored by columns
-    here.  `basis0` is a known-feasible starting basis: the discounted
-    program's q = 0 crash, the Mather polytope's ergodic optimal basis, or
-    the optimal basis of the previous program in a sequence over the same
-    columns (`measures.lp_solve(basis0=)`).  It replaces phase 1 when its
-    basic solution is nonnegative.  `iterations` counts every pivot: phase
-    1, the drive-out of artificials, phase 2 and the dual clean-up; phase 1,
-    phase 2 and the clean-up are each capped at 50(m + n) + 2000 pivots
-    (`MaxIterExceeded`).  The caller's arrays are never modified.  Every
-    failure raises a WeakKAMError.
+    `A` is a `Columns` store.  `basis0` is a known-feasible starting basis:
+    the discounted program's q = 0 crash, the Mather polytope's ergodic
+    optimal basis, or the optimal basis of the previous program in a
+    sequence over the same columns (`measures.lp_solve(basis0=)`).  It
+    replaces phase 1 when its basic solution is nonnegative.  `iterations`
+    counts every pivot: phase 1, the drive-out of artificials, phase 2 and
+    the dual clean-up; phase 1, phase 2 and the clean-up are each capped at
+    50(m + n) + 2000 pivots (`MaxIterExceeded`).  The caller's arrays are
+    never modified.  Every failure raises a WeakKAMError.
     """
-    if not isinstance(A, Columns):
-        A = Columns.from_dense(A)
     b = np.asarray(b, dtype=float)
     c = np.asarray(c, dtype=float)
     m, n = A.shape
@@ -279,7 +282,6 @@ def solve_lp(c, A, b, basis0=None):
     b_work = b + PERTURB * scale_b * (1.0 + np.arange(m)) / max(m, 1)
     max_iter = 50 * (m + n) + 2000
     total_it = 0
-    keep_rows = np.ones(m, dtype=bool)
 
     basis = Binv = None
     if basis0 is not None:
@@ -294,12 +296,7 @@ def solve_lp(c, A, b, basis0=None):
     fresh = basis is not None
 
     if basis is None:
-        basis, Binv, total_it, keep_rows = _phase1(A, b_work, scale_b, max_iter)
-        fresh = not keep_rows.all()
-        if fresh:
-            A, b, b_work = A.take_rows(keep_rows), b[keep_rows], b_work[keep_rows]
-            basis = basis[keep_rows]
-            Binv = _inverse(A, basis)
+        basis, Binv, total_it = _phase1(A, b_work, scale_b, max_iter)
 
     basis, Binv, xB, it = _core(A, b_work, c, basis, Binv, max_iter)
     total_it += it
@@ -315,7 +312,5 @@ def solve_lp(c, A, b, basis0=None):
         total_it += it
     x = np.zeros(n)
     x[basis] = np.maximum(xB, 0.0)
-    duals = np.zeros(len(row_sign))
-    duals[keep_rows] = (c[basis] @ Binv) * row_sign[keep_rows]
-    return LPSolution(x=x, objective=float(c @ x), duals=duals, iterations=total_it,
-                      basis=basis.copy(), dropped_rows=list(np.nonzero(~keep_rows)[0]))
+    return LPSolution(x=x, objective=float(c @ x), duals=(c[basis] @ Binv) * row_sign,
+                      iterations=total_it, basis=basis.copy(), dropped_rows=[])

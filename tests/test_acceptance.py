@@ -71,7 +71,8 @@ def study_fine():
     model = superlinearize(make_model("eikonal", "abs"), grid)
     return grid, vanishing_discount_study(
         model, grid, vset, [0.5, 0.25, 0.125], probes=[(0.0,), (1.0,)],
-        sub_box=[[-2.0, 2.0]], solver_tol=1e-7, n_objectives=4, seed=0)
+        sub_box=[[-2.0, 2.0]], solver_tol=1e-7, n_objectives=4, seed=0,
+        transition=build_transition(grid, vset))
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +113,8 @@ def test_criterion_2_quadratic_oracle():
         errs[lam] = abs(float(sol.u[i1]) - quadratic_rate(lam))
         assert errs[lam] <= 0.02, (lam, errs[lam])
     vset_graph = build_velocity_set(1.0, 3)
-    crit = build_critical_data(model, grid, vset_graph, tol=1e-3)
+    crit = build_critical_data(model, grid, vset_graph, tol=1e-3,
+                               transition=build_transition(grid, vset_graph))
     w = weak_kam_solution(crit, 0.0)
     xg = grid.coords[:, 0]
     werr = float(np.max(np.abs(w - 0.5 * xg ** 2)[np.abs(xg) <= 2.0]))

@@ -103,7 +103,6 @@ BOX_2D = "grid.box=[[-2.0,2.0],[-2.0,2.0]]"
     ["grid.h=true"],
     ["velocity.q_max=true"],
     ["model.dimension=true"],
-    ["outputs.formats=5"],
 ], ids=" ".join)
 def test_bad_value_exit_2(tmp_path, capsys, overrides):
     cfg = write_cfg(tmp_path, TINY_STUDY)

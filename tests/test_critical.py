@@ -65,15 +65,15 @@ def test_critical_value_shifted():
     g = build_grid([[-4.0, 4.0]], 0.1)
     vs = build_velocity_set(1.0, 3)
     shifted = make_model("quadratic", "half_square", normalization_shift=0.3)
-    data = critical_value(shifted, g, vs, tol=1e-4)
+    data = critical_value(shifted, g, vs, tol=1e-4, transition=build_transition(g, vs))
     assert data.c == pytest.approx(-0.3, abs=1e-3)
 
 
-def test_bisection_tol_must_be_positive(quad, grid_tiny, vs3):
+def test_bisection_tol_must_be_positive(quad, grid_tiny, vs3, tr_tiny):
     # a collapsed bracket never gets narrower than a tolerance <= 0
     for tol in (0.0, -1.0):
         with pytest.raises(ValueError, match="bisection tolerance"):
-            critical_value(quad, grid_tiny, vs3, tol=tol)
+            critical_value(quad, grid_tiny, vs3, tol=tol, transition=tr_tiny)
 
 
 def test_critical_value_sampled_real_bisection(grid_tiny, vs3, tr_tiny):
@@ -190,7 +190,8 @@ def test_aubry_double_well_five_nodes():
     g = build_grid([[-2.0, 2.0]], 0.5)
     vs = build_velocity_set(1.0, 3)
     model = make_model("quadratic", "double_well")
-    nodes = build_critical_data(model, g, vs, eps_aubry=0.6).aubry_nodes
+    nodes = build_critical_data(model, g, vs, eps_aubry=0.6,
+                                transition=build_transition(g, vs)).aubry_nodes
     captured = {g.coords[int(z)][0] for z in nodes}
     assert {-1.0, 1.0} <= captured
     assert 2.0 not in captured and -2.0 not in captured
@@ -200,7 +201,7 @@ def test_aubry_double_well_fine():
     g = build_grid([[-2.0, 2.0]], 0.05)
     vs = build_velocity_set(1.0, 3)
     model = make_model("quadratic", "double_well")
-    nodes = build_critical_data(model, g, vs).aubry_nodes
+    nodes = build_critical_data(model, g, vs, transition=build_transition(g, vs)).aubry_nodes
     pts = g.coords[nodes][:, 0]
     assert np.min(np.abs(pts - 1.0)) == 0.0 and np.min(np.abs(pts + 1.0)) == 0.0
     assert np.all(np.minimum(np.abs(pts - 1.0), np.abs(pts + 1.0)) <= 5 * g.h)
@@ -329,7 +330,7 @@ def test_weak_kam_incompatible_trace():
     g = build_grid([[-2.0, 2.0]], 0.05)
     vs = build_velocity_set(1.0, 3)
     model = make_model("quadratic", "double_well")
-    data = build_critical_data(model, g, vs, tol=1e-3)
+    data = build_critical_data(model, g, vs, tol=1e-3, transition=build_transition(g, vs))
     zplus = [int(z) for z in data.aubry_nodes if g.coords[int(z)][0] > 0]
     zminus = [int(z) for z in data.aubry_nodes if g.coords[int(z)][0] < 0]
     trace = np.zeros(len(data.aubry_nodes))

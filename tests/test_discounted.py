@@ -56,12 +56,17 @@ def vs_m():
 
 
 @pytest.fixture(scope="module")
+def tr_m(grid_m, vs_m):
+    return build_transition(grid_m, vs_m)
+
+
+@pytest.fixture(scope="module")
 def eik_super_m(grid_m):
     return superlinearize(make_model("eikonal", "abs"), grid_m)
 
 
-def test_solve_eikonal_matches_oracle(eik_super_m, grid_m, vs_m):
-    sol = solve_discounted(eik_super_m, grid_m, vs_m, 0.5, tol=1e-7)
+def test_solve_eikonal_matches_oracle(eik_super_m, grid_m, vs_m, tr_m):
+    sol = solve_discounted(eik_super_m, grid_m, vs_m, 0.5, tol=1e-7, transition=tr_m)
     xg = grid_m.coords[:, 0]
     mask = np.abs(xg) <= 2.0
     assert np.max(np.abs(sol.u - oracle_abs(0.5, xg))[mask]) <= 0.03
@@ -71,21 +76,22 @@ def test_solve_eikonal_matches_oracle(eik_super_m, grid_m, vs_m):
 
 def test_solve_quadratic_matches_oracle(quad, grid_m):
     vs = build_velocity_set(2.0, 33)
-    sol = solve_discounted(quad, grid_m, vs, 1.0, tol=1e-8)
+    sol = solve_discounted(quad, grid_m, vs, 1.0, tol=1e-8,
+                           transition=build_transition(grid_m, vs))
     assert sol.u[grid_m.node_near([1.0])] == pytest.approx(
         quadratic_rate(1.0), abs=0.02)
 
 
-def test_lambda_u_bounded_below_by_minus_b(eik_super_m, quad, grid_m, vs_m):
+def test_lambda_u_bounded_below_by_minus_b(eik_super_m, quad, grid_m, vs_m, tr_m):
     for model, lam in ((eik_super_m, 0.5), (quad, 1.0)):
         b = float(np.max(h_at_zero(model, grid_m.coords)))
-        sol = solve_discounted(model, grid_m, vs_m, lam, tol=1e-7)
+        sol = solve_discounted(model, grid_m, vs_m, lam, tol=1e-7, transition=tr_m)
         assert float(np.min(lam * sol.u)) >= -b - 1e-6
 
 
-def test_iterates_start_above_and_decrease(quad, grid_m, vs_m):
+def test_iterates_start_above_and_decrease(quad, grid_m, vs_m, tr_m):
     # the upper start dominates the fixed point
-    sol = solve_discounted(quad, grid_m, vs_m, 0.5, tol=1e-7)
+    sol = solve_discounted(quad, grid_m, vs_m, 0.5, tol=1e-7, transition=tr_m)
     assert float(np.max(sol.u)) <= upper_start(quad, grid_m, vs_m, 0.5) + 1e-9
     # residual trace is the sup-norm of a monotone decreasing sequence
     assert all(r >= -1e-12 for _, r in sol.trace)
@@ -107,25 +113,25 @@ def test_discounted_subsolution_for_shifted_lagrangian(quad, grid_m, vs_m, tr_c=
     assert float(np.max(res[mask])) <= slack
 
 
-def test_lambda_u_at_origin_tracks_critical_value(quad, grid_m, vs_m):
+def test_lambda_u_at_origin_tracks_critical_value(quad, grid_m, vs_m, tr_m):
     i0 = grid_m.node_near([0.0])
     vals = []
     for lam in (1.0, 0.5, 0.25):
-        sol = solve_discounted(quad, grid_m, vs_m, lam, tol=1e-8)
+        sol = solve_discounted(quad, grid_m, vs_m, lam, tol=1e-8, transition=tr_m)
         vals.append(abs(lam * sol.u[i0]))
     assert all(v <= 0.02 for v in vals)
 
 
-def test_max_iter_exceeded_carries_residual(quad, grid_m, vs_m):
+def test_max_iter_exceeded_carries_residual(quad, grid_m, vs_m, tr_m):
     with pytest.raises(MaxIterExceeded) as err:
-        solve_discounted(quad, grid_m, vs_m, 0.5, tol=1e-12, max_iter=1)
+        solve_discounted(quad, grid_m, vs_m, 0.5, tol=1e-12, max_iter=1, transition=tr_m)
     assert err.value.residual > 0
     assert err.value.iterations == 1
 
 
-def test_lambda_must_be_positive(quad, grid_m, vs_m):
+def test_lambda_must_be_positive(quad, grid_m, vs_m, tr_m):
     with pytest.raises(ValueError):
-        solve_discounted(quad, grid_m, vs_m, 0.0)
+        solve_discounted(quad, grid_m, vs_m, 0.0, transition=tr_m)
 
 
 # ---------------------------------------------------------------------------
@@ -177,8 +183,8 @@ def test_small_lambda_reaches_the_fixed_point(eik_super_m, grid_m, vs_m):
     assert lam * u[grid_m.node_near([0.0])] == pytest.approx(0.0, abs=0.02)
 
 
-def test_trace_has_one_row_per_policy_step(quad, grid_m, vs_m):
-    sol = solve_discounted(quad, grid_m, vs_m, 0.25, tol=1e-9)
+def test_trace_has_one_row_per_policy_step(quad, grid_m, vs_m, tr_m):
+    sol = solve_discounted(quad, grid_m, vs_m, 0.25, tol=1e-9, transition=tr_m)
     assert [it for it, _ in sol.trace] == list(range(1, sol.iterations + 1))
     assert len(sol.policy_changes) == sol.iterations
     # the first step sets every node's action; later steps switch some
@@ -192,6 +198,6 @@ def test_round_off_tie_does_not_cycle(quad):
     # alternate forever, so the loop stops at the first revisited policy
     g = build_grid([[-2.0, 2.0]], 0.1)
     vs = build_velocity_set(1.5, 7)
-    sol = solve_discounted(quad, g, vs, 1.0, tol=1e-12)
+    sol = solve_discounted(quad, g, vs, 1.0, tol=1e-12, transition=build_transition(g, vs))
     assert sol.iterations <= 10
     assert sol.residual <= 1e-12

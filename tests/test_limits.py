@@ -299,7 +299,8 @@ def test_study_builds_the_ergodic_lp_once(monkeypatch):
     g = build_grid([[-2.0, 2.0]], 0.1)
     vs = build_velocity_set(1.0, 5)
     rep = vanishing_discount_study(make_model("quadratic", "half_square"), g, vs,
-                                   [0.5], n_objectives=2, agreement_count=3)
+                                   [0.5], n_objectives=2, agreement_count=3,
+                                   transition=build_transition(g, vs))
     assert not rep.failures
     assert len(calls) == 1
 
@@ -318,7 +319,8 @@ def test_study_runs_phase_1_only_for_the_ergodic_lp(monkeypatch):
     g = build_grid([[-2.0, 2.0]], 0.1)
     vs = build_velocity_set(1.0, 5)
     rep = vanishing_discount_study(make_model("quadratic", "half_square"), g, vs,
-                                   [0.5], n_objectives=2, agreement_count=3)
+                                   [0.5], n_objectives=2, agreement_count=3,
+                                   transition=build_transition(g, vs))
     assert not rep.failures
     assert len(calls) == 1
 
@@ -337,6 +339,33 @@ def test_warm_started_barrier_queries_match_cold_solves(quad_setup, grid_c, vs7)
     backward = enric1_values(crit, poly, nodes[::-1])[::-1]
     assert np.max(np.abs(forward - cold)) <= 1e-12
     assert np.max(np.abs(backward - cold)) <= 1e-12
+
+
+@pytest.fixture(scope="module")
+def barrier_chain_2d():
+    """The quadratic double well on [-2, 2]^2 at h = 0.2 with 13 velocities
+    (q_max 1.5, 5 per axis): its critical data, the Mather polytope and
+    the study's agreement nodes.  The critical data are most of this
+    module's time (17-20 s on a 2-core box)."""
+    g = build_grid([[-2.0, 2.0], [-2.0, 2.0]], 0.2)
+    vs = build_velocity_set(1.5, 5, dimension=2)
+    model = make_model("quadratic", "double_well", dimension=2)
+    tr = build_transition(g, vs)
+    crit = build_critical_data(model, g, vs, tol=1e-3, transition=tr)
+    problem = build_ergodic_lp(model, g, vs, transition=tr)
+    poly = build_mather_polytope(problem, lp_solve(problem))
+    nodes = limits._agreement_nodes(g, g.scaled_box(0.5), 9, [(0.0, 0.0), (1.0, 0.0)])
+    return crit, poly, nodes
+
+
+def test_chained_barrier_queries_on_the_2d_double_well(barrier_chain_2d):
+    # the chained starts reach degenerate vertices where a tie broken by
+    # basis index alone pivots on an element 1.7e-20 of its column's
+    # largest entry, and the next refresh of the inverse finds the basis
+    # singular
+    crit, poly, nodes = barrier_chain_2d
+    values = enric1_values(crit, poly, nodes)
+    assert values.shape == (len(nodes),) and np.all(np.isfinite(values))
 
 
 def test_study_pivot_budget(monkeypatch):
@@ -364,7 +393,7 @@ def test_study_pivot_budget(monkeypatch):
     vs = build_velocity_set(1.5, 7)
     rep = vanishing_discount_study(superlinearize(make_model("eikonal", "abs"), g), g, vs,
                                    [0.5, 0.25], probes=((0.0,), (1.0,)), n_objectives=2,
-                                   agreement_count=3)
+                                   agreement_count=3, transition=build_transition(g, vs))
     assert not rep.failures
     # the ergodic LP, 2 vertex samples, 4 barrier queries (x = -2, 0, 2, 1)
     # and 4 discounted LPs
@@ -387,7 +416,8 @@ def test_study_propagates_programming_errors_from_the_solve(monkeypatch):
     vs = build_velocity_set(1.0, 5)
     with pytest.raises(TypeError, match="broken solve"):
         vanishing_discount_study(make_model("quadratic", "half_square"), g, vs,
-                                 [0.5], n_objectives=0, agreement_count=3)
+                                 [0.5], n_objectives=0, agreement_count=3,
+                                 transition=build_transition(g, vs))
 
 
 def test_study_propagates_programming_errors_from_the_lp(monkeypatch):
@@ -400,7 +430,8 @@ def test_study_propagates_programming_errors_from_the_lp(monkeypatch):
     vs = build_velocity_set(1.0, 5)
     with pytest.raises(TypeError, match="broken lp"):
         vanishing_discount_study(make_model("quadratic", "half_square"), g, vs,
-                                 [0.5], n_objectives=0, agreement_count=3)
+                                 [0.5], n_objectives=0, agreement_count=3,
+                                 transition=build_transition(g, vs))
 
 
 def test_study_records_lp_solver_failures(monkeypatch):
@@ -411,7 +442,8 @@ def test_study_records_lp_solver_failures(monkeypatch):
     g = build_grid([[-2.0, 2.0]], 0.1)
     vs = build_velocity_set(1.0, 5)
     rep = vanishing_discount_study(make_model("quadratic", "half_square"), g, vs,
-                                   [0.5], n_objectives=0, agreement_count=3)
+                                   [0.5], n_objectives=0, agreement_count=3,
+                                 transition=build_transition(g, vs))
     assert [f["stage"] for f in rep.failures] == ["lp@(0.0,)"]
     assert "SingularBasis" in rep.failures[0]["error"]
 

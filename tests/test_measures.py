@@ -38,7 +38,7 @@ def test_ergodic_lp_hand_enumeration():
     g = build_grid([[-1.0, 1.0]], 0.5)
     vs = build_velocity_set(1.0, 3)
     quad = make_model("quadratic", "half_square")
-    res = lp_solve(build_ergodic_lp(quad, g, vs))
+    res = lp_solve(build_ergodic_lp(quad, g, vs, transition=build_transition(g, vs)))
     assert res.objective == pytest.approx(0.0, abs=1e-9)
     support = np.argwhere(res.measure.mass).tolist()
     assert support == [[g.node_near([0.0]), vs.zero_index()]]
@@ -124,7 +124,8 @@ def test_discounted_lp_eikonal_origin():
     g = build_grid([[-4.0, 4.0]], 0.1)
     vs = build_velocity_set(1.5, 7)
     eik = superlinearize(make_model("eikonal", "abs"), g)
-    res = lp_solve(build_discounted_lp(eik, g, vs, 0.5, [0.0]))
+    res = lp_solve(build_discounted_lp(eik, g, vs, 0.5, [0.0],
+                                       transition=build_transition(g, vs)))
     assert res.objective == pytest.approx(0.0, abs=0.02)
 
 
@@ -221,9 +222,9 @@ def test_support_check_ergodic_pass(quad_ergodic, quad_crit):
     assert rep.outside_mass <= 1e-3
 
 
-def test_support_check_discounted_is_informational(disc_setup, quad_crit, grid_c,
+def test_support_check_discounted_is_informational(disc_setup, quad, quad_crit, grid_c,
                                                    vs7, tr_c):
-    res = lp_solve(build_discounted_lp(quad_crit.model, grid_c, vs7, 0.5, [1.0],
+    res = lp_solve(build_discounted_lp(quad, grid_c, vs7, 0.5, [1.0],
                                        transition=tr_c))
     rep = support_check(res.measure, quad_crit)
     assert rep.passed is None
@@ -372,7 +373,7 @@ def test_lp_solve_forms_no_m_by_n_array(quad):
     # phase-1 [A | I]) would dwarf the m x m basis inverse
     g = build_grid([[-4.0, 4.0]], 0.05)
     vs = build_velocity_set(2.0, 33)
-    problem = build_ergodic_lp(quad, g, vs)
+    problem = build_ergodic_lp(quad, g, vs, transition=build_transition(g, vs))
     m, n = problem.A.shape
     tracemalloc.start()
     try:

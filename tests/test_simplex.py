@@ -9,7 +9,7 @@ from weakkam.errors import (
     UnboundedLP,
     WeakKAMError,
 )
-from weakkam.grids import build_grid, build_velocity_set
+from weakkam.grids import build_grid, build_transition, build_velocity_set
 from weakkam.measures import build_ergodic_lp, lp_solve
 from weakkam.models import make_model
 from weakkam.simplex import Columns, solve_lp
@@ -19,7 +19,7 @@ from helpers import brute_force_lp
 
 def test_two_variable_toy():
     # min x1 s.t. x1 + x2 = 1
-    sol = solve_lp([1.0, 0.0], [[1.0, 1.0]], [1.0])
+    sol = solve_lp([1.0, 0.0], Columns.from_dense([[1.0, 1.0]]), [1.0])
     np.testing.assert_allclose(sol.x, [0.0, 1.0], atol=1e-12)
     assert sol.objective == pytest.approx(0.0, abs=1e-12)
 
@@ -27,7 +27,7 @@ def test_two_variable_toy():
 def test_degenerate_ties_are_deterministic():
     # two symmetric optima; Bland-style lowest-index tie-breaking picks one
     c = [1.0, 1.0, 0.0]
-    A = [[1.0, -1.0, 0.0], [1.0, 1.0, 1.0]]
+    A = Columns.from_dense([[1.0, -1.0, 0.0], [1.0, 1.0, 1.0]])
     b = [0.0, 2.0]
     sols = [solve_lp(c, A, b) for _ in range(3)]
     for s in sols[1:]:
@@ -37,19 +37,41 @@ def test_degenerate_ties_are_deterministic():
 
 def test_infeasible():
     with pytest.raises(InfeasibleLP):
-        solve_lp([1.0], [[1.0], [1.0]], [1.0, 2.0])
+        solve_lp([1.0], Columns.from_dense([[1.0], [1.0]]), [1.0, 2.0])
 
 
 def test_unbounded():
     # min -x1 with x1 - x2 = 0: the ray (t, t) is improving and feasible
     with pytest.raises(UnboundedLP):
-        solve_lp([-1.0, 0.0], [[1.0, -1.0]], [0.0])
+        solve_lp([-1.0, 0.0], Columns.from_dense([[1.0, -1.0]]), [0.0])
 
 
-def test_redundant_rows_are_dropped():
-    A = [[1.0, 1.0], [2.0, 2.0]]
-    sol = solve_lp([1.0, 2.0], A, [1.0, 2.0])
-    assert sol.dropped_rows == [1]
+def test_redundant_row_raises_singular_basis_naming_it():
+    A = Columns.from_dense([[1.0, 1.0], [2.0, 2.0]])
+    with pytest.raises(SingularBasis, match="constraint row 1 "):
+        solve_lp([1.0, 2.0], A, [1.0, 2.0])
+
+
+def test_phase_1_drives_a_zero_level_artificial_out(monkeypatch):
+    # row 1 is twice row 0 less 2 x2, so x2 = 0 at every feasible point:
+    # phase 1 ends with row 1's artificial basic at level zero, and one
+    # drive-out pivot replaces it by x2
+    ends = []
+    core = simplex._core
+
+    def recording(*args):
+        out = core(*args)
+        ends.append((out[0].copy(), out[2].copy(), out[3]))
+        return out
+
+    monkeypatch.setattr(simplex, "_core", recording)
+    A = Columns.from_dense([[1.0, 1.0, 0.0], [2.0, 2.0, -2.0]])
+    sol = solve_lp([1.0, 2.0, 0.0], A, [1.0, 2.0])
+    (basis1, xB1, pivots1), (basis2, _, pivots2) = ends
+    assert basis1.tolist() == [0, 4] and xB1[1] == 0.0
+    assert basis2.tolist() == [0, 2]
+    assert sol.iterations == pivots1 + 1 + pivots2
+    np.testing.assert_allclose(sol.x, [1.0, 0.0, 0.0], atol=1e-12)
     assert sol.objective == pytest.approx(1.0)
 
 
@@ -60,7 +82,7 @@ def test_duals_certify_optimality():
     x_feas = rng.uniform(0.5, 1.0, size=n)
     b = A @ x_feas
     c = rng.normal(size=n)
-    sol = solve_lp(c, A, b)
+    sol = solve_lp(c, Columns.from_dense(A), b)
     reduced = c - sol.duals @ A
     assert float(np.min(reduced)) >= -1e-7
     # complementary slackness: basic variables have zero reduced cost
@@ -75,15 +97,16 @@ def test_random_lps_match_basis_enumeration(seed):
     x_feas = rng.uniform(0.1, 1.0, size=n).round(2)
     b = A @ x_feas                     # feasible by construction
     c = rng.uniform(0.0, 2.0, size=n).round(2)  # bounded: c >= 0 on x >= 0
-    sol = solve_lp(c, A, b)
+    sol = solve_lp(c, Columns.from_dense(A), b)
     assert sol.objective == pytest.approx(brute_force_lp(c, A, b), abs=1e-7)
 
 
 def test_warm_start_reuses_basis():
     rng = np.random.default_rng(11)
     m, n = 5, 20
-    A = rng.normal(size=(m, n))
-    b = A @ rng.uniform(0.5, 1.0, size=n)
+    D = rng.normal(size=(m, n))
+    b = D @ rng.uniform(0.5, 1.0, size=n)
+    A = Columns.from_dense(D)
     c1 = rng.uniform(0.0, 1.0, size=n)
     first = solve_lp(c1, A, b)
     c2 = c1 + 0.01 * rng.uniform(size=n)
@@ -94,8 +117,8 @@ def test_warm_start_reuses_basis():
 
 
 def test_iterations_count_every_pivot(monkeypatch):
-    # phase 1 leaves artificials in the basis of this degenerate flow LP, so
-    # the drive-out pivots are most of the basis changes
+    # phase 1 of this flow LP leaves no artificial in the basis: 41 phase-1
+    # pivots and no drive-out pivot, then phase 2
     calls = []
     pivot = simplex._pivot_update
 
@@ -106,9 +129,20 @@ def test_iterations_count_every_pivot(monkeypatch):
     monkeypatch.setattr(simplex, "_pivot_update", counting)
     g = build_grid([[-2.0, 2.0]], 0.1)
     vs = build_velocity_set(1.0, 5)
-    res = lp_solve(build_ergodic_lp(make_model("quadratic", "half_square"), g, vs))
+    res = lp_solve(build_ergodic_lp(make_model("quadratic", "half_square"), g, vs,
+                                    transition=build_transition(g, vs)))
     assert len(calls) > 0
     assert res.iterations == len(calls)
+
+
+def test_ratio_test_passes_over_a_tiny_tied_pivot():
+    # both rows tie at ratio 0 and the lower basis index holds the 1e-8
+    # entry: pivoting there would leave max |Binv| = 1e8
+    A = Columns.from_dense([[1e-8, 1.0, 0.0], [1.0, 0.0, 1.0]])
+    basis, Binv, _, _ = simplex._core(A, np.zeros(2), np.array([-1.0, 0.0, 0.0]),
+                                      np.array([1, 2]), np.eye(2), max_iter=10)
+    assert basis.tolist() == [1, 0]
+    assert np.max(np.abs(Binv)) == 1.0
 
 
 def test_iteration_cap_raises_max_iter_exceeded():
@@ -197,7 +231,7 @@ def test_singular_basis_raises_a_weakkam_error():
 
 def test_singular_crash_basis_falls_back_to_phase_1():
     c = [1.0, 1.0, 0.0]
-    A = [[1.0, 1.0, 1.0], [1.0, 1.0, 2.0]]
+    D = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 2.0]])
     b = [1.0, 1.5]
-    sol = solve_lp(c, A, b, basis0=[0, 1])
-    assert sol.objective == pytest.approx(brute_force_lp(c, np.array(A), b), abs=1e-9)
+    sol = solve_lp(c, Columns.from_dense(D), b, basis0=[0, 1])
+    assert sol.objective == pytest.approx(brute_force_lp(c, D, b), abs=1e-9)

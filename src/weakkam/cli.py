@@ -138,6 +138,22 @@ SETTINGS = {
 }
 
 
+# the settings without a default; a key outside these and SETTINGS is ignored
+OTHER_KEYS = {"model.family", "model.potential", "model.dimension", "model.sampled_csv",
+              "model.p_grid", "grid.box", "grid.h", "velocity.q_max",
+              "velocity.per_axis_count", "schedule.lambdas", "schedule.geometric", "probes"}
+
+
+def unknown_settings(cfg):
+    """Key paths (section.key, or a top-level key) of cfg that no command
+    reads: a misspelt or retired setting, which runs with the default."""
+    unknown = []
+    for section, block in cfg.items():
+        paths = [f"{section}.{key}" for key in block] if isinstance(block, dict) else []
+        unknown += [p for p in paths or [section] if p not in SETTINGS and p not in OTHER_KEYS]
+    return unknown
+
+
 def _merge_defaults(cfg):
     for path, (default, _, _) in SETTINGS.items():
         section, key = path.split(".")
@@ -287,7 +303,7 @@ def _raw_model(cfg, grid):
 def build_context(cfg):
     """Grid, velocity set, transition, and the prepared (normalized,
     superlinearized-as-needed) model."""
-    warnings = []
+    warnings = [f"unknown setting {path} ignored" for path in unknown_settings(cfg)]
     grid = build_grid(cfg["grid"]["box"], cfg["grid"]["h"])
     vset = build_velocity_set(cfg["velocity"]["q_max"],
                               cfg["velocity"]["per_axis_count"],

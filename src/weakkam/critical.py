@@ -3,12 +3,16 @@
 Everything here lives on the weighted graph whose edges are the unclipped
 foot-point transitions (i -> x_i + h*q) with cost h * sigma_a(x_i, q), the
 discrete length element of the level-a Finsler metric.  Distances are
-computed by min-plus relaxation (Bellman-Ford sweeps) with multilinear
-interpolation of the continuation value at off-node feet.  A subcritical
-level raises NegativeCycle: from the relaxation on a negative cycle, or its
-subclass EmptySublevel from `edge_costs` on an empty sublevel.  The
-critical value is bracketed by bisection between max_x min_p H and
-max_x H(x,0) (the level at which constants become subsolutions).
+computed by min-plus relaxation (Jacobi sweeps over all edges at once) with
+multilinear interpolation of the continuation value at off-node feet.  An
+edge whose foot lies in a cell with its own node as a corner puts weight
+w_s < 1 on that node; each sweep solves D(i) = c + w_s D(i) + rest for D(i)
+exactly, so such an edge costs one sweep rather than a geometric series of
+them, with the same fixed point.  A subcritical level raises NegativeCycle:
+from the relaxation on a negative cycle, or its subclass EmptySublevel from
+`edge_costs` on an empty sublevel.  The critical value is bracketed by
+bisection between max_x min_p H and max_x H(x,0) (the level at which
+constants become subsolutions).
 
 A node belongs to the (discrete) Aubry set when some nontrivial cycle
 through it has intrinsic cost below eps_aubry; cycle costs at true Aubry
@@ -77,9 +81,19 @@ def reverse_edge_costs(model, grid, velocity_set, a, transition):
 # ---------------------------------------------------------------------------
 
 def relax_batch(costs, transition, D0):
-    """Sweep D <- min(D, min_q [c(i,q) + sum_k w(i,q,k) D(idx(i,q,k))]) to a
+    """Sweep D <- min(D, min_q (c(i,q) + rest(i,q)) / (1 - w_s(i,q))) to a
     fixed point.  D0 has shape (T, n) and holds finite values, with INF for
     unreachable; rows relax independently.
+
+    A foot in a cell with node i as a corner carries node i itself among its
+    interpolation weights, with weight w_s; rest sums the other corners.
+    Each step solves D(i) = c + w_s D(i) + rest for D(i) exactly instead of
+    iterating on it: for w_s < 1, D <= c + w_s D + rest holds exactly when
+    D <= (c + rest) / (1 - w_s), so the fixed-point set is that of the plain
+    sweep D <- min(D, c + sum_k w_k D(idx_k)), and only the round-off and
+    the sweep count differ.  A self-loop (w_s = 1: the q = 0 edge, of cost
+    h*sigma_a(x, 0) = 0, or a foot clipped onto its own node, at INF) only
+    restates D <= c + D and is left out.
 
     Raises NegativeCycle when 2n+64 sweeps end while values still drop by
     more than NEG_TOL relative to the field (the min-plus operator is
@@ -88,15 +102,22 @@ def relax_batch(costs, transition, D0):
     D = np.array(D0, dtype=float)
     T, n = D.shape
     max_sweeps = 2 * n + 64
-    idx, w = transition.idx, transition.w
+    idx = transition.idx
+    w_rest = np.where(idx == np.arange(n)[:, None, None], 0.0, transition.w)
+    w_self = np.sum(transition.w - w_rest, axis=2)
+    loop = w_self >= 1.0
+    c = np.where(loop, INF, costs)
+    inv = 1.0 / (1.0 - np.where(loop, 0.0, w_self))
     sweeps = 0
     while sweeps < max_sweeps:
         sweeps += 1
         improvement = 0.0
         for t0 in range(0, T, CHUNK):
             block = D[t0:t0 + CHUNK]
-            cont = np.einsum("bnmk,nmk->bnm", block[:, idx], w)
-            cand = np.min(costs[None, :, :] + cont, axis=2)
+            rest = np.einsum("bnmk,nmk->bnm", block[:, idx], w_rest)
+            rest += c
+            rest *= inv
+            cand = np.min(rest, axis=2)
             new = np.minimum(block, cand)
             improvement = max(improvement, float(np.max(block - new)))
             D[t0:t0 + CHUNK] = new

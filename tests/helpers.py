@@ -12,6 +12,33 @@ import numpy as np
 BIG = 1e30
 
 
+def relax_batch_jacobi(costs, transition, D0):
+    """`critical.relax_batch` as plain Jacobi sweeps D <- min(D, min_q
+    [c(i,q) + sum_k w(i,q,k) D(idx(i,q,k))]), the node's own weight
+    included, so a self-weighted edge converges only geometrically.  Same
+    cap (2n+64 sweeps) and NegativeCycle verdict; returns (D, sweeps)."""
+    from weakkam.critical import NEG_TOL
+    from weakkam.errors import NegativeCycle
+    D = np.array(D0, dtype=float)
+    n = D.shape[1]
+    max_sweeps = 2 * n + 64
+    sweeps = 0
+    while sweeps < max_sweeps:
+        sweeps += 1
+        cont = np.einsum("bnmk,nmk->bnm", D[:, transition.idx], transition.w)
+        new = np.minimum(D, np.min(costs[None, :, :] + cont, axis=2))
+        improvement = float(np.max(D - new))
+        D = new
+        if improvement <= 0.0:
+            return D, sweeps
+    finite = D[D < BIG / 2]
+    scale = 1.0 + float(np.max(np.abs(finite))) if finite.size else 1.0
+    if improvement > NEG_TOL * scale:
+        raise NegativeCycle(
+            f"min-plus relaxation still improving by {improvement:.3e} after {sweeps} sweeps")
+    return D, sweeps
+
+
 def exact_successors(costs, transition):
     """(node, cost) successor lists; requires every foot to be an exact node
     hit (interpolation weight 1)."""

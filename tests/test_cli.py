@@ -1,11 +1,12 @@
 import csv
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from weakkam.cli import main
+from weakkam.cli import load_config, main, unknown_settings
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -196,6 +197,42 @@ def test_set_override(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["config"]["grid"]["h"] == 0.05
     assert manifest["config"]["ergodic"]["bisection_tol"] == 1e-4
+
+
+def test_unknown_setting_warns_and_runs(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, TINY_STUDY)
+    out = tmp_path / "o"
+    assert main(["critical", "--config", cfg, "--out", str(out),
+                 "--set", "measures.n_objectivs=3"]) == 0
+    line = "unknown setting measures.n_objectivs ignored"
+    assert f"warning: {line}\n" in capsys.readouterr().err
+    assert json.loads((out / "manifest.json").read_text())["warnings"] == [line]
+
+
+def _readme_schema():
+    """The README's config schema block as {section: {key: None}}, with None
+    for a section that is not an object."""
+    readme = (CONFIGS.parent / "README.md").read_text(encoding="utf-8")
+    block = re.sub(r"//.*", "", re.search(r"```jsonc\n(.*?)```", readme, re.S).group(1))
+    schema, depth, section = {}, 0, None
+    for key, brace in re.findall(r'"(\w+)"\s*:|([{}])', block):
+        if brace:
+            depth += 1 if brace == "{" else -1
+        elif depth == 1:
+            section, schema[key] = key, None
+        elif depth == 2:
+            schema[section] = {**(schema[section] or {}), key: None}
+    return schema
+
+
+def test_committed_configs_and_readme_schema_have_no_unknown_settings():
+    for path in sorted(CONFIGS.glob("*.json")):
+        assert unknown_settings(load_config(path)) == [], path.name
+    schema = _readme_schema()
+    assert len(schema) == 11 and "p_grid" in schema["model"] and schema["probes"] is None
+    assert unknown_settings(schema) == []
+    assert unknown_settings({**schema, "measure": {"n_objectives": 4}, "notes": "x"}) == [
+        "measure.n_objectives", "notes"]
 
 
 def test_critical_values(tmp_path):

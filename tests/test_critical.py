@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from weakkam.critical import (
+    INF,
     build_critical_data,
     critical_value,
     distances_to_targets,
@@ -10,13 +11,14 @@ from weakkam.critical import (
     is_subsolution,
     peierls_field_to,
     relax_batch,
+    reverse_edge_costs,
     weak_kam_solution,
 )
 from weakkam.errors import EmptySublevel, IncompatibleTrace, NegativeCycle
-from weakkam.grids import build_grid, build_transition, build_velocity_set
+from weakkam.grids import VelocitySet, build_grid, build_transition, build_velocity_set
 from weakkam.models import make_model
 
-from helpers import enumerate_paths_min_cost, make_asymmetric_sampled
+from helpers import enumerate_paths_min_cost, make_asymmetric_sampled, relax_batch_jacobi
 
 
 # ---------------------------------------------------------------------------
@@ -151,6 +153,82 @@ def test_negative_cycle_detection_synthetic(grid_tiny, vs3, tr_tiny):
         relax_batch(costs, tr_tiny, zero)
     with pytest.raises(NegativeCycle):
         distances_to_targets(costs, tr_tiny, [0])
+
+
+def _box_2d(h):
+    return build_grid([[-2.0, 2.0], [-2.0, 2.0]], h)
+
+
+@pytest.mark.parametrize("potential, h, dimension", [
+    ("half_square", 0.05, 1),
+    ("half_square", 0.25, 2),
+    ("half_square", 0.1, 2),
+    ("double_well", 0.25, 2),
+])
+def test_exact_self_weight_matches_jacobi_sweeps(potential, h, dimension):
+    # the exact solve of D(i) = c + w_s D(i) + rest has the fixed point of
+    # the plain sweeps that iterate on it; only the round-off differs
+    if dimension == 1:
+        g, vs = build_grid([[-4.0, 4.0]], h), build_velocity_set(1.5, 7)
+    else:
+        g, vs = _box_2d(h), build_velocity_set(1.5, 5, dimension=2)
+    tr = build_transition(g, vs)
+    model = make_model("quadratic", potential, dimension=dimension)
+    level = critical_value(model, g, vs, transition=tr).level
+    targets = [g.node_near(p) for p in ([0.0] * dimension, [1.0] * dimension,
+                                        [-2.0] + [0.0] * (dimension - 1))]
+    D0 = np.full((len(targets), g.num_nodes), INF)
+    D0[np.arange(len(targets)), targets] = 0.0
+    for costs in (edge_costs(model, g, vs, level, tr),
+                  reverse_edge_costs(model, g, vs, level, tr)):
+        exact, sweeps = relax_batch(costs, tr, D0)
+        jacobi, jacobi_sweeps = relax_batch_jacobi(costs, tr, D0)
+        assert sweeps <= jacobi_sweeps
+        finite = jacobi < INF / 2
+        np.testing.assert_array_equal(exact < INF / 2, finite)
+        np.testing.assert_allclose(exact[finite], jacobi[finite], rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("h", [0.25, 0.5])
+def test_critical_data_batches_take_few_sweeps_in_2d(h, monkeypatch):
+    # plain sweeps approach a self-weighted edge's value only geometrically:
+    # 589 and 93 sweeps at h = 0.25, and the 2n+64 cap (226) at h = 0.5
+    import weakkam.critical as critical
+    sweeps = []
+    real = critical.relax_batch
+
+    def counting(costs, transition, D0):
+        out = real(costs, transition, D0)
+        sweeps.append(out[1])
+        return out
+
+    monkeypatch.setattr(critical, "relax_batch", counting)
+    g, vs = _box_2d(h), build_velocity_set(1.5, 5, dimension=2)
+    model = make_model("quadratic", "half_square", dimension=2)
+    critical.build_critical_data(model, g, vs, transition=build_transition(g, vs))
+    # the last two relaxations are the S_to and S_from batches
+    assert len(sweeps) >= 3 and max(sweeps[-2:]) <= 64, sweeps
+
+
+def test_negative_cycle_through_self_weighted_edges():
+    # h*q = 0.75h puts weight 0.25 of each foot on its own node
+    g = build_grid([[-1.0, 1.0], [-1.0, 1.0]], 0.5)
+    vs = VelocitySet(vectors=np.array([[-0.75, 0.0], [0.0, 0.0], [0.75, 0.0]]), q_max=0.75)
+    tr = build_transition(g, vs)
+    i, j = g.node_near([0.0, 0.0]), g.node_near([0.5, 0.0])
+    assert tr.w[i, 2][list(tr.idx[i, 2]).index(i)] == 0.25
+    zero = np.zeros((1, g.num_nodes))
+    costs = np.ones((g.num_nodes, vs.size))
+    for relax in (relax_batch, relax_batch_jacobi):
+        D, _ = relax(costs, tr, zero)   # no negative cycle: reaches a fixed point
+        np.testing.assert_array_equal(D, zero)
+    # D(i) <= -1 + D(i)/4 + 3D(j)/4 and D(j) <= -1 + D(j)/4 + 3D(i)/4 give
+    # D(i) <= D(i) - 8/3
+    costs[i, 2] = -1.0
+    costs[j, 0] = -1.0
+    for relax in (relax_batch, relax_batch_jacobi):
+        with pytest.raises(NegativeCycle):
+            relax(costs, tr, zero)
 
 
 def test_distance_subsolution_at_critical_level(quad, grid_c, vs7, tr_c):

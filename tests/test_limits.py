@@ -345,8 +345,9 @@ def test_warm_started_barrier_queries_match_cold_solves(quad_setup, grid_c, vs7)
 def barrier_chain_2d():
     """The quadratic double well on [-2, 2]^2 at h = 0.2 with 13 velocities
     (q_max 1.5, 5 per axis): its critical data, the Mather polytope and
-    the study's agreement nodes.  The critical data are most of this
-    module's time (17-20 s on a 2-core box)."""
+    the study's agreement nodes.  The critical data (two relaxation
+    batches of 241 and 177 rows, 37 and 215 sweeps) take about 1.5 s of the
+    setup on a 2-core box."""
     g = build_grid([[-2.0, 2.0], [-2.0, 2.0]], 0.2)
     vs = build_velocity_set(1.5, 5, dimension=2)
     model = make_model("quadratic", "double_well", dimension=2)

@@ -44,6 +44,7 @@ from .measures import (
     closedness_residual,
     holonomy_residual,
     lp_solve,
+    policy_basis,
     support_check,
 )
 from .models import (
@@ -463,10 +464,11 @@ def cmd_mather(cfg, ctx, out, args):
         }
     else:
         zpt = args.z if args.z is not None else [0.0] * grid.dimension
-        res = lp_solve(build_discounted_lp(model, grid, vset, args.lam, zpt,
-                                           transition=tr))
         sol = solve_discounted(model, grid, vset, args.lam, tol=cfg["solver"]["tol"],
                                max_iter=cfg["solver"]["max_iter"], transition=tr)
+        # the LP starts from the basis of Howard's policy, as in the study
+        problem = build_discounted_lp(model, grid, vset, args.lam, zpt, transition=tr)
+        res = lp_solve(problem, basis0=policy_basis(problem, sol.policy))
         lam_u = args.lam * float(sol.u[grid.node_near(zpt)])
         payload = {
             "kind": "discounted",

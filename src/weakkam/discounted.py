@@ -44,6 +44,8 @@ class DiscountedSolve:
     u: np.ndarray                         # the fixed point, one value per node
     iterations: int                       # policy steps
     residual: float                       # sup |T u - u| at the returned u
+    policy: np.ndarray                    # the policy u evaluates: a velocity
+                                          # index per node
     trace: list = None                    # (step, sup-update) pairs
     policy_changes: list = None           # nodes that switched action, per step
 
@@ -98,7 +100,8 @@ def solve_discounted(model, grid, velocity_set, lam, tol=1e-6, max_iter=None, *,
     Each step improves the policy greedily (a node keeps its action unless
     another is strictly cheaper; among new actions the lowest velocity
     index wins) and evaluates it exactly; it stops when the improvement
-    returns a policy already evaluated.  max_iter caps the policy steps
+    returns a policy already evaluated, and returns the last policy it
+    evaluated with its values.  max_iter caps the policy steps
     (default 2n + 64 for n nodes) and raises MaxIterExceeded with the
     Bellman residual sup |T u - u| at the last iterate.  The
     monotone-decrease invariant is checked every step, and the final
@@ -145,7 +148,7 @@ def solve_discounted(model, grid, velocity_set, lam, tol=1e-6, max_iter=None, *,
         raise WeakKAMError(f"Bellman residual {residual:.3e} of the final policy "
                            f"exceeds tol {tol:g}")
     return DiscountedSolve(lam=lam, u=u, iterations=len(trace), residual=residual,
-                           trace=trace, policy_changes=changes)
+                           policy=q, trace=trace, policy_changes=changes)
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,7 @@ from .measures import (
     build_ergodic_lp,
     build_mather_polytope,
     lp_solve,
+    policy_basis,
     sequential_sum,
     transport_distance,
 )
@@ -55,16 +56,17 @@ def enric1_values(critical, polytope, query_nodes):
     """min over the Mather polytope of <mu, P(., x)> at each node index x of
     query_nodes, one LP each.  The queries share the polytope, so each
     starts from the optimal basis of the query before it, which is
-    feasible; the first starts from the polytope's crash basis (the ergodic
-    optimum plus the budget slack)."""
+    feasible, and from its inverse when that query returned one; the first
+    starts from the polytope's crash basis (the ergodic optimum plus the
+    budget slack)."""
     node_of_column = polytope.active // polytope.meta["velocity_set"].size
     values = []
-    basis = None
+    basis = inverse = None
     for x in query_nodes:
         res = lp_solve(polytope, peierls_field_to(critical, int(x))[node_of_column],
-                       basis0=basis)
+                       basis0=basis, inverse0=inverse)
         values.append(res.objective)
-        basis = res.basis
+        basis, inverse = res.basis, res.inverse
     return np.array(values, dtype=float)
 
 
@@ -286,7 +288,10 @@ def vanishing_discount_study(model, grid, velocity_set, schedule,
     problem = build_ergodic_lp(model, grid, velocity_set, transition=transition)
     ergodic = lp_solve(problem)
     polytope = build_mather_polytope(problem, ergodic, slack=slack)
-    del problem                  # the polytope holds its own copy of the columns
+    # the polytope holds its own copy of the columns and its crash inverse;
+    # the ergodic inverse, m^2 floats, is not kept through the study
+    del problem
+    ergodic.inverse = None
     # the trace estimator is constrained by the sampled vertex set, the
     # finite stand-in for the quantifier over all minimizing measures
     measures = [ergodic.measure] + sample_vertex_measures(polytope, n_objectives, seed)
@@ -296,13 +301,10 @@ def vanishing_discount_study(model, grid, velocity_set, schedule,
     agree_nodes = _agreement_nodes(grid, sub_box, agreement_count, probes)
     agreement = float(np.max(np.abs(enric1_values(critical, polytope, agree_nodes)
                                     - w[agree_nodes])))
+    del polytope
 
     mask = grid.box_mask(sub_box)
     rows, failures, sup_gaps = [], [], []
-    # every discounted LP has the same columns, and a basis of one column
-    # per node inverts to a nonnegative matrix, so each LP starts from the
-    # optimal basis of the last one solved (the first from the q = 0 crash)
-    lp_basis = None
     for lam in schedule:
         try:
             sol = solve_discounted(model, grid, velocity_set, lam, tol=solver_tol,
@@ -315,16 +317,22 @@ def vanishing_discount_study(model, grid, velocity_set, schedule,
         sup_gaps.append(gap)
         rows.append(StudyRow(lam=lam, sup_gap=gap, iterations=sol.iterations,
                              residual=sol.residual))
+        # each LP starts from the basis of the policy Howard ended on, which
+        # is optimal for every anchor; the probes at one lambda share the
+        # matrix, so a probe that ends on that basis hands on its inverse
+        inverse = None
         for p in probes:
             z = grid.node_near(p)
             try:
-                lp = lp_solve(build_discounted_lp(model, grid, velocity_set, lam, z,
-                                                  transition=transition),
-                              basis0=lp_basis)
+                problem = build_discounted_lp(model, grid, velocity_set, lam, z,
+                                              transition=transition)
+                start = policy_basis(problem, sol.policy)
+                lp = lp_solve(problem, basis0=start, inverse0=inverse)
             except WeakKAMError as exc:
                 failures.append({"lambda": lam, "stage": f"lp@{p}", "error": repr(exc)})
                 continue
-            lp_basis = lp.basis
+            if np.array_equal(lp.basis, start):
+                inverse = lp.inverse
             lam_u = lam * float(sol.u[z])
             rows.append(StudyRow(
                 lam=lam, sup_gap=gap, iterations=sol.iterations,

@@ -31,12 +31,17 @@ Both use the unit-mass normalization; for the discounted program the mass
 row is implied exactly by the holonomy rows (their sum reads
 lambda*h*(total mass) = lambda*h) and is therefore not repeated, which
 also makes the q = 0 self-loop columns a feasible diagonal crash basis.
-More generally, a discounted basis of one column per node is
+More generally, the basis of a policy, one column (i, q(i)) per node, is
 (1+lambda*h) I - W^T with W substochastic, an M-matrix with a nonnegative
-inverse, so it is feasible for every lambda and z: a sequence of
-discounted programs can start each from the optimal basis of the last.
+inverse, so it is feasible for every lambda and z.  The basic solutions
+of the discounted program are the stationary policies of the scheme
+(Puterman, Markov Decision Processes, 1994, ch. 6), so the basis of the
+policy Howard's iteration ends on (`policy_basis`) is optimal: started
+there, the program proves its optimum by its own pricing, in no pivots.
 Likewise every program over one Mather polytope shares its feasible set,
-so any optimal basis of one is a feasible start for the next.
+so any optimal basis of one is a feasible start for the next; the
+polytope forms the inverse of its crash basis once, and a solve that
+ends on a freshly inverted basis returns that inverse for the next start.
 Each constraint matrix is a `simplex.Columns` store built column by column
 (no m x n array is formed).  All three are solved by `lp_solve`.
 """
@@ -49,7 +54,7 @@ from typing import Optional
 import numpy as np
 
 from .models import lagrangian_table
-from .simplex import Columns, solve_lp
+from .simplex import Columns, basis_inverse, solve_lp
 
 SUPPORT_TOL = 1e-9
 
@@ -78,6 +83,9 @@ class LPResult:
     duals: np.ndarray
     iterations: int
     basis: np.ndarray            # the optimal basis, one column per row
+    inverse: Optional[np.ndarray]  # its inverse when the solve ended holding a
+                                   # fresh one, else None: m^2 floats, so a
+                                   # result kept for long should drop it
 
 
 def _finite_variables(L_flat):
@@ -155,7 +163,16 @@ def build_discounted_lp(model, grid, velocity_set, lam, z, transition):
                            "crash_basis": crash})
 
 
-def lp_solve(problem, objective=None, basis0=None):
+def policy_basis(problem, policy):
+    """The columns (i, policy[i]) of a discounted program, one per node in
+    node order: the start basis of that policy (feasible for every anchor),
+    or None when some pair is not a column of the program."""
+    flat = np.arange(len(policy)) * problem.meta["velocity_set"].size + policy
+    cols = np.minimum(np.searchsorted(problem.active, flat), len(problem.active) - 1)
+    return cols if np.array_equal(problem.active[cols], flat) else None
+
+
+def lp_solve(problem, objective=None, basis0=None, inverse0=None):
     """Solve the program; returns the measure, the optimum, and the duals
     (the multipliers on the stationarity rows approximate a subsolution
     potential and are reported for diagnostics).
@@ -163,10 +180,11 @@ def lp_solve(problem, objective=None, basis0=None):
     `objective`, indexed like `active`, replaces the measure costs
     `problem.c`; slack columns cost 0.  `basis0` is the starting basis,
     typically the `LPResult.basis` of an earlier program over the same
-    columns; None means the program's crash basis.  A start that is not
-    feasible falls back to phase 1.  Masses at or below SUPPORT_TOL are
-    zeroed.  The vertices of the Mather polytope are measures of kind
-    "ergodic".
+    columns; None means the program's crash basis.  `inverse0` is the
+    inverse of `basis0` over the same matrix, an earlier `LPResult.inverse`,
+    which saves the start its inversion.  A start that is not feasible
+    falls back to phase 1.  Masses at or below SUPPORT_TOL are zeroed.  The
+    vertices of the Mather polytope are measures of kind "ergodic".
     """
     c = problem.c
     if objective is not None:
@@ -174,7 +192,8 @@ def lp_solve(problem, objective=None, basis0=None):
         c[:len(objective)] = objective
     if basis0 is None:
         basis0 = problem.meta.get("crash_basis")
-    sol = solve_lp(c, problem.A, problem.b, basis0=basis0)
+        inverse0 = problem.meta.get("crash_inverse")
+    sol = solve_lp(c, problem.A, problem.b, basis0=basis0, inverse0=inverse0)
     x = sol.x[:len(problem.active)]
     meta = problem.meta
     mass = np.zeros((meta["grid"].num_nodes, meta["velocity_set"].size))
@@ -182,7 +201,8 @@ def lp_solve(problem, objective=None, basis0=None):
     kind = "ergodic" if problem.kind == "mather" else problem.kind
     return LPResult(measure=DiscreteMeasure(mass=mass, kind=kind),
                     objective=sol.objective, duals=sol.duals,
-                    iterations=sol.iterations, basis=sol.basis)
+                    iterations=sol.iterations, basis=sol.basis,
+                    inverse=sol.inverse)
 
 
 # ---------------------------------------------------------------------------
@@ -271,11 +291,13 @@ def build_mather_polytope(problem, ergodic_result, slack=None):
     budget = problem.A.m
     A = problem.A.with_row(problem.c).with_unit_columns([budget])
     b = np.concatenate([problem.b, [ergodic_result.objective + slack]])
-    # the ergodic optimum with s = slack > 0 is a vertex of the polytope
+    # the ergodic optimum with s = slack > 0 is a vertex of the polytope;
+    # the vertex samples and the first barrier query all start there
     crash = np.append(ergodic_result.basis, len(problem.c))
     return LPProblem(c=np.append(problem.c, 0.0), A=A, b=b,
                      active=problem.active, kind="mather",
-                     meta={**problem.meta, "slack": slack, "crash_basis": crash})
+                     meta={**problem.meta, "slack": slack, "crash_basis": crash,
+                           "crash_inverse": basis_inverse(A, b, crash)})
 
 
 def transport_distance(mu1, mu2, grid):

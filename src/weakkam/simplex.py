@@ -5,9 +5,12 @@ Standard form: minimize c.x subject to A x = b, x >= 0.  A is held as a
 in a fixed number of slots, so pricing is a gather-and-sum over the stored
 nonzeros and no m x n array is ever formed.  The basis inverse is maintained
 explicitly by rank-1 updates and refreshed periodically from the m x m basis;
-pricing is Dantzig's rule with an automatic, permanent switch to Bland's
-rule after a run of degenerate pivots, which keeps the method cycling-proof
-while staying fast on the highly degenerate flow polytopes built here.
+a solve that ends holding the plain inverse of its basis returns it, and a
+later start on that basis over the same matrix can pass it back instead of
+inverting again.  Pricing is Dantzig's rule with an automatic, permanent
+switch to Bland's rule after a run of degenerate pivots, which keeps the
+method cycling-proof while staying fast on the highly degenerate flow
+polytopes built here.
 Degeneracy itself is defused by a deterministic graded perturbation of the
 right-hand side (the flow rows are all zero, so the unperturbed phase 1
 starts maximally degenerate); the final basic solution is recomputed
@@ -23,6 +26,7 @@ is tiny next to the other tied candidates.  Deterministic throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -118,6 +122,8 @@ class LPSolution:
     iterations: int
     basis: np.ndarray
     dropped_rows: list         # always empty: a redundant row raises instead
+    inverse: Optional[np.ndarray]   # _inverse of `basis` when no pivot
+                                    # updated it since, else None
 
 
 def _inverse(A, basis):
@@ -126,6 +132,24 @@ def _inverse(A, basis):
         return np.linalg.inv(A.dense(basis))
     except np.linalg.LinAlgError as exc:
         raise SingularBasis(f"basis matrix is singular: {exc}") from exc
+
+
+def _signed_rows(A, b):
+    """A and b with every row where b < 0 negated, and the row signs."""
+    row_sign = np.where(b < 0, -1.0, 1.0)
+    if (row_sign < 0).any():
+        A = A.scale_rows(row_sign)
+        b = b * row_sign
+    return A, b, row_sign
+
+
+def basis_inverse(A, b, basis):
+    """The inverse of A[:, basis] exactly as `solve_lp(c, A, b)` forms it,
+    to be passed back as its `inverse0` (a Mather polytope forms its crash
+    inverse once this way)."""
+    A, _, row_sign = _signed_rows(A, np.asarray(b, dtype=float))
+    # the inverse of diag(s) B is B^-1 diag(s): a sign flip, exact
+    return _inverse(A, basis) * row_sign
 
 
 def _pivot_update(Binv, xB, d, row, theta):
@@ -258,14 +282,17 @@ def _phase1(A, b_work, scale_b, max_iter):
     return basis, Binv, it
 
 
-def solve_lp(c, A, b, basis0=None):
+def solve_lp(c, A, b, basis0=None, inverse0=None):
     """Optimal basic feasible solution of min c.x, A x = b, x >= 0.
 
     `A` is a `Columns` store.  `basis0` is a known-feasible starting basis:
-    the discounted program's q = 0 crash, the Mather polytope's ergodic
-    optimal basis, or the optimal basis of the previous program in a
-    sequence over the same columns (`measures.lp_solve(basis0=)`).  It
-    replaces phase 1 when its basic solution is nonnegative.  `iterations`
+    the discounted program's Howard-policy or q = 0 crash, the Mather
+    polytope's ergodic optimal basis, or the optimal basis of the previous
+    program in a sequence over the same columns (`measures.lp_solve(basis0=)`).
+    It replaces phase 1 when its basic solution is nonnegative.
+    `inverse0`, when given, is the inverse of A[:, basis0] that an earlier
+    solve over the same matrix returned as `LPSolution.inverse` (or
+    `basis_inverse`); the start then forms none of its own.  `iterations`
     counts every pivot: phase 1, the drive-out of artificials, phase 2 and
     the dual clean-up; phase 1, phase 2 and the clean-up are each capped at
     50(m + n) + 2000 pivots (`MaxIterExceeded`).  The caller's arrays are
@@ -274,10 +301,7 @@ def solve_lp(c, A, b, basis0=None):
     b = np.asarray(b, dtype=float)
     c = np.asarray(c, dtype=float)
     m, n = A.shape
-    row_sign = np.where(b < 0, -1.0, 1.0)
-    if (row_sign < 0).any():
-        A = A.scale_rows(row_sign)
-        b = b * row_sign
+    A, b, row_sign = _signed_rows(A, b)
     scale_b = max(1.0, float(np.max(np.abs(b))) if b.size else 1.0)
     b_work = b + PERTURB * scale_b * (1.0 + np.arange(m)) / max(m, 1)
     max_iter = 50 * (m + n) + 2000
@@ -286,10 +310,13 @@ def solve_lp(c, A, b, basis0=None):
     basis = Binv = None
     if basis0 is not None:
         basis = np.array(basis0, dtype=int)
-        try:
-            Binv = _inverse(A, basis)
-        except SingularBasis:
-            Binv = None
+        if inverse0 is not None:
+            Binv = inverse0 * row_sign       # a copy: the pivots update it in place
+        else:
+            try:
+                Binv = _inverse(A, basis)
+            except SingularBasis:
+                Binv = None
         if Binv is None or not np.all(Binv @ b >= -1e-8):
             basis = None
     # whether Binv is the plain inverse of the basis, free of rank-1 updates
@@ -305,12 +332,19 @@ def solve_lp(c, A, b, basis0=None):
     # case dual pivots walk it back while preserving optimality.  A basis
     # that phase 2 left alone is already inverted afresh.
     if it or not fresh:
+        del Binv                  # freed before its replacement is formed
         Binv = _inverse(A, basis)
     xB = Binv @ b
+    fresh = True
     if float(np.min(xB)) < -1e-9 * scale_b:
         basis, Binv, xB, it = _dual_cleanup(A, b, c, basis, Binv, max_iter)
         total_it += it
+        fresh = it == 0
     x = np.zeros(n)
     x[basis] = np.maximum(xB, 0.0)
-    return LPSolution(x=x, objective=float(c @ x), duals=(c[basis] @ Binv) * row_sign,
-                      iterations=total_it, basis=basis.copy(), dropped_rows=[])
+    duals = (c[basis] @ Binv) * row_sign
+    if fresh:
+        Binv[:, row_sign < 0] *= -1.0        # the inverse for the caller's rows
+    return LPSolution(x=x, objective=float(c @ x), duals=duals,
+                      iterations=total_it, basis=basis.copy(), dropped_rows=[],
+                      inverse=Binv if fresh else None)

@@ -297,6 +297,18 @@ def test_mather_subcommands(tmp_path):
     assert rep2["duality_gap"]["value"] <= 0.03
 
 
+def test_mather_lambda_starts_from_the_howard_policy(tmp_path):
+    # the discounted LP is the exact dual of the scheme: started from the
+    # basis of the policy solve_discounted ends on, it makes no pivot
+    cfg = write_cfg(tmp_path, TINY_STUDY)
+    out = tmp_path / "md"
+    assert main(["mather", "--config", cfg, "--out", str(out),
+                 "--lambda", "0.25", "--z", "0.5"]) == 0
+    rep = json.loads((out / "mather.json").read_text())
+    assert rep["iterations"] == 0
+    assert rep["duality_gap"]["value"] <= 1e-9
+
+
 def test_csv_is_rfc4180_with_full_precision(tmp_path):
     cfg = write_cfg(tmp_path, TINY_STUDY)
     out = tmp_path / "prec"

@@ -192,6 +192,16 @@ def test_trace_has_one_row_per_policy_step(quad, grid_m, vs_m, tr_m):
     assert all(c > 0 for c in sol.policy_changes)
 
 
+def test_returned_policy_evaluates_to_the_returned_values(quad, grid_m, vs_m, tr_m):
+    # the LPs start from this policy's basis, so it must be the one u solves
+    lam = 0.25
+    sol = solve_discounted(quad, grid_m, vs_m, lam, tol=1e-9, transition=tr_m)
+    rows = np.arange(grid_m.num_nodes)
+    stage = grid_m.h * lagrangian_table(quad, grid_m.coords, vs_m.vectors)[rows, sol.policy]
+    np.testing.assert_array_equal(
+        policy_solve(tr_m, sol.policy, stage, 1.0 + lam * grid_m.h), sol.u)
+
+
 def test_round_off_tie_does_not_cycle(quad):
     # here two actions tie at one node, and each policy's exact evaluation
     # makes the other strictly cheaper by round-off: the policy would

@@ -307,7 +307,7 @@ def test_study_builds_the_ergodic_lp_once(monkeypatch):
 
 def test_study_runs_phase_1_only_for_the_ergodic_lp(monkeypatch):
     # the Mather-face LPs start from the ergodic optimal basis and the
-    # discounted LPs from their q = 0 self-loops
+    # discounted LPs from the basis of the policy Howard's iteration ends on
     calls = []
     phase1 = simplex._phase1
 
@@ -323,6 +323,58 @@ def test_study_runs_phase_1_only_for_the_ergodic_lp(monkeypatch):
                                    transition=build_transition(g, vs))
     assert not rep.failures
     assert len(calls) == 1
+
+
+def test_study_reuses_the_inverses_it_already_formed(monkeypatch):
+    # The Mather crash is inverted once for both vertex samples and the
+    # first barrier query, a query that ends on a fresh inverse hands it
+    # to the next, and the second probe at each lambda reuses the first's.
+    # Inverting every start afresh took 17.
+    calls = []
+    inverse = simplex._inverse
+
+    def counting(*args):
+        calls.append(1)
+        return inverse(*args)
+
+    monkeypatch.setattr(simplex, "_inverse", counting)
+    g = build_grid([[-2.0, 2.0]], 0.1)
+    vs = build_velocity_set(1.0, 5)
+    rep = vanishing_discount_study(make_model("quadratic", "half_square"), g, vs,
+                                   [0.5, 0.25], probes=((0.0,), (1.0,)), n_objectives=2,
+                                   agreement_count=3, transition=build_transition(g, vs))
+    assert not rep.failures
+    assert len(calls) == 9
+
+
+@pytest.mark.parametrize("shift", [0.0, -0.5], ids=["budget>0", "budget<0"])
+def test_a_solve_given_the_start_inverse_matches_one_without(grid_c, vs7, tr_c, shift):
+    # the given inverse stands in for the one the start would form, bit for
+    # bit; a shift of -0.5 makes the budget row's right-hand side negative,
+    # a row the solver negates
+    problem = build_ergodic_lp(make_model("quadratic", "half_square",
+                                          normalization_shift=shift),
+                               grid_c, vs7, transition=tr_c)
+    poly = build_mather_polytope(problem, lp_solve(problem))
+    assert (poly.b[-1] < 0) == (shift < 0)
+    crash, crash_inverse = poly.meta["crash_basis"], poly.meta["crash_inverse"]
+    # two random objectives whose solves pivot and end on fresh inverses
+    rng = np.random.default_rng(2)
+    c1, c2 = (np.append(rng.uniform(0.0, 1.0, len(poly.active)), 0.0) for _ in range(2))
+    first = simplex.solve_lp(c1, poly.A, poly.b, basis0=crash)
+    assert first.iterations > 0 and first.inverse is not None
+    held = [crash_inverse.copy(), first.inverse.copy()]
+    for basis0, inverse0, c in ((crash, crash_inverse, c1), (first.basis, first.inverse, c2)):
+        given = simplex.solve_lp(c, poly.A, poly.b, basis0=basis0, inverse0=inverse0)
+        plain = simplex.solve_lp(c, poly.A, poly.b, basis0=basis0)
+        assert given.iterations > 0 and given.inverse is not None
+        for a, b in ((given.x, plain.x), (given.duals, plain.duals),
+                     (given.objective, plain.objective), (given.basis, plain.basis),
+                     (given.inverse, plain.inverse)):
+            np.testing.assert_array_equal(a, b)
+    # the pivots update a copy, never the caller's inverse
+    np.testing.assert_array_equal(crash_inverse, held[0])
+    np.testing.assert_array_equal(first.inverse, held[1])
 
 
 def test_warm_started_barrier_queries_match_cold_solves(quad_setup, grid_c, vs7):
@@ -371,9 +423,10 @@ def test_chained_barrier_queries_on_the_2d_double_well(barrier_chain_2d):
 
 def test_study_pivot_budget(monkeypatch):
     # The acceptance model at h = 0.1 (82 rows per Mather-face LP).  Chained
-    # starts make the barrier queries after the first and the discounted
-    # LPs after the first nearly free; restarted from the ergodic basis and
-    # the q = 0 crash they took 232 clean-up and 246 discounted pivots.
+    # starts make the barrier queries after the first nearly free, and the
+    # Howard-policy start makes every discounted LP free; restarted from the
+    # ergodic basis and the q = 0 crash they took 232 clean-up and 246
+    # discounted pivots.
     log = []
     lp_solve_, cleanup = limits.lp_solve, simplex._dual_cleanup
 
@@ -402,9 +455,8 @@ def test_study_pivot_budget(monkeypatch):
     assert kinds == ["ergodic"] + ["mather"] * 6 + ["discounted"] * 4
     queries, discounted = log[3:7], log[7:]
     later_cleanup = sum(clean for _, _, clean in queries[1:])
-    later_discounted = sum(pivots for _, pivots, _ in discounted[1:])
     assert later_cleanup <= 20, queries
-    assert later_discounted <= 20, discounted
+    assert all(pivots == 0 for _, pivots, _ in discounted), discounted
 
 
 def test_study_propagates_programming_errors_from_the_solve(monkeypatch):

@@ -5,7 +5,7 @@ import pytest
 
 from weakkam import simplex
 from weakkam.discounted import quadratic_rate, solve_discounted
-from weakkam.grids import build_grid, build_transition, build_velocity_set
+from weakkam.grids import build_grid, build_transition, build_velocity_set, interpolate
 from weakkam.measures import (
     DiscreteMeasure,
     build_discounted_lp,
@@ -14,6 +14,7 @@ from weakkam.measures import (
     closedness_residual,
     holonomy_residual,
     lp_solve,
+    policy_basis,
     support_check,
     transport_distance,
 )
@@ -172,6 +173,40 @@ def test_discounted_lps_chain_their_optimal_bases(disc_setup, monkeypatch):
             warm = lp_solve(problem, basis0=start.basis)
             assert abs(warm.objective - ref.objective) <= 1e-12, (lam, z)
             assert abs(warm.objective - lam_u) <= 1e-9, (lam, z)
+
+
+def test_policy_start_keeps_the_duality_check_independent(disc_setup):
+    # the LP proves its optimum by its own pricing: from Howard's policy it
+    # makes no pivot, and from a policy with nodes flipped to their worst
+    # action it pivots back to the optimum of a cold solve
+    g, vs, tr, quad = disc_setup
+    lam, z = 0.5, [1.0]
+    problem = build_discounted_lp(quad, g, vs, lam, z, transition=tr)
+    sol = solve_discounted(quad, g, vs, lam, transition=tr)
+    cold = lp_solve(problem)
+    howard = lp_solve(problem, basis0=policy_basis(problem, sol.policy))
+    assert howard.iterations == 0
+    assert abs(howard.objective - cold.objective) <= 1e-12
+    vals = g.h * lagrangian_table(quad, g.coords, vs.vectors) + interpolate(tr, sol.u)
+    flipped = sol.policy.copy()
+    nodes = np.arange(0, g.num_nodes, 4)
+    flipped[nodes] = np.argmax(vals[nodes], axis=1)
+    rows = np.arange(g.num_nodes)
+    assert np.all(vals[rows, flipped][nodes] > vals[rows, sol.policy][nodes] + 1e-6)
+    worse = lp_solve(problem, basis0=policy_basis(problem, flipped))
+    assert worse.iterations > 0
+    assert abs(worse.objective - cold.objective) <= 1e-12
+
+
+def test_policy_basis_needs_every_pair_to_be_a_column(grid_c, vs7, tr_c):
+    # the eikonal Lagrangian is infinite above unit speed, so |q| = 1.5 has
+    # no column; such a policy has no basis, and the LP keeps its q = 0 crash
+    problem = build_discounted_lp(make_model("eikonal", "abs"), grid_c, vs7, 0.5, 0,
+                                  transition=tr_c)
+    n = grid_c.num_nodes
+    assert policy_basis(problem, np.zeros(n, dtype=int)) is None
+    zero = np.full(n, vs7.zero_index())
+    assert np.array_equal(policy_basis(problem, zero), problem.meta["crash_basis"])
 
 
 def test_one_column_per_node_bases_have_nonnegative_inverses(disc_setup):

@@ -3,12 +3,16 @@
 Everything here lives on the weighted graph whose edges are the unclipped
 foot-point transitions (i -> x_i + h*q) with cost h * sigma_a(x_i, q), the
 discrete length element of the level-a Finsler metric.  Distances are
-computed by min-plus relaxation (Jacobi sweeps over all edges at once) with
-multilinear interpolation of the continuation value at off-node feet.  An
-edge whose foot lies in a cell with its own node as a corner puts weight
-w_s < 1 on that node; each sweep solves D(i) = c + w_s D(i) + rest for D(i)
-exactly, so such an edge costs one sweep rather than a geometric series of
-them, with the same fixed point.  A subcritical level raises NegativeCycle:
+computed by min-plus relaxation (Jacobi sweeps) with multilinear
+interpolation of the continuation value at off-node feet, over extended
+reals: an edge whose foot reads an unreachable node is unusable, and
+unreachable nodes stay at INF.  A sweep re-evaluates only the nodes that
+read a value the sweep before changed, which leaves every value and the
+sweep count as full sweeps give them.  An edge whose foot lies in a cell
+with its own node as a corner puts weight w_s < 1 on that node; each sweep
+solves D(i) = c + w_s D(i) + rest for D(i) exactly, so such an edge costs
+one sweep rather than a geometric series of them, with the same fixed
+point.  A subcritical level raises NegativeCycle:
 from the relaxation on a negative cycle, or its subclass EmptySublevel from
 `edge_costs` on an empty sublevel.  The critical value is bracketed by
 bisection between max_x min_p H and max_x H(x,0) (the level at which
@@ -92,8 +96,19 @@ def relax_batch(costs, transition, D0):
     D <= (c + rest) / (1 - w_s), so the fixed-point set is that of the plain
     sweep D <- min(D, c + sum_k w_k D(idx_k)), and only the round-off and
     the sweep count differ.  A self-loop (w_s = 1: the q = 0 edge, of cost
-    h*sigma_a(x, 0) = 0, or a foot clipped onto its own node, at INF) only
-    restates D <= c + D and is left out.
+    h*sigma_a(x, 0) = 0, or a foot clipped onto its own node) only restates
+    D <= c + D and is left out, and so is an edge of cost INF.
+
+    Inside the sweeps values are extended reals: INF becomes +inf on entry
+    and INF again on exit, so an edge that reads an unreachable node (a
+    corner of positive weight other than the node itself) is unusable, as
+    the scheme says, instead of costing about w * INF.  The sweeps are
+    Jacobi sweeps, but per block of CHUNK rows a sweep re-evaluates only
+    the nodes that read a node whose value changed in the sweep before:
+    any other node would get its previous candidate again, so the values
+    and the sweep count are those of full sweeps.  Each block is held
+    node-major, so a read gathers the block's values for that node at
+    once.  The corner terms are summed in corner order.
 
     Raises NegativeCycle when 2n+64 sweeps end while values still drop by
     more than NEG_TOL relative to the field (the min-plus operator is
@@ -106,23 +121,66 @@ def relax_batch(costs, transition, D0):
     w_rest = np.where(idx == np.arange(n)[:, None, None], 0.0, transition.w)
     w_self = np.sum(transition.w - w_rest, axis=2)
     loop = w_self >= 1.0
-    c = np.where(loop, INF, costs)
     inv = 1.0 / (1.0 - np.where(loop, 0.0, w_self))
+    usable = ~loop & (costs < INF)
+    c = np.where(usable, costs, np.inf)
+    w_rest[~usable] = 0.0
+    # an edge's reads, its corners of positive weight, move to the front in
+    # corner order; a corner of zero weight reads the pad row n, which holds
+    # 0, so inf never meets a zero weight
+    first = np.argsort(w_rest <= 0.0, axis=2, kind="stable")
+    w_rest = np.take_along_axis(w_rest, first, axis=2)
+    reads = np.where(w_rest > 0.0, np.take_along_axis(idx, first, axis=2), n)
+    # velocities sorted by their most reads, so that read slot k covers the
+    # first width[k] of them; a velocity no node can use (q = 0) is dropped
+    most = np.count_nonzero(w_rest, axis=2).max(axis=0)
+    cols = np.argsort(-most, kind="stable")[:np.count_nonzero(most)]
+    width = [np.count_nonzero(most > k) for k in range(idx.shape[2])]
+    slots = [(reads[:, cols[:m], k], w_rest[:, cols[:m], k, None])
+             for k, m in enumerate(width) if m]
+    node_reads = np.concatenate([r for r, _ in slots], axis=1)
+    c = c[:, cols, None]
+    inv = inv[:, cols, None]
+    D[D >= INF] = np.inf
     sweeps = 0
-    while sweeps < max_sweeps:
-        sweeps += 1
-        improvement = 0.0
-        for t0 in range(0, T, CHUNK):
-            block = D[t0:t0 + CHUNK]
-            rest = np.einsum("bnmk,nmk->bnm", block[:, idx], w_rest)
-            rest += c
-            rest *= inv
-            cand = np.min(rest, axis=2)
-            new = np.minimum(block, cand)
-            improvement = max(improvement, float(np.max(block - new)))
-            D[t0:t0 + CHUNK] = new
-        if improvement <= 0.0:
-            return D, sweeps
+    improvement = 0.0
+    for t0 in range(0, T, CHUNK):
+        # node-major block: a read pulls the block's values contiguously
+        Dn = np.zeros((n + 1, min(CHUNK, T - t0)))
+        Dn[:n] = D[t0:t0 + CHUNK].T
+        # the first sweep evaluates the nodes that read a finite value: the
+        # candidates of any other node are all inf
+        moved = np.zeros(n + 1, dtype=bool)
+        moved[:n] = np.isfinite(Dn[:n]).any(axis=1)
+        for sweep in range(1, max_sweeps + 1):
+            act = np.flatnonzero(moved[node_reads].any(axis=1))
+            if act.size == 0:
+                drop = 0.0
+                break
+            r, wk = slots[0]
+            rest = Dn[r[act]]
+            rest *= wk[act]
+            for r, wk in slots[1:]:
+                term = Dn[r[act]]
+                term *= wk[act]
+                rest[:, :r.shape[1]] += term
+            rest += c[act]
+            rest *= inv[act]
+            old = Dn[act]
+            new = np.minimum(old, np.min(rest, axis=1))
+            lower = new < old
+            drop = float(np.max(old[lower] - new[lower])) if lower.any() else 0.0
+            moved[:] = False
+            moved[act] = lower.any(axis=1)
+            Dn[act] = new
+            if drop <= 0.0:
+                break
+        sweeps = max(sweeps, sweep)
+        improvement = max(improvement, drop)
+        D[t0:t0 + CHUNK] = Dn[:n].T
+    D[np.isinf(D)] = INF
+    if improvement <= 0.0:
+        return D, sweeps
     scale = 1.0 + float(np.max(np.abs(D[D < INF / 2]))) if np.any(D < INF / 2) else 1.0
     if improvement > NEG_TOL * scale:
         raise NegativeCycle(

@@ -156,13 +156,17 @@ def _pivot_update(Binv, xB, d, row, theta):
     xB -= theta * d
     xB[row] = theta
     prow = Binv[row] / d[row]
-    # rows where d is zero are unchanged; a mostly dense d (the dual
-    # clean-up's columns) is cheaper to apply in place than by gather/scatter
+    # rows where d is zero and columns where prow is zero are unchanged (a
+    # phase-1 pivot row has about one nonzero); a mostly dense d and prow
+    # (the dual clean-up's) are cheaper to apply in place than by gather/scatter
     t = np.flatnonzero(d)
-    if 2 * len(t) > len(d):
-        Binv -= np.outer(d, prow)
-    else:
+    s = np.flatnonzero(prow)
+    if 2 * len(s) <= len(prow):
+        Binv[np.ix_(t, s)] -= np.outer(d[t], prow[s])
+    elif 2 * len(t) <= len(d):
         Binv[t] -= np.outer(d[t], prow)
+    else:
+        Binv -= np.outer(d, prow)
     Binv[row] = prow
 
 

@@ -39,6 +39,79 @@ def relax_batch_jacobi(costs, transition, D0):
     return D, sweeps
 
 
+def reachable_nodes(costs, transition, D0):
+    """Boolean (T, n) fixed point of reachability, one node at a time: a
+    node is reachable in row r when D0 holds a finite value there, or when
+    some edge of finite cost that is not a self-loop (its own corner's
+    weight below 1) has every corner of positive weight other than the node
+    itself reachable."""
+    T, n = D0.shape
+    M, K = transition.idx.shape[1:]
+    reach = np.asarray(D0) < BIG / 2
+    for r in range(T):
+        grew = True
+        while grew:
+            grew = False
+            for i in range(n):
+                if reach[r, i]:
+                    continue
+                for m in range(M):
+                    if costs[i, m] >= BIG / 2:
+                        continue
+                    corners = [(int(transition.idx[i, m, k]), transition.w[i, m, k])
+                               for k in range(K)]
+                    if sum(w for j, w in corners if j == i) >= 1.0:
+                        continue
+                    if all(reach[r, j] for j, w in corners if j != i and w > 0):
+                        reach[r, i] = grew = True
+                        break
+    return reach
+
+
+def relax_batch_extended(costs, transition, D0):
+    """`critical.relax_batch` as full Jacobi sweeps over every node and row
+    at once: BIG becomes +inf, each step takes (c + rest) / (1 - w_s) with
+    the corner terms summed in corner order, and self-loops and edges of
+    cost BIG are left out.  Same cap and NegativeCycle verdict; returns
+    (D, sweeps) with BIG for unreachable."""
+    from weakkam.critical import NEG_TOL
+    from weakkam.errors import NegativeCycle
+    D = np.array(D0, dtype=float)
+    D[D >= BIG] = np.inf
+    n = D.shape[1]
+    max_sweeps = 2 * n + 64
+    idx, w = transition.idx, transition.w
+    own = idx == np.arange(n)[:, None, None]
+    w_self = np.where(own, w, 0.0).sum(axis=2)
+    loop = w_self >= 1.0
+    inv = 1.0 / (1.0 - np.where(loop, 0.0, w_self))
+    c = np.where(loop | (costs >= BIG), np.inf, costs)
+    w_rest = np.where(own, 0.0, w)
+    sweeps = 0
+    while sweeps < max_sweeps:
+        sweeps += 1
+        # a corner of zero weight adds 0, never 0 * inf
+        terms = np.where(w_rest > 0.0, D[:, idx], 0.0) * w_rest
+        rest = terms[..., 0]
+        for k in range(1, terms.shape[-1]):
+            rest = rest + terms[..., k]
+        cand = np.min((rest + c) * inv, axis=2)
+        new = np.minimum(D, cand)
+        lower = new < D
+        improvement = float(np.max(D[lower] - new[lower])) if lower.any() else 0.0
+        D = new
+        if improvement <= 0.0:
+            break
+    finite = D[np.isfinite(D)]
+    D[np.isinf(D)] = BIG
+    if improvement > 0.0:
+        scale = 1.0 + float(np.max(np.abs(finite))) if finite.size else 1.0
+        if improvement > NEG_TOL * scale:
+            raise NegativeCycle(
+                f"min-plus relaxation still improving by {improvement:.3e} after {sweeps} sweeps")
+    return D, sweeps
+
+
 def exact_successors(costs, transition):
     """(node, cost) successor lists; requires every foot to be an exact node
     hit (interpolation weight 1)."""

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from weakkam.critical import (
+    CHUNK,
     INF,
+    build_aubry_data,
     build_critical_data,
     critical_value,
     distances_to_targets,
@@ -18,7 +20,13 @@ from weakkam.errors import EmptySublevel, IncompatibleTrace, NegativeCycle
 from weakkam.grids import VelocitySet, build_grid, build_transition, build_velocity_set
 from weakkam.models import make_model
 
-from helpers import enumerate_paths_min_cost, make_asymmetric_sampled, relax_batch_jacobi
+from helpers import (
+    enumerate_paths_min_cost,
+    make_asymmetric_sampled,
+    reachable_nodes,
+    relax_batch_extended,
+    relax_batch_jacobi,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -187,6 +195,79 @@ def test_exact_self_weight_matches_jacobi_sweeps(potential, h, dimension):
         finite = jacobi < INF / 2
         np.testing.assert_array_equal(exact < INF / 2, finite)
         np.testing.assert_allclose(exact[finite], jacobi[finite], rtol=1e-12, atol=0)
+
+
+def _assert_matches_full_sweeps(costs, tr, D0):
+    D, sweeps = relax_batch(costs, tr, D0)
+    full, full_sweeps = relax_batch_extended(costs, tr, D0)
+    np.testing.assert_array_equal(D, full)
+    assert D.tobytes() == full.tobytes()
+    assert sweeps == full_sweeps
+
+
+@pytest.mark.parametrize("family, potential, h, dimension", [
+    ("eikonal", "abs", 0.05, 1),
+    ("quadratic", "half_square", 0.25, 2),
+    ("quadratic", "half_square", 0.1, 2),
+])
+def test_active_nodes_give_the_full_sweeps_bit_for_bit(family, potential, h, dimension):
+    # a node none of whose reads changed would get its last candidate again,
+    # so skipping it changes neither a value nor the sweep count
+    if dimension == 1:
+        g, vs = build_grid([[-4.0, 4.0]], h), build_velocity_set(1.5, 7)
+    else:
+        g, vs = _box_2d(h), build_velocity_set(1.5, 5, dimension=2)
+    tr = build_transition(g, vs)
+    model = make_model(family, potential, dimension=dimension)
+    level = critical_value(model, g, vs, transition=tr).level
+    targets = [g.node_near(p) for p in ([0.0] * dimension, [1.0] * dimension,
+                                        [-2.0] + [0.0] * (dimension - 1))]
+    D0 = np.full((len(targets), g.num_nodes), INF)
+    D0[np.arange(len(targets)), targets] = 0.0
+    for costs in (edge_costs(model, g, vs, level, tr),
+                  reverse_edge_costs(model, g, vs, level, tr)):
+        _assert_matches_full_sweeps(costs, tr, D0)
+
+
+def test_batch_wider_than_a_chunk_gives_the_full_sweeps_bit_for_bit():
+    # 129 Aubry nodes: blocks of 64, 64 and 1 rows, each with its own active set
+    g, vs = _box_2d(0.25), build_velocity_set(1.5, 5, dimension=2)
+    tr = build_transition(g, vs)
+    model = make_model("quadratic", "double_well", dimension=2)
+    data = build_aubry_data(model, g, vs, transition=tr)
+    nodes = data.aubry_nodes
+    assert len(nodes) == 129 > 2 * CHUNK
+    D0 = np.full((len(nodes), g.num_nodes), INF)
+    D0[np.arange(len(nodes)), nodes] = 0.0
+    for costs in (edge_costs(model, g, vs, data.level, tr),
+                  reverse_edge_costs(model, g, vs, data.level, tr)):
+        _assert_matches_full_sweeps(costs, tr, D0)
+
+
+def test_unreachable_nodes_stay_at_inf():
+    # an edge whose foot reads an unreachable node with positive weight is
+    # unusable; a finite stand-in for +inf (w * INF) gave such edges finite
+    # costs, and loops of them drove the junk down to O(1) values that also
+    # undercut the distances of reachable nodes
+    g = build_grid([[-1.0, 1.0], [-1.0, 1.0]], 0.25)
+    vs = build_velocity_set(1.5, 5, dimension=2)
+    tr = build_transition(g, vs)
+    n, M = g.num_nodes, vs.size
+    rng = np.random.default_rng(5)
+    costs = g.h * rng.uniform(0.0, 1.0, (n, M))
+    costs[rng.uniform(size=(n, M)) < 0.6] = INF
+    costs[rng.uniform(size=n) < 0.3] = INF
+    costs[tr.clipped] = INF
+    D0 = np.full((1, n), INF)
+    D0[0, g.node_near([0.0, 0.0])] = 0.0
+    reach = reachable_nodes(costs, tr, D0)
+    assert 1 < np.count_nonzero(reach) < n / 2
+    D, sweeps = relax_batch(costs, tr, D0)
+    assert np.all(D[~reach] == INF)
+    full, _ = relax_batch_extended(costs, tr, D0)
+    np.testing.assert_array_equal(full < INF, reach)
+    np.testing.assert_array_equal(D[reach], full[reach])
+    assert sweeps < 2 * n + 64
 
 
 @pytest.mark.parametrize("h", [0.25, 0.5])

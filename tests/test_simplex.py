@@ -184,6 +184,29 @@ def test_pivot_update_matches_the_full_outer_product(density):
     np.testing.assert_array_equal(xB, want_xB)
 
 
+@pytest.mark.parametrize("d_density, prow_density", [
+    (1.0, 1.0),      # both dense: the full outer product
+    (0.04, 1.0),     # sparse d: the rows where d is nonzero
+    (0.04, 0.02),    # sparse pivot row: the block of nonzero rows and columns
+    (1.0, 0.02),
+])
+def test_pivot_update_skips_zero_rows_and_columns_exactly(d_density, prow_density):
+    rng = np.random.default_rng(7)
+    m, row, theta = 300, 40, 0.6
+    d = rng.normal(size=m) * (rng.uniform(size=m) < d_density)
+    d[row] = -2.3
+    Binv = rng.normal(size=(m, m))
+    Binv[row] *= rng.uniform(size=m) < prow_density
+    Binv[row, 0] = 1.1
+    xB = rng.uniform(size=m)
+    want = Binv.copy()
+    prow = want[row] / d[row]
+    want -= np.outer(d, prow)
+    want[row] = prow
+    simplex._pivot_update(Binv, xB, d, row, theta)
+    np.testing.assert_array_equal(Binv, want)
+
+
 def _sparse_matrix(rng, m, n):
     A = rng.normal(size=(m, n)) * (rng.uniform(size=(m, n)) < 0.3)
     A[:, 1] = 0.0                       # an empty column

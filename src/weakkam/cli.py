@@ -165,9 +165,10 @@ def _merge_defaults(cfg):
     return cfg
 
 
-def validate_config(cfg, need_schedule=False):
+def validate_config(cfg, need_schedule=False, need_sub_box=False):
     """Schema check with precise key-path messages; fills defaults.  The
-    schedule is checked when the command needs one or the config has one."""
+    schedule is checked when the command needs one or the config has one,
+    and study.sub_box, which must fit the grid, when the command reads it."""
     _merge_defaults(cfg)
     family = _require(cfg, "model.family", str,
                       lambda v: v in FAMILIES, f"one of {tuple(FAMILIES)}")
@@ -213,9 +214,9 @@ def validate_config(cfg, need_schedule=False):
         if accepts and not ((value is None and default is None) or accepts(value)):
             raise ConfigError(f"{path}: expected {what}, got {value!r}")
     sub_box = cfg["study"]["sub_box"]
-    if sub_box is not None and not (isinstance(sub_box, list) and len(sub_box) == dim
-                                    and all(map(_is_interval, sub_box))
-                                    and grid.box_mask(sub_box).any()):
+    if need_sub_box and sub_box is not None and not (
+            isinstance(sub_box, list) and len(sub_box) == dim
+            and all(map(_is_interval, sub_box)) and grid.box_mask(sub_box).any()):
         raise ConfigError(f"study.sub_box: expected {dim} [lo, hi] pairs with lo < hi "
                           f"around at least one grid node, got {sub_box!r}")
     return cfg
@@ -580,6 +581,7 @@ HANDLERS = {
 }
 
 _NEEDS_SCHEDULE = {"study", "solve"}
+_READS_SUB_BOX = {"study", "limit"}
 
 
 def make_parser():
@@ -613,7 +615,8 @@ def main(argv=None):
             cfg.setdefault("seeds", {})["master"] = args.seed
         if args.out is not None:
             cfg.setdefault("outputs", {})["directory"] = args.out
-        validate_config(cfg, need_schedule=args.command in _NEEDS_SCHEDULE)
+        validate_config(cfg, need_schedule=args.command in _NEEDS_SCHEDULE,
+                        need_sub_box=args.command in _READS_SUB_BOX)
         validate_args(args, cfg["model"]["dimension"])
         out = Path(cfg["outputs"]["directory"])
         out.mkdir(parents=True, exist_ok=True)

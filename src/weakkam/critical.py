@@ -36,7 +36,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import BracketInvalid, EmptySublevel, IncompatibleTrace, NegativeCycle
+from .errors import (BracketInvalid, EmptyAubrySet, EmptySublevel, IncompatibleTrace,
+                     NegativeCycle)
 from .grids import interpolate
 from .models import (
     h_at_zero,
@@ -318,7 +319,8 @@ def build_aubry_data(model, grid, velocity_set, tol=1e-3, eps_aubry=None, *,
     >= 0), so the exact cycle cost is only computed on the surviving
     candidates; elsewhere the stored value is that first-edge lower bound
     (cycle_exact reports which).  The return distances of the Aubry
-    nodes are kept as S_to; S_from is left unset.
+    nodes are kept as S_to; S_from is left unset.  No node within the
+    threshold raises EmptyAubrySet.
     """
     data = critical_value(model, grid, velocity_set, tol=tol, transition=transition)
     # the bisection certified data.level feasible, so no sublevel is empty
@@ -347,6 +349,12 @@ def build_aubry_data(model, grid, velocity_set, tol=1e-3, eps_aubry=None, *,
         exact[y] = True
     # a node outside the candidates has a first edge above eps_aubry
     in_aubry = cycle[cand_nodes] <= eps_aubry
+    if not in_aubry.any():
+        # a first-edge lower bound that is least bounds the least cycle cost
+        y = int(np.argmin(cycle))
+        least = ("no cycle has a finite cost" if cycle[y] >= INF / 2 else
+                 f"the least is {'' if exact[y] else 'at least '}{cycle[y]:.6g}")
+        raise EmptyAubrySet(f"no cycle cost is within eps_aubry = {eps_aubry:.6g}: {least}")
     data.aubry_nodes = cand_nodes[in_aubry]
     data.cycle_cost = cycle
     data.cycle_exact = exact

@@ -37,6 +37,11 @@ class EmptySublevel(NegativeCycle):
     level is subcritical; the message names the node."""
 
 
+class EmptyAubrySet(WeakKAMError):
+    """No node has a cycle cost within eps_aubry; the message gives the
+    least cycle cost."""
+
+
 class IncompatibleTrace(WeakKAMError):
     """Prescribed boundary values violate the intrinsic-distance compatibility."""
 

@@ -294,10 +294,17 @@ def build_mather_polytope(problem, ergodic_result, slack=None):
     # the ergodic optimum with s = slack > 0 is a vertex of the polytope;
     # the vertex samples and the first barrier query all start there
     crash = np.append(ergodic_result.basis, len(problem.c))
+    # its basis is [[B, 0], [c_B, 1]], B the ergodic basis, so its inverse is
+    # [[B^-1, 0], [-c_B B^-1, 1]]: bordered from the ergodic solve's inverse
+    inverse = ergodic_result.inverse
+    if inverse is None:
+        inverse = basis_inverse(problem.A, problem.b, ergodic_result.basis)
+    crash_inverse = np.block([[inverse, np.zeros((budget, 1))],
+                              [-(problem.c[ergodic_result.basis] @ inverse), 1.0]])
     return LPProblem(c=np.append(problem.c, 0.0), A=A, b=b,
                      active=problem.active, kind="mather",
                      meta={**problem.meta, "slack": slack, "crash_basis": crash,
-                           "crash_inverse": basis_inverse(A, b, crash)})
+                           "crash_inverse": crash_inverse})
 
 
 def transport_distance(mu1, mu2, grid):

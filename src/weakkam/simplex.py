@@ -3,11 +3,15 @@
 Standard form: minimize c.x subject to A x = b, x >= 0.  A is held as a
 `Columns` store: each column keeps its few nonzeros (row index and value)
 in a fixed number of slots, so pricing is a gather-and-sum over the stored
-nonzeros and no m x n array is ever formed.  The basis inverse is maintained
-explicitly by rank-1 updates and refreshed periodically from the m x m basis;
-a solve that ends holding the plain inverse of its basis returns it, and a
-later start on that basis over the same matrix can pass it back instead of
-inverting again.  Pricing is Dantzig's rule with an automatic, permanent
+nonzeros and no m x n array is ever formed.  The basis inverse is kept in
+product form (`BasisInverse`): a dense inverse plus the rank-1 terms of the
+pivots made since, applied to it a block at a time, so a pivot writes O(m)
+entries instead of m^2; the simplex prices are updated from each pivot row
+instead of being recomputed.  The inverse is refreshed periodically from the
+m x m basis, and a solve re-inverts its final basis; a solve that ends
+holding the plain inverse of its basis returns it, and a later start on that
+basis over the same matrix can pass it back instead of inverting again.
+Pricing is Dantzig's rule with an automatic, permanent
 switch to Bland's rule after a run of degenerate pivots, which keeps the
 method cycling-proof while staying fast on the highly degenerate flow
 polytopes built here.
@@ -36,6 +40,7 @@ TOL = 1e-9          # pricing, ratio-test and pivot tolerance
 PERTURB = 1e-8      # grading of the right-hand side during pivoting
 STALL_LIMIT = 200   # degenerate pivots in a row before the switch to Bland's rule
 REFRESH = 128       # pivots between recomputations of the basis inverse
+BLOCK = 64          # rank-1 terms held in product form before they are folded
 
 
 @dataclass
@@ -145,48 +150,105 @@ def _signed_rows(A, b):
 
 def basis_inverse(A, b, basis):
     """The inverse of A[:, basis] exactly as `solve_lp(c, A, b)` forms it,
-    to be passed back as its `inverse0` (a Mather polytope forms its crash
-    inverse once this way)."""
+    to be passed back as its `inverse0`."""
     A, _, row_sign = _signed_rows(A, np.asarray(b, dtype=float))
     # the inverse of diag(s) B is B^-1 diag(s): a sign flip, exact
     return _inverse(A, basis) * row_sign
 
 
-def _pivot_update(Binv, xB, d, row, theta):
-    xB -= theta * d
-    xB[row] = theta
-    prow = Binv[row] / d[row]
-    # rows where d is zero and columns where prow is zero are unchanged (a
-    # phase-1 pivot row has about one nonzero); a mostly dense d and prow
-    # (the dual clean-up's) are cheaper to apply in place than by gather/scatter
-    t = np.flatnonzero(d)
-    s = np.flatnonzero(prow)
-    if 2 * len(s) <= len(prow):
-        Binv[np.ix_(t, s)] -= np.outer(d[t], prow[s])
-    elif 2 * len(t) <= len(d):
-        Binv[t] -= np.outer(d[t], prow)
-    else:
-        Binv -= np.outer(d, prow)
-    Binv[row] = prow
+class BasisInverse:
+    """The basis inverse in product form: `base - U[:k].T @ V[:k]`, a dense
+    m x m array and the k rank-1 terms of the pivots made since, held term
+    by term (at most BLOCK; a full block is folded into `base`).  A pivot
+    costs O(m) and each read one more k x m product, where an explicit
+    inverse rewrites m^2 entries per pivot."""
+
+    def __init__(self, base):
+        self.base = base
+        self.U = np.empty((BLOCK, base.shape[0]))
+        self.V = np.empty((BLOCK, base.shape[0]))
+        self.k = 0
+
+    def refresh(self, A, basis):
+        """Invert the basis A[:, basis] afresh and drop the deferred terms;
+        the old inverse is freed before the new one is formed."""
+        self.base = None
+        self.base = _inverse(A, basis)
+        self.k = 0
+
+    def row(self, r):
+        """Row r of the inverse."""
+        return self.base[r] - self.U[:self.k, r] @ self.V[:self.k]
+
+    def col(self, A, j):
+        """The inverse times column j of A."""
+        return A.matcol(self.base, j) - A.matcol(self.V[:self.k], j) @ self.U[:self.k]
+
+    def left(self, y):
+        """y @ inverse."""
+        return y @ self.base - (self.U[:self.k] @ y) @ self.V[:self.k]
+
+    def right(self, b):
+        """inverse @ b."""
+        return self.base @ b - (self.V[:self.k] @ b) @ self.U[:self.k]
+
+    def pivot(self, xB, d, row, theta):
+        """Replace the basic variable of `row` by the column whose transform
+        is d, at level theta (xB is updated in place); returns the new row
+        `row` of the inverse, the old one over d[row]."""
+        xB -= theta * d
+        xB[row] = theta
+        prow = self.row(row) / d[row]
+        # the new inverse is the old one less d' x prow, d' = d with d[row]
+        # cleared, and its row `row` is prow exactly
+        t = np.flatnonzero(d)
+        s = np.flatnonzero(prow)
+        k = self.k
+        if len(t) * len(s) <= len(d):
+            # a sparse term (a phase-1 pivot row has about one nonzero) is
+            # cheaper to apply to the block of nonzero rows and columns
+            self.base[np.ix_(t, s)] -= np.outer(d[t], prow[s])
+        else:
+            self.U[k] = d
+            self.U[k, row] = 0.0
+            self.V[k] = prow
+            self.k = k + 1
+        self.base[row] = prow
+        self.U[:k, row] = 0.0
+        if self.k == BLOCK:
+            self.fold()
+        return prow
+
+    def fold(self):
+        """Apply the deferred terms to `base`, BLOCK rows at a time: no
+        temporary larger than the block itself is formed."""
+        U, V, k = self.U, self.V, self.k
+        if not k:
+            return
+        for lo in range(0, self.base.shape[0], BLOCK):
+            self.base[lo:lo + BLOCK] -= U[:k, lo:lo + BLOCK].T @ V[:k]
+        self.k = 0
 
 
 def _core(A, b, c, basis, Binv, max_iter):
-    """Primal simplex from a feasible basis; A is a `Columns` store."""
+    """Primal simplex from a feasible basis; A is a `Columns` store and
+    Binv a `BasisInverse` of its basis."""
     m, n = A.shape
-    xB = Binv @ b
+    xB = Binv.right(b)
+    y = Binv.left(c[basis])
     bland = False
     stall = 0
     last_obj = np.inf
     it = 0
     while True:
         if it and it % REFRESH == 0:
-            Binv = _inverse(A, basis)
-            xB = Binv @ b
+            Binv.refresh(A, basis)
+            xB = Binv.right(b)
+            y = Binv.left(c[basis])
         if it >= max_iter:
             raise MaxIterExceeded(f"simplex exceeded {max_iter} iterations "
                                   f"(bland={bland}, obj={float(c[basis] @ xB):.6g})",
                                   iterations=it)
-        y = c[basis] @ Binv
         reduced = c - A.vecmat(y)
         reduced[basis] = 0.0
         if bland:
@@ -198,7 +260,7 @@ def _core(A, b, c, basis, Binv, max_iter):
             enter = int(np.argmin(reduced))
             if reduced[enter] >= -TOL:
                 break
-        d = A.matcol(Binv, enter)
+        d = Binv.col(A, enter)
         pos = d > TOL
         if not pos.any():
             raise UnboundedLP("unbounded improving ray")
@@ -211,7 +273,10 @@ def _core(A, b, c, basis, Binv, max_iter):
         # largest: a tiny one would leave the next basis nearly singular
         rows = rows[d[rows] >= 0.1 * np.max(d[rows])]
         leave_row = int(rows[np.argmin(basis[rows])])
-        _pivot_update(Binv, xB, d, leave_row, max(theta, 0.0))
+        prow = Binv.pivot(xB, d, leave_row, max(theta, 0.0))
+        # the prices of the new basis: reduced[enter] becomes 0, and the
+        # other basic columns keep 0 since prow is orthogonal to them
+        y += reduced[enter] * prow
         basis[leave_row] = enter
         it += 1
         obj = float(c[basis] @ xB)
@@ -229,8 +294,10 @@ def _dual_cleanup(A, b, c, basis, Binv, max_iter):
     """Dual-simplex pivots restoring primal feasibility of an optimal basis
     (used after the grading of the right-hand side is removed)."""
     m, n = A.shape
-    xB = Binv @ b
+    xB = Binv.right(b)
     feas_tol = 1e-9 * (1.0 + float(np.max(np.abs(b))) if b.size else 1.0)
+    reduced = c - A.vecmat(Binv.left(c[basis]))
+    reduced[basis] = 0.0
     it = 0
     while True:
         r = int(np.argmin(xB))
@@ -239,20 +306,22 @@ def _dual_cleanup(A, b, c, basis, Binv, max_iter):
         if it >= max_iter:
             raise MaxIterExceeded(f"dual cleanup exceeded {max_iter} iterations "
                                   f"with xB[{r}] = {xB[r]:.3e}", iterations=it)
-        y = c[basis] @ Binv
-        reduced = c - A.vecmat(y)
-        reduced[basis] = 0.0
-        alpha = A.vecmat(Binv[r])
+        alpha = A.vecmat(Binv.row(r))
         alpha[basis] = 0.0
         cand = np.nonzero(alpha < -TOL)[0]
         if cand.size == 0:
             raise InfeasibleLP("no dual pivot: problem infeasible at this vertex")
         ratios = np.maximum(reduced[cand], 0.0) / (-alpha[cand])
         j = int(cand[np.argmin(ratios)])
-        d = A.matcol(Binv, j)
-        theta = xB[r] / d[r]
-        _pivot_update(Binv, xB, d, r, theta)
+        d = Binv.col(A, j)
+        Binv.pivot(xB, d, r, xB[r] / d[r])
+        # the prices of the new basis: alpha is row r of the transformed
+        # columns, and the leaving column takes the entering one's step
+        step = reduced[j] / alpha[j]
+        reduced -= step * alpha
+        reduced[basis[r]] = -step
         basis[r] = j
+        reduced[basis] = 0.0
         it += 1
 
 
@@ -267,20 +336,20 @@ def _phase1(A, b_work, scale_b, max_iter):
     m, n = A.shape
     c1 = np.concatenate([np.zeros(n), np.ones(m)])
     basis, Binv, xB, it = _core(A.with_unit_columns(np.arange(m)), b_work, c1,
-                                np.arange(n, n + m), np.eye(m), max_iter)
+                                np.arange(n, n + m), BasisInverse(np.eye(m)), max_iter)
     infeas = float(c1[basis] @ xB)
     if infeas > 1e-7 * scale_b + 10.0 * PERTURB * scale_b * m:
         raise InfeasibleLP(f"phase-1 infeasibility {infeas:.3e}")
     for r in range(m):
         if basis[r] < n:
             continue
-        row_vals = A.vecmat(Binv[r])
+        row_vals = A.vecmat(Binv.row(r))
         j = int(np.argmax(np.abs(row_vals)))
         if abs(row_vals[j]) <= 1e-9:
             raise SingularBasis(f"constraint row {basis[r] - n} is a linear "
                                 f"combination of the others")
-        d = A.matcol(Binv, j)
-        _pivot_update(Binv, xB, d, r, xB[r] / d[r] if abs(d[r]) > 1e-12 else 0.0)
+        d = Binv.col(A, j)
+        Binv.pivot(xB, d, r, xB[r] / d[r] if abs(d[r]) > 1e-12 else 0.0)
         basis[r] = j
         it += 1
     return basis, Binv, it
@@ -323,6 +392,8 @@ def solve_lp(c, A, b, basis0=None, inverse0=None):
                 Binv = None
         if Binv is None or not np.all(Binv @ b >= -1e-8):
             basis = None
+        else:
+            Binv = BasisInverse(Binv)
     # whether Binv is the plain inverse of the basis, free of rank-1 updates
     fresh = basis is not None
 
@@ -336,14 +407,15 @@ def solve_lp(c, A, b, basis0=None, inverse0=None):
     # case dual pivots walk it back while preserving optimality.  A basis
     # that phase 2 left alone is already inverted afresh.
     if it or not fresh:
-        del Binv                  # freed before its replacement is formed
-        Binv = _inverse(A, basis)
-    xB = Binv @ b
+        Binv.refresh(A, basis)
+    xB = Binv.right(b)
     fresh = True
     if float(np.min(xB)) < -1e-9 * scale_b:
         basis, Binv, xB, it = _dual_cleanup(A, b, c, basis, Binv, max_iter)
         total_it += it
         fresh = it == 0
+    Binv.fold()
+    Binv = Binv.base
     x = np.zeros(n)
     x[basis] = np.maximum(xB, 0.0)
     duals = (c[basis] @ Binv) * row_sign

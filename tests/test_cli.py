@@ -76,7 +76,8 @@ GEOMETRIC = 'schedule={"geometric":{"start":1.0,"ratio":0.5,"count":3}}'
 BOX_2D = "grid.box=[[-2.0,2.0],[-2.0,2.0]]"
 
 
-# each case applies its overrides in order; the last one is malformed
+# each case applies its overrides in order; the last one is malformed.  They
+# run `study`, which reads every setting (study.sub_box only study and limit)
 @pytest.mark.parametrize("overrides", [
     ['model.potential="foo"'],
     ["grid.h=0.3"],
@@ -97,6 +98,7 @@ BOX_2D = "grid.box=[[-2.0,2.0],[-2.0,2.0]]"
     ['model.normalization_shift="x"'],
     ['study.sub_box="x"'],
     ["study.sub_box=[[5,6]]"],
+    [BOX_2D, "probes=[[0,0]]", "study.sub_box=[[-1,1]]"],
     ["measures.slack=-1"],
     ['solver.max_iter="x"'],
     ["solver.max_iter=0"],
@@ -108,8 +110,22 @@ BOX_2D = "grid.box=[[-2.0,2.0],[-2.0,2.0]]"
 def test_bad_value_exit_2(tmp_path, capsys, overrides):
     cfg = write_cfg(tmp_path, TINY_STUDY)
     sets = [arg for o in overrides for arg in ("--set", o)]
-    assert main(["critical", "--config", cfg, "--out", str(tmp_path / "o"), *sets]) == 2
+    assert main(["study", "--config", cfg, "--out", str(tmp_path / "o"), *sets]) == 2
     assert overrides[-1].split("=")[0] in capsys.readouterr().err
+
+
+# a 2D run of a 1D config, as in CI; study.sub_box stays 1D
+SET_2D = ["model.dimension=2", "grid.box=[[-2,2],[-2,2]]", "grid.h=0.25",
+          "velocity.q_max=1.5", "velocity.per_axis_count=5", "probes=[[0,0],[1,0]]"]
+
+
+@pytest.mark.parametrize("argv", [["aubry"], ["distance", "--source", "0,0"]],
+                         ids=["aubry", "distance"])
+def test_commands_that_ignore_the_sub_box_accept_one_of_another_dimension(tmp_path,
+                                                                          argv):
+    sets = [arg for o in SET_2D for arg in ("--set", o)]
+    assert main([argv[0], "--config", str(CONFIGS / "quadratic.json"),
+                 "--out", str(tmp_path / "o"), *sets, *argv[1:]]) == 0
 
 
 def test_bad_output_directory_exit_2(tmp_path, capsys):
@@ -431,6 +447,15 @@ def test_aubry_and_critical_skip_the_weak_kam_fields(tmp_path, monkeypatch, comm
     out = tmp_path / command
     assert main([command, "--config", cfg, "--out", str(out)]) == 0
     assert (out / artifact).exists()
+
+
+def test_an_empty_aubry_set_exits_3_without_traceback(tmp_path, capsys):
+    # every cycle costs more than the threshold
+    assert main(["study", "--config", str(CONFIGS / "quadratic.json"),
+                 "--out", str(tmp_path / "o"), "--set", "ergodic.eps_aubry=1e-9"]) == 3
+    err = capsys.readouterr().err
+    assert "error[EmptyAubrySet]: " in err and "eps_aubry = 1e-09" in err
+    assert "Traceback" not in err
 
 
 def test_singular_simplex_basis_exits_3_without_traceback(tmp_path, capsys,

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from weakkam import simplex
+from weakkam import measures, simplex
 from weakkam.errors import (
     InfeasibleLP,
     MaxIterExceeded,
@@ -10,11 +10,12 @@ from weakkam.errors import (
     WeakKAMError,
 )
 from weakkam.grids import build_grid, build_transition, build_velocity_set
-from weakkam.measures import build_ergodic_lp, lp_solve
-from weakkam.models import make_model
+from weakkam.limits import vanishing_discount_study
+from weakkam.measures import build_ergodic_lp, build_mather_polytope, lp_solve
+from weakkam.models import make_model, superlinearize
 from weakkam.simplex import Columns, solve_lp
 
-from helpers import brute_force_lp
+from helpers import brute_force_lp, dense_lp_matrix, eager_dual_cleanup, eager_simplex
 
 
 def test_two_variable_toy():
@@ -120,13 +121,13 @@ def test_iterations_count_every_pivot(monkeypatch):
     # phase 1 of this flow LP leaves no artificial in the basis: 41 phase-1
     # pivots and no drive-out pivot, then phase 2
     calls = []
-    pivot = simplex._pivot_update
+    pivot = simplex.BasisInverse.pivot
 
     def counting(*args):
         calls.append(1)
         return pivot(*args)
 
-    monkeypatch.setattr(simplex, "_pivot_update", counting)
+    monkeypatch.setattr(simplex.BasisInverse, "pivot", counting)
     g = build_grid([[-2.0, 2.0]], 0.1)
     vs = build_velocity_set(1.0, 5)
     res = lp_solve(build_ergodic_lp(make_model("quadratic", "half_square"), g, vs,
@@ -140,16 +141,18 @@ def test_ratio_test_passes_over_a_tiny_tied_pivot():
     # entry: pivoting there would leave max |Binv| = 1e8
     A = Columns.from_dense([[1e-8, 1.0, 0.0], [1.0, 0.0, 1.0]])
     basis, Binv, _, _ = simplex._core(A, np.zeros(2), np.array([-1.0, 0.0, 0.0]),
-                                      np.array([1, 2]), np.eye(2), max_iter=10)
+                                      np.array([1, 2]), simplex.BasisInverse(np.eye(2)),
+                                      max_iter=10)
     assert basis.tolist() == [1, 0]
-    assert np.max(np.abs(Binv)) == 1.0
+    Binv.fold()
+    assert np.max(np.abs(Binv.base)) == 1.0
 
 
 def test_iteration_cap_raises_max_iter_exceeded():
     A = simplex.Columns.from_dense(np.array([[1.0, 1.0]]))
     with pytest.raises(MaxIterExceeded):
         simplex._core(A, np.array([1.0]), np.array([1.0, 0.0]), np.array([0]),
-                      np.eye(1), max_iter=0)
+                      simplex.BasisInverse(np.eye(1)), max_iter=0)
 
 
 def test_dual_cleanup_cap_raises_max_iter_exceeded():
@@ -158,37 +161,47 @@ def test_dual_cleanup_cap_raises_max_iter_exceeded():
     A = Columns.from_dense([[1.0, 0.0, -1.0, 0.0], [0.0, 1.0, 0.0, -1.0]])
     b = np.array([1.0, 1.0])
     c = np.array([1.0, 1.0, 0.0, 0.0])
-    basis, Binv, xB, it = simplex._dual_cleanup(A, b, c, np.array([2, 3]), -np.eye(2),
-                                                max_iter=2)
+    basis, Binv, xB, it = simplex._dual_cleanup(A, b, c, np.array([2, 3]),
+                                                simplex.BasisInverse(-np.eye(2)), max_iter=2)
     assert sorted(basis) == [0, 1] and it == 2
     with pytest.raises(MaxIterExceeded) as info:
-        simplex._dual_cleanup(A, b, c, np.array([2, 3]), -np.eye(2), max_iter=1)
+        simplex._dual_cleanup(A, b, c, np.array([2, 3]), simplex.BasisInverse(-np.eye(2)),
+                              max_iter=1)
     assert info.value.iterations == 1
+
+
+def _eager_pivot(Binv, d, row):
+    """The explicit rank-1 update of a pivot on `row` with transformed column d."""
+    prow = Binv[row] / d[row]
+    out = Binv - np.outer(d, prow)
+    out[row] = prow
+    return out
 
 
 @pytest.mark.parametrize("density", [0.04, 1.0])
 def test_pivot_update_matches_the_full_outer_product(density):
+    # one deferred term, folded, is the same products as the outer product
     rng = np.random.default_rng(6)
     m, row, theta = 200, 150, 0.3
     d = rng.normal(size=m) * (rng.uniform(size=m) < density)
     d[row] = 1.7
     Binv = rng.normal(size=(m, m))
     xB = rng.uniform(size=m)
-    want, want_xB = Binv.copy(), xB - theta * d
+    want, want_xB = _eager_pivot(Binv, d, row), xB - theta * d
     want_xB[row] = theta
-    prow = want[row] / d[row]
-    want -= np.outer(d, prow)
-    want[row] = prow
-    simplex._pivot_update(Binv, xB, d, row, theta)
-    np.testing.assert_array_equal(Binv, want)
+    inv = simplex.BasisInverse(Binv)
+    prow = inv.pivot(xB, d, row, theta)
+    np.testing.assert_array_equal(prow, want[row])
+    inv.fold()
+    np.testing.assert_array_equal(inv.base, want)
     np.testing.assert_array_equal(xB, want_xB)
 
 
 @pytest.mark.parametrize("d_density, prow_density", [
-    (1.0, 1.0),      # both dense: the full outer product
-    (0.04, 1.0),     # sparse d: the rows where d is nonzero
-    (0.04, 0.02),    # sparse pivot row: the block of nonzero rows and columns
-    (1.0, 0.02),
+    (1.0, 1.0),      # both dense: a deferred term
+    (0.04, 1.0),     # sparse d, dense pivot row: a deferred term
+    (0.04, 0.02),    # a small block of nonzero rows and columns: applied at once
+    (1.0, 0.02),     # a deferred term
 ])
 def test_pivot_update_skips_zero_rows_and_columns_exactly(d_density, prow_density):
     rng = np.random.default_rng(7)
@@ -199,12 +212,156 @@ def test_pivot_update_skips_zero_rows_and_columns_exactly(d_density, prow_densit
     Binv[row] *= rng.uniform(size=m) < prow_density
     Binv[row, 0] = 1.1
     xB = rng.uniform(size=m)
-    want = Binv.copy()
-    prow = want[row] / d[row]
-    want -= np.outer(d, prow)
-    want[row] = prow
-    simplex._pivot_update(Binv, xB, d, row, theta)
-    np.testing.assert_array_equal(Binv, want)
+    want = _eager_pivot(Binv, d, row)
+    inv = simplex.BasisInverse(Binv)
+    inv.pivot(xB, d, row, theta)
+    assert inv.k == (max(d_density, prow_density) == 1.0)
+    inv.fold()
+    np.testing.assert_array_equal(inv.base, want)
+
+
+def _pivot_sequence(rng, m, count):
+    """Dense transformed columns and pivot rows for `count` pivots."""
+    for _ in range(count):
+        row = int(rng.integers(m))
+        d = rng.normal(size=m)
+        d[row] = rng.choice([-1.0, 1.0]) * rng.uniform(1.0, 2.0)
+        yield d, row
+
+
+def test_deferred_pivots_read_and_fold_like_the_eager_update():
+    rng = np.random.default_rng(8)
+    m = 60
+    eager = np.eye(m) + 0.1 * rng.normal(size=(m, m))
+    inv = simplex.BasisInverse(eager.copy())
+    xB = np.zeros(m)
+    A = Columns.from_dense(rng.normal(size=(m, 5)) * (rng.uniform(size=(m, 5)) < 0.5))
+    for count, (d, row) in enumerate(_pivot_sequence(rng, m, 20), start=1):
+        eager = _eager_pivot(eager, d, row)
+        inv.pivot(xB, d, row, 0.0)
+        assert inv.k == count
+    y, b = rng.normal(size=m), rng.normal(size=m)
+    tol = dict(rtol=1e-13, atol=1e-13 * np.max(np.abs(eager)))
+    for r in (0, 17, m - 1):
+        np.testing.assert_allclose(inv.row(r), eager[r], **tol)
+    for j in range(5):
+        np.testing.assert_allclose(inv.col(A, j), A.matcol(eager, j), **tol)
+    np.testing.assert_allclose(inv.left(y), y @ eager, **tol)
+    np.testing.assert_allclose(inv.right(b), eager @ b, **tol)
+    inv.fold()
+    assert inv.k == 0
+    np.testing.assert_allclose(inv.base, eager, **tol)
+
+
+def test_a_block_is_folded_exactly_when_it_fills():
+    rng = np.random.default_rng(9)
+    m = 3 * simplex.BLOCK
+    eager = np.eye(m) + 0.1 * rng.normal(size=(m, m))
+    inv = simplex.BasisInverse(eager.copy())
+    xB = np.zeros(m)
+    for count, (d, row) in enumerate(_pivot_sequence(rng, m, simplex.BLOCK + 1),
+                                     start=1):
+        before = inv.base.copy()
+        inv.pivot(xB, d, row, 0.0)
+        eager = _eager_pivot(eager, d, row)
+        if count < simplex.BLOCK:
+            # a deferred term changes only the pivot row of `base`
+            assert inv.k == count
+            before[row] = inv.base[row]
+            np.testing.assert_array_equal(inv.base, before)
+        elif count == simplex.BLOCK:
+            assert inv.k == 0
+            np.testing.assert_allclose(inv.base, eager, rtol=1e-13,
+                                       atol=1e-13 * np.max(np.abs(eager)))
+        else:
+            assert inv.k == 1
+
+
+def test_the_study_lps_pivot_as_the_eager_dense_reference(monkeypatch):
+    # every LP of a small study is solved again, from the same start, by
+    # the simplex that rewrites its explicit inverse at every pivot
+    pivots = []
+    solve = measures.solve_lp
+
+    def checked(c, A, b, basis0=None, inverse0=None):
+        sol = solve(c, A, b, basis0=basis0, inverse0=inverse0)
+        x, duals, iterations, basis = eager_simplex(c, A, b, basis0=basis0,
+                                                    inverse0=inverse0)
+        assert sol.iterations == iterations
+        np.testing.assert_array_equal(sol.basis, basis)
+        np.testing.assert_allclose(sol.x, x, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(sol.duals, duals, rtol=0.0, atol=1e-12)
+        pivots.append(iterations)
+        return sol
+
+    monkeypatch.setattr(measures, "solve_lp", checked)
+    g = build_grid([[-2.0, 2.0]], 0.1)
+    vs = build_velocity_set(1.0, 5)
+    rep = vanishing_discount_study(make_model("quadratic", "half_square"), g, vs,
+                                   [0.5, 0.25], probes=((0.0,), (1.0,)), n_objectives=2,
+                                   agreement_count=3, transition=build_transition(g, vs))
+    assert not rep.failures
+    assert len(pivots) > 4 and sum(pivots) > 0
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_random_lps_pivot_as_the_eager_dense_reference(seed):
+    # hundreds of pivots on dense pivot rows: every path of the product
+    # form (deferred terms, folds, refreshes, the price updates) is taken
+    rng = np.random.default_rng(seed)
+    m, n = 70, 210
+    D = rng.normal(size=(m, n)) * (rng.uniform(size=(m, n)) < 0.3)
+    A = Columns.from_dense(D)
+    c = rng.uniform(0.0, 1.0, size=n)
+    b = D @ rng.uniform(0.5, 1.0, size=n)
+    sol = solve_lp(c, A, b)
+    x, duals, iterations, basis = eager_simplex(c, A, b)
+    assert sol.iterations == iterations > simplex.REFRESH
+    np.testing.assert_array_equal(sol.basis, basis)
+    np.testing.assert_allclose(sol.x, x, rtol=0.0, atol=1e-12 * np.max(np.abs(x)))
+    np.testing.assert_allclose(sol.duals, duals, rtol=0.0,
+                               atol=1e-12 * np.max(np.abs(duals)))
+    # the optimal basis is dual feasible for any right-hand side: a new one
+    # makes it primal infeasible, and dual pivots walk it back
+    b2 = D @ (rng.uniform(size=n) * (rng.uniform(size=n) < 0.5))
+    Binv = simplex._inverse(A, sol.basis)
+    got = simplex._dual_cleanup(A, b2, c, sol.basis.copy(),
+                                simplex.BasisInverse(Binv.copy()), max_iter=10**4)
+    want = eager_dual_cleanup(A, b2, c, sol.basis.copy(), Binv, max_iter=10**4)
+    assert got[3] == want[3] > simplex.BLOCK
+    np.testing.assert_array_equal(got[0], want[0])
+    np.testing.assert_allclose(got[2], want[2], rtol=0.0,
+                               atol=1e-12 * np.max(np.abs(want[2])))
+
+
+def test_duals_after_dual_clean_up_pivots_certify_optimality(monkeypatch):
+    # vertex samples of a Mather polytope end with tens of dual pivots, so
+    # their duals are read from an inverse that still holds deferred terms
+    cleanup_pivots = []
+    cleanup = simplex._dual_cleanup
+
+    def counting(*args):
+        out = cleanup(*args)
+        cleanup_pivots.append(out[3])
+        return out
+
+    monkeypatch.setattr(simplex, "_dual_cleanup", counting)
+    g = build_grid([[-4.0, 4.0]], 0.1)
+    vs = build_velocity_set(1.5, 7)
+    problem = build_ergodic_lp(superlinearize(make_model("eikonal", "abs"), g), g, vs,
+                               transition=build_transition(g, vs))
+    poly = build_mather_polytope(problem, lp_solve(problem))
+    D = dense_lp_matrix(poly)
+    rng = np.random.default_rng(0)
+    for _ in range(2):
+        cleanup_pivots.clear()
+        c = np.append(rng.uniform(0.0, 1.0, len(poly.active)), 0.0)
+        sol = lp_solve(poly, c[:-1])
+        assert cleanup_pivots[-1] > 0
+        reduced = c - sol.duals @ D
+        scale = 1e-9 * (1.0 + np.max(np.abs(sol.duals)))
+        assert np.min(reduced) >= -scale
+        assert np.max(np.abs(reduced[sol.basis])) <= scale
 
 
 def _sparse_matrix(rng, m, n):

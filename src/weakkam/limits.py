@@ -56,9 +56,9 @@ def enric1_values(critical, polytope, query_nodes):
     """min over the Mather polytope of <mu, P(., x)> at each node index x of
     query_nodes, one LP each.  The queries share the polytope, so each
     starts from the optimal basis of the query before it, which is
-    feasible, and from its inverse when that query returned one; the first
-    starts from the polytope's crash basis (the ergodic optimum plus the
-    budget slack)."""
+    feasible, and from the inverse that query returned; the first starts
+    from the polytope's crash basis (the ergodic optimum plus the budget
+    slack) and its bordered inverse."""
     node_of_column = polytope.active // polytope.meta["velocity_set"].size
     values = []
     basis = inverse = None
@@ -318,21 +318,17 @@ def vanishing_discount_study(model, grid, velocity_set, schedule,
         rows.append(StudyRow(lam=lam, sup_gap=gap, iterations=sol.iterations,
                              residual=sol.residual))
         # each LP starts from the basis of the policy Howard ended on, which
-        # is optimal for every anchor; the probes at one lambda share the
-        # matrix, so a probe that ends on that basis hands on its inverse
-        inverse = None
+        # is optimal for every anchor: two dense solves and its own pricing
+        # certify it, with no pivot and no inverse
         for p in probes:
             z = grid.node_near(p)
             try:
                 problem = build_discounted_lp(model, grid, velocity_set, lam, z,
                                               transition=transition)
-                start = policy_basis(problem, sol.policy)
-                lp = lp_solve(problem, basis0=start, inverse0=inverse)
+                lp = lp_solve(problem, basis0=policy_basis(problem, sol.policy))
             except WeakKAMError as exc:
                 failures.append({"lambda": lam, "stage": f"lp@{p}", "error": repr(exc)})
                 continue
-            if np.array_equal(lp.basis, start):
-                inverse = lp.inverse
             lam_u = lam * float(sol.u[z])
             rows.append(StudyRow(
                 lam=lam, sup_gap=gap, iterations=sol.iterations,

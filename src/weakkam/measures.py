@@ -37,11 +37,12 @@ inverse, so it is feasible for every lambda and z.  The basic solutions
 of the discounted program are the stationary policies of the scheme
 (Puterman, Markov Decision Processes, 1994, ch. 6), so the basis of the
 policy Howard's iteration ends on (`policy_basis`) is optimal: started
-there, the program proves its optimum by its own pricing, in no pivots.
+there, the program proves its optimum by its own pricing, in no pivots,
+from two dense solves and with no basis inverse.
 Likewise every program over one Mather polytope shares its feasible set,
 so any optimal basis of one is a feasible start for the next; the
-polytope forms the inverse of its crash basis once, and a solve that
-ends on a freshly inverted basis returns that inverse for the next start.
+polytope borders the inverse of its crash basis from the ergodic solve's,
+and every solve returns the inverse of its final basis for the next start.
 Each constraint matrix is a `simplex.Columns` store built column by column
 (no m x n array is formed).  All three are solved by `lp_solve`.
 """
@@ -54,7 +55,7 @@ from typing import Optional
 import numpy as np
 
 from .models import lagrangian_table
-from .simplex import Columns, basis_inverse, solve_lp
+from .simplex import Columns, solve_lp
 
 SUPPORT_TOL = 1e-9
 
@@ -83,9 +84,10 @@ class LPResult:
     duals: np.ndarray
     iterations: int
     basis: np.ndarray            # the optimal basis, one column per row
-    inverse: Optional[np.ndarray]  # its inverse when the solve ended holding a
-                                   # fresh one, else None: m^2 floats, so a
-                                   # result kept for long should drop it
+    inverse: Optional[np.ndarray]  # its inverse, folded from the product form;
+                                   # None when the start was certified optimal
+                                   # without one.  m^2 floats, so a result
+                                   # kept for long should drop it
 
 
 def _finite_variables(L_flat):
@@ -180,11 +182,14 @@ def lp_solve(problem, objective=None, basis0=None, inverse0=None):
     `objective`, indexed like `active`, replaces the measure costs
     `problem.c`; slack columns cost 0.  `basis0` is the starting basis,
     typically the `LPResult.basis` of an earlier program over the same
-    columns; None means the program's crash basis.  `inverse0` is the
-    inverse of `basis0` over the same matrix, an earlier `LPResult.inverse`,
-    which saves the start its inversion.  A start that is not feasible
-    falls back to phase 1.  Masses at or below SUPPORT_TOL are zeroed.  The
-    vertices of the Mather polytope are measures of kind "ergodic".
+    columns; None means the program's crash basis (and its inverse, when
+    the program holds one).  `inverse0` is the inverse of `basis0` over the
+    same matrix, an earlier `LPResult.inverse`, which saves a start that
+    must pivot its inversion; a start without one is certified by two
+    dense solves, and inverted only when it is not optimal.  A start that
+    is not feasible falls back to phase 1.  Masses at or below SUPPORT_TOL
+    are zeroed.  The vertices of the Mather polytope are measures of kind
+    "ergodic".
     """
     c = problem.c
     if objective is not None:
@@ -296,11 +301,11 @@ def build_mather_polytope(problem, ergodic_result, slack=None):
     crash = np.append(ergodic_result.basis, len(problem.c))
     # its basis is [[B, 0], [c_B, 1]], B the ergodic basis, so its inverse is
     # [[B^-1, 0], [-c_B B^-1, 1]]: bordered from the ergodic solve's inverse
+    # (a solve that returned none leaves the crash start to certify itself)
     inverse = ergodic_result.inverse
-    if inverse is None:
-        inverse = basis_inverse(problem.A, problem.b, ergodic_result.basis)
-    crash_inverse = np.block([[inverse, np.zeros((budget, 1))],
-                              [-(problem.c[ergodic_result.basis] @ inverse), 1.0]])
+    crash_inverse = None if inverse is None else np.block(
+        [[inverse, np.zeros((budget, 1))],
+         [-(problem.c[ergodic_result.basis] @ inverse), 1.0]])
     return LPProblem(c=np.append(problem.c, 0.0), A=A, b=b,
                      active=problem.active, kind="mather",
                      meta={**problem.meta, "slack": slack, "crash_basis": crash,

@@ -7,10 +7,17 @@ nonzeros and no m x n array is ever formed.  The basis inverse is kept in
 product form (`BasisInverse`): a dense inverse plus the rank-1 terms of the
 pivots made since, applied to it a block at a time, so a pivot writes O(m)
 entries instead of m^2; the simplex prices are updated from each pivot row
-instead of being recomputed.  The inverse is refreshed periodically from the
-m x m basis, and a solve re-inverts its final basis; a solve that ends
-holding the plain inverse of its basis returns it, and a later start on that
-basis over the same matrix can pass it back instead of inverting again.
+instead of being recomputed.  Every BLOCK pivots the product form is folded
+and the basic solution and prices are read from it afresh; the basis is
+inverted again only when that basic solution misses the right-hand side by
+more than the grading step below.  A solve ends by reading its basic
+solution and prices from the folded inverse with one step of iterative
+refinement each, and returns that inverse, which a later start on the same
+basis over the same matrix can pass back.  A start given without its
+inverse is certified by two dense solves and its own pricing, and its
+basis is inverted only when a pivot has to be made.  So an m x m inverse
+is formed only for a start that must pivot and brings none, or for a
+basis whose product form has drifted.
 Pricing is Dantzig's rule with an automatic, permanent
 switch to Bland's rule after a run of degenerate pivots, which keeps the
 method cycling-proof while staying fast on the highly degenerate flow
@@ -22,9 +29,11 @@ against the original right-hand side, so feasibility residuals of the
 returned point are exact.  The constraint rows must have full rank (the
 occupation-measure programs are built that way): a redundant row is an
 error, `SingularBasis` naming the row, when phase 1 cannot drive its
-artificial out.  The ratio test breaks ties toward large pivot elements,
-then toward the lowest basis index, so it never pivots on an entry that
-is tiny next to the other tied candidates.  Deterministic throughout.
+artificial out.  The primal ratio test breaks ties toward large pivot
+elements, then toward the lowest basis index, so it never pivots on an
+entry that is tiny next to the other tied candidates; the dual ratio test
+of the clean-up breaks them toward the largest pivot element, then the
+lowest column index.  Deterministic throughout.
 """
 
 from __future__ import annotations
@@ -39,8 +48,8 @@ from .errors import InfeasibleLP, MaxIterExceeded, SingularBasis, UnboundedLP
 TOL = 1e-9          # pricing, ratio-test and pivot tolerance
 PERTURB = 1e-8      # grading of the right-hand side during pivoting
 STALL_LIMIT = 200   # degenerate pivots in a row before the switch to Bland's rule
-REFRESH = 128       # pivots between recomputations of the basis inverse
-BLOCK = 64          # rank-1 terms held in product form before they are folded
+BLOCK = 64          # rank-1 terms held in product form before they are folded,
+                    # and pivots of phase 1 or 2 between residual checks
 
 
 @dataclass
@@ -72,19 +81,25 @@ class Columns:
         vals = np.where(keep, A[rows, np.arange(n)[:, None]], 0.0)
         return cls(rows=np.where(keep, rows, 0), vals=vals, m=m)
 
-    def vecmat(self, y):
-        """y @ A, summed slot by slot in slot order."""
-        out = y[self.rows[:, 0]] * self.vals[:, 0]
-        for s in range(1, self.rows.shape[1]):
-            out += y[self.rows[:, s]] * self.vals[:, s]
+    def vecmat(self, y, cols=slice(None)):
+        """y @ A[:, cols], summed slot by slot in slot order."""
+        rows, vals = self.rows[cols], self.vals[cols]
+        out = y[rows[:, 0]] * vals[:, 0]
+        for s in range(1, rows.shape[1]):
+            out += y[rows[:, s]] * vals[:, s]
         return out
+
+    def matvec(self, x, cols):
+        """A[:, cols] @ x."""
+        return np.bincount(self.rows[cols].ravel(),
+                           weights=(self.vals[cols] * x[:, None]).ravel(), minlength=self.m)
 
     def matcol(self, B, j):
         """B @ A[:, j]."""
         return B[:, self.rows[j]] @ self.vals[j]
 
     def dense(self, cols):
-        """A[:, cols] as an m x len(cols) array (the basis, at a refresh)."""
+        """A[:, cols] as an m x len(cols) array (a basis, to solve with or invert)."""
         out = np.zeros((self.m, len(cols)))
         np.add.at(out, (self.rows[cols], np.arange(len(cols))[:, None]),
                   self.vals[cols])
@@ -127,8 +142,9 @@ class LPSolution:
     iterations: int
     basis: np.ndarray
     dropped_rows: list         # always empty: a redundant row raises instead
-    inverse: Optional[np.ndarray]   # _inverse of `basis` when no pivot
-                                    # updated it since, else None
+    inverse: Optional[np.ndarray]   # the inverse of `basis`, folded from the
+                                    # product form; None when the start was
+                                    # certified optimal without forming one
 
 
 def _inverse(A, basis):
@@ -148,14 +164,6 @@ def _signed_rows(A, b):
     return A, b, row_sign
 
 
-def basis_inverse(A, b, basis):
-    """The inverse of A[:, basis] exactly as `solve_lp(c, A, b)` forms it,
-    to be passed back as its `inverse0`."""
-    A, _, row_sign = _signed_rows(A, np.asarray(b, dtype=float))
-    # the inverse of diag(s) B is B^-1 diag(s): a sign flip, exact
-    return _inverse(A, basis) * row_sign
-
-
 class BasisInverse:
     """The basis inverse in product form: `base - U[:k].T @ V[:k]`, a dense
     m x m array and the k rank-1 terms of the pivots made since, held term
@@ -170,8 +178,9 @@ class BasisInverse:
         self.k = 0
 
     def refresh(self, A, basis):
-        """Invert the basis A[:, basis] afresh and drop the deferred terms;
-        the old inverse is freed before the new one is formed."""
+        """Invert the basis A[:, basis] afresh and drop the deferred terms
+        (the product form has drifted from the basis); the old inverse is
+        freed before the new one is formed."""
         self.base = None
         self.base = _inverse(A, basis)
         self.k = 0
@@ -230,6 +239,37 @@ class BasisInverse:
         self.k = 0
 
 
+def _drift_bound(b):
+    """The residual |b - B xB| (max norm) past which a basis is inverted
+    afresh: the grading step of the right-hand side, PERTURB max(1, |b|) / m."""
+    return PERTURB * max(1.0, float(np.max(np.abs(b)))) / len(b)
+
+
+def _basic_solution(A, b, basis, Binv):
+    """xB = B^-1 b read from the folded product form, and its residual
+    b - B xB; when that residual is past the grading step, the basis is
+    inverted afresh first."""
+    Binv.fold()
+    xB = Binv.right(b)
+    r = b - A.matvec(xB, basis)
+    if np.max(np.abs(r)) > _drift_bound(b):
+        Binv.refresh(A, basis)
+        xB = Binv.right(b)
+        r = b - A.matvec(xB, basis)
+    return xB, r
+
+
+def _refined(A, b, c, basis, Binv):
+    """The basic solution and the prices of the basis, read from the folded
+    inverse with one step of iterative refinement each."""
+    xB, r = _basic_solution(A, b, basis, Binv)
+    xB += Binv.right(r)
+    cB = c[basis]
+    y = Binv.left(cB)
+    y += Binv.left(cB - A.vecmat(y, basis))
+    return xB, y
+
+
 def _core(A, b, c, basis, Binv, max_iter):
     """Primal simplex from a feasible basis; A is a `Columns` store and
     Binv a `BasisInverse` of its basis."""
@@ -241,9 +281,9 @@ def _core(A, b, c, basis, Binv, max_iter):
     last_obj = np.inf
     it = 0
     while True:
-        if it and it % REFRESH == 0:
-            Binv.refresh(A, basis)
-            xB = Binv.right(b)
+        if it and it % BLOCK == 0:
+            # the updated xB and y collect rounding: read them afresh
+            xB, _ = _basic_solution(A, b, basis, Binv)
             y = Binv.left(c[basis])
         if it >= max_iter:
             raise MaxIterExceeded(f"simplex exceeded {max_iter} iterations "
@@ -290,13 +330,14 @@ def _core(A, b, c, basis, Binv, max_iter):
     return basis, Binv, xB, it
 
 
-def _dual_cleanup(A, b, c, basis, Binv, max_iter):
+def _dual_cleanup(A, b, c, basis, Binv, xB, y, max_iter):
     """Dual-simplex pivots restoring primal feasibility of an optimal basis
-    (used after the grading of the right-hand side is removed)."""
+    (used after the grading of the right-hand side is removed); xB and y
+    are the basic solution and the prices of the start, and xB is updated
+    in place."""
     m, n = A.shape
-    xB = Binv.right(b)
     feas_tol = 1e-9 * (1.0 + float(np.max(np.abs(b))) if b.size else 1.0)
-    reduced = c - A.vecmat(Binv.left(c[basis]))
+    reduced = c - A.vecmat(y)
     reduced[basis] = 0.0
     it = 0
     while True:
@@ -312,7 +353,7 @@ def _dual_cleanup(A, b, c, basis, Binv, max_iter):
         if cand.size == 0:
             raise InfeasibleLP("no dual pivot: problem infeasible at this vertex")
         ratios = np.maximum(reduced[cand], 0.0) / (-alpha[cand])
-        j = int(cand[np.argmin(ratios)])
+        j = _dual_entering(cand, ratios, alpha)
         d = Binv.col(A, j)
         Binv.pivot(xB, d, r, xB[r] / d[r])
         # the prices of the new basis: alpha is row r of the transformed
@@ -323,6 +364,15 @@ def _dual_cleanup(A, b, c, basis, Binv, max_iter):
         basis[r] = j
         reduced[basis] = 0.0
         it += 1
+
+
+def _dual_entering(cand, ratios, alpha):
+    """The entering column of a dual pivot: among the candidates whose ratio
+    is within TOL(1 + |least|) of the least, the largest -alpha, then the
+    lowest column index, so an exact tie is not decided by rounding."""
+    least = float(np.min(ratios))
+    tied = cand[ratios <= least + TOL * (1 + abs(least))]
+    return int(tied[np.argmax(-alpha[tied])])
 
 
 def _phase1(A, b_work, scale_b, max_iter):
@@ -355,6 +405,25 @@ def _phase1(A, b_work, scale_b, max_iter):
     return basis, Binv, it
 
 
+def _start_solution(A, b, c, basis):
+    """The basic solution and the prices of a start given without its
+    inverse, by two dense solves B xB = b and B^T y = c_B; (None, None)
+    when the basis is singular."""
+    B = A.dense(basis)
+    try:
+        return np.linalg.solve(B, b), np.linalg.solve(B.T, c[basis])
+    except np.linalg.LinAlgError:
+        return None, None
+
+
+def _solution(c, basis, xB, y, row_sign, iterations, inverse):
+    x = np.zeros(len(c))
+    x[basis] = np.maximum(xB, 0.0)
+    return LPSolution(x=x, objective=float(c @ x), duals=y * row_sign,
+                      iterations=iterations, basis=basis, dropped_rows=[],
+                      inverse=inverse)
+
+
 def solve_lp(c, A, b, basis0=None, inverse0=None):
     """Optimal basic feasible solution of min c.x, A x = b, x >= 0.
 
@@ -364,12 +433,16 @@ def solve_lp(c, A, b, basis0=None, inverse0=None):
     program in a sequence over the same columns (`measures.lp_solve(basis0=)`).
     It replaces phase 1 when its basic solution is nonnegative.
     `inverse0`, when given, is the inverse of A[:, basis0] that an earlier
-    solve over the same matrix returned as `LPSolution.inverse` (or
-    `basis_inverse`); the start then forms none of its own.  `iterations`
-    counts every pivot: phase 1, the drive-out of artificials, phase 2 and
-    the dual clean-up; phase 1, phase 2 and the clean-up are each capped at
-    50(m + n) + 2000 pivots (`MaxIterExceeded`).  The caller's arrays are
-    never modified.  Every failure raises a WeakKAMError.
+    solve over the same matrix returned as `LPSolution.inverse`; the pivots
+    update a copy.  Without it the start is certified by two dense solves
+    and its own pricing: a start that is already optimal returns with no
+    pivot and no inverse (`inverse` None), and any other forms the inverse
+    of its basis once.  Every other solve returns the inverse of its final
+    basis, folded from the product form.  `iterations` counts every pivot:
+    phase 1, the drive-out of artificials, phase 2 and the dual clean-up;
+    phase 1, phase 2 and the clean-up are each capped at 50(m + n) + 2000
+    pivots (`MaxIterExceeded`).  The caller's arrays are never modified.
+    Every failure raises a WeakKAMError.
     """
     b = np.asarray(b, dtype=float)
     c = np.asarray(c, dtype=float)
@@ -384,43 +457,35 @@ def solve_lp(c, A, b, basis0=None, inverse0=None):
     if basis0 is not None:
         basis = np.array(basis0, dtype=int)
         if inverse0 is not None:
-            Binv = inverse0 * row_sign       # a copy: the pivots update it in place
+            Binv = BasisInverse(inverse0 * row_sign)   # a copy
+            xB = Binv.right(b)
         else:
-            try:
-                Binv = _inverse(A, basis)
-            except SingularBasis:
-                Binv = None
-        if Binv is None or not np.all(Binv @ b >= -1e-8):
-            basis = None
-        else:
-            Binv = BasisInverse(Binv)
-    # whether Binv is the plain inverse of the basis, free of rank-1 updates
-    fresh = basis is not None
+            xB, y = _start_solution(A, b, c, basis)
+        if xB is None or not np.all(xB >= -1e-8):
+            basis = Binv = None
+        elif Binv is None:
+            # priced as phase 2 would: a start that is optimal and feasible
+            # against the exact b is the solution, and needs no inverse
+            reduced = c - A.vecmat(y)
+            reduced[basis] = 0.0
+            if np.min(reduced) >= -TOL and np.min(xB) >= -1e-9 * scale_b:
+                return _solution(c, basis, xB, y, row_sign, 0, None)
+            Binv = BasisInverse(_inverse(A, basis))
 
     if basis is None:
         basis, Binv, total_it = _phase1(A, b_work, scale_b, max_iter)
 
-    basis, Binv, xB, it = _core(A, b_work, c, basis, Binv, max_iter)
+    basis, Binv, _, it = _core(A, b_work, c, basis, Binv, max_iter)
     total_it += it
-    # re-solve the final basis against the unperturbed right-hand side; a
+    # read the final basis against the unperturbed right-hand side; a
     # graded vertex can sit just outside the exact feasible set, in which
-    # case dual pivots walk it back while preserving optimality.  A basis
-    # that phase 2 left alone is already inverted afresh.
-    if it or not fresh:
-        Binv.refresh(A, basis)
-    xB = Binv.right(b)
-    fresh = True
+    # case dual pivots walk it back while preserving optimality
+    xB, y = _refined(A, b, c, basis, Binv)
     if float(np.min(xB)) < -1e-9 * scale_b:
-        basis, Binv, xB, it = _dual_cleanup(A, b, c, basis, Binv, max_iter)
+        basis, Binv, xB, it = _dual_cleanup(A, b, c, basis, Binv, xB, y, max_iter)
         total_it += it
-        fresh = it == 0
-    Binv.fold()
-    Binv = Binv.base
-    x = np.zeros(n)
-    x[basis] = np.maximum(xB, 0.0)
-    duals = (c[basis] @ Binv) * row_sign
-    if fresh:
-        Binv[:, row_sign < 0] *= -1.0        # the inverse for the caller's rows
-    return LPSolution(x=x, objective=float(c @ x), duals=duals,
-                      iterations=total_it, basis=basis.copy(), dropped_rows=[],
-                      inverse=Binv if fresh else None)
+        if it:
+            xB, y = _refined(A, b, c, basis, Binv)
+    inverse = Binv.base
+    inverse[:, row_sign < 0] *= -1.0        # the inverse for the caller's rows
+    return _solution(c, basis, xB, y, row_sign, total_it, inverse)

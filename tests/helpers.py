@@ -191,16 +191,37 @@ def _eager_pivot(Binv, xB, d, row, theta):
     Binv[row] = prow
 
 
+def _eager_basic_solution(A, b, basis, Binv):
+    """(Binv, Binv b, its residual), with the basis inverted afresh when
+    that residual is past the grading step PERTURB max(1, |b|) / m."""
+    from weakkam.simplex import PERTURB, _inverse
+    B = A.dense(basis)
+    xB = Binv @ b
+    if np.max(np.abs(b - B @ xB)) > PERTURB * max(1.0, float(np.max(np.abs(b)))) / len(b):
+        Binv = _inverse(A, basis)
+        xB = Binv @ b
+    return Binv, xB, b - B @ xB
+
+
+def _eager_refined(A, b, c, basis, Binv):
+    """(Binv, xB, y) with one refinement step on xB and on y."""
+    Binv, xB, r = _eager_basic_solution(A, b, basis, Binv)
+    xB = xB + Binv @ r
+    cB = c[basis]
+    y = cB @ Binv
+    y = y + (cB - y @ A.dense(basis)) @ Binv
+    return Binv, xB, y
+
+
 def _eager_core(A, b, c, basis, Binv, max_iter):
     from weakkam.errors import MaxIterExceeded, UnboundedLP
-    from weakkam.simplex import REFRESH, STALL_LIMIT, TOL, _inverse
+    from weakkam.simplex import BLOCK, STALL_LIMIT, TOL
     m, n = A.shape
     xB = Binv @ b
     bland, stall, last_obj, it = False, 0, np.inf, 0
     while True:
-        if it and it % REFRESH == 0:
-            Binv = _inverse(A, basis)
-            xB = Binv @ b
+        if it and it % BLOCK == 0:
+            Binv, xB, _ = _eager_basic_solution(A, b, basis, Binv)
         if it >= max_iter:
             raise MaxIterExceeded("reference simplex exceeded its cap", iterations=it)
         reduced = c - A.vecmat(c[basis] @ Binv)
@@ -237,12 +258,12 @@ def _eager_core(A, b, c, basis, Binv, max_iter):
     return basis, Binv, xB, it
 
 
-def eager_dual_cleanup(A, b, c, basis, Binv, max_iter):
-    """`simplex._dual_cleanup` on an explicit inverse Binv (updated in
-    place), with the prices recomputed at every pivot."""
+def eager_dual_cleanup(A, b, c, basis, Binv, xB, max_iter):
+    """`simplex._dual_cleanup` on an explicit inverse Binv and the start's
+    basic solution xB (both updated in place), with the prices recomputed
+    at every pivot."""
     from weakkam.errors import InfeasibleLP, MaxIterExceeded
     from weakkam.simplex import TOL
-    xB = Binv @ b
     feas_tol = 1e-9 * (1.0 + float(np.max(np.abs(b))))
     it = 0
     while True:
@@ -259,7 +280,9 @@ def eager_dual_cleanup(A, b, c, basis, Binv, max_iter):
         if cand.size == 0:
             raise InfeasibleLP("no dual pivot")
         ratios = np.maximum(reduced[cand], 0.0) / (-alpha[cand])
-        j = int(cand[np.argmin(ratios)])
+        least = float(np.min(ratios))
+        tied = cand[ratios <= least + TOL * (1 + abs(least))]
+        j = int(tied[np.argmax(-alpha[tied])])
         d = A.matcol(Binv, j)
         _eager_pivot(Binv, xB, d, r, xB[r] / d[r])
         basis[r] = j
@@ -269,11 +292,12 @@ def eager_dual_cleanup(A, b, c, basis, Binv, max_iter):
 def eager_simplex(c, A, b, basis0=None, inverse0=None):
     """`simplex.solve_lp` with the explicit basis inverse rewritten by a
     dense rank-1 update at every pivot and the prices recomputed from it
-    at every pivot: the same pricing, ratio test, grading, refreshes and
-    clean-up, so it makes the same pivots.  Returns (x, duals, iterations,
-    basis); the caller's arrays are not modified."""
+    at every pivot: the same start certificate, pricing, ratio test,
+    grading, residual checks, refinement and clean-up, so it makes the
+    same pivots.  Returns (x, duals, iterations, basis); the caller's
+    arrays are not modified."""
     from weakkam.errors import InfeasibleLP, SingularBasis
-    from weakkam.simplex import PERTURB, _inverse, _signed_rows
+    from weakkam.simplex import PERTURB, TOL, _inverse, _signed_rows
     b = np.asarray(b, dtype=float)
     c = np.asarray(c, dtype=float)
     m, n = A.shape
@@ -282,19 +306,28 @@ def eager_simplex(c, A, b, basis0=None, inverse0=None):
     b_work = b + PERTURB * scale_b * (1.0 + np.arange(m)) / m
     max_iter = 50 * (m + n) + 2000
     total_it = 0
-    basis = Binv = None
+    basis = Binv = xB = None
     if basis0 is not None:
         basis = np.array(basis0, dtype=int)
         if inverse0 is not None:
             Binv = inverse0 * row_sign
+            xB = Binv @ b
         else:
+            B = A.dense(basis)
             try:
-                Binv = _inverse(A, basis)
-            except SingularBasis:
-                Binv = None
-        if Binv is None or not np.all(Binv @ b >= -1e-8):
-            basis = None
-    fresh = basis is not None
+                xB, y = np.linalg.solve(B, b), np.linalg.solve(B.T, c[basis])
+            except np.linalg.LinAlgError:
+                pass
+        if xB is None or not np.all(xB >= -1e-8):
+            basis = Binv = None
+        elif Binv is None:
+            reduced = c - A.vecmat(y)
+            reduced[basis] = 0.0
+            if np.min(reduced) >= -TOL and np.min(xB) >= -1e-9 * scale_b:
+                x = np.zeros(n)
+                x[basis] = np.maximum(xB, 0.0)
+                return x, y * row_sign, 0, basis
+            Binv = _inverse(A, basis)
     if basis is None:
         # phase 1 from the artificial identity, then the drive-out
         c1 = np.concatenate([np.zeros(n), np.ones(m)])
@@ -315,15 +348,15 @@ def eager_simplex(c, A, b, basis0=None, inverse0=None):
             total_it += 1
     basis, Binv, xB, it = _eager_core(A, b_work, c, basis, Binv, max_iter)
     total_it += it
-    if it or not fresh:
-        Binv = _inverse(A, basis)
-    xB = Binv @ b
+    Binv, xB, y = _eager_refined(A, b, c, basis, Binv)
     if float(np.min(xB)) < -1e-9 * scale_b:
-        basis, Binv, xB, it = eager_dual_cleanup(A, b, c, basis, Binv, max_iter)
+        basis, Binv, xB, it = eager_dual_cleanup(A, b, c, basis, Binv, xB, max_iter)
         total_it += it
+        if it:
+            Binv, xB, y = _eager_refined(A, b, c, basis, Binv)
     x = np.zeros(n)
     x[basis] = np.maximum(xB, 0.0)
-    return x, (c[basis] @ Binv) * row_sign, total_it, basis
+    return x, y * row_sign, total_it, basis
 
 
 def dense_lp_matrix(problem):

@@ -460,11 +460,15 @@ def test_an_empty_aubry_set_exits_3_without_traceback(tmp_path, capsys):
 
 def test_singular_simplex_basis_exits_3_without_traceback(tmp_path, capsys,
                                                           monkeypatch):
+    # the ergodic LP forms no inverse unless a residual check finds its
+    # product form drifted: every check does here, and the re-inversion
+    # finds the basis singular
     import weakkam.simplex
 
     def singular(matrix):
         raise np.linalg.LinAlgError("Singular matrix")
 
+    monkeypatch.setattr(weakkam.simplex, "_drift_bound", lambda b: -1.0)
     monkeypatch.setattr(weakkam.simplex.np.linalg, "inv", singular)
     cfg = write_cfg(tmp_path, TINY_STUDY)
     assert main(["mather", "--config", cfg, "--out", str(tmp_path / "o")]) == 3

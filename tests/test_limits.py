@@ -325,12 +325,7 @@ def test_study_runs_phase_1_only_for_the_ergodic_lp(monkeypatch):
     assert len(calls) == 1
 
 
-def test_study_reuses_the_inverses_it_already_formed(monkeypatch):
-    # The Mather crash inverse is bordered from the ergodic solve's own
-    # inverse and serves both vertex samples and the first barrier query, a
-    # query that ends on a fresh inverse hands it to the next, and the
-    # second probe at each lambda reuses the first's.  Inverting every
-    # start afresh took 17.
+def _counting_inversions(monkeypatch):
     calls = []
     inverse = simplex._inverse
 
@@ -339,43 +334,100 @@ def test_study_reuses_the_inverses_it_already_formed(monkeypatch):
         return inverse(*args)
 
     monkeypatch.setattr(simplex, "_inverse", counting)
+    return calls
+
+
+def test_study_reuses_the_inverses_it_already_formed(monkeypatch):
+    # The ergodic LP starts from phase 1's identity and returns its folded
+    # product form; the Mather crash inverse is bordered from it and serves
+    # both vertex samples and the first barrier query, and each query hands
+    # its inverse to the next.  The discounted LPs' policy starts are
+    # certified by two solves each.  Inverting every start afresh took 17
+    # inversions, and re-inverting each final basis 8.
+    calls = _counting_inversions(monkeypatch)
     g = build_grid([[-2.0, 2.0]], 0.1)
     vs = build_velocity_set(1.0, 5)
     rep = vanishing_discount_study(make_model("quadratic", "half_square"), g, vs,
                                    [0.5, 0.25], probes=((0.0,), (1.0,)), n_objectives=2,
                                    agreement_count=3, transition=build_transition(g, vs))
     assert not rep.failures
-    assert len(calls) == 8
+    assert len(calls) == 0
+
+
+def test_the_acceptance_study_at_h_002_inverts_no_basis(monkeypatch):
+    # the acceptance model at h = 0.02 (402 rows per Mather-face LP), with
+    # hundreds of pivots in the ergodic LP and the first barrier query: no
+    # residual check finds the product form drifted.  Re-inverting each
+    # final basis, and every start without an inverse, took 16 inversions.
+    calls = _counting_inversions(monkeypatch)
+    g = build_grid([[-4.0, 4.0]], 0.02)
+    vs = build_velocity_set(1.5, 7)
+    rep = vanishing_discount_study(superlinearize(make_model("eikonal", "abs"), g), g, vs,
+                                   [0.5, 0.25, 0.125], probes=((0.0,), (1.0,)),
+                                   sub_box=[[-2.0, 2.0]], solver_tol=1e-7, n_objectives=4,
+                                   seed=1, agreement_count=9,
+                                   transition=build_transition(g, vs))
+    assert not rep.failures
+    assert len(calls) == 0
 
 
 @pytest.mark.parametrize("shift", [0.0, -0.5], ids=["budget>0", "budget<0"])
 def test_a_solve_given_the_start_inverse_matches_one_without(grid_c, vs7, tr_c, shift):
-    # the given inverse stands in for the one the start would form, bit for
-    # bit; a shift of -0.5 makes the budget row's right-hand side negative,
-    # a row the solver negates
+    # given the inverse that a start without one forms, a solve is the same
+    # bit for bit; given the folded product form of an earlier solve (the
+    # bordered crash inverse, a returned inverse) it makes the same pivots
+    # to the same basis.  A shift of -0.5 makes the budget row's right-hand
+    # side negative, a row the solver negates.
     problem = build_ergodic_lp(make_model("quadratic", "half_square",
                                           normalization_shift=shift),
                                grid_c, vs7, transition=tr_c)
     poly = build_mather_polytope(problem, lp_solve(problem))
     assert (poly.b[-1] < 0) == (shift < 0)
     crash, crash_inverse = poly.meta["crash_basis"], poly.meta["crash_inverse"]
-    # two random objectives whose solves pivot and end on fresh inverses
+    # two random objectives whose solves pivot
     rng = np.random.default_rng(2)
     c1, c2 = (np.append(rng.uniform(0.0, 1.0, len(poly.active)), 0.0) for _ in range(2))
     first = simplex.solve_lp(c1, poly.A, poly.b, basis0=crash)
     assert first.iterations > 0 and first.inverse is not None
+    signed, _, sign = simplex._signed_rows(poly.A, poly.b)
     held = [crash_inverse.copy(), first.inverse.copy()]
-    for basis0, inverse0, c in ((crash, crash_inverse, c1), (first.basis, first.inverse, c2)):
-        given = simplex.solve_lp(c, poly.A, poly.b, basis0=basis0, inverse0=inverse0)
+    for basis0, folded, c in ((crash, crash_inverse, c1), (first.basis, first.inverse, c2)):
+        formed = simplex._inverse(signed, basis0) * sign
         plain = simplex.solve_lp(c, poly.A, poly.b, basis0=basis0)
+        given = simplex.solve_lp(c, poly.A, poly.b, basis0=basis0, inverse0=formed)
         assert given.iterations > 0 and given.inverse is not None
         for a, b in ((given.x, plain.x), (given.duals, plain.duals),
                      (given.objective, plain.objective), (given.basis, plain.basis),
                      (given.inverse, plain.inverse)):
             np.testing.assert_array_equal(a, b)
+        chained = simplex.solve_lp(c, poly.A, poly.b, basis0=basis0, inverse0=folded)
+        assert chained.iterations == plain.iterations
+        np.testing.assert_array_equal(chained.basis, plain.basis)
+        np.testing.assert_allclose(chained.x, plain.x, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(chained.duals, plain.duals, rtol=0.0,
+                                   atol=1e-12 * np.max(np.abs(plain.duals)))
     # the pivots update a copy, never the caller's inverse
     np.testing.assert_array_equal(crash_inverse, held[0])
     np.testing.assert_array_equal(first.inverse, held[1])
+
+
+def test_a_polytope_without_a_crash_inverse_certifies_its_crash_start(quad, grid_c, vs7,
+                                                                      tr_c):
+    # an ergodic result certified from its own optimal basis holds no
+    # inverse to border, so the crash start certifies itself and forms one
+    problem = build_ergodic_lp(quad, grid_c, vs7, transition=tr_c)
+    first = lp_solve(problem)
+    again = lp_solve(problem, basis0=first.basis)
+    assert again.iterations == 0 and again.inverse is None
+    assert again.objective == pytest.approx(first.objective, abs=1e-14)
+    bordered = build_mather_polytope(problem, first)
+    certified = build_mather_polytope(problem, again)
+    assert certified.meta["crash_inverse"] is None
+    c = np.random.default_rng(4).uniform(0.0, 1.0, len(problem.active))
+    want, got = lp_solve(bordered, c), lp_solve(certified, c)
+    assert got.iterations == want.iterations > 0
+    np.testing.assert_array_equal(got.basis, want.basis)
+    assert got.objective == pytest.approx(want.objective, abs=1e-12)
 
 
 def test_warm_started_barrier_queries_match_cold_solves(quad_setup, grid_c, vs7):

@@ -117,6 +117,89 @@ def test_warm_start_reuses_basis():
     assert warm.iterations <= cold.iterations
 
 
+def _counting(monkeypatch, name):
+    """Record the calls of simplex.<name>."""
+    calls = []
+    fn = getattr(simplex, name)
+
+    def counting(*args):
+        calls.append(1)
+        return fn(*args)
+
+    monkeypatch.setattr(simplex, name, counting)
+    return calls
+
+
+def _random_lp(seed, m=5, n=20):
+    rng = np.random.default_rng(seed)
+    D = rng.normal(size=(m, n))
+    b = D @ rng.uniform(0.5, 1.0, size=n)        # rows of both signs
+    return D, b, rng
+
+
+def test_an_optimal_start_is_certified_without_an_inverse(monkeypatch):
+    D, b, rng = _random_lp(12)
+    A, c = Columns.from_dense(D), rng.uniform(0.0, 1.0, size=D.shape[1])
+    first = solve_lp(c, A, b)
+    assert (b < 0).any() and first.inverse is not None
+    inversions = _counting(monkeypatch, "_inverse")
+    again = solve_lp(c, A, b, basis0=first.basis)
+    assert again.iterations == 0 and again.inverse is None and not inversions
+    np.testing.assert_array_equal(again.basis, first.basis)
+    assert again.objective == pytest.approx(first.objective, rel=1e-12)
+    reduced = c - again.duals @ D
+    assert np.min(reduced) >= -1e-9
+    assert np.max(np.abs(reduced[again.basis])) <= 1e-9
+
+
+def test_a_feasible_start_that_must_pivot_is_inverted_once(monkeypatch):
+    D, b, rng = _random_lp(12)
+    A = Columns.from_dense(D)
+    c1, c2 = (rng.uniform(0.0, 1.0, size=D.shape[1]) for _ in range(2))
+    first = solve_lp(c1, A, b)
+    cold = solve_lp(c2, A, b)
+    inversions = _counting(monkeypatch, "_inverse")
+    phase1 = _counting(monkeypatch, "_phase1")
+    warm = solve_lp(c2, A, b, basis0=first.basis)
+    assert len(inversions) == 1 and not phase1
+    assert warm.iterations > 0 and warm.inverse is not None
+    assert warm.objective == pytest.approx(cold.objective, rel=1e-12)
+
+
+def test_an_infeasible_start_falls_back_to_phase_1(monkeypatch):
+    # x1 + x2 + x3 = 1 and x1 - x2 = 0.5: the basis {x2, x3} has x2 = -0.5
+    D = np.array([[1.0, 1.0, 1.0], [1.0, -1.0, 0.0]])
+    b, c = [1.0, 0.5], [1.0, 2.0, 3.0]
+    inversions = _counting(monkeypatch, "_inverse")
+    phase1 = _counting(monkeypatch, "_phase1")
+    sol = solve_lp(c, Columns.from_dense(D), b, basis0=[1, 2])
+    assert len(phase1) == 1 and not inversions
+    assert sol.objective == pytest.approx(brute_force_lp(c, D, b), abs=1e-12)
+
+
+def test_a_drifted_product_form_is_inverted_afresh(monkeypatch):
+    # rows and columns scaled by up to 1e7 each: after some pivots the
+    # basic solution read from the product form misses b by more than the
+    # grading step, and the basis is inverted again; the eager dense
+    # reference, checking its explicit inverse by the same rule, takes the
+    # same path
+    rng = np.random.default_rng(2)
+    m, n = 30, 90
+    D = rng.normal(size=(m, n)) * (rng.uniform(size=(m, n)) < 0.3)
+    D *= 10.0 ** rng.uniform(-7, 7, size=(m, 1))
+    D *= 10.0 ** rng.uniform(-7, 7, size=(1, n))
+    b = D @ rng.uniform(0.5, 1.0, size=n)
+    c = rng.uniform(0.0, 1.0, size=n)
+    A = Columns.from_dense(D)
+    inversions = _counting(monkeypatch, "_inverse")
+    sol = solve_lp(c, A, b)
+    assert len(inversions) >= 1
+    x, _, iterations, basis = eager_simplex(c, A, b)
+    assert sol.iterations == iterations
+    np.testing.assert_array_equal(sol.basis, basis)
+    assert sol.objective == pytest.approx(float(c @ x), rel=1e-12)
+
+
 def test_iterations_count_every_pivot(monkeypatch):
     # phase 1 of this flow LP leaves no artificial in the basis: 41 phase-1
     # pivots and no drive-out pivot, then phase 2
@@ -161,13 +244,36 @@ def test_dual_cleanup_cap_raises_max_iter_exceeded():
     A = Columns.from_dense([[1.0, 0.0, -1.0, 0.0], [0.0, 1.0, 0.0, -1.0]])
     b = np.array([1.0, 1.0])
     c = np.array([1.0, 1.0, 0.0, 0.0])
-    basis, Binv, xB, it = simplex._dual_cleanup(A, b, c, np.array([2, 3]),
-                                                simplex.BasisInverse(-np.eye(2)), max_iter=2)
+
+    def cleanup(max_iter):
+        return simplex._dual_cleanup(A, b, c, np.array([2, 3]),
+                                     simplex.BasisInverse(-np.eye(2)), -b, np.zeros(2),
+                                     max_iter=max_iter)
+
+    basis, Binv, xB, it = cleanup(2)
     assert sorted(basis) == [0, 1] and it == 2
     with pytest.raises(MaxIterExceeded) as info:
-        simplex._dual_cleanup(A, b, c, np.array([2, 3]), simplex.BasisInverse(-np.eye(2)),
-                              max_iter=1)
+        cleanup(1)
     assert info.value.iterations == 1
+
+
+@pytest.mark.parametrize("c2", [0.2, np.nextafter(0.2, 1.0)], ids=["exact", "rounded"])
+def test_dual_ratio_test_breaks_a_2_to_1_tie_toward_the_larger_pivot(c2):
+    # x1 + 2 x2 + 2 x3 - s = 0.3 from the surplus basis {s}: x1 has reduced
+    # cost 0.1 and pivot element -1, x2 and x3 have c2 and -2, so the three
+    # ratios tie in exact arithmetic; with c2 one ulp above 0.2 rounding
+    # alone puts x1's ratio first.  The largest -alpha wins, then the lower
+    # index.
+    A = Columns.from_dense([[1.0, 2.0, 2.0, -1.0]])
+    b = np.array([0.3])
+    c = np.array([0.1, c2, c2, 0.0])
+    basis, _, xB, it = simplex._dual_cleanup(A, b, c, np.array([3]),
+                                             simplex.BasisInverse(-np.eye(1)), -b,
+                                             np.zeros(1), max_iter=5)
+    assert it == 1 and basis.tolist() == [1]
+    assert xB[0] == pytest.approx(0.15)
+    want = eager_dual_cleanup(A, b, c, np.array([3]), -np.eye(1), -b, max_iter=5)
+    assert want[0].tolist() == [1] and want[3] == 1
 
 
 def _eager_pivot(Binv, d, row):
@@ -316,7 +422,7 @@ def test_random_lps_pivot_as_the_eager_dense_reference(seed):
     b = D @ rng.uniform(0.5, 1.0, size=n)
     sol = solve_lp(c, A, b)
     x, duals, iterations, basis = eager_simplex(c, A, b)
-    assert sol.iterations == iterations > simplex.REFRESH
+    assert sol.iterations == iterations > 2 * simplex.BLOCK
     np.testing.assert_array_equal(sol.basis, basis)
     np.testing.assert_allclose(sol.x, x, rtol=0.0, atol=1e-12 * np.max(np.abs(x)))
     np.testing.assert_allclose(sol.duals, duals, rtol=0.0,
@@ -325,9 +431,11 @@ def test_random_lps_pivot_as_the_eager_dense_reference(seed):
     # makes it primal infeasible, and dual pivots walk it back
     b2 = D @ (rng.uniform(size=n) * (rng.uniform(size=n) < 0.5))
     Binv = simplex._inverse(A, sol.basis)
+    xB = Binv @ b2
     got = simplex._dual_cleanup(A, b2, c, sol.basis.copy(),
-                                simplex.BasisInverse(Binv.copy()), max_iter=10**4)
-    want = eager_dual_cleanup(A, b2, c, sol.basis.copy(), Binv, max_iter=10**4)
+                                simplex.BasisInverse(Binv.copy()), xB.copy(),
+                                c[sol.basis] @ Binv, max_iter=10**4)
+    want = eager_dual_cleanup(A, b2, c, sol.basis.copy(), Binv, xB, max_iter=10**4)
     assert got[3] == want[3] > simplex.BLOCK
     np.testing.assert_array_equal(got[0], want[0])
     np.testing.assert_allclose(got[2], want[2], rtol=0.0,
@@ -400,6 +508,11 @@ def test_column_pricing_matches_dense_products():
     B = rng.normal(size=(7, 7))
     for j in range(30):
         np.testing.assert_allclose(A.matcol(B, j), B @ D[:, j], rtol=0.0, atol=1e-14)
+    # restricted to some columns, as for a basis
+    cols = np.array([4, 0, 29, 1])
+    x = rng.normal(size=4)
+    np.testing.assert_allclose(A.vecmat(y, cols), y @ D[:, cols], rtol=0.0, atol=1e-14)
+    np.testing.assert_allclose(A.matvec(x, cols), D[:, cols] @ x, rtol=0.0, atol=1e-14)
 
 
 def test_singular_basis_raises_a_weakkam_error():

@@ -368,11 +368,12 @@ def _node_columns(grid, *columns):
 
 def _write_aubry_csv(out, grid, data):
     """Per node: coordinates, cycle cost, whether it is exact, Aubry membership."""
-    aubry = set(int(z) for z in data.aubry_nodes)
-    rows = ([i, *grid.coords[i], data.cycle_cost[i], bool(data.cycle_exact[i]),
-             i in aubry] for i in range(grid.num_nodes))
+    in_aubry = np.zeros(grid.num_nodes, dtype=bool)
+    in_aubry[data.aubry_nodes] = True
     return io.write_csv(out / "aubry.csv",
-                        _node_columns(grid, "cycle_cost", "exact", "in_aubry"), rows)
+                        _node_columns(grid, "cycle_cost", "exact", "in_aubry"),
+                        columns=io.field_columns(grid, data.cycle_cost,
+                                                 data.cycle_exact, in_aubry))
 
 
 def cmd_critical(cfg, ctx, out, args):
@@ -418,7 +419,7 @@ def cmd_distance(cfg, ctx, out, args):
                              grid.node_near(args.source), transition=ctx["transition"],
                              direction=args.direction)
     arts = [io.write_csv(out / "distance.csv", _node_columns(grid, "value"),
-                         io.field_rows(grid, fld))]
+                         columns=io.field_columns(grid, fld))]
     return 0, arts
 
 
@@ -430,7 +431,7 @@ def cmd_solve(cfg, ctx, out, args):
     grid = ctx["grid"]
     arts = [
         io.write_csv(out / "field.csv", _node_columns(grid, "value"),
-                     io.field_rows(grid, sol.u)),
+                     columns=io.field_columns(grid, sol.u)),
         io.write_csv(out / "trace.csv", ["iteration", "residual", "policy_changes"],
                      [[it, r, c] for (it, r), c in zip(sol.trace, sol.policy_changes)]),
         io.write_json(out / "solve.json", {
@@ -507,7 +508,7 @@ def _study(cfg, ctx, schedule):
 
 def _write_w(out, grid, rep):
     return io.write_csv(out / "w.csv", _node_columns(grid, "value"),
-                        io.field_rows(grid, rep.w))
+                        columns=io.field_columns(grid, rep.w))
 
 
 def _agreement_claim(rep):

@@ -49,6 +49,7 @@ from .models import (
 INF = 1e30
 NEG_TOL = 1e-9    # relative drop at the sweep cap that certifies a negative cycle
 CHUNK = 64        # distance rows relaxed together
+SLICE_BYTES = 1 << 18  # bytes of one slice of a sweep's gather
 COMPAT_TOL = 1e-9  # relative slack of the weak KAM trace compatibility check
 
 
@@ -111,6 +112,17 @@ def relax_batch(costs, transition, D0):
     node-major, so a read gathers the block's values for that node at
     once.  The corner terms are summed in corner order.
 
+    Memory: a sweep evaluates its nodes in slices whose gather (one value
+    per node, usable velocity and row of the block) holds at most
+    SLICE_BYTES, with one term of the same size beside it, and writes the
+    new values only after the last slice, so it stays a Jacobi sweep.
+    Beyond the slices it holds the (T, n) field, one node-major block, the
+    new values of one sweep and the edge table: a read index and a weight
+    per usable edge and read slot, 16 bytes each.  The setup fills the
+    table a corner at a time from a byte mask of the transition's
+    (n, M, 2^N) shape; the one float array of that shape, the self weights
+    before they are summed, is dropped at once.
+
     Raises NegativeCycle when 2n+64 sweeps end while values still drop by
     more than NEG_TOL relative to the field (the min-plus operator is
     unbounded below).
@@ -118,29 +130,40 @@ def relax_batch(costs, transition, D0):
     D = np.array(D0, dtype=float)
     T, n = D.shape
     max_sweeps = 2 * n + 64
-    idx = transition.idx
-    w_rest = np.where(idx == np.arange(n)[:, None, None], 0.0, transition.w)
-    w_self = np.sum(transition.w - w_rest, axis=2)
+    idx, w = transition.idx, transition.w
+    own = idx == np.arange(n)[:, None, None]
+    w_self = np.where(own, w, 0.0).sum(axis=2)
     loop = w_self >= 1.0
     inv = 1.0 / (1.0 - np.where(loop, 0.0, w_self))
     usable = ~loop & (costs < INF)
-    c = np.where(usable, costs, np.inf)
-    w_rest[~usable] = 0.0
-    # an edge's reads, its corners of positive weight, move to the front in
-    # corner order; a corner of zero weight reads the pad row n, which holds
-    # 0, so inf never meets a zero weight
-    first = np.argsort(w_rest <= 0.0, axis=2, kind="stable")
-    w_rest = np.take_along_axis(w_rest, first, axis=2)
-    reads = np.where(w_rest > 0.0, np.take_along_axis(idx, first, axis=2), n)
-    # velocities sorted by their most reads, so that read slot k covers the
-    # first width[k] of them; a velocity no node can use (q = 0) is dropped
-    most = np.count_nonzero(w_rest, axis=2).max(axis=0)
+    # an edge reads its corners of positive weight other than its own node,
+    # in corner order: read slot s holds the (s+1)-th of them
+    reads = (w > 0.0) & ~own & usable[:, :, None]
+    del own
+    # velocities sorted by their most reads, so that read slot s covers the
+    # first width of them; a velocity no node can use (q = 0) is dropped
+    most = np.count_nonzero(reads, axis=2).max(axis=0)
     cols = np.argsort(-most, kind="stable")[:np.count_nonzero(most)]
-    width = [np.count_nonzero(most > k) for k in range(idx.shape[2])]
-    slots = [(reads[:, cols[:m], k], w_rest[:, cols[:m], k, None])
-             for k, m in enumerate(width) if m]
-    node_reads = np.concatenate([r for r, _ in slots], axis=1)
-    c = c[:, cols, None]
+    width = [m for m in (np.count_nonzero(most > s) for s in range(idx.shape[2])) if m]
+    # a slot past an edge's last read reads the pad row n, which holds 0
+    # with weight 0, so inf never meets a zero weight; node_reads holds the
+    # reads of every slot side by side
+    node_reads = np.full((n, sum(width)), n)
+    weights = np.zeros((n, sum(width), 1))
+    start = np.cumsum([0] + width)
+    slots = [(node_reads[:, a:a + m], weights[:, a:a + m]) for a, m in zip(start, width)]
+    count = np.zeros((n, cols.size), dtype=int)       # reads seen so far
+    for k in range(idx.shape[2]):
+        hit_k = reads[:, cols, k]
+        idx_k, w_k = idx[:, cols, k], w[:, cols, k, None]
+        for s, (r, wk) in enumerate(slots[:k + 1]):
+            m = r.shape[1]
+            hit = hit_k[:, :m] & (count[:, :m] == s)
+            r[hit] = idx_k[:, :m][hit]
+            wk[hit] = w_k[:, :m][hit]
+        count += hit_k
+    del reads, count
+    c = np.where(usable, costs, np.inf)[:, cols, None]
     inv = inv[:, cols, None]
     D[D >= INF] = np.inf
     sweeps = 0
@@ -149,6 +172,7 @@ def relax_batch(costs, transition, D0):
         # node-major block: a read pulls the block's values contiguously
         Dn = np.zeros((n + 1, min(CHUNK, T - t0)))
         Dn[:n] = D[t0:t0 + CHUNK].T
+        step = max(1, SLICE_BYTES // (Dn.itemsize * cols.size * Dn.shape[1]))
         # the first sweep evaluates the nodes that read a finite value: the
         # candidates of any other node are all inf
         moved = np.zeros(n + 1, dtype=bool)
@@ -158,17 +182,11 @@ def relax_batch(costs, transition, D0):
             if act.size == 0:
                 drop = 0.0
                 break
-            r, wk = slots[0]
-            rest = Dn[r[act]]
-            rest *= wk[act]
-            for r, wk in slots[1:]:
-                term = Dn[r[act]]
-                term *= wk[act]
-                rest[:, :r.shape[1]] += term
-            rest += c[act]
-            rest *= inv[act]
+            new = np.empty((act.size, Dn.shape[1]))
+            for s in range(0, act.size, step):
+                _candidates(Dn, act[s:s + step], slots, c, inv, new[s:s + step])
             old = Dn[act]
-            new = np.minimum(old, np.min(rest, axis=1))
+            np.minimum(old, new, out=new)
             lower = new < old
             drop = float(np.max(old[lower] - new[lower])) if lower.any() else 0.0
             moved[:] = False
@@ -187,6 +205,21 @@ def relax_batch(costs, transition, D0):
         raise NegativeCycle(
             f"min-plus relaxation still improving by {improvement:.3e} after {sweeps} sweeps")
     return D, sweeps
+
+
+def _candidates(Dn, a, slots, c, inv, out):
+    """out[j] = min_q (c + rest) / (1 - w_s) at node a[j], per row of the
+    node-major block Dn."""
+    r, wk = slots[0]
+    rest = Dn[r[a]]
+    rest *= wk[a]
+    for r, wk in slots[1:]:
+        term = Dn[r[a]]
+        term *= wk[a]
+        rest[:, :r.shape[1]] += term
+    rest += c[a]
+    rest *= inv[a]
+    np.min(rest, axis=1, out=out)
 
 
 def distances_to_targets(costs, transition, targets):

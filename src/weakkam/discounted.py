@@ -36,6 +36,10 @@ from .models import lagrangian_table
 # arithmetic: on 801 nodes in 1D one policy solve takes 15 ms at B = 1
 # and 3 ms at B = 16.
 MIN_BLOCK = 16
+# Bytes of the band formed at once: a 1D band (26 blocks of 16 x 48 at 401
+# nodes, 160 KB) stays one bincount, a 2D band is formed a block or a few
+# at a time.
+SLAB_BYTES = 1 << 18
 
 
 @dataclass
@@ -65,36 +69,49 @@ def policy_solve(transition, q, rhs, diag):
     tridiagonal.  It is strictly diagonally dominant by rows (W_q is
     stochastic and diag > 1), so block elimination needs no pivoting across
     blocks.  Padding rows past n hold diag alone and solve to 0.
+
+    Memory: the band is formed a slab of blocks at a time, each slab at
+    most SLAB_BYTES (one block when a block alone is larger), and only the
+    (blocks, B, B) elimination factors C are kept for the back
+    substitution, about a third of the full (blocks, B, 3B) band.
     """
     n = len(q)
     rows = np.arange(n)
     idx, w = transition.idx[rows, q], transition.w[rows, q]        # (n, K)
     B = max(int(np.max(np.abs(idx - rows[:, None]))), MIN_BLOCK)
     nb = -(-n // B)
-    # band[r, a, c] is the entry of row r*B + a, column (r-1)*B + c
+    # entry (row r*B + a, column (r-1)*B + c) sits at (r*B + a)*3B + c of
+    # the flat band, so a slab of blocks is a contiguous range of it
     at = rows[:, None] * (3 * B) + idx - (rows[:, None] // B - 1) * B
-    band = np.bincount(at.ravel(), weights=-w.ravel(), minlength=nb * B * 3 * B)
-    band = band.reshape(nb, B, 3 * B)
-    band[:, np.arange(B), B + np.arange(B)] += diag
+    per_slab = max(1, SLAB_BYTES // (B * 3 * B * 8))
     b = np.zeros(nb * B)
     b[:n] = rhs
     b = b.reshape(nb, B)
     C = np.empty((nb, B, B))
     z = np.empty((nb, B))
-    for r in range(nb):
-        S, y = band[r, :, B:2 * B], b[r]
-        if r:
-            S = S - band[r, :, :B] @ C[r - 1]
-            y = y - band[r, :, :B] @ z[r - 1]
-        X = np.linalg.solve(S, np.column_stack([band[r, :, 2 * B:], y]))
-        C[r], z[r] = X[:, :B], X[:, B]
+    for r0 in range(0, nb, per_slab):
+        r1 = min(r0 + per_slab, nb)
+        lo, hi = r0 * B, min(r1 * B, n)
+        band = np.bincount((at[lo:hi] - lo * 3 * B).ravel(), weights=-w[lo:hi].ravel(),
+                           minlength=(r1 - r0) * B * 3 * B)
+        band = band.reshape(r1 - r0, B, 3 * B)
+        band[:, np.arange(B), B + np.arange(B)] += diag
+        for r in range(r0, r1):
+            blk = band[r - r0]
+            S, y = blk[:, B:2 * B], b[r]
+            if r:
+                S = S - blk[:, :B] @ C[r - 1]
+                y = y - blk[:, :B] @ z[r - 1]
+            X = np.linalg.solve(S, np.column_stack([blk[:, 2 * B:], y]))
+            C[r], z[r] = X[:, :B], X[:, B]
+        del band
     for r in range(nb - 2, -1, -1):
         z[r] -= C[r] @ z[r + 1]
     return z.reshape(-1)[:n]
 
 
 def solve_discounted(model, grid, velocity_set, lam, tol=1e-6, max_iter=None, *,
-                     transition):
+                     transition, policy0=None):
     """Howard policy iteration to the discrete fixed point.
 
     Each step improves the policy greedily (a node keeps its action unless
@@ -106,6 +123,13 @@ def solve_discounted(model, grid, velocity_set, lam, tol=1e-6, max_iter=None, *,
     Bellman residual sup |T u - u| at the last iterate.  The
     monotone-decrease invariant is checked every step, and the final
     Bellman residual must not exceed tol.
+
+    policy0, a velocity index per node, is evaluated as the first step in
+    place of the greedy policy of the constant upper start.  The value u_q
+    of any policy q satisfies T u_q <= u_q, so the steps after it decrease
+    monotonically as from the constant; its own step is not checked
+    against the constant, which it may exceed where q is poor.  A policy
+    that is already optimal ends the solve after that one step.
     """
     if lam <= 0:
         raise ValueError("discount rate lambda must be positive")
@@ -121,6 +145,13 @@ def solve_discounted(model, grid, velocity_set, lam, tol=1e-6, max_iter=None, *,
         max_iter = 2 * n + 64
     q = None
     trace, changes, seen = [], [], set()
+    if policy0 is not None:
+        q = np.array(policy0, dtype=np.intp)
+        seen.add(q.tobytes())
+        changes.append(n)
+        new = policy_solve(transition, q, stage[rows, q], denom)
+        trace.append((1, float(np.max(u - new))))
+        u = new
     while True:
         vals = stage + interpolate(transition, u)
         new_q = np.argmin(vals, axis=1)

@@ -15,6 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
+CSV_ROWS = 64    # rows of a column-wise CSV formatted at once
+
 
 def fmt(value):
     if isinstance(value, (bool, np.bool_)):
@@ -26,12 +28,30 @@ def fmt(value):
     return str(value)
 
 
-def write_csv(path, header, rows):
+def _column_text(values):
+    if values.dtype.kind == "f":
+        return list(map("{:.17g}".format, values.tolist()))
+    if values.dtype.kind in "iu":
+        return list(map(str, values.tolist()))
+    return [fmt(v) for v in values.tolist()]
+
+
+def write_csv(path, header, rows=(), columns=None):
+    """CSV with CRLF line ends, from `rows` formatted a value at a time or
+    from `columns`, equal-length sequences of numbers or bools formatted a
+    column at a time into the same text: the fields of a 2D grid have
+    thousands of rows.  Columns are formatted CSV_ROWS rows at a time, so
+    the text of a whole field is never held."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\r\n")
         writer.writerow(header)
+        if columns is not None:
+            columns = [np.asarray(c) for c in columns]
+            for s in range(0, len(columns[0]), CSV_ROWS):
+                text = [_column_text(c[s:s + CSV_ROWS]) for c in columns]
+                writer.writerows(zip(*text))
         for row in rows:
             writer.writerow([fmt(v) for v in row])
     return path
@@ -56,10 +76,9 @@ def _jsonable(obj):
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
-def field_rows(grid, values):
-    pts = grid.coords
-    for i in range(grid.num_nodes):
-        yield [i, *pts[i], values[i]]
+def field_columns(grid, *values):
+    """Node index, coordinates and the given per-node values, as columns."""
+    return [np.arange(grid.num_nodes), *grid.coords.T, *values]
 
 
 def measure_rows(measure):

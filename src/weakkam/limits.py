@@ -273,7 +273,9 @@ def vanishing_discount_study(model, grid, velocity_set, schedule,
 
     Per-lambda solves and discounted LPs that fail with a WeakKAMError are
     recorded in `failures` and the study continues with the remaining
-    schedule; any other exception propagates.
+    schedule; any other exception propagates.  Each solve starts from the
+    policy the solve before it ended on, and from the constant upper bound
+    after a failed solve.
     """
     schedule = [float(l) for l in schedule]
     if any(b >= a for a, b in zip(schedule, schedule[1:])):
@@ -305,14 +307,18 @@ def vanishing_discount_study(model, grid, velocity_set, schedule,
 
     mask = grid.box_mask(sub_box)
     rows, failures, sup_gaps = [], [], []
+    policy = None
     for lam in schedule:
         try:
             sol = solve_discounted(model, grid, velocity_set, lam, tol=solver_tol,
-                                   transition=transition, max_iter=max_iter)
+                                   transition=transition, max_iter=max_iter,
+                                   policy0=policy)
         except WeakKAMError as exc:
             failures.append({"lambda": lam, "stage": "solve", "error": repr(exc)})
             sup_gaps.append(float("nan"))
+            policy = None
             continue
+        policy = sol.policy
         gap = float(np.max(np.abs(sol.u - w)[mask]))
         sup_gaps.append(gap)
         rows.append(StudyRow(lam=lam, sup_gap=gap, iterations=sol.iterations,

@@ -112,6 +112,109 @@ def relax_batch_extended(costs, transition, D0):
     return D, sweeps
 
 
+def relax_batch_unsliced(costs, transition, D0):
+    """`critical.relax_batch` before its sweeps were sliced: the edge table
+    is built from full (n, M, K) sorted copies, and each sweep gathers
+    every active node at once.  Same blocks of CHUNK rows, active sets,
+    cap and NegativeCycle verdict; returns (D, sweeps)."""
+    from weakkam.critical import CHUNK, NEG_TOL
+    from weakkam.errors import NegativeCycle
+    D = np.array(D0, dtype=float)
+    T, n = D.shape
+    max_sweeps = 2 * n + 64
+    idx = transition.idx
+    w_rest = np.where(idx == np.arange(n)[:, None, None], 0.0, transition.w)
+    w_self = np.sum(transition.w - w_rest, axis=2)
+    loop = w_self >= 1.0
+    inv = 1.0 / (1.0 - np.where(loop, 0.0, w_self))
+    usable = ~loop & (costs < BIG)
+    c = np.where(usable, costs, np.inf)
+    w_rest[~usable] = 0.0
+    first = np.argsort(w_rest <= 0.0, axis=2, kind="stable")
+    w_rest = np.take_along_axis(w_rest, first, axis=2)
+    reads = np.where(w_rest > 0.0, np.take_along_axis(idx, first, axis=2), n)
+    most = np.count_nonzero(w_rest, axis=2).max(axis=0)
+    cols = np.argsort(-most, kind="stable")[:np.count_nonzero(most)]
+    width = [np.count_nonzero(most > k) for k in range(idx.shape[2])]
+    slots = [(reads[:, cols[:m], k], w_rest[:, cols[:m], k, None])
+             for k, m in enumerate(width) if m]
+    node_reads = np.concatenate([r for r, _ in slots], axis=1)
+    c = c[:, cols, None]
+    inv = inv[:, cols, None]
+    D[D >= BIG] = np.inf
+    sweeps = 0
+    improvement = 0.0
+    for t0 in range(0, T, CHUNK):
+        Dn = np.zeros((n + 1, min(CHUNK, T - t0)))
+        Dn[:n] = D[t0:t0 + CHUNK].T
+        moved = np.zeros(n + 1, dtype=bool)
+        moved[:n] = np.isfinite(Dn[:n]).any(axis=1)
+        for sweep in range(1, max_sweeps + 1):
+            act = np.flatnonzero(moved[node_reads].any(axis=1))
+            if act.size == 0:
+                drop = 0.0
+                break
+            r, wk = slots[0]
+            rest = Dn[r[act]]
+            rest *= wk[act]
+            for r, wk in slots[1:]:
+                term = Dn[r[act]]
+                term *= wk[act]
+                rest[:, :r.shape[1]] += term
+            rest += c[act]
+            rest *= inv[act]
+            old = Dn[act]
+            new = np.minimum(old, np.min(rest, axis=1))
+            lower = new < old
+            drop = float(np.max(old[lower] - new[lower])) if lower.any() else 0.0
+            moved[:] = False
+            moved[act] = lower.any(axis=1)
+            Dn[act] = new
+            if drop <= 0.0:
+                break
+        sweeps = max(sweeps, sweep)
+        improvement = max(improvement, drop)
+        D[t0:t0 + CHUNK] = Dn[:n].T
+    D[np.isinf(D)] = BIG
+    if improvement <= 0.0:
+        return D, sweeps
+    scale = 1.0 + float(np.max(np.abs(D[D < BIG / 2]))) if np.any(D < BIG / 2) else 1.0
+    if improvement > NEG_TOL * scale:
+        raise NegativeCycle(
+            f"min-plus relaxation still improving by {improvement:.3e} after {sweeps} sweeps")
+    return D, sweeps
+
+
+def policy_solve_full_band(transition, q, rhs, diag):
+    """`discounted.policy_solve` with the whole (blocks, B, 3B) band formed
+    by one bincount before the block elimination."""
+    from weakkam.discounted import MIN_BLOCK
+    n = len(q)
+    rows = np.arange(n)
+    idx, w = transition.idx[rows, q], transition.w[rows, q]
+    B = max(int(np.max(np.abs(idx - rows[:, None]))), MIN_BLOCK)
+    nb = -(-n // B)
+    at = rows[:, None] * (3 * B) + idx - (rows[:, None] // B - 1) * B
+    band = np.bincount(at.ravel(), weights=-w.ravel(), minlength=nb * B * 3 * B)
+    band = band.reshape(nb, B, 3 * B)
+    band[:, np.arange(B), B + np.arange(B)] += diag
+    b = np.zeros(nb * B)
+    b[:n] = rhs
+    b = b.reshape(nb, B)
+    C = np.empty((nb, B, B))
+    z = np.empty((nb, B))
+    for r in range(nb):
+        S, y = band[r, :, B:2 * B], b[r]
+        if r:
+            S = S - band[r, :, :B] @ C[r - 1]
+            y = y - band[r, :, :B] @ z[r - 1]
+        X = np.linalg.solve(S, np.column_stack([band[r, :, 2 * B:], y]))
+        C[r], z[r] = X[:, :B], X[:, B]
+    for r in range(nb - 2, -1, -1):
+        z[r] -= C[r] @ z[r + 1]
+    return z.reshape(-1)[:n]
+
+
 def exact_successors(costs, transition):
     """(node, cost) successor lists; requires every foot to be an exact node
     hit (interpolation weight 1)."""

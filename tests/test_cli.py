@@ -338,6 +338,26 @@ def test_csv_is_rfc4180_with_full_precision(tmp_path):
     assert float(row[2]) == float(format(float(row[2]), ".17g"))
 
 
+def test_columns_write_the_bytes_of_rows(tmp_path):
+    # node fields are formatted a column at a time; the text is the one the
+    # per-value formatter gives, numpy bools included
+    from weakkam import io
+    rng = np.random.default_rng(0)
+    values = np.concatenate([rng.normal(size=20) * 10.0 ** rng.integers(-300, 300, 20),
+                             [0.0, -0.0, 1e30, np.inf, -np.inf, np.nan, 0.1, 5e-324]])
+    n = len(values)
+    flags = rng.uniform(size=n) < 0.5
+    columns = [np.arange(n), values, flags, flags.tolist()]
+    rows = [[i, values[i], flags[i], bool(flags[i])] for i in range(n)]
+    header = ["node", "value", "flag", "flag_py"]
+    by_columns = io.write_csv(tmp_path / "c.csv", header, columns=columns).read_bytes()
+    by_rows = io.write_csv(tmp_path / "r.csv", header, rows).read_bytes()
+    assert by_columns == by_rows
+    lines = by_columns.decode().split("\r\n")
+    assert lines[1].split(",")[2] in ("true", "false")
+    assert lines[1 + n - 2].split(",")[1] == "0.10000000000000001"
+
+
 def test_probe_warning_recorded(tmp_path):
     cfg_dict = json.loads(json.dumps(TINY_STUDY))
     cfg_dict["probes"] = [[1.8]]  # outside the central half-box [-1, 1]

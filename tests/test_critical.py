@@ -1,9 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import weakkam.critical as critical
 from weakkam.critical import (
     CHUNK,
     INF,
+    SLICE_BYTES,
     build_aubry_data,
     build_critical_data,
     critical_value,
@@ -26,6 +30,7 @@ from helpers import (
     reachable_nodes,
     relax_batch_extended,
     relax_batch_jacobi,
+    relax_batch_unsliced,
 )
 
 
@@ -203,6 +208,32 @@ def _assert_matches_full_sweeps(costs, tr, D0):
     np.testing.assert_array_equal(D, full)
     assert D.tobytes() == full.tobytes()
     assert sweeps == full_sweeps
+    # the sweeps before slicing, on the tables before slimming
+    unsliced, unsliced_sweeps = relax_batch_unsliced(costs, tr, D0)
+    assert D.tobytes() == unsliced.tobytes()
+    assert sweeps == unsliced_sweeps
+    return sweeps
+
+
+def _counting_slices(monkeypatch):
+    """Record (block rows, nodes) of every slice that relax_batch evaluates."""
+    sizes = []
+    real = critical._candidates
+
+    def counting(Dn, a, *args):
+        sizes.append((Dn.shape[1], len(a)))
+        return real(Dn, a, *args)
+
+    monkeypatch.setattr(critical, "_candidates", counting)
+    return sizes
+
+
+def _distance_rows(model, g, vs, tr, points):
+    level = critical_value(model, g, vs, transition=tr).level
+    targets = [g.node_near(p) for p in points]
+    D0 = np.full((len(targets), g.num_nodes), INF)
+    D0[np.arange(len(targets)), targets] = 0.0
+    return level, D0
 
 
 @pytest.mark.parametrize("family, potential, h, dimension", [
@@ -219,18 +250,39 @@ def test_active_nodes_give_the_full_sweeps_bit_for_bit(family, potential, h, dim
         g, vs = _box_2d(h), build_velocity_set(1.5, 5, dimension=2)
     tr = build_transition(g, vs)
     model = make_model(family, potential, dimension=dimension)
-    level = critical_value(model, g, vs, transition=tr).level
-    targets = [g.node_near(p) for p in ([0.0] * dimension, [1.0] * dimension,
-                                        [-2.0] + [0.0] * (dimension - 1))]
-    D0 = np.full((len(targets), g.num_nodes), INF)
-    D0[np.arange(len(targets)), targets] = 0.0
+    level, D0 = _distance_rows(model, g, vs, tr, ([0.0] * dimension, [1.0] * dimension,
+                                                  [-2.0] + [0.0] * (dimension - 1)))
     for costs in (edge_costs(model, g, vs, level, tr),
                   reverse_edge_costs(model, g, vs, level, tr)):
         _assert_matches_full_sweeps(costs, tr, D0)
 
 
-def test_batch_wider_than_a_chunk_gives_the_full_sweeps_bit_for_bit():
-    # 129 Aubry nodes: blocks of 64, 64 and 1 rows, each with its own active set
+@pytest.mark.parametrize("nodes_per_slice", [None, 100])
+def test_slices_of_a_sweep_give_the_full_sweeps_bit_for_bit(nodes_per_slice, monkeypatch):
+    # 3 rows and 12 usable velocities: 288 bytes a node, so SLICE_BYTES
+    # splits a sweep of all 1,681 nodes in two, and 100-node slices split
+    # every sweep of the spreading fronts in two or more
+    g, vs = _box_2d(0.1), build_velocity_set(1.5, 5, dimension=2)
+    tr = build_transition(g, vs)
+    model = make_model("quadratic", "half_square", dimension=2)
+    level, D0 = _distance_rows(model, g, vs, tr, ([0.0, 0.0], [1.0, 1.0], [-2.0, 0.0]))
+    per_node = 8 * (vs.size - 1) * len(D0)
+    assert g.num_nodes * per_node / 2 < SLICE_BYTES < g.num_nodes * per_node
+    if nodes_per_slice:
+        monkeypatch.setattr(critical, "SLICE_BYTES", nodes_per_slice * per_node)
+    sizes = _counting_slices(monkeypatch)
+    for costs in (edge_costs(model, g, vs, level, tr),
+                  reverse_edge_costs(model, g, vs, level, tr)):
+        sizes.clear()
+        sweeps = _assert_matches_full_sweeps(costs, tr, D0)
+        assert max(size for _, size in sizes) == critical.SLICE_BYTES // per_node
+        if nodes_per_slice:
+            assert len(sizes) >= 2 * sweeps
+
+
+def test_batch_wider_than_a_chunk_gives_the_full_sweeps_bit_for_bit(monkeypatch):
+    # 129 Aubry nodes: blocks of 64, 64 and 1 rows, each with its own active
+    # set and slice length: 50 nodes for a 64-row block, 3,200 for 1 row
     g, vs = _box_2d(0.25), build_velocity_set(1.5, 5, dimension=2)
     tr = build_transition(g, vs)
     model = make_model("quadratic", "double_well", dimension=2)
@@ -239,9 +291,42 @@ def test_batch_wider_than_a_chunk_gives_the_full_sweeps_bit_for_bit():
     assert len(nodes) == 129 > 2 * CHUNK
     D0 = np.full((len(nodes), g.num_nodes), INF)
     D0[np.arange(len(nodes)), nodes] = 0.0
+    monkeypatch.setattr(critical, "SLICE_BYTES", 50 * 8 * (vs.size - 1) * CHUNK)
+    sizes = _counting_slices(monkeypatch)
     for costs in (edge_costs(model, g, vs, data.level, tr),
                   reverse_edge_costs(model, g, vs, data.level, tr)):
+        sizes.clear()
         _assert_matches_full_sweeps(costs, tr, D0)
+        assert max(size for rows, size in sizes if rows == CHUNK) == 50
+        assert max(size for rows, size in sizes if rows == 1) > 50
+
+
+def test_relax_batch_memory_is_bounded_on_the_2d_aubry_batch(monkeypatch):
+    # the 21 Aubry candidates of the 2D quadratic at h = 0.1 (13
+    # velocities); gathering every active node at once, with the edge table
+    # built from full sorted (n, M, 4) copies, peaked at 8.2 MB; slices
+    # bring it to 3.0 MB
+    g, vs = _box_2d(0.1), build_velocity_set(1.5, 5, dimension=2)
+    tr = build_transition(g, vs)
+    model = make_model("quadratic", "half_square", dimension=2)
+    calls = []
+    real = critical.relax_batch
+
+    def recording(costs, transition, D0):
+        calls.append((costs, D0))
+        return real(costs, transition, D0)
+
+    monkeypatch.setattr(critical, "relax_batch", recording)
+    build_aubry_data(model, g, vs, transition=tr)
+    costs, D0 = calls[-1]
+    assert D0.shape == (21, g.num_nodes)
+    tracemalloc.start()
+    try:
+        real(costs, tr, D0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.0e6, peak
 
 
 def test_unreachable_nodes_stay_at_inf():

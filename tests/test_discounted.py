@@ -1,10 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import weakkam.discounted as discounted
 from weakkam.discounted import (
     MIN_BLOCK,
+    SLAB_BYTES,
     oracle_abs,
     oracle_quadratic,
     policy_solve,
@@ -15,6 +18,8 @@ from weakkam.discounted import (
 from weakkam.errors import MaxIterExceeded
 from weakkam.grids import build_grid, build_transition, build_velocity_set, interpolate
 from weakkam.models import h_at_zero, lagrangian_table, make_model, superlinearize
+
+from helpers import policy_solve_full_band
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +173,68 @@ def test_block_solve_matches_dense_solve(box, h, count):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-10 * np.max(np.abs(want)))
 
 
+def _random_policy_system(g, vs, seed=0):
+    tr = build_transition(g, vs)
+    rng = np.random.default_rng(seed)
+    n = g.num_nodes
+    rows = np.arange(n)
+    q = rng.integers(0, vs.size, n)
+    B = max(int(np.max(np.abs(tr.idx[rows, q] - rows[:, None]))), MIN_BLOCK)
+    return tr, q, rng.normal(size=n), B
+
+
+@pytest.mark.parametrize("blocks_per_slab", [None, 1, 2])
+def test_slabs_give_the_full_band_solve_bit_for_bit(blocks_per_slab, monkeypatch):
+    # 1,681 nodes in 2D: 21 blocks of B = 83, the last one padded; slabs of
+    # SLAB_BYTES hold one block each, and slabs of 2 leave a last slab of 1
+    g = build_grid([[-2.0, 2.0], [-2.0, 2.0]], 0.1)
+    tr, q, rhs, B = _random_policy_system(g, build_velocity_set(1.5, 5, dimension=2))
+    block = B * 3 * B * 8
+    nb = -(-g.num_nodes // B)
+    assert g.num_nodes % B != 0 and nb % 2 == 1
+    if blocks_per_slab:
+        monkeypatch.setattr(discounted, "SLAB_BYTES", blocks_per_slab * block + block // 2)
+    assert discounted.SLAB_BYTES // block == (blocks_per_slab or 1)
+    for diag in (1.0 + 0.5 * g.h, 1.0 + 1e-4 * g.h):
+        got = policy_solve(tr, q, rhs, diag)
+        want = policy_solve_full_band(tr, q, rhs, diag)
+        np.testing.assert_array_equal(got, want)
+
+
+def test_1d_band_is_one_slab(monkeypatch):
+    # 26 blocks of 16 x 48 at 401 nodes: 160 KB, one bincount
+    g = build_grid([[-4.0, 4.0]], 0.02)
+    tr, q, rhs, B = _random_policy_system(g, build_velocity_set(1.5, 7))
+    nb = -(-g.num_nodes // B)
+    assert (nb, B) == (26, 16) and nb * B * 3 * B * 8 <= SLAB_BYTES
+    calls = []
+    real = np.bincount
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(discounted.np, "bincount", counting)
+    got = policy_solve(tr, q, rhs, 1.01)
+    monkeypatch.undo()
+    assert len(calls) == 1
+    np.testing.assert_array_equal(got, policy_solve_full_band(tr, q, rhs, 1.01))
+
+
+def test_policy_solve_memory_is_bounded_in_2d():
+    # the full (21, 83, 249) band alone is 3.5 MB, and with the factors C
+    # the solve peaked at 5.1 MB; one slab at a time it peaks at 1.8 MB
+    g = build_grid([[-2.0, 2.0], [-2.0, 2.0]], 0.1)
+    tr, q, rhs, B = _random_policy_system(g, build_velocity_set(1.5, 5, dimension=2))
+    tracemalloc.start()
+    try:
+        policy_solve(tr, q, rhs, 1.05)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5e6, peak
+
+
 def test_small_lambda_reaches_the_fixed_point(eik_super_m, grid_m, vs_m):
     lam = 0.01
     tr = build_transition(grid_m, vs_m)
@@ -200,6 +267,41 @@ def test_returned_policy_evaluates_to_the_returned_values(quad, grid_m, vs_m, tr
     stage = grid_m.h * lagrangian_table(quad, grid_m.coords, vs_m.vectors)[rows, sol.policy]
     np.testing.assert_array_equal(
         policy_solve(tr_m, sol.policy, stage, 1.0 + lam * grid_m.h), sol.u)
+
+
+def test_warm_start_from_the_last_lambda_ends_on_the_same_fixed_point(
+        eik_super_m, grid_m, vs_m, tr_m):
+    # the study chains its lambdas this way
+    prev = solve_discounted(eik_super_m, grid_m, vs_m, 0.25, tol=1e-7, transition=tr_m)
+    cold = solve_discounted(eik_super_m, grid_m, vs_m, 0.125, tol=1e-7, transition=tr_m)
+    warm = solve_discounted(eik_super_m, grid_m, vs_m, 0.125, tol=1e-7, transition=tr_m,
+                            policy0=prev.policy)
+    np.testing.assert_array_equal(warm.policy, cold.policy)
+    assert warm.u.tobytes() == cold.u.tobytes()
+    assert warm.iterations < cold.iterations
+    assert [it for it, _ in warm.trace] == list(range(1, warm.iterations + 1))
+    assert warm.policy_changes[0] == grid_m.num_nodes
+    # a start that is already optimal is evaluated once and kept
+    again = solve_discounted(eik_super_m, grid_m, vs_m, 0.125, tol=1e-7,
+                             transition=tr_m, policy0=cold.policy)
+    assert again.iterations == 1
+    assert again.u.tobytes() == cold.u.tobytes()
+
+
+def test_warm_start_above_the_constant_start_still_decreases(quad, grid_m, vs_m, tr_m):
+    # a random policy's value exceeds the constant upper start at some
+    # nodes; every step after its evaluation decreases, since T u_q <= u_q
+    lam = 0.5
+    rows = np.arange(grid_m.num_nodes)
+    q0 = np.random.default_rng(3).integers(0, vs_m.size, grid_m.num_nodes)
+    stage = grid_m.h * lagrangian_table(quad, grid_m.coords, vs_m.vectors)
+    u0 = policy_solve(tr_m, q0, stage[rows, q0], 1.0 + lam * grid_m.h)
+    assert np.max(u0) > upper_start(quad, grid_m, vs_m, lam)
+    cold = solve_discounted(quad, grid_m, vs_m, lam, tol=1e-9, transition=tr_m)
+    warm = solve_discounted(quad, grid_m, vs_m, lam, tol=1e-9, transition=tr_m,
+                            policy0=q0)
+    assert all(step > 0 for _, step in warm.trace[1:])
+    np.testing.assert_allclose(warm.u, cold.u, rtol=0, atol=1e-9)
 
 
 def test_round_off_tie_does_not_cycle(quad):

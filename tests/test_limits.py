@@ -245,6 +245,33 @@ def test_study_aggregates_failures(quad, grid_c, vs7, tr_c):
     assert all(np.isnan(g) for g in rep.sup_gaps)
 
 
+def test_study_starts_each_solve_from_the_last_policy(monkeypatch):
+    # lambda 0.25 fails, so 0.125 starts cold; 0.5 passes its policy to 0.25
+    from weakkam.errors import WeakKAMError
+    starts = []
+    real = limits.solve_discounted
+
+    def recording(*args, policy0=None, **kwargs):
+        starts.append(None if policy0 is None else policy0.copy())
+        if args[3] == 0.25:
+            raise WeakKAMError("failed solve")
+        sol = real(*args, policy0=policy0, **kwargs)
+        policies.append(sol.policy)
+        return sol
+
+    policies = []
+    monkeypatch.setattr(limits, "solve_discounted", recording)
+    g = build_grid([[-2.0, 2.0]], 0.1)
+    vs = build_velocity_set(1.0, 5)
+    rep = vanishing_discount_study(make_model("quadratic", "half_square"), g, vs,
+                                   [0.5, 0.25, 0.125, 0.0625], n_objectives=0,
+                                   agreement_count=3, transition=build_transition(g, vs))
+    assert [f["stage"] for f in rep.failures] == ["solve"]
+    assert starts[0] is None and starts[2] is None
+    np.testing.assert_array_equal(starts[1], policies[0])
+    np.testing.assert_array_equal(starts[3], policies[1])
+
+
 def test_study_transport_decreases(grid_c, vs7, tr_c):
     eik = superlinearize(make_model("eikonal", "abs"), grid_c)
     rep = vanishing_discount_study(eik, grid_c, vs7, [0.5, 0.25, 0.125],

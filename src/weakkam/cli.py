@@ -44,7 +44,6 @@ from .measures import (
     closedness_residual,
     holonomy_residual,
     lp_solve,
-    policy_basis,
     support_check,
 )
 from .models import (
@@ -142,7 +141,7 @@ SETTINGS = {
 # the settings without a default; a key outside these and SETTINGS is ignored
 OTHER_KEYS = {"model.family", "model.potential", "model.dimension", "model.sampled_csv",
               "model.p_grid", "grid.box", "grid.h", "velocity.q_max",
-              "velocity.per_axis_count", "schedule.lambdas", "schedule.geometric", "probes"}
+              "velocity.per_axis_count", "schedule.lambdas", "probes"}
 
 
 def unknown_settings(cfg):
@@ -223,33 +222,13 @@ def validate_config(cfg, need_schedule=False, need_sub_box=False):
 
 
 def resolve_schedule(cfg):
-    block = cfg.get("schedule")
-    if not isinstance(block, dict):
-        raise ConfigError("schedule: required")
-    if "lambdas" in block:
-        lam = block["lambdas"]
-        if not (isinstance(lam, list) and len(lam) >= 1
-                and all(_is_number(v) and v > 0 for v in lam)
-                and all(a > b for a, b in zip(lam, lam[1:]))):
-            raise ConfigError("schedule.lambdas: expected a strictly decreasing "
-                              "list of positive numbers")
-        return [float(v) for v in lam]
-    if "geometric" in block:
-        geo = block["geometric"]
-        if not isinstance(geo, dict):
-            raise ConfigError("schedule.geometric: expected an object")
-        for key in ("start", "ratio", "count"):
-            if key not in geo:
-                raise ConfigError(f"schedule.geometric.{key}: required")
-        if not (_is_number(geo["start"]) and geo["start"] > 0):
-            raise ConfigError("schedule.geometric.start: expected a positive number")
-        if not (_is_number(geo["ratio"]) and 0 < geo["ratio"] < 1):
-            raise ConfigError("schedule.geometric.ratio: expected a value in (0, 1)")
-        if not (type(geo["count"]) is int and geo["count"] > 0):
-            raise ConfigError("schedule.geometric.count: expected a positive integer")
-        return [float(geo["start"]) * float(geo["ratio"]) ** k
-                for k in range(geo["count"])]
-    raise ConfigError("schedule: needs either 'lambdas' or 'geometric'")
+    lam = _require(cfg, "schedule.lambdas", None)
+    if not (isinstance(lam, list) and len(lam) >= 1
+            and all(_is_number(v) and v > 0 for v in lam)
+            and all(a > b for a, b in zip(lam, lam[1:]))):
+        raise ConfigError("schedule.lambdas: expected a strictly decreasing "
+                          "list of positive numbers")
+    return [float(v) for v in lam]
 
 
 def validate_args(args, dim):
@@ -258,6 +237,9 @@ def validate_args(args, dim):
     lam = getattr(args, "lam", None)
     if lam is not None and not (math.isfinite(lam) and lam > 0):
         raise ConfigError(f"--lambda: expected a positive number, got {lam!r}")
+    if getattr(args, "z", None) is not None and lam is None:
+        raise ConfigError("--z: the anchor of the discounted program, "
+                          "read only with --lambda")
     for name in ("z", "source"):
         text = getattr(args, name, None)
         if text is None:
@@ -468,9 +450,9 @@ def cmd_mather(cfg, ctx, out, args):
         zpt = args.z if args.z is not None else [0.0] * grid.dimension
         sol = solve_discounted(model, grid, vset, args.lam, tol=cfg["solver"]["tol"],
                                max_iter=cfg["solver"]["max_iter"], transition=tr)
-        # the LP starts from the basis of Howard's policy, as in the study
-        problem = build_discounted_lp(model, grid, vset, args.lam, zpt, transition=tr)
-        res = lp_solve(problem, basis0=policy_basis(problem, sol.policy))
+        # the LP starts from Howard's policy, as in the study
+        res = lp_solve(build_discounted_lp(model, grid, vset, args.lam, zpt,
+                                           transition=tr, policy=sol.policy))
         lam_u = args.lam * float(sol.u[grid.node_near(zpt)])
         payload = {
             "kind": "discounted",

@@ -193,6 +193,11 @@ def build_transition(grid, velocity_set):
 
 
 def interpolate(transition, values):
-    """Continuation values at every foot point: (n, M) array."""
+    """Continuation values at every foot point: (n, M) array, its corners
+    added in order into the result (no (n, M, 2^N) temporary)."""
     v = np.asarray(values, dtype=float)
-    return np.sum(transition.w * v[transition.idx], axis=2)
+    idx, w = transition.idx, transition.w
+    out = w[:, :, 0] * v[idx[:, :, 0]]
+    for k in range(1, idx.shape[2]):
+        out += w[:, :, k] * v[idx[:, :, k]]
+    return out

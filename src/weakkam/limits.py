@@ -38,7 +38,6 @@ from .measures import (
     build_ergodic_lp,
     build_mather_polytope,
     lp_solve,
-    policy_basis,
     sequential_sum,
     transport_distance,
 )
@@ -55,18 +54,15 @@ _STATUS_NA = "NotApplicable"
 def enric1_values(critical, polytope, query_nodes):
     """min over the Mather polytope of <mu, P(., x)> at each node index x of
     query_nodes, one LP each.  The queries share the polytope, so each
-    starts from the optimal basis of the query before it, which is
-    feasible, and from the inverse that query returned; the first starts
-    from the polytope's crash basis (the ergodic optimum plus the budget
-    slack) and its bordered inverse."""
-    node_of_column = polytope.active // polytope.meta["velocity_set"].size
+    starts from the result of the query before it, and the first from the
+    polytope's own start."""
+    node_of_column = polytope.active // polytope.transition.velocity_set.size
     values = []
-    basis = inverse = None
+    res = None
     for x in query_nodes:
         res = lp_solve(polytope, peierls_field_to(critical, int(x))[node_of_column],
-                       basis0=basis, inverse0=inverse)
+                       start=res)
         values.append(res.objective)
-        basis, inverse = res.basis, res.inverse
     return np.array(values, dtype=float)
 
 
@@ -290,7 +286,7 @@ def vanishing_discount_study(model, grid, velocity_set, schedule,
     problem = build_ergodic_lp(model, grid, velocity_set, transition=transition)
     ergodic = lp_solve(problem)
     polytope = build_mather_polytope(problem, ergodic, slack=slack)
-    # the polytope holds its own copy of the columns and its crash inverse;
+    # the polytope holds its own copy of the columns and its start inverse;
     # the ergodic inverse, m^2 floats, is not kept through the study
     del problem
     ergodic.inverse = None
@@ -323,15 +319,14 @@ def vanishing_discount_study(model, grid, velocity_set, schedule,
         sup_gaps.append(gap)
         rows.append(StudyRow(lam=lam, sup_gap=gap, iterations=sol.iterations,
                              residual=sol.residual))
-        # each LP starts from the basis of the policy Howard ended on, which
-        # is optimal for every anchor: two dense solves and its own pricing
-        # certify it, with no pivot and no inverse
+        # each LP starts from the policy Howard ended on, which is optimal
+        # for every anchor
         for p in probes:
             z = grid.node_near(p)
             try:
-                problem = build_discounted_lp(model, grid, velocity_set, lam, z,
-                                              transition=transition)
-                lp = lp_solve(problem, basis0=policy_basis(problem, sol.policy))
+                lp = lp_solve(build_discounted_lp(model, grid, velocity_set, lam, z,
+                                                  transition=transition,
+                                                  policy=sol.policy))
             except WeakKAMError as exc:
                 failures.append({"lambda": lam, "stage": f"lp@{p}", "error": repr(exc)})
                 continue

@@ -24,36 +24,47 @@ programs are built against the foot-point transition:
   mather      the ergodic rows plus the budget row <mu, L> + s = optimum +
               slack with one slack column s >= 0: the closed probability
               measures within `slack` of the ergodic optimum, over which
-              any linear objective can be minimized.  The ergodic optimal
-              basis plus the slack column is a feasible crash basis.
+              any linear objective can be minimized.
 
 Both use the unit-mass normalization; for the discounted program the mass
 row is implied exactly by the holonomy rows (their sum reads
-lambda*h*(total mass) = lambda*h) and is therefore not repeated, which
-also makes the q = 0 self-loop columns a feasible diagonal crash basis.
-More generally, the basis of a policy, one column (i, q(i)) per node, is
-(1+lambda*h) I - W^T with W substochastic, an M-matrix with a nonnegative
-inverse, so it is feasible for every lambda and z.  The basic solutions
-of the discounted program are the stationary policies of the scheme
-(Puterman, Markov Decision Processes, 1994, ch. 6), so the basis of the
-policy Howard's iteration ends on (`policy_basis`) is optimal: started
-there, the program proves its optimum by its own pricing, in no pivots,
-from two dense solves and with no basis inverse.
-Likewise every program over one Mather polytope shares its feasible set,
-so any optimal basis of one is a feasible start for the next; the
-polytope borders the inverse of its crash basis from the ergodic solve's,
-and every solve returns the inverse of its final basis for the next start.
+lambda*h*(total mass) = lambda*h) and is therefore not repeated.
+
+Each program carries its start, `start_basis` (None: phase 1 finds one) and
+`start_inverse` (None: the start is certified or inverted by the solve):
+
+  ergodic     none.
+  discounted  the columns (i, policy[i]), one per node in node order, of the
+              policy it is built with; the rest policy (q = 0 everywhere)
+              by default.  Such a basis is (1+lambda*h) I - W^T with W
+              substochastic, an M-matrix with a nonnegative inverse, so it
+              is feasible for every lambda and z.  The basic solutions are
+              the stationary policies of the scheme (Puterman, Markov
+              Decision Processes, 1994, ch. 6): built with the policy
+              Howard's iteration ended on, the program proves its optimum
+              by its own pricing, in no pivots, from two dense solves and
+              with no basis inverse.  A policy with a pair that is not a
+              column leaves no start.
+  mather      the ergodic optimal basis plus the budget slack, a vertex of
+              the polytope, with the inverse bordered from the ergodic
+              solve's when it returned one.
+
+Every program over one Mather polytope shares its feasible set, so any
+optimal basis of one is a feasible start for the next: `lp_solve(start=)`
+takes an earlier result over the same matrix, its basis and the inverse of
+that basis that every pivoting solve returns.
 Each constraint matrix is a `simplex.Columns` store built column by column
 (no m x n array is formed).  All three are solved by `lp_solve`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
+from .grids import Transition
 from .models import lagrangian_table
 from .simplex import Columns, solve_lp
 
@@ -68,7 +79,9 @@ class LPProblem:
     active: np.ndarray           # flat (node * M + velocity) index per measure
                                  # column; slack columns follow them
     kind: str                    # "ergodic" | "discounted" | "mather"
-    meta: dict = field(default_factory=dict)
+    transition: Transition       # the grid and velocity set are its own
+    start_basis: Optional[np.ndarray] = None    # a feasible basis, or None
+    start_inverse: Optional[np.ndarray] = None  # its inverse, when known
 
 
 @dataclass
@@ -133,12 +146,21 @@ def build_ergodic_lp(model, grid, velocity_set, transition):
     b = np.zeros(n)
     b[-1] = 1.0
     return LPProblem(c=L[active], A=A, b=b, active=active, kind="ergodic",
-                     meta={"grid": grid, "velocity_set": velocity_set,
-                           "transition": transition})
+                     transition=transition)
 
 
-def build_discounted_lp(model, grid, velocity_set, lam, z, transition):
-    """min <mu, L> over the discounted holonomy polytope anchored at node z.
+def _policy_basis(active, M, policy):
+    """The columns (i, policy[i]), one per node in node order, or None when
+    some pair is not a column."""
+    flat = np.arange(len(policy)) * M + policy
+    cols = np.minimum(np.searchsorted(active, flat), len(active) - 1)
+    return cols if np.array_equal(active[cols], flat) else None
+
+
+def build_discounted_lp(model, grid, velocity_set, lam, z, transition, policy=None):
+    """min <mu, L> over the discounted holonomy polytope anchored at node z,
+    started from the basis of `policy` (one velocity index per node; the
+    rest policy q = 0 when None).
 
     z may be a node index or coordinates (snapped to the nearest node).
     The unnormalized dual has mass 1/(lambda*h); the rows below are already
@@ -156,52 +178,37 @@ def build_discounted_lp(model, grid, velocity_set, lam, z, transition):
     b[z] = lam_h
     # the unit-mass row is implied exactly: summing the holonomy rows gives
     # lam*h*(total mass) = lam*h
-    # the q = 0 column of each node, in node order, when every node has one
-    crash = np.nonzero(active % velocity_set.size == velocity_set.zero_index())[0]
-    crash = crash if len(crash) == grid.num_nodes else None
+    if policy is None:
+        policy = np.full(grid.num_nodes, velocity_set.zero_index())
     return LPProblem(c=L[active], A=A, b=b, active=active, kind="discounted",
-                     meta={"grid": grid, "velocity_set": velocity_set,
-                           "transition": transition, "lambda": lam, "z": z,
-                           "crash_basis": crash})
+                     transition=transition,
+                     start_basis=_policy_basis(active, velocity_set.size, policy))
 
 
-def policy_basis(problem, policy):
-    """The columns (i, policy[i]) of a discounted program, one per node in
-    node order: the start basis of that policy (feasible for every anchor),
-    or None when some pair is not a column of the program."""
-    flat = np.arange(len(policy)) * problem.meta["velocity_set"].size + policy
-    cols = np.minimum(np.searchsorted(problem.active, flat), len(problem.active) - 1)
-    return cols if np.array_equal(problem.active[cols], flat) else None
-
-
-def lp_solve(problem, objective=None, basis0=None, inverse0=None):
+def lp_solve(problem, objective=None, start=None):
     """Solve the program; returns the measure, the optimum, and the duals
     (the multipliers on the stationarity rows approximate a subsolution
     potential and are reported for diagnostics).
 
     `objective`, indexed like `active`, replaces the measure costs
-    `problem.c`; slack columns cost 0.  `basis0` is the starting basis,
-    typically the `LPResult.basis` of an earlier program over the same
-    columns; None means the program's crash basis (and its inverse, when
-    the program holds one).  `inverse0` is the inverse of `basis0` over the
-    same matrix, an earlier `LPResult.inverse`, which saves a start that
-    must pivot its inversion; a start without one is certified by two
-    dense solves, and inverted only when it is not optimal.  A start that
-    is not feasible falls back to phase 1.  Masses at or below SUPPORT_TOL
-    are zeroed.  The vertices of the Mather polytope are measures of kind
-    "ergodic".
+    `problem.c`; slack columns cost 0.  `start`, an earlier `LPResult` over
+    the same matrix, replaces the program's own start with its basis and,
+    when it holds one, that basis's inverse.  A start that is not feasible
+    falls back to phase 1.  Masses at or below SUPPORT_TOL are zeroed.  The
+    vertices of the Mather polytope are measures of kind "ergodic".
     """
     c = problem.c
     if objective is not None:
         c = np.zeros(len(problem.c))
         c[:len(objective)] = objective
-    if basis0 is None:
-        basis0 = problem.meta.get("crash_basis")
-        inverse0 = problem.meta.get("crash_inverse")
+    if start is None:
+        basis0, inverse0 = problem.start_basis, problem.start_inverse
+    else:
+        basis0, inverse0 = start.basis, start.inverse
     sol = solve_lp(c, problem.A, problem.b, basis0=basis0, inverse0=inverse0)
     x = sol.x[:len(problem.active)]
-    meta = problem.meta
-    mass = np.zeros((meta["grid"].num_nodes, meta["velocity_set"].size))
+    tr = problem.transition
+    mass = np.zeros((tr.grid.num_nodes, tr.velocity_set.size))
     mass.reshape(-1)[problem.active] = np.where(x > SUPPORT_TOL, x, 0.0)
     kind = "ergodic" if problem.kind == "mather" else problem.kind
     return LPResult(measure=DiscreteMeasure(mass=mass, kind=kind),
@@ -290,26 +297,25 @@ def build_mather_polytope(problem, ergodic_result, slack=None):
     """
     if slack is None:
         slack = (1e-7 * (1.0 + abs(ergodic_result.objective))
-                 + 1e-3 * problem.meta["grid"].h ** 2)
+                 + 1e-3 * problem.transition.grid.h ** 2)
     # each measure column gains its cost in the budget row, and the slack
     # column is the unit column of that row
     budget = problem.A.m
     A = problem.A.with_row(problem.c).with_unit_columns([budget])
     b = np.concatenate([problem.b, [ergodic_result.objective + slack]])
     # the ergodic optimum with s = slack > 0 is a vertex of the polytope;
-    # the vertex samples and the first barrier query all start there
-    crash = np.append(ergodic_result.basis, len(problem.c))
     # its basis is [[B, 0], [c_B, 1]], B the ergodic basis, so its inverse is
     # [[B^-1, 0], [-c_B B^-1, 1]]: bordered from the ergodic solve's inverse
-    # (a solve that returned none leaves the crash start to certify itself)
+    # (a solve that returned none leaves the start to certify itself)
     inverse = ergodic_result.inverse
-    crash_inverse = None if inverse is None else np.block(
+    start_inverse = None if inverse is None else np.block(
         [[inverse, np.zeros((budget, 1))],
          [-(problem.c[ergodic_result.basis] @ inverse), 1.0]])
     return LPProblem(c=np.append(problem.c, 0.0), A=A, b=b,
                      active=problem.active, kind="mather",
-                     meta={**problem.meta, "slack": slack, "crash_basis": crash,
-                           "crash_inverse": crash_inverse})
+                     transition=problem.transition,
+                     start_basis=np.append(ergodic_result.basis, len(problem.c)),
+                     start_inverse=start_inverse)
 
 
 def transport_distance(mu1, mu2, grid):

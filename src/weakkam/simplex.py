@@ -427,14 +427,11 @@ def _solution(c, basis, xB, y, row_sign, iterations, inverse):
 def solve_lp(c, A, b, basis0=None, inverse0=None):
     """Optimal basic feasible solution of min c.x, A x = b, x >= 0.
 
-    `A` is a `Columns` store.  `basis0` is a known-feasible starting basis:
-    the discounted program's Howard-policy or q = 0 crash, the Mather
-    polytope's ergodic optimal basis, or the optimal basis of the previous
-    program in a sequence over the same columns (`measures.lp_solve(basis0=)`).
-    It replaces phase 1 when its basic solution is nonnegative.
-    `inverse0`, when given, is the inverse of A[:, basis0] that an earlier
-    solve over the same matrix returned as `LPSolution.inverse`; the pivots
-    update a copy.  Without it the start is certified by two dense solves
+    `A` is a `Columns` store.  `basis0` is a starting basis, one column
+    per row; it replaces phase 1 when its basic solution is nonnegative.
+    `inverse0`, when given, is the inverse of A[:, basis0], such as the
+    `LPSolution.inverse` an earlier solve over the same matrix returned;
+    the pivots update a copy.  Without it the start is certified by two dense solves
     and its own pricing: a start that is already optimal returns with no
     pivot and no inverse (`inverse` None), and any other forms the inverse
     of its basis once.  Every other solve returns the inverse of its final

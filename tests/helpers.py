@@ -215,6 +215,13 @@ def policy_solve_full_band(transition, q, rhs, diag):
     return z.reshape(-1)[:n]
 
 
+def interpolate_gathered(transition, values):
+    """`grids.interpolate` with the (n, M, 2^N) gather and its product with
+    the weights formed whole, then summed over the corners."""
+    v = np.asarray(values, dtype=float)
+    return np.sum(transition.w * v[transition.idx], axis=2)
+
+
 def exact_successors(costs, transition):
     """(node, cost) successor lists; requires every foot to be an exact node
     hit (interpolation weight 1)."""
@@ -462,19 +469,19 @@ def eager_simplex(c, A, b, basis0=None, inverse0=None):
     return x, y * row_sign, total_it, basis
 
 
-def dense_lp_matrix(problem):
-    """The constraint matrix of an ergodic, discounted or Mather LPProblem,
-    built densely from its transition by accumulating each (i, q) column's
-    out-entry and interpolation weights with np.add.at."""
-    meta = problem.meta
-    tr = meta["transition"]
+def dense_lp_matrix(problem, lam=None):
+    """The constraint matrix of an ergodic, Mather or discounted LPProblem
+    (the last built with discount `lam`), built densely from its transition
+    by accumulating each (i, q) column's out-entry and interpolation weights
+    with np.add.at."""
+    tr = problem.transition
     active = problem.active
     n = tr.grid.num_nodes
     M = tr.velocity_set.size
     K = tr.idx.shape[2]
     factor = 1.0
     if problem.kind == "discounted":
-        factor += meta["lambda"] * tr.grid.h
+        factor += lam * tr.grid.h
     cols = np.arange(len(active))
     A = np.zeros((n, len(active)))
     np.add.at(A, (active // M, cols), factor)

@@ -72,7 +72,6 @@ def test_bad_family_exit_2(tmp_path, capsys):
     assert "model.family" in capsys.readouterr().err
 
 
-GEOMETRIC = 'schedule={"geometric":{"start":1.0,"ratio":0.5,"count":3}}'
 BOX_2D = "grid.box=[[-2.0,2.0],[-2.0,2.0]]"
 
 
@@ -83,10 +82,6 @@ BOX_2D = "grid.box=[[-2.0,2.0],[-2.0,2.0]]"
     ["grid.h=0.3"],
     [BOX_2D, "probes=[0.0]"],
     ['probes=[["a"]]'],
-    [GEOMETRIC, "schedule.geometric.start=-1"],
-    [GEOMETRIC, 'schedule.geometric.start="x"'],
-    [GEOMETRIC, "schedule.geometric.count=0"],
-    [GEOMETRIC, "schedule.geometric.count=2.5"],
     ["ergodic.bisection_tol=-1"],
     ['measures.n_objectives="x"'],
     ["measures.n_objectives=-1"],
@@ -112,6 +107,15 @@ def test_bad_value_exit_2(tmp_path, capsys, overrides):
     sets = [arg for o in overrides for arg in ("--set", o)]
     assert main(["study", "--config", cfg, "--out", str(tmp_path / "o"), *sets]) == 2
     assert overrides[-1].split("=")[0] in capsys.readouterr().err
+
+
+def test_geometric_schedule_exit_2(tmp_path, capsys):
+    # the schedule is a list of lambdas; a geometric block is not read
+    cfg = write_cfg(tmp_path, TINY_STUDY)
+    geometric = 'schedule={"geometric":{"start":1.0,"ratio":0.5,"count":3}}'
+    assert main(["study", "--config", cfg, "--out", str(tmp_path / "o"),
+                 "--set", geometric]) == 2
+    assert "error: schedule.lambdas: required" in capsys.readouterr().err
 
 
 # a 2D run of a 1D config, as in CI; study.sub_box stays 1D
@@ -143,6 +147,7 @@ def test_bad_output_directory_exit_2(tmp_path, capsys):
     ["mather", "--lambda", "0"],
     ["mather", "--lambda", "0.5", "--z", "0,0"],
     ["mather", "--z", "abc"],
+    ["mather", "--z", "1.0"],
     ["distance", "--source", "abc"],
 ], ids=" ".join)
 def test_bad_argument_exit_2(tmp_path, capsys, argv):

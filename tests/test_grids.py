@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,6 +11,8 @@ from weakkam.grids import (
     build_velocity_set,
     interpolate,
 )
+
+from helpers import interpolate_gathered
 
 
 def test_five_node_line():
@@ -139,3 +142,35 @@ def test_node_near_and_masks(grid_c):
     assert shell[grid_c.node_near([3.9])] and not shell[grid_c.node_near([0.0])]
     sub = grid_c.box_mask([[-2.0, 2.0]])
     assert sub.sum() == 81
+
+
+# the 1D study grid with 33 velocities, and the 2D grid at h = 0.05
+INTERPOLATION_GRIDS = [([[-4.0, 4.0]], 0.02, 2.0, 33, 1),
+                       ([[-2.0, 2.0], [-2.0, 2.0]], 0.05, 1.5, 5, 2)]
+
+
+@pytest.mark.parametrize("box,h,q_max,count,dim", INTERPOLATION_GRIDS, ids=["1d", "2d"])
+def test_interpolate_adds_the_corners_in_numpy_order(box, h, q_max, count, dim):
+    # corner by corner from the first, the order np.sum takes over so few
+    # corners, so the values are the gathered sum's bit for bit
+    tr = build_transition(build_grid(box, h), build_velocity_set(q_max, count, dim))
+    rng = np.random.default_rng(dim)
+    n = tr.grid.num_nodes
+    for values in (rng.normal(size=n), rng.normal(size=n) * 10.0 ** rng.integers(-8, 8, n)):
+        np.testing.assert_array_equal(interpolate(tr, values),
+                                      interpolate_gathered(tr, values))
+
+
+def test_interpolate_holds_no_gather_of_every_corner():
+    # the result plus one corner's gather; the gathered form holds two
+    # (n, M, 4) arrays, five times the result
+    box, h, q_max, count, dim = INTERPOLATION_GRIDS[1]
+    tr = build_transition(build_grid(box, h), build_velocity_set(q_max, count, dim))
+    values = np.random.default_rng(0).normal(size=tr.grid.num_nodes)
+    tracemalloc.start()
+    try:
+        out = interpolate(tr, values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * out.nbytes

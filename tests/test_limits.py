@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -410,7 +412,7 @@ def test_a_solve_given_the_start_inverse_matches_one_without(grid_c, vs7, tr_c, 
                                grid_c, vs7, transition=tr_c)
     poly = build_mather_polytope(problem, lp_solve(problem))
     assert (poly.b[-1] < 0) == (shift < 0)
-    crash, crash_inverse = poly.meta["crash_basis"], poly.meta["crash_inverse"]
+    crash, crash_inverse = poly.start_basis, poly.start_inverse
     # two random objectives whose solves pivot
     rng = np.random.default_rng(2)
     c1, c2 = (np.append(rng.uniform(0.0, 1.0, len(poly.active)), 0.0) for _ in range(2))
@@ -438,18 +440,41 @@ def test_a_solve_given_the_start_inverse_matches_one_without(grid_c, vs7, tr_c, 
     np.testing.assert_array_equal(first.inverse, held[1])
 
 
+@pytest.mark.parametrize("with_inverse", [True, False], ids=["inverse", "basis"])
+def test_a_start_result_is_the_low_level_start(quad_setup, with_inverse):
+    # lp_solve(start=res) is simplex.solve_lp from res's basis, and from its
+    # inverse when it holds one, bit for bit
+    _, _, poly = quad_setup
+    rng = np.random.default_rng(5)
+    c1, c2 = (rng.uniform(0.0, 1.0, len(poly.active)) for _ in range(2))
+    res = lp_solve(poly, c1)
+    assert res.inverse is not None
+    if not with_inverse:
+        res = dataclasses.replace(res, inverse=None)
+    got = lp_solve(poly, c2, start=res)
+    want = simplex.solve_lp(np.append(c2, 0.0), poly.A, poly.b, basis0=res.basis,
+                            inverse0=res.inverse)
+    assert got.iterations == want.iterations > 0
+    assert got.objective == want.objective
+    np.testing.assert_array_equal(got.basis, want.basis)
+    np.testing.assert_array_equal(got.duals, want.duals)
+    x = want.x[:len(poly.active)]
+    np.testing.assert_array_equal(got.measure.mass.reshape(-1)[poly.active],
+                                  np.where(x > measures.SUPPORT_TOL, x, 0.0))
+
+
 def test_a_polytope_without_a_crash_inverse_certifies_its_crash_start(quad, grid_c, vs7,
                                                                       tr_c):
     # an ergodic result certified from its own optimal basis holds no
     # inverse to border, so the crash start certifies itself and forms one
     problem = build_ergodic_lp(quad, grid_c, vs7, transition=tr_c)
     first = lp_solve(problem)
-    again = lp_solve(problem, basis0=first.basis)
+    again = lp_solve(problem, start=dataclasses.replace(first, inverse=None))
     assert again.iterations == 0 and again.inverse is None
     assert again.objective == pytest.approx(first.objective, abs=1e-14)
     bordered = build_mather_polytope(problem, first)
     certified = build_mather_polytope(problem, again)
-    assert certified.meta["crash_inverse"] is None
+    assert certified.start_inverse is None
     c = np.random.default_rng(4).uniform(0.0, 1.0, len(problem.active))
     want, got = lp_solve(bordered, c), lp_solve(certified, c)
     assert got.iterations == want.iterations > 0

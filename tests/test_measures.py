@@ -14,7 +14,6 @@ from weakkam.measures import (
     closedness_residual,
     holonomy_residual,
     lp_solve,
-    policy_basis,
     support_check,
     transport_distance,
 )
@@ -152,8 +151,9 @@ def test_discounted_lp_is_the_exact_dual_of_the_scheme(disc_setup):
 
 
 def test_discounted_lps_chain_their_optimal_bases(disc_setup, monkeypatch):
-    # every discounted LP has the same columns, so an optimal basis of one
-    # (lambda, z) is a feasible start for any other; phase 1 never runs
+    # every discounted LP has the same columns, so the policy of an optimal
+    # basis of one (lambda, z) is a feasible start for any other; phase 1
+    # never runs
     g, vs, tr, quad = disc_setup
     cases = ((1.0, 1.0), (0.5, 0.0), (0.5, 1.0), (0.1, 1.0))
     problems = [build_discounted_lp(quad, g, vs, lam, [z], transition=tr)
@@ -170,7 +170,9 @@ def test_discounted_lps_chain_their_optimal_bases(disc_setup, monkeypatch):
         for start in cold:
             if start is ref:
                 continue
-            warm = lp_solve(problem, basis0=start.basis)
+            warm = lp_solve(build_discounted_lp(
+                quad, g, vs, lam, [z], transition=tr,
+                policy=problem.active[start.basis] % vs.size))
             assert abs(warm.objective - ref.objective) <= 1e-12, (lam, z)
             assert abs(warm.objective - lam_u) <= 1e-9, (lam, z)
 
@@ -181,11 +183,11 @@ def test_policy_start_keeps_the_duality_check_independent(disc_setup):
     # action it pivots back to the optimum of a cold solve
     g, vs, tr, quad = disc_setup
     lam, z = 0.5, [1.0]
-    problem = build_discounted_lp(quad, g, vs, lam, z, transition=tr)
     sol = solve_discounted(quad, g, vs, lam, transition=tr)
-    cold = lp_solve(problem)
-    howard = lp_solve(problem, basis0=policy_basis(problem, sol.policy))
-    assert howard.iterations == 0
+    cold = lp_solve(build_discounted_lp(quad, g, vs, lam, z, transition=tr))
+    howard = lp_solve(build_discounted_lp(quad, g, vs, lam, z, transition=tr,
+                                          policy=sol.policy))
+    assert howard.iterations == 0 and howard.inverse is None
     assert abs(howard.objective - cold.objective) <= 1e-12
     vals = g.h * lagrangian_table(quad, g.coords, vs.vectors) + interpolate(tr, sol.u)
     flipped = sol.policy.copy()
@@ -193,20 +195,59 @@ def test_policy_start_keeps_the_duality_check_independent(disc_setup):
     flipped[nodes] = np.argmax(vals[nodes], axis=1)
     rows = np.arange(g.num_nodes)
     assert np.all(vals[rows, flipped][nodes] > vals[rows, sol.policy][nodes] + 1e-6)
-    worse = lp_solve(problem, basis0=policy_basis(problem, flipped))
+    worse = lp_solve(build_discounted_lp(quad, g, vs, lam, z, transition=tr,
+                                         policy=flipped))
     assert worse.iterations > 0
     assert abs(worse.objective - cold.objective) <= 1e-12
 
 
-def test_policy_basis_needs_every_pair_to_be_a_column(grid_c, vs7, tr_c):
+def test_howard_policy_program_certifies_itself_in_2d():
+    # built with the policy Howard's iteration ends on, the 2D double well's
+    # program is optimal at its start: no pivot, and no inverse is formed
+    g = build_grid([[-2.0, 2.0], [-2.0, 2.0]], 0.25)
+    vs = build_velocity_set(1.5, 5, dimension=2)
+    tr = build_transition(g, vs)
+    model = make_model("quadratic", "double_well", dimension=2)
+    lam, z = 0.5, [1.0, 0.0]
+    sol = solve_discounted(model, g, vs, lam, tol=1e-10, transition=tr)
+    howard = lp_solve(build_discounted_lp(model, g, vs, lam, z, transition=tr,
+                                          policy=sol.policy))
+    assert howard.iterations == 0 and howard.inverse is None
+    cold = lp_solve(build_discounted_lp(model, g, vs, lam, z, transition=tr))
+    assert cold.iterations > 0
+    assert howard.objective == pytest.approx(cold.objective, abs=1e-12)
+    assert howard.objective == pytest.approx(lam * sol.u[g.node_near(z)], abs=1e-9)
+
+
+def test_policy_basis_needs_every_pair_to_be_a_column(grid_c, vs7, tr_c, monkeypatch):
     # the eikonal Lagrangian is infinite above unit speed, so |q| = 1.5 has
-    # no column; such a policy has no basis, and the LP keeps its q = 0 crash
-    problem = build_discounted_lp(make_model("eikonal", "abs"), grid_c, vs7, 0.5, 0,
-                                  transition=tr_c)
+    # no column; a program built with such a policy has no start, and its
+    # solve runs phase 1.  With no policy the start is the rest policy's,
+    # the q = 0 column of each node in node order
+    model = make_model("eikonal", "abs")
     n = grid_c.num_nodes
-    assert policy_basis(problem, np.zeros(n, dtype=int)) is None
-    zero = np.full(n, vs7.zero_index())
-    assert np.array_equal(policy_basis(problem, zero), problem.meta["crash_basis"])
+    rest = build_discounted_lp(model, grid_c, vs7, 0.5, 0, transition=tr_c)
+    zero = rest.active % vs7.size == vs7.zero_index()
+    assert np.array_equal(rest.start_basis, np.flatnonzero(zero))
+    assert np.array_equal(rest.active[rest.start_basis] // vs7.size, np.arange(n))
+    assert rest.start_inverse is None
+    built = build_discounted_lp(model, grid_c, vs7, 0.5, 0, transition=tr_c,
+                                policy=np.full(n, vs7.zero_index()))
+    assert np.array_equal(built.start_basis, rest.start_basis)
+    fast = build_discounted_lp(model, grid_c, vs7, 0.5, 0, transition=tr_c,
+                               policy=np.zeros(n, dtype=int))
+    assert fast.start_basis is None and fast.start_inverse is None
+    phase_1 = []
+    run = simplex._phase1
+
+    def counting(*args, **kwargs):
+        phase_1.append(1)
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(simplex, "_phase1", counting)
+    got, want = lp_solve(fast), lp_solve(rest)
+    assert len(phase_1) == 1
+    assert got.objective == pytest.approx(want.objective, abs=1e-12)
 
 
 def test_one_column_per_node_bases_have_nonnegative_inverses(disc_setup):
@@ -300,7 +341,7 @@ def test_mather_polytope_weak_duality(quad, grid_c, vs7, tr_c, quad_ergodic):
     measure = lp_solve(poly, objective).measure
     # the budget row keeps <mu, L> within slack of the ergodic optimum
     Lsum = float(measure.mass.reshape(-1)[poly.active] @ poly.c[:len(poly.active)])
-    assert Lsum <= quad_ergodic.objective + poly.meta["slack"] + 1e-9
+    assert Lsum <= poly.b[-1] + 1e-9
     assert closedness_residual(measure, tr_c) <= 1e-8
 
 
@@ -326,6 +367,9 @@ def test_double_well_ties_resolve_deterministically():
 # column storage of the constraint matrices
 # ---------------------------------------------------------------------------
 
+DISCOUNT = 0.5        # the discount of three_lps' discounted program
+
+
 @pytest.fixture(scope="module", params=["1d", "2d"])
 def three_lps(request):
     if request.param == "1d":
@@ -337,7 +381,8 @@ def three_lps(request):
     tr = build_transition(g, vs)
     model = make_model("quadratic", "double_well", dimension=g.dimension)
     ergodic = build_ergodic_lp(model, g, vs, transition=tr)
-    discounted = build_discounted_lp(model, g, vs, 0.5, g.num_nodes // 3, transition=tr)
+    discounted = build_discounted_lp(model, g, vs, DISCOUNT, g.num_nodes // 3,
+                                     transition=tr)
     mather = build_mather_polytope(ergodic, lp_solve(ergodic))
     return ergodic, discounted, mather
 
@@ -346,7 +391,7 @@ def test_column_store_equals_dense_reference(three_lps):
     for problem in three_lps:
         A = problem.A
         m, n = A.shape
-        dense = dense_lp_matrix(problem)
+        dense = dense_lp_matrix(problem, DISCOUNT)
         assert dense.shape == (m, n)
         np.testing.assert_array_equal(A.dense(np.arange(n)), dense)
         assert A.nnz == np.count_nonzero(dense)
@@ -361,7 +406,7 @@ def test_column_pricing_matches_dense_products(three_lps):
     for problem in three_lps:
         A = problem.A
         m, n = A.shape
-        dense = dense_lp_matrix(problem)
+        dense = dense_lp_matrix(problem, DISCOUNT)
         y = rng.normal(size=m)
         np.testing.assert_allclose(A.vecmat(y), y @ dense, rtol=0.0, atol=1e-13)
         B = rng.normal(size=(m, m))

@@ -114,25 +114,18 @@ def _is_interval(pair):
 
 
 _POSITIVE = (lambda v: _is_number(v) and v > 0, "a positive number")
-_NONNEGATIVE = (lambda v: _is_number(v) and v >= 0, "a nonnegative number")
 _COUNT = (lambda v: type(v) is int and v >= 0, "a nonnegative integer")
-_POSITIVE_COUNT = (lambda v: type(v) is int and v > 0, "a positive integer")
 
 # every defaulted setting: its default, then the values it accepts besides a
-# None default and their description (study.sub_box is checked against the grid)
+# None default and their description
 SETTINGS = {
     "model.normalization_shift": (0.0, lambda v: v == "auto" or _is_number(v),
                                   'a number or "auto"'),
     "model.superlinearize": (None, lambda v: isinstance(v, bool), "true or false"),
     "solver.tol": (1e-6, *_POSITIVE),
-    "solver.max_iter": (None, *_POSITIVE_COUNT),
     "ergodic.bisection_tol": (1e-3, *_POSITIVE),
     "ergodic.eps_aubry": (None, *_POSITIVE),
-    "measures.slack": (None, *_NONNEGATIVE),
     "measures.n_objectives": (4, *_COUNT),
-    "measures.mass_tol": (None, *_NONNEGATIVE),
-    "study.sub_box": (None, None, None),
-    "study.agreement_count": (9, *_POSITIVE_COUNT),
     "outputs.directory": ("out", lambda v: isinstance(v, str), "a path"),
     "seeds.master": (0, *_COUNT),
 }
@@ -164,10 +157,9 @@ def _merge_defaults(cfg):
     return cfg
 
 
-def validate_config(cfg, need_schedule=False, need_sub_box=False):
+def validate_config(cfg, need_schedule=False):
     """Schema check with precise key-path messages; fills defaults.  The
-    schedule is checked when the command needs one or the config has one,
-    and study.sub_box, which must fit the grid, when the command reads it."""
+    schedule is checked when the command needs one or the config has one."""
     _merge_defaults(cfg)
     family = _require(cfg, "model.family", str,
                       lambda v: v in FAMILIES, f"one of {tuple(FAMILIES)}")
@@ -186,7 +178,7 @@ def validate_config(cfg, need_schedule=False, need_sub_box=False):
             raise ConfigError(f"grid.box[{k}]: expected [lo, hi] with lo < hi")
     h = _require(cfg, "grid.h", None, _POSITIVE[0], "(positive number)")
     try:
-        grid = build_grid(box, h)
+        build_grid(box, h)
     except ValueError as exc:
         raise ConfigError(f"grid.h: {exc}") from None
     _require(cfg, "velocity.q_max", None, _POSITIVE[0], "(positive number)")
@@ -210,14 +202,8 @@ def validate_config(cfg, need_schedule=False, need_sub_box=False):
     for path, (default, accepts, what) in SETTINGS.items():
         section, key = path.split(".")
         value = cfg[section][key]
-        if accepts and not ((value is None and default is None) or accepts(value)):
+        if not ((value is None and default is None) or accepts(value)):
             raise ConfigError(f"{path}: expected {what}, got {value!r}")
-    sub_box = cfg["study"]["sub_box"]
-    if need_sub_box and sub_box is not None and not (
-            isinstance(sub_box, list) and len(sub_box) == dim
-            and all(map(_is_interval, sub_box)) and grid.box_mask(sub_box).any()):
-        raise ConfigError(f"study.sub_box: expected {dim} [lo, hi] pairs with lo < hi "
-                          f"around at least one grid node, got {sub_box!r}")
     return cfg
 
 
@@ -305,7 +291,7 @@ def build_context(cfg):
         want_super = model.ops.superlinearize_by_default
     if want_super:
         model = superlinearize(model, grid)
-    half = grid.scaled_box(0.5)
+    half = grid.central_half()
     for p in cfg.get("probes", []):
         if np.any(np.asarray(p) < half[:, 0]) or np.any(np.asarray(p) > half[:, 1]):
             warnings.append(f"probe {p} lies outside the central half-box")
@@ -408,13 +394,12 @@ def cmd_distance(cfg, ctx, out, args):
 def cmd_solve(cfg, ctx, out, args):
     lam = args.lam if args.lam is not None else resolve_schedule(cfg)[0]
     sol = solve_discounted(ctx["model"], ctx["grid"], ctx["velocity_set"], lam,
-                           tol=cfg["solver"]["tol"], max_iter=cfg["solver"]["max_iter"],
-                           transition=ctx["transition"])
+                           tol=cfg["solver"]["tol"], transition=ctx["transition"])
     grid = ctx["grid"]
     arts = [
         io.write_csv(out / "field.csv", _node_columns(grid, "value"),
                      columns=io.field_columns(grid, sol.u)),
-        io.write_csv(out / "trace.csv", ["iteration", "residual", "policy_changes"],
+        io.write_csv(out / "trace.csv", ["iteration", "sup_update", "policy_changes"],
                      [[it, r, c] for (it, r), c in zip(sol.trace, sol.policy_changes)]),
         io.write_json(out / "solve.json", {
             "lambda": lam,
@@ -433,7 +418,7 @@ def cmd_mather(cfg, ctx, out, args):
     arts = []
     if args.lam is None:
         res = lp_solve(build_ergodic_lp(model, grid, vset, transition=tr))
-        sup = support_check(res.measure, data, mass_tol=cfg["measures"]["mass_tol"])
+        sup = support_check(res.measure, data)
         payload = {
             "kind": "ergodic",
             "objective": _claim(res.objective, "ergodic LP optimum", 1e-9),
@@ -449,7 +434,7 @@ def cmd_mather(cfg, ctx, out, args):
     else:
         zpt = args.z if args.z is not None else [0.0] * grid.dimension
         sol = solve_discounted(model, grid, vset, args.lam, tol=cfg["solver"]["tol"],
-                               max_iter=cfg["solver"]["max_iter"], transition=tr)
+                               transition=tr)
         # the LP starts from Howard's policy, as in the study
         res = lp_solve(build_discounted_lp(model, grid, vset, args.lam, zpt,
                                            transition=tr, policy=sol.policy))
@@ -480,12 +465,10 @@ def _study(cfg, ctx, schedule):
     return vanishing_discount_study(
         ctx["model"], ctx["grid"], ctx["velocity_set"], schedule,
         probes=cfg["probes"] or [(0.0,) * ctx["grid"].dimension],
-        sub_box=cfg["study"]["sub_box"], solver_tol=cfg["solver"]["tol"],
-        bisect_tol=cfg["ergodic"]["bisection_tol"],
-        eps_aubry=cfg["ergodic"]["eps_aubry"], slack=cfg["measures"]["slack"],
+        solver_tol=cfg["solver"]["tol"], bisect_tol=cfg["ergodic"]["bisection_tol"],
+        eps_aubry=cfg["ergodic"]["eps_aubry"],
         n_objectives=cfg["measures"]["n_objectives"], seed=cfg["seeds"]["master"],
-        agreement_count=cfg["study"]["agreement_count"],
-        transition=ctx["transition"], max_iter=cfg["solver"]["max_iter"])
+        transition=ctx["transition"])
 
 
 def _write_w(out, grid, rep):
@@ -564,7 +547,6 @@ HANDLERS = {
 }
 
 _NEEDS_SCHEDULE = {"study", "solve"}
-_READS_SUB_BOX = {"study", "limit"}
 
 
 def make_parser():
@@ -598,8 +580,7 @@ def main(argv=None):
             cfg.setdefault("seeds", {})["master"] = args.seed
         if args.out is not None:
             cfg.setdefault("outputs", {})["directory"] = args.out
-        validate_config(cfg, need_schedule=args.command in _NEEDS_SCHEDULE,
-                        need_sub_box=args.command in _READS_SUB_BOX)
+        validate_config(cfg, need_schedule=args.command in _NEEDS_SCHEDULE)
         validate_args(args, cfg["model"]["dimension"])
         out = Path(cfg["outputs"]["directory"])
         out.mkdir(parents=True, exist_ok=True)

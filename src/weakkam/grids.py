@@ -60,11 +60,13 @@ class Grid:
             m &= (pts[:, k] >= sub[k, 0] - _SNAP) & (pts[:, k] <= sub[k, 1] + _SNAP)
         return m
 
-    def scaled_box(self, factor):
-        """Centered sub- (or super-) box scaled by `factor` about the box center."""
+    def central_half(self):
+        """The central half of the box, (N, 2): each axis halved about its
+        center.  Every vanishing-discount result is read there, since the
+        truncation of R^N to the box pollutes the outer shell."""
         c = 0.5 * (self.box[:, 0] + self.box[:, 1])
-        half = 0.5 * (self.box[:, 1] - self.box[:, 0]) * factor
-        return np.stack([c - half, c + half], axis=1)
+        quarter = 0.25 * (self.box[:, 1] - self.box[:, 0])
+        return np.stack([c - quarter, c + quarter], axis=1)
 
     def interp_weights(self, points):
         """Multilinear weights: returns (idx, w) of shape (npts, 2**N)."""

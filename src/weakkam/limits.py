@@ -16,8 +16,8 @@ A trace is an array aligned with `critical.aubry_nodes`, and a measure an
 pairings are array expressions over the (k, n) distance array S_from.
 
 The study drives a decreasing discount schedule, records the sup-norm gap
-between each discounted solution and the limit on a reporting sub-box (the
-central half by default: the truncation pollutes the outer shell), checks
+between each discounted solution and the limit on the central half of the
+box (`Grid.central_half`: the truncation pollutes the outer shell), checks
 the duality identity <mu, L> = lambda u_lambda(z) per probe, and tracks the
 transport distance from the discounted occupation measures to the ergodic
 minimizer.
@@ -32,7 +32,7 @@ import numpy as np
 
 from .critical import build_critical_data, peierls_field_to, weak_kam_solution
 from .discounted import solve_discounted
-from .errors import NoMeasures, WeakKAMError
+from .errors import MaxIterExceeded, NoMeasures, WeakKAMError
 from .measures import (
     build_discounted_lp,
     build_ergodic_lp,
@@ -85,7 +85,9 @@ def maximal_trace(critical, measures):
     ceiling.  Measure mass sitting off the trace nodes is priced at the
     current field value; a final downward shift restores feasibility
     exactly when that lagged pricing overshoots.  The pairings <mu, v_t>
-    add the nodes in index order, left to right.
+    add the nodes in index order, left to right.  A trace still rising
+    after TRACE_SWEEPS sweeps need not be maximal, and raises
+    MaxIterExceeded.
     """
     if not measures:
         raise NoMeasures("maximal_trace needs at least one Mather measure")
@@ -128,6 +130,10 @@ def maximal_trace(critical, measures):
                 t[r] = ceil
         if change <= TRACE_TOL * scale:
             break
+    else:
+        raise MaxIterExceeded(f"maximal_trace still rising after {TRACE_SWEEPS} sweeps "
+                              f"(last change {change:.3e})", residual=change,
+                              iterations=TRACE_SWEEPS)
     # lagged off-trace pricing can overshoot; shift down to restore <mu, v_t> <= 0
     worst = max(0.0, float(np.max(sequential_sum(P * support_values(), axis=1))))
     return t - worst
@@ -177,7 +183,7 @@ def mather_set(measures, grid):
 @dataclass
 class UniquenessVerdict:
     status: str
-    worst_gap: float            # max of v - w over the reporting region
+    worst_gap: float            # max of v - w over the central half-box
 
 
 UNIQUENESS_TOL = 1e-6     # the hypothesis v <= w + UNIQUENESS_TOL on the Mather nodes
@@ -186,18 +192,17 @@ UNIQUENESS_FACTOR = 3.0   # the conclusion v <= w + UNIQUENESS_FACTOR * UNIQUENE
 
 def uniqueness_test(critical, mather_nodes, v, w):
     """If v <= w + UNIQUENESS_TOL on the Mather nodes then
-    v <= w + UNIQUENESS_FACTOR * UNIQUENESS_TOL on the reporting region (the
-    central half of the box); vacuous hypotheses report NotApplicable.  v
-    and w are (n,) arrays.
+    v <= w + UNIQUENESS_FACTOR * UNIQUENESS_TOL on the central half-box;
+    vacuous hypotheses report NotApplicable.  v and w are (n,) arrays.
 
     Both fields must reproduce themselves through the weak KAM min-formula
-    from their own Aubry traces on the reporting region, within
+    from their own Aubry traces on the central half-box, within
     1e-9 + 8h (1 + sup |v - w|).
     """
     grid = critical.grid
     vv = np.asarray(v, dtype=float)
     ww = np.asarray(w, dtype=float)
-    region_mask = grid.box_mask(grid.scaled_box(0.5))
+    region_mask = grid.box_mask(grid.central_half())
     recon_tol = 1e-9 + 8.0 * grid.h * (1.0 + float(np.max(np.abs(vv - ww))))
     errs = []
     for fld in (vv, ww):
@@ -249,10 +254,16 @@ class StudyReport:
     critical_crosscheck: float        # |c_bisection + ergodic LP optimum|
 
 
-def _agreement_nodes(grid, sub_box, count, probes):
+AGREEMENT_COUNT = 9    # nodes across the central half-box on which the estimators meet
+
+
+def _agreement_nodes(grid, probes):
+    """AGREEMENT_COUNT nodes evenly along the first axis of the central
+    half-box through its center, then the probes' nodes."""
+    half = grid.central_half()
     nodes = []
-    center = 0.5 * (sub_box[:, 0] + sub_box[:, 1])
-    for x in np.linspace(sub_box[0, 0], sub_box[0, 1], count):
+    center = 0.5 * (half[:, 0] + half[:, 1])
+    for x in np.linspace(half[0, 0], half[0, 1], AGREEMENT_COUNT):
         p = center.copy()
         p[0] = x
         nodes.append(grid.node_near(p))
@@ -261,11 +272,14 @@ def _agreement_nodes(grid, sub_box, count, probes):
 
 
 def vanishing_discount_study(model, grid, velocity_set, schedule,
-                             probes=((0.0,),), sub_box=None, solver_tol=1e-6,
-                             bisect_tol=1e-3, eps_aubry=None, slack=None,
-                             n_objectives=4, seed=0, agreement_count=9, *,
-                             transition, max_iter=None):
+                             probes=((0.0,),), solver_tol=1e-6, bisect_tol=1e-3,
+                             eps_aubry=None, n_objectives=4, seed=0, *, transition):
     """Decreasing-discount convergence study against the selected limit.
+
+    Every result is read on the central half of the box
+    (`Grid.central_half`): the sup gaps are taken over its nodes, and the
+    estimator agreement over AGREEMENT_COUNT = 9 nodes spread along its
+    first axis through its center, plus the probes' nodes.
 
     Per-lambda solves and discounted LPs that fail with a WeakKAMError are
     recorded in `failures` and the study continues with the remaining
@@ -276,16 +290,13 @@ def vanishing_discount_study(model, grid, velocity_set, schedule,
     schedule = [float(l) for l in schedule]
     if any(b >= a for a, b in zip(schedule, schedule[1:])):
         raise ValueError("schedule must be strictly decreasing")
-    if sub_box is None:
-        sub_box = grid.scaled_box(0.5)
-    sub_box = np.asarray(sub_box, dtype=float).reshape(grid.dimension, 2)
     probes = [tuple(float(v) for v in np.atleast_1d(p)) for p in probes]
 
     critical = build_critical_data(model, grid, velocity_set, tol=bisect_tol,
                                    eps_aubry=eps_aubry, transition=transition)
     problem = build_ergodic_lp(model, grid, velocity_set, transition=transition)
     ergodic = lp_solve(problem)
-    polytope = build_mather_polytope(problem, ergodic, slack=slack)
+    polytope = build_mather_polytope(problem, ergodic)
     # the polytope holds its own copy of the columns and its start inverse;
     # the ergodic inverse, m^2 floats, is not kept through the study
     del problem
@@ -296,19 +307,18 @@ def vanishing_discount_study(model, grid, velocity_set, schedule,
     mnodes = mather_set(measures, grid)
 
     w = selected_solution_deflim(critical, measures)
-    agree_nodes = _agreement_nodes(grid, sub_box, agreement_count, probes)
+    agree_nodes = _agreement_nodes(grid, probes)
     agreement = float(np.max(np.abs(enric1_values(critical, polytope, agree_nodes)
                                     - w[agree_nodes])))
     del polytope
 
-    mask = grid.box_mask(sub_box)
+    mask = grid.box_mask(grid.central_half())
     rows, failures, sup_gaps = [], [], []
     policy = None
     for lam in schedule:
         try:
             sol = solve_discounted(model, grid, velocity_set, lam, tol=solver_tol,
-                                   transition=transition, max_iter=max_iter,
-                                   policy0=policy)
+                                   transition=transition, policy0=policy)
         except WeakKAMError as exc:
             failures.append({"lambda": lam, "stage": "solve", "error": repr(exc)})
             sup_gaps.append(float("nan"))

@@ -23,8 +23,9 @@ programs are built against the foot-point transition:
 
   mather      the ergodic rows plus the budget row <mu, L> + s = optimum +
               slack with one slack column s >= 0: the closed probability
-              measures within `slack` of the ergodic optimum, over which
-              any linear objective can be minimized.
+              measures within slack = 1e-7 (1 + |optimum|) + 1e-3 h^2 of
+              the ergodic optimum, over which any linear objective can be
+              minimized.
 
 Both use the unit-mass normalization; for the discounted program the mass
 row is implied exactly by the holonomy rows (their sum reads
@@ -262,16 +263,15 @@ class SupportReport:
     mass_tol: float              # the outside mass an ergodic measure may carry
 
 
-def support_check(mu, critical, mass_tol=None):
+def support_check(mu, critical):
     """Mass at the nodes outside the Aubry set dilated by 2h.
 
-    Pass/fail applies to ergodic measures only, with at most mass_tol
-    (default 1e-3 + 2h) outside; discounted occupation measures
+    Pass/fail applies to ergodic measures only, with at most
+    mass_tol = 1e-3 + 2h outside; discounted occupation measures
     legitimately ride the approach path and are reported as informational.
     """
     grid = critical.grid
-    if mass_tol is None:
-        mass_tol = 1e-3 + 2.0 * grid.h
+    mass_tol = 1e-3 + 2.0 * grid.h
     dil = 2.0 * grid.h
     aubry_pts = grid.coords[critical.aubry_nodes]
     nodes = np.flatnonzero(mu.mass.any(axis=1))
@@ -280,24 +280,24 @@ def support_check(mu, critical, mass_tol=None):
     far = nodes[d > dil + 1e-12]
     outside = float(sequential_sum(mu.mass[far].reshape(-1)))
     passed = (outside <= mass_tol) if mu.kind == "ergodic" else None
-    return SupportReport(outside_mass=outside, passed=passed, mass_tol=float(mass_tol))
+    return SupportReport(outside_mass=outside, passed=passed, mass_tol=mass_tol)
 
 
 # ---------------------------------------------------------------------------
 # the Mather polytope (ergodic feasible set cut at the optimal value)
 # ---------------------------------------------------------------------------
 
-def build_mather_polytope(problem, ergodic_result, slack=None):
-    """Closed unit-mass measures with <mu, L> within `slack` of the optimum.
+def build_mather_polytope(problem, ergodic_result):
+    """Closed unit-mass measures with <mu, L> within
+    slack = 1e-7 (1 + |optimum|) + 1e-3 h^2 of the optimum.
 
     `problem` is the ergodic program and `ergodic_result` its solution.  The
     budget row <mu, L> + s = optimum + slack (s >= 0) is appended with its
     slack column, so `lp_solve(polytope, objective)` optimizes any linear
     objective over the measures on the epsilon-argmin face.
     """
-    if slack is None:
-        slack = (1e-7 * (1.0 + abs(ergodic_result.objective))
-                 + 1e-3 * problem.transition.grid.h ** 2)
+    slack = (1e-7 * (1.0 + abs(ergodic_result.objective))
+             + 1e-3 * problem.transition.grid.h ** 2)
     # each measure column gains its cost in the budget row, and the slack
     # column is the unit column of that row
     budget = problem.A.m

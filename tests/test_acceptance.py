@@ -71,7 +71,7 @@ def study_fine():
     model = superlinearize(make_model("eikonal", "abs"), grid)
     return grid, vanishing_discount_study(
         model, grid, vset, [0.5, 0.25, 0.125], probes=[(0.0,), (1.0,)],
-        sub_box=[[-2.0, 2.0]], solver_tol=1e-7, n_objectives=4, seed=0,
+        solver_tol=1e-7, n_objectives=4, seed=0,
         transition=build_transition(grid, vset))
 
 
@@ -297,7 +297,6 @@ def test_criterion_8_determinism(tmp_path):
         "schedule": {"lambdas": [0.5, 0.25]},
         "probes": [[0.0]],
         "measures": {"n_objectives": 3},
-        "study": {"sub_box": [[-1.0, 1.0]], "agreement_count": 5},
     }
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))

@@ -18,7 +18,6 @@ TINY_STUDY = {
     "schedule": {"lambdas": [0.5, 0.25]},
     "probes": [[0.0]],
     "measures": {"n_objectives": 2},
-    "study": {"sub_box": [[-1.0, 1.0]], "agreement_count": 5},
     "seeds": {"master": 0},
 }
 
@@ -76,7 +75,7 @@ BOX_2D = "grid.box=[[-2.0,2.0],[-2.0,2.0]]"
 
 
 # each case applies its overrides in order; the last one is malformed.  They
-# run `study`, which reads every setting (study.sub_box only study and limit)
+# run `study`, which reads every setting
 @pytest.mark.parametrize("overrides", [
     ['model.potential="foo"'],
     ["grid.h=0.3"],
@@ -85,18 +84,10 @@ BOX_2D = "grid.box=[[-2.0,2.0],[-2.0,2.0]]"
     ["ergodic.bisection_tol=-1"],
     ['measures.n_objectives="x"'],
     ["measures.n_objectives=-1"],
-    ["study.agreement_count=-1"],
-    ['measures.mass_tol="x"'],
     ['ergodic.eps_aubry="x"'],
     ['seeds.master="x"'],
     ['solver.tol="x"'],
     ['model.normalization_shift="x"'],
-    ['study.sub_box="x"'],
-    ["study.sub_box=[[5,6]]"],
-    [BOX_2D, "probes=[[0,0]]", "study.sub_box=[[-1,1]]"],
-    ["measures.slack=-1"],
-    ['solver.max_iter="x"'],
-    ["solver.max_iter=0"],
     ['model.superlinearize="x"'],
     ["grid.h=true"],
     ["velocity.q_max=true"],
@@ -118,7 +109,7 @@ def test_geometric_schedule_exit_2(tmp_path, capsys):
     assert "error: schedule.lambdas: required" in capsys.readouterr().err
 
 
-# a 2D run of a 1D config, as in CI; study.sub_box stays 1D
+# a 2D run of a 1D config, as in CI
 SET_2D = ["model.dimension=2", "grid.box=[[-2,2],[-2,2]]", "grid.h=0.25",
           "velocity.q_max=1.5", "velocity.per_axis_count=5", "probes=[[0,0],[1,0]]"]
 
@@ -180,14 +171,11 @@ def test_limit_matches_study_double_well(tmp_path):
     assert rep["estimator_agreement"]["value"] <= 0.03
 
 
-@pytest.mark.parametrize("overrides,tolerance", [([], 1e-3 + 2 * 0.1),
-                                                 (["--set", "measures.mass_tol=0.05"], 0.05)],
-                         ids=["default", "set"])
-def test_mather_reports_applied_support_tolerance(tmp_path, overrides, tolerance):
+@pytest.mark.parametrize("tolerance", [1e-3 + 2 * 0.1], ids=["default"])
+def test_mather_reports_applied_support_tolerance(tmp_path, tolerance):
     cfg = str(CONFIGS / "quadratic.json")
     out = tmp_path / "m"
-    assert main(["mather", "--config", cfg, "--out", str(out), "--set", "grid.h=0.1",
-                 *overrides]) == 0
+    assert main(["mather", "--config", cfg, "--out", str(out), "--set", "grid.h=0.1"]) == 0
     rep = json.loads((out / "mather.json").read_text())
     claim = rep["support_outside_mass"]
     assert claim["tolerance"] == pytest.approx(tolerance, abs=1e-15)
@@ -230,6 +218,29 @@ def test_unknown_setting_warns_and_runs(tmp_path, capsys):
     assert json.loads((out / "manifest.json").read_text())["warnings"] == [line]
 
 
+# the retired settings, each at a value the old code would have read
+# differently, with the command that read it
+@pytest.mark.parametrize("command,setting", [
+    ("study", "study.sub_box=[[-0.5,0.5]]"),
+    ("study", "study.agreement_count=3"),
+    ("study", "measures.slack=0.1"),
+    ("study", "solver.max_iter=1"),
+    ("mather", "measures.mass_tol=0"),
+], ids=lambda v: v.split("=")[0])
+def test_retired_setting_warns_and_changes_no_artifact(tmp_path, capsys, command, setting):
+    cfg = write_cfg(tmp_path, TINY_STUDY)
+    plain, retired = tmp_path / "plain", tmp_path / "retired"
+    assert main([command, "--config", cfg, "--out", str(plain)]) == 0
+    capsys.readouterr()
+    assert main([command, "--config", cfg, "--out", str(retired), "--set", setting]) == 0
+    line = f"unknown setting {setting.split('=')[0]} ignored"
+    assert f"warning: {line}\n" in capsys.readouterr().err
+    names = sorted(p.name for p in plain.iterdir() if p.name != "manifest.json")
+    assert names == sorted(p.name for p in retired.iterdir() if p.name != "manifest.json")
+    for name in names:
+        assert (plain / name).read_bytes() == (retired / name).read_bytes(), name
+
+
 def _readme_schema():
     """The README's config schema block as {section: {key: None}}, with None
     for a section that is not an object."""
@@ -250,7 +261,7 @@ def test_committed_configs_and_readme_schema_have_no_unknown_settings():
     for path in sorted(CONFIGS.glob("*.json")):
         assert unknown_settings(load_config(path)) == [], path.name
     schema = _readme_schema()
-    assert len(schema) == 11 and "p_grid" in schema["model"] and schema["probes"] is None
+    assert len(schema) == 10 and "p_grid" in schema["model"] and schema["probes"] is None
     assert unknown_settings(schema) == []
     assert unknown_settings({**schema, "measure": {"n_objectives": 4}, "notes": "x"}) == [
         "measure.n_objectives", "notes"]
@@ -436,7 +447,7 @@ def test_trace_csv_has_one_row_per_policy_step(tmp_path):
     assert main(["solve", "--config", cfg, "--out", str(out), "--lambda", "0.25"]) == 0
     with open(out / "trace.csv", newline="") as fh:
         rows = list(csv.reader(fh))
-    assert rows[0] == ["iteration", "residual", "policy_changes"]
+    assert rows[0] == ["iteration", "sup_update", "policy_changes"]
     iterations = json.loads((out / "solve.json").read_text())["iterations"]
     assert 1 <= iterations == len(rows) - 1
     assert [int(r[0]) for r in rows[1:]] == list(range(1, iterations + 1))

@@ -455,6 +455,24 @@ def test_aubry_exact_flags(quad_crit):
     assert np.all(quad_crit.cycle_exact[quad_crit.aubry_nodes])
 
 
+def test_negative_edge_costs_make_every_cycle_cost_exact(grid_tiny, vs3, tr_tiny):
+    # some edges of this asymmetric table cost less than 0 at its level, so
+    # a first edge above eps_aubry no longer rules a node out: every node's
+    # cycle cost is computed, and each matches the least closed walk
+    model = make_asymmetric_sampled(grid_tiny)
+    data = build_aubry_data(model, grid_tiny, vs3, transition=tr_tiny)
+    ec = edge_costs(model, grid_tiny, vs3, data.level, tr_tiny)
+    assert ec.min() < -0.1
+    assert data.cycle_exact.all()
+    zero = vs3.zero_index()
+    for y in range(grid_tiny.num_nodes):
+        walks = [ec[y, m] + enumerate_paths_min_cost(
+                     ec, tr_tiny, int(tr_tiny.idx[y, m, np.argmax(tr_tiny.w[y, m])]),
+                     max_depth=grid_tiny.num_nodes)[y]
+                 for m in range(vs3.size) if m != zero and ec[y, m] < INF / 2]
+        assert data.cycle_cost[y] == pytest.approx(min(walks), abs=1e-12)
+
+
 def _assert_fields_match_intrinsic_distance(data, model, grid, vset, transition):
     assert len(data.aubry_nodes) > 1
     assert data.S_to.shape == data.S_from.shape == (len(data.aubry_nodes), grid.num_nodes)

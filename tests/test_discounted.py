@@ -15,7 +15,7 @@ from weakkam.discounted import (
     solve_discounted,
     upper_start,
 )
-from weakkam.errors import MaxIterExceeded
+from weakkam.errors import MaxIterExceeded, WeakKAMError
 from weakkam.grids import build_grid, build_transition, build_velocity_set, interpolate
 from weakkam.models import h_at_zero, lagrangian_table, make_model, superlinearize
 
@@ -132,6 +132,13 @@ def test_max_iter_exceeded_carries_residual(quad, grid_m, vs_m, tr_m):
         solve_discounted(quad, grid_m, vs_m, 0.5, tol=1e-12, max_iter=1, transition=tr_m)
     assert err.value.residual > 0
     assert err.value.iterations == 1
+
+
+def test_final_residual_above_tol_raises(quad, grid_m, vs_m, tr_m):
+    sol = solve_discounted(quad, grid_m, vs_m, 0.5, tol=1e-6, transition=tr_m)
+    assert sol.residual > 0
+    with pytest.raises(WeakKAMError, match="Bellman residual .* exceeds tol"):
+        solve_discounted(quad, grid_m, vs_m, 0.5, tol=sol.residual / 2, transition=tr_m)
 
 
 def test_lambda_must_be_positive(quad, grid_m, vs_m, tr_m):

@@ -5,7 +5,7 @@ import pytest
 
 from weakkam import limits, measures, simplex
 from weakkam.critical import build_critical_data, peierls_field_to, weak_kam_solution
-from weakkam.errors import NoMeasures, SingularBasis
+from weakkam.errors import MaxIterExceeded, NoMeasures, SingularBasis
 from weakkam.grids import build_grid, build_transition, build_velocity_set
 from weakkam.limits import (
     enric1_values,
@@ -73,6 +73,16 @@ def test_deflim_requires_measures(quad_setup):
     crit, _, _ = quad_setup
     with pytest.raises(NoMeasures):
         selected_solution_deflim(crit, [])
+
+
+def test_maximal_trace_raises_when_its_sweeps_run_out(quad_setup, monkeypatch):
+    # the ascent takes two sweeps here: one raises the trace, the next
+    # finds no change; a trace cut off while still rising need not be maximal
+    crit, ergodic, _ = quad_setup
+    monkeypatch.setattr(limits, "TRACE_SWEEPS", 1)
+    with pytest.raises(MaxIterExceeded, match="still rising after 1 sweeps") as info:
+        maximal_trace(crit, [ergodic.measure])
+    assert info.value.iterations == 1 and info.value.residual > 0
 
 
 def test_estimators_agree(quad_setup, grid_c):
@@ -239,11 +249,14 @@ def test_study_requires_decreasing_schedule(quad, grid_c, vs7, tr_c):
         vanishing_discount_study(quad, grid_c, vs7, [0.25, 0.5], transition=tr_c)
 
 
-def test_study_aggregates_failures(quad, grid_c, vs7, tr_c):
+def test_study_aggregates_failures(quad, grid_c, vs7, tr_c, monkeypatch):
+    def failing(*args, **kwargs):
+        raise MaxIterExceeded("policy still changing after 3 steps")
+
+    monkeypatch.setattr(limits, "solve_discounted", failing)
     rep = vanishing_discount_study(quad, grid_c, vs7, [0.5, 0.25], probes=[(0.0,)],
-                                   solver_tol=1e-12, max_iter=3, n_objectives=0,
-                                   transition=tr_c)
-    assert len(rep.failures) == 2
+                                   n_objectives=0, transition=tr_c)
+    assert [f["stage"] for f in rep.failures] == ["solve", "solve"]
     assert all(np.isnan(g) for g in rep.sup_gaps)
 
 
@@ -267,7 +280,7 @@ def test_study_starts_each_solve_from_the_last_policy(monkeypatch):
     vs = build_velocity_set(1.0, 5)
     rep = vanishing_discount_study(make_model("quadratic", "half_square"), g, vs,
                                    [0.5, 0.25, 0.125, 0.0625], n_objectives=0,
-                                   agreement_count=3, transition=build_transition(g, vs))
+                                   transition=build_transition(g, vs))
     assert [f["stage"] for f in rep.failures] == ["solve"]
     assert starts[0] is None and starts[2] is None
     np.testing.assert_array_equal(starts[1], policies[0])
@@ -328,8 +341,7 @@ def test_study_builds_the_ergodic_lp_once(monkeypatch):
     g = build_grid([[-2.0, 2.0]], 0.1)
     vs = build_velocity_set(1.0, 5)
     rep = vanishing_discount_study(make_model("quadratic", "half_square"), g, vs,
-                                   [0.5], n_objectives=2, agreement_count=3,
-                                   transition=build_transition(g, vs))
+                                   [0.5], n_objectives=2, transition=build_transition(g, vs))
     assert not rep.failures
     assert len(calls) == 1
 
@@ -348,8 +360,7 @@ def test_study_runs_phase_1_only_for_the_ergodic_lp(monkeypatch):
     g = build_grid([[-2.0, 2.0]], 0.1)
     vs = build_velocity_set(1.0, 5)
     rep = vanishing_discount_study(make_model("quadratic", "half_square"), g, vs,
-                                   [0.5], n_objectives=2, agreement_count=3,
-                                   transition=build_transition(g, vs))
+                                   [0.5], n_objectives=2, transition=build_transition(g, vs))
     assert not rep.failures
     assert len(calls) == 1
 
@@ -378,7 +389,7 @@ def test_study_reuses_the_inverses_it_already_formed(monkeypatch):
     vs = build_velocity_set(1.0, 5)
     rep = vanishing_discount_study(make_model("quadratic", "half_square"), g, vs,
                                    [0.5, 0.25], probes=((0.0,), (1.0,)), n_objectives=2,
-                                   agreement_count=3, transition=build_transition(g, vs))
+                                   transition=build_transition(g, vs))
     assert not rep.failures
     assert len(calls) == 0
 
@@ -393,8 +404,7 @@ def test_the_acceptance_study_at_h_002_inverts_no_basis(monkeypatch):
     vs = build_velocity_set(1.5, 7)
     rep = vanishing_discount_study(superlinearize(make_model("eikonal", "abs"), g), g, vs,
                                    [0.5, 0.25, 0.125], probes=((0.0,), (1.0,)),
-                                   sub_box=[[-2.0, 2.0]], solver_tol=1e-7, n_objectives=4,
-                                   seed=1, agreement_count=9,
+                                   solver_tol=1e-7, n_objectives=4, seed=1,
                                    transition=build_transition(g, vs))
     assert not rep.failures
     assert len(calls) == 0
@@ -512,7 +522,7 @@ def barrier_chain_2d():
     crit = build_critical_data(model, g, vs, tol=1e-3, transition=tr)
     problem = build_ergodic_lp(model, g, vs, transition=tr)
     poly = build_mather_polytope(problem, lp_solve(problem))
-    nodes = limits._agreement_nodes(g, g.scaled_box(0.5), 9, [(0.0, 0.0), (1.0, 0.0)])
+    nodes = limits._agreement_nodes(g, [(0.0, 0.0), (1.0, 0.0)])
     return crit, poly, nodes
 
 
@@ -552,13 +562,13 @@ def test_study_pivot_budget(monkeypatch):
     vs = build_velocity_set(1.5, 7)
     rep = vanishing_discount_study(superlinearize(make_model("eikonal", "abs"), g), g, vs,
                                    [0.5, 0.25], probes=((0.0,), (1.0,)), n_objectives=2,
-                                   agreement_count=3, transition=build_transition(g, vs))
+                                   transition=build_transition(g, vs))
     assert not rep.failures
-    # the ergodic LP, 2 vertex samples, 4 barrier queries (x = -2, 0, 2, 1)
-    # and 4 discounted LPs
+    # the ergodic LP, 2 vertex samples, 9 barrier queries (x = -2, -1.5,
+    # ..., 2, the probes among them) and 4 discounted LPs
     kinds = [kind for kind, _, _ in log]
-    assert kinds == ["ergodic"] + ["mather"] * 6 + ["discounted"] * 4
-    queries, discounted = log[3:7], log[7:]
+    assert kinds == ["ergodic"] + ["mather"] * 11 + ["discounted"] * 4
+    queries, discounted = log[3:12], log[12:]
     later_cleanup = sum(clean for _, _, clean in queries[1:])
     assert later_cleanup <= 20, queries
     assert all(pivots == 0 for _, pivots, _ in discounted), discounted
@@ -574,8 +584,7 @@ def test_study_propagates_programming_errors_from_the_solve(monkeypatch):
     vs = build_velocity_set(1.0, 5)
     with pytest.raises(TypeError, match="broken solve"):
         vanishing_discount_study(make_model("quadratic", "half_square"), g, vs,
-                                 [0.5], n_objectives=0, agreement_count=3,
-                                 transition=build_transition(g, vs))
+                                 [0.5], n_objectives=0, transition=build_transition(g, vs))
 
 
 def test_study_propagates_programming_errors_from_the_lp(monkeypatch):
@@ -588,8 +597,7 @@ def test_study_propagates_programming_errors_from_the_lp(monkeypatch):
     vs = build_velocity_set(1.0, 5)
     with pytest.raises(TypeError, match="broken lp"):
         vanishing_discount_study(make_model("quadratic", "half_square"), g, vs,
-                                 [0.5], n_objectives=0, agreement_count=3,
-                                 transition=build_transition(g, vs))
+                                 [0.5], n_objectives=0, transition=build_transition(g, vs))
 
 
 def test_study_records_lp_solver_failures(monkeypatch):
@@ -600,8 +608,7 @@ def test_study_records_lp_solver_failures(monkeypatch):
     g = build_grid([[-2.0, 2.0]], 0.1)
     vs = build_velocity_set(1.0, 5)
     rep = vanishing_discount_study(make_model("quadratic", "half_square"), g, vs,
-                                   [0.5], n_objectives=0, agreement_count=3,
-                                 transition=build_transition(g, vs))
+                                   [0.5], n_objectives=0, transition=build_transition(g, vs))
     assert [f["stage"] for f in rep.failures] == ["lp@(0.0,)"]
     assert "SingularBasis" in rep.failures[0]["error"]
 

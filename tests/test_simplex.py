@@ -11,7 +11,12 @@ from weakkam.errors import (
 )
 from weakkam.grids import build_grid, build_transition, build_velocity_set
 from weakkam.limits import vanishing_discount_study
-from weakkam.measures import build_ergodic_lp, build_mather_polytope, lp_solve
+from weakkam.measures import (
+    build_ergodic_lp,
+    build_mather_polytope,
+    closedness_residual,
+    lp_solve,
+)
 from weakkam.models import make_model, superlinearize
 from weakkam.simplex import Columns, solve_lp
 
@@ -39,6 +44,16 @@ def test_degenerate_ties_are_deterministic():
 def test_infeasible():
     with pytest.raises(InfeasibleLP):
         solve_lp([1.0], Columns.from_dense([[1.0], [1.0]]), [1.0, 2.0])
+
+
+def test_dual_clean_up_raises_infeasible_lp(monkeypatch):
+    # x1 + x2 = -5e-9 misses feasibility by less than phase 1's tolerance;
+    # read against the exact right-hand side the final basis sits at
+    # -5e-9 < -1e-9, and the clean-up finds no column to pivot in
+    calls = _counting(monkeypatch, "_dual_cleanup")
+    with pytest.raises(InfeasibleLP, match="no dual pivot"):
+        solve_lp(np.zeros(2), Columns.from_dense([[1.0, 1.0]]), [-5e-9])
+    assert len(calls) == 1
 
 
 def test_unbounded():
@@ -100,6 +115,45 @@ def test_random_lps_match_basis_enumeration(seed):
     c = rng.uniform(0.0, 2.0, size=n).round(2)  # bounded: c >= 0 on x >= 0
     sol = solve_lp(c, Columns.from_dense(A), b)
     assert sol.objective == pytest.approx(brute_force_lp(c, A, b), abs=1e-7)
+
+
+def _degenerate_lp(seed):
+    """Integer data and a 0/1 feasible point: many vertices are degenerate."""
+    rng = np.random.default_rng(seed)
+    A = rng.integers(-2, 3, size=(4, 8)).astype(float)
+    b = A @ rng.integers(0, 2, size=8)
+    return rng.integers(0, 3, size=8).astype(float), A, b
+
+
+def test_blands_rule_matches_basis_enumeration(monkeypatch):
+    # with STALL_LIMIT = 1 the first pivot that does not lower the objective
+    # switches to Bland's rule.  The random LPs above never stall, so they
+    # pivot as before; these degenerate ones take other pivots to the same
+    # optimum
+    lps = [_degenerate_lp(seed) for seed in (38, 67, 130, 153)]
+    dantzig = [solve_lp(c, Columns.from_dense(A), b).iterations for c, A, b in lps]
+    monkeypatch.setattr(simplex, "STALL_LIMIT", 1)
+    for seed in range(8):
+        test_random_lps_match_basis_enumeration(seed)
+    for (c, A, b), before in zip(lps, dantzig):
+        sol = solve_lp(c, Columns.from_dense(A), b)
+        assert sol.iterations != before
+        assert sol.objective == pytest.approx(brute_force_lp(c, A, b), abs=1e-7)
+
+
+def test_blands_rule_solves_the_ergodic_lp(monkeypatch):
+    # the quadratic model at h = 0.1: the switch after one stalled pivot
+    # costs 180 pivots instead of 152, to the same optimum (1.1e-31, 0)
+    g = build_grid([[-4.0, 4.0]], 0.1)
+    vs = build_velocity_set(1.5, 7)
+    problem = build_ergodic_lp(make_model("quadratic", "half_square"), g, vs,
+                               transition=build_transition(g, vs))
+    dantzig = lp_solve(problem)
+    monkeypatch.setattr(simplex, "STALL_LIMIT", 1)
+    bland = lp_solve(problem)
+    assert bland.iterations > dantzig.iterations
+    assert bland.objective == pytest.approx(dantzig.objective, abs=1e-12)
+    assert closedness_residual(bland.measure, problem.transition) <= 1e-8
 
 
 def test_warm_start_reuses_basis():
@@ -405,7 +459,7 @@ def test_the_study_lps_pivot_as_the_eager_dense_reference(monkeypatch):
     vs = build_velocity_set(1.0, 5)
     rep = vanishing_discount_study(make_model("quadratic", "half_square"), g, vs,
                                    [0.5, 0.25], probes=((0.0,), (1.0,)), n_objectives=2,
-                                   agreement_count=3, transition=build_transition(g, vs))
+                                   transition=build_transition(g, vs))
     assert not rep.failures
     assert len(pivots) > 4 and sum(pivots) > 0
 

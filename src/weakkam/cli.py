@@ -515,7 +515,7 @@ def cmd_study(cfg, ctx, out, args):
         io.write_json(out / "study.json", {
             "lambda_schedule": rep.lambda_schedule,
             # a discount/discretization gap: no claimed tolerance bounds it
-            "sup_gaps": _claim(rep.sup_gaps, "sup |u_lambda - w| on sub-box", None),
+            "sup_gaps": _claim(rep.sup_gaps, "sup |u_lambda - w| on the central half-box", None),
             "estimator_agreement": _agreement_claim(rep),
             "critical_crosscheck": _claim(rep.critical_crosscheck,
                                           "|c_bisection + ergodic LP optimum|", 0.02),

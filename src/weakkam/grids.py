@@ -69,35 +69,40 @@ class Grid:
         return np.stack([c - quarter, c + quarter], axis=1)
 
     def interp_weights(self, points):
-        """Multilinear weights: returns (idx, w) of shape (npts, 2**N)."""
+        """Multilinear weights: returns (idx, w) of shape (npts, 2**N).
+
+        The floor and fraction of each axis are formed in turn and written
+        straight into every corner's index and weight, so a corner's weight
+        is the product of its axes' factors in axis order."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         n, N = pts.shape
-        t = (pts - self.box[:, 0][None, :]) / self.h
-        base = np.floor(t + _SNAP).astype(int)
-        for k in range(N):
-            base[:, k] = np.clip(base[:, k], 0, self.shape[k] - 2 if self.shape[k] > 1 else 0)
-        frac = t - base
-        frac = np.clip(frac, 0.0, 1.0)
-        frac[np.abs(frac) < _SNAP] = 0.0
-        frac[np.abs(frac - 1.0) < _SNAP] = 1.0
         K = 1 << N
-        idx = np.zeros((n, K), dtype=np.int64)
-        w = np.ones((n, K))
-        strides = np.ones(N, dtype=np.int64)
-        for k in range(N - 2, -1, -1):
-            strides[k] = strides[k + 1] * self.shape[k + 1]
-        flat_base = base @ strides
-        for corner in range(K):
-            offset = 0
-            wc = np.ones(n)
-            for k in range(N):
-                bit = (corner >> (N - 1 - k)) & 1
-                offset += bit * strides[k]
-                wc *= frac[:, k] if bit else (1.0 - frac[:, k])
-            idx[:, corner] = flat_base + offset
-            w[:, corner] = wc
-        s = w.sum(axis=1, keepdims=True)
-        w = w / s
+        idx = np.empty((n, K), dtype=np.int64)
+        w = np.empty((n, K))
+        for k in range(N):
+            frac = pts[:, k] - self.box[k, 0]
+            frac /= self.h                  # the coordinate in steps, then
+            base = np.floor(frac + _SNAP).astype(np.int64)
+            np.clip(base, 0, self.shape[k] - 2 if self.shape[k] > 1 else 0, out=base)
+            frac -= base                    # its offset from the cell's base
+            np.clip(frac, 0.0, 1.0, out=frac)
+            frac[np.abs(frac) < _SNAP] = 0.0
+            frac[np.abs(frac - 1.0) < _SNAP] = 1.0
+            stride = int(np.prod(self.shape[k + 1:]))
+            base *= stride
+            # the lower and upper node along axis k, with their factors
+            ends = ((base, 1.0 - frac), (base + stride, frac))
+            for corner in range(K):
+                node, factor = ends[(corner >> (N - 1 - k)) & 1]
+                if k == 0:
+                    idx[:, corner] = node
+                    w[:, corner] = factor
+                else:
+                    idx[:, corner] += node
+                    w[:, corner] *= factor
+            # this axis's arrays go before the next axis forms its own
+            del base, frac, ends, node, factor
+        w /= w.sum(axis=1, keepdims=True)
         return idx, w
 
 
@@ -170,16 +175,22 @@ class Transition:
 
 
 def build_transition(grid, velocity_set):
-    """Warns when more than half of the moving (q != 0) feet clip."""
+    """Warns when more than half of the moving (q != 0) feet clip.  The feet
+    are clipped in place an axis at a time, and the weights are written into
+    the arrays the transition keeps."""
     pts = grid.coords
     V = velocity_set.vectors
     n, N = pts.shape
     M = len(V)
-    feet_raw = pts[:, None, :] + grid.h * V[None, :, :]
-    lo = grid.box[:, 0][None, None, :]
-    hi = grid.box[:, 1][None, None, :]
-    feet = np.clip(feet_raw, lo, hi)
-    clipped = np.any(np.abs(feet - feet_raw) > 1e-12, axis=2)
+    feet = pts[:, None, :] + grid.h * V[None, :, :]
+    clipped = np.zeros((n, M), dtype=bool)
+    for k in range(N):
+        lo, hi = grid.box[k]
+        foot = feet[:, :, k]
+        # a foot counts as clipped when it moves by more than 1e-12
+        clipped |= lo - foot > 1e-12
+        clipped |= foot - hi > 1e-12
+        np.clip(foot, lo, hi, out=foot)
     moving = np.any(V != 0.0, axis=1)
     share = float(np.mean(clipped[:, moving]))
     if share > 0.5:

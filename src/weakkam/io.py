@@ -3,17 +3,27 @@
 All numbers are written with 17 significant digits and a '.' decimal
 separator so repeated runs with the same config and seed are byte-identical
 (the determinism contract is checked through the manifest checksums).
+The checksums come from the interpreter's own SHA-256 module, not from
+`hashlib`, whose import loads OpenSSL (about 3.6 MB resident) into every
+command for a few kilobytes of artifacts; all give the same digest.
 """
 
 from __future__ import annotations
 
 import csv
-import hashlib
 import json
 import sys
 from pathlib import Path
 
 import numpy as np
+
+try:
+    from _sha2 import sha256            # CPython 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256      # CPython 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256      # an interpreter with neither
 
 CSV_ROWS = 64    # rows of a column-wise CSV formatted at once
 
@@ -153,7 +163,7 @@ def write_line_svg(path, xs, ys, title="", xlabel="", ylabel=""):
 # ---------------------------------------------------------------------------
 
 def sha256_of(path):
-    digest = hashlib.sha256()
+    digest = sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(65536), b""):
             digest.update(chunk)

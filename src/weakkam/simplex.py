@@ -26,7 +26,10 @@ Degeneracy itself is defused by a deterministic graded perturbation of the
 right-hand side (the flow rows are all zero, so the unperturbed phase 1
 starts maximally degenerate); the final basic solution is recomputed
 against the original right-hand side, so feasibility residuals of the
-returned point are exact.  The constraint rows must have full rank (the
+returned point are exact.  A basic variable counts as feasible when
+clipping it at 0 leaves a residual, its value times its column's largest
+entry, within FEAS_TOL max(1, |b|), so a badly scaled column is judged by
+what it does to A x = b.  The constraint rows must have full rank (the
 occupation-measure programs are built that way): a redundant row is an
 error, `SingularBasis` naming the row, when phase 1 cannot drive its
 artificial out.  The primal ratio test breaks ties toward large pivot
@@ -39,6 +42,7 @@ lowest column index.  Deterministic throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -46,6 +50,8 @@ import numpy as np
 from .errors import InfeasibleLP, MaxIterExceeded, SingularBasis, UnboundedLP
 
 TOL = 1e-9          # pricing, ratio-test and pivot tolerance
+FEAS_TOL = 1e-9     # the residual, relative to max(1, |b|), that clipping a
+                    # basic variable at 0 may leave
 PERTURB = 1e-8      # grading of the right-hand side during pivoting
 STALL_LIMIT = 200   # degenerate pivots in a row before the switch to Bland's rule
 BLOCK = 64          # rank-1 terms held in product form before they are folded,
@@ -68,6 +74,14 @@ class Columns:
     @property
     def nnz(self):
         return int(np.count_nonzero(self.vals))
+
+    @cached_property
+    def col_max(self):
+        """max|A[:, j]| for every column, taken slot by slot."""
+        out = np.abs(self.vals[:, 0])
+        for s in range(1, self.vals.shape[1]):
+            np.maximum(out, np.abs(self.vals[:, s]), out=out)
+        return out
 
     @classmethod
     def from_dense(cls, A):
@@ -245,6 +259,14 @@ def _drift_bound(b):
     return PERTURB * max(1.0, float(np.max(np.abs(b)))) / len(b)
 
 
+def _clip_residuals(A, basis, xB):
+    """xB_i max|A[:, B_i]|: the residual that clipping basic variable i at
+    0 leaves in A x = b.  A basic solution counts as feasible when none is
+    below -FEAS_TOL max(1, |b|), so the test does not depend on how the
+    columns are scaled."""
+    return xB * A.col_max[basis]
+
+
 def _basic_solution(A, b, basis, Binv):
     """xB = B^-1 b read from the folded product form, and its residual
     b - B xB; when that residual is past the grading step, the basis is
@@ -336,13 +358,15 @@ def _dual_cleanup(A, b, c, basis, Binv, xB, y, max_iter):
     are the basic solution and the prices of the start, and xB is updated
     in place."""
     m, n = A.shape
-    feas_tol = 1e-9 * (1.0 + float(np.max(np.abs(b))) if b.size else 1.0)
+    feas_tol = FEAS_TOL * max(1.0, float(np.max(np.abs(b))) if b.size else 1.0)
     reduced = c - A.vecmat(y)
     reduced[basis] = 0.0
     it = 0
     while True:
-        r = int(np.argmin(xB))
-        if xB[r] >= -feas_tol:
+        # the row whose clipping would leave the largest residual leaves
+        clip = _clip_residuals(A, basis, xB)
+        r = int(np.argmin(clip))
+        if clip[r] >= -feas_tol:
             return basis, Binv, xB, it
         if it >= max_iter:
             raise MaxIterExceeded(f"dual cleanup exceeded {max_iter} iterations "
@@ -465,7 +489,8 @@ def solve_lp(c, A, b, basis0=None, inverse0=None):
             # against the exact b is the solution, and needs no inverse
             reduced = c - A.vecmat(y)
             reduced[basis] = 0.0
-            if np.min(reduced) >= -TOL and np.min(xB) >= -1e-9 * scale_b:
+            if (np.min(reduced) >= -TOL
+                    and np.min(_clip_residuals(A, basis, xB)) >= -FEAS_TOL * scale_b):
                 return _solution(c, basis, xB, y, row_sign, 0, None)
             Binv = BasisInverse(_inverse(A, basis))
 
@@ -478,7 +503,7 @@ def solve_lp(c, A, b, basis0=None, inverse0=None):
     # graded vertex can sit just outside the exact feasible set, in which
     # case dual pivots walk it back while preserving optimality
     xB, y = _refined(A, b, c, basis, Binv)
-    if float(np.min(xB)) < -1e-9 * scale_b:
+    if float(np.min(_clip_residuals(A, basis, xB))) < -FEAS_TOL * scale_b:
         basis, Binv, xB, it = _dual_cleanup(A, b, c, basis, Binv, xB, y, max_iter)
         total_it += it
         if it:

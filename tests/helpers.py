@@ -215,6 +215,55 @@ def policy_solve_full_band(transition, q, rhs, diag):
     return z.reshape(-1)[:n]
 
 
+def interp_weights_whole(grid, points):
+    """`Grid.interp_weights` with the (npts, N) floors and fractions formed
+    whole, each corner's weight as a product over the axes in axis order,
+    and the weights divided into a new array."""
+    from weakkam.grids import _SNAP
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    n, N = pts.shape
+    t = (pts - grid.box[:, 0][None, :]) / grid.h
+    base = np.floor(t + _SNAP).astype(int)
+    for k in range(N):
+        base[:, k] = np.clip(base[:, k], 0, grid.shape[k] - 2 if grid.shape[k] > 1 else 0)
+    frac = np.clip(t - base, 0.0, 1.0)
+    frac[np.abs(frac) < _SNAP] = 0.0
+    frac[np.abs(frac - 1.0) < _SNAP] = 1.0
+    K = 1 << N
+    idx = np.zeros((n, K), dtype=np.int64)
+    w = np.ones((n, K))
+    strides = np.ones(N, dtype=np.int64)
+    for k in range(N - 2, -1, -1):
+        strides[k] = strides[k + 1] * grid.shape[k + 1]
+    flat_base = base @ strides
+    for corner in range(K):
+        offset = 0
+        wc = np.ones(n)
+        for k in range(N):
+            bit = (corner >> (N - 1 - k)) & 1
+            offset += bit * strides[k]
+            wc *= frac[:, k] if bit else (1.0 - frac[:, k])
+        idx[:, corner] = flat_base + offset
+        w[:, corner] = wc
+    return idx, w / w.sum(axis=1, keepdims=True)
+
+
+def transition_whole(grid, velocity_set):
+    """(feet, clipped, idx, w) of `grids.build_transition`, with the
+    unclipped feet kept beside the clipped ones and the weights from
+    `interp_weights_whole`."""
+    pts = grid.coords
+    V = velocity_set.vectors
+    n, N = pts.shape
+    M = len(V)
+    feet_raw = pts[:, None, :] + grid.h * V[None, :, :]
+    feet = np.clip(feet_raw, grid.box[:, 0][None, None, :], grid.box[:, 1][None, None, :])
+    clipped = np.any(np.abs(feet - feet_raw) > 1e-12, axis=2)
+    idx, w = interp_weights_whole(grid, feet.reshape(n * M, N))
+    K = idx.shape[1]
+    return feet, clipped, idx.reshape(n, M, K), w.reshape(n, M, K)
+
+
 def interpolate_gathered(transition, values):
     """`grids.interpolate` with the (n, M, 2^N) gather and its product with
     the weights formed whole, then summed over the corners."""
@@ -373,12 +422,13 @@ def eager_dual_cleanup(A, b, c, basis, Binv, xB, max_iter):
     basic solution xB (both updated in place), with the prices recomputed
     at every pivot."""
     from weakkam.errors import InfeasibleLP, MaxIterExceeded
-    from weakkam.simplex import TOL
-    feas_tol = 1e-9 * (1.0 + float(np.max(np.abs(b))))
+    from weakkam.simplex import FEAS_TOL, TOL
+    feas_tol = FEAS_TOL * max(1.0, float(np.max(np.abs(b))))
     it = 0
     while True:
-        r = int(np.argmin(xB))
-        if xB[r] >= -feas_tol:
+        clip = xB * np.max(np.abs(A.dense(basis)), axis=0)
+        r = int(np.argmin(clip))
+        if clip[r] >= -feas_tol:
             return basis, Binv, xB, it
         if it >= max_iter:
             raise MaxIterExceeded("reference dual clean-up exceeded its cap", iterations=it)
@@ -407,7 +457,7 @@ def eager_simplex(c, A, b, basis0=None, inverse0=None):
     same pivots.  Returns (x, duals, iterations, basis); the caller's
     arrays are not modified."""
     from weakkam.errors import InfeasibleLP, SingularBasis
-    from weakkam.simplex import PERTURB, TOL, _inverse, _signed_rows
+    from weakkam.simplex import FEAS_TOL, PERTURB, TOL, _inverse, _signed_rows
     b = np.asarray(b, dtype=float)
     c = np.asarray(c, dtype=float)
     m, n = A.shape
@@ -416,6 +466,7 @@ def eager_simplex(c, A, b, basis0=None, inverse0=None):
     b_work = b + PERTURB * scale_b * (1.0 + np.arange(m)) / m
     max_iter = 50 * (m + n) + 2000
     total_it = 0
+    col_max = np.max(np.abs(A.dense(np.arange(n))), axis=0)
     basis = Binv = xB = None
     if basis0 is not None:
         basis = np.array(basis0, dtype=int)
@@ -433,7 +484,7 @@ def eager_simplex(c, A, b, basis0=None, inverse0=None):
         elif Binv is None:
             reduced = c - A.vecmat(y)
             reduced[basis] = 0.0
-            if np.min(reduced) >= -TOL and np.min(xB) >= -1e-9 * scale_b:
+            if np.min(reduced) >= -TOL and np.min(xB * col_max[basis]) >= -FEAS_TOL * scale_b:
                 x = np.zeros(n)
                 x[basis] = np.maximum(xB, 0.0)
                 return x, y * row_sign, 0, basis
@@ -459,7 +510,7 @@ def eager_simplex(c, A, b, basis0=None, inverse0=None):
     basis, Binv, xB, it = _eager_core(A, b_work, c, basis, Binv, max_iter)
     total_it += it
     Binv, xB, y = _eager_refined(A, b, c, basis, Binv)
-    if float(np.min(xB)) < -1e-9 * scale_b:
+    if float(np.min(xB * col_max[basis])) < -FEAS_TOL * scale_b:
         basis, Binv, xB, it = eager_dual_cleanup(A, b, c, basis, Binv, xB, max_iter)
         total_it += it
         if it:

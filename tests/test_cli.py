@@ -1,11 +1,18 @@
 import csv
+import hashlib
+import importlib
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import weakkam
+from weakkam import io
 from weakkam.cli import load_config, main, unknown_settings
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -42,6 +49,7 @@ def test_study_end_to_end(tmp_path):
     gaps = study["sup_gaps"]["value"]
     assert len(gaps) == 2 and all(np.isfinite(g) for g in gaps)
     assert study["sup_gaps"]["tolerance"] is None
+    assert study["sup_gaps"]["op"] == "sup |u_lambda - w| on the central half-box"
     assert not study["failures"]
 
 
@@ -309,6 +317,39 @@ def test_solve_and_distance_and_aubry(tmp_path):
     assert main(["aubry", "--config", cfg, "--out", str(out3)]) == 0
     rep = json.loads((out3 / "aubry.json").read_text())
     assert any(abs(c[0]) <= 0.1 for c in rep["coordinates"])
+
+
+def test_manifest_checksums_are_the_sha256_of_each_artifact(tmp_path):
+    cfg = write_cfg(tmp_path, TINY_STUDY)
+    out = tmp_path / "s"
+    assert main(["solve", "--config", cfg, "--out", str(out), "--lambda", "0.5"]) == 0
+    artifacts = json.loads((out / "manifest.json").read_text())["artifacts"]
+    assert len(artifacts) >= 2
+    for a in artifacts:
+        data = (out / a["name"]).read_bytes()
+        assert a["sha256"] == hashlib.sha256(data).hexdigest(), a["name"]
+        assert a["bytes"] == len(data)
+
+
+def test_checksums_come_from_the_interpreters_own_sha256():
+    own = "_sha2" if sys.version_info >= (3, 12) else "_sha256"
+    assert io.sha256 is importlib.import_module(own).sha256
+
+
+def test_a_command_loads_no_openssl(tmp_path):
+    # a fresh interpreter imports the CLI and solves; hashlib's OpenSSL
+    # module (_hashlib) costs every command about 3.6 MB resident
+    cfg = write_cfg(tmp_path, TINY_STUDY)
+    script = ("import sys\n"
+              "from weakkam.cli import main\n"
+              "assert main(sys.argv[1:]) == 0\n"
+              "print('_hashlib' in sys.modules)\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(weakkam.__file__).resolve().parent.parent)}
+    done = subprocess.run([sys.executable, "-c", script, "solve", "--config", cfg,
+                           "--out", str(tmp_path / "s"), "--lambda", "0.5"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split()[-1] == "False"
 
 
 def test_mather_subcommands(tmp_path):

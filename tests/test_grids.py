@@ -12,7 +12,7 @@ from weakkam.grids import (
     interpolate,
 )
 
-from helpers import interpolate_gathered
+from helpers import interp_weights_whole, interpolate_gathered, transition_whole
 
 
 def test_five_node_line():
@@ -174,3 +174,67 @@ def test_interpolate_holds_no_gather_of_every_corner():
     finally:
         tracemalloc.stop()
     assert peak <= 3 * out.nbytes
+
+
+# the 1D grid of the discounted benchmark, 1D and 2D grids whose feet snap
+# onto nodes, the 2D graph benchmark grid (unequal strides in the last
+# case), and a 3D grid, where a corner's weight is a product of 3 factors
+TRANSITION_GRIDS = [([[-4.0, 4.0]], 0.02, 2.0, 33, 1),
+                    ([[-1.0, 1.0]], 0.25, 1.0, 5, 1),
+                    ([[-2.0, 2.0], [-2.0, 2.0]], 0.1, 1.5, 5, 2),
+                    ([[-2.0, 2.0], [-1.0, 1.0]], 0.25, 2.0, 5, 2),
+                    ([[-1.0, 1.0], [0.0, 2.0], [-1.0, 0.5]], 0.25, 1.7, 5, 3)]
+
+
+@pytest.mark.parametrize("box,h,q_max,count,dim", TRANSITION_GRIDS,
+                         ids=["1d", "1d-snap", "2d", "2d-snap", "3d"])
+def test_transition_is_the_whole_array_formula_bit_for_bit(box, h, q_max, count, dim):
+    g = build_grid(box, h)
+    vs = build_velocity_set(q_max, count, dim)
+    tr = build_transition(g, vs)
+    feet, clipped, idx, w = transition_whole(g, vs)
+    assert clipped.any() and not clipped.all()
+    np.testing.assert_array_equal(tr.feet, feet)
+    np.testing.assert_array_equal(tr.clipped, clipped)
+    np.testing.assert_array_equal(tr.idx, idx)
+    np.testing.assert_array_equal(tr.w.view(np.int64), w.view(np.int64))
+
+
+def test_snapped_feet_carry_one_exact_weight():
+    # h q = 0.25 and 0.5: every foot is a node, so its row is a unit vector
+    g = build_grid([[-2.0, 2.0], [-1.0, 1.0]], 0.25)
+    tr = build_transition(g, build_velocity_set(2.0, 5, 2))
+    assert np.all(np.sort(tr.w, axis=2)[:, :, -1] == 1.0)
+    assert np.all(tr.w.sum(axis=2) == 1.0)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_interp_weights_match_the_whole_array_formula_near_and_off_nodes(dim):
+    # points on nodes, within the snap tolerance of them (both sides),
+    # just past it, and outside the box
+    g = build_grid([[-1.0, 1.0]] * dim, 0.25)
+    rng = np.random.default_rng(dim)
+    free = rng.uniform(-1.5, 1.5, size=(400, dim))
+    nodes = np.round(free / g.h) * g.h
+    nudge = rng.choice([0.0, 1e-10, -1e-10, 2e-9, -2e-9], size=free.shape)
+    for points in (free, nodes + nudge, free[0]):
+        idx, w = g.interp_weights(points)
+        want_idx, want_w = interp_weights_whole(g, points)
+        np.testing.assert_array_equal(idx, want_idx)
+        np.testing.assert_array_equal(w.view(np.int64), want_w.view(np.int64))
+
+
+def test_transition_peaks_below_one_and_a_half_times_what_it_keeps():
+    # the feet are clipped in place and the weights written into the kept
+    # arrays; the whole-array formula peaks at 2.5 times them
+    box, h, q_max, count, dim = INTERPOLATION_GRIDS[1]
+    g = build_grid(box, h)
+    vs = build_velocity_set(q_max, count, dim)
+    tracemalloc.start()
+    try:
+        tr = build_transition(g, vs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kept = tr.feet.nbytes + tr.clipped.nbytes + tr.idx.nbytes + tr.w.nbytes
+    assert peak <= 1.5 * kept

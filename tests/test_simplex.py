@@ -254,6 +254,29 @@ def test_a_drifted_product_form_is_inverted_afresh(monkeypatch):
     assert sol.objective == pytest.approx(float(c @ x), rel=1e-12)
 
 
+def test_badly_scaled_lps_return_a_point_with_no_clipping_residual():
+    # rows and columns scaled by up to 1e5 each: a basic variable is judged
+    # by the residual its clipping at 0 leaves, xB_i max|A[:, B_i]|, not by
+    # xB_i alone, which left max|A x - b| / max|b| up to 4.6e-3 in 14 of
+    # these 20 LPs; the eager reference, judging by the same rule, makes
+    # the same pivots
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        m, n = 40, 120
+        D = rng.normal(size=(m, n)) * (rng.uniform(size=(m, n)) < 0.3)
+        D *= 10.0 ** rng.uniform(-5, 5, size=(m, 1))
+        D *= 10.0 ** rng.uniform(-5, 5, size=(1, n))
+        b = D @ rng.uniform(0.5, 1.0, size=n)
+        c = rng.uniform(0.0, 1.0, size=n)
+        A = Columns.from_dense(D)
+        sol = solve_lp(c, A, b)
+        assert np.max(np.abs(D @ sol.x - b)) <= 1e-12 * np.max(np.abs(b)), seed
+        if seed < 4:
+            _, _, iterations, basis = eager_simplex(c, A, b)
+            assert sol.iterations == iterations
+            np.testing.assert_array_equal(sol.basis, basis)
+
+
 def test_iterations_count_every_pivot(monkeypatch):
     # phase 1 of this flow LP leaves no artificial in the basis: 41 phase-1
     # pivots and no drive-out pivot, then phase 2

@@ -24,11 +24,12 @@ import numpy as np
 
 from . import __version__, io
 from .critical import (
+    BISECTION_TOL,
     build_aubry_data,
     critical_value,
     intrinsic_distance,
 )
-from .discounted import solve_discounted
+from .discounted import RESIDUAL_TOL, solve_discounted
 from .errors import (
     A3Violated,
     ConfigError,
@@ -72,6 +73,17 @@ def load_config(path):
     return cfg
 
 
+def _assign(cfg, key, value, flag):
+    """cfg[key.path] = value; flag names the option when a section is not an object."""
+    node = cfg
+    parts = key.split(".")
+    for part in parts[:-1]:
+        node = node.setdefault(part, {})
+        if not isinstance(node, dict):
+            raise ConfigError(f"{flag}: {part} is not an object")
+    node[parts[-1]] = value
+
+
 def apply_overrides(cfg, assignments):
     for item in assignments or ():
         if "=" not in item:
@@ -81,13 +93,7 @@ def apply_overrides(cfg, assignments):
             value = json.loads(raw)
         except json.JSONDecodeError:
             value = raw
-        node = cfg
-        parts = key.split(".")
-        for part in parts[:-1]:
-            node = node.setdefault(part, {})
-            if not isinstance(node, dict):
-                raise ConfigError(f"--set {key}: {part} is not an object")
-        node[parts[-1]] = value
+        _assign(cfg, key, value, f"--set {key}")
     return cfg
 
 
@@ -121,9 +127,6 @@ _COUNT = (lambda v: type(v) is int and v >= 0, "a nonnegative integer")
 SETTINGS = {
     "model.normalization_shift": (0.0, lambda v: v == "auto" or _is_number(v),
                                   'a number or "auto"'),
-    "model.superlinearize": (None, lambda v: isinstance(v, bool), "true or false"),
-    "solver.tol": (1e-6, *_POSITIVE),
-    "ergodic.bisection_tol": (1e-3, *_POSITIVE),
     "ergodic.eps_aubry": (None, *_POSITIVE),
     "measures.n_objectives": (4, *_COUNT),
     "outputs.directory": ("out", lambda v: isinstance(v, str), "a path"),
@@ -132,9 +135,9 @@ SETTINGS = {
 
 
 # the settings without a default; a key outside these and SETTINGS is ignored
-OTHER_KEYS = {"model.family", "model.potential", "model.dimension", "model.sampled_csv",
-              "model.p_grid", "grid.box", "grid.h", "velocity.q_max",
-              "velocity.per_axis_count", "schedule.lambdas", "probes"}
+OTHER_KEYS = {"model.family", "model.potential", "model.sampled_csv", "model.p_grid",
+              "grid.box", "grid.h", "velocity.q_max", "velocity.per_axis_count",
+              "schedule.lambdas", "probes"}
 
 
 def unknown_settings(cfg):
@@ -184,10 +187,7 @@ def validate_config(cfg, need_schedule=False):
     _require(cfg, "velocity.q_max", None, _POSITIVE[0], "(positive number)")
     _require(cfg, "velocity.per_axis_count", int,
              lambda v: v >= 3 and v % 2 == 1, "(odd integer >= 3)")
-    dim = cfg["model"].get("dimension", len(box))
-    if type(dim) is not int or dim != len(box):
-        raise ConfigError(f"model.dimension: {dim} does not match grid.box of length {len(box)}")
-    cfg["model"]["dimension"] = dim
+    dim = len(box)
     if need_schedule or "schedule" in cfg:
         resolve_schedule(cfg)
     probes = cfg.get("probes", [])
@@ -270,33 +270,35 @@ def _raw_model(cfg, grid):
                       sampled=sampled)
 
 
-def build_context(cfg):
-    """Grid, velocity set, transition, and the prepared (normalized,
-    superlinearized-as-needed) model."""
+def _grid_context(cfg):
+    """The grid and the config's warnings: all that `validate` reads."""
     warnings = [f"unknown setting {path} ignored" for path in unknown_settings(cfg)]
     grid = build_grid(cfg["grid"]["box"], cfg["grid"]["h"])
+    half = grid.central_half()
+    for p in cfg.get("probes", []):
+        if np.any(np.asarray(p) < half[:, 0]) or np.any(np.asarray(p) > half[:, 1]):
+            warnings.append(f"probe {p} lies outside the central half-box")
+    return {"grid": grid, "warnings": warnings}
+
+
+def build_context(cfg):
+    """`_grid_context` plus the velocity set, the transition, and the model,
+    normalized and superlinearized if its family is not superlinear."""
+    ctx = _grid_context(cfg)
+    grid = ctx["grid"]
     vset = build_velocity_set(cfg["velocity"]["q_max"],
                               cfg["velocity"]["per_axis_count"],
                               dimension=grid.dimension)
     transition = build_transition(grid, vset)
     model = _raw_model(cfg, grid)
     if cfg["model"]["normalization_shift"] == "auto":
-        raw = critical_value(model, grid, vset, tol=cfg["ergodic"]["bisection_tol"],
-                             transition=transition)
-        if abs(raw.c) > cfg["ergodic"]["bisection_tol"]:
+        raw = critical_value(model, grid, vset, transition=transition)
+        if abs(raw.c) > BISECTION_TOL:
             model = dataclasses.replace(model, normalization_shift=raw.c)
-            warnings.append(f"normalization_shift auto-set to {raw.c:.6g}")
-    want_super = cfg["model"]["superlinearize"]
-    if want_super is None:
-        want_super = model.ops.superlinearize_by_default
-    if want_super:
+            ctx["warnings"].append(f"normalization_shift auto-set to {raw.c:.6g}")
+    if model.ops.superlinearize_by_default:
         model = superlinearize(model, grid)
-    half = grid.central_half()
-    for p in cfg.get("probes", []):
-        if np.any(np.asarray(p) < half[:, 0]) or np.any(np.asarray(p) > half[:, 1]):
-            warnings.append(f"probe {p} lies outside the central half-box")
-    return {"grid": grid, "velocity_set": vset, "transition": transition,
-            "model": model, "warnings": warnings}
+    return {**ctx, "velocity_set": vset, "transition": transition, "model": model}
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +327,6 @@ def _critical(cfg, ctx):
     """`build_aubry_data` on the run's configuration (no command that calls
     this reads the distances from the Aubry set)."""
     return build_aubry_data(ctx["model"], ctx["grid"], ctx["velocity_set"],
-                            tol=cfg["ergodic"]["bisection_tol"],
                             eps_aubry=cfg["ergodic"]["eps_aubry"],
                             transition=ctx["transition"])
 
@@ -348,8 +349,7 @@ def cmd_critical(cfg, ctx, out, args):
     data = _critical(cfg, ctx)
     arts = [
         io.write_json(out / "critical.json", {
-            "c": _claim(data.c, "critical_value bisection midpoint",
-                        cfg["ergodic"]["bisection_tol"]),
+            "c": _claim(data.c, "critical_value bisection midpoint", BISECTION_TOL),
             "bracket": list(data.bracket),
             "level_used": data.level,
             "eps_aubry": data.eps_aubry,
@@ -381,7 +381,6 @@ def cmd_distance(cfg, ctx, out, args):
     grid = ctx["grid"]
     # the distances are taken at the upper end of the bisection bracket
     data = critical_value(ctx["model"], grid, ctx["velocity_set"],
-                          tol=cfg["ergodic"]["bisection_tol"],
                           transition=ctx["transition"])
     fld = intrinsic_distance(ctx["model"], grid, ctx["velocity_set"], data.level,
                              grid.node_near(args.source), transition=ctx["transition"],
@@ -394,7 +393,7 @@ def cmd_distance(cfg, ctx, out, args):
 def cmd_solve(cfg, ctx, out, args):
     lam = args.lam if args.lam is not None else resolve_schedule(cfg)[0]
     sol = solve_discounted(ctx["model"], ctx["grid"], ctx["velocity_set"], lam,
-                           tol=cfg["solver"]["tol"], transition=ctx["transition"])
+                           transition=ctx["transition"])
     grid = ctx["grid"]
     arts = [
         io.write_csv(out / "field.csv", _node_columns(grid, "value"),
@@ -405,7 +404,7 @@ def cmd_solve(cfg, ctx, out, args):
             "lambda": lam,
             "iterations": sol.iterations,
             "residual": _claim(sol.residual, "solve_discounted Bellman residual",
-                               cfg["solver"]["tol"]),
+                               RESIDUAL_TOL),
         }),
     ]
     return 0, arts
@@ -414,9 +413,9 @@ def cmd_solve(cfg, ctx, out, args):
 def cmd_mather(cfg, ctx, out, args):
     model, grid, vset, tr = (ctx["model"], ctx["grid"], ctx["velocity_set"],
                              ctx["transition"])
-    data = _critical(cfg, ctx)
     arts = []
     if args.lam is None:
+        data = _critical(cfg, ctx)
         res = lp_solve(build_ergodic_lp(model, grid, vset, transition=tr))
         sup = support_check(res.measure, data)
         payload = {
@@ -433,8 +432,7 @@ def cmd_mather(cfg, ctx, out, args):
         }
     else:
         zpt = args.z if args.z is not None else [0.0] * grid.dimension
-        sol = solve_discounted(model, grid, vset, args.lam, tol=cfg["solver"]["tol"],
-                               transition=tr)
+        sol = solve_discounted(model, grid, vset, args.lam, transition=tr)
         # the LP starts from Howard's policy, as in the study
         res = lp_solve(build_discounted_lp(model, grid, vset, args.lam, zpt,
                                            transition=tr, policy=sol.policy))
@@ -443,7 +441,7 @@ def cmd_mather(cfg, ctx, out, args):
             "kind": "discounted",
             "lambda": args.lam, "z": zpt,
             "objective": _claim(res.objective, "discounted LP optimum", 1e-9),
-            "lambda_u_z": _claim(lam_u, "solve_discounted at z", cfg["solver"]["tol"]),
+            "lambda_u_z": _claim(lam_u, "solve_discounted at z", RESIDUAL_TOL),
             "duality_gap": _claim(abs(res.objective - lam_u),
                                   "|LP - lambda*u_lambda(z)|", 0.03),
             "holonomy_residual": _claim(
@@ -465,7 +463,6 @@ def _study(cfg, ctx, schedule):
     return vanishing_discount_study(
         ctx["model"], ctx["grid"], ctx["velocity_set"], schedule,
         probes=cfg["probes"] or [(0.0,) * ctx["grid"].dimension],
-        solver_tol=cfg["solver"]["tol"], bisect_tol=cfg["ergodic"]["bisection_tol"],
         eps_aubry=cfg["ergodic"]["eps_aubry"],
         n_objectives=cfg["measures"]["n_objectives"], seed=cfg["seeds"]["master"],
         transition=ctx["transition"])
@@ -577,14 +574,15 @@ def main(argv=None):
         cfg = load_config(args.config)
         apply_overrides(cfg, args.overrides)
         if args.seed is not None:
-            cfg.setdefault("seeds", {})["master"] = args.seed
+            _assign(cfg, "seeds.master", args.seed, "--seed")
         if args.out is not None:
-            cfg.setdefault("outputs", {})["directory"] = args.out
+            _assign(cfg, "outputs.directory", args.out, "--out")
         validate_config(cfg, need_schedule=args.command in _NEEDS_SCHEDULE)
-        validate_args(args, cfg["model"]["dimension"])
+        validate_args(args, len(cfg["grid"]["box"]))
         out = Path(cfg["outputs"]["directory"])
         out.mkdir(parents=True, exist_ok=True)
-        ctx = build_context(cfg)
+        # validate reports on the raw model, even one that superlinearize refuses
+        ctx = (_grid_context if args.command == "validate" else build_context)(cfg)
         code, artifacts = HANDLERS[args.command](cfg, ctx, out, args)
         io.write_manifest(out, cfg, cfg["seeds"]["master"], artifacts,
                           warnings=ctx["warnings"],

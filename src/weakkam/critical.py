@@ -51,6 +51,7 @@ NEG_TOL = 1e-9    # relative drop at the sweep cap that certifies a negative cyc
 CHUNK = 64        # distance rows relaxed together
 SLICE_BYTES = 1 << 18  # bytes of one slice of a sweep's gather
 COMPAT_TOL = 1e-9  # relative slack of the weak KAM trace compatibility check
+BISECTION_TOL = 1e-3  # width of the critical-value bracket
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +285,7 @@ def is_subcritical(model, grid, velocity_set, a, transition):
     return False, "feasible"
 
 
-def critical_value(model, grid, velocity_set, tol=1e-3, *, transition):
+def critical_value(model, grid, velocity_set, tol=BISECTION_TOL, *, transition):
     """Bisection for the critical value between max_x min_p H (below which
     some sublevel empties) and max_x H(x,0) (above which constants are
     subsolutions), to a bracket no wider than tol > 0.  A level is
@@ -340,8 +341,7 @@ def default_eps_aubry(model, grid, a):
     return 2.0 * lip * grid.h ** 2
 
 
-def build_aubry_data(model, grid, velocity_set, tol=1e-3, eps_aubry=None, *,
-                     transition):
+def build_aubry_data(model, grid, velocity_set, eps_aubry=None, *, transition):
     """Bisection, then the Aubry set and the distances to it at data.level.
 
     Aubry nodes are those traversed by nontrivial cycles of intrinsic cost
@@ -355,7 +355,7 @@ def build_aubry_data(model, grid, velocity_set, tol=1e-3, eps_aubry=None, *,
     nodes are kept as S_to; S_from is left unset.  No node within the
     threshold raises EmptyAubrySet.
     """
-    data = critical_value(model, grid, velocity_set, tol=tol, transition=transition)
+    data = critical_value(model, grid, velocity_set, transition=transition)
     # the bisection certified data.level feasible, so no sublevel is empty
     ec = edge_costs(model, grid, velocity_set, data.level, transition)
     if eps_aubry is None:
@@ -396,12 +396,11 @@ def build_aubry_data(model, grid, velocity_set, tol=1e-3, eps_aubry=None, *,
     return data
 
 
-def build_critical_data(model, grid, velocity_set, tol=1e-3, eps_aubry=None, *,
-                        transition):
+def build_critical_data(model, grid, velocity_set, eps_aubry=None, *, transition):
     """`build_aubry_data` plus S_from, the distances from the Aubry nodes
     (one relaxation over the reversed edges), which the Peierls barrier
     and the weak KAM min-formula read."""
-    data = build_aubry_data(model, grid, velocity_set, tol=tol, eps_aubry=eps_aubry,
+    data = build_aubry_data(model, grid, velocity_set, eps_aubry=eps_aubry,
                             transition=transition)
     data.S_from = distances_to_targets(
         reverse_edge_costs(model, grid, velocity_set, data.level, transition),

@@ -40,6 +40,7 @@ MIN_BLOCK = 16
 # nodes, 160 KB) stays one bincount, a 2D band is formed a block or a few
 # at a time.
 SLAB_BYTES = 1 << 18
+RESIDUAL_TOL = 1e-7  # bound on the final Bellman residual sup |T u - u|
 
 
 @dataclass
@@ -110,7 +111,7 @@ def policy_solve(transition, q, rhs, diag):
     return z.reshape(-1)[:n]
 
 
-def solve_discounted(model, grid, velocity_set, lam, tol=1e-6, max_iter=None, *,
+def solve_discounted(model, grid, velocity_set, lam, tol=RESIDUAL_TOL, max_iter=None, *,
                      transition, policy0=None):
     """Howard policy iteration to the discrete fixed point.
 

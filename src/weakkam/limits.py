@@ -30,7 +30,7 @@ from typing import Optional
 
 import numpy as np
 
-from .critical import build_critical_data, peierls_field_to, weak_kam_solution
+from .critical import INF, build_critical_data, peierls_field_to, weak_kam_solution
 from .discounted import solve_discounted
 from .errors import MaxIterExceeded, NoMeasures, WeakKAMError
 from .measures import (
@@ -114,7 +114,8 @@ def maximal_trace(critical, measures):
         vals[on_trace] = t[trace_rows]
         return vals
 
-    scale = 1.0 + float(np.max(np.abs(S[np.isfinite(S)])))
+    # INF marks an unreachable node, not a distance: it sets no scale or ceiling
+    scale = 1.0 + float(np.max(np.abs(S[S < INF / 2])))
     for _ in range(TRACE_SWEEPS):
         change = 0.0
         for r in range(k):
@@ -125,7 +126,7 @@ def maximal_trace(critical, measures):
                 terms = P[priced] * support_values()
                 terms[:, np.searchsorted(support, nodes[r])] = 0.0
                 ceil = min(ceil, np.min(-sequential_sum(terms, axis=1) / my[priced]))
-            if np.isfinite(ceil) and ceil > t[r]:
+            if t[r] < ceil < INF / 2:
                 change = max(change, ceil - t[r])
                 t[r] = ceil
         if change <= TRACE_TOL * scale:
@@ -271,8 +272,7 @@ def _agreement_nodes(grid, probes):
     return list(dict.fromkeys(nodes))       # first occurrences, in order
 
 
-def vanishing_discount_study(model, grid, velocity_set, schedule,
-                             probes=((0.0,),), solver_tol=1e-6, bisect_tol=1e-3,
+def vanishing_discount_study(model, grid, velocity_set, schedule, probes=((0.0,),),
                              eps_aubry=None, n_objectives=4, seed=0, *, transition):
     """Decreasing-discount convergence study against the selected limit.
 
@@ -292,8 +292,8 @@ def vanishing_discount_study(model, grid, velocity_set, schedule,
         raise ValueError("schedule must be strictly decreasing")
     probes = [tuple(float(v) for v in np.atleast_1d(p)) for p in probes]
 
-    critical = build_critical_data(model, grid, velocity_set, tol=bisect_tol,
-                                   eps_aubry=eps_aubry, transition=transition)
+    critical = build_critical_data(model, grid, velocity_set, eps_aubry=eps_aubry,
+                                   transition=transition)
     problem = build_ergodic_lp(model, grid, velocity_set, transition=transition)
     ergodic = lp_solve(problem)
     polytope = build_mather_polytope(problem, ergodic)
@@ -317,8 +317,8 @@ def vanishing_discount_study(model, grid, velocity_set, schedule,
     policy = None
     for lam in schedule:
         try:
-            sol = solve_discounted(model, grid, velocity_set, lam, tol=solver_tol,
-                                   transition=transition, policy0=policy)
+            sol = solve_discounted(model, grid, velocity_set, lam, transition=transition,
+                                   policy0=policy)
         except WeakKAMError as exc:
             failures.append({"lambda": lam, "stage": "solve", "error": repr(exc)})
             sup_gaps.append(float("nan"))

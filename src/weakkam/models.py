@@ -232,7 +232,7 @@ class _Radial:
 
 
 class Eikonal(_Radial):
-    """H = |p| - F; not superlinear, so the CLI superlinearizes it by default."""
+    """H = |p| - F; not superlinear, so the CLI superlinearizes it."""
 
     superlinearize_by_default = True
 

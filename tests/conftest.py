@@ -60,7 +60,7 @@ def eik_super(eik, grid_c):
 
 @pytest.fixture(scope="session")
 def quad_crit(quad, grid_c, vs7, tr_c):
-    return build_critical_data(quad, grid_c, vs7, tol=1e-3, transition=tr_c)
+    return build_critical_data(quad, grid_c, vs7, transition=tr_c)
 
 
 @pytest.fixture(scope="session")

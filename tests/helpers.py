@@ -578,7 +578,7 @@ def maximal_trace_loop(critical, measures, sweeps=200, tol=1e-12):
     def field_at(i):
         return min(t[z] + float(S[z][i]) for z in nodes)
 
-    scale = 1.0 + max(float(np.max(np.abs(S[z][np.isfinite(S[z])]))) for z in nodes)
+    scale = 1.0 + max(float(np.max(np.abs(S[z][S[z] < BIG / 2]))) for z in nodes)
     for _ in range(sweeps):
         change = 0.0
         for y in nodes:
@@ -590,7 +590,7 @@ def maximal_trace_loop(critical, measures, sweeps=200, tol=1e-12):
                     rest = sum(mass * (t[i] if i in t else field_at(i))
                                for i, mass in m.items() if i != y)
                     ceil = min(ceil, -rest / my)
-            if np.isfinite(ceil) and ceil > t[y]:
+            if t[y] < ceil < BIG / 2:
                 change = max(change, ceil - t[y])
                 t[y] = ceil
         if change <= tol * scale:

@@ -58,7 +58,7 @@ def coarse_pair():
     out = {}
     for name, model in (("quadratic", make_model("quadratic", "half_square")),
                         ("eikonal", superlinearize(make_model("eikonal", "abs"), grid))):
-        crit = build_critical_data(model, grid, vset, tol=1e-3, transition=tr)
+        crit = build_critical_data(model, grid, vset, transition=tr)
         ergodic = lp_solve(build_ergodic_lp(model, grid, vset, transition=tr))
         out[name] = (model, crit, ergodic)
     return grid, vset, tr, out
@@ -71,7 +71,7 @@ def study_fine():
     model = superlinearize(make_model("eikonal", "abs"), grid)
     return grid, vanishing_discount_study(
         model, grid, vset, [0.5, 0.25, 0.125], probes=[(0.0,), (1.0,)],
-        solver_tol=1e-7, n_objectives=4, seed=0,
+        n_objectives=4, seed=0,
         transition=build_transition(grid, vset))
 
 
@@ -113,7 +113,7 @@ def test_criterion_2_quadratic_oracle():
         errs[lam] = abs(float(sol.u[i1]) - quadratic_rate(lam))
         assert errs[lam] <= 0.02, (lam, errs[lam])
     vset_graph = build_velocity_set(1.0, 3)
-    crit = build_critical_data(model, grid, vset_graph, tol=1e-3,
+    crit = build_critical_data(model, grid, vset_graph,
                                transition=build_transition(grid, vset_graph))
     w = weak_kam_solution(crit, 0.0)
     xg = grid.coords[:, 0]
@@ -293,7 +293,6 @@ def test_criterion_8_determinism(tmp_path):
         "model": {"family": "eikonal", "potential": {"name": "abs"}},
         "grid": {"box": [[-2.0, 2.0]], "h": 0.1},
         "velocity": {"q_max": 1.5, "per_axis_count": 7},
-        "solver": {"tol": 1e-6},
         "schedule": {"lambdas": [0.5, 0.25]},
         "probes": [[0.0]],
         "measures": {"n_objectives": 3},

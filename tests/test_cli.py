@@ -21,7 +21,6 @@ TINY_STUDY = {
     "model": {"family": "eikonal", "potential": {"name": "abs"}},
     "grid": {"box": [[-2.0, 2.0]], "h": 0.1},
     "velocity": {"q_max": 1.5, "per_axis_count": 7},
-    "solver": {"tol": 1e-6},
     "schedule": {"lambdas": [0.5, 0.25]},
     "probes": [[0.0]],
     "measures": {"n_objectives": 2},
@@ -33,6 +32,13 @@ def write_cfg(tmp_path, cfg, name="cfg.json"):
     p = tmp_path / name
     p.write_text(json.dumps(cfg))
     return str(p)
+
+
+def assert_one_error(err, text):
+    """A config or argument error: one `error:` line naming it, no traceback."""
+    lines = [line for line in err.splitlines() if line.startswith("error")]
+    assert len(lines) == 1 and lines[0].startswith("error: ") and text in lines[0], err
+    assert "Traceback" not in err
 
 
 def test_study_end_to_end(tmp_path):
@@ -89,23 +95,37 @@ BOX_2D = "grid.box=[[-2.0,2.0],[-2.0,2.0]]"
     ["grid.h=0.3"],
     [BOX_2D, "probes=[0.0]"],
     ['probes=[["a"]]'],
-    ["ergodic.bisection_tol=-1"],
+    ["probes=1"],
+    ["grid.box=[[1,0]]"],
+    ["schedule.lambdas=[0.25,0.5]"],
     ['measures.n_objectives="x"'],
     ["measures.n_objectives=-1"],
     ['ergodic.eps_aubry="x"'],
     ['seeds.master="x"'],
-    ['solver.tol="x"'],
     ['model.normalization_shift="x"'],
-    ['model.superlinearize="x"'],
     ["grid.h=true"],
     ["velocity.q_max=true"],
-    ["model.dimension=true"],
+    ["foo"],
+    ["grid.h.x=1"],
 ], ids=" ".join)
 def test_bad_value_exit_2(tmp_path, capsys, overrides):
     cfg = write_cfg(tmp_path, TINY_STUDY)
     sets = [arg for o in overrides for arg in ("--set", o)]
     assert main(["study", "--config", cfg, "--out", str(tmp_path / "o"), *sets]) == 2
-    assert overrides[-1].split("=")[0] in capsys.readouterr().err
+    assert_one_error(capsys.readouterr().err, overrides[-1].split("=")[0])
+
+
+@pytest.mark.parametrize("text,message", [
+    (None, "config: file not found"),
+    ("{", "config: not valid JSON"),
+    ("[]", "config: top level must be an object"),
+], ids=["missing", "not JSON", "a list"])
+def test_bad_config_file_exit_2(tmp_path, capsys, text, message):
+    path = tmp_path / "cfg.json"
+    if text is not None:
+        path.write_text(text)
+    assert main(["critical", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert_one_error(capsys.readouterr().err, message)
 
 
 def test_geometric_schedule_exit_2(tmp_path, capsys):
@@ -118,7 +138,7 @@ def test_geometric_schedule_exit_2(tmp_path, capsys):
 
 
 # a 2D run of a 1D config, as in CI
-SET_2D = ["model.dimension=2", "grid.box=[[-2,2],[-2,2]]", "grid.h=0.25",
+SET_2D = ["grid.box=[[-2,2],[-2,2]]", "grid.h=0.25",
           "velocity.q_max=1.5", "velocity.per_axis_count=5", "probes=[[0,0],[1,0]]"]
 
 
@@ -148,11 +168,15 @@ def test_bad_output_directory_exit_2(tmp_path, capsys):
     ["mather", "--z", "abc"],
     ["mather", "--z", "1.0"],
     ["distance", "--source", "abc"],
+    # the flags write through the sections --set walks
+    ["study", "--set", "seeds=3", "--seed", "1"],
+    ["study", "--set", "outputs=1", "--out", "o"],
 ], ids=" ".join)
-def test_bad_argument_exit_2(tmp_path, capsys, argv):
+def test_bad_argument_exit_2(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
     cfg = write_cfg(tmp_path, TINY_STUDY)
     assert main([argv[0], "--config", cfg, "--out", str(tmp_path / "o"), *argv[1:]]) == 2
-    assert f"error: {argv[-2]}: " in capsys.readouterr().err
+    assert_one_error(capsys.readouterr().err, f"error: {argv[-2]}: ")
 
 
 def test_dimension_follows_box(tmp_path):
@@ -210,10 +234,11 @@ def test_set_override(tmp_path):
     cfg = write_cfg(tmp_path, TINY_STUDY)
     out = tmp_path / "o"
     assert main(["critical", "--config", cfg, "--out", str(out),
-                 "--set", "grid.h=0.05", "--set", "ergodic.bisection_tol=1e-4"]) == 0
+                 "--set", "grid.h=0.05", "--set", "ergodic.eps_aubry=0.01"]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["config"]["grid"]["h"] == 0.05
-    assert manifest["config"]["ergodic"]["bisection_tol"] == 1e-4
+    assert manifest["config"]["ergodic"]["eps_aubry"] == 0.01
+    assert json.loads((out / "critical.json").read_text())["eps_aubry"] == 0.01
 
 
 def test_unknown_setting_warns_and_runs(tmp_path, capsys):
@@ -234,6 +259,10 @@ def test_unknown_setting_warns_and_runs(tmp_path, capsys):
     ("study", "measures.slack=0.1"),
     ("study", "solver.max_iter=1"),
     ("mather", "measures.mass_tol=0"),
+    ("critical", "ergodic.bisection_tol=0.1"),
+    ("solve", "solver.tol=1"),
+    ("solve", "model.superlinearize=false"),
+    ("critical", "model.dimension=2"),
 ], ids=lambda v: v.split("=")[0])
 def test_retired_setting_warns_and_changes_no_artifact(tmp_path, capsys, command, setting):
     cfg = write_cfg(tmp_path, TINY_STUDY)
@@ -269,7 +298,7 @@ def test_committed_configs_and_readme_schema_have_no_unknown_settings():
     for path in sorted(CONFIGS.glob("*.json")):
         assert unknown_settings(load_config(path)) == [], path.name
     schema = _readme_schema()
-    assert len(schema) == 10 and "p_grid" in schema["model"] and schema["probes"] is None
+    assert len(schema) == 9 and "p_grid" in schema["model"] and schema["probes"] is None
     assert unknown_settings(schema) == []
     assert unknown_settings({**schema, "measure": {"n_objectives": 4}, "notes": "x"}) == [
         "measure.n_objectives", "notes"]
@@ -286,15 +315,17 @@ def test_critical_values(tmp_path):
     assert rep["aubry_count"] >= 1
 
 
-def test_validate_failing_model_exit_2(tmp_path):
+def test_validate_failing_model_exit_2(tmp_path, capsys):
+    # validate reports on the raw model: the superlinearization that the
+    # other commands apply to the eikonal family refuses this one
     bad = json.loads(json.dumps(TINY_STUDY))
     bad["model"]["potential"] = {"name": "inverse_bump"}
-    bad["model"]["superlinearize"] = False
     cfg = write_cfg(tmp_path, bad)
     out = tmp_path / "val"
     assert main(["validate", "--config", cfg, "--out", str(out)]) == 2
     rep = json.loads((out / "assumptions.json").read_text())
     assert not rep["verdicts"]["A3"]["passed"]
+    assert capsys.readouterr().err == ""
 
 
 def test_solve_and_distance_and_aubry(tmp_path):
@@ -370,6 +401,18 @@ def test_mather_subcommands(tmp_path):
     assert rep2["duality_gap"]["value"] <= 0.03
 
 
+def test_mather_lambda_reads_no_aubry_set(tmp_path):
+    # an empty Aubry set ends the ergodic program (exit 3); the discounted
+    # one never reads the Aubry set
+    cfg = str(CONFIGS / "quadratic.json")
+    plain, strict = tmp_path / "plain", tmp_path / "strict"
+    assert main(["mather", "--config", cfg, "--out", str(plain), "--lambda", "0.25"]) == 0
+    assert main(["mather", "--config", cfg, "--out", str(strict), "--lambda", "0.25",
+                 "--set", "ergodic.eps_aubry=1e-9"]) == 0
+    for name in ("measure.csv", "mather.json"):
+        assert (plain / name).read_bytes() == (strict / name).read_bytes(), name
+
+
 def test_mather_lambda_starts_from_the_howard_policy(tmp_path):
     # the discounted LP is the exact dual of the scheme: started from the
     # basis of the policy solve_discounted ends on, it makes no pivot
@@ -439,7 +482,7 @@ def test_sampled_family_csv_roundtrip(tmp_path):
     table.write_text("\n".join(lines))
     cfg = {
         "model": {"family": "sampled", "sampled_csv": str(table),
-                  "p_grid": list(p_grid), "superlinearize": False},
+                  "p_grid": list(p_grid)},
         "grid": {"box": [box], "h": h},
         "velocity": {"q_max": 1.0, "per_axis_count": 3},
     }

@@ -506,7 +506,7 @@ def test_critical_data_relaxes_two_distance_batches(quad, grid_c, vs7, tr_c, mon
         return real(costs, transition, targets)
 
     monkeypatch.setattr(critical, "distances_to_targets", counting)
-    data = critical.build_critical_data(quad, grid_c, vs7, tol=1e-3, transition=tr_c)
+    data = critical.build_critical_data(quad, grid_c, vs7, transition=tr_c)
     assert len(data.aubry_nodes) > 1
     assert len(calls) == 2
 
@@ -522,7 +522,7 @@ def test_aubry_data_relaxes_one_distance_batch(quad, grid_c, vs7, tr_c, quad_cri
         return real(costs, transition, targets)
 
     monkeypatch.setattr(critical, "distances_to_targets", counting)
-    data = critical.build_aubry_data(quad, grid_c, vs7, tol=1e-3, transition=tr_c)
+    data = critical.build_aubry_data(quad, grid_c, vs7, transition=tr_c)
     assert len(calls) == 1
     assert data.S_from is None
     np.testing.assert_array_equal(data.aubry_nodes, quad_crit.aubry_nodes)
@@ -592,7 +592,7 @@ def test_weak_kam_incompatible_trace():
     g = build_grid([[-2.0, 2.0]], 0.05)
     vs = build_velocity_set(1.0, 3)
     model = make_model("quadratic", "double_well")
-    data = build_critical_data(model, g, vs, tol=1e-3, transition=build_transition(g, vs))
+    data = build_critical_data(model, g, vs, transition=build_transition(g, vs))
     zplus = [int(z) for z in data.aubry_nodes if g.coords[int(z)][0] > 0]
     zminus = [int(z) for z in data.aubry_nodes if g.coords[int(z)][0] < 0]
     trace = np.zeros(len(data.aubry_nodes))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from weakkam import limits, measures, simplex
-from weakkam.critical import build_critical_data, peierls_field_to, weak_kam_solution
+from weakkam.critical import INF, build_critical_data, peierls_field_to, weak_kam_solution
 from weakkam.errors import MaxIterExceeded, NoMeasures, SingularBasis
 from weakkam.grids import build_grid, build_transition, build_velocity_set
 from weakkam.limits import (
@@ -29,7 +29,7 @@ from helpers import mather_set_loop, maximal_trace_loop
 
 @pytest.fixture(scope="module")
 def quad_setup(quad, grid_c, vs7, tr_c):
-    crit = build_critical_data(quad, grid_c, vs7, tol=1e-3, transition=tr_c)
+    crit = build_critical_data(quad, grid_c, vs7, transition=tr_c)
     problem = build_ergodic_lp(quad, grid_c, vs7, transition=tr_c)
     ergodic = lp_solve(problem)
     poly = build_mather_polytope(problem, ergodic)
@@ -51,7 +51,7 @@ def test_enric1_barrier_values(quad_setup, grid_c):
 def test_enric1_eikonal(grid_c, vs7):
     eik = superlinearize(make_model("eikonal", "abs"), grid_c)
     tr = build_transition(grid_c, vs7)
-    crit = build_critical_data(eik, grid_c, vs7, tol=1e-3, transition=tr)
+    crit = build_critical_data(eik, grid_c, vs7, transition=tr)
     problem = build_ergodic_lp(eik, grid_c, vs7, transition=tr)
     poly = build_mather_polytope(problem, lp_solve(problem))
     v2 = float(enric1_values(crit, poly, [grid_c.node_near([2.0])])[0])
@@ -83,6 +83,36 @@ def test_maximal_trace_raises_when_its_sweeps_run_out(quad_setup, monkeypatch):
     with pytest.raises(MaxIterExceeded, match="still rising after 1 sweeps") as info:
         maximal_trace(crit, [ergodic.measure])
     assert info.value.iterations == 1 and info.value.residual > 0
+
+
+@pytest.fixture(scope="module")
+def double_well_ergodic():
+    # only the ergodic measure: the ascent creeps up the unmeasured well by
+    # about its cycle cost per sweep, and needs more than TRACE_SWEEPS
+    g = build_grid([[-2.0, 2.0]], 0.05)
+    vs = build_velocity_set(1.0, 3)
+    model = make_model("quadratic", "double_well")
+    tr = build_transition(g, vs)
+    crit = build_critical_data(model, g, vs, transition=tr)
+    return crit, lp_solve(build_ergodic_lp(model, g, vs, transition=tr)).measure
+
+
+def test_maximal_trace_reads_the_unreachable_sentinel_as_no_bound(double_well_ergodic,
+                                                                   monkeypatch):
+    # node 0 (x = -2) is not an Aubry node and carries no mass, so a first
+    # Aubry node that cannot reach it bounds nothing; read as a distance,
+    # INF = 1e30 set the stop tolerance and the ascent ended after one sweep
+    crit, ergodic = double_well_ergodic
+    assert 0 not in crit.aubry_nodes and not ergodic.mass[0].any()
+    cut = dataclasses.replace(crit, S_from=crit.S_from.copy())
+    cut.S_from[0, 0] = INF
+    for data in (crit, cut):
+        with pytest.raises(MaxIterExceeded):
+            maximal_trace(data, [ergodic])
+    monkeypatch.setattr(limits, "TRACE_SWEEPS", 2000)
+    full = maximal_trace(crit, [ergodic])
+    assert np.max(full) > 1.0
+    np.testing.assert_array_equal(maximal_trace(cut, [ergodic]), full)
 
 
 def test_estimators_agree(quad_setup, grid_c):
@@ -163,7 +193,7 @@ def loop_case(request):
         vs = build_velocity_set(1.5, 5, dimension=2)
     model = make_model("quadratic", "double_well", dimension=g.dimension)
     tr = build_transition(g, vs)
-    crit = build_critical_data(model, g, vs, tol=1e-3, transition=tr)
+    crit = build_critical_data(model, g, vs, transition=tr)
     problem = build_ergodic_lp(model, g, vs, transition=tr)
     ergodic = lp_solve(problem)
     poly = build_mather_polytope(problem, ergodic)
@@ -237,8 +267,7 @@ def test_uniqueness_rejects_non_weak_kam_field(quad_setup):
 
 def test_study_single_lambda_row(quad, grid_c, vs7, tr_c):
     rep = vanishing_discount_study(quad, grid_c, vs7, [0.5], probes=[(0.0,)],
-                                   solver_tol=1e-6, n_objectives=0,
-                                   transition=tr_c)
+                                   n_objectives=0, transition=tr_c)
     assert len(rep.lambda_schedule) == 1
     assert len(rep.sup_gaps) == 1 and np.isfinite(rep.sup_gaps[0])
     assert not rep.failures
@@ -290,8 +319,7 @@ def test_study_starts_each_solve_from_the_last_policy(monkeypatch):
 def test_study_transport_decreases(grid_c, vs7, tr_c):
     eik = superlinearize(make_model("eikonal", "abs"), grid_c)
     rep = vanishing_discount_study(eik, grid_c, vs7, [0.5, 0.25, 0.125],
-                                   probes=[(1.0,)], solver_tol=1e-7,
-                                   n_objectives=0, transition=tr_c)
+                                   probes=[(1.0,)], n_objectives=0, transition=tr_c)
     w1 = [r.transport_to_ergodic for r in rep.rows if r.probe is not None]
     assert all(b <= a + 2 * grid_c.h for a, b in zip(w1, w1[1:]))
     assert all(b < a for a, b in zip(rep.sup_gaps, rep.sup_gaps[1:]))
@@ -306,7 +334,7 @@ def test_two_dimensional_smoke():
     vs = build_velocity_set(1.5, 5, dimension=2)
     tr = build_transition(g, vs)
     model = make_model("quadratic", "half_square", dimension=2)
-    crit = build_critical_data(model, g, vs, tol=1e-3, transition=tr)
+    crit = build_critical_data(model, g, vs, transition=tr)
     assert abs(crit.c) <= 1e-3
     assert g.node_near([0.0, 0.0]) in set(int(z) for z in crit.aubry_nodes)
     ergodic = lp_solve(build_ergodic_lp(model, g, vs, transition=tr))
@@ -404,7 +432,7 @@ def test_the_acceptance_study_at_h_002_inverts_no_basis(monkeypatch):
     vs = build_velocity_set(1.5, 7)
     rep = vanishing_discount_study(superlinearize(make_model("eikonal", "abs"), g), g, vs,
                                    [0.5, 0.25, 0.125], probes=((0.0,), (1.0,)),
-                                   solver_tol=1e-7, n_objectives=4, seed=1,
+                                   n_objectives=4, seed=1,
                                    transition=build_transition(g, vs))
     assert not rep.failures
     assert len(calls) == 0
@@ -519,7 +547,7 @@ def barrier_chain_2d():
     vs = build_velocity_set(1.5, 5, dimension=2)
     model = make_model("quadratic", "double_well", dimension=2)
     tr = build_transition(g, vs)
-    crit = build_critical_data(model, g, vs, tol=1e-3, transition=tr)
+    crit = build_critical_data(model, g, vs, transition=tr)
     problem = build_ergodic_lp(model, g, vs, transition=tr)
     poly = build_mather_polytope(problem, lp_solve(problem))
     nodes = limits._agreement_nodes(g, [(0.0, 0.0), (1.0, 0.0)])

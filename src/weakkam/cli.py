@@ -4,7 +4,9 @@ Subcommands (all take --config): validate, critical, distance, aubry,
 solve, mather, limit, study.  Each writes CSV/JSON/SVG artifacts plus a
 manifest (inputs, versions, checksums) under the configured output
 directory; the manifest is written last.  Exit codes: 0 success, 2 config
-or assumption validation failure, 3 solver failure.
+or assumption validation failure, 3 solver failure or a breached claim
+(`limit` and `study` whose estimators disagree beyond the tolerance they
+report).
 
 The config is a JSON key tree; see the README for the committed schema.
 Values can be overridden on the command line with --set key.path=value.
@@ -60,12 +62,24 @@ from .models import (
 # config handling
 # ---------------------------------------------------------------------------
 
-def load_config(path):
+def _read_input(path, key):
+    """The text of an input file; one that cannot be read as UTF-8 text is
+    a config error naming `key`."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
+            return fh.read()
     except FileNotFoundError:
-        raise ConfigError(f"config: file not found: {path}")
+        raise ConfigError(f"{key}: file not found: {path}") from None
+    except OSError as exc:
+        raise ConfigError(f"{key}: cannot read {path} ({exc.strerror})") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{key}: {path} is not UTF-8 text "
+                          f"({exc.reason} at byte {exc.start})") from None
+
+
+def load_config(path):
+    try:
+        cfg = json.loads(_read_input(path, "config"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config: not valid JSON ({exc})")
     if not isinstance(cfg, dict):
@@ -168,8 +182,10 @@ def validate_config(cfg, need_schedule=False):
                       lambda v: v in FAMILIES, f"one of {tuple(FAMILIES)}")
     if FAMILIES[family].tabulated:
         _require(cfg, "model.sampled_csv", str)
-        _require(cfg, "model.p_grid", list, lambda v: len(v) >= 3,
-                 "(list of at least 3 momenta)")
+        _require(cfg, "model.p_grid", list,
+                 lambda v: (len(v) >= 3 and all(map(_is_number, v))
+                            and all(a < b for a, b in zip(v, v[1:]))),
+                 "(strictly increasing list of at least 3 momenta)")
     else:
         try:
             resolve_potential(_require(cfg, "model.potential", (str, dict)))
@@ -188,6 +204,9 @@ def validate_config(cfg, need_schedule=False):
     _require(cfg, "velocity.per_axis_count", int,
              lambda v: v >= 3 and v % 2 == 1, "(odd integer >= 3)")
     dim = len(box)
+    if FAMILIES[family].tabulated and dim != 1:
+        raise ConfigError(f"model.family: {family} is implemented for dimension 1 "
+                          f"only, grid.box has {dim} axes")
     if need_schedule or "schedule" in cfg:
         resolve_schedule(cfg)
     probes = cfg.get("probes", [])
@@ -245,15 +264,27 @@ def validate_args(args, dim):
 # ---------------------------------------------------------------------------
 
 def _load_sampled(cfg, grid):
+    """The table of `model.sampled_csv`: rows node_index,p_index,value, each
+    index in range and each value a finite number."""
     path = cfg["model"]["sampled_csv"]
     p_grid = np.asarray(cfg["model"]["p_grid"], dtype=float)
     values = np.full((grid.num_nodes, len(p_grid)), np.nan)
-    with open(path, "r", encoding="utf-8") as fh:
-        for row in csv.reader(fh):
-            if not row or row[0].startswith("#") or row[0] == "node_index":
-                continue
+    rows = csv.reader(_read_input(path, "model.sampled_csv").splitlines())
+    for row in rows:
+        if not row or row[0].startswith("#") or row[0] == "node_index":
+            continue
+        where = f"model.sampled_csv: line {rows.line_num}"
+        try:
             i, j, v = int(row[0]), int(row[1]), float(row[2])
-            values[i, j] = v
+        except (ValueError, IndexError):
+            raise ConfigError(f"{where}: expected node_index,p_index,value, "
+                              f"got {row!r}") from None
+        if not (0 <= i < values.shape[0] and 0 <= j < values.shape[1]):
+            raise ConfigError(f"{where}: ({i}, {j}) outside the {values.shape[0]} "
+                              f"nodes x {values.shape[1]} momenta table")
+        if not math.isfinite(v):
+            raise ConfigError(f"{where}: value {v} is not finite")
+        values[i, j] = v
     if np.isnan(values).any():
         raise ConfigError("model.sampled_csv: table does not cover every "
                           "(node_index, p_index) pair")
@@ -477,23 +508,35 @@ def _agreement_claim(rep):
     return _claim(rep.estimator_agreement, "sup |barrier-form - trace-form|", 0.03)
 
 
+def _agreement_code(claim):
+    """0 when the estimators agree within the claimed tolerance; otherwise
+    print one error line naming the claim and return 3."""
+    if claim["value"] <= claim["tolerance"]:
+        return 0
+    print(f"error: estimator_agreement: {claim['op']} = {claim['value']:.6g} "
+          f"exceeds its tolerance {claim['tolerance']:g}", file=sys.stderr)
+    return 3
+
+
 def cmd_limit(cfg, ctx, out, args):
     """The study's limit w and its estimator agreement, with no discount schedule."""
     rep = _study(cfg, ctx, [])
+    agreement = _agreement_claim(rep)
     arts = [
         _write_w(out, ctx["grid"], rep),
         io.write_json(out / "limit.json", {
-            "estimator_agreement": _agreement_claim(rep),
+            "estimator_agreement": agreement,
             "ergodic_objective": rep.ergodic_objective,
             "critical_crosscheck": rep.critical_crosscheck,
             "mather_nodes": [int(z) for z in rep.mather_nodes],
         }),
     ]
-    return 0, arts
+    return _agreement_code(agreement), arts
 
 
 def cmd_study(cfg, ctx, out, args):
     rep = _study(cfg, ctx, resolve_schedule(cfg))
+    agreement = _agreement_claim(rep)
     grid = ctx["grid"]
     rows = []
     for r in rep.rows:
@@ -513,7 +556,7 @@ def cmd_study(cfg, ctx, out, args):
             "lambda_schedule": rep.lambda_schedule,
             # a discount/discretization gap: no claimed tolerance bounds it
             "sup_gaps": _claim(rep.sup_gaps, "sup |u_lambda - w| on the central half-box", None),
-            "estimator_agreement": _agreement_claim(rep),
+            "estimator_agreement": agreement,
             "critical_crosscheck": _claim(rep.critical_crosscheck,
                                           "|c_bisection + ergodic LP optimum|", 0.02),
             "mather_nodes": [int(z) for z in rep.mather_nodes],
@@ -528,8 +571,8 @@ def cmd_study(cfg, ctx, out, args):
                                       [g for _, g in finite],
                                       title="discount study",
                                       xlabel="lambda", ylabel="sup gap"))
-    code = 3 if rep.failures else 0
-    return code, arts
+    code = _agreement_code(agreement)
+    return (3 if rep.failures else code), arts
 
 
 HANDLERS = {

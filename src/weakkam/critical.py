@@ -450,13 +450,13 @@ def is_subsolution(u, model, grid, velocity_set, a, slack, transition):
     """Discrete Fenchel-form check u(foot(i,q)) - u(i) <= h*(L(x_i,q) + a)
     for a field u, an (n,) array over the nodes.
 
-    Runs over unclipped (i,q) pairs with finite L; returns (verdict, worst
-    residual) where the residual is the largest violation before slack.
+    Runs over unclipped (i,q) pairs; returns (verdict, worst residual) where
+    the residual is the largest violation before slack.
     """
     vals = np.asarray(u, dtype=float)
     L = lagrangian_table(model, grid.coords, velocity_set.vectors)
     cont = interpolate(transition, vals)
     res = cont - vals[:, None] - grid.h * (L + a)
-    mask = (~transition.clipped) & np.isfinite(L)
+    mask = ~transition.clipped
     worst = float(np.max(res[mask])) if mask.any() else 0.0
     return worst <= slack, worst

@@ -91,11 +91,11 @@ def field_columns(grid, *values):
     return [np.arange(grid.num_nodes), *grid.coords.T, *values]
 
 
-def measure_rows(measure):
-    """(node, velocity, mass) for the nonzero masses, in node-major order."""
-    mass = measure.mass
-    for i, m in zip(*np.nonzero(mass)):
-        yield [i, m, mass[i, m]]
+def measure_rows(mu):
+    """(node, velocity, mass) for the nonzero masses of an (n, M) measure,
+    in node-major order."""
+    for i, m in zip(*np.nonzero(mu)):
+        yield [i, m, mu[i, m]]
 
 
 # ---------------------------------------------------------------------------

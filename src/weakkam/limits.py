@@ -12,8 +12,10 @@ that share no code path with the PDE solver:
     ascent over t), extended by that same min-formula.
 
 A trace is an array aligned with `critical.aubry_nodes`, and a measure an
-(n, M) node-by-velocity mass array (`measures.DiscreteMeasure`), so the
-pairings are array expressions over the (k, n) distance array S_from.
+(n, M) node-by-velocity mass array, flat in the order of the LP columns
+(`measures`), so the pairings are array expressions over the (k, n)
+distance array S_from and a node field is an LP objective once repeated
+over each node's M velocities.
 
 The study drives a decreasing discount schedule, records the sup-norm gap
 between each discounted solution and the limit on the central half of the
@@ -56,11 +58,11 @@ def enric1_values(critical, polytope, query_nodes):
     query_nodes, one LP each.  The queries share the polytope, so each
     starts from the result of the query before it, and the first from the
     polytope's own start."""
-    node_of_column = polytope.active // polytope.transition.velocity_set.size
+    M = polytope.transition.velocity_set.size
     values = []
     res = None
     for x in query_nodes:
-        res = lp_solve(polytope, peierls_field_to(critical, int(x))[node_of_column],
+        res = lp_solve(polytope, np.repeat(peierls_field_to(critical, int(x)), M),
                        start=res)
         values.append(res.objective)
     return np.array(values, dtype=float)
@@ -95,7 +97,7 @@ def maximal_trace(critical, measures):
     S = critical.S_from
     k = len(nodes)
     # x-marginals, (measures, n), each node's velocities added in order
-    marg = np.array([sequential_sum(mu.mass, axis=1) for mu in measures])
+    marg = np.array([sequential_sum(mu, axis=1) for mu in measures])
     support = np.flatnonzero(marg.any(axis=0))
     P = marg[:, support]
     S_sup = S[:, support]
@@ -155,9 +157,12 @@ MATHER_SUPPORT_TOL = 1e-4
 
 
 def sample_vertex_measures(polytope, n_objectives, seed):
-    """Polytope vertices under seeded random objectives."""
+    """Polytope vertices under seeded random objectives, one uniform draw
+    per (node, velocity) pair."""
     rng = np.random.default_rng(seed)
-    return [lp_solve(polytope, rng.uniform(0.0, 1.0, len(polytope.active))).measure
+    tr = polytope.transition
+    pairs = tr.grid.num_nodes * tr.velocity_set.size
+    return [lp_solve(polytope, rng.uniform(0.0, 1.0, pairs)).measure
             for _ in range(int(n_objectives))]
 
 
@@ -171,7 +176,7 @@ def mather_set(measures, grid):
     """
     heavy = np.zeros(grid.num_nodes, dtype=bool)
     for mu in measures:
-        heavy |= (mu.mass > MATHER_SUPPORT_TOL).any(axis=1)
+        heavy |= (mu > MATHER_SUPPORT_TOL).any(axis=1)
     pts = grid.coords
     gap = np.max(np.abs(pts[:, None, :] - pts[None, heavy, :]), axis=2)
     return np.flatnonzero(np.any(gap <= grid.h * (1.0 + 1e-9), axis=1))

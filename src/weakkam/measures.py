@@ -1,9 +1,12 @@
 """Occupation-measure linear programs and their diagnostics.
 
 Variables are masses mu(i,q) >= 0 on (node, velocity) pairs.  A measure is
-an (n, M) array of masses over the node-by-velocity table, and an LP column
-is the flat index of its pair in that table (`LPProblem.active`).  Two
-programs are built against the foot-point transition:
+an (n, M) array of masses over the node-by-velocity table, mu[i, m], and
+every pair is an LP column: column i*M + m is the pair (i, m), so the
+measure columns are the table in flat order and any slack columns follow
+them.  The Lagrangian is finite on every pair (`lagrangian_table` raises
+NonCoercive otherwise).  Three programs are built against the foot-point
+transition:
 
   ergodic     minimize <mu, L> over closed probability measures: for every
               node j the outflow sum_q mu(j,q) balances the interpolated
@@ -27,8 +30,9 @@ programs are built against the foot-point transition:
               the ergodic optimum, over which any linear objective can be
               minimized.
 
-Both use the unit-mass normalization; for the discounted program the mass
-row is implied exactly by the holonomy rows (their sum reads
+Every measure has unit mass: the ergodic rows (and so the Mather rows)
+end with the mass row, and for the discounted program the mass row is
+implied exactly by the holonomy rows (their sum reads
 lambda*h*(total mass) = lambda*h) and is therefore not repeated.
 
 Each program carries its start, `start_basis` (None: phase 1 finds one) and
@@ -44,8 +48,7 @@ Each program carries its start, `start_basis` (None: phase 1 finds one) and
               Decision Processes, 1994, ch. 6): built with the policy
               Howard's iteration ended on, the program proves its optimum
               by its own pricing, in no pivots, from two dense solves and
-              with no basis inverse.  A policy with a pair that is not a
-              column leaves no start.
+              with no basis inverse.
   mather      the ergodic optimal basis plus the budget slack, a vertex of
               the polytope, with the inverse bordered from the ergodic
               solve's when it returned one.
@@ -75,10 +78,9 @@ SUPPORT_TOL = 1e-9
 @dataclass
 class LPProblem:
     c: np.ndarray
-    A: Columns                   # the constraint matrix, stored by columns
+    A: Columns                   # the constraint matrix, stored by columns:
+                                 # the n*M pairs in flat order, then slacks
     b: np.ndarray
-    active: np.ndarray           # flat (node * M + velocity) index per measure
-                                 # column; slack columns follow them
     kind: str                    # "ergodic" | "discounted" | "mather"
     transition: Transition       # the grid and velocity set are its own
     start_basis: Optional[np.ndarray] = None    # a feasible basis, or None
@@ -86,14 +88,8 @@ class LPProblem:
 
 
 @dataclass
-class DiscreteMeasure:
-    mass: np.ndarray             # (n, M) node-by-velocity masses
-    kind: str                    # "ergodic" | "discounted"
-
-
-@dataclass
 class LPResult:
-    measure: DiscreteMeasure
+    measure: np.ndarray          # (n, M) node-by-velocity masses
     objective: float
     duals: np.ndarray
     iterations: int
@@ -104,13 +100,9 @@ class LPResult:
                                    # kept for long should drop it
 
 
-def _finite_variables(L_flat):
-    return np.nonzero(np.isfinite(L_flat))[0]
-
-
-def _stationarity_matrix(transition, active, factor_out=1.0):
-    """Rows j: factor_out * outflow(j) - inflow(j), columns = active (i,q),
-    stored in 1 + K slots per column.
+def _stationarity_matrix(transition, factor_out=1.0):
+    """Rows j: factor_out * outflow(j) - inflow(j), one column per pair
+    (i,q) in flat order, stored in 1 + K slots per column.
 
     Slot 0 is the out-entry at row i, slot 1 + k the k-th interpolation
     weight; a weight landing on a row already held by an earlier slot is
@@ -120,12 +112,12 @@ def _stationarity_matrix(transition, active, factor_out=1.0):
     n = transition.grid.num_nodes
     M = transition.velocity_set.size
     K = transition.idx.shape[2]
-    idx = transition.idx.reshape(n * M, K)[active]
-    w = transition.w.reshape(n * M, K)[active]
-    cols = np.arange(len(active))
-    rows = np.full((len(active), 1 + K), -1)
-    vals = np.zeros((len(active), 1 + K))
-    rows[:, 0] = active // M
+    idx = transition.idx.reshape(n * M, K)
+    w = transition.w.reshape(n * M, K)
+    cols = np.arange(n * M)
+    rows = np.full((n * M, 1 + K), -1)
+    vals = np.zeros((n * M, 1 + K))
+    rows[:, 0] = cols // M
     vals[:, 0] = factor_out
     for k in range(K):
         match = rows[:, :k + 1] == idx[:, k, None]
@@ -139,23 +131,13 @@ def _stationarity_matrix(transition, active, factor_out=1.0):
 def build_ergodic_lp(model, grid, velocity_set, transition):
     """min <mu, L> over {mu >= 0, closed, total mass 1}."""
     L = lagrangian_table(model, grid.coords, velocity_set.vectors).reshape(-1)
-    active = _finite_variables(L)
     n = grid.num_nodes
     # the last balance row is the negated sum of the others
-    A = (_stationarity_matrix(transition, active).take_rows(np.arange(n) < n - 1)
-         .with_row(np.ones(len(active))))
+    A = (_stationarity_matrix(transition).take_rows(np.arange(n) < n - 1)
+         .with_row(np.ones(len(L))))
     b = np.zeros(n)
     b[-1] = 1.0
-    return LPProblem(c=L[active], A=A, b=b, active=active, kind="ergodic",
-                     transition=transition)
-
-
-def _policy_basis(active, M, policy):
-    """The columns (i, policy[i]), one per node in node order, or None when
-    some pair is not a column."""
-    flat = np.arange(len(policy)) * M + policy
-    cols = np.minimum(np.searchsorted(active, flat), len(active) - 1)
-    return cols if np.array_equal(active[cols], flat) else None
+    return LPProblem(c=L, A=A, b=b, kind="ergodic", transition=transition)
 
 
 def build_discounted_lp(model, grid, velocity_set, lam, z, transition, policy=None):
@@ -172,18 +154,17 @@ def build_discounted_lp(model, grid, velocity_set, lam, z, transition, policy=No
         z = grid.node_near(z)
     z = int(z)
     L = lagrangian_table(model, grid.coords, velocity_set.vectors).reshape(-1)
-    active = _finite_variables(L)
     lam_h = lam * grid.h
-    A = _stationarity_matrix(transition, active, factor_out=1.0 + lam_h)
+    A = _stationarity_matrix(transition, factor_out=1.0 + lam_h)
     b = np.zeros(grid.num_nodes)
     b[z] = lam_h
     # the unit-mass row is implied exactly: summing the holonomy rows gives
     # lam*h*(total mass) = lam*h
     if policy is None:
         policy = np.full(grid.num_nodes, velocity_set.zero_index())
-    return LPProblem(c=L[active], A=A, b=b, active=active, kind="discounted",
-                     transition=transition,
-                     start_basis=_policy_basis(active, velocity_set.size, policy))
+    # the columns (i, policy[i]), one per node in node order
+    return LPProblem(c=L, A=A, b=b, kind="discounted", transition=transition,
+                     start_basis=np.arange(grid.num_nodes) * velocity_set.size + policy)
 
 
 def lp_solve(problem, objective=None, start=None):
@@ -191,12 +172,12 @@ def lp_solve(problem, objective=None, start=None):
     (the multipliers on the stationarity rows approximate a subsolution
     potential and are reported for diagnostics).
 
-    `objective`, indexed like `active`, replaces the measure costs
-    `problem.c`; slack columns cost 0.  `start`, an earlier `LPResult` over
-    the same matrix, replaces the program's own start with its basis and,
-    when it holds one, that basis's inverse.  A start that is not feasible
-    falls back to phase 1.  Masses at or below SUPPORT_TOL are zeroed.  The
-    vertices of the Mather polytope are measures of kind "ergodic".
+    `objective`, one cost per (node, velocity) pair in flat order, replaces
+    the measure costs `problem.c`; slack columns cost 0.  `start`, an
+    earlier `LPResult` over the same matrix, replaces the program's own
+    start with its basis and, when it holds one, that basis's inverse.  A
+    start that is not feasible falls back to phase 1.  Masses at or below
+    SUPPORT_TOL are zeroed.
     """
     c = problem.c
     if objective is not None:
@@ -207,12 +188,10 @@ def lp_solve(problem, objective=None, start=None):
     else:
         basis0, inverse0 = start.basis, start.inverse
     sol = solve_lp(c, problem.A, problem.b, basis0=basis0, inverse0=inverse0)
-    x = sol.x[:len(problem.active)]
     tr = problem.transition
-    mass = np.zeros((tr.grid.num_nodes, tr.velocity_set.size))
-    mass.reshape(-1)[problem.active] = np.where(x > SUPPORT_TOL, x, 0.0)
-    kind = "ergodic" if problem.kind == "mather" else problem.kind
-    return LPResult(measure=DiscreteMeasure(mass=mass, kind=kind),
+    n, M = tr.grid.num_nodes, tr.velocity_set.size
+    x = sol.x[:n * M]
+    return LPResult(measure=np.where(x > SUPPORT_TOL, x, 0.0).reshape(n, M),
                     objective=sol.objective, duals=sol.duals,
                     iterations=sol.iterations, basis=sol.basis,
                     inverse=sol.inverse)
@@ -233,13 +212,13 @@ def sequential_sum(values, axis=-1):
 
 def _flows(mu, transition):
     K = transition.idx.shape[2]
-    flat = mu.mass.reshape(-1)
+    flat = mu.reshape(-1)
     idx = transition.idx.reshape(-1, K)
     w = transition.w.reshape(-1, K)
     inflow = np.zeros(transition.grid.num_nodes)
     for k in range(K):
         np.add.at(inflow, idx[:, k], w[:, k] * flat)
-    return mu.mass.sum(axis=1), inflow
+    return mu.sum(axis=1), inflow
 
 
 def closedness_residual(mu, transition):
@@ -259,28 +238,28 @@ def holonomy_residual(mu, lam, z, transition):
 @dataclass
 class SupportReport:
     outside_mass: float
-    passed: Optional[bool]       # None for discounted measures (informational)
-    mass_tol: float              # the outside mass an ergodic measure may carry
+    passed: bool
+    mass_tol: float              # the outside mass a minimizing measure may carry
 
 
 def support_check(mu, critical):
-    """Mass at the nodes outside the Aubry set dilated by 2h.
+    """Mass at the nodes outside the Aubry set dilated by 2h; a measure
+    passes with at most mass_tol = 1e-3 + 2h outside.
 
-    Pass/fail applies to ergodic measures only, with at most
-    mass_tol = 1e-3 + 2h outside; discounted occupation measures
-    legitimately ride the approach path and are reported as informational.
+    A minimizing (ergodic) measure passes; a discounted occupation measure
+    rides its approach path to the Aubry set and may fail.
     """
     grid = critical.grid
     mass_tol = 1e-3 + 2.0 * grid.h
     dil = 2.0 * grid.h
     aubry_pts = grid.coords[critical.aubry_nodes]
-    nodes = np.flatnonzero(mu.mass.any(axis=1))
+    nodes = np.flatnonzero(mu.any(axis=1))
     d = np.min(np.sqrt(np.sum((grid.coords[nodes, None, :] - aubry_pts) ** 2, axis=2)),
                axis=1)
     far = nodes[d > dil + 1e-12]
-    outside = float(sequential_sum(mu.mass[far].reshape(-1)))
-    passed = (outside <= mass_tol) if mu.kind == "ergodic" else None
-    return SupportReport(outside_mass=outside, passed=passed, mass_tol=mass_tol)
+    outside = float(sequential_sum(mu[far].reshape(-1)))
+    return SupportReport(outside_mass=outside, passed=bool(outside <= mass_tol),
+                         mass_tol=mass_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -311,8 +290,7 @@ def build_mather_polytope(problem, ergodic_result):
     start_inverse = None if inverse is None else np.block(
         [[inverse, np.zeros((budget, 1))],
          [-(problem.c[ergodic_result.basis] @ inverse), 1.0]])
-    return LPProblem(c=np.append(problem.c, 0.0), A=A, b=b,
-                     active=problem.active, kind="mather",
+    return LPProblem(c=np.append(problem.c, 0.0), A=A, b=b, kind="mather",
                      transition=problem.transition,
                      start_basis=np.append(ergodic_result.basis, len(problem.c)),
                      start_inverse=start_inverse)
@@ -320,8 +298,8 @@ def build_mather_polytope(problem, ergodic_result):
 
 def transport_distance(mu1, mu2, grid):
     """1-Wasserstein distance of the position marginals (per-axis CDFs)."""
-    m1 = mu1.mass.sum(axis=1).reshape(grid.shape)
-    m2 = mu2.mass.sum(axis=1).reshape(grid.shape)
+    m1 = mu1.sum(axis=1).reshape(grid.shape)
+    m2 = mu2.sum(axis=1).reshape(grid.shape)
     total = 0.0
     for k in range(grid.dimension):
         axes = tuple(a for a in range(grid.dimension) if a != k)

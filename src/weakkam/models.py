@@ -65,11 +65,15 @@ def resolve_potential(spec):
     if isinstance(spec, str):
         spec = {"name": spec}
     name = spec.get("name")
-    if name not in POTENTIALS:
+    if not isinstance(name, str) or name not in POTENTIALS:
         raise KeyError(f"unknown potential {name!r}; registry has {sorted(POTENTIALS)}")
     base = POTENTIALS[name]
-    scale = float(spec.get("scale", 1.0))
-    offset = float(spec.get("offset", 0.0))
+    scale, offset = spec.get("scale", 1.0), spec.get("offset", 0.0)
+    for key, value in (("scale", scale), ("offset", offset)):
+        if (isinstance(value, bool) or not isinstance(value, (int, float))
+                or not math.isfinite(value)):
+            raise ValueError(f"{key}: expected a finite number, got {value!r}")
+    scale, offset = float(scale), float(offset)
     if scale == 1.0 and offset == 0.0:
         return base
     return lambda pts: scale * base(pts) + offset
@@ -417,11 +421,12 @@ def fenchel_transform(model, x, q):
 
 
 def lagrangian_table(model, points, velocities):
-    """L(x_i, q_j) as an (n_points, n_velocities) array; +inf marks velocities
-    where the transform is infinite (raw eikonal beyond the unit ball)."""
+    """L(x_i, q_j) as an (n_points, n_velocities) array: `fenchel_transform`
+    over the node-by-velocity table, so it raises NonCoercive wherever L is
+    infinite (the raw eikonal family beyond the unit ball)."""
     X = np.atleast_2d(np.asarray(points, dtype=float))
     V = np.atleast_2d(np.asarray(velocities, dtype=float))
-    return model.ops.L(model, X[:, None, :], V[None, :, :])
+    return fenchel_transform(model, X[:, None, :], V[None, :, :])
 
 
 # ---------------------------------------------------------------------------

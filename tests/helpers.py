@@ -524,29 +524,28 @@ def dense_lp_matrix(problem, lam=None):
     """The constraint matrix of an ergodic, Mather or discounted LPProblem
     (the last built with discount `lam`), built densely from its transition
     by accumulating each (i, q) column's out-entry and interpolation weights
-    with np.add.at."""
+    with np.add.at; column i*M + q is the pair (i, q)."""
     tr = problem.transition
-    active = problem.active
     n = tr.grid.num_nodes
     M = tr.velocity_set.size
     K = tr.idx.shape[2]
     factor = 1.0
     if problem.kind == "discounted":
         factor += lam * tr.grid.h
-    cols = np.arange(len(active))
-    A = np.zeros((n, len(active)))
-    np.add.at(A, (active // M, cols), factor)
-    idx = tr.idx.reshape(n * M, K)[active]
-    w = tr.w.reshape(n * M, K)[active]
+    cols = np.arange(n * M)
+    A = np.zeros((n, n * M))
+    np.add.at(A, (cols // M, cols), factor)
+    idx = tr.idx.reshape(n * M, K)
+    w = tr.w.reshape(n * M, K)
     for k in range(K):
         np.add.at(A, (idx[:, k], cols), -w[:, k])
     if problem.kind == "discounted":
         return A
     # the last balance row is left out (it is implied by the others)
-    A = np.vstack([A[:-1], np.ones((1, len(active)))])
+    A = np.vstack([A[:-1], np.ones((1, n * M))])
     if problem.kind == "ergodic":
         return A
-    budget = np.append(problem.c[:len(active)], 1.0)
+    budget = np.append(problem.c[:n * M], 1.0)
     return np.vstack([np.hstack([A, np.zeros((n, 1))]), budget])
 
 
@@ -570,8 +569,8 @@ def maximal_trace_loop(critical, measures, sweeps=200, tol=1e-12):
     marginals = []
     for mu in measures:
         m = {}
-        for i, q in zip(*np.nonzero(mu.mass)):
-            m[int(i)] = m.get(int(i), 0.0) + float(mu.mass[i, q])
+        for i, q in zip(*np.nonzero(mu)):
+            m[int(i)] = m.get(int(i), 0.0) + float(mu[i, q])
         marginals.append(m)
     t = {z: 0.0 for z in nodes}
 
@@ -610,7 +609,7 @@ def mather_set_loop(measures, grid, support_tol=1e-4):
     step per node."""
     support = set()
     for mu in measures:
-        support.update(int(i) for i, q in zip(*np.nonzero(mu.mass > support_tol)))
+        support.update(int(i) for i, q in zip(*np.nonzero(mu > support_tol)))
     pts = grid.coords
     near = np.zeros(grid.num_nodes, dtype=bool)
     for i in sorted(support):

@@ -107,6 +107,10 @@ BOX_2D = "grid.box=[[-2.0,2.0],[-2.0,2.0]]"
     ["velocity.q_max=true"],
     ["foo"],
     ["grid.h.x=1"],
+    ['model.potential={"name":"abs","scale":null}'],
+    ['model.potential={"name":"abs","scale":[1]}'],
+    ['model.potential={"name":"abs","scale":1e400}'],
+    ['model.potential={"name":["abs"]}'],
 ], ids=" ".join)
 def test_bad_value_exit_2(tmp_path, capsys, overrides):
     cfg = write_cfg(tmp_path, TINY_STUDY)
@@ -115,15 +119,17 @@ def test_bad_value_exit_2(tmp_path, capsys, overrides):
     assert_one_error(capsys.readouterr().err, overrides[-1].split("=")[0])
 
 
-@pytest.mark.parametrize("text,message", [
+@pytest.mark.parametrize("make,message", [
     (None, "config: file not found"),
-    ("{", "config: not valid JSON"),
-    ("[]", "config: top level must be an object"),
-], ids=["missing", "not JSON", "a list"])
-def test_bad_config_file_exit_2(tmp_path, capsys, text, message):
+    (lambda p: p.write_text("{"), "config: not valid JSON"),
+    (lambda p: p.write_text("[]"), "config: top level must be an object"),
+    (Path.mkdir, "config: cannot read"),
+    (lambda p: p.write_bytes(b"\xff{}"), "is not UTF-8 text"),
+], ids=["missing", "not JSON", "a list", "a directory", "not UTF-8"])
+def test_bad_config_file_exit_2(tmp_path, capsys, make, message):
     path = tmp_path / "cfg.json"
-    if text is not None:
-        path.write_text(text)
+    if make is not None:
+        make(path)
     assert main(["critical", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
     assert_one_error(capsys.readouterr().err, message)
 
@@ -191,16 +197,29 @@ def test_dimension_follows_box(tmp_path):
     assert abs(rep["c"]["value"]) <= 1e-3
 
 
-def test_limit_matches_study_double_well(tmp_path):
-    # the limit subcommand is the study's limit w without a discount schedule
+def test_limit_matches_study_double_well(tmp_path, capsys):
+    # the limit subcommand is the study's limit w without a discount
+    # schedule.  At seed 5 the sampled vertices leave the two estimators
+    # 0.15 apart: both commands write every artifact and the manifest, then
+    # exit 3 naming the breached claim
     cfg = str(CONFIGS / "quadratic.json")
     well = ["--set", 'model.potential="double_well"']
-    assert main(["limit", "--config", cfg, "--out", str(tmp_path / "limit"), *well]) == 0
-    assert main(["study", "--config", cfg, "--out", str(tmp_path / "study"), *well]) == 0
-    assert ((tmp_path / "limit" / "w.csv").read_bytes()
-            == (tmp_path / "study" / "w.csv").read_bytes())
-    rep = json.loads((tmp_path / "limit" / "limit.json").read_text())
-    assert rep["estimator_agreement"]["value"] <= 0.03
+    for seed, code in ((0, 0), (5, 3)):
+        for command in ("limit", "study"):
+            out = tmp_path / f"{command}{seed}"
+            assert main([command, "--config", cfg, "--out", str(out),
+                         "--seed", str(seed), *well]) == code, (command, seed)
+            err = capsys.readouterr().err
+            if code:
+                assert_one_error(err, "error: estimator_agreement: ")
+            else:
+                assert "error" not in err
+            claim = json.loads((out / f"{command}.json").read_text())["estimator_agreement"]
+            assert (claim["value"] <= claim["tolerance"]) == (code == 0)
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert f"{command}.json" in {a["name"] for a in manifest["artifacts"]}
+        assert ((tmp_path / f"limit{seed}" / "w.csv").read_bytes()
+                == (tmp_path / f"study{seed}" / "w.csv").read_bytes())
 
 
 @pytest.mark.parametrize("tolerance", [1e-3 + 2 * 0.1], ids=["default"])
@@ -468,9 +487,9 @@ def test_probe_warning_recorded(tmp_path):
     assert any("central half-box" in w for w in manifest["warnings"])
 
 
-def test_sampled_family_csv_roundtrip(tmp_path):
-    import numpy as np
-    # tabulate |p| - x^2/2 on the config grid and solve for its critical value
+def sampled_config(tmp_path, extra_rows=()):
+    """A sampled-family config whose table is |p| - x^2/2 on [-2, 2] at
+    h = 0.5 and 61 momenta, followed by `extra_rows`."""
     box, h = [-2.0, 2.0], 0.5
     nodes = np.arange(box[0], box[1] + h / 2, h)
     p_grid = np.linspace(-3.0, 3.0, 61)
@@ -479,19 +498,48 @@ def test_sampled_family_csv_roundtrip(tmp_path):
         for j, p in enumerate(p_grid):
             lines.append(f"{i},{j},{abs(p) - 0.5 * x * x}")
     table = tmp_path / "H.csv"
-    table.write_text("\n".join(lines))
-    cfg = {
+    table.write_text("\n".join([*lines, *extra_rows]))
+    return {
         "model": {"family": "sampled", "sampled_csv": str(table),
                   "p_grid": list(p_grid)},
         "grid": {"box": [box], "h": h},
         "velocity": {"q_max": 1.0, "per_axis_count": 3},
     }
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(cfg))
+
+
+def test_sampled_family_csv_roundtrip(tmp_path):
+    # tabulate |p| - x^2/2 on the config grid and solve for its critical value
+    cfg_path = write_cfg(tmp_path, sampled_config(tmp_path))
     out = tmp_path / "out"
-    assert main(["critical", "--config", str(cfg_path), "--out", str(out)]) == 0
+    assert main(["critical", "--config", cfg_path, "--out", str(out)]) == 0
     rep = json.loads((out / "critical.json").read_text())
     assert abs(rep["c"]["value"]) <= 1e-3
+
+
+# each case breaks one input of the sampled family: a row added to the
+# table, or a config override
+@pytest.mark.parametrize("rows,overrides,message", [
+    ([], ["model.sampled_csv=missing.csv"], "model.sampled_csv: file not found"),
+    (["3,x,1.0"], [], "model.sampled_csv: line 551: expected node_index,p_index,value"),
+    (["9,0,1.0"], [], "model.sampled_csv: line 551: (9, 0) outside the 9 nodes"),
+    # a negative index would overwrite the last node's row
+    (["-1,0,1.0"], [], "model.sampled_csv: line 551: (-1, 0) outside the 9 nodes"),
+    (["3,61,1.0"], [], "model.sampled_csv: line 551: (3, 61) outside"),
+    (["3,0,inf"], [], "model.sampled_csv: line 551: value inf is not finite"),
+    ([], ['model.p_grid=[-1,"a",1]'], "model.p_grid: "),
+    # lower_convex_envelope reads the momenta as strictly increasing
+    ([], ["model.p_grid=[-1,1,1]"], "model.p_grid: "),
+    ([], ["grid.box=[[-2,2],[-2,2]]"], "model.family: sampled is implemented for "
+                                        "dimension 1 only"),
+], ids=["missing file", "non-numeric field", "index past the grid", "negative index",
+        "momentum index past the grid", "infinite value", "non-numeric p_grid",
+        "p_grid not increasing", "2D box"])
+def test_bad_sampled_input_exit_2(tmp_path, capsys, monkeypatch, rows, overrides, message):
+    monkeypatch.chdir(tmp_path)
+    cfg = write_cfg(tmp_path, sampled_config(tmp_path, rows))
+    sets = [arg for o in overrides for arg in ("--set", o)]
+    assert main(["critical", "--config", cfg, "--out", str(tmp_path / "o"), *sets]) == 2
+    assert_one_error(capsys.readouterr().err, message)
 
 
 def test_mather_exports_duals(tmp_path):

@@ -17,7 +17,6 @@ from weakkam.limits import (
     vanishing_discount_study,
 )
 from weakkam.measures import (
-    DiscreteMeasure,
     build_ergodic_lp,
     build_mather_polytope,
     lp_solve,
@@ -103,7 +102,7 @@ def test_maximal_trace_reads_the_unreachable_sentinel_as_no_bound(double_well_er
     # Aubry node that cannot reach it bounds nothing; read as a distance,
     # INF = 1e30 set the stop tolerance and the ascent ended after one sweep
     crit, ergodic = double_well_ergodic
-    assert 0 not in crit.aubry_nodes and not ergodic.mass[0].any()
+    assert 0 not in crit.aubry_nodes and not ergodic[0].any()
     cut = dataclasses.replace(crit, S_from=crit.S_from.copy())
     cut.S_from[0, 0] = INF
     for data in (crit, cut):
@@ -126,7 +125,7 @@ def test_estimators_agree(quad_setup, grid_c):
 def test_deflim_constraint_validates_post_hoc(quad_setup):
     crit, ergodic, _ = quad_setup
     w = selected_solution_deflim(crit, [ergodic.measure])
-    pairing = float(np.sum(ergodic.measure.mass * w[:, None]))
+    pairing = float(np.sum(ergodic.measure * w[:, None]))
     assert pairing <= 4 * crit.grid.h
 
 
@@ -172,7 +171,7 @@ def test_mather_set_double_well():
 def test_mather_set_zero_objectives(quad_setup, grid_c):
     crit, ergodic, poly = quad_setup
     nodes = mather_set([ergodic.measure], grid_c)
-    support = set(np.flatnonzero(ergodic.measure.mass.any(axis=1)).tolist())
+    support = set(np.flatnonzero(ergodic.measure.any(axis=1)).tolist())
     assert support <= set(int(z) for z in nodes)
     assert len(nodes) <= 3 * len(support)
 
@@ -204,8 +203,7 @@ def loop_case(request):
     mass = np.zeros((g.num_nodes, vs.size))
     mass.reshape(-1)[rng.choice(mass.size, 40, replace=False)] = rng.uniform(0.0, 2e-4, 40)
     mass[rng.choice(g.num_nodes, 3), :] = 6e-5
-    scattered = DiscreteMeasure(mass=mass, kind="ergodic")
-    return g, crit, [ergodic.measure, scattered] + sample_vertex_measures(poly, 4, 0)
+    return g, crit, [ergodic.measure, mass] + sample_vertex_measures(poly, 4, 0)
 
 
 def test_maximal_trace_matches_the_dict_loop(loop_case):
@@ -453,7 +451,7 @@ def test_a_solve_given_the_start_inverse_matches_one_without(grid_c, vs7, tr_c, 
     crash, crash_inverse = poly.start_basis, poly.start_inverse
     # two random objectives whose solves pivot
     rng = np.random.default_rng(2)
-    c1, c2 = (np.append(rng.uniform(0.0, 1.0, len(poly.active)), 0.0) for _ in range(2))
+    c1, c2 = (np.append(rng.uniform(0.0, 1.0, len(poly.c) - 1), 0.0) for _ in range(2))
     first = simplex.solve_lp(c1, poly.A, poly.b, basis0=crash)
     assert first.iterations > 0 and first.inverse is not None
     signed, _, sign = simplex._signed_rows(poly.A, poly.b)
@@ -484,7 +482,7 @@ def test_a_start_result_is_the_low_level_start(quad_setup, with_inverse):
     # inverse when it holds one, bit for bit
     _, _, poly = quad_setup
     rng = np.random.default_rng(5)
-    c1, c2 = (rng.uniform(0.0, 1.0, len(poly.active)) for _ in range(2))
+    c1, c2 = (rng.uniform(0.0, 1.0, len(poly.c) - 1) for _ in range(2))
     res = lp_solve(poly, c1)
     assert res.inverse is not None
     if not with_inverse:
@@ -496,8 +494,8 @@ def test_a_start_result_is_the_low_level_start(quad_setup, with_inverse):
     assert got.objective == want.objective
     np.testing.assert_array_equal(got.basis, want.basis)
     np.testing.assert_array_equal(got.duals, want.duals)
-    x = want.x[:len(poly.active)]
-    np.testing.assert_array_equal(got.measure.mass.reshape(-1)[poly.active],
+    x = want.x[:-1]
+    np.testing.assert_array_equal(got.measure.reshape(-1),
                                   np.where(x > measures.SUPPORT_TOL, x, 0.0))
 
 
@@ -513,7 +511,7 @@ def test_a_polytope_without_a_crash_inverse_certifies_its_crash_start(quad, grid
     bordered = build_mather_polytope(problem, first)
     certified = build_mather_polytope(problem, again)
     assert certified.start_inverse is None
-    c = np.random.default_rng(4).uniform(0.0, 1.0, len(problem.active))
+    c = np.random.default_rng(4).uniform(0.0, 1.0, len(problem.c))
     want, got = lp_solve(bordered, c), lp_solve(certified, c)
     assert got.iterations == want.iterations > 0
     np.testing.assert_array_equal(got.basis, want.basis)
@@ -528,7 +526,7 @@ def test_warm_started_barrier_queries_match_cold_solves(quad_setup, grid_c, vs7)
     cold = []
     for x in nodes:
         pfield = peierls_field_to(crit, x)
-        c = np.append(pfield[poly.active // vs7.size], 0.0)
+        c = np.append(np.repeat(pfield, vs7.size), 0.0)
         cold.append(simplex.solve_lp(c, poly.A, poly.b).objective)
     forward = enric1_values(crit, poly, nodes)
     backward = enric1_values(crit, poly, nodes[::-1])[::-1]

@@ -6,8 +6,8 @@ import pytest
 from weakkam import simplex
 from weakkam.discounted import quadratic_rate, solve_discounted
 from weakkam.grids import build_grid, build_transition, build_velocity_set, interpolate
+from weakkam.errors import NonCoercive
 from weakkam.measures import (
-    DiscreteMeasure,
     build_discounted_lp,
     build_ergodic_lp,
     build_mather_polytope,
@@ -23,11 +23,11 @@ from helpers import dense_lp_matrix, min_cycle_mean
 
 
 def _measure(grid, vs, masses):
-    """Ergodic-kind measure from a {(node, velocity_index): mass} table."""
+    """(n, M) measure from a {(node, velocity_index): mass} table."""
     mass = np.zeros((grid.num_nodes, vs.size))
     for (i, m), v in masses.items():
         mass[i, m] = v
-    return DiscreteMeasure(mass=mass, kind="ergodic")
+    return mass
 
 
 # ---------------------------------------------------------------------------
@@ -40,9 +40,9 @@ def test_ergodic_lp_hand_enumeration():
     quad = make_model("quadratic", "half_square")
     res = lp_solve(build_ergodic_lp(quad, g, vs, transition=build_transition(g, vs)))
     assert res.objective == pytest.approx(0.0, abs=1e-9)
-    support = np.argwhere(res.measure.mass).tolist()
+    support = np.argwhere(res.measure).tolist()
     assert support == [[g.node_near([0.0]), vs.zero_index()]]
-    assert res.measure.mass.sum() == pytest.approx(1.0, abs=1e-9)
+    assert res.measure.sum() == pytest.approx(1.0, abs=1e-9)
 
 
 def test_ergodic_lp_shifted_model(grid_c, vs7, tr_c):
@@ -62,7 +62,7 @@ def test_uniform_rest_measure_feasible_but_suboptimal(quad, grid_c, vs7, tr_c):
     mu = _measure(grid_c, vs7, {(i, z): 1.0 / n for i in range(n)})
     assert closedness_residual(mu, tr_c) <= 1e-15
     L = lagrangian_table(quad, grid_c.coords, vs7.vectors)
-    obj = float(np.sum(mu.mass[:, z] * L[:, z]))
+    obj = float(np.sum(mu[:, z] * L[:, z]))
     assert obj == pytest.approx(float(np.mean(0.5 * grid_c.coords[:, 0] ** 2)))
     assert obj > 0.0  # weak duality: any feasible measure dominates the optimum
 
@@ -78,7 +78,6 @@ def test_ergodic_lp_brute_force_cycle_mean(grid_tiny, vs3, tr_tiny):
     quad = make_model("quadratic", "half_square")
     res = lp_solve(build_ergodic_lp(quad, grid_tiny, vs3, transition=tr_tiny))
     L = lagrangian_table(quad, grid_tiny.coords, vs3.vectors)
-    L = np.where(np.isfinite(L), L, 1e30)
     assert res.objective == pytest.approx(min_cycle_mean(L, tr_tiny), abs=1e-9)
 
 
@@ -87,7 +86,6 @@ def test_ergodic_lp_brute_force_asymmetric(grid_tiny, vs3, tr_tiny):
     model = make_asymmetric_sampled(grid_tiny)
     res = lp_solve(build_ergodic_lp(model, grid_tiny, vs3, transition=tr_tiny))
     L = lagrangian_table(model, grid_tiny.coords, vs3.vectors)
-    L = np.where(np.isfinite(L), L, 1e30)
     assert res.objective == pytest.approx(min_cycle_mean(L, tr_tiny), abs=1e-9)
 
 
@@ -172,7 +170,7 @@ def test_discounted_lps_chain_their_optimal_bases(disc_setup, monkeypatch):
                 continue
             warm = lp_solve(build_discounted_lp(
                 quad, g, vs, lam, [z], transition=tr,
-                policy=problem.active[start.basis] % vs.size))
+                policy=start.basis % vs.size))
             assert abs(warm.objective - ref.objective) <= 1e-12, (lam, z)
             assert abs(warm.objective - lam_u) <= 1e-9, (lam, z)
 
@@ -219,35 +217,27 @@ def test_howard_policy_program_certifies_itself_in_2d():
     assert howard.objective == pytest.approx(lam * sol.u[g.node_near(z)], abs=1e-9)
 
 
-def test_policy_basis_needs_every_pair_to_be_a_column(grid_c, vs7, tr_c, monkeypatch):
-    # the eikonal Lagrangian is infinite above unit speed, so |q| = 1.5 has
-    # no column; a program built with such a policy has no start, and its
-    # solve runs phase 1.  With no policy the start is the rest policy's,
-    # the q = 0 column of each node in node order
+def test_lp_builders_refuse_an_infinite_lagrangian(grid_c, vs7, tr_c):
+    # the raw eikonal Lagrangian is infinite above unit speed, and every
+    # (node, velocity) pair is a column, so neither program can be built
     model = make_model("eikonal", "abs")
+    with pytest.raises(NonCoercive):
+        build_ergodic_lp(model, grid_c, vs7, transition=tr_c)
+    with pytest.raises(NonCoercive):
+        build_discounted_lp(model, grid_c, vs7, 0.5, 0, transition=tr_c)
+
+
+def test_discounted_start_is_the_rest_policy(quad, grid_c, vs7, tr_c):
+    # with no policy the start is the rest policy's: the q = 0 column of
+    # each node in node order
     n = grid_c.num_nodes
-    rest = build_discounted_lp(model, grid_c, vs7, 0.5, 0, transition=tr_c)
-    zero = rest.active % vs7.size == vs7.zero_index()
-    assert np.array_equal(rest.start_basis, np.flatnonzero(zero))
-    assert np.array_equal(rest.active[rest.start_basis] // vs7.size, np.arange(n))
+    rest = build_discounted_lp(quad, grid_c, vs7, 0.5, 0, transition=tr_c)
+    assert np.array_equal(rest.start_basis, np.arange(n) * vs7.size + vs7.zero_index())
+    assert np.array_equal(rest.start_basis // vs7.size, np.arange(n))
     assert rest.start_inverse is None
-    built = build_discounted_lp(model, grid_c, vs7, 0.5, 0, transition=tr_c,
+    built = build_discounted_lp(quad, grid_c, vs7, 0.5, 0, transition=tr_c,
                                 policy=np.full(n, vs7.zero_index()))
     assert np.array_equal(built.start_basis, rest.start_basis)
-    fast = build_discounted_lp(model, grid_c, vs7, 0.5, 0, transition=tr_c,
-                               policy=np.zeros(n, dtype=int))
-    assert fast.start_basis is None and fast.start_inverse is None
-    phase_1 = []
-    run = simplex._phase1
-
-    def counting(*args, **kwargs):
-        phase_1.append(1)
-        return run(*args, **kwargs)
-
-    monkeypatch.setattr(simplex, "_phase1", counting)
-    got, want = lp_solve(fast), lp_solve(rest)
-    assert len(phase_1) == 1
-    assert got.objective == pytest.approx(want.objective, abs=1e-12)
 
 
 def test_one_column_per_node_bases_have_nonnegative_inverses(disc_setup):
@@ -257,7 +247,7 @@ def test_one_column_per_node_bases_have_nonnegative_inverses(disc_setup):
     rng = np.random.default_rng(4)
     for lam in (1.0, 0.1, 0.01):
         problem = build_discounted_lp(quad, g, vs, lam, 0, transition=tr)
-        node = problem.active // vs.size
+        node = np.arange(g.num_nodes * vs.size) // vs.size
         for _ in range(5):
             basis = [rng.choice(np.flatnonzero(node == i)) for i in range(g.num_nodes)]
             assert np.all(np.linalg.inv(problem.A.dense(basis)) >= 0.0), lam
@@ -267,7 +257,7 @@ def test_discounted_lp_holonomy_residual(disc_setup):
     g, vs, tr, quad = disc_setup
     res = lp_solve(build_discounted_lp(quad, g, vs, 0.5, [1.0], transition=tr))
     assert holonomy_residual(res.measure, 0.5, g.node_near([1.0]), tr) <= 1e-8
-    assert res.measure.mass.sum() == pytest.approx(1.0, abs=1e-9)
+    assert res.measure.sum() == pytest.approx(1.0, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -298,12 +288,11 @@ def test_support_check_ergodic_pass(quad_ergodic, quad_crit):
     assert rep.outside_mass <= 1e-3
 
 
-def test_support_check_discounted_is_informational(disc_setup, quad, quad_crit, grid_c,
-                                                   vs7, tr_c):
+def test_support_check_discounted_fails(quad, quad_crit, grid_c, vs7, tr_c):
     res = lp_solve(build_discounted_lp(quad, grid_c, vs7, 0.5, [1.0],
                                        transition=tr_c))
     rep = support_check(res.measure, quad_crit)
-    assert rep.passed is None
+    assert rep.passed is False
     assert rep.outside_mass > 0.1  # mass rides the approach path
 
 
@@ -329,7 +318,7 @@ def test_perturbed_lagrangians_stay_nonnegative(quad, grid_c, vs7, tr_c,
     rho = np.maximum(0.0, 1.0 - ((xg - 1.0) / 0.4) ** 2) ** 2
     rho *= 0.9 * strict_gap[grid_c.node_near([1.0])]
     phi = L - rho[:, None]
-    val = float(np.sum(quad_ergodic.measure.mass * phi))
+    val = float(np.sum(quad_ergodic.measure * phi))
     assert val >= -1e-8
 
 
@@ -337,10 +326,10 @@ def test_mather_polytope_weak_duality(quad, grid_c, vs7, tr_c, quad_ergodic):
     poly = build_mather_polytope(build_ergodic_lp(quad, grid_c, vs7, transition=tr_c),
                                  quad_ergodic)
     rng = np.random.default_rng(0)
-    objective = rng.uniform(0.0, 1.0, size=len(poly.active))
+    objective = rng.uniform(0.0, 1.0, size=grid_c.num_nodes * vs7.size)
     measure = lp_solve(poly, objective).measure
     # the budget row keeps <mu, L> within slack of the ergodic optimum
-    Lsum = float(measure.mass.reshape(-1)[poly.active] @ poly.c[:len(poly.active)])
+    Lsum = float(measure.reshape(-1) @ poly.c[:-1])
     assert Lsum <= poly.b[-1] + 1e-9
     assert closedness_residual(measure, tr_c) <= 1e-8
 
@@ -358,7 +347,7 @@ def test_double_well_ties_resolve_deterministically():
     model = make_model("quadratic", "double_well")
     tr = build_transition(g, vs)
     runs = [lp_solve(build_ergodic_lp(model, g, vs, transition=tr)) for _ in range(2)]
-    np.testing.assert_array_equal(runs[0].measure.mass, runs[1].measure.mass)
+    np.testing.assert_array_equal(runs[0].measure, runs[1].measure)
     assert runs[0].objective == runs[1].objective
     assert runs[0].objective == pytest.approx(0.0, abs=1e-9)
 

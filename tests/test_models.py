@@ -45,6 +45,11 @@ def test_transform_raw_eikonal_diverges_beyond_unit_ball(eik):
     assert fenchel_transform(eik, [2.0], [0.7]) == pytest.approx(2.0)
     with pytest.raises(NonCoercive):
         fenchel_transform(eik, [2.0], [1.5])
+    # the table is the point query over every (node, velocity) pair
+    np.testing.assert_allclose(lagrangian_table(eik, [[2.0]], [[-0.7], [0.7]]),
+                               [[2.0, 2.0]])
+    with pytest.raises(NonCoercive):
+        lagrangian_table(eik, [[0.0], [2.0]], [[0.7], [1.5]])
 
 
 def test_transform_sampled_matches_closed_form(grid_tiny):

@@ -540,7 +540,7 @@ def test_duals_after_dual_clean_up_pivots_certify_optimality(monkeypatch):
     rng = np.random.default_rng(0)
     for _ in range(2):
         cleanup_pivots.clear()
-        c = np.append(rng.uniform(0.0, 1.0, len(poly.active)), 0.0)
+        c = np.append(rng.uniform(0.0, 1.0, len(poly.c) - 1), 0.0)
         sol = lp_solve(poly, c[:-1])
         assert cleanup_pivots[-1] > 0
         reduced = c - sol.duals @ D

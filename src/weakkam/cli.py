@@ -134,7 +134,6 @@ def _is_interval(pair):
 
 
 _POSITIVE = (lambda v: _is_number(v) and v > 0, "a positive number")
-_COUNT = (lambda v: type(v) is int and v >= 0, "a nonnegative integer")
 
 # every defaulted setting: its default, then the values it accepts besides a
 # None default and their description
@@ -142,9 +141,7 @@ SETTINGS = {
     "model.normalization_shift": (0.0, lambda v: v == "auto" or _is_number(v),
                                   'a number or "auto"'),
     "ergodic.eps_aubry": (None, *_POSITIVE),
-    "measures.n_objectives": (4, *_COUNT),
     "outputs.directory": ("out", lambda v: isinstance(v, str), "a path"),
-    "seeds.master": (0, *_COUNT),
 }
 
 
@@ -494,9 +491,7 @@ def _study(cfg, ctx, schedule):
     return vanishing_discount_study(
         ctx["model"], ctx["grid"], ctx["velocity_set"], schedule,
         probes=cfg["probes"] or [(0.0,) * ctx["grid"].dimension],
-        eps_aubry=cfg["ergodic"]["eps_aubry"],
-        n_objectives=cfg["measures"]["n_objectives"], seed=cfg["seeds"]["master"],
-        transition=ctx["transition"])
+        eps_aubry=cfg["ergodic"]["eps_aubry"], transition=ctx["transition"])
 
 
 def _write_w(out, grid, rep):
@@ -572,7 +567,12 @@ def cmd_study(cfg, ctx, out, args):
                                       title="discount study",
                                       xlabel="lambda", ylabel="sup gap"))
     code = _agreement_code(agreement)
-    return (3 if rep.failures else code), arts
+    if rep.failures:
+        failed = "; ".join(f"{f['stage']} at lambda {f['lambda']:g}: {f['error']}"
+                           for f in rep.failures)
+        print(f"error: study: {failed}", file=sys.stderr)
+        code = 3
+    return code, arts
 
 
 HANDLERS = {
@@ -599,6 +599,7 @@ def make_parser():
         p.add_argument("--config", required=True)
         p.add_argument("--out", default=None)
         p.add_argument("--set", dest="overrides", action="append", default=[])
+        # retired (nothing is drawn at random): parsed so old command lines run
         p.add_argument("--seed", type=int, default=None)
         if name == "distance":
             p.add_argument("--source", required=True)
@@ -616,8 +617,6 @@ def main(argv=None):
     try:
         cfg = load_config(args.config)
         apply_overrides(cfg, args.overrides)
-        if args.seed is not None:
-            _assign(cfg, "seeds.master", args.seed, "--seed")
         if args.out is not None:
             _assign(cfg, "outputs.directory", args.out, "--out")
         validate_config(cfg, need_schedule=args.command in _NEEDS_SCHEDULE)
@@ -626,8 +625,10 @@ def main(argv=None):
         out.mkdir(parents=True, exist_ok=True)
         # validate reports on the raw model, even one that superlinearize refuses
         ctx = (_grid_context if args.command == "validate" else build_context)(cfg)
+        if args.seed is not None:
+            ctx["warnings"].append("retired option --seed ignored")
         code, artifacts = HANDLERS[args.command](cfg, ctx, out, args)
-        io.write_manifest(out, cfg, cfg["seeds"]["master"], artifacts,
+        io.write_manifest(out, cfg, artifacts,
                           warnings=ctx["warnings"],
                           extra={"command": args.command})
         for w in ctx["warnings"]:

@@ -124,6 +124,7 @@ def relax_batch(costs, transition, D0):
     (n, M, 2^N) shape; the one float array of that shape, the self weights
     before they are summed, is dropped at once.
 
+    With no usable edge the rows are returned as they are, after 0 sweeps.
     Raises NegativeCycle when 2n+64 sweeps end while values still drop by
     more than NEG_TOL relative to the field (the min-plus operator is
     unbounded below).
@@ -145,6 +146,8 @@ def relax_batch(costs, transition, D0):
     # first width of them; a velocity no node can use (q = 0) is dropped
     most = np.count_nonzero(reads, axis=2).max(axis=0)
     cols = np.argsort(-most, kind="stable")[:np.count_nonzero(most)]
+    if cols.size == 0:
+        return D, 0                    # no usable edge: no row can drop
     width = [m for m in (np.count_nonzero(most > s) for s in range(idx.shape[2])) if m]
     # a slot past an edge's last read reads the pad row n, which holds 0
     # with weight 0, so inf never meets a zero weight; node_reads holds the

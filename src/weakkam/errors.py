@@ -71,5 +71,9 @@ class NoMeasures(WeakKAMError):
     """An operation quantified over measures received an empty collection."""
 
 
+class NoSelfLoop(WeakKAMError):
+    """A Mather face node has no self-loop face column; the message names the face."""
+
+
 class ConfigError(WeakKAMError):
     """Run configuration failed validation; the message cites the offending key."""

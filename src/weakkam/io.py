@@ -1,7 +1,7 @@
 """Artifact writers: RFC-4180 CSV, minimal SVG line plots, run manifests.
 
 All numbers are written with 17 significant digits and a '.' decimal
-separator so repeated runs with the same config and seed are byte-identical
+separator so repeated runs with the same config are byte-identical
 (the determinism contract is checked through the manifest checksums).
 The checksums come from the interpreter's own SHA-256 module, not from
 `hashlib`, whose import loads OpenSSL (about 3.6 MB resident) into every
@@ -103,7 +103,8 @@ def measure_rows(mu):
 # ---------------------------------------------------------------------------
 
 def write_line_svg(path, xs, ys, title="", xlabel="", ylabel=""):
-    """Log-log plot of the positive finite points (xs, ys), 640 x 420."""
+    """Log-log plot of the positive finite points (xs, ys), 640 x 420; with
+    none (every gap 0, say), the axes alone."""
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     keep = np.isfinite(xs) & np.isfinite(ys) & (xs > 0) & (ys > 0)
@@ -113,7 +114,7 @@ def write_line_svg(path, xs, ys, title="", xlabel="", ylabel=""):
     ty = np.log10(ys[keep])
 
     def span(v):
-        lo, hi = float(np.min(v)), float(np.max(v))
+        lo, hi = (float(np.min(v)), float(np.max(v))) if v.size else (0.0, 0.0)
         if hi - lo < 1e-12:
             lo, hi = lo - 0.5, hi + 0.5
         return lo, hi
@@ -170,7 +171,7 @@ def sha256_of(path):
     return digest.hexdigest()
 
 
-def write_manifest(out_dir, config, seed, artifact_paths, warnings=(), extra=None):
+def write_manifest(out_dir, config, artifact_paths, warnings=(), extra=None):
     """Written last: inputs, versions, and a checksum per artifact."""
     from . import __version__
     out_dir = Path(out_dir)
@@ -183,7 +184,6 @@ def write_manifest(out_dir, config, seed, artifact_paths, warnings=(), extra=Non
         "version": __version__,
         "numpy": np.__version__,
         "python": ".".join(str(v) for v in sys.version_info[:3]),
-        "seed": seed,
         "config": config,
         "warnings": list(warnings),
         "artifacts": artifacts,

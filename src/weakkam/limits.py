@@ -1,21 +1,25 @@
 """Vanishing-discount study: the selected limit and its two estimators.
 
 The distinguished limit of the discounted solutions is computed two ways
-that share no code path with the PDE solver:
+that share no code path with the PDE solver, both quantified over the
+Mather measures, the exact face of the ergodic program
+(`measures.mather_face`):
 
-  * barrier form: w(x) = min over measures mu in the Mather polytope of
-    <mu, P(., x)> with P the Peierls barrier, one small LP per query point;
-
+  * barrier form: w(x) = min over Mather measures mu of <mu, P(., x)>, with
+    P the Peierls barrier;
   * maximal-trace form: the largest Aubry trace t with t(y) - t(y') bounded
-    by the intrinsic distances and <mu, v_t> <= 0 for every supplied Mather
-    measure mu, v_t being the weak KAM min-formula field of t (coordinate
-    ascent over t), extended by that same min-formula.
+    by the intrinsic distances and <mu, v_t> <= 0 for every Mather measure
+    mu, v_t being the weak KAM min-formula field of t (coordinate ascent
+    over t), extended by that same min-formula.
 
-A trace is an array aligned with `critical.aubry_nodes`, and a measure an
-(n, M) node-by-velocity mass array, flat in the order of the LP columns
-(`measures`), so the pairings are array expressions over the (k, n)
-distance array S_from and a node field is an LP objective once repeated
-over each node's M velocities.
+Both read a measure through its node marginal alone.  Every face node
+carries the Dirac measure of a self-loop face column (the face refuses a
+node that does not), so the Mather measures' marginals are exactly the
+probability vectors on the face nodes F: the barrier form is min over y in
+F of P(y, x), the trace form is constrained by one Dirac marginal per face
+node, and the Mather set is F dilated by one cell.  A trace is an array
+aligned with `critical.aubry_nodes`, so the pairings are array expressions
+over the (k, n) distance array S_from.
 
 The study drives a decreasing discount schedule, records the sup-norm gap
 between each discounted solution and the limit on the central half of the
@@ -27,6 +31,7 @@ minimizer.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -38,8 +43,8 @@ from .errors import MaxIterExceeded, NoMeasures, WeakKAMError
 from .measures import (
     build_discounted_lp,
     build_ergodic_lp,
-    build_mather_polytope,
     lp_solve,
+    mather_face,
     sequential_sum,
     transport_distance,
 )
@@ -50,22 +55,15 @@ _STATUS_NA = "NotApplicable"
 
 
 # ---------------------------------------------------------------------------
-# estimator 1: barrier form, one LP per query
+# estimator 1: barrier form
 # ---------------------------------------------------------------------------
 
-def enric1_values(critical, polytope, query_nodes):
-    """min over the Mather polytope of <mu, P(., x)> at each node index x of
-    query_nodes, one LP each.  The queries share the polytope, so each
-    starts from the result of the query before it, and the first from the
-    polytope's own start."""
-    M = polytope.transition.velocity_set.size
-    values = []
-    res = None
-    for x in query_nodes:
-        res = lp_solve(polytope, np.repeat(peierls_field_to(critical, int(x)), M),
-                       start=res)
-        values.append(res.objective)
-    return np.array(values, dtype=float)
+def enric1_values(critical, face_nodes, query_nodes):
+    """min over the Mather measures of <mu, P(., x)> at each node index x of
+    query_nodes: min over the face nodes y of P(y, x), since the measures'
+    node marginals are the probability vectors on the face nodes."""
+    return np.array([np.min(peierls_field_to(critical, int(x))[face_nodes])
+                     for x in query_nodes], dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -76,11 +74,12 @@ TRACE_SWEEPS = 200     # coordinate-ascent sweeps at most
 TRACE_TOL = 1e-12      # a sweep raising no coordinate by more (relative) ends it
 
 
-def maximal_trace(critical, measures):
+def maximal_trace(critical, marginals):
     """Coordinate ascent for the largest trace t on the Aubry nodes with
     t(y) - t(y') <= S(y', y) and <mu, v_t> <= 0 per measure, where v_t is
-    the min-formula field of t.  Returns t as an array aligned with
-    critical.aubry_nodes.
+    the min-formula field of t.  `marginals` holds the measures' node
+    marginals, one row of n masses each.  Returns t as an array aligned
+    with critical.aubry_nodes.
 
     Starts from t = 0 (feasible: constant traces are compatible and the
     measure rows vanish) and raises each coordinate in a fixed order to its
@@ -91,29 +90,29 @@ def maximal_trace(critical, measures):
     after TRACE_SWEEPS sweeps need not be maximal, and raises
     MaxIterExceeded.
     """
-    if not measures:
+    marg = np.asarray(marginals, dtype=float)
+    if len(marg) == 0:
         raise NoMeasures("maximal_trace needs at least one Mather measure")
     nodes = critical.aubry_nodes
     S = critical.S_from
     k = len(nodes)
-    # x-marginals, (measures, n), each node's velocities added in order
-    marg = np.array([sequential_sum(mu, axis=1) for mu in measures])
     support = np.flatnonzero(marg.any(axis=0))
     P = marg[:, support]
-    S_sup = S[:, support]
     row = np.full(S.shape[1], -1)
     row[nodes] = np.arange(k)
     # support nodes on the trace are priced at t, the others at the field
     on_trace = row[support] >= 0
     trace_rows = row[support][on_trace]
+    S_off = S[:, support[~on_trace]]
     # S between trace nodes; the diagonal is left out of each ceiling
     S_nodes = S[:, nodes]
     np.fill_diagonal(S_nodes, np.inf)
     t = np.zeros(k)
 
     def support_values():
-        vals = np.min(t[:, None] + S_sup, axis=0)
+        vals = np.empty(len(support))
         vals[on_trace] = t[trace_rows]
+        vals[~on_trace] = np.min(t[:, None] + S_off, axis=0)
         return vals
 
     # INF marks an unreachable node, not a distance: it sets no scale or ceiling
@@ -142,44 +141,34 @@ def maximal_trace(critical, measures):
     return t - worst
 
 
-def selected_solution_deflim(critical, measures):
+def selected_solution_deflim(critical, marginals):
     """Limit candidate as the weak KAM field of the maximal admissible trace,
     an (n,) array."""
-    t = maximal_trace(critical, measures)
+    t = maximal_trace(critical, marginals)
     return weak_kam_solution(critical, t)
 
 
+def dirac_marginals(nodes, num_nodes):
+    """One Dirac node marginal per node of `nodes`, (len(nodes), num_nodes)."""
+    marg = np.zeros((len(nodes), num_nodes))
+    marg[np.arange(len(nodes)), nodes] = 1.0
+    return marg
+
+
 # ---------------------------------------------------------------------------
-# Mather set by vertex sampling
+# Mather set
 # ---------------------------------------------------------------------------
 
-MATHER_SUPPORT_TOL = 1e-4
-
-
-def sample_vertex_measures(polytope, n_objectives, seed):
-    """Polytope vertices under seeded random objectives, one uniform draw
-    per (node, velocity) pair."""
-    rng = np.random.default_rng(seed)
-    tr = polytope.transition
-    pairs = tr.grid.num_nodes * tr.velocity_set.size
-    return [lp_solve(polytope, rng.uniform(0.0, 1.0, pairs)).measure
-            for _ in range(int(n_objectives))]
-
-
-def mather_set(measures, grid):
-    """Union of the x-projections of the measures' supports, dilated by one
-    grid cell in the max norm.
-
-    The budget slack lets polytope vertices park wisps of mass (at most
-    slack over the local Lagrangian) away from the minimizing set, so only
-    (node, velocity) masses above MATHER_SUPPORT_TOL count as support.
-    """
-    heavy = np.zeros(grid.num_nodes, dtype=bool)
-    for mu in measures:
-        heavy |= (mu > MATHER_SUPPORT_TOL).any(axis=1)
-    pts = grid.coords
-    gap = np.max(np.abs(pts[:, None, :] - pts[None, heavy, :]), axis=2)
-    return np.flatnonzero(np.any(gap <= grid.h * (1.0 + 1e-9), axis=1))
+def mather_set(face_nodes, grid):
+    """The face nodes dilated by one grid cell in the max norm: every node
+    whose index differs from a face node's by at most 1 on each axis."""
+    near = np.zeros(grid.shape, dtype=bool)
+    multi = np.array(np.unravel_index(face_nodes, grid.shape)).reshape(grid.dimension, -1)
+    top = np.array(grid.shape)[:, None] - 1
+    # a step off the grid is clipped back onto the face node's own row
+    for step in itertools.product((-1, 0, 1), repeat=grid.dimension):
+        near[tuple(np.clip(multi + np.array(step)[:, None], 0, top))] = True
+    return np.flatnonzero(near)
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +267,7 @@ def _agreement_nodes(grid, probes):
 
 
 def vanishing_discount_study(model, grid, velocity_set, schedule, probes=((0.0,),),
-                             eps_aubry=None, n_objectives=4, seed=0, *, transition):
+                             eps_aubry=None, *, transition):
     """Decreasing-discount convergence study against the selected limit.
 
     Every result is read on the central half of the box
@@ -301,21 +290,13 @@ def vanishing_discount_study(model, grid, velocity_set, schedule, probes=((0.0,)
                                    transition=transition)
     problem = build_ergodic_lp(model, grid, velocity_set, transition=transition)
     ergodic = lp_solve(problem)
-    polytope = build_mather_polytope(problem, ergodic)
-    # the polytope holds its own copy of the columns and its start inverse;
-    # the ergodic inverse, m^2 floats, is not kept through the study
-    del problem
-    ergodic.inverse = None
-    # the trace estimator is constrained by the sampled vertex set, the
-    # finite stand-in for the quantifier over all minimizing measures
-    measures = [ergodic.measure] + sample_vertex_measures(polytope, n_objectives, seed)
-    mnodes = mather_set(measures, grid)
+    face_nodes = mather_face(problem, ergodic).nodes
+    mnodes = mather_set(face_nodes, grid)
 
-    w = selected_solution_deflim(critical, measures)
+    w = selected_solution_deflim(critical, dirac_marginals(face_nodes, grid.num_nodes))
     agree_nodes = _agreement_nodes(grid, probes)
-    agreement = float(np.max(np.abs(enric1_values(critical, polytope, agree_nodes)
+    agreement = float(np.max(np.abs(enric1_values(critical, face_nodes, agree_nodes)
                                     - w[agree_nodes])))
-    del polytope
 
     mask = grid.box_mask(grid.central_half())
     rows, failures, sup_gaps = [], [], []

@@ -1,12 +1,10 @@
-"""Occupation-measure linear programs and their diagnostics.
+"""Occupation-measure linear programs, their diagnostics, and the Mather face.
 
 Variables are masses mu(i,q) >= 0 on (node, velocity) pairs.  A measure is
 an (n, M) array of masses over the node-by-velocity table, mu[i, m], and
-every pair is an LP column: column i*M + m is the pair (i, m), so the
-measure columns are the table in flat order and any slack columns follow
-them.  The Lagrangian is finite on every pair (`lagrangian_table` raises
-NonCoercive otherwise).  Three programs are built against the foot-point
-transition:
+every pair is an LP column: column i*M + m is the pair (i, m).  The
+Lagrangian is finite on every pair (`lagrangian_table` raises NonCoercive
+otherwise).  Two programs are built against the foot-point transition:
 
   ergodic     minimize <mu, L> over closed probability measures: for every
               node j the outflow sum_q mu(j,q) balances the interpolated
@@ -15,30 +13,21 @@ transition:
               is stochastic, so every column of the balance block sums to
               zero and one balance row is implied by the others: the last
               node's row is left out, which gives the program full row
-              rank and pins that node's potential (its dual) at 0.
+              rank and pins that node's potential (its dual) at 0.  The
+              rows end with the mass row.
 
   discounted  minimize <mu, L> subject to the holonomy rows
               (1+lambda*h) sum_q mu(j,q) - inflow(j) = lambda*h*[j == z];
               this is the exact linear-programming dual of the discounted
               scheme, so the optimum equals lambda * u_lambda(z)
               and the stored measure is the normalized occupation measure
-              of the discounted problem anchored at z.
+              of the discounted problem anchored at z.  The mass row is
+              implied exactly by the holonomy rows (their sum reads
+              lambda*h*(total mass) = lambda*h) and is not repeated.
 
-  mather      the ergodic rows plus the budget row <mu, L> + s = optimum +
-              slack with one slack column s >= 0: the closed probability
-              measures within slack = 1e-7 (1 + |optimum|) + 1e-3 h^2 of
-              the ergodic optimum, over which any linear objective can be
-              minimized.
+Each program carries its start basis, `start_basis`:
 
-Every measure has unit mass: the ergodic rows (and so the Mather rows)
-end with the mass row, and for the discounted program the mass row is
-implied exactly by the holonomy rows (their sum reads
-lambda*h*(total mass) = lambda*h) and is therefore not repeated.
-
-Each program carries its start, `start_basis` (None: phase 1 finds one) and
-`start_inverse` (None: the start is certified or inverted by the solve):
-
-  ergodic     none.
+  ergodic     none (phase 1 finds one).
   discounted  the columns (i, policy[i]), one per node in node order, of the
               policy it is built with; the rest policy (q = 0 everywhere)
               by default.  Such a basis is (1+lambda*h) I - W^T with W
@@ -49,16 +38,10 @@ Each program carries its start, `start_basis` (None: phase 1 finds one) and
               Howard's iteration ended on, the program proves its optimum
               by its own pricing, in no pivots, from two dense solves and
               with no basis inverse.
-  mather      the ergodic optimal basis plus the budget slack, a vertex of
-              the polytope, with the inverse bordered from the ergodic
-              solve's when it returned one.
 
-Every program over one Mather polytope shares its feasible set, so any
-optimal basis of one is a feasible start for the next: `lp_solve(start=)`
-takes an earlier result over the same matrix, its basis and the inverse of
-that basis that every pivoting solve returns.
 Each constraint matrix is a `simplex.Columns` store built column by column
-(no m x n array is formed).  All three are solved by `lp_solve`.
+(no m x n array is formed).  Both are solved by `lp_solve`.  The minimizing
+(Mather) measures are read off the ergodic solution exactly (`mather_face`).
 """
 
 from __future__ import annotations
@@ -68,6 +51,7 @@ from typing import Optional
 
 import numpy as np
 
+from .errors import NoMeasures, NoSelfLoop
 from .grids import Transition
 from .models import lagrangian_table
 from .simplex import Columns, solve_lp
@@ -78,13 +62,11 @@ SUPPORT_TOL = 1e-9
 @dataclass
 class LPProblem:
     c: np.ndarray
-    A: Columns                   # the constraint matrix, stored by columns:
-                                 # the n*M pairs in flat order, then slacks
+    A: Columns                   # the constraint matrix, one column per pair
     b: np.ndarray
-    kind: str                    # "ergodic" | "discounted" | "mather"
+    kind: str                    # "ergodic" | "discounted"
     transition: Transition       # the grid and velocity set are its own
     start_basis: Optional[np.ndarray] = None    # a feasible basis, or None
-    start_inverse: Optional[np.ndarray] = None  # its inverse, when known
 
 
 @dataclass
@@ -94,10 +76,6 @@ class LPResult:
     duals: np.ndarray
     iterations: int
     basis: np.ndarray            # the optimal basis, one column per row
-    inverse: Optional[np.ndarray]  # its inverse, folded from the product form;
-                                   # None when the start was certified optimal
-                                   # without one.  m^2 floats, so a result
-                                   # kept for long should drop it
 
 
 def _stationarity_matrix(transition, factor_out=1.0):
@@ -167,34 +145,19 @@ def build_discounted_lp(model, grid, velocity_set, lam, z, transition, policy=No
                      start_basis=np.arange(grid.num_nodes) * velocity_set.size + policy)
 
 
-def lp_solve(problem, objective=None, start=None):
-    """Solve the program; returns the measure, the optimum, and the duals
-    (the multipliers on the stationarity rows approximate a subsolution
-    potential and are reported for diagnostics).
-
-    `objective`, one cost per (node, velocity) pair in flat order, replaces
-    the measure costs `problem.c`; slack columns cost 0.  `start`, an
-    earlier `LPResult` over the same matrix, replaces the program's own
-    start with its basis and, when it holds one, that basis's inverse.  A
-    start that is not feasible falls back to phase 1.  Masses at or below
+def lp_solve(problem):
+    """Solve the program from its own start; returns the measure, the
+    optimum, and the duals (the multipliers on the stationarity rows
+    approximate a subsolution potential and are reported for diagnostics).
+    A start that is not feasible falls back to phase 1.  Masses at or below
     SUPPORT_TOL are zeroed.
     """
-    c = problem.c
-    if objective is not None:
-        c = np.zeros(len(problem.c))
-        c[:len(objective)] = objective
-    if start is None:
-        basis0, inverse0 = problem.start_basis, problem.start_inverse
-    else:
-        basis0, inverse0 = start.basis, start.inverse
-    sol = solve_lp(c, problem.A, problem.b, basis0=basis0, inverse0=inverse0)
+    sol = solve_lp(problem.c, problem.A, problem.b, basis0=problem.start_basis)
     tr = problem.transition
     n, M = tr.grid.num_nodes, tr.velocity_set.size
-    x = sol.x[:n * M]
-    return LPResult(measure=np.where(x > SUPPORT_TOL, x, 0.0).reshape(n, M),
+    return LPResult(measure=np.where(sol.x > SUPPORT_TOL, sol.x, 0.0).reshape(n, M),
                     objective=sol.objective, duals=sol.duals,
-                    iterations=sol.iterations, basis=sol.basis,
-                    inverse=sol.inverse)
+                    iterations=sol.iterations, basis=sol.basis)
 
 
 # ---------------------------------------------------------------------------
@@ -263,37 +226,106 @@ def support_check(mu, critical):
 
 
 # ---------------------------------------------------------------------------
-# the Mather polytope (ergodic feasible set cut at the optimal value)
+# the Mather face: the minimizing measures, exactly
 # ---------------------------------------------------------------------------
 
-def build_mather_polytope(problem, ergodic_result):
-    """Closed unit-mass measures with <mu, L> within
-    slack = 1e-7 (1 + |optimum|) + 1e-3 h^2 of the optimum.
+FACE_TOL = 1e-9     # a column is tight when its reduced cost is at most
+                    # FACE_TOL (1 + |optimum|)
 
-    `problem` is the ergodic program and `ergodic_result` its solution.  The
-    budget row <mu, L> + s = optimum + slack (s >= 0) is appended with its
-    slack column, so `lp_solve(polytope, objective)` optimizes any linear
-    objective over the measures on the epsilon-argmin face.
+
+@dataclass
+class MatherFace:
+    columns: np.ndarray          # its pairs as flat column indices i*M + m, increasing
+    nodes: np.ndarray            # F, the nodes of those pairs, increasing
+
+
+def mather_face(problem, result):
+    """Every minimizing measure of the ergodic `problem`, solved as `result`:
+    by complementary slackness against its duals, the closed probability
+    measures on the tight columns, which sit on their maximal end components
+    (de Alfaro, PhD thesis, Stanford, 1997; Baier and Katoen, Principles of
+    Model Checking, 2008, sec. 10.6.3)."""
+    reduced = problem.c - problem.A.vecmat(result.duals)
+    tight = reduced <= FACE_TOL * (1.0 + abs(result.objective))
+    tr = problem.transition
+    return end_components(tight.reshape(tr.idx.shape[:2]), tr.idx, tr.w)
+
+
+def end_components(allowed, idx, w):
+    """The maximal end components of the pairs (i, m) flagged in the (n, M)
+    mask `allowed`, whose successors are the nodes idx[i, m, k] with
+    w[i, m, k] > 0, as a MatherFace.
+
+    Until nothing changes, a pair is kept only if all its successors lie in
+    the strongly connected component of its node under the kept pairs.
+    Raises NoMeasures when no pair is left, and NoSelfLoop when a face node
+    has no self-loop pair (all weight on its own node): the limit
+    estimators read the face through the Dirac measures of those (`limits`).
     """
-    slack = (1e-7 * (1.0 + abs(ergodic_result.objective))
-             + 1e-3 * problem.transition.grid.h ** 2)
-    # each measure column gains its cost in the budget row, and the slack
-    # column is the unit column of that row
-    budget = problem.A.m
-    A = problem.A.with_row(problem.c).with_unit_columns([budget])
-    b = np.concatenate([problem.b, [ergodic_result.objective + slack]])
-    # the ergodic optimum with s = slack > 0 is a vertex of the polytope;
-    # its basis is [[B, 0], [c_B, 1]], B the ergodic basis, so its inverse is
-    # [[B^-1, 0], [-c_B B^-1, 1]]: bordered from the ergodic solve's inverse
-    # (a solve that returned none leaves the start to certify itself)
-    inverse = ergodic_result.inverse
-    start_inverse = None if inverse is None else np.block(
-        [[inverse, np.zeros((budget, 1))],
-         [-(problem.c[ergodic_result.basis] @ inverse), 1.0]])
-    return LPProblem(c=np.append(problem.c, 0.0), A=A, b=b, kind="mather",
-                     transition=problem.transition,
-                     start_basis=np.append(ergodic_result.basis, len(problem.c)),
-                     start_inverse=start_inverse)
+    n, M, K = idx.shape
+    src = np.repeat(np.arange(n), M)
+    succ = idx.reshape(n * M, K)
+    hit = w.reshape(n * M, K) > 0.0
+    keep = np.asarray(allowed, dtype=bool).reshape(n * M)
+    while True:
+        pair, k = np.nonzero(hit & keep[:, None])
+        comp = _components(n, src[pair], succ[pair, k])
+        inside = keep & np.all((comp[succ] == comp[src, None]) | ~hit, axis=1)
+        if np.array_equal(inside, keep):
+            break
+        keep = inside
+    columns = np.flatnonzero(keep)
+    if columns.size == 0:
+        raise NoMeasures("the ergodic program's tight columns carry no closed measure")
+    nodes = np.unique(src[columns])
+    loops = columns[np.all((succ[columns] == src[columns, None]) | ~hit[columns], axis=1)]
+    bare = np.setdiff1d(nodes, src[loops])
+    if bare.size:
+        pairs = ", ".join(f"({c // M}, {c % M})" for c in columns[:8])
+        raise NoSelfLoop(f"Mather face node {bare[0]} carries no self-loop face column, "
+                         f"so the limit estimators' node formulas are not exact there; "
+                         f"the face is the (node, velocity) pairs {pairs}"
+                         + (", ..." if columns.size > 8 else ""))
+    return MatherFace(columns=columns, nodes=nodes)
+
+
+def _components(n, src, dst):
+    """The strongly connected component of each of n nodes under the edges
+    src -> dst, by Tarjan's algorithm on explicit stacks (a node seen but
+    not yet placed is on the stack)."""
+    order = np.argsort(src, kind="stable")
+    cuts = np.searchsorted(src[order], np.arange(1, n))
+    succ = [a.tolist() for a in np.split(dst[order], cuts)]
+    index, low, comp, stack, work = [-1] * n, [0] * n, [-1] * n, [], []
+    count = labels = 0
+
+    def visit(v):
+        nonlocal count
+        index[v] = low[v] = count
+        count += 1
+        stack.append(v)
+        work.append((v, iter(succ[v])))
+
+    for root in range(n):
+        if index[root] < 0:
+            visit(root)
+        while work:
+            v, edges = work[-1]
+            for u in edges:
+                if index[u] < 0:
+                    visit(u)
+                    break
+                if comp[u] < 0:
+                    low[v] = min(low[v], index[u])
+            else:
+                work.pop()
+                if work:
+                    low[work[-1][0]] = min(low[work[-1][0]], low[v])
+                if low[v] == index[v]:
+                    while comp[v] < 0:
+                        comp[stack.pop()] = labels
+                    labels += 1
+    return np.array(comp)
 
 
 def transport_distance(mu1, mu2, grid):

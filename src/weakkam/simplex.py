@@ -12,12 +12,10 @@ and the basic solution and prices are read from it afresh; the basis is
 inverted again only when that basic solution misses the right-hand side by
 more than the grading step below.  A solve ends by reading its basic
 solution and prices from the folded inverse with one step of iterative
-refinement each, and returns that inverse, which a later start on the same
-basis over the same matrix can pass back.  A start given without its
-inverse is certified by two dense solves and its own pricing, and its
-basis is inverted only when a pivot has to be made.  So an m x m inverse
-is formed only for a start that must pivot and brings none, or for a
-basis whose product form has drifted.
+refinement each.  A start basis is certified by two dense solves and its
+own pricing, and inverted only when a pivot has to be made.  So an m x m
+inverse is formed only for a start that must pivot, or for a basis whose
+product form has drifted.
 Pricing is Dantzig's rule with an automatic, permanent
 switch to Bland's rule after a run of degenerate pivots, which keeps the
 method cycling-proof while staying fast on the highly degenerate flow
@@ -43,8 +41,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
-
 import numpy as np
 
 from .errors import InfeasibleLP, MaxIterExceeded, SingularBasis, UnboundedLP
@@ -156,9 +152,6 @@ class LPSolution:
     iterations: int
     basis: np.ndarray
     dropped_rows: list         # always empty: a redundant row raises instead
-    inverse: Optional[np.ndarray]   # the inverse of `basis`, folded from the
-                                    # product form; None when the start was
-                                    # certified optimal without forming one
 
 
 def _inverse(A, basis):
@@ -430,9 +423,9 @@ def _phase1(A, b_work, scale_b, max_iter):
 
 
 def _start_solution(A, b, c, basis):
-    """The basic solution and the prices of a start given without its
-    inverse, by two dense solves B xB = b and B^T y = c_B; (None, None)
-    when the basis is singular."""
+    """The basic solution and the prices of a start basis, by two dense
+    solves B xB = b and B^T y = c_B; (None, None) when the basis is
+    singular."""
     B = A.dense(basis)
     try:
         return np.linalg.solve(B, b), np.linalg.solve(B.T, c[basis])
@@ -440,30 +433,25 @@ def _start_solution(A, b, c, basis):
         return None, None
 
 
-def _solution(c, basis, xB, y, row_sign, iterations, inverse):
+def _solution(c, basis, xB, y, row_sign, iterations):
     x = np.zeros(len(c))
     x[basis] = np.maximum(xB, 0.0)
     return LPSolution(x=x, objective=float(c @ x), duals=y * row_sign,
-                      iterations=iterations, basis=basis, dropped_rows=[],
-                      inverse=inverse)
+                      iterations=iterations, basis=basis, dropped_rows=[])
 
 
-def solve_lp(c, A, b, basis0=None, inverse0=None):
+def solve_lp(c, A, b, basis0=None):
     """Optimal basic feasible solution of min c.x, A x = b, x >= 0.
 
     `A` is a `Columns` store.  `basis0` is a starting basis, one column
     per row; it replaces phase 1 when its basic solution is nonnegative.
-    `inverse0`, when given, is the inverse of A[:, basis0], such as the
-    `LPSolution.inverse` an earlier solve over the same matrix returned;
-    the pivots update a copy.  Without it the start is certified by two dense solves
-    and its own pricing: a start that is already optimal returns with no
-    pivot and no inverse (`inverse` None), and any other forms the inverse
-    of its basis once.  Every other solve returns the inverse of its final
-    basis, folded from the product form.  `iterations` counts every pivot:
-    phase 1, the drive-out of artificials, phase 2 and the dual clean-up;
-    phase 1, phase 2 and the clean-up are each capped at 50(m + n) + 2000
-    pivots (`MaxIterExceeded`).  The caller's arrays are never modified.
-    Every failure raises a WeakKAMError.
+    It is certified by two dense solves and its own pricing: a start that
+    is already optimal returns with no pivot and no inverse formed, and any
+    other forms the inverse of its basis once.  `iterations` counts every
+    pivot: phase 1, the drive-out of artificials, phase 2 and the dual
+    clean-up; phase 1, phase 2 and the clean-up are each capped at
+    50(m + n) + 2000 pivots (`MaxIterExceeded`).  The caller's arrays are
+    never modified.  Every failure raises a WeakKAMError.
     """
     b = np.asarray(b, dtype=float)
     c = np.asarray(c, dtype=float)
@@ -474,24 +462,20 @@ def solve_lp(c, A, b, basis0=None, inverse0=None):
     max_iter = 50 * (m + n) + 2000
     total_it = 0
 
-    basis = Binv = None
+    basis = None
     if basis0 is not None:
         basis = np.array(basis0, dtype=int)
-        if inverse0 is not None:
-            Binv = BasisInverse(inverse0 * row_sign)   # a copy
-            xB = Binv.right(b)
-        else:
-            xB, y = _start_solution(A, b, c, basis)
+        xB, y = _start_solution(A, b, c, basis)
         if xB is None or not np.all(xB >= -1e-8):
-            basis = Binv = None
-        elif Binv is None:
+            basis = None
+        else:
             # priced as phase 2 would: a start that is optimal and feasible
             # against the exact b is the solution, and needs no inverse
             reduced = c - A.vecmat(y)
             reduced[basis] = 0.0
             if (np.min(reduced) >= -TOL
                     and np.min(_clip_residuals(A, basis, xB)) >= -FEAS_TOL * scale_b):
-                return _solution(c, basis, xB, y, row_sign, 0, None)
+                return _solution(c, basis, xB, y, row_sign, 0)
             Binv = BasisInverse(_inverse(A, basis))
 
     if basis is None:
@@ -508,6 +492,4 @@ def solve_lp(c, A, b, basis0=None, inverse0=None):
         total_it += it
         if it:
             xB, y = _refined(A, b, c, basis, Binv)
-    inverse = Binv.base
-    inverse[:, row_sign < 0] *= -1.0        # the inverse for the caller's rows
-    return _solution(c, basis, xB, y, row_sign, total_it, inverse)
+    return _solution(c, basis, xB, y, row_sign, total_it)

@@ -449,7 +449,7 @@ def eager_dual_cleanup(A, b, c, basis, Binv, xB, max_iter):
         it += 1
 
 
-def eager_simplex(c, A, b, basis0=None, inverse0=None):
+def eager_simplex(c, A, b, basis0=None):
     """`simplex.solve_lp` with the explicit basis inverse rewritten by a
     dense rank-1 update at every pivot and the prices recomputed from it
     at every pivot: the same start certificate, pricing, ratio test,
@@ -470,15 +470,11 @@ def eager_simplex(c, A, b, basis0=None, inverse0=None):
     basis = Binv = xB = None
     if basis0 is not None:
         basis = np.array(basis0, dtype=int)
-        if inverse0 is not None:
-            Binv = inverse0 * row_sign
-            xB = Binv @ b
-        else:
-            B = A.dense(basis)
-            try:
-                xB, y = np.linalg.solve(B, b), np.linalg.solve(B.T, c[basis])
-            except np.linalg.LinAlgError:
-                pass
+        B = A.dense(basis)
+        try:
+            xB, y = np.linalg.solve(B, b), np.linalg.solve(B.T, c[basis])
+        except np.linalg.LinAlgError:
+            pass
         if xB is None or not np.all(xB >= -1e-8):
             basis = Binv = None
         elif Binv is None:
@@ -521,7 +517,7 @@ def eager_simplex(c, A, b, basis0=None, inverse0=None):
 
 
 def dense_lp_matrix(problem, lam=None):
-    """The constraint matrix of an ergodic, Mather or discounted LPProblem
+    """The constraint matrix of an ergodic or discounted LPProblem
     (the last built with discount `lam`), built densely from its transition
     by accumulating each (i, q) column's out-entry and interpolation weights
     with np.add.at; column i*M + q is the pair (i, q)."""
@@ -542,11 +538,7 @@ def dense_lp_matrix(problem, lam=None):
     if problem.kind == "discounted":
         return A
     # the last balance row is left out (it is implied by the others)
-    A = np.vstack([A[:-1], np.ones((1, n * M))])
-    if problem.kind == "ergodic":
-        return A
-    budget = np.append(problem.c[:n * M], 1.0)
-    return np.vstack([np.hstack([A, np.zeros((n, 1))]), budget])
+    return np.vstack([A[:-1], np.ones((1, n * M))])
 
 
 def make_asymmetric_sampled(grid, offset=0.3, p_span=3.0, p_count=121):
@@ -560,18 +552,14 @@ def make_asymmetric_sampled(grid, offset=0.3, p_span=3.0, p_count=121):
     return make_model("sampled", sampled=table)
 
 
-def maximal_trace_loop(critical, measures, sweeps=200, tol=1e-12):
-    """`limits.maximal_trace` as a loop over per-node dicts: the marginals
-    map node -> mass, the trace maps Aubry node -> value, and every min and
-    pairing is a Python loop.  Returns the dict trace."""
+def maximal_trace_loop(critical, marginals, sweeps=200, tol=1e-12):
+    """`limits.maximal_trace` as a loop over per-node dicts: each row of
+    node marginals becomes a map node -> mass, the trace maps Aubry node ->
+    value, and every min and pairing is a Python loop.  Returns the dict
+    trace."""
     nodes = [int(z) for z in critical.aubry_nodes]
     S = dict(zip(nodes, critical.S_from))
-    marginals = []
-    for mu in measures:
-        m = {}
-        for i, q in zip(*np.nonzero(mu)):
-            m[int(i)] = m.get(int(i), 0.0) + float(mu[i, q])
-        marginals.append(m)
+    marginals = [{int(i): float(row[i]) for i in np.flatnonzero(row)} for row in marginals]
     t = {z: 0.0 for z in nodes}
 
     def field_at(i):
@@ -604,14 +592,10 @@ def maximal_trace_loop(critical, measures, sweeps=200, tol=1e-12):
     return t
 
 
-def mather_set_loop(measures, grid, support_tol=1e-4):
-    """`limits.mather_set` with a set of support nodes and one dilation
-    step per node."""
-    support = set()
-    for mu in measures:
-        support.update(int(i) for i, q in zip(*np.nonzero(mu > support_tol)))
+def mather_set_loop(nodes, grid):
+    """`limits.mather_set` with one dilation step per node, in coordinates."""
     pts = grid.coords
     near = np.zeros(grid.num_nodes, dtype=bool)
-    for i in sorted(support):
+    for i in sorted(set(int(i) for i in nodes)):
         near |= np.max(np.abs(pts - pts[i]), axis=1) <= grid.h * (1.0 + 1e-9)
     return np.nonzero(near)[0]

@@ -71,7 +71,6 @@ def study_fine():
     model = superlinearize(make_model("eikonal", "abs"), grid)
     return grid, vanishing_discount_study(
         model, grid, vset, [0.5, 0.25, 0.125], probes=[(0.0,), (1.0,)],
-        n_objectives=4, seed=0,
         transition=build_transition(grid, vset))
 
 
@@ -295,17 +294,14 @@ def test_criterion_8_determinism(tmp_path):
         "velocity": {"q_max": 1.5, "per_axis_count": 7},
         "schedule": {"lambdas": [0.5, 0.25]},
         "probes": [[0.0]],
-        "measures": {"n_objectives": 3},
     }
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
     out = tmp_path / "out"
-    assert main(["study", "--config", str(cfg_path), "--out", str(out),
-                 "--seed", "11"]) == 0
+    assert main(["study", "--config", str(cfg_path), "--out", str(out)]) == 0
     snapshot = {p.name: p.read_bytes() for p in out.iterdir()}
-    assert main(["study", "--config", str(cfg_path), "--out", str(out),
-                 "--seed", "11"]) == 0
+    assert main(["study", "--config", str(cfg_path), "--out", str(out)]) == 0
     for p in sorted(out.iterdir()):
         assert p.read_bytes() == snapshot[p.name], p.name
-    report("criterion 8 PASS: repeated study with fixed seed is byte-identical "
+    report("criterion 8 PASS: repeated study is byte-identical "
            f"({len(snapshot)} artifacts incl. manifest)")

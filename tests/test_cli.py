@@ -23,8 +23,6 @@ TINY_STUDY = {
     "velocity": {"q_max": 1.5, "per_axis_count": 7},
     "schedule": {"lambdas": [0.5, 0.25]},
     "probes": [[0.0]],
-    "measures": {"n_objectives": 2},
-    "seeds": {"master": 0},
 }
 
 
@@ -98,10 +96,7 @@ BOX_2D = "grid.box=[[-2.0,2.0],[-2.0,2.0]]"
     ["probes=1"],
     ["grid.box=[[1,0]]"],
     ["schedule.lambdas=[0.25,0.5]"],
-    ['measures.n_objectives="x"'],
-    ["measures.n_objectives=-1"],
     ['ergodic.eps_aubry="x"'],
-    ['seeds.master="x"'],
     ['model.normalization_shift="x"'],
     ["grid.h=true"],
     ["velocity.q_max=true"],
@@ -174,8 +169,7 @@ def test_bad_output_directory_exit_2(tmp_path, capsys):
     ["mather", "--z", "abc"],
     ["mather", "--z", "1.0"],
     ["distance", "--source", "abc"],
-    # the flags write through the sections --set walks
-    ["study", "--set", "seeds=3", "--seed", "1"],
+    # the flag writes through the section --set walks
     ["study", "--set", "outputs=1", "--out", "o"],
 ], ids=" ".join)
 def test_bad_argument_exit_2(tmp_path, capsys, monkeypatch, argv):
@@ -197,18 +191,26 @@ def test_dimension_follows_box(tmp_path):
     assert abs(rep["c"]["value"]) <= 1e-3
 
 
+DOUBLE_WELL = ["--set", 'model.potential="double_well"']
+# the 2D double well at h = 0.25 with 13 velocities: a face of 4 rest
+# columns, on which the two estimators stay 0.114 apart
+DOUBLE_WELL_2D = [*DOUBLE_WELL, "--set", "grid.box=[[-2,2],[-2,2]]", "--set", "grid.h=0.25",
+                  "--set", "velocity.q_max=1.5", "--set", "velocity.per_axis_count=5",
+                  "--set", "probes=[[0,0],[1,0]]"]
+
+
 def test_limit_matches_study_double_well(tmp_path, capsys):
     # the limit subcommand is the study's limit w without a discount
-    # schedule.  At seed 5 the sampled vertices leave the two estimators
-    # 0.15 apart: both commands write every artifact and the manifest, then
-    # exit 3 naming the breached claim
+    # schedule: on the 1D double well both exit 0 with the same w.csv.  On
+    # the 2D double well the estimators disagree beyond their tolerance:
+    # both commands write every artifact and the manifest, then exit 3
+    # naming the breached claim
     cfg = str(CONFIGS / "quadratic.json")
-    well = ["--set", 'model.potential="double_well"']
-    for seed, code in ((0, 0), (5, 3)):
+    for case, extra, code in (("1d", DOUBLE_WELL, 0), ("2d", DOUBLE_WELL_2D, 3)):
         for command in ("limit", "study"):
-            out = tmp_path / f"{command}{seed}"
-            assert main([command, "--config", cfg, "--out", str(out),
-                         "--seed", str(seed), *well]) == code, (command, seed)
+            out = tmp_path / f"{command}{case}"
+            assert main([command, "--config", cfg, "--out", str(out), *extra]) == code, (
+                command, case)
             err = capsys.readouterr().err
             if code:
                 assert_one_error(err, "error: estimator_agreement: ")
@@ -218,8 +220,24 @@ def test_limit_matches_study_double_well(tmp_path, capsys):
             assert (claim["value"] <= claim["tolerance"]) == (code == 0)
             manifest = json.loads((out / "manifest.json").read_text())
             assert f"{command}.json" in {a["name"] for a in manifest["artifacts"]}
-        assert ((tmp_path / f"limit{seed}" / "w.csv").read_bytes()
-                == (tmp_path / f"study{seed}" / "w.csv").read_bytes())
+        assert ((tmp_path / f"limit{case}" / "w.csv").read_bytes()
+                == (tmp_path / f"study{case}" / "w.csv").read_bytes())
+
+
+def test_seed_is_retired_and_warns(tmp_path, capsys):
+    # nothing is drawn at random: --seed still parses, sets nothing, and
+    # warns as a retired setting does; the manifest records no seed
+    cfg = write_cfg(tmp_path, TINY_STUDY)
+    plain, seeded = tmp_path / "plain", tmp_path / "seeded"
+    assert main(["limit", "--config", cfg, "--out", str(plain)]) == 0
+    assert "warning" not in capsys.readouterr().err
+    assert main(["limit", "--config", cfg, "--out", str(seeded), "--seed", "5"]) == 0
+    assert "warning: retired option --seed ignored\n" in capsys.readouterr().err
+    for name in ("w.csv", "limit.json"):
+        assert (plain / name).read_bytes() == (seeded / name).read_bytes(), name
+    manifest = json.loads((seeded / "manifest.json").read_text())
+    assert "seed" not in manifest
+    assert manifest["warnings"] == ["retired option --seed ignored"]
 
 
 @pytest.mark.parametrize("tolerance", [1e-3 + 2 * 0.1], ids=["default"])
@@ -317,7 +335,7 @@ def test_committed_configs_and_readme_schema_have_no_unknown_settings():
     for path in sorted(CONFIGS.glob("*.json")):
         assert unknown_settings(load_config(path)) == [], path.name
     schema = _readme_schema()
-    assert len(schema) == 9 and "p_grid" in schema["model"] and schema["probes"] is None
+    assert len(schema) == 7 and "p_grid" in schema["model"] and schema["probes"] is None
     assert unknown_settings(schema) == []
     assert unknown_settings({**schema, "measure": {"n_objectives": 4}, "notes": "x"}) == [
         "measure.n_objectives", "notes"]
@@ -643,3 +661,92 @@ def test_singular_simplex_basis_exits_3_without_traceback(tmp_path, capsys,
     err = capsys.readouterr().err
     assert "SingularBasis" in err
     assert "Traceback" not in err
+
+
+def test_a_face_without_a_self_loop_exits_3_naming_it(tmp_path, capsys):
+    # H(x_i, p) = (p - (-1)^i)^2/2 - x_i^2/2 pushes odd nodes right and even
+    # nodes left: the face is the two-node cycle (7, 4) -> (8, 0) -> (7, 4),
+    # whose Dirac measures are not closed, so neither estimator's node
+    # formula holds; validate still passes
+    box, h = [-2.0, 2.0], 0.25
+    nodes = np.arange(box[0], box[1] + h / 2, h)
+    p_grid = np.linspace(-8.0, 8.0, 65)
+    lines = ["node_index,p_index,value"]
+    for i, x in enumerate(nodes):
+        for j, p in enumerate(p_grid):
+            lines.append(f"{i},{j},{float((p - (-1) ** i) ** 2 / 2 - x * x / 2)!r}")
+    table = tmp_path / "H.csv"
+    table.write_text("\n".join(lines))
+    cfg = write_cfg(tmp_path, {
+        "model": {"family": "sampled", "sampled_csv": str(table),
+                  "p_grid": [float(p) for p in p_grid]},
+        "grid": {"box": [box], "h": h},
+        "velocity": {"q_max": 1.0, "per_axis_count": 5},
+        "schedule": {"lambdas": [0.5]},
+    })
+    assert main(["validate", "--config", cfg, "--out", str(tmp_path / "v")]) == 0
+    capsys.readouterr()
+    for command in ("limit", "study"):
+        assert main([command, "--config", cfg, "--out", str(tmp_path / command)]) == 3
+        err = capsys.readouterr().err
+        lines = [line for line in err.splitlines() if line.startswith("error")]
+        assert len(lines) == 1 and lines[0].startswith("error[NoSelfLoop]: Mather face node 7 ")
+        assert lines[0].endswith("the face is the (node, velocity) pairs (7, 4), (8, 0)")
+        assert "Traceback" not in err
+
+
+def test_a_model_with_no_usable_edge_exits_without_a_traceback(tmp_path, capsys):
+    # every edge cost overflows, so a relaxation batch has no edge to relax
+    code = main(["study", "--config", str(CONFIGS / "quadratic.json"),
+                 "--out", str(tmp_path / "o"), "--set", "grid.h=0.2",
+                 "--set", 'model.potential={"name":"abs","scale":1e300}'])
+    assert code in (0, 2, 3)
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_a_study_with_zero_gaps_writes_its_plot(tmp_path, capsys):
+    # V = 0: u_lambda = w = 0, so the log-log plot keeps no point and is
+    # drawn as bare axes
+    out = tmp_path / "o"
+    assert main(["study", "--config", str(CONFIGS / "eikonal_abs.json"), "--out", str(out),
+                 "--set", 'model.potential={"name":"inverse_bump","scale":0}',
+                 "--set", "grid.h=0.5", "--set", "velocity.q_max=1"]) == 0
+    assert "error" not in capsys.readouterr().err
+    assert json.loads((out / "study.json").read_text())["sup_gaps"]["value"] == [0.0] * 3
+    assert "<circle" not in (out / "gaps.svg").read_text()
+
+
+def test_a_failed_study_stage_prints_one_error_line(tmp_path, capsys, monkeypatch):
+    import weakkam.limits
+    from weakkam.errors import MaxIterExceeded
+    solve = weakkam.limits.solve_discounted
+
+    def failing(*args, **kwargs):
+        if args[3] == 0.5:
+            raise MaxIterExceeded("policy still changing after 3 steps")
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(weakkam.limits, "solve_discounted", failing)
+    out = tmp_path / "o"
+    assert main(["study", "--config", str(CONFIGS / "quadratic.json"), "--out", str(out),
+                 "--set", "grid.h=0.2"]) == 3
+    assert_one_error(capsys.readouterr().err,
+                     "error: study: solve at lambda 0.5: MaxIterExceeded(")
+    assert [f["stage"] for f in json.loads((out / "study.json").read_text())["failures"]] == [
+        "solve"]
+
+
+def test_a_study_draws_nothing_at_random(tmp_path):
+    # a fresh interpreter runs a study: numpy.random (about 6 MB resident)
+    # is never imported
+    cfg = write_cfg(tmp_path, TINY_STUDY)
+    script = ("import sys\n"
+              "from weakkam.cli import main\n"
+              "assert main(sys.argv[1:]) == 0\n"
+              "print('numpy.random' in sys.modules)\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(weakkam.__file__).resolve().parent.parent)}
+    done = subprocess.run([sys.executable, "-c", script, "study", "--config", cfg,
+                           "--out", str(tmp_path / "s")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split()[-1] == "False"

@@ -3,17 +3,18 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from weakkam import simplex
+from weakkam import measures, simplex
 from weakkam.discounted import quadratic_rate, solve_discounted
 from weakkam.grids import build_grid, build_transition, build_velocity_set, interpolate
-from weakkam.errors import NonCoercive
+from weakkam.errors import NoMeasures, NonCoercive, NoSelfLoop
 from weakkam.measures import (
     build_discounted_lp,
     build_ergodic_lp,
-    build_mather_polytope,
     closedness_residual,
+    end_components,
     holonomy_residual,
     lp_solve,
+    mather_face,
     support_check,
     transport_distance,
 )
@@ -185,7 +186,7 @@ def test_policy_start_keeps_the_duality_check_independent(disc_setup):
     cold = lp_solve(build_discounted_lp(quad, g, vs, lam, z, transition=tr))
     howard = lp_solve(build_discounted_lp(quad, g, vs, lam, z, transition=tr,
                                           policy=sol.policy))
-    assert howard.iterations == 0 and howard.inverse is None
+    assert howard.iterations == 0
     assert abs(howard.objective - cold.objective) <= 1e-12
     vals = g.h * lagrangian_table(quad, g.coords, vs.vectors) + interpolate(tr, sol.u)
     flipped = sol.policy.copy()
@@ -199,7 +200,7 @@ def test_policy_start_keeps_the_duality_check_independent(disc_setup):
     assert abs(worse.objective - cold.objective) <= 1e-12
 
 
-def test_howard_policy_program_certifies_itself_in_2d():
+def test_howard_policy_program_certifies_itself_in_2d(monkeypatch):
     # built with the policy Howard's iteration ends on, the 2D double well's
     # program is optimal at its start: no pivot, and no inverse is formed
     g = build_grid([[-2.0, 2.0], [-2.0, 2.0]], 0.25)
@@ -208,9 +209,13 @@ def test_howard_policy_program_certifies_itself_in_2d():
     model = make_model("quadratic", "double_well", dimension=2)
     lam, z = 0.5, [1.0, 0.0]
     sol = solve_discounted(model, g, vs, lam, tol=1e-10, transition=tr)
+    inversions = []
+    inverse = simplex._inverse
+    monkeypatch.setattr(simplex, "_inverse",
+                        lambda *args: inversions.append(1) or inverse(*args))
     howard = lp_solve(build_discounted_lp(model, g, vs, lam, z, transition=tr,
                                           policy=sol.policy))
-    assert howard.iterations == 0 and howard.inverse is None
+    assert howard.iterations == 0 and not inversions
     cold = lp_solve(build_discounted_lp(model, g, vs, lam, z, transition=tr))
     assert cold.iterations > 0
     assert howard.objective == pytest.approx(cold.objective, abs=1e-12)
@@ -234,7 +239,6 @@ def test_discounted_start_is_the_rest_policy(quad, grid_c, vs7, tr_c):
     rest = build_discounted_lp(quad, grid_c, vs7, 0.5, 0, transition=tr_c)
     assert np.array_equal(rest.start_basis, np.arange(n) * vs7.size + vs7.zero_index())
     assert np.array_equal(rest.start_basis // vs7.size, np.arange(n))
-    assert rest.start_inverse is None
     built = build_discounted_lp(quad, grid_c, vs7, 0.5, 0, transition=tr_c,
                                 policy=np.full(n, vs7.zero_index()))
     assert np.array_equal(built.start_basis, rest.start_basis)
@@ -322,16 +326,102 @@ def test_perturbed_lagrangians_stay_nonnegative(quad, grid_c, vs7, tr_c,
     assert val >= -1e-8
 
 
-def test_mather_polytope_weak_duality(quad, grid_c, vs7, tr_c, quad_ergodic):
-    poly = build_mather_polytope(build_ergodic_lp(quad, grid_c, vs7, transition=tr_c),
-                                 quad_ergodic)
+# ---------------------------------------------------------------------------
+# the Mather face
+# ---------------------------------------------------------------------------
+
+def _chain(n, moves, M=2):
+    """A hand-built transition on n nodes: pair (i, m) moves to the node
+    moves[i][m] with weight 1 (K = 2 slots, the second of weight 0)."""
+    idx = np.zeros((n, M, 2), dtype=int)
+    w = np.zeros((n, M, 2))
+    for i in range(n):
+        for m in range(M):
+            idx[i, m, 0] = moves[i][m]
+            w[i, m, 0] = 1.0
+    return idx, w
+
+
+def test_a_tight_tree_feeding_a_self_loop_leaves_one_column():
+    # 0 -> 1 -> 3 and 2 -> 3 form a tree into node 3, whose pair 0 stays
+    # put; every pair 0 is tight, every pair 1 (a move back) is not
+    idx, w = _chain(4, [[1, 0], [3, 0], [3, 0], [3, 0]])
+    allowed = np.zeros((4, 2), dtype=bool)
+    allowed[:, 0] = True
+    face = end_components(allowed, idx, w)
+    np.testing.assert_array_equal(face.columns, [3 * 2 + 0])
+    np.testing.assert_array_equal(face.nodes, [3])
+
+
+def test_two_separate_rest_columns_are_both_kept():
+    # nodes 1 and 4 rest; the tight pairs of nodes 0, 2 and 3 feed them
+    idx, w = _chain(5, [[1, 0], [1, 0], [1, 4], [4, 3], [4, 0]])
+    allowed = np.zeros((5, 2), dtype=bool)
+    allowed[:, 0] = True
+    allowed[2, 1] = True
+    face = end_components(allowed, idx, w)
+    np.testing.assert_array_equal(face.columns, [1 * 2, 4 * 2])
+    np.testing.assert_array_equal(face.nodes, [1, 4])
+
+
+def test_an_empty_tight_set_raises_no_measures():
+    idx, w = _chain(3, [[0, 1], [1, 2], [2, 0]])
+    with pytest.raises(NoMeasures):
+        end_components(np.zeros((3, 2), dtype=bool), idx, w)
+    # tight pairs that only lead away carry no closed measure either
+    allowed = np.zeros((3, 2), dtype=bool)
+    allowed[0, 1] = allowed[1, 1] = True
+    with pytest.raises(NoMeasures):
+        end_components(allowed, idx, w)
+
+
+def test_a_cycle_without_a_rest_column_raises_naming_the_face():
+    # 0 <-> 1 by moving pairs: a closed measure, but no Dirac one
+    idx, w = _chain(3, [[0, 1], [1, 0], [2, 2]])
+    allowed = np.zeros((3, 2), dtype=bool)
+    allowed[0, 1] = allowed[1, 1] = True
+    with pytest.raises(NoSelfLoop, match=r"node 0 .* pairs \(0, 1\), \(1, 1\)$"):
+        end_components(allowed, idx, w)
+
+
+def test_a_pair_split_across_components_is_dropped():
+    # pair (0, 1) lands half on node 0 and half on node 1; node 1 rests but
+    # cannot return, so (0, 1) leaves its component and only the rests stay
+    idx, w = _chain(2, [[0, 1], [1, 1]])
+    w[0, 1] = [0.5, 0.5]
+    idx[0, 1] = [0, 1]
+    face = end_components(np.ones((2, 2), dtype=bool), idx, w)
+    np.testing.assert_array_equal(face.columns, [0, 2, 3])
+    np.testing.assert_array_equal(face.nodes, [0, 1])
+
+
+def test_components_match_the_transitive_closure():
+    # two nodes share a component exactly when each reaches the other
     rng = np.random.default_rng(0)
-    objective = rng.uniform(0.0, 1.0, size=grid_c.num_nodes * vs7.size)
-    measure = lp_solve(poly, objective).measure
-    # the budget row keeps <mu, L> within slack of the ergodic optimum
-    Lsum = float(measure.reshape(-1) @ poly.c[:-1])
-    assert Lsum <= poly.b[-1] + 1e-9
-    assert closedness_residual(measure, tr_c) <= 1e-8
+    for _ in range(200):
+        n, e = int(rng.integers(1, 12)), int(rng.integers(0, 30))
+        src, dst = rng.integers(0, n, e), rng.integers(0, n, e)
+        reach = np.eye(n, dtype=bool)
+        reach[src, dst] = True
+        for _ in range(n):
+            reach |= (reach.astype(int) @ reach.astype(int)) > 0
+        comp = measures._components(n, src, dst)
+        np.testing.assert_array_equal(comp[:, None] == comp[None, :], reach & reach.T)
+
+
+def test_the_face_holds_every_optimal_measure(quad, grid_c, vs7, tr_c, quad_ergodic):
+    # the quadratic's face is the rest column at the origin: the ergodic
+    # optimum sits on it, and its Dirac measure is closed with the optimal cost
+    problem = build_ergodic_lp(quad, grid_c, vs7, transition=tr_c)
+    face = mather_face(problem, quad_ergodic)
+    origin = grid_c.node_near([0.0])
+    np.testing.assert_array_equal(face.columns, [origin * vs7.size + vs7.zero_index()])
+    support = np.flatnonzero(quad_ergodic.measure.reshape(-1))
+    assert set(support.tolist()) <= set(face.columns.tolist())
+    dirac = np.zeros(problem.c.size)
+    dirac[face.columns] = 1.0
+    assert closedness_residual(dirac.reshape(-1, vs7.size), tr_c) == 0.0
+    assert float(dirac @ problem.c) == pytest.approx(quad_ergodic.objective, abs=1e-12)
 
 
 def test_transport_distance_basics(grid_c, vs7):
@@ -372,8 +462,7 @@ def three_lps(request):
     ergodic = build_ergodic_lp(model, g, vs, transition=tr)
     discounted = build_discounted_lp(model, g, vs, DISCOUNT, g.num_nodes // 3,
                                      transition=tr)
-    mather = build_mather_polytope(ergodic, lp_solve(ergodic))
-    return ergodic, discounted, mather
+    return ergodic, discounted
 
 
 def test_column_store_equals_dense_reference(three_lps):

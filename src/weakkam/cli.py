@@ -42,6 +42,7 @@ from .errors import (
 from .grids import build_grid, build_transition, build_velocity_set
 from .limits import vanishing_discount_study
 from .measures import (
+    aubry_tree,
     build_discounted_lp,
     build_ergodic_lp,
     closedness_residual,
@@ -348,7 +349,12 @@ def cmd_validate(cfg, ctx, out, args):
         "all_passed": report.all_passed,
     }
     arts = [io.write_json(out / "assumptions.json", payload)]
-    return (0 if report.all_passed else 2), arts
+    failed = [f"{k} failed ({v.detail})" for k, v in report.verdicts.items()
+              if not v.passed]
+    if failed:
+        print(f"error: validate: {'; '.join(failed)}", file=sys.stderr)
+        return 2, arts
+    return 0, arts
 
 
 def _critical(cfg, ctx):
@@ -444,7 +450,9 @@ def cmd_mather(cfg, ctx, out, args):
     arts = []
     if args.lam is None:
         data = _critical(cfg, ctx)
-        res = lp_solve(build_ergodic_lp(model, grid, vset, transition=tr))
+        # the LP starts from the Aubry tree, as in the study
+        res = lp_solve(build_ergodic_lp(model, grid, vset, transition=tr,
+                                        policy=aubry_tree(model, grid, vset, tr, data)))
         sup = support_check(res.measure, data)
         payload = {
             "kind": "ergodic",

@@ -42,6 +42,11 @@ class EmptyAubrySet(WeakKAMError):
     least cycle cost."""
 
 
+class Unreachable(WeakKAMError):
+    """A value the limit estimators compare is the INF sentinel of an
+    unreachable node; the message names the node."""
+
+
 class IncompatibleTrace(WeakKAMError):
     """Prescribed boundary values violate the intrinsic-distance compatibility."""
 

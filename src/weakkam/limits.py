@@ -39,8 +39,9 @@ import numpy as np
 
 from .critical import INF, build_critical_data, peierls_field_to, weak_kam_solution
 from .discounted import solve_discounted
-from .errors import MaxIterExceeded, NoMeasures, WeakKAMError
+from .errors import MaxIterExceeded, NoMeasures, Unreachable, WeakKAMError
 from .measures import (
+    aubry_tree,
     build_discounted_lp,
     build_ergodic_lp,
     lp_solve,
@@ -277,9 +278,12 @@ def vanishing_discount_study(model, grid, velocity_set, schedule, probes=((0.0,)
 
     Per-lambda solves and discounted LPs that fail with a WeakKAMError are
     recorded in `failures` and the study continues with the remaining
-    schedule; any other exception propagates.  Each solve starts from the
-    policy the solve before it ended on, and from the constant upper bound
-    after a failed solve.
+    schedule; any other exception propagates.  The Aubry tree
+    (`measures.aubry_tree`), unless it is refused, starts both the ergodic
+    program and the first solve; each later solve starts from the policy
+    the solve before it ended on, and from the constant upper bound after a
+    failed solve.  A limit or barrier value at the INF sentinel on an
+    agreement node raises Unreachable.
     """
     schedule = [float(l) for l in schedule]
     if any(b >= a for a, b in zip(schedule, schedule[1:])):
@@ -288,19 +292,28 @@ def vanishing_discount_study(model, grid, velocity_set, schedule, probes=((0.0,)
 
     critical = build_critical_data(model, grid, velocity_set, eps_aubry=eps_aubry,
                                    transition=transition)
-    problem = build_ergodic_lp(model, grid, velocity_set, transition=transition)
+    tree = aubry_tree(model, grid, velocity_set, transition, critical)
+    problem = build_ergodic_lp(model, grid, velocity_set, transition=transition,
+                               policy=tree)
     ergodic = lp_solve(problem)
     face_nodes = mather_face(problem, ergodic).nodes
     mnodes = mather_set(face_nodes, grid)
 
     w = selected_solution_deflim(critical, dirac_marginals(face_nodes, grid.num_nodes))
     agree_nodes = _agreement_nodes(grid, probes)
-    agreement = float(np.max(np.abs(enric1_values(critical, face_nodes, agree_nodes)
-                                    - w[agree_nodes])))
+    barrier = enric1_values(critical, face_nodes, agree_nodes)
+    for name, values in (("barrier form", barrier), ("limit w", w[agree_nodes])):
+        far = np.flatnonzero(values >= INF / 2)
+        if far.size:
+            node = agree_nodes[far[0]]
+            raise Unreachable(f"the {name} at node {node} (x = {grid.coords[node].tolist()}) "
+                              f"is the INF sentinel: no route of the scheme links it to "
+                              f"the Mather face")
+    agreement = float(np.max(np.abs(barrier - w[agree_nodes])))
 
     mask = grid.box_mask(grid.central_half())
     rows, failures, sup_gaps = [], [], []
-    policy = None
+    policy = tree
     for lam in schedule:
         try:
             sol = solve_discounted(model, grid, velocity_set, lam, transition=transition,

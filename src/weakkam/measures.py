@@ -27,7 +27,13 @@ otherwise).  Two programs are built against the foot-point transition:
 
 Each program carries its start basis, `start_basis`:
 
-  ergodic     none (phase 1 finds one).
+  ergodic     the columns (i, tree[i]) of the Aubry tree (`aubry_tree`), when
+              it is given: the Aubry node y* with the least L(y*, 0) takes its
+              rest column and every other node its greedy move toward y*.
+              Every node reaches y* under that policy, so y* is its only
+              recurrent class, the basis is nonsingular, and its basic
+              solution is the Dirac mass on (y*, 0), which is feasible.
+              Without a tree there is no start, and phase 1 finds one.
   discounted  the columns (i, policy[i]), one per node in node order, of the
               policy it is built with; the rest policy (q = 0 everywhere)
               by default.  Such a basis is (1+lambda*h) I - W^T with W
@@ -52,7 +58,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import NoMeasures, NoSelfLoop
-from .grids import Transition
+from .grids import Transition, interpolate
 from .models import lagrangian_table
 from .simplex import Columns, solve_lp
 
@@ -106,8 +112,57 @@ def _stationarity_matrix(transition, factor_out=1.0):
     return Columns(rows=rows, vals=vals, m=n)
 
 
-def build_ergodic_lp(model, grid, velocity_set, transition):
-    """min <mu, L> over {mu >= 0, closed, total mass 1}."""
+def aubry_tree(model, grid, velocity_set, transition, critical):
+    """The Aubry tree: a policy, one velocity index per node, that sends
+    every node to one Aubry node y*, or None when some node cannot reach y*
+    under it.
+
+    y* is the Aubry node with the least L(y*, 0), and it takes its rest
+    velocity.  Every other node i takes the move q != 0 least in
+    h L(x_i, q) + S(foot(i, q) -> y*), the ergodic program's own stage cost
+    plus the distance to y* (its row of critical.S_to) interpolated at the
+    foot; the lowest velocity index wins a tie.  The policy is kept only
+    when every node reaches y* through feet of positive weight (a search
+    over the reversed policy graph from y*): then y* is the policy's only
+    recurrent class, so the ergodic basis of the policy is nonsingular and
+    its basic solution is the Dirac mass on (y*, 0) (Puterman, Markov
+    Decision Processes, 1994, ch. 8-9, for bases as stationary policies).
+    """
+    L = lagrangian_table(model, grid.coords, velocity_set.vectors)
+    zero = velocity_set.zero_index()
+    nodes = critical.aubry_nodes
+    r = int(np.argmin(L[nodes, zero]))
+    root = int(nodes[r])
+    stage = grid.h * L + interpolate(transition, critical.S_to[r])
+    stage[:, zero] = np.inf
+    policy = np.argmin(stage, axis=1)
+    policy[root] = zero
+    n = grid.num_nodes
+    rows = np.arange(n)
+    succ, hit = transition.idx[rows, policy], transition.w[rows, policy] > 0.0
+    # the reversed edges, grouped by their tail: pred[start[j]:start[j + 1]]
+    # are the nodes with a positive-weight foot on node j
+    src = np.repeat(rows, succ.shape[1])[hit.ravel()]
+    dst = succ.ravel()[hit.ravel()]
+    order = np.argsort(dst, kind="stable")
+    pred = src[order].tolist()
+    start = np.searchsorted(dst[order], np.arange(n + 1)).tolist()
+    reached = [False] * n
+    reached[root] = True
+    stack = [root]
+    while stack:
+        j = stack.pop()
+        for i in pred[start[j]:start[j + 1]]:
+            if not reached[i]:
+                reached[i] = True
+                stack.append(i)
+    return policy if all(reached) else None
+
+
+def build_ergodic_lp(model, grid, velocity_set, transition, policy=None):
+    """min <mu, L> over {mu >= 0, closed, total mass 1}, started from the
+    basis of `policy` (one velocity index per node, such as the Aubry
+    tree), or with no start when None."""
     L = lagrangian_table(model, grid.coords, velocity_set.vectors).reshape(-1)
     n = grid.num_nodes
     # the last balance row is the negated sum of the others
@@ -115,7 +170,8 @@ def build_ergodic_lp(model, grid, velocity_set, transition):
          .with_row(np.ones(len(L))))
     b = np.zeros(n)
     b[-1] = 1.0
-    return LPProblem(c=L, A=A, b=b, kind="ergodic", transition=transition)
+    return LPProblem(c=L, A=A, b=b, kind="ergodic", transition=transition,
+                     start_basis=_policy_basis(policy, velocity_set.size))
 
 
 def build_discounted_lp(model, grid, velocity_set, lam, z, transition, policy=None):
@@ -140,9 +196,13 @@ def build_discounted_lp(model, grid, velocity_set, lam, z, transition, policy=No
     # lam*h*(total mass) = lam*h
     if policy is None:
         policy = np.full(grid.num_nodes, velocity_set.zero_index())
-    # the columns (i, policy[i]), one per node in node order
     return LPProblem(c=L, A=A, b=b, kind="discounted", transition=transition,
-                     start_basis=np.arange(grid.num_nodes) * velocity_set.size + policy)
+                     start_basis=_policy_basis(policy, velocity_set.size))
+
+
+def _policy_basis(policy, M):
+    """The columns (i, policy[i]), one per node in node order; None for None."""
+    return None if policy is None else np.arange(len(policy)) * M + policy
 
 
 def lp_solve(problem):

@@ -493,31 +493,45 @@ class AssumptionReport:
         return all(v.passed for v in self.verdicts.values())
 
 
-CONVEXITY_PROBES = 2000                             # random midpoint triples
+CONVEXITY_PROBES = 2000                             # midpoint triples
 EPS_SWEEP = [k / 100.0 for k in range(1, 101)]     # localization ball radii
+
+
+def weyl_points(count, dims):
+    """The first `count` points of Roberts' additive recurrence in [0, 1)^dims,
+    frac(1/2 + k alpha) for k = 1..count with alpha_j = phi^-(j+1), phi the
+    positive root of x^(dims+1) = x + 1: a low-discrepancy set that draws
+    nothing at random."""
+    phi = 2.0
+    for _ in range(64):
+        phi = (1.0 + phi) ** (1.0 / (dims + 1))
+    alpha = phi ** -np.arange(1.0, dims + 1)
+    return (0.5 + np.arange(1, count + 1)[:, None] * alpha) % 1.0
 
 
 def validate_assumptions(model, grid):
     """Numeric check of continuity, convexity/coercivity, and localization.
 
-    Convexity is probed at CONVEXITY_PROBES random midpoints (seed 0)
-    against the family's `convexity_tol`.  The localization check compares,
-    over the momentum radii eps in EPS_SWEEP, the largest value of H on
-    small balls over the outermost 10% shell of the box against
-    max_x min_p H over the whole box; the most favorable margin and its
-    eps witness are reported.  All quantities are concrete (witness-based):
-    the report is evidence, not a proof.
+    Convexity is probed at CONVEXITY_PROBES midpoints (`weyl_points`: a node
+    and two momenta in [-3, 3]^N each) against the family's
+    `convexity_tol`.  The localization check compares, over the momentum
+    radii eps in EPS_SWEEP, the largest value of H on small balls over the
+    outermost 10% shell of the box against max_x min_p H over the whole
+    box; the most favorable margin and its eps witness are reported.  All
+    quantities are concrete (witness-based): the report is evidence, not a
+    proof.
     """
     pts = grid.coords
-    rng = np.random.default_rng(0)
     verdicts = {}
 
     finite = np.all(np.isfinite(h_at_zero(model, pts)))
     verdicts["A1"] = Verdict("A1", bool(finite), "finite nodal values")
 
-    xs = pts[rng.integers(0, len(pts), size=CONVEXITY_PROBES)]
-    p1 = rng.uniform(-3.0, 3.0, size=(CONVEXITY_PROBES, model.dimension))
-    p2 = rng.uniform(-3.0, 3.0, size=(CONVEXITY_PROBES, model.dimension))
+    d = model.dimension
+    u = weyl_points(CONVEXITY_PROBES, 1 + 2 * d)
+    xs = pts[(u[:, 0] * len(pts)).astype(int)]
+    p1 = -3.0 + 6.0 * u[:, 1:1 + d]
+    p2 = -3.0 + 6.0 * u[:, 1 + d:]
     mid = hamiltonian(model, xs, 0.5 * (p1 + p2))
     avg = 0.5 * (hamiltonian(model, xs, p1) + hamiltonian(model, xs, p2))
     conv_gap = float(np.max(mid - avg))

@@ -362,7 +362,8 @@ def test_validate_failing_model_exit_2(tmp_path, capsys):
     assert main(["validate", "--config", cfg, "--out", str(out)]) == 2
     rep = json.loads((out / "assumptions.json").read_text())
     assert not rep["verdicts"]["A3"]["passed"]
-    assert capsys.readouterr().err == ""
+    assert capsys.readouterr().err == (f"error: validate: A3 failed "
+                                       f"({rep['verdicts']['A3']['detail']})\n")
 
 
 def test_solve_and_distance_and_aubry(tmp_path):
@@ -646,17 +647,17 @@ def test_an_empty_aubry_set_exits_3_without_traceback(tmp_path, capsys):
 
 def test_singular_simplex_basis_exits_3_without_traceback(tmp_path, capsys,
                                                           monkeypatch):
-    # the ergodic LP forms no inverse unless a residual check finds its
-    # product form drifted: every check does here, and the re-inversion
-    # finds the basis singular
+    # the double well's Aubry tree is a start that must pivot, so the
+    # ergodic LP inverts it, and the inversion finds the basis singular
     import weakkam.simplex
 
     def singular(matrix):
         raise np.linalg.LinAlgError("Singular matrix")
 
-    monkeypatch.setattr(weakkam.simplex, "_drift_bound", lambda b: -1.0)
     monkeypatch.setattr(weakkam.simplex.np.linalg, "inv", singular)
-    cfg = write_cfg(tmp_path, TINY_STUDY)
+    cfg = write_cfg(tmp_path, {**TINY_STUDY,
+                               "model": {"family": "quadratic", "potential": "double_well"},
+                               "velocity": {"q_max": 1.5, "per_axis_count": 5}})
     assert main(["mather", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
     err = capsys.readouterr().err
     assert "SingularBasis" in err
@@ -704,6 +705,21 @@ def test_a_model_with_no_usable_edge_exits_without_a_traceback(tmp_path, capsys)
     assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["limit", "study"])
+def test_a_limit_at_the_inf_sentinel_exits_3_naming_the_node(tmp_path, capsys, command):
+    # every edge cost overflows, so the distances to the Mather face are the
+    # INF sentinel off the face: the estimator agreement read 1e+30
+    code = main([command, "--config", str(CONFIGS / "quadratic.json"),
+                 "--out", str(tmp_path / "o"), "--set", "grid.h=0.2",
+                 "--set", 'model.potential={"name":"abs","scale":1e300}'])
+    assert code == 3
+    err = capsys.readouterr().err
+    lines = [line for line in err.splitlines() if line.startswith("error")]
+    assert len(lines) == 1 and lines[0].startswith("error[Unreachable]: the barrier form "
+                                                   "at node 10 (x = [-2.0])"), err
+    assert "Traceback" not in err
+
+
 def test_a_study_with_zero_gaps_writes_its_plot(tmp_path, capsys):
     # V = 0: u_lambda = w = 0, so the log-log plot keeps no point and is
     # drawn as bare axes
@@ -736,17 +752,26 @@ def test_a_failed_study_stage_prints_one_error_line(tmp_path, capsys, monkeypatc
         "solve"]
 
 
-def test_a_study_draws_nothing_at_random(tmp_path):
-    # a fresh interpreter runs a study: numpy.random (about 6 MB resident)
-    # is never imported
+def _imports_numpy_random(tmp_path, command):
+    """Whether a fresh interpreter that runs `command` on TINY_STUDY imports
+    numpy.random (about 6 MB resident)."""
     cfg = write_cfg(tmp_path, TINY_STUDY)
     script = ("import sys\n"
               "from weakkam.cli import main\n"
               "assert main(sys.argv[1:]) == 0\n"
               "print('numpy.random' in sys.modules)\n")
     env = {**os.environ, "PYTHONPATH": str(Path(weakkam.__file__).resolve().parent.parent)}
-    done = subprocess.run([sys.executable, "-c", script, "study", "--config", cfg,
-                           "--out", str(tmp_path / "s")],
+    done = subprocess.run([sys.executable, "-c", script, command, "--config", cfg,
+                           "--out", str(tmp_path / command)],
                           env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split()[-1] == "False"
+    return done.stdout.split()[-1] == "True"
+
+
+def test_a_study_draws_nothing_at_random(tmp_path):
+    assert not _imports_numpy_random(tmp_path, "study")
+
+
+def test_validate_draws_nothing_at_random(tmp_path):
+    # its convexity probes are a Weyl sequence
+    assert not _imports_numpy_random(tmp_path, "validate")

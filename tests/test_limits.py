@@ -295,7 +295,8 @@ def test_study_aggregates_failures(quad, grid_c, vs7, tr_c, monkeypatch):
 
 
 def test_study_starts_each_solve_from_the_last_policy(monkeypatch):
-    # lambda 0.25 fails, so 0.125 starts cold; 0.5 passes its policy to 0.25
+    # the first solve starts from the Aubry tree; lambda 0.25 fails, so
+    # 0.125 starts cold; 0.5 passes its policy to 0.25
     from weakkam.errors import WeakKAMError
     starts = []
     real = limits.solve_discounted
@@ -312,11 +313,14 @@ def test_study_starts_each_solve_from_the_last_policy(monkeypatch):
     monkeypatch.setattr(limits, "solve_discounted", recording)
     g = build_grid([[-2.0, 2.0]], 0.1)
     vs = build_velocity_set(1.0, 5)
-    rep = vanishing_discount_study(make_model("quadratic", "half_square"), g, vs,
-                                   [0.5, 0.25, 0.125, 0.0625],
-                                   transition=build_transition(g, vs))
+    tr = build_transition(g, vs)
+    model = make_model("quadratic", "half_square")
+    rep = vanishing_discount_study(model, g, vs, [0.5, 0.25, 0.125, 0.0625], transition=tr)
     assert [f["stage"] for f in rep.failures] == ["solve"]
-    assert starts[0] is None and starts[2] is None
+    tree = measures.aubry_tree(model, g, vs, tr, build_critical_data(model, g, vs,
+                                                                     transition=tr))
+    np.testing.assert_array_equal(starts[0], tree)
+    assert starts[2] is None
     np.testing.assert_array_equal(starts[1], policies[0])
     np.testing.assert_array_equal(starts[3], policies[1])
 
@@ -379,10 +383,10 @@ def test_study_builds_the_ergodic_lp_once(monkeypatch):
     assert len(calls) == 1
 
 
-def test_study_runs_phase_1_only_for_the_ergodic_lp(monkeypatch):
-    # the ergodic LP is the study's only program without a start: the
-    # discounted LPs start from the basis of the policy Howard's iteration
-    # ends on, and the Mather face is read off the ergodic duals
+def test_no_lp_of_the_study_runs_phase_1(monkeypatch):
+    # the ergodic LP starts from the Aubry tree, the discounted LPs from
+    # the basis of the policy Howard's iteration ends on, and the Mather
+    # face is read off the ergodic duals
     calls = []
     phase1 = simplex._phase1
 
@@ -396,7 +400,38 @@ def test_study_runs_phase_1_only_for_the_ergodic_lp(monkeypatch):
     rep = vanishing_discount_study(make_model("quadratic", "half_square"), g, vs,
                                    [0.5], transition=build_transition(g, vs))
     assert not rep.failures
-    assert len(calls) == 1
+    assert len(calls) == 0
+
+
+def test_a_refused_tree_runs_phase_1_with_no_dense_start_solve(monkeypatch):
+    # On the 2D double well at h = 0.25 some node cannot reach the tree's
+    # root under its policy: the basis of that policy is singular, so the
+    # tree is refused before any solve, and phase 1 finds the optimum
+    model = make_model("quadratic", "double_well", dimension=2)
+    g = build_grid([[-2.0, 2.0], [-2.0, 2.0]], 0.25)
+    vs = build_velocity_set(1.5, 5, dimension=2)
+    tr = build_transition(g, vs)
+    assert measures.aubry_tree(model, g, vs, tr, build_critical_data(model, g, vs,
+                                                                     transition=tr)) is None
+    calls = []
+
+    def recording(name):
+        real = getattr(simplex, name)
+
+        def recorded(*args):
+            calls.append(name)
+            return real(*args)
+        monkeypatch.setattr(simplex, name, recorded)
+
+    recording("_phase1")
+    recording("_start_solution")
+    rep = vanishing_discount_study(model, g, vs, [], probes=[(0.0, 0.0)], transition=tr)
+    assert calls == ["_phase1"]
+    problem = build_ergodic_lp(model, g, vs, transition=tr)
+    ergodic = lp_solve(problem)
+    assert rep.ergodic_objective == ergodic.objective
+    np.testing.assert_array_equal(rep.mather_nodes,
+                                  mather_set(mather_face(problem, ergodic).nodes, g))
 
 
 def _counting_inversions(monkeypatch):
@@ -412,10 +447,9 @@ def _counting_inversions(monkeypatch):
 
 
 def test_study_reuses_the_inverses_it_already_formed(monkeypatch):
-    # The ergodic LP starts from phase 1's identity and keeps its product
-    # form to the end; the discounted LPs' policy starts are certified by
-    # two solves each.  Inverting every start afresh took 17 inversions,
-    # and re-inverting each final basis 8.
+    # The ergodic LP's tree start and the discounted LPs' policy starts are
+    # optimal here, and each is certified by two solves.  Inverting every
+    # start afresh took 17 inversions, and re-inverting each final basis 8.
     calls = _counting_inversions(monkeypatch)
     g = build_grid([[-2.0, 2.0]], 0.1)
     vs = build_velocity_set(1.0, 5)
@@ -427,10 +461,9 @@ def test_study_reuses_the_inverses_it_already_formed(monkeypatch):
 
 
 def test_the_acceptance_study_at_h_002_inverts_no_basis(monkeypatch):
-    # the acceptance model at h = 0.02 (401 rows in the ergodic LP), with
-    # hundreds of pivots: no residual check finds the product form
-    # drifted.  Re-inverting each final basis, and every start without an
-    # inverse, took 16 inversions.
+    # the acceptance model at h = 0.02 (401 rows in the ergodic LP): every
+    # start is optimal and certified by two solves.  Re-inverting each
+    # final basis, and every start without an inverse, took 16 inversions.
     calls = _counting_inversions(monkeypatch)
     g = build_grid([[-4.0, 4.0]], 0.02)
     vs = build_velocity_set(1.5, 7)
@@ -455,9 +488,9 @@ def test_barrier_form_is_at_most_the_ergodic_pairing(quad_setup, grid_c, vs7):
 
 
 def test_study_pivot_budget(monkeypatch):
-    # The acceptance model at h = 0.1: the ergodic LP is the study's only
-    # program, and the Howard-policy start makes every discounted LP free;
-    # restarted from the q = 0 crash they took 246 discounted pivots.
+    # The acceptance model at h = 0.1: the Aubry tree makes the ergodic LP
+    # free (phase 1 took 84 pivots), and the Howard-policy start every
+    # discounted LP; restarted from the q = 0 crash they took 246 pivots.
     log = []
     lp_solve_ = limits.lp_solve
 
@@ -475,8 +508,7 @@ def test_study_pivot_budget(monkeypatch):
     assert not rep.failures
     # the ergodic LP and 4 discounted LPs
     assert [kind for kind, _ in log] == ["ergodic"] + ["discounted"] * 4
-    assert log[0][1] > 0
-    assert all(pivots == 0 for _, pivots in log[1:]), log
+    assert all(pivots == 0 for _, pivots in log), log
 
 
 def test_study_propagates_programming_errors_from_the_solve(monkeypatch):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from weakkam import measures, simplex
+from weakkam.critical import build_critical_data
 from weakkam.discounted import quadratic_rate, solve_discounted
 from weakkam.grids import build_grid, build_transition, build_velocity_set, interpolate
 from weakkam.errors import NoMeasures, NonCoercive, NoSelfLoop
@@ -440,6 +441,60 @@ def test_double_well_ties_resolve_deterministically():
     np.testing.assert_array_equal(runs[0].measure, runs[1].measure)
     assert runs[0].objective == runs[1].objective
     assert runs[0].objective == pytest.approx(0.0, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# the Aubry tree: the ergodic program's start
+# ---------------------------------------------------------------------------
+
+def test_the_tree_start_is_the_dirac_mass_at_its_root(quad, grid_c, vs7, tr_c, quad_crit):
+    tree = measures.aubry_tree(quad, grid_c, vs7, tr_c, quad_crit)
+    problem = build_ergodic_lp(quad, grid_c, vs7, transition=tr_c, policy=tree)
+    zero = vs7.zero_index()
+    L = lagrangian_table(quad, grid_c.coords, vs7.vectors)
+    root = quad_crit.aubry_nodes[np.argmin(L[quad_crit.aubry_nodes, zero])]
+    # the root rests and every other node moves
+    np.testing.assert_array_equal(np.flatnonzero(tree == zero), [root])
+    basis = problem.start_basis
+    np.testing.assert_array_equal(basis, np.arange(grid_c.num_nodes) * vs7.size + tree)
+    # the Dirac mass on (y*, 0) solves the basis system exactly, and the
+    # start's two dense solves find it: the basis is nonsingular
+    dirac = (basis == root * vs7.size + zero).astype(float)
+    np.testing.assert_array_equal(problem.A.matvec(dirac, basis), problem.b)
+    xB, _ = simplex._start_solution(problem.A, problem.b, problem.c, basis)
+    np.testing.assert_allclose(xB, dirac, rtol=0.0, atol=1e-13)
+
+
+def _study_model(name):
+    """A model of a tier-1 study, with its grid and velocity set."""
+    if name == "acceptance":
+        g = build_grid([[-4.0, 4.0]], 0.02)
+        return superlinearize(make_model("eikonal", "abs"), g), g, build_velocity_set(1.5, 7)
+    g = build_grid([[-4.0, 4.0]], 0.05)
+    if name == "eikonal_abs.json":
+        return superlinearize(make_model("eikonal", "abs"), g), g, build_velocity_set(1.5, 7)
+    potential = {"quadratic.json": "half_square", "double_well": "double_well"}[name]
+    return make_model("quadratic", potential), g, build_velocity_set(2.0, 17)
+
+
+@pytest.mark.parametrize("name", ["acceptance", "eikonal_abs.json", "quadratic.json",
+                                  "double_well"])
+def test_the_tree_start_keeps_the_phase_1_optimum_and_face(name):
+    model, g, vs = _study_model(name)
+    tr = build_transition(g, vs)
+    tree = measures.aubry_tree(model, g, vs, tr, build_critical_data(model, g, vs,
+                                                                     transition=tr))
+    assert tree is not None
+    cold = build_ergodic_lp(model, g, vs, transition=tr)
+    warm = build_ergodic_lp(model, g, vs, transition=tr, policy=tree)
+    assert cold.start_basis is None
+    runs = [(problem, lp_solve(problem)) for problem in (cold, warm)]
+    (_, phase_1), (_, started) = runs
+    assert started.iterations < phase_1.iterations
+    assert started.objective == pytest.approx(phase_1.objective, rel=0.0, abs=1e-12)
+    faces = [mather_face(problem, res) for problem, res in runs]
+    np.testing.assert_array_equal(faces[0].columns, faces[1].columns)
+    assert closedness_residual(started.measure, tr) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

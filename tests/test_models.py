@@ -14,6 +14,7 @@ from weakkam.models import (
     superlinearize,
     support_function,
     validate_assumptions,
+    weyl_points,
 )
 
 from helpers import make_asymmetric_sampled
@@ -203,6 +204,17 @@ def test_validate_inverse_bump_fails_a3(grid_c):
     rep = validate_assumptions(make_model("eikonal", "inverse_bump"), grid_c)
     assert not rep.verdicts["A3"].passed
     assert rep.verdicts["A2-convexity"].passed
+
+
+def test_weyl_points_fill_each_axis_evenly():
+    # the convexity probes: 2000 points in [0, 1)^3, each axis within 5 of
+    # 100 per bin of width 1/20, and the same points on every call
+    u = weyl_points(2000, 3)
+    assert u.shape == (2000, 3) and np.all((u >= 0.0) & (u < 1.0))
+    for k in range(3):
+        counts = np.bincount((u[:, k] * 20).astype(int), minlength=20)
+        assert np.all(np.abs(counts - 100) <= 5), counts
+    np.testing.assert_array_equal(u, weyl_points(2000, 3))
 
 
 def test_validate_sampled(grid_tiny):

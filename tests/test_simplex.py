@@ -457,7 +457,8 @@ def test_a_block_is_folded_exactly_when_it_fills():
 
 def test_the_study_lps_pivot_as_the_eager_dense_reference(monkeypatch):
     # every LP of a small study is solved again, from the same start, by
-    # the simplex that rewrites its explicit inverse at every pivot
+    # the simplex that rewrites its explicit inverse at every pivot; on the
+    # double well the ergodic LP's tree start is not optimal and pivots
     pivots = []
     solve = measures.solve_lp
 
@@ -473,12 +474,12 @@ def test_the_study_lps_pivot_as_the_eager_dense_reference(monkeypatch):
 
     monkeypatch.setattr(measures, "solve_lp", checked)
     g = build_grid([[-2.0, 2.0]], 0.1)
-    vs = build_velocity_set(1.0, 5)
-    rep = vanishing_discount_study(make_model("quadratic", "half_square"), g, vs,
+    vs = build_velocity_set(1.5, 5)
+    rep = vanishing_discount_study(make_model("quadratic", "double_well"), g, vs,
                                    [0.5, 0.25], probes=((0.0,), (1.0,)),
                                    transition=build_transition(g, vs))
     assert not rep.failures
-    assert len(pivots) > 4 and sum(pivots) > 0
+    assert len(pivots) == 5 and pivots[0] > 0
 
 
 @pytest.mark.parametrize("seed", range(3))

@@ -511,13 +511,17 @@ def _agreement_claim(rep):
     return _claim(rep.estimator_agreement, "sup |barrier-form - trace-form|", 0.03)
 
 
-def _agreement_code(claim):
-    """0 when the estimators agree within the claimed tolerance; otherwise
-    print one error line naming the claim and return 3."""
-    if claim["value"] <= claim["tolerance"]:
+def _agreement_code(claim, failed=""):
+    """0 when the estimators agree within the claimed tolerance and nothing
+    `failed`; otherwise print one error line naming the breached claim and
+    the failures, and return 3."""
+    errors = [failed] if failed else []
+    if claim["value"] > claim["tolerance"]:
+        errors.insert(0, f"estimator_agreement: {claim['op']} = {claim['value']:.6g} "
+                         f"exceeds its tolerance {claim['tolerance']:g}")
+    if not errors:
         return 0
-    print(f"error: estimator_agreement: {claim['op']} = {claim['value']:.6g} "
-          f"exceeds its tolerance {claim['tolerance']:g}", file=sys.stderr)
+    print(f"error: {'; '.join(errors)}", file=sys.stderr)
     return 3
 
 
@@ -574,13 +578,9 @@ def cmd_study(cfg, ctx, out, args):
                                       [g for _, g in finite],
                                       title="discount study",
                                       xlabel="lambda", ylabel="sup gap"))
-    code = _agreement_code(agreement)
-    if rep.failures:
-        failed = "; ".join(f"{f['stage']} at lambda {f['lambda']:g}: {f['error']}"
-                           for f in rep.failures)
-        print(f"error: study: {failed}", file=sys.stderr)
-        code = 3
-    return code, arts
+    failed = "; ".join(f"{f['stage']} at lambda {f['lambda']:g}: {f['error']}"
+                       for f in rep.failures)
+    return _agreement_code(agreement, failed and f"study: {failed}"), arts
 
 
 HANDLERS = {

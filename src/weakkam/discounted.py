@@ -14,7 +14,8 @@ point itself, in a number of steps that does not grow as lambda -> 0 the
 way value iteration's 1/(lambda h) sweeps do.  Started from a constant
 upper bound the iterates decrease monotonically (Bokanowski, Maroso &
 Zidani, SIAM J. Numer. Anal. 47, 2009), so the order doubles as a
-from-above Perron construction.
+from-above Perron construction.  A policy's matrix is block tridiagonal
+(`policy_solve`); its transpose is the basis of the policy's LP (`measures`).
 
 Closed-form oracles: for H = |p| - |x| the bounded-below solution is
 u(x) = |x|/lambda + (exp(-lambda |x|) - 1)/lambda^2; for H = |p|^2/2 - x^2/2
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MaxIterExceeded, WeakKAMError
+from .errors import MaxIterExceeded, SingularBasis, WeakKAMError
 from .grids import interpolate
 from .models import lagrangian_table
 
@@ -61,24 +62,32 @@ def upper_start(model, grid, velocity_set, lam):
     return float(np.max(np.min(L, axis=1))) / lam
 
 
-def policy_solve(transition, q, rhs, diag):
+def policy_solve(transition, q, rhs, diag, keep=False, absorbing=None):
     """Solve (diag I - W_q) u = rhs, row i of W_q the interpolation weights
-    of the foot (i, q[i]).
+    of the foot (i, q[i]); the row of the node `absorbing`, when given, is
+    zero.  Returns u, or with `keep` (u, factor): the factor (S, L, C) of
+    the matrix solves with its transpose (`transposed_policy_solve`).
 
     Every weight links nodes at most max |j - i| apart, so with nodes
     grouped in blocks of B >= that distance the matrix is block
-    tridiagonal.  It is strictly diagonally dominant by rows (W_q is
-    stochastic and diag > 1), so block elimination needs no pivoting across
-    blocks.  Padding rows past n hold diag alone and solve to 0.
+    tridiagonal.  With W substochastic and diag > 1 it is strictly
+    diagonally dominant by rows; with diag = 1 it is a nonsingular M-matrix
+    when every node reaches a row of W that sums to less than 1, and so are
+    its Schur complements.  Either way block elimination needs no pivoting
+    across blocks; a singular block raises SingularBasis.  Padding rows
+    past n hold diag alone and solve to 0.
 
     Memory: the band is formed a slab of blocks at a time, each slab at
     most SLAB_BYTES (one block when a block alone is larger), and only the
     (blocks, B, B) elimination factors C are kept for the back
-    substitution, about a third of the full (blocks, B, 3B) band.
+    substitution, about a third of the full (blocks, B, 3B) band; `keep`
+    also keeps the Schur complements S and the sub-diagonal blocks L.
     """
     n = len(q)
     rows = np.arange(n)
     idx, w = transition.idx[rows, q], transition.w[rows, q]        # (n, K)
+    if absorbing is not None:
+        w[absorbing] = 0.0
     B = max(int(np.max(np.abs(idx - rows[:, None]))), MIN_BLOCK)
     nb = -(-n // B)
     # entry (row r*B + a, column (r-1)*B + c) sits at (r*B + a)*3B + c of
@@ -90,6 +99,7 @@ def policy_solve(transition, q, rhs, diag):
     b = b.reshape(nb, B)
     C = np.empty((nb, B, B))
     z = np.empty((nb, B))
+    factor = (np.empty((nb, B, B)), np.empty((nb, B, B)), C) if keep else None
     for r0 in range(0, nb, per_slab):
         r1 = min(r0 + per_slab, nb)
         lo, hi = r0 * B, min(r1 * B, n)
@@ -103,12 +113,37 @@ def policy_solve(transition, q, rhs, diag):
             if r:
                 S = S - blk[:, :B] @ C[r - 1]
                 y = y - blk[:, :B] @ z[r - 1]
-            X = np.linalg.solve(S, np.column_stack([blk[:, 2 * B:], y]))
+            try:
+                X = np.linalg.solve(S, np.column_stack([blk[:, 2 * B:], y]))
+            except np.linalg.LinAlgError:
+                raise SingularBasis(f"block {r} of the policy matrix {diag!r} I - W, "
+                                    f"the transpose of its LP basis, is singular") from None
             C[r], z[r] = X[:, :B], X[:, B]
+            if keep:
+                factor[0][r], factor[1][r] = S, blk[:, :B]
         del band
     for r in range(nb - 2, -1, -1):
         z[r] -= C[r] @ z[r + 1]
-    return z.reshape(-1)[:n]
+    u = z.reshape(-1)[:n]
+    return (u, factor) if keep else u
+
+
+def transposed_policy_solve(factor, rhs):
+    """x with (diag I - W_q)^T x = rhs, from the factor (S, L, C) of
+    `policy_solve`: the matrix is (block lower, S and L) times (unit block
+    upper, C), so forward with C^T, then back with S^T and L^T."""
+    S, L, C = factor
+    nb, B, _ = C.shape
+    n = len(rhs)
+    v = np.zeros(nb * B)
+    v[:n] = rhs
+    v = v.reshape(nb, B)
+    for r in range(1, nb):
+        v[r] -= C[r - 1].T @ v[r - 1]
+    v[-1] = np.linalg.solve(S[-1].T, v[-1])
+    for r in range(nb - 2, -1, -1):
+        v[r] = np.linalg.solve(S[r].T, v[r] - L[r + 1].T @ v[r + 1])
+    return v.reshape(-1)[:n]
 
 
 def solve_discounted(model, grid, velocity_set, lam, tol=RESIDUAL_TOL, max_iter=None, *,

@@ -25,7 +25,9 @@ otherwise).  Two programs are built against the foot-point transition:
               implied exactly by the holonomy rows (their sum reads
               lambda*h*(total mass) = lambda*h) and is not repeated.
 
-Each program carries its start basis, `start_basis`:
+Each program carries its start basis, `start_basis`, with its basic
+solution and prices, `start_xB` and `start_y`, from block solves of its
+policy (`discounted.policy_solve`); the simplex checks them before use:
 
   ergodic     the columns (i, tree[i]) of the Aubry tree (`aubry_tree`), when
               it is given: the Aubry node y* with the least L(y*, 0) takes its
@@ -42,8 +44,7 @@ Each program carries its start basis, `start_basis`:
               the stationary policies of the scheme (Puterman, Markov
               Decision Processes, 1994, ch. 6): built with the policy
               Howard's iteration ended on, the program proves its optimum
-              by its own pricing, in no pivots, from two dense solves and
-              with no basis inverse.
+              by its own pricing, in no pivots, with no m x m array formed.
 
 Each constraint matrix is a `simplex.Columns` store built column by column
 (no m x n array is formed).  Both are solved by `lp_solve`.  The minimizing
@@ -57,7 +58,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import NoMeasures, NoSelfLoop
+from .discounted import policy_solve, transposed_policy_solve
+from .errors import NoMeasures, NoSelfLoop, SingularBasis
 from .grids import Transition, interpolate
 from .models import lagrangian_table
 from .simplex import Columns, solve_lp
@@ -73,6 +75,8 @@ class LPProblem:
     kind: str                    # "ergodic" | "discounted"
     transition: Transition       # the grid and velocity set are its own
     start_basis: Optional[np.ndarray] = None    # a feasible basis, or None
+    start_xB: Optional[np.ndarray] = None       # its basic solution and prices,
+    start_y: Optional[np.ndarray] = None        # or None (the simplex solves for them)
 
 
 @dataclass
@@ -163,15 +167,50 @@ def build_ergodic_lp(model, grid, velocity_set, transition, policy=None):
     """min <mu, L> over {mu >= 0, closed, total mass 1}, started from the
     basis of `policy` (one velocity index per node, such as the Aubry
     tree), or with no start when None."""
-    L = lagrangian_table(model, grid.coords, velocity_set.vectors).reshape(-1)
+    L = lagrangian_table(model, grid.coords, velocity_set.vectors)
     n = grid.num_nodes
     # the last balance row is the negated sum of the others
     A = (_stationarity_matrix(transition).take_rows(np.arange(n) < n - 1)
-         .with_row(np.ones(len(L))))
+         .with_row(np.ones(L.size)))
     b = np.zeros(n)
     b[-1] = 1.0
-    return LPProblem(c=L, A=A, b=b, kind="ergodic", transition=transition,
-                     start_basis=_policy_basis(policy, velocity_set.size))
+    problem = LPProblem(c=L.reshape(-1), A=A, b=b, kind="ergodic", transition=transition,
+                        start_basis=_policy_basis(policy, velocity_set.size))
+    if policy is not None:
+        problem.start_xB, problem.start_y = _ergodic_start(L, transition, policy)
+    return problem
+
+
+def _ergodic_start(L, transition, policy):
+    """The basic solution and prices of the ergodic basis of `policy` when
+    exactly one node r rests on itself, as the Aubry tree's root does;
+    (None, None) otherwise.
+
+    The basic solution is the Dirac mass on (r, policy[r]).  The prices are
+    g = L(r, policy[r]) on the mass row and the potentials psi of
+    (I - W) psi = L_policy - g: r's row of I - W is 0 and is replaced by
+    psi(r) = 0, an absorbing chain when every node reaches r, so the system
+    is nonsingular.  psi is shifted to 0 at the last node, whose balance
+    row is left out.
+    """
+    n = len(policy)
+    rows = np.arange(n)
+    idx, w = transition.idx[rows, policy], transition.w[rows, policy]
+    rests = np.flatnonzero(np.all((idx == rows[:, None]) | (w == 0.0), axis=1))
+    if rests.size != 1:
+        return None, None
+    r = int(rests[0])
+    cost = L[rows, policy]
+    g = cost[r]
+    rhs = cost - g
+    rhs[r] = 0.0
+    try:
+        psi = policy_solve(transition, policy, rhs, 1.0, absorbing=r)
+    except SingularBasis:
+        return None, None
+    xB = np.zeros(n)
+    xB[r] = 1.0
+    return xB, np.append(psi[:-1] - psi[-1], g)
 
 
 def build_discounted_lp(model, grid, velocity_set, lam, z, transition, policy=None):
@@ -187,7 +226,7 @@ def build_discounted_lp(model, grid, velocity_set, lam, z, transition, policy=No
     if not np.isscalar(z):
         z = grid.node_near(z)
     z = int(z)
-    L = lagrangian_table(model, grid.coords, velocity_set.vectors).reshape(-1)
+    L = lagrangian_table(model, grid.coords, velocity_set.vectors)
     lam_h = lam * grid.h
     A = _stationarity_matrix(transition, factor_out=1.0 + lam_h)
     b = np.zeros(grid.num_nodes)
@@ -196,8 +235,20 @@ def build_discounted_lp(model, grid, velocity_set, lam, z, transition, policy=No
     # lam*h*(total mass) = lam*h
     if policy is None:
         policy = np.full(grid.num_nodes, velocity_set.zero_index())
-    return LPProblem(c=L, A=A, b=b, kind="discounted", transition=transition,
-                     start_basis=_policy_basis(policy, velocity_set.size))
+    problem = LPProblem(c=L.reshape(-1), A=A, b=b, kind="discounted",
+                        transition=transition,
+                        start_basis=_policy_basis(policy, velocity_set.size))
+    # the basis is ((1 + lam h) I - W)^T for the policy's weights W, so its
+    # prices solve Howard's system with the costs L and its basic solution
+    # the transposed one with b; a singular block (1 + lam h rounds to 1)
+    # leaves the basis to the simplex alone
+    try:
+        y, factor = policy_solve(transition, policy, L[np.arange(grid.num_nodes), policy],
+                                 1.0 + lam_h, keep=True)
+        problem.start_xB, problem.start_y = transposed_policy_solve(factor, b), y
+    except SingularBasis:
+        pass
+    return problem
 
 
 def _policy_basis(policy, M):
@@ -212,7 +263,8 @@ def lp_solve(problem):
     A start that is not feasible falls back to phase 1.  Masses at or below
     SUPPORT_TOL are zeroed.
     """
-    sol = solve_lp(problem.c, problem.A, problem.b, basis0=problem.start_basis)
+    sol = solve_lp(problem.c, problem.A, problem.b, basis0=problem.start_basis,
+                   xB0=problem.start_xB, y0=problem.start_y)
     tr = problem.transition
     n, M = tr.grid.num_nodes, tr.velocity_set.size
     return LPResult(measure=np.where(sol.x > SUPPORT_TOL, sol.x, 0.0).reshape(n, M),

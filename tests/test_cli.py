@@ -752,6 +752,33 @@ def test_a_failed_study_stage_prints_one_error_line(tmp_path, capsys, monkeypatc
         "solve"]
 
 
+def test_a_discount_lost_to_rounding_exits_3_without_traceback(tmp_path, capsys):
+    # 1 + lambda h rounds to 1, so the policy matrices are singular
+    cfg = str(CONFIGS / "quadratic.json")
+    for argv in (["mather", "--lambda", "1e-20"], ["solve", "--lambda", "1e-20"]):
+        assert main(argv + ["--config", cfg, "--out", str(tmp_path / argv[0])]) == 3
+        err = capsys.readouterr().err
+        lines = [line for line in err.splitlines() if line.startswith("error")]
+        assert len(lines) == 1 and lines[0].startswith("error[SingularBasis]: "), err
+        assert "Traceback" not in err
+
+
+def test_a_breached_claim_and_a_failed_stage_print_one_error_line(tmp_path, capsys):
+    # the estimators disagree and the solve at lambda 1e-20 fails: one line
+    # names both
+    cfg = write_cfg(tmp_path, {
+        "model": {"family": "eikonal", "potential": {"name": "double_well", "scale": 1e6}},
+        "grid": {"box": [[0.0, 3.0]], "h": 0.2},
+        "velocity": {"q_max": 1.5, "per_axis_count": 9},
+        "schedule": {"lambdas": [0.5, 1e-20]},
+        "probes": [[2.39]],
+    })
+    assert main(["study", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert_one_error(err, "error: estimator_agreement: ")
+    assert "; study: solve at lambda 1e-20: SingularBasis(" in err
+
+
 def _imports_numpy_random(tmp_path, command):
     """Whether a fresh interpreter that runs `command` on TINY_STUDY imports
     numpy.random (about 6 MB resident)."""

@@ -13,9 +13,10 @@ from weakkam.discounted import (
     policy_solve,
     quadratic_rate,
     solve_discounted,
+    transposed_policy_solve,
     upper_start,
 )
-from weakkam.errors import MaxIterExceeded, WeakKAMError
+from weakkam.errors import MaxIterExceeded, SingularBasis, WeakKAMError
 from weakkam.grids import build_grid, build_transition, build_velocity_set, interpolate
 from weakkam.models import h_at_zero, lagrangian_table, make_model, superlinearize
 
@@ -146,6 +147,12 @@ def test_lambda_must_be_positive(quad, grid_m, vs_m, tr_m):
         solve_discounted(quad, grid_m, vs_m, 0.0, transition=tr_m)
 
 
+def test_a_discount_lost_to_rounding_raises_singular_basis(quad, grid_m, vs_m, tr_m):
+    # 1 + 1e-20 h is 1.0: a resting node's row of I - W is 0
+    with pytest.raises(SingularBasis):
+        solve_discounted(quad, grid_m, vs_m, 1e-20, transition=tr_m)
+
+
 # ---------------------------------------------------------------------------
 # the policy solve and the exact fixed point
 # ---------------------------------------------------------------------------
@@ -226,6 +233,37 @@ def test_1d_band_is_one_slab(monkeypatch):
     monkeypatch.undo()
     assert len(calls) == 1
     np.testing.assert_array_equal(got, policy_solve_full_band(tr, q, rhs, 1.01))
+
+
+@pytest.mark.parametrize("box, h, count, blocks_per_slab", [
+    ([[-4.0, 4.0]], 0.05, 7, None),                   # 11 blocks of 16, one slab
+    ([[-1.0, 1.0], [-1.0, 1.0]], 0.25, 5, None),      # 5 blocks of 20, one slab
+    ([[-2.0, 2.0], [-2.0, 2.0]], 0.1, 5, 1),          # 21 blocks of 83, one a slab
+    ([[-2.0, 2.0], [-2.0, 2.0]], 0.1, 5, 2),          # two a slab, the last alone
+])
+def test_transposed_block_solve_matches_dense_solve(box, h, count, blocks_per_slab,
+                                                    monkeypatch):
+    # the factor's own solve is Howard's, bit for bit, and its transposed
+    # solve is a dense solve of the transpose, down to lambda h = 1e-4
+    g = build_grid(box, h)
+    tr, q, rhs, B = _random_policy_system(g, build_velocity_set(1.5, count,
+                                                                dimension=g.dimension))
+    n = g.num_nodes
+    assert n % B != 0 and (-(-n // B)) % 2 == 1     # odd, and the last block padded
+    if blocks_per_slab:
+        block = B * 3 * B * 8
+        monkeypatch.setattr(discounted, "SLAB_BYTES", blocks_per_slab * block + block // 2)
+    rows = np.arange(n)
+    rhs_t = np.random.default_rng(1).normal(size=n)
+    for diag in (1.0 + 0.5 * h, 1.0 + 1e-4):
+        u, factor = policy_solve(tr, q, rhs, diag, keep=True)
+        np.testing.assert_array_equal(u, policy_solve(tr, q, rhs, diag))
+        A = diag * np.eye(n)
+        np.add.at(A, (np.repeat(rows, tr.idx.shape[2]), tr.idx[rows, q].ravel()),
+                  -tr.w[rows, q].ravel())
+        want = np.linalg.solve(A.T, rhs_t)
+        np.testing.assert_allclose(transposed_policy_solve(factor, rhs_t), want, rtol=0,
+                                   atol=1e-10 * np.max(np.abs(want)))
 
 
 def test_policy_solve_memory_is_bounded_in_2d():

@@ -407,6 +407,7 @@ def test_a_refused_tree_runs_phase_1_with_no_dense_start_solve(monkeypatch):
     # On the 2D double well at h = 0.25 some node cannot reach the tree's
     # root under its policy: the basis of that policy is singular, so the
     # tree is refused before any solve, and phase 1 finds the optimum
+    # without forming any basis densely
     model = make_model("quadratic", "double_well", dimension=2)
     g = build_grid([[-2.0, 2.0], [-2.0, 2.0]], 0.25)
     vs = build_velocity_set(1.5, 5, dimension=2)
@@ -424,7 +425,9 @@ def test_a_refused_tree_runs_phase_1_with_no_dense_start_solve(monkeypatch):
         monkeypatch.setattr(simplex, name, recorded)
 
     recording("_phase1")
-    recording("_start_solution")
+    columns_dense = simplex.Columns.dense
+    monkeypatch.setattr(simplex.Columns, "dense",
+                        lambda self, cols: calls.append("dense") or columns_dense(self, cols))
     rep = vanishing_discount_study(model, g, vs, [], probes=[(0.0, 0.0)], transition=tr)
     assert calls == ["_phase1"]
     problem = build_ergodic_lp(model, g, vs, transition=tr)
@@ -448,8 +451,9 @@ def _counting_inversions(monkeypatch):
 
 def test_study_reuses_the_inverses_it_already_formed(monkeypatch):
     # The ergodic LP's tree start and the discounted LPs' policy starts are
-    # optimal here, and each is certified by two solves.  Inverting every
-    # start afresh took 17 inversions, and re-inverting each final basis 8.
+    # optimal here, and each is certified from the basic solution and prices
+    # of its policy's block factor.  Inverting every start afresh took 17
+    # inversions, and re-inverting each final basis 8.
     calls = _counting_inversions(monkeypatch)
     g = build_grid([[-2.0, 2.0]], 0.1)
     vs = build_velocity_set(1.0, 5)
@@ -462,9 +466,16 @@ def test_study_reuses_the_inverses_it_already_formed(monkeypatch):
 
 def test_the_acceptance_study_at_h_002_inverts_no_basis(monkeypatch):
     # the acceptance model at h = 0.02 (401 rows in the ergodic LP): every
-    # start is optimal and certified by two solves.  Re-inverting each
-    # final basis, and every start without an inverse, took 16 inversions.
+    # start is optimal and certified from its policy's block factor, so no
+    # basis is formed as an m x m array.  Re-inverting each final basis, and
+    # every start without an inverse, took 16 inversions; certifying each
+    # start by two dense solves formed 7 dense bases.
     calls = _counting_inversions(monkeypatch)
+    dense, inv = [], []
+    columns_dense, linalg_inv = simplex.Columns.dense, np.linalg.inv
+    monkeypatch.setattr(simplex.Columns, "dense",
+                        lambda self, cols: dense.append(1) or columns_dense(self, cols))
+    monkeypatch.setattr(np.linalg, "inv", lambda a: inv.append(1) or linalg_inv(a))
     g = build_grid([[-4.0, 4.0]], 0.02)
     vs = build_velocity_set(1.5, 7)
     rep = vanishing_discount_study(superlinearize(make_model("eikonal", "abs"), g), g, vs,
@@ -472,6 +483,7 @@ def test_the_acceptance_study_at_h_002_inverts_no_basis(monkeypatch):
                                    transition=build_transition(g, vs))
     assert not rep.failures
     assert len(calls) == 0
+    assert not dense and not inv
 
 
 def test_barrier_form_is_at_most_the_ergodic_pairing(quad_setup, grid_c, vs7):

@@ -457,12 +457,11 @@ def test_the_tree_start_is_the_dirac_mass_at_its_root(quad, grid_c, vs7, tr_c, q
     np.testing.assert_array_equal(np.flatnonzero(tree == zero), [root])
     basis = problem.start_basis
     np.testing.assert_array_equal(basis, np.arange(grid_c.num_nodes) * vs7.size + tree)
-    # the Dirac mass on (y*, 0) solves the basis system exactly, and the
-    # start's two dense solves find it: the basis is nonsingular
+    # the Dirac mass on (y*, 0) solves the basis system exactly, and it is
+    # the start's basic solution
     dirac = (basis == root * vs7.size + zero).astype(float)
     np.testing.assert_array_equal(problem.A.matvec(dirac, basis), problem.b)
-    xB, _ = simplex._start_solution(problem.A, problem.b, problem.c, basis)
-    np.testing.assert_allclose(xB, dirac, rtol=0.0, atol=1e-13)
+    np.testing.assert_array_equal(problem.start_xB, dirac)
 
 
 def _study_model(name):
@@ -475,6 +474,31 @@ def _study_model(name):
         return superlinearize(make_model("eikonal", "abs"), g), g, build_velocity_set(1.5, 7)
     potential = {"quadratic.json": "half_square", "double_well": "double_well"}[name]
     return make_model("quadratic", potential), g, build_velocity_set(2.0, 17)
+
+
+@pytest.mark.parametrize("name", ["acceptance", "eikonal_abs.json", "quadratic.json",
+                                  "double_well"])
+def test_the_start_values_match_dense_solves_of_the_basis(name):
+    # the tree's prices come from the pinned solve, a discounted start's
+    # basic solution and prices from its policy's block factor; each is a
+    # dense solve of the basis system, to round-off
+    model, g, vs = _study_model(name)
+    tr = build_transition(g, vs)
+    tree = measures.aubry_tree(model, g, vs, tr, build_critical_data(model, g, vs,
+                                                                     transition=tr))
+    problems = [build_ergodic_lp(model, g, vs, transition=tr, policy=tree)]
+    for lam in (0.5, 0.01):
+        sol = solve_discounted(model, g, vs, lam, transition=tr)
+        problems.append(build_discounted_lp(model, g, vs, lam, g.num_nodes // 3,
+                                            transition=tr, policy=sol.policy))
+    for problem in problems:
+        B = problem.A.dense(problem.start_basis)
+        xB = np.linalg.solve(B, problem.b)
+        y = np.linalg.solve(B.T, problem.c[problem.start_basis])
+        np.testing.assert_allclose(problem.start_xB, xB, rtol=0.0,
+                                   atol=1e-12 * np.max(np.abs(xB)))
+        np.testing.assert_allclose(problem.start_y, y, rtol=0.0,
+                                   atol=1e-12 * np.max(np.abs(y)))
 
 
 @pytest.mark.parametrize("name", ["acceptance", "eikonal_abs.json", "quadratic.json",

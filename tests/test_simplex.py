@@ -9,9 +9,16 @@ from weakkam.errors import (
     UnboundedLP,
     WeakKAMError,
 )
+from weakkam.critical import build_critical_data
+from weakkam.discounted import solve_discounted
 from weakkam.grids import build_grid, build_transition, build_velocity_set
 from weakkam.limits import vanishing_discount_study
-from weakkam.measures import build_ergodic_lp, closedness_residual, lp_solve
+from weakkam.measures import (
+    build_discounted_lp,
+    build_ergodic_lp,
+    closedness_residual,
+    lp_solve,
+)
 from weakkam.models import make_model, superlinearize
 from weakkam.simplex import Columns, solve_lp
 
@@ -199,6 +206,39 @@ def test_an_optimal_start_is_certified_without_an_inverse(monkeypatch):
     reduced = c - again.duals @ D
     assert np.min(reduced) >= -1e-9
     assert np.max(np.abs(reduced[again.basis])) <= 1e-9
+
+
+@pytest.mark.parametrize("kind", ["ergodic", "discounted"])
+@pytest.mark.parametrize("which", ["xB0", "y0"])
+def test_start_values_off_by_1e_6_are_not_returned(kind, which, monkeypatch):
+    # the residual checks refuse the perturbed values, so the start's values
+    # are solved densely and the optimum of the exact ones is returned
+    g = build_grid([[-4.0, 4.0]], 0.05)
+    vs = build_velocity_set(1.5, 7)
+    model = superlinearize(make_model("eikonal", "abs"), g)
+    tr = build_transition(g, vs)
+    if kind == "ergodic":
+        tree = measures.aubry_tree(model, g, vs, tr,
+                                   build_critical_data(model, g, vs, transition=tr))
+        problem = build_ergodic_lp(model, g, vs, transition=tr, policy=tree)
+    else:
+        policy = solve_discounted(model, g, vs, 0.5, transition=tr).policy
+        problem = build_discounted_lp(model, g, vs, 0.5, 100, transition=tr, policy=policy)
+    args = (problem.c, problem.A, problem.b)
+    values = {"xB0": problem.start_xB, "y0": problem.start_y}
+    exact = solve_lp(*args, basis0=problem.start_basis, **values)
+    assert exact.iterations == 0
+    values[which] = values[which].copy()
+    values[which][len(problem.b) // 2] += 1e-6
+    dense = []
+    columns_dense = Columns.dense
+    monkeypatch.setattr(Columns, "dense",
+                        lambda self, cols: dense.append(1) or columns_dense(self, cols))
+    sol = solve_lp(*args, basis0=problem.start_basis, **values)
+    assert dense
+    np.testing.assert_allclose(sol.x, exact.x, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(sol.duals, exact.duals, rtol=0.0,
+                               atol=1e-12 * np.max(np.abs(exact.duals)))
 
 
 def test_a_feasible_start_that_must_pivot_is_inverted_once(monkeypatch):
@@ -462,8 +502,8 @@ def test_the_study_lps_pivot_as_the_eager_dense_reference(monkeypatch):
     pivots = []
     solve = measures.solve_lp
 
-    def checked(c, A, b, basis0=None):
-        sol = solve(c, A, b, basis0=basis0)
+    def checked(c, A, b, basis0=None, **start_values):
+        sol = solve(c, A, b, basis0=basis0, **start_values)
         x, duals, iterations, basis = eager_simplex(c, A, b, basis0=basis0)
         assert sol.iterations == iterations
         np.testing.assert_array_equal(sol.basis, basis)

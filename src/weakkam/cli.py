@@ -620,8 +620,20 @@ def make_parser():
     return parser
 
 
+def _join_coordinates(argv):
+    """argv with a value after `--source` or `--z` that starts with '-' joined
+    to its flag: argparse reads `-0.5,0.25` as an option."""
+    out = []
+    for token in argv:
+        if out and out[-1] in ("--source", "--z") and token[:1] == "-" and token[:2] != "--":
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None):
-    args = make_parser().parse_args(argv)
+    args = make_parser().parse_args(_join_coordinates(sys.argv[1:] if argv is None else argv))
     try:
         cfg = load_config(args.config)
         apply_overrides(cfg, args.overrides)

@@ -62,20 +62,25 @@ def upper_start(model, grid, velocity_set, lam):
     return float(np.max(np.min(L, axis=1))) / lam
 
 
-def policy_solve(transition, q, rhs, diag, keep=False, absorbing=None):
-    """Solve (diag I - W_q) u = rhs, row i of W_q the interpolation weights
-    of the foot (i, q[i]); the row of the node `absorbing`, when given, is
-    zero.  Returns u, or with `keep` (u, factor): the factor (S, L, C) of
-    the matrix solves with its transpose (`transposed_policy_solve`).
+def policy_solve(transition, q, rhs, lam_h, keep=False, absorbing=None):
+    """Solve ((1 + lam_h) I - W_q) u = rhs, row i of W_q the interpolation
+    weights of the foot (i, q[i]); the row of the node `absorbing`, when
+    given, is zero.  Returns u, or with `keep` (u, factor): the factor
+    (S, L, C) of the matrix solves with its transpose
+    (`transposed_policy_solve`).
+
+    The diagonal is formed as (1 - w_ii) + lam_h, so a node that rests
+    (w_ii = 1) keeps lam_h exactly, where (1 + lam_h) - 1 errs by up to
+    eps / lam_h relative.  A lam_h > 0 lost in 1 + lam_h raises SingularBasis.
 
     Every weight links nodes at most max |j - i| apart, so with nodes
     grouped in blocks of B >= that distance the matrix is block
-    tridiagonal.  With W substochastic and diag > 1 it is strictly
-    diagonally dominant by rows; with diag = 1 it is a nonsingular M-matrix
-    when every node reaches a row of W that sums to less than 1, and so are
-    its Schur complements.  Either way block elimination needs no pivoting
-    across blocks; a singular block raises SingularBasis.  Padding rows
-    past n hold diag alone and solve to 0.
+    tridiagonal.  With W substochastic and lam_h > 0 it is strictly
+    diagonally dominant by rows; with lam_h = 0 it is a nonsingular
+    M-matrix when every node reaches a row of W that sums to less than 1,
+    and so are its Schur complements.  Either way block elimination needs
+    no pivoting across blocks; a singular block raises SingularBasis.
+    Padding rows past n hold 1 + lam_h alone and solve to 0.
 
     Memory: the band is formed a slab of blocks at a time, each slab at
     most SLAB_BYTES (one block when a block alone is larger), and only the
@@ -83,6 +88,9 @@ def policy_solve(transition, q, rhs, diag, keep=False, absorbing=None):
     substitution, about a third of the full (blocks, B, 3B) band; `keep`
     also keeps the Schur complements S and the sub-diagonal blocks L.
     """
+    if lam_h > 0.0 and 1.0 + lam_h == 1.0:
+        raise SingularBasis(f"1 + lambda h rounds to 1 at lambda h = {lam_h:g}: the discount "
+                            f"is lost, and the policy matrix is the singular I - W")
     n = len(q)
     rows = np.arange(n)
     idx, w = transition.idx[rows, q], transition.w[rows, q]        # (n, K)
@@ -106,7 +114,8 @@ def policy_solve(transition, q, rhs, diag, keep=False, absorbing=None):
         band = np.bincount((at[lo:hi] - lo * 3 * B).ravel(), weights=-w[lo:hi].ravel(),
                            minlength=(r1 - r0) * B * 3 * B)
         band = band.reshape(r1 - r0, B, 3 * B)
-        band[:, np.arange(B), B + np.arange(B)] += diag
+        diagonal = band[:, np.arange(B), B + np.arange(B)]
+        band[:, np.arange(B), B + np.arange(B)] = (diagonal + 1.0) + lam_h
         for r in range(r0, r1):
             blk = band[r - r0]
             S, y = blk[:, B:2 * B], b[r]
@@ -116,7 +125,7 @@ def policy_solve(transition, q, rhs, diag, keep=False, absorbing=None):
             try:
                 X = np.linalg.solve(S, np.column_stack([blk[:, 2 * B:], y]))
             except np.linalg.LinAlgError:
-                raise SingularBasis(f"block {r} of the policy matrix {diag!r} I - W, "
+                raise SingularBasis(f"block {r} of the policy matrix (1 + {lam_h!r}) I - W, "
                                     f"the transpose of its LP basis, is singular") from None
             C[r], z[r] = X[:, :B], X[:, B]
             if keep:
@@ -172,7 +181,7 @@ def solve_discounted(model, grid, velocity_set, lam, tol=RESIDUAL_TOL, max_iter=
     n = grid.num_nodes
     rows = np.arange(n)
     stage = grid.h * lagrangian_table(model, grid.coords, velocity_set.vectors)
-    denom = 1.0 + lam * grid.h
+    lam_h = lam * grid.h
     u = np.full(n, upper_start(model, grid, velocity_set, lam))
     scale = 1.0 + float(np.max(np.abs(u)))
     if max_iter is None:
@@ -185,13 +194,13 @@ def solve_discounted(model, grid, velocity_set, lam, tol=RESIDUAL_TOL, max_iter=
         q = np.array(policy0, dtype=np.intp)
         seen.add(q.tobytes())
         changes.append(n)
-        new = policy_solve(transition, q, stage[rows, q], denom)
+        new = policy_solve(transition, q, stage[rows, q], lam_h)
         trace.append((1, float(np.max(u - new))))
         u = new
     while True:
         vals = stage + interpolate(transition, u)
         new_q = np.argmin(vals, axis=1)
-        residual = float(np.max(np.abs(vals[rows, new_q] / denom - u)))
+        residual = float(np.max(np.abs(vals[rows, new_q] / (1.0 + lam_h) - u)))
         if q is not None:
             new_q = np.where(vals[rows, q] <= vals[rows, new_q], q, new_q)
         # exact arithmetic never revisits a policy; round-off between two
@@ -204,7 +213,7 @@ def solve_discounted(model, grid, velocity_set, lam, tol=RESIDUAL_TOL, max_iter=
                                   residual=residual, iterations=max_iter)
         changes.append(n if q is None else int(np.count_nonzero(new_q != q)))
         q = new_q
-        new = policy_solve(transition, q, stage[rows, q], denom)
+        new = policy_solve(transition, q, stage[rows, q], lam_h)
         rise = float(np.max(new - u))
         if rise > 1e-10 * scale:
             raise WeakKAMError(f"monotone decrease violated by {rise:.3e} "

@@ -25,9 +25,10 @@ otherwise).  Two programs are built against the foot-point transition:
               implied exactly by the holonomy rows (their sum reads
               lambda*h*(total mass) = lambda*h) and is not repeated.
 
-Each program carries its start basis, `start_basis`, with its basic
-solution and prices, `start_xB` and `start_y`, from block solves of its
-policy (`discounted.policy_solve`); the simplex checks them before use:
+Each program carries its start, `start = (basis, xB, y)`: the basis of a
+stationary policy with its basic solution and prices from block solves of
+that policy (`discounted.policy_solve`), or None.  The simplex checks the
+values against the basis before use and runs phase 1 when they fail:
 
   ergodic     the columns (i, tree[i]) of the Aubry tree (`aubry_tree`), when
               it is given: the Aubry node y* with the least L(y*, 0) takes its
@@ -35,7 +36,8 @@ policy (`discounted.policy_solve`); the simplex checks them before use:
               Every node reaches y* under that policy, so y* is its only
               recurrent class, the basis is nonsingular, and its basic
               solution is the Dirac mass on (y*, 0), which is feasible.
-              Without a tree there is no start, and phase 1 finds one.
+              Without a tree, or for a policy that does not rest on
+              exactly one node, there is no start.
   discounted  the columns (i, policy[i]), one per node in node order, of the
               policy it is built with; the rest policy (q = 0 everywhere)
               by default.  Such a basis is (1+lambda*h) I - W^T with W
@@ -69,14 +71,14 @@ SUPPORT_TOL = 1e-9
 
 @dataclass
 class LPProblem:
+    """min c.x over A x = b, x >= 0, and the start the simplex tries before
+    phase 1: a basis with its basic solution and prices (`solve_lp`)."""
     c: np.ndarray
     A: Columns                   # the constraint matrix, one column per pair
     b: np.ndarray
     kind: str                    # "ergodic" | "discounted"
     transition: Transition       # the grid and velocity set are its own
-    start_basis: Optional[np.ndarray] = None    # a feasible basis, or None
-    start_xB: Optional[np.ndarray] = None       # its basic solution and prices,
-    start_y: Optional[np.ndarray] = None        # or None (the simplex solves for them)
+    start: Optional[tuple] = None   # (basis, xB, y), or None
 
 
 @dataclass
@@ -174,17 +176,14 @@ def build_ergodic_lp(model, grid, velocity_set, transition, policy=None):
          .with_row(np.ones(L.size)))
     b = np.zeros(n)
     b[-1] = 1.0
-    problem = LPProblem(c=L.reshape(-1), A=A, b=b, kind="ergodic", transition=transition,
-                        start_basis=_policy_basis(policy, velocity_set.size))
-    if policy is not None:
-        problem.start_xB, problem.start_y = _ergodic_start(L, transition, policy)
-    return problem
+    return LPProblem(c=L.reshape(-1), A=A, b=b, kind="ergodic", transition=transition,
+                     start=None if policy is None else _ergodic_start(L, transition, policy))
 
 
 def _ergodic_start(L, transition, policy):
-    """The basic solution and prices of the ergodic basis of `policy` when
-    exactly one node r rests on itself, as the Aubry tree's root does;
-    (None, None) otherwise.
+    """The start (basis, xB, y) of the ergodic basis of `policy`, the
+    columns (i, policy[i]) in node order, when exactly one node r rests on
+    itself, as the Aubry tree's root does; None otherwise.
 
     The basic solution is the Dirac mass on (r, policy[r]).  The prices are
     g = L(r, policy[r]) on the mass row and the potentials psi of
@@ -198,19 +197,19 @@ def _ergodic_start(L, transition, policy):
     idx, w = transition.idx[rows, policy], transition.w[rows, policy]
     rests = np.flatnonzero(np.all((idx == rows[:, None]) | (w == 0.0), axis=1))
     if rests.size != 1:
-        return None, None
+        return None
     r = int(rests[0])
     cost = L[rows, policy]
     g = cost[r]
     rhs = cost - g
     rhs[r] = 0.0
     try:
-        psi = policy_solve(transition, policy, rhs, 1.0, absorbing=r)
+        psi = policy_solve(transition, policy, rhs, 0.0, absorbing=r)
     except SingularBasis:
-        return None, None
+        return None
     xB = np.zeros(n)
     xB[r] = 1.0
-    return xB, np.append(psi[:-1] - psi[-1], g)
+    return rows * L.shape[1] + policy, xB, np.append(psi[:-1] - psi[-1], g)
 
 
 def build_discounted_lp(model, grid, velocity_set, lam, z, transition, policy=None):
@@ -235,36 +234,24 @@ def build_discounted_lp(model, grid, velocity_set, lam, z, transition, policy=No
     # lam*h*(total mass) = lam*h
     if policy is None:
         policy = np.full(grid.num_nodes, velocity_set.zero_index())
-    problem = LPProblem(c=L.reshape(-1), A=A, b=b, kind="discounted",
-                        transition=transition,
-                        start_basis=_policy_basis(policy, velocity_set.size))
-    # the basis is ((1 + lam h) I - W)^T for the policy's weights W, so its
-    # prices solve Howard's system with the costs L and its basic solution
-    # the transposed one with b; a singular block (1 + lam h rounds to 1)
-    # leaves the basis to the simplex alone
-    try:
-        y, factor = policy_solve(transition, policy, L[np.arange(grid.num_nodes), policy],
-                                 1.0 + lam_h, keep=True)
-        problem.start_xB, problem.start_y = transposed_policy_solve(factor, b), y
-    except SingularBasis:
-        pass
-    return problem
-
-
-def _policy_basis(policy, M):
-    """The columns (i, policy[i]), one per node in node order; None for None."""
-    return None if policy is None else np.arange(len(policy)) * M + policy
+    rows = np.arange(grid.num_nodes)
+    # the basis, the columns (i, policy[i]), is ((1 + lam h) I - W)^T for the
+    # policy's weights W, so its prices solve Howard's system with the costs
+    # L and its basic solution the transposed one with b
+    y, factor = policy_solve(transition, policy, L[rows, policy], lam_h, keep=True)
+    return LPProblem(c=L.reshape(-1), A=A, b=b, kind="discounted", transition=transition,
+                     start=(rows * L.shape[1] + policy, transposed_policy_solve(factor, b), y))
 
 
 def lp_solve(problem):
     """Solve the program from its own start; returns the measure, the
     optimum, and the duals (the multipliers on the stationarity rows
     approximate a subsolution potential and are reported for diagnostics).
-    A start that is not feasible falls back to phase 1.  Masses at or below
-    SUPPORT_TOL are zeroed.
+    A start whose values fail the simplex's check, or whose basic solution
+    is negative, falls back to phase 1.  Masses at or below SUPPORT_TOL are
+    zeroed.
     """
-    sol = solve_lp(problem.c, problem.A, problem.b, basis0=problem.start_basis,
-                   xB0=problem.start_xB, y0=problem.start_y)
+    sol = solve_lp(problem.c, problem.A, problem.b, start=problem.start)
     tr = problem.transition
     n, M = tr.grid.num_nodes, tr.velocity_set.size
     return LPResult(measure=np.where(sol.x > SUPPORT_TOL, sol.x, 0.0).reshape(n, M),

@@ -12,12 +12,12 @@ and the basic solution and prices are read from it afresh; the basis is
 inverted again only when that basic solution misses the right-hand side by
 more than the grading step below.  A solve ends by reading its basic
 solution and prices from the folded inverse with one step of iterative
-refinement each.  A start basis comes with the basic solution and prices
-its caller computed, used once they pass a residual check against the
-basis (else two dense solves give them); the start is certified by its own
-pricing and inverted only when a pivot has to be made.  So an m x m array
-is formed only for a start that must pivot or comes without checked
-values, or for a basis whose product form has drifted.
+refinement each.  A start is a basis with the basic solution and prices
+its caller computed; it replaces phase 1 when those values pass a residual
+check against the basis and are feasible, is certified by its own pricing,
+and is inverted only when a pivot has to be made.  So an m x m array is
+formed only for a start that must pivot, or for a basis whose product form
+has drifted; no basis is ever solved with densely.
 Pricing is Dantzig's rule with an automatic, permanent
 switch to Bland's rule after a run of degenerate pivots, which keeps the
 method cycling-proof while staying fast on the highly degenerate flow
@@ -440,18 +440,17 @@ def _solution(c, basis, xB, y, row_sign, iterations):
                       iterations=iterations, basis=basis, dropped_rows=[])
 
 
-def solve_lp(c, A, b, basis0=None, xB0=None, y0=None):
+def solve_lp(c, A, b, start=None):
     """Optimal basic feasible solution of min c.x, A x = b, x >= 0.
 
-    `A` is a `Columns` store.  `basis0` is a starting basis, one column
-    per row; it replaces phase 1 when its basic solution is nonnegative.
-    `xB0` and `y0`, its basic solution and prices as the caller computed
-    them, are used when they pass `_solves_basis`; otherwise two dense
-    solves give them (a singular basis falls back to phase 1).  A start
-    that is already optimal returns with no pivot and no inverse formed,
-    and any other forms the inverse of its basis once.  `iterations`
-    counts every pivot: phase 1, the drive-out of artificials, phase 2 and
-    the dual clean-up; phase 1, phase 2 and the clean-up are each capped at
+    `A` is a `Columns` store.  `start` is None or a triple (basis, xB, y):
+    a basis, one column per row, with its basic solution and prices as the
+    caller computed them.  It replaces phase 1 when the values pass
+    `_solves_basis` and xB >= -1e-8; otherwise phase 1 runs.  A start that
+    is already optimal returns with no pivot and no inverse formed, and any
+    other forms the inverse of its basis once.  `iterations` counts every
+    pivot: phase 1, the drive-out of artificials, phase 2 and the dual
+    clean-up; phase 1, phase 2 and the clean-up are each capped at
     50(m + n) + 2000 pivots (`MaxIterExceeded`).  The caller's arrays are
     never modified.  Every failure raises a WeakKAMError.
     """
@@ -465,21 +464,11 @@ def solve_lp(c, A, b, basis0=None, xB0=None, y0=None):
     total_it = 0
 
     basis = None
-    if basis0 is not None:
-        basis = np.array(basis0, dtype=int)
-        xB = y = None
-        if xB0 is not None and y0 is not None:
-            xB = np.array(xB0, dtype=float)
-            y = np.asarray(y0, dtype=float) * row_sign
-        if xB is None or not _solves_basis(A, b, c, basis, xB, y, scale_b):
-            # a basis alone, or values that fail the check: two dense solves
-            B = A.dense(basis)
-            try:
-                xB, y = np.linalg.solve(B, b), np.linalg.solve(B.T, c[basis])
-            except np.linalg.LinAlgError:
-                xB = None
-            del B
-        if xB is None or not np.all(xB >= -1e-8):
+    if start is not None:
+        basis = np.array(start[0], dtype=int)
+        xB = np.asarray(start[1], dtype=float)
+        y = np.asarray(start[2], dtype=float) * row_sign
+        if not (_solves_basis(A, b, c, basis, xB, y, scale_b) and np.all(xB >= -1e-8)):
             basis = None
         else:
             # priced as phase 2 would: a start that is optimal and feasible

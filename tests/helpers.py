@@ -185,7 +185,7 @@ def relax_batch_unsliced(costs, transition, D0):
     return D, sweeps
 
 
-def policy_solve_full_band(transition, q, rhs, diag):
+def policy_solve_full_band(transition, q, rhs, lam_h):
     """`discounted.policy_solve` with the whole (blocks, B, 3B) band formed
     by one bincount before the block elimination."""
     from weakkam.discounted import MIN_BLOCK
@@ -197,7 +197,8 @@ def policy_solve_full_band(transition, q, rhs, diag):
     at = rows[:, None] * (3 * B) + idx - (rows[:, None] // B - 1) * B
     band = np.bincount(at.ravel(), weights=-w.ravel(), minlength=nb * B * 3 * B)
     band = band.reshape(nb, B, 3 * B)
-    band[:, np.arange(B), B + np.arange(B)] += diag
+    band[:, np.arange(B), B + np.arange(B)] += 1.0
+    band[:, np.arange(B), B + np.arange(B)] += lam_h
     b = np.zeros(nb * B)
     b[:n] = rhs
     b = b.reshape(nb, B)

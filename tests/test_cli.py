@@ -152,6 +152,23 @@ def test_commands_that_ignore_the_sub_box_accept_one_of_another_dimension(tmp_pa
                  "--out", str(tmp_path / "o"), *sets, *argv[1:]]) == 0
 
 
+def test_negative_coordinate_lists_are_read_as_values(tmp_path):
+    # argparse alone reads `-0.5,0.25` as an option, not as a value: the
+    # distance from the source is 0 at the node (-0.5, 0.25)
+    sets = [arg for o in SET_2D for arg in ("--set", o)]
+    cfg = str(CONFIGS / "quadratic.json")
+    out = tmp_path / "d"
+    assert main(["distance", "--config", cfg, "--out", str(out), *sets,
+                 "--source", "-0.5,0.25"]) == 0
+    with open(out / "distance.csv", newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert [float(r[3]) for r in rows if (float(r[1]), float(r[2])) == (-0.5, 0.25)] == [0.0]
+    out = tmp_path / "m"
+    assert main(["mather", "--config", cfg, "--out", str(out), *sets,
+                 "--lambda", "0.5", "--z", "-1,0.5"]) == 0
+    assert json.loads((out / "mather.json").read_text())["z"] == [-1.0, 0.5]
+
+
 def test_bad_output_directory_exit_2(tmp_path, capsys):
     # --out would override the configured directory
     bad = json.loads(json.dumps(TINY_STUDY))
@@ -169,6 +186,9 @@ def test_bad_output_directory_exit_2(tmp_path, capsys):
     ["mather", "--z", "abc"],
     ["mather", "--z", "1.0"],
     ["distance", "--source", "abc"],
+    # a value that starts with '-' is the flag's, malformed or not
+    ["distance", "--source", "-0.5,abc"],
+    ["mather", "--lambda", "0.5", "--z", "-1,0.5"],
     # the flag writes through the section --set walks
     ["study", "--set", "outputs=1", "--out", "o"],
 ], ids=" ".join)
@@ -459,6 +479,24 @@ def test_mather_lambda_starts_from_the_howard_policy(tmp_path):
     assert main(["mather", "--config", cfg, "--out", str(out),
                  "--lambda", "0.25", "--z", "0.5"]) == 0
     rep = json.loads((out / "mather.json").read_text())
+    assert rep["iterations"] == 0
+    assert rep["duality_gap"]["value"] <= 1e-9
+
+
+@pytest.mark.parametrize("config", ["quadratic.json", "eikonal_abs.json"])
+@pytest.mark.parametrize("lam", ["1e-6", "1e-12"])
+def test_small_lambda_solve_and_mather_exit_0(tmp_path, config, lam):
+    # Howard's first policy rests where min_q L peaks, where its value is
+    # the constant start's: with the diagonal formed as (1 + lambda h) - 1
+    # the monotone check failed there, at 1e-6 by 1.3e-2 on quadratic.json
+    cfg = str(CONFIGS / config)
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "s"),
+                 "--lambda", lam]) == 0
+    residual = json.loads((tmp_path / "s" / "solve.json").read_text())["residual"]
+    assert residual["value"] <= residual["tolerance"]
+    assert main(["mather", "--config", cfg, "--out", str(tmp_path / "m"),
+                 "--lambda", lam]) == 0
+    rep = json.loads((tmp_path / "m" / "mather.json").read_text())
     assert rep["iterations"] == 0
     assert rep["duality_gap"]["value"] <= 1e-9
 

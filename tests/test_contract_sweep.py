@@ -68,8 +68,8 @@ def draw(seed):
     command = COMMANDS[seed % len(COMMANDS)]
     argv = [command]
     if command == "distance":
-        # one token, so that a leading minus is not read as an option
-        argv += ["--source=" + ",".join(repr(v) for v in point())]
+        # two tokens: a value with a leading minus is still the flag's
+        argv += ["--source", ",".join(repr(v) for v in point())]
         argv += ["--direction", _pick(rng, ["from", "to"])]
     elif command in ("solve", "mather") and rng.uniform() < 0.5:
         argv += ["--lambda", repr(_pick(rng, LAMBDAS))]

@@ -157,6 +157,15 @@ def test_a_discount_lost_to_rounding_raises_singular_basis(quad, grid_m, vs_m, t
 # the policy solve and the exact fixed point
 # ---------------------------------------------------------------------------
 
+def test_a_resting_node_keeps_its_discount_exactly(grid_m, vs_m, tr_m):
+    # every node rests, so the matrix is lambda h I; (1 + lambda h) - 1
+    # would be 9.992e-15 at lambda h = 1e-14, off by 8e-4
+    q = np.full(grid_m.num_nodes, vs_m.zero_index())
+    rhs = np.linspace(1.0, 2.0, grid_m.num_nodes)
+    np.testing.assert_allclose(policy_solve(tr_m, q, rhs, 1e-14), rhs / 1e-14,
+                               rtol=1e-15, atol=0.0)
+
+
 def _dense_policy_solve(tr, q, rhs, diag):
     n = len(q)
     rows = np.arange(n)
@@ -181,9 +190,9 @@ def test_block_solve_matches_dense_solve(box, h, count):
     B = max(int(np.max(np.abs(tr.idx[rows, q] - rows[:, None]))), MIN_BLOCK)
     assert n % B != 0                      # the last block is padded
     rhs = rng.normal(size=n)
-    for diag in (1.0 + 0.5 * h, 1.0 + 1e-4 * h):
-        got = policy_solve(tr, q, rhs, diag)
-        want = _dense_policy_solve(tr, q, rhs, diag)
+    for lam_h in (0.5 * h, 1e-4 * h):
+        got = policy_solve(tr, q, rhs, lam_h)
+        want = _dense_policy_solve(tr, q, rhs, 1.0 + lam_h)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-10 * np.max(np.abs(want)))
 
 
@@ -209,9 +218,9 @@ def test_slabs_give_the_full_band_solve_bit_for_bit(blocks_per_slab, monkeypatch
     if blocks_per_slab:
         monkeypatch.setattr(discounted, "SLAB_BYTES", blocks_per_slab * block + block // 2)
     assert discounted.SLAB_BYTES // block == (blocks_per_slab or 1)
-    for diag in (1.0 + 0.5 * g.h, 1.0 + 1e-4 * g.h):
-        got = policy_solve(tr, q, rhs, diag)
-        want = policy_solve_full_band(tr, q, rhs, diag)
+    for lam_h in (0.5 * g.h, 1e-4 * g.h):
+        got = policy_solve(tr, q, rhs, lam_h)
+        want = policy_solve_full_band(tr, q, rhs, lam_h)
         np.testing.assert_array_equal(got, want)
 
 
@@ -229,10 +238,10 @@ def test_1d_band_is_one_slab(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(discounted.np, "bincount", counting)
-    got = policy_solve(tr, q, rhs, 1.01)
+    got = policy_solve(tr, q, rhs, 0.01)
     monkeypatch.undo()
     assert len(calls) == 1
-    np.testing.assert_array_equal(got, policy_solve_full_band(tr, q, rhs, 1.01))
+    np.testing.assert_array_equal(got, policy_solve_full_band(tr, q, rhs, 0.01))
 
 
 @pytest.mark.parametrize("box, h, count, blocks_per_slab", [
@@ -255,10 +264,10 @@ def test_transposed_block_solve_matches_dense_solve(box, h, count, blocks_per_sl
         monkeypatch.setattr(discounted, "SLAB_BYTES", blocks_per_slab * block + block // 2)
     rows = np.arange(n)
     rhs_t = np.random.default_rng(1).normal(size=n)
-    for diag in (1.0 + 0.5 * h, 1.0 + 1e-4):
-        u, factor = policy_solve(tr, q, rhs, diag, keep=True)
-        np.testing.assert_array_equal(u, policy_solve(tr, q, rhs, diag))
-        A = diag * np.eye(n)
+    for lam_h in (0.5 * h, 1e-4):
+        u, factor = policy_solve(tr, q, rhs, lam_h, keep=True)
+        np.testing.assert_array_equal(u, policy_solve(tr, q, rhs, lam_h))
+        A = (1.0 + lam_h) * np.eye(n)
         np.add.at(A, (np.repeat(rows, tr.idx.shape[2]), tr.idx[rows, q].ravel()),
                   -tr.w[rows, q].ravel())
         want = np.linalg.solve(A.T, rhs_t)
@@ -273,7 +282,7 @@ def test_policy_solve_memory_is_bounded_in_2d():
     tr, q, rhs, B = _random_policy_system(g, build_velocity_set(1.5, 5, dimension=2))
     tracemalloc.start()
     try:
-        policy_solve(tr, q, rhs, 1.05)
+        policy_solve(tr, q, rhs, 0.05)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -311,7 +320,7 @@ def test_returned_policy_evaluates_to_the_returned_values(quad, grid_m, vs_m, tr
     rows = np.arange(grid_m.num_nodes)
     stage = grid_m.h * lagrangian_table(quad, grid_m.coords, vs_m.vectors)[rows, sol.policy]
     np.testing.assert_array_equal(
-        policy_solve(tr_m, sol.policy, stage, 1.0 + lam * grid_m.h), sol.u)
+        policy_solve(tr_m, sol.policy, stage, lam * grid_m.h), sol.u)
 
 
 def test_warm_start_from_the_last_lambda_ends_on_the_same_fixed_point(
@@ -340,7 +349,7 @@ def test_warm_start_above_the_constant_start_still_decreases(quad, grid_m, vs_m,
     rows = np.arange(grid_m.num_nodes)
     q0 = np.random.default_rng(3).integers(0, vs_m.size, grid_m.num_nodes)
     stage = grid_m.h * lagrangian_table(quad, grid_m.coords, vs_m.vectors)
-    u0 = policy_solve(tr_m, q0, stage[rows, q0], 1.0 + lam * grid_m.h)
+    u0 = policy_solve(tr_m, q0, stage[rows, q0], lam * grid_m.h)
     assert np.max(u0) > upper_start(quad, grid_m, vs_m, lam)
     cold = solve_discounted(quad, grid_m, vs_m, lam, tol=1e-9, transition=tr_m)
     warm = solve_discounted(quad, grid_m, vs_m, lam, tol=1e-9, transition=tr_m,

@@ -238,11 +238,12 @@ def test_discounted_start_is_the_rest_policy(quad, grid_c, vs7, tr_c):
     # each node in node order
     n = grid_c.num_nodes
     rest = build_discounted_lp(quad, grid_c, vs7, 0.5, 0, transition=tr_c)
-    assert np.array_equal(rest.start_basis, np.arange(n) * vs7.size + vs7.zero_index())
-    assert np.array_equal(rest.start_basis // vs7.size, np.arange(n))
+    assert np.array_equal(rest.start[0], np.arange(n) * vs7.size + vs7.zero_index())
+    assert np.array_equal(rest.start[0] // vs7.size, np.arange(n))
     built = build_discounted_lp(quad, grid_c, vs7, 0.5, 0, transition=tr_c,
                                 policy=np.full(n, vs7.zero_index()))
-    assert np.array_equal(built.start_basis, rest.start_basis)
+    for got, want in zip(built.start, rest.start):
+        assert np.array_equal(got, want)
 
 
 def test_one_column_per_node_bases_have_nonnegative_inverses(disc_setup):
@@ -455,13 +456,13 @@ def test_the_tree_start_is_the_dirac_mass_at_its_root(quad, grid_c, vs7, tr_c, q
     root = quad_crit.aubry_nodes[np.argmin(L[quad_crit.aubry_nodes, zero])]
     # the root rests and every other node moves
     np.testing.assert_array_equal(np.flatnonzero(tree == zero), [root])
-    basis = problem.start_basis
+    basis, xB, _ = problem.start
     np.testing.assert_array_equal(basis, np.arange(grid_c.num_nodes) * vs7.size + tree)
     # the Dirac mass on (y*, 0) solves the basis system exactly, and it is
     # the start's basic solution
     dirac = (basis == root * vs7.size + zero).astype(float)
     np.testing.assert_array_equal(problem.A.matvec(dirac, basis), problem.b)
-    np.testing.assert_array_equal(problem.start_xB, dirac)
+    np.testing.assert_array_equal(xB, dirac)
 
 
 def _study_model(name):
@@ -492,13 +493,12 @@ def test_the_start_values_match_dense_solves_of_the_basis(name):
         problems.append(build_discounted_lp(model, g, vs, lam, g.num_nodes // 3,
                                             transition=tr, policy=sol.policy))
     for problem in problems:
-        B = problem.A.dense(problem.start_basis)
+        basis, start_xB, start_y = problem.start
+        B = problem.A.dense(basis)
         xB = np.linalg.solve(B, problem.b)
-        y = np.linalg.solve(B.T, problem.c[problem.start_basis])
-        np.testing.assert_allclose(problem.start_xB, xB, rtol=0.0,
-                                   atol=1e-12 * np.max(np.abs(xB)))
-        np.testing.assert_allclose(problem.start_y, y, rtol=0.0,
-                                   atol=1e-12 * np.max(np.abs(y)))
+        y = np.linalg.solve(B.T, problem.c[basis])
+        np.testing.assert_allclose(start_xB, xB, rtol=0.0, atol=1e-12 * np.max(np.abs(xB)))
+        np.testing.assert_allclose(start_y, y, rtol=0.0, atol=1e-12 * np.max(np.abs(y)))
 
 
 @pytest.mark.parametrize("name", ["acceptance", "eikonal_abs.json", "quadratic.json",
@@ -511,7 +511,7 @@ def test_the_tree_start_keeps_the_phase_1_optimum_and_face(name):
     assert tree is not None
     cold = build_ergodic_lp(model, g, vs, transition=tr)
     warm = build_ergodic_lp(model, g, vs, transition=tr, policy=tree)
-    assert cold.start_basis is None
+    assert cold.start is None
     runs = [(problem, lp_solve(problem)) for problem in (cold, warm)]
     (_, phase_1), (_, started) = runs
     assert started.iterations < phase_1.iterations

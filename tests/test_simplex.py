@@ -18,6 +18,7 @@ from weakkam.measures import (
     build_ergodic_lp,
     closedness_residual,
     lp_solve,
+    mather_face,
 )
 from weakkam.models import make_model, superlinearize
 from weakkam.simplex import Columns, solve_lp
@@ -167,7 +168,7 @@ def test_warm_start_reuses_basis():
     c1 = rng.uniform(0.0, 1.0, size=n)
     first = solve_lp(c1, A, b)
     c2 = c1 + 0.01 * rng.uniform(size=n)
-    warm = solve_lp(c2, A, b, basis0=first.basis)
+    warm = solve_lp(c2, A, b, start=_dense_start(c2, A, b, first.basis))
     cold = solve_lp(c2, A, b)
     assert warm.objective == pytest.approx(cold.objective, abs=1e-8)
     assert warm.iterations <= cold.iterations
@@ -186,6 +187,12 @@ def _counting(monkeypatch, name):
     return calls
 
 
+def _dense_start(c, A, b, basis):
+    """The start (basis, xB, y), its values from dense solves of the basis."""
+    B = A.dense(basis)
+    return basis, np.linalg.solve(B, b), np.linalg.solve(B.T, np.asarray(c)[basis])
+
+
 def _random_lp(seed, m=5, n=20):
     rng = np.random.default_rng(seed)
     D = rng.normal(size=(m, n))
@@ -198,8 +205,9 @@ def test_an_optimal_start_is_certified_without_an_inverse(monkeypatch):
     A, c = Columns.from_dense(D), rng.uniform(0.0, 1.0, size=D.shape[1])
     first = solve_lp(c, A, b)
     assert (b < 0).any() and first.iterations > 0
+    start = _dense_start(c, A, b, first.basis)
     inversions = _counting(monkeypatch, "_inverse")
-    again = solve_lp(c, A, b, basis0=first.basis)
+    again = solve_lp(c, A, b, start=start)
     assert again.iterations == 0 and not inversions
     np.testing.assert_array_equal(again.basis, first.basis)
     assert again.objective == pytest.approx(first.objective, rel=1e-12)
@@ -211,8 +219,10 @@ def test_an_optimal_start_is_certified_without_an_inverse(monkeypatch):
 @pytest.mark.parametrize("kind", ["ergodic", "discounted"])
 @pytest.mark.parametrize("which", ["xB0", "y0"])
 def test_start_values_off_by_1e_6_are_not_returned(kind, which, monkeypatch):
-    # the residual checks refuse the perturbed values, so the start's values
-    # are solved densely and the optimum of the exact ones is returned
+    # the residual check refuses the perturbed values, so phase 1 runs and
+    # reaches the optimum the exact start certifies; the ergodic duals are
+    # not unique, so phase 1's need only be dual feasible and tight on the
+    # same Mather face
     g = build_grid([[-4.0, 4.0]], 0.05)
     vs = build_velocity_set(1.5, 7)
     model = superlinearize(make_model("eikonal", "abs"), g)
@@ -225,20 +235,24 @@ def test_start_values_off_by_1e_6_are_not_returned(kind, which, monkeypatch):
         policy = solve_discounted(model, g, vs, 0.5, transition=tr).policy
         problem = build_discounted_lp(model, g, vs, 0.5, 100, transition=tr, policy=policy)
     args = (problem.c, problem.A, problem.b)
-    values = {"xB0": problem.start_xB, "y0": problem.start_y}
-    exact = solve_lp(*args, basis0=problem.start_basis, **values)
+    exact = solve_lp(*args, start=problem.start)
     assert exact.iterations == 0
-    values[which] = values[which].copy()
-    values[which][len(problem.b) // 2] += 1e-6
-    dense = []
-    columns_dense = Columns.dense
-    monkeypatch.setattr(Columns, "dense",
-                        lambda self, cols: dense.append(1) or columns_dense(self, cols))
-    sol = solve_lp(*args, basis0=problem.start_basis, **values)
-    assert dense
-    np.testing.assert_allclose(sol.x, exact.x, rtol=0.0, atol=1e-12)
-    np.testing.assert_allclose(sol.duals, exact.duals, rtol=0.0,
-                               atol=1e-12 * np.max(np.abs(exact.duals)))
+    start = list(problem.start)
+    at = {"xB0": 1, "y0": 2}[which]
+    start[at] = start[at].copy()
+    start[at][len(problem.b) // 2] += 1e-6
+    phase1 = _counting(monkeypatch, "_phase1")
+    sol = solve_lp(*args, start=tuple(start))
+    assert len(phase1) == 1
+    assert sol.objective == pytest.approx(exact.objective, rel=0.0, abs=1e-12)
+    D = problem.A.dense(np.arange(problem.A.shape[1]))
+    reduced = problem.c - sol.duals @ D
+    assert np.min(reduced) >= -1e-9 * (1.0 + np.max(np.abs(sol.duals)))
+    if kind == "ergodic":
+        faces = [mather_face(problem, res) for res in (exact, sol)]
+        np.testing.assert_array_equal(faces[0].columns, faces[1].columns)
+    else:
+        np.testing.assert_allclose(sol.x, exact.x, rtol=0.0, atol=1e-12)
 
 
 def test_a_feasible_start_that_must_pivot_is_inverted_once(monkeypatch):
@@ -247,9 +261,10 @@ def test_a_feasible_start_that_must_pivot_is_inverted_once(monkeypatch):
     c1, c2 = (rng.uniform(0.0, 1.0, size=D.shape[1]) for _ in range(2))
     first = solve_lp(c1, A, b)
     cold = solve_lp(c2, A, b)
+    start = _dense_start(c2, A, b, first.basis)
     inversions = _counting(monkeypatch, "_inverse")
     phase1 = _counting(monkeypatch, "_phase1")
-    warm = solve_lp(c2, A, b, basis0=first.basis)
+    warm = solve_lp(c2, A, b, start=start)
     assert len(inversions) == 1 and not phase1
     assert warm.iterations > 0
     assert warm.objective == pytest.approx(cold.objective, rel=1e-12)
@@ -259,9 +274,11 @@ def test_an_infeasible_start_falls_back_to_phase_1(monkeypatch):
     # x1 + x2 + x3 = 1 and x1 - x2 = 0.5: the basis {x2, x3} has x2 = -0.5
     D = np.array([[1.0, 1.0, 1.0], [1.0, -1.0, 0.0]])
     b, c = [1.0, 0.5], [1.0, 2.0, 3.0]
+    A = Columns.from_dense(D)
+    start = _dense_start(c, A, b, np.array([1, 2]))
     inversions = _counting(monkeypatch, "_inverse")
     phase1 = _counting(monkeypatch, "_phase1")
-    sol = solve_lp(c, Columns.from_dense(D), b, basis0=[1, 2])
+    sol = solve_lp(c, A, b, start=start)
     assert len(phase1) == 1 and not inversions
     assert sol.objective == pytest.approx(brute_force_lp(c, D, b), abs=1e-12)
 
@@ -502,9 +519,10 @@ def test_the_study_lps_pivot_as_the_eager_dense_reference(monkeypatch):
     pivots = []
     solve = measures.solve_lp
 
-    def checked(c, A, b, basis0=None, **start_values):
-        sol = solve(c, A, b, basis0=basis0, **start_values)
-        x, duals, iterations, basis = eager_simplex(c, A, b, basis0=basis0)
+    def checked(c, A, b, start=None):
+        sol = solve(c, A, b, start=start)
+        x, duals, iterations, basis = eager_simplex(c, A, b,
+                                                    basis0=None if start is None else start[0])
         assert sol.iterations == iterations
         np.testing.assert_array_equal(sol.basis, basis)
         np.testing.assert_allclose(sol.x, x, rtol=0.0, atol=1e-12)
@@ -582,7 +600,7 @@ def test_duals_after_dual_clean_up_pivots_certify_optimality(monkeypatch):
     for _ in range(2):
         cleanup_pivots.clear()
         c = np.append(rng.uniform(0.0, 1.0, len(problem.c)), 0.0)
-        sol = solve_lp(c, A, b, basis0=start)
+        sol = solve_lp(c, A, b, start=_dense_start(c, A, b, start))
         assert cleanup_pivots[-1] > 0
         reduced = c - sol.duals @ D
         scale = 1e-9 * (1.0 + np.max(np.abs(sol.duals)))
@@ -641,8 +659,39 @@ def test_singular_basis_raises_a_weakkam_error():
 
 
 def test_singular_crash_basis_falls_back_to_phase_1():
+    # b is outside the range of the singular basis: its least-squares
+    # values leave a residual, and the check refuses them
     c = [1.0, 1.0, 0.0]
     D = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 2.0]])
     b = [1.0, 1.5]
-    sol = solve_lp(c, Columns.from_dense(D), b, basis0=[0, 1])
+    B = D[:, [0, 1]]
+    start = (np.array([0, 1]), np.linalg.lstsq(B, b, rcond=None)[0],
+             np.linalg.lstsq(B.T, [1.0, 1.0], rcond=None)[0])
+    sol = solve_lp(c, Columns.from_dense(D), b, start=start)
     assert sol.objective == pytest.approx(brute_force_lp(c, D, b), abs=1e-9)
+
+
+def test_solve_lp_never_solves_a_basis_densely(monkeypatch):
+    # a start is used with its caller's values or refused for phase 1: no
+    # path, a start optimal, one that must pivot, refused values, an
+    # infeasible start or none, solves a system with a basis densely
+    D, b, rng = _random_lp(12)
+    A = Columns.from_dense(D)
+    c1, c2 = (rng.uniform(0.0, 1.0, size=D.shape[1]) for _ in range(2))
+    basis = solve_lp(c1, A, b).basis
+    optimal = _dense_start(c1, A, b, basis)
+    must_pivot = _dense_start(c2, A, b, basis)
+    refused = (basis, optimal[1] + 1e-6, optimal[2])
+    D3 = np.array([[1.0, 1.0, 1.0], [1.0, -1.0, 0.0]])
+    A3, b3, c3 = Columns.from_dense(D3), [1.0, 0.5], [1.0, 2.0, 3.0]
+    infeasible = _dense_start(c3, A3, b3, np.array([1, 2]))
+    calls = []
+    linalg_solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve",
+                        lambda *args: calls.append(1) or linalg_solve(*args))
+    assert solve_lp(c1, A, b, start=optimal).iterations == 0
+    assert solve_lp(c2, A, b, start=must_pivot).iterations > 0
+    for c, A_, b_, start in ((c1, A, b, refused), (c1, A, b, None),
+                             (c3, A3, b3, infeasible)):
+        solve_lp(c, A_, b_, start=start)
+    assert not calls

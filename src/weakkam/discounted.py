@@ -65,9 +65,10 @@ def upper_start(model, grid, velocity_set, lam):
 def policy_solve(transition, q, rhs, lam_h, keep=False, absorbing=None):
     """Solve ((1 + lam_h) I - W_q) u = rhs, row i of W_q the interpolation
     weights of the foot (i, q[i]); the row of the node `absorbing`, when
-    given, is zero.  Returns u, or with `keep` (u, factor): the factor
-    (S, L, C) of the matrix solves with its transpose
-    (`transposed_policy_solve`).
+    given, is zero.  rhs is one value per node, or an (n, k) array of k
+    right-hand sides solved with the one factorization.  Returns u, or with
+    `keep` (u, factor): the factor (S, L, C) of the matrix solves with its
+    transpose (`transposed_policy_solve`).
 
     The diagonal is formed as (1 - w_ii) + lam_h, so a node that rests
     (w_ii = 1) keeps lam_h exactly, where (1 + lam_h) - 1 errs by up to
@@ -102,11 +103,12 @@ def policy_solve(transition, q, rhs, lam_h, keep=False, absorbing=None):
     # the flat band, so a slab of blocks is a contiguous range of it
     at = rows[:, None] * (3 * B) + idx - (rows[:, None] // B - 1) * B
     per_slab = max(1, SLAB_BYTES // (B * 3 * B * 8))
-    b = np.zeros(nb * B)
+    extra = np.shape(rhs)[1:]
+    b = np.zeros((nb * B,) + extra)
     b[:n] = rhs
-    b = b.reshape(nb, B)
+    b = b.reshape((nb, B) + extra)
     C = np.empty((nb, B, B))
-    z = np.empty((nb, B))
+    z = np.empty((nb, B) + extra)
     factor = (np.empty((nb, B, B)), np.empty((nb, B, B)), C) if keep else None
     for r0 in range(0, nb, per_slab):
         r1 = min(r0 + per_slab, nb)
@@ -127,13 +129,13 @@ def policy_solve(transition, q, rhs, lam_h, keep=False, absorbing=None):
             except np.linalg.LinAlgError:
                 raise SingularBasis(f"block {r} of the policy matrix (1 + {lam_h!r}) I - W, "
                                     f"the transpose of its LP basis, is singular") from None
-            C[r], z[r] = X[:, :B], X[:, B]
+            C[r], z[r] = X[:, :B], X[:, B:].reshape(z[r].shape)
             if keep:
                 factor[0][r], factor[1][r] = S, blk[:, :B]
         del band
     for r in range(nb - 2, -1, -1):
         z[r] -= C[r] @ z[r + 1]
-    u = z.reshape(-1)[:n]
+    u = z.reshape((nb * B,) + extra)[:n]
     return (u, factor) if keep else u
 
 

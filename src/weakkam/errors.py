@@ -44,7 +44,8 @@ class EmptyAubrySet(WeakKAMError):
 
 class Unreachable(WeakKAMError):
     """A value the limit estimators compare is the INF sentinel of an
-    unreachable node; the message names the node."""
+    unreachable node, or a node has no move toward a policy's closed class;
+    the message names the node."""
 
 
 class IncompatibleTrace(WeakKAMError):
@@ -60,16 +61,9 @@ class MaxIterExceeded(WeakKAMError):
         self.iterations = iterations
 
 
-class InfeasibleLP(WeakKAMError):
-    """The linear program has no feasible point."""
-
-
-class UnboundedLP(WeakKAMError):
-    """The linear program is unbounded (internal error for the programs built here)."""
-
-
 class SingularBasis(WeakKAMError):
-    """A simplex basis matrix is numerically singular."""
+    """A policy matrix (1 + lambda h) I - W, the transpose of the policy's LP
+    basis, is numerically singular."""
 
 
 class NoMeasures(WeakKAMError):

@@ -279,11 +279,11 @@ def vanishing_discount_study(model, grid, velocity_set, schedule, probes=((0.0,)
     Per-lambda solves and discounted LPs that fail with a WeakKAMError are
     recorded in `failures` and the study continues with the remaining
     schedule; any other exception propagates.  The Aubry tree
-    (`measures.aubry_tree`), unless it is refused, starts both the ergodic
-    program and the first solve; each later solve starts from the policy
-    the solve before it ended on, and from the constant upper bound after a
-    failed solve.  A limit or barrier value at the INF sentinel on an
-    agreement node raises Unreachable.
+    (`measures.aubry_tree`) starts both the ergodic program and the first
+    solve; each later solve starts from the policy the solve before it
+    ended on, and from the constant upper bound after a failed solve.  A
+    limit or barrier value at the INF sentinel on an agreement node raises
+    Unreachable.
     """
     schedule = [float(l) for l in schedule]
     if any(b >= a for a, b in zip(schedule, schedule[1:])):

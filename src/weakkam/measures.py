@@ -25,32 +25,23 @@ otherwise).  Two programs are built against the foot-point transition:
               implied exactly by the holonomy rows (their sum reads
               lambda*h*(total mass) = lambda*h) and is not repeated.
 
-Each program carries its start, `start = (basis, xB, y)`: the basis of a
-stationary policy with its basic solution and prices from block solves of
-that policy (`discounted.policy_solve`), or None.  The simplex checks the
-values against the basis before use and runs phase 1 when they fail:
+Both are Markov decision problems over the scheme's transition, one with
+average cost and one discounted, and `lp_solve` solves each by policy
+iteration (Howard, Dynamic Programming and Markov Processes, 1960;
+Puterman, Markov Decision Processes, 1994, ch. 6, 8.6 and 9).  A policy is
+one velocity index per node; its columns (i, policy[i]) are a basis of the
+program.  Each step evaluates the policy with one block factorization
+(`discounted.policy_solve`), prices every column against its duals, and
+switches each node that has a strictly cheaper column; the step that
+switches none is the simplex's own certificate of optimality, with a
+nonnegative closed (or holonomic) measure.  An ergodic policy is kept to
+one closed class (`_unichain`).  Each program starts from the policy it is
+built with: the Aubry tree (`aubry_tree`) for the ergodic program, the
+policy Howard's iteration ended on for a discounted one.
 
-  ergodic     the columns (i, tree[i]) of the Aubry tree (`aubry_tree`), when
-              it is given: the Aubry node y* with the least L(y*, 0) takes its
-              rest column and every other node its greedy move toward y*.
-              Every node reaches y* under that policy, so y* is its only
-              recurrent class, the basis is nonsingular, and its basic
-              solution is the Dirac mass on (y*, 0), which is feasible.
-              Without a tree, or for a policy that does not rest on
-              exactly one node, there is no start.
-  discounted  the columns (i, policy[i]), one per node in node order, of the
-              policy it is built with; the rest policy (q = 0 everywhere)
-              by default.  Such a basis is (1+lambda*h) I - W^T with W
-              substochastic, an M-matrix with a nonnegative inverse, so it
-              is feasible for every lambda and z.  The basic solutions are
-              the stationary policies of the scheme (Puterman, Markov
-              Decision Processes, 1994, ch. 6): built with the policy
-              Howard's iteration ended on, the program proves its optimum
-              by its own pricing, in no pivots, with no m x m array formed.
-
-Each constraint matrix is a `simplex.Columns` store built column by column
-(no m x n array is formed).  Both are solved by `lp_solve`.  The minimizing
-(Mather) measures are read off the ergodic solution exactly (`mather_face`).
+Each constraint matrix is a `Columns` store built column by column (no
+m x n array is formed).  The minimizing (Mather) measures are read off the
+ergodic solution exactly (`mather_face`).
 """
 
 from __future__ import annotations
@@ -61,24 +52,65 @@ from typing import Optional
 import numpy as np
 
 from .discounted import policy_solve, transposed_policy_solve
-from .errors import NoMeasures, NoSelfLoop, SingularBasis
+from .errors import MaxIterExceeded, NoMeasures, NoSelfLoop, SingularBasis, Unreachable
 from .grids import Transition, interpolate
 from .models import lagrangian_table
-from .simplex import Columns, solve_lp
 
 SUPPORT_TOL = 1e-9
+TOL = 1e-9          # a column is strictly cheaper when its reduced cost is below
+                    # -TOL (1 + max(max|c|, max|y|)), the round-off of the pricing
+FEAS_TOL = 1e-9     # the residual a solution's measure may leave in its rows
+
+
+@dataclass
+class Columns:
+    """An m x n matrix stored by columns in P slots each: column j holds
+    vals[j, s] at row rows[j, s].  Unused slots hold row 0 and value 0, and
+    no row repeats within a column."""
+    rows: np.ndarray             # (n, P) row indices
+    vals: np.ndarray             # (n, P) values
+    m: int
+
+    @property
+    def shape(self):
+        return (self.m, self.rows.shape[0])
+
+    @property
+    def nnz(self):
+        return int(np.count_nonzero(self.vals))
+
+    def vecmat(self, y):
+        """y @ A, summed slot by slot in slot order."""
+        out = y[self.rows[:, 0]] * self.vals[:, 0]
+        for s in range(1, self.rows.shape[1]):
+            out += y[self.rows[:, s]] * self.vals[:, s]
+        return out
+
+    def take_rows(self, keep):
+        """A[keep] for a boolean row mask; values in dropped rows go."""
+        new_index = np.cumsum(keep) - 1
+        kept = keep[self.rows]
+        return Columns(rows=np.where(kept, new_index[self.rows], 0),
+                       vals=np.where(kept, self.vals, 0.0), m=int(keep.sum()))
+
+    def with_row(self, values):
+        """[A; values]: one more row, held in one more slot of every column."""
+        n = self.rows.shape[0]
+        return Columns(rows=np.hstack([self.rows, np.full((n, 1), self.m)]),
+                       vals=np.hstack([self.vals, np.reshape(values, (n, 1))]),
+                       m=self.m + 1)
 
 
 @dataclass
 class LPProblem:
-    """min c.x over A x = b, x >= 0, and the start the simplex tries before
-    phase 1: a basis with its basic solution and prices (`solve_lp`)."""
+    """min c.x over A x = b, x >= 0, and the policy `lp_solve` starts from."""
     c: np.ndarray
     A: Columns                   # the constraint matrix, one column per pair
     b: np.ndarray
     kind: str                    # "ergodic" | "discounted"
     transition: Transition       # the grid and velocity set are its own
-    start: Optional[tuple] = None   # (basis, xB, y), or None
+    lam_h: float = 0.0           # the discount lambda h of a discounted program
+    policy: Optional[np.ndarray] = None   # a velocity index per node, or None
 
 
 @dataclass
@@ -86,8 +118,8 @@ class LPResult:
     measure: np.ndarray          # (n, M) node-by-velocity masses
     objective: float
     duals: np.ndarray
-    iterations: int
-    basis: np.ndarray            # the optimal basis, one column per row
+    iterations: int              # policy steps after the start
+    policy: np.ndarray           # the optimal policy, a velocity index per node
 
 
 def _stationarity_matrix(transition, factor_out=1.0):
@@ -119,20 +151,18 @@ def _stationarity_matrix(transition, factor_out=1.0):
 
 
 def aubry_tree(model, grid, velocity_set, transition, critical):
-    """The Aubry tree: a policy, one velocity index per node, that sends
-    every node to one Aubry node y*, or None when some node cannot reach y*
-    under it.
+    """The Aubry tree: a policy, one velocity index per node, under which
+    every node reaches one Aubry node y*.
 
     y* is the Aubry node with the least L(y*, 0), and it takes its rest
     velocity.  Every other node i takes the move q != 0 least in
     h L(x_i, q) + S(foot(i, q) -> y*), the ergodic program's own stage cost
     plus the distance to y* (its row of critical.S_to) interpolated at the
-    foot; the lowest velocity index wins a tie.  The policy is kept only
-    when every node reaches y* through feet of positive weight (a search
-    over the reversed policy graph from y*): then y* is the policy's only
-    recurrent class, so the ergodic basis of the policy is nonsingular and
-    its basic solution is the Dirac mass on (y*, 0) (Puterman, Markov
-    Decision Processes, 1994, ch. 8-9, for bases as stationary policies).
+    foot; the lowest velocity index wins a tie.  A node that does not reach
+    y* through feet of positive weight under those moves takes instead its
+    least such move into the nodes that do (`_reach`), so y* is the
+    policy's only closed class and the ergodic program's start is the Dirac
+    mass on (y*, 0).
     """
     L = lagrangian_table(model, grid.coords, velocity_set.vectors)
     zero = velocity_set.zero_index()
@@ -143,32 +173,101 @@ def aubry_tree(model, grid, velocity_set, transition, critical):
     stage[:, zero] = np.inf
     policy = np.argmin(stage, axis=1)
     policy[root] = zero
-    n = grid.num_nodes
-    rows = np.arange(n)
-    succ, hit = transition.idx[rows, policy], transition.w[rows, policy] > 0.0
-    # the reversed edges, grouped by their tail: pred[start[j]:start[j + 1]]
-    # are the nodes with a positive-weight foot on node j
-    src = np.repeat(rows, succ.shape[1])[hit.ravel()]
-    dst = succ.ravel()[hit.ravel()]
+    return _reach(transition, policy, [root], stage)
+
+
+def _reach(transition, policy, kept, cost):
+    """`policy` changed so that every node reaches the closed class `kept`
+    (a list of nodes) through feet of positive weight: a node that does not
+    takes its move least in `cost` (an (n, M) table; the lowest velocity
+    index wins a tie) among those with a positive-weight foot on a node
+    that does, in waves outward from `kept`.  Then `kept` is the policy's
+    only closed class.  Raises Unreachable when some node has no such move.
+    """
+    n = len(policy)
+    # the reversed edges of the policy, grouped by their tail:
+    # pred[start[j]:start[j + 1]] are the nodes with a positive-weight foot
+    # on node j
+    src, dst = _policy_edges(transition, policy)
     order = np.argsort(dst, kind="stable")
     pred = src[order].tolist()
     start = np.searchsorted(dst[order], np.arange(n + 1)).tolist()
-    reached = [False] * n
-    reached[root] = True
-    stack = [root]
-    while stack:
-        j = stack.pop()
-        for i in pred[start[j]:start[j + 1]]:
-            if not reached[i]:
-                reached[i] = True
-                stack.append(i)
-    return policy if all(reached) else None
+    policy = policy.copy()
+    reached = np.zeros(n, dtype=bool)
+    reached[kept] = True
+    stack = list(kept)
+    while True:
+        while stack:
+            j = stack.pop()
+            for i in pred[start[j]:start[j + 1]]:
+                if not reached[i]:
+                    reached[i] = True
+                    stack.append(i)
+        if reached.all():
+            return policy
+        moves = (np.any(reached[transition.idx] & (transition.w > 0.0), axis=2)
+                 & ~reached[:, None])
+        wave = np.flatnonzero(moves.any(axis=1))
+        if wave.size == 0:
+            i = int(np.flatnonzero(~reached)[0])
+            raise Unreachable(f"node {i} (x = {transition.grid.coords[i].tolist()}) has no "
+                              f"move that reaches the policy's closed class at node {kept[0]}")
+        policy[wave] = np.argmin(np.where(moves[wave], cost[wave], np.inf), axis=1)
+        reached[wave] = True
+        stack = wave.tolist()
+
+
+def _policy_edges(transition, policy):
+    """(src, dst): the edges i -> foot node of the chain of `policy`, one per
+    foot of positive weight."""
+    rows = np.arange(len(policy))
+    succ = transition.idx[rows, policy]
+    on = transition.w[rows, policy] > 0.0
+    return np.repeat(rows, succ.shape[1])[on.ravel()], succ.ravel()[on.ravel()]
+
+
+def _closed_classes(transition, policy):
+    """The closed classes of the chain of `policy`: lists of nodes, in the
+    order of their least node."""
+    src, dst = _policy_edges(transition, policy)
+    comp = _components(len(policy), src, dst)
+    open_ = np.zeros(comp.max() + 1, dtype=bool)
+    open_[comp[src[comp[src] != comp[dst]]]] = True
+    closed = np.flatnonzero(~open_[comp])
+    labels = comp[closed]
+    return [closed[labels == lab].tolist() for lab in dict.fromkeys(labels.tolist())]
+
+
+def _unichain(transition, policy, cost, switched=None):
+    """(policy, anchor): `policy` with a single closed class, and a node of
+    that class, its resting node when it has one.
+
+    When the chain has several closed classes, one is kept and every node
+    is sent to it (`_reach`, by `cost`).  At the start (`switched` None) the
+    kept class holds the node least in cost[i, policy[i]] over the classes;
+    after a step, the least such node among the classes that hold a node the
+    step switched (a boolean mask).  A class with a switched node has a
+    strictly lower gain than the policy before the step, so no policy
+    recurs.
+    """
+    classes = _closed_classes(transition, policy)
+    if len(classes) > 1:
+        if switched is not None:
+            classes = [c for c in classes if switched[c].any()]
+        least = [float(np.min(cost[c, policy[c]])) for c in classes]
+        kept = classes[int(np.argmin(least))]
+        policy = _reach(transition, policy, kept, cost)
+    else:
+        kept = classes[0]
+    rests = np.all((transition.idx[kept, policy[kept]] == np.array(kept)[:, None])
+                   | (transition.w[kept, policy[kept]] == 0.0), axis=1)
+    return policy, kept[int(np.argmax(rests))]
 
 
 def build_ergodic_lp(model, grid, velocity_set, transition, policy=None):
-    """min <mu, L> over {mu >= 0, closed, total mass 1}, started from the
-    basis of `policy` (one velocity index per node, such as the Aubry
-    tree), or with no start when None."""
+    """min <mu, L> over {mu >= 0, closed, total mass 1}, solved from
+    `policy` (one velocity index per node, such as the Aubry tree), or from
+    the rest policy (q = 0 everywhere) when None."""
     L = lagrangian_table(model, grid.coords, velocity_set.vectors)
     n = grid.num_nodes
     # the last balance row is the negated sum of the others
@@ -177,45 +276,13 @@ def build_ergodic_lp(model, grid, velocity_set, transition, policy=None):
     b = np.zeros(n)
     b[-1] = 1.0
     return LPProblem(c=L.reshape(-1), A=A, b=b, kind="ergodic", transition=transition,
-                     start=None if policy is None else _ergodic_start(L, transition, policy))
-
-
-def _ergodic_start(L, transition, policy):
-    """The start (basis, xB, y) of the ergodic basis of `policy`, the
-    columns (i, policy[i]) in node order, when exactly one node r rests on
-    itself, as the Aubry tree's root does; None otherwise.
-
-    The basic solution is the Dirac mass on (r, policy[r]).  The prices are
-    g = L(r, policy[r]) on the mass row and the potentials psi of
-    (I - W) psi = L_policy - g: r's row of I - W is 0 and is replaced by
-    psi(r) = 0, an absorbing chain when every node reaches r, so the system
-    is nonsingular.  psi is shifted to 0 at the last node, whose balance
-    row is left out.
-    """
-    n = len(policy)
-    rows = np.arange(n)
-    idx, w = transition.idx[rows, policy], transition.w[rows, policy]
-    rests = np.flatnonzero(np.all((idx == rows[:, None]) | (w == 0.0), axis=1))
-    if rests.size != 1:
-        return None
-    r = int(rests[0])
-    cost = L[rows, policy]
-    g = cost[r]
-    rhs = cost - g
-    rhs[r] = 0.0
-    try:
-        psi = policy_solve(transition, policy, rhs, 0.0, absorbing=r)
-    except SingularBasis:
-        return None
-    xB = np.zeros(n)
-    xB[r] = 1.0
-    return rows * L.shape[1] + policy, xB, np.append(psi[:-1] - psi[-1], g)
+                     policy=policy)
 
 
 def build_discounted_lp(model, grid, velocity_set, lam, z, transition, policy=None):
     """min <mu, L> over the discounted holonomy polytope anchored at node z,
-    started from the basis of `policy` (one velocity index per node; the
-    rest policy q = 0 when None).
+    solved from `policy` (one velocity index per node, such as the one
+    Howard's iteration ended on; the rest policy q = 0 when None).
 
     z may be a node index or coordinates (snapped to the nearest node).
     The unnormalized dual has mass 1/(lambda*h); the rows below are already
@@ -232,31 +299,127 @@ def build_discounted_lp(model, grid, velocity_set, lam, z, transition, policy=No
     b[z] = lam_h
     # the unit-mass row is implied exactly: summing the holonomy rows gives
     # lam*h*(total mass) = lam*h
-    if policy is None:
-        policy = np.full(grid.num_nodes, velocity_set.zero_index())
-    rows = np.arange(grid.num_nodes)
-    # the basis, the columns (i, policy[i]), is ((1 + lam h) I - W)^T for the
-    # policy's weights W, so its prices solve Howard's system with the costs
-    # L and its basic solution the transposed one with b
-    y, factor = policy_solve(transition, policy, L[rows, policy], lam_h, keep=True)
     return LPProblem(c=L.reshape(-1), A=A, b=b, kind="discounted", transition=transition,
-                     start=(rows * L.shape[1] + policy, transposed_policy_solve(factor, b), y))
+                     lam_h=lam_h, policy=policy)
+
+
+def _evaluate_discounted(problem, policy, cost):
+    """(duals, masses on the policy's columns) of a discounted policy: the
+    basis of its columns is ((1 + lam h) I - W)^T for the policy's weights
+    W, so its prices solve Howard's system with the costs, and its basic
+    solution the transposed one with b, from the same factor."""
+    y, factor = policy_solve(problem.transition, policy, cost, problem.lam_h, keep=True)
+    return y, transposed_policy_solve(factor, problem.b)
+
+
+def _evaluate_ergodic(problem, policy, cost, r):
+    """(duals, masses on the policy's columns) of an ergodic policy whose
+    only closed class holds node r.
+
+    The potentials psi and the gain g solve g + psi - W psi = cost with
+    psi(r) = 0.  With row r of W zeroed (`absorbing`) the matrix is a
+    nonsingular M-matrix, and a = its solve with cost and b = its solve
+    with 1 (row r zeroed in both) give g = (cost_r + W_r a) / (1 + W_r b)
+    and psi = a - g b.  When r rests, g = cost_r and psi is one solve, and
+    the measure is the Dirac mass on (r, policy[r]); otherwise it is the
+    stationary measure of the class, the transposed solve with W_r^T (whose
+    solution carries mass 1 at r), normalized.  The duals are psi shifted to
+    0 at the last node, whose balance row is left out, then g on the mass
+    row.
+    """
+    tr = problem.transition
+    n = len(policy)
+    idx, w = tr.idx[r, policy[r]], tr.w[r, policy[r]]
+    if np.all((idx == r) | (w == 0.0)):
+        g = cost[r]
+        rhs = cost - g
+        rhs[r] = 0.0
+        psi = policy_solve(tr, policy, rhs, 0.0, absorbing=r)
+        xB = np.zeros(n)
+        xB[r] = 1.0
+    else:
+        rhs = np.column_stack([cost, np.ones(n)])
+        rhs[r] = 0.0
+        ab, factor = policy_solve(tr, policy, rhs, 0.0, keep=True, absorbing=r)
+        a, b = ab[:, 0], ab[:, 1]
+        g = (cost[r] + w @ a[idx]) / (1.0 + w @ b[idx])
+        psi = a - g * b
+        row = np.zeros(n)
+        np.add.at(row, idx, w)
+        xB = transposed_policy_solve(factor, row)
+        xB /= xB.sum()
+    return np.append(psi[:-1] - psi[-1], g), xB
 
 
 def lp_solve(problem):
-    """Solve the program from its own start; returns the measure, the
-    optimum, and the duals (the multipliers on the stationarity rows
-    approximate a subsolution potential and are reported for diagnostics).
-    A start whose values fail the simplex's check, or whose basic solution
-    is negative, falls back to phase 1.  Masses at or below SUPPORT_TOL are
-    zeroed.
+    """Solve the program by policy iteration from its own policy; returns
+    the measure, the optimum, the duals (the multipliers on the
+    stationarity rows approximate a subsolution potential and are reported
+    for diagnostics), the number of policy steps and the optimal policy.
+
+    Each step evaluates the policy (`_evaluate_ergodic`,
+    `_evaluate_discounted`), prices every column, and switches each node
+    to its cheapest column (the lowest velocity index on a tie) when that
+    is another column with a reduced cost below -TOL (1 + max(max|c|,
+    max|y|)), the round-off of the prices y.  It stops at the first policy
+    with none, which must then be certified: its own columns price to 0
+    within tol, so every reduced cost is >= -tol, and its measure is
+    nonnegative and satisfies the rows within FEAS_TOL; otherwise
+    SingularBasis is raised.  An ergodic policy is kept to one closed class
+    (`_unichain`).  More than 2n + 64 steps raise MaxIterExceeded.  Masses
+    at or below SUPPORT_TOL are zeroed.
     """
-    sol = solve_lp(problem.c, problem.A, problem.b, start=problem.start)
     tr = problem.transition
     n, M = tr.grid.num_nodes, tr.velocity_set.size
-    return LPResult(measure=np.where(sol.x > SUPPORT_TOL, sol.x, 0.0).reshape(n, M),
-                    objective=sol.objective, duals=sol.duals,
-                    iterations=sol.iterations, basis=sol.basis)
+    rows = np.arange(n)
+    L = problem.c.reshape(n, M)
+    ergodic = problem.kind == "ergodic"
+    if problem.policy is None:
+        policy = np.full(n, tr.velocity_set.zero_index())
+    else:
+        policy = np.array(problem.policy, dtype=np.intp)
+    if ergodic:
+        policy, r = _unichain(tr, policy, L)
+    scale = float(np.max(np.abs(problem.c)))
+    max_steps = 2 * n + 64
+    steps = 0
+    while True:
+        cost = L[rows, policy]
+        if ergodic:
+            y, xB = _evaluate_ergodic(problem, policy, cost, r)
+        else:
+            y, xB = _evaluate_discounted(problem, policy, cost)
+        reduced = (problem.c - problem.A.vecmat(y)).reshape(n, M)
+        tol = TOL * (1.0 + max(scale, float(np.max(np.abs(y)))))
+        best = np.argmin(reduced, axis=1)
+        switched = (reduced[rows, best] < -tol) & (best != policy)
+        if not switched.any():
+            break
+        if steps == max_steps:
+            raise MaxIterExceeded(f"policy iteration on the {problem.kind} program still "
+                                  f"switching after {max_steps} steps",
+                                  iterations=max_steps)
+        steps += 1
+        policy = np.where(switched, best, policy)
+        if ergodic:
+            policy, r = _unichain(tr, policy, reduced, switched)
+    x = np.zeros(n * M)
+    x[rows * M + policy] = np.maximum(xB, 0.0)
+    mu = x.reshape(n, M)
+    out, inflow = _flows(mu, tr)
+    if ergodic:
+        residual = max(float(np.max(np.abs(out - inflow))), abs(float(mu.sum()) - 1.0))
+    else:
+        residual = float(np.max(np.abs((1.0 + problem.lam_h) * out - inflow - problem.b)))
+    priced = float(np.max(np.abs(reduced[rows, policy])))
+    if not (priced <= tol and np.min(xB) >= -FEAS_TOL and residual <= FEAS_TOL):
+        raise SingularBasis(f"the {problem.kind} program's policy matrix is numerically "
+                            f"singular: its measure misses the rows by {residual:.3e} with "
+                            f"least mass {np.min(xB):.3e}, and its columns price at up to "
+                            f"{priced:.3e} against a tolerance {tol:.3e}")
+    return LPResult(measure=np.where(x > SUPPORT_TOL, x, 0.0).reshape(n, M),
+                    objective=float(problem.c @ x), duals=y, iterations=steps,
+                    policy=policy)
 
 
 # ---------------------------------------------------------------------------
@@ -393,8 +556,9 @@ def _components(n, src, dst):
     src -> dst, by Tarjan's algorithm on explicit stacks (a node seen but
     not yet placed is on the stack)."""
     order = np.argsort(src, kind="stable")
-    cuts = np.searchsorted(src[order], np.arange(1, n))
-    succ = [a.tolist() for a in np.split(dst[order], cuts)]
+    cuts = np.searchsorted(src[order], np.arange(n + 1)).tolist()
+    heads = dst[order].tolist()
+    succ = [heads[a:b] for a, b in zip(cuts, cuts[1:])]
     index, low, comp, stack, work = [-1] * n, [0] * n, [-1] * n, [], []
     count = labels = 0
 

@@ -343,180 +343,6 @@ def brute_force_lp(c, A, b, tol=1e-9):
     return best
 
 
-def _eager_pivot(Binv, xB, d, row, theta):
-    xB -= theta * d
-    xB[row] = theta
-    prow = Binv[row] / d[row]
-    Binv -= np.outer(d, prow)
-    Binv[row] = prow
-
-
-def _eager_basic_solution(A, b, basis, Binv):
-    """(Binv, Binv b, its residual), with the basis inverted afresh when
-    that residual is past the grading step PERTURB max(1, |b|) / m."""
-    from weakkam.simplex import PERTURB, _inverse
-    B = A.dense(basis)
-    xB = Binv @ b
-    if np.max(np.abs(b - B @ xB)) > PERTURB * max(1.0, float(np.max(np.abs(b)))) / len(b):
-        Binv = _inverse(A, basis)
-        xB = Binv @ b
-    return Binv, xB, b - B @ xB
-
-
-def _eager_refined(A, b, c, basis, Binv):
-    """(Binv, xB, y) with one refinement step on xB and on y."""
-    Binv, xB, r = _eager_basic_solution(A, b, basis, Binv)
-    xB = xB + Binv @ r
-    cB = c[basis]
-    y = cB @ Binv
-    y = y + (cB - y @ A.dense(basis)) @ Binv
-    return Binv, xB, y
-
-
-def _eager_core(A, b, c, basis, Binv, max_iter):
-    from weakkam.errors import MaxIterExceeded, UnboundedLP
-    from weakkam.simplex import BLOCK, STALL_LIMIT, TOL
-    m, n = A.shape
-    xB = Binv @ b
-    bland, stall, last_obj, it = False, 0, np.inf, 0
-    while True:
-        if it and it % BLOCK == 0:
-            Binv, xB, _ = _eager_basic_solution(A, b, basis, Binv)
-        if it >= max_iter:
-            raise MaxIterExceeded("reference simplex exceeded its cap", iterations=it)
-        reduced = c - A.vecmat(c[basis] @ Binv)
-        reduced[basis] = 0.0
-        if bland:
-            cand = np.nonzero(reduced < -TOL)[0]
-            if cand.size == 0:
-                break
-            enter = int(cand[0])
-        else:
-            enter = int(np.argmin(reduced))
-            if reduced[enter] >= -TOL:
-                break
-        d = A.matcol(Binv, enter)
-        pos = d > TOL
-        if not pos.any():
-            raise UnboundedLP("unbounded improving ray")
-        ratios = np.full(m, np.inf)
-        ratios[pos] = np.maximum(xB[pos] / d[pos], 0.0)
-        theta = float(np.min(ratios))
-        rows = np.nonzero(ratios <= theta + TOL * (1 + abs(theta)))[0]
-        rows = rows[d[rows] >= 0.1 * np.max(d[rows])]
-        leave_row = int(rows[np.argmin(basis[rows])])
-        _eager_pivot(Binv, xB, d, leave_row, max(theta, 0.0))
-        basis[leave_row] = enter
-        it += 1
-        obj = float(c[basis] @ xB)
-        if obj >= last_obj - TOL * (1 + abs(obj)):
-            stall += 1
-            bland = bland or stall >= STALL_LIMIT
-        else:
-            stall = 0
-        last_obj = obj
-    return basis, Binv, xB, it
-
-
-def eager_dual_cleanup(A, b, c, basis, Binv, xB, max_iter):
-    """`simplex._dual_cleanup` on an explicit inverse Binv and the start's
-    basic solution xB (both updated in place), with the prices recomputed
-    at every pivot."""
-    from weakkam.errors import InfeasibleLP, MaxIterExceeded
-    from weakkam.simplex import FEAS_TOL, TOL
-    feas_tol = FEAS_TOL * max(1.0, float(np.max(np.abs(b))))
-    it = 0
-    while True:
-        clip = xB * np.max(np.abs(A.dense(basis)), axis=0)
-        r = int(np.argmin(clip))
-        if clip[r] >= -feas_tol:
-            return basis, Binv, xB, it
-        if it >= max_iter:
-            raise MaxIterExceeded("reference dual clean-up exceeded its cap", iterations=it)
-        reduced = c - A.vecmat(c[basis] @ Binv)
-        reduced[basis] = 0.0
-        alpha = A.vecmat(Binv[r])
-        alpha[basis] = 0.0
-        cand = np.nonzero(alpha < -TOL)[0]
-        if cand.size == 0:
-            raise InfeasibleLP("no dual pivot")
-        ratios = np.maximum(reduced[cand], 0.0) / (-alpha[cand])
-        least = float(np.min(ratios))
-        tied = cand[ratios <= least + TOL * (1 + abs(least))]
-        j = int(tied[np.argmax(-alpha[tied])])
-        d = A.matcol(Binv, j)
-        _eager_pivot(Binv, xB, d, r, xB[r] / d[r])
-        basis[r] = j
-        it += 1
-
-
-def eager_simplex(c, A, b, basis0=None):
-    """`simplex.solve_lp` with the explicit basis inverse rewritten by a
-    dense rank-1 update at every pivot and the prices recomputed from it
-    at every pivot: the same start certificate, pricing, ratio test,
-    grading, residual checks, refinement and clean-up, so it makes the
-    same pivots.  Returns (x, duals, iterations, basis); the caller's
-    arrays are not modified."""
-    from weakkam.errors import InfeasibleLP, SingularBasis
-    from weakkam.simplex import FEAS_TOL, PERTURB, TOL, _inverse, _signed_rows
-    b = np.asarray(b, dtype=float)
-    c = np.asarray(c, dtype=float)
-    m, n = A.shape
-    A, b, row_sign = _signed_rows(A, b)
-    scale_b = max(1.0, float(np.max(np.abs(b))))
-    b_work = b + PERTURB * scale_b * (1.0 + np.arange(m)) / m
-    max_iter = 50 * (m + n) + 2000
-    total_it = 0
-    col_max = np.max(np.abs(A.dense(np.arange(n))), axis=0)
-    basis = Binv = xB = None
-    if basis0 is not None:
-        basis = np.array(basis0, dtype=int)
-        B = A.dense(basis)
-        try:
-            xB, y = np.linalg.solve(B, b), np.linalg.solve(B.T, c[basis])
-        except np.linalg.LinAlgError:
-            pass
-        if xB is None or not np.all(xB >= -1e-8):
-            basis = Binv = None
-        elif Binv is None:
-            reduced = c - A.vecmat(y)
-            reduced[basis] = 0.0
-            if np.min(reduced) >= -TOL and np.min(xB * col_max[basis]) >= -FEAS_TOL * scale_b:
-                x = np.zeros(n)
-                x[basis] = np.maximum(xB, 0.0)
-                return x, y * row_sign, 0, basis
-            Binv = _inverse(A, basis)
-    if basis is None:
-        # phase 1 from the artificial identity, then the drive-out
-        c1 = np.concatenate([np.zeros(n), np.ones(m)])
-        basis, Binv, xB, total_it = _eager_core(A.with_unit_columns(np.arange(m)), b_work,
-                                                c1, np.arange(n, n + m), np.eye(m), max_iter)
-        if float(c1[basis] @ xB) > 1e-7 * scale_b + 10.0 * PERTURB * scale_b * m:
-            raise InfeasibleLP("reference phase 1 found no feasible point")
-        for r in range(m):
-            if basis[r] < n:
-                continue
-            row_vals = A.vecmat(Binv[r])
-            j = int(np.argmax(np.abs(row_vals)))
-            if abs(row_vals[j]) <= 1e-9:
-                raise SingularBasis(f"constraint row {basis[r] - n} is redundant")
-            d = A.matcol(Binv, j)
-            _eager_pivot(Binv, xB, d, r, xB[r] / d[r] if abs(d[r]) > 1e-12 else 0.0)
-            basis[r] = j
-            total_it += 1
-    basis, Binv, xB, it = _eager_core(A, b_work, c, basis, Binv, max_iter)
-    total_it += it
-    Binv, xB, y = _eager_refined(A, b, c, basis, Binv)
-    if float(np.min(xB * col_max[basis])) < -FEAS_TOL * scale_b:
-        basis, Binv, xB, it = eager_dual_cleanup(A, b, c, basis, Binv, xB, max_iter)
-        total_it += it
-        if it:
-            Binv, xB, y = _eager_refined(A, b, c, basis, Binv)
-    x = np.zeros(n)
-    x[basis] = np.maximum(xB, 0.0)
-    return x, y * row_sign, total_it, basis
-
-
 def dense_lp_matrix(problem, lam=None):
     """The constraint matrix of an ergodic or discounted LPProblem
     (the last built with discount `lam`), built densely from its transition

@@ -473,7 +473,7 @@ def test_mather_lambda_reads_no_aubry_set(tmp_path):
 
 def test_mather_lambda_starts_from_the_howard_policy(tmp_path):
     # the discounted LP is the exact dual of the scheme: started from the
-    # basis of the policy solve_discounted ends on, it makes no pivot
+    # policy solve_discounted ends on, it takes no policy step
     cfg = write_cfg(tmp_path, TINY_STUDY)
     out = tmp_path / "md"
     assert main(["mather", "--config", cfg, "--out", str(out),
@@ -685,20 +685,44 @@ def test_an_empty_aubry_set_exits_3_without_traceback(tmp_path, capsys):
 
 def test_singular_simplex_basis_exits_3_without_traceback(tmp_path, capsys,
                                                           monkeypatch):
-    # the double well's Aubry tree is a start that must pivot, so the
-    # ergodic LP inverts it, and the inversion finds the basis singular
-    import weakkam.simplex
+    # the Aubry tree's columns are the ergodic LP's first basis, and its
+    # first evaluation finds a block of the policy matrix singular
+    import weakkam.discounted
 
-    def singular(matrix):
+    def singular(a, b):
         raise np.linalg.LinAlgError("Singular matrix")
 
-    monkeypatch.setattr(weakkam.simplex.np.linalg, "inv", singular)
+    monkeypatch.setattr(weakkam.discounted.np.linalg, "solve", singular)
     cfg = write_cfg(tmp_path, {**TINY_STUDY,
                                "model": {"family": "quadratic", "potential": "double_well"},
                                "velocity": {"q_max": 1.5, "per_axis_count": 5}})
     assert main(["mather", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
     err = capsys.readouterr().err
-    assert "SingularBasis" in err
+    lines = [line for line in err.splitlines() if line.startswith("error")]
+    assert len(lines) == 1 and lines[0].startswith("error[SingularBasis]: block 0 "), err
+    assert "Traceback" not in err
+
+
+def test_policy_iteration_past_its_step_cap_exits_3_without_traceback(tmp_path, capsys,
+                                                                      monkeypatch):
+    # prices with fresh noise at every evaluation never settle
+    import weakkam.measures
+    rng = np.random.default_rng(5)
+    evaluate = weakkam.measures._evaluate_ergodic
+
+    def noisy(*args):
+        y, xB = evaluate(*args)
+        # the last price is an ergodic program's gain, which would shift
+        # every reduced cost alike
+        y[:-1] += 1e6 * rng.normal(size=y.size - 1)
+        return y, xB
+
+    monkeypatch.setattr(weakkam.measures, "_evaluate_ergodic", noisy)
+    cfg = write_cfg(tmp_path, TINY_STUDY)
+    assert main(["mather", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    lines = [line for line in err.splitlines() if line.startswith("error")]
+    assert len(lines) == 1 and lines[0].startswith("error[MaxIterExceeded]: "), err
     assert "Traceback" not in err
 
 

@@ -194,6 +194,10 @@ def test_block_solve_matches_dense_solve(box, h, count):
         got = policy_solve(tr, q, rhs, lam_h)
         want = _dense_policy_solve(tr, q, rhs, 1.0 + lam_h)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-10 * np.max(np.abs(want)))
+        # two right-hand sides with the one factorization
+        both = policy_solve(tr, q, np.column_stack([rhs, -2.0 * rhs]), lam_h)
+        np.testing.assert_allclose(both, np.column_stack([want, -2.0 * want]), rtol=0,
+                                   atol=2e-10 * np.max(np.abs(want)))
 
 
 def _random_policy_system(g, vs, seed=0):

@@ -3,10 +3,10 @@ import dataclasses
 import numpy as np
 import pytest
 
-from weakkam import limits, measures, simplex
+from weakkam import limits, measures
 from weakkam.critical import INF, build_critical_data, peierls_field_to, weak_kam_solution
 from weakkam.errors import MaxIterExceeded, NoMeasures, SingularBasis
-from weakkam.grids import build_grid, build_transition, build_velocity_set
+from weakkam.grids import build_grid, build_transition, build_velocity_set, interpolate
 from weakkam.limits import (
     dirac_marginals,
     enric1_values,
@@ -17,7 +17,7 @@ from weakkam.limits import (
     vanishing_discount_study,
 )
 from weakkam.measures import build_ergodic_lp, lp_solve, mather_face
-from weakkam.models import make_model, superlinearize
+from weakkam.models import lagrangian_table, make_model, superlinearize
 
 from helpers import mather_set_loop, maximal_trace_loop
 
@@ -383,107 +383,79 @@ def test_study_builds_the_ergodic_lp_once(monkeypatch):
     assert len(calls) == 1
 
 
-def test_no_lp_of_the_study_runs_phase_1(monkeypatch):
+def _recording_lp_solves(monkeypatch):
+    log = []
+    lp_solve_ = limits.lp_solve
+
+    def solving(problem):
+        res = lp_solve_(problem)
+        log.append((problem.kind, res.iterations))
+        return res
+
+    monkeypatch.setattr(limits, "lp_solve", solving)
+    return log
+
+
+def test_no_lp_of_the_study_takes_a_policy_step(monkeypatch):
     # the ergodic LP starts from the Aubry tree, the discounted LPs from
-    # the basis of the policy Howard's iteration ends on, and the Mather
-    # face is read off the ergodic duals
-    calls = []
-    phase1 = simplex._phase1
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return phase1(*args, **kwargs)
-
-    monkeypatch.setattr(simplex, "_phase1", counting)
+    # the policy Howard's iteration ends on, and each start is optimal; the
+    # Mather face is read off the ergodic duals
+    log = _recording_lp_solves(monkeypatch)
     g = build_grid([[-2.0, 2.0]], 0.1)
     vs = build_velocity_set(1.0, 5)
     rep = vanishing_discount_study(make_model("quadratic", "half_square"), g, vs,
                                    [0.5], transition=build_transition(g, vs))
     assert not rep.failures
-    assert len(calls) == 0
+    assert log == [("ergodic", 0), ("discounted", 0)]
 
 
-def test_a_refused_tree_runs_phase_1_with_no_dense_start_solve(monkeypatch):
-    # On the 2D double well at h = 0.25 some node cannot reach the tree's
-    # root under its policy: the basis of that policy is singular, so the
-    # tree is refused before any solve, and phase 1 finds the optimum
-    # without forming any basis densely
+def test_a_tree_with_unreached_nodes_is_repaired_to_reach_its_root():
+    # On the 2D double well at h = 0.25 some node does not reach the tree's
+    # root under its greedy moves; those nodes take their least move into
+    # the nodes that do, so the root is the tree's only closed class, and
+    # the study's ergodic LP reaches the optimum and face of a solve from
+    # the rest policy
     model = make_model("quadratic", "double_well", dimension=2)
     g = build_grid([[-2.0, 2.0], [-2.0, 2.0]], 0.25)
     vs = build_velocity_set(1.5, 5, dimension=2)
     tr = build_transition(g, vs)
-    assert measures.aubry_tree(model, g, vs, tr, build_critical_data(model, g, vs,
-                                                                     transition=tr)) is None
-    calls = []
-
-    def recording(name):
-        real = getattr(simplex, name)
-
-        def recorded(*args):
-            calls.append(name)
-            return real(*args)
-        monkeypatch.setattr(simplex, name, recorded)
-
-    recording("_phase1")
-    columns_dense = simplex.Columns.dense
-    monkeypatch.setattr(simplex.Columns, "dense",
-                        lambda self, cols: calls.append("dense") or columns_dense(self, cols))
+    crit = build_critical_data(model, g, vs, transition=tr)
+    tree = measures.aubry_tree(model, g, vs, tr, crit)
+    zero = vs.zero_index()
+    root, = np.flatnonzero(tree == zero)
+    assert measures._closed_classes(tr, tree) == [[root]]
+    # the greedy moves alone leave some node outside the root's basin
+    stage = g.h * lagrangian_table(model, g.coords, vs.vectors)
+    rank = int(np.flatnonzero(crit.aubry_nodes == root)[0])
+    stage = stage + interpolate(tr, crit.S_to[rank])
+    stage[:, zero] = np.inf
+    greedy = np.argmin(stage, axis=1)
+    greedy[root] = zero
+    assert len(measures._closed_classes(tr, greedy)) > 1
     rep = vanishing_discount_study(model, g, vs, [], probes=[(0.0, 0.0)], transition=tr)
-    assert calls == ["_phase1"]
     problem = build_ergodic_lp(model, g, vs, transition=tr)
     ergodic = lp_solve(problem)
-    assert rep.ergodic_objective == ergodic.objective
+    assert abs(rep.ergodic_objective - ergodic.objective) <= 1e-12
     np.testing.assert_array_equal(rep.mather_nodes,
                                   mather_set(mather_face(problem, ergodic).nodes, g))
 
 
-def _counting_inversions(monkeypatch):
-    calls = []
-    inverse = simplex._inverse
-
-    def counting(*args):
-        calls.append(1)
-        return inverse(*args)
-
-    monkeypatch.setattr(simplex, "_inverse", counting)
-    return calls
-
-
-def test_study_reuses_the_inverses_it_already_formed(monkeypatch):
-    # The ergodic LP's tree start and the discounted LPs' policy starts are
-    # optimal here, and each is certified from the basic solution and prices
-    # of its policy's block factor.  Inverting every start afresh took 17
-    # inversions, and re-inverting each final basis 8.
-    calls = _counting_inversions(monkeypatch)
-    g = build_grid([[-2.0, 2.0]], 0.1)
-    vs = build_velocity_set(1.0, 5)
-    rep = vanishing_discount_study(make_model("quadratic", "half_square"), g, vs,
-                                   [0.5, 0.25], probes=((0.0,), (1.0,)),
-                                   transition=build_transition(g, vs))
-    assert not rep.failures
-    assert len(calls) == 0
-
-
 def test_the_acceptance_study_at_h_002_inverts_no_basis(monkeypatch):
     # the acceptance model at h = 0.02 (401 rows in the ergodic LP): every
-    # start is optimal and certified from its policy's block factor, so no
-    # basis is formed as an m x m array.  Re-inverting each final basis, and
-    # every start without an inverse, took 16 inversions; certifying each
-    # start by two dense solves formed 7 dense bases.
-    calls = _counting_inversions(monkeypatch)
-    dense, inv = [], []
-    columns_dense, linalg_inv = simplex.Columns.dense, np.linalg.inv
-    monkeypatch.setattr(simplex.Columns, "dense",
-                        lambda self, cols: dense.append(1) or columns_dense(self, cols))
-    monkeypatch.setattr(np.linalg, "inv", lambda a: inv.append(1) or linalg_inv(a))
+    # start is optimal and certified from its policy's block factor, and no
+    # LP forms or inverts an m x m array
+    def no_inverse(a):
+        raise AssertionError("a matrix was inverted")
+
+    monkeypatch.setattr(np.linalg, "inv", no_inverse)
+    log = _recording_lp_solves(monkeypatch)
     g = build_grid([[-4.0, 4.0]], 0.02)
     vs = build_velocity_set(1.5, 7)
     rep = vanishing_discount_study(superlinearize(make_model("eikonal", "abs"), g), g, vs,
                                    [0.5, 0.25, 0.125], probes=((0.0,), (1.0,)),
                                    transition=build_transition(g, vs))
     assert not rep.failures
-    assert len(calls) == 0
-    assert not dense and not inv
+    assert log == [("ergodic", 0)] + [("discounted", 0)] * 6
 
 
 def test_barrier_form_is_at_most_the_ergodic_pairing(quad_setup, grid_c, vs7):
@@ -500,18 +472,9 @@ def test_barrier_form_is_at_most_the_ergodic_pairing(quad_setup, grid_c, vs7):
 
 
 def test_study_pivot_budget(monkeypatch):
-    # The acceptance model at h = 0.1: the Aubry tree makes the ergodic LP
-    # free (phase 1 took 84 pivots), and the Howard-policy start every
-    # discounted LP; restarted from the q = 0 crash they took 246 pivots.
-    log = []
-    lp_solve_ = limits.lp_solve
-
-    def solving(problem):
-        res = lp_solve_(problem)
-        log.append((problem.kind, res.iterations))
-        return res
-
-    monkeypatch.setattr(limits, "lp_solve", solving)
+    # The acceptance model at h = 0.1: the Aubry tree is the ergodic LP's
+    # optimal policy, and Howard's policy every discounted LP's
+    log = _recording_lp_solves(monkeypatch)
     g = build_grid([[-4.0, 4.0]], 0.1)
     vs = build_velocity_set(1.5, 7)
     rep = vanishing_discount_study(superlinearize(make_model("eikonal", "abs"), g), g, vs,
@@ -520,7 +483,7 @@ def test_study_pivot_budget(monkeypatch):
     assert not rep.failures
     # the ergodic LP and 4 discounted LPs
     assert [kind for kind, _ in log] == ["ergodic"] + ["discounted"] * 4
-    assert all(pivots == 0 for _, pivots in log), log
+    assert all(steps == 0 for _, steps in log), log
 
 
 def test_study_propagates_programming_errors_from_the_solve(monkeypatch):

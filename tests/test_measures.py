@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from weakkam import measures, simplex
+from weakkam import measures
 from weakkam.critical import build_critical_data
 from weakkam.discounted import quadratic_rate, solve_discounted
 from weakkam.grids import build_grid, build_transition, build_velocity_set, interpolate
@@ -21,7 +21,7 @@ from weakkam.measures import (
 )
 from weakkam.models import lagrangian_table, make_model, superlinearize
 
-from helpers import dense_lp_matrix, min_cycle_mean
+from helpers import brute_force_lp, dense_lp_matrix, min_cycle_mean
 
 
 def _measure(grid, vs, masses):
@@ -150,20 +150,16 @@ def test_discounted_lp_is_the_exact_dual_of_the_scheme(disc_setup):
         assert abs(res.objective - lam_u) <= 1e-9, (lam, z)
 
 
-def test_discounted_lps_chain_their_optimal_bases(disc_setup, monkeypatch):
-    # every discounted LP has the same columns, so the policy of an optimal
-    # basis of one (lambda, z) is a feasible start for any other; phase 1
-    # never runs
+def test_discounted_lps_chain_their_optimal_bases(disc_setup):
+    # every discounted LP has the same columns, so the optimal policy of one
+    # (lambda, z) is a start for any other, and reaches the same optimum;
+    # the policy does not depend on the anchor z, so at the same lambda it
+    # takes no step
     g, vs, tr, quad = disc_setup
     cases = ((1.0, 1.0), (0.5, 0.0), (0.5, 1.0), (0.1, 1.0))
     problems = [build_discounted_lp(quad, g, vs, lam, [z], transition=tr)
                 for lam, z in cases]
     cold = [lp_solve(p) for p in problems]
-
-    def no_phase_1(*args, **kwargs):
-        raise AssertionError("phase 1 ran")
-
-    monkeypatch.setattr(simplex, "_phase1", no_phase_1)
     for (lam, z), problem, ref in zip(cases, problems, cold):
         lam_u = lam * float(solve_discounted(quad, g, vs, lam, transition=tr)
                             .u[g.node_near([z])])
@@ -171,16 +167,20 @@ def test_discounted_lps_chain_their_optimal_bases(disc_setup, monkeypatch):
             if start is ref:
                 continue
             warm = lp_solve(build_discounted_lp(
-                quad, g, vs, lam, [z], transition=tr,
-                policy=start.basis % vs.size))
+                quad, g, vs, lam, [z], transition=tr, policy=start.policy))
             assert abs(warm.objective - ref.objective) <= 1e-12, (lam, z)
             assert abs(warm.objective - lam_u) <= 1e-9, (lam, z)
+        if lam == 0.5:
+            twin = cold[cases.index((0.5, 1.0 - z))]
+            warm = lp_solve(build_discounted_lp(
+                quad, g, vs, lam, [z], transition=tr, policy=twin.policy))
+            assert warm.iterations == 0
 
 
 def test_policy_start_keeps_the_duality_check_independent(disc_setup):
     # the LP proves its optimum by its own pricing: from Howard's policy it
-    # makes no pivot, and from a policy with nodes flipped to their worst
-    # action it pivots back to the optimum of a cold solve
+    # takes no step, and from a policy with nodes flipped to their worst
+    # action it steps back to the optimum of a cold solve
     g, vs, tr, quad = disc_setup
     lam, z = 0.5, [1.0]
     sol = solve_discounted(quad, g, vs, lam, transition=tr)
@@ -203,20 +203,21 @@ def test_policy_start_keeps_the_duality_check_independent(disc_setup):
 
 def test_howard_policy_program_certifies_itself_in_2d(monkeypatch):
     # built with the policy Howard's iteration ends on, the 2D double well's
-    # program is optimal at its start: no pivot, and no inverse is formed
+    # program is optimal at its start: no step, and no matrix is inverted
     g = build_grid([[-2.0, 2.0], [-2.0, 2.0]], 0.25)
     vs = build_velocity_set(1.5, 5, dimension=2)
     tr = build_transition(g, vs)
     model = make_model("quadratic", "double_well", dimension=2)
     lam, z = 0.5, [1.0, 0.0]
     sol = solve_discounted(model, g, vs, lam, tol=1e-10, transition=tr)
-    inversions = []
-    inverse = simplex._inverse
-    monkeypatch.setattr(simplex, "_inverse",
-                        lambda *args: inversions.append(1) or inverse(*args))
+
+    def no_inverse(a):
+        raise AssertionError("a matrix was inverted")
+
+    monkeypatch.setattr(np.linalg, "inv", no_inverse)
     howard = lp_solve(build_discounted_lp(model, g, vs, lam, z, transition=tr,
                                           policy=sol.policy))
-    assert howard.iterations == 0 and not inversions
+    assert howard.iterations == 0
     cold = lp_solve(build_discounted_lp(model, g, vs, lam, z, transition=tr))
     assert cold.iterations > 0
     assert howard.objective == pytest.approx(cold.objective, abs=1e-12)
@@ -234,16 +235,17 @@ def test_lp_builders_refuse_an_infinite_lagrangian(grid_c, vs7, tr_c):
 
 
 def test_discounted_start_is_the_rest_policy(quad, grid_c, vs7, tr_c):
-    # with no policy the start is the rest policy's: the q = 0 column of
-    # each node in node order
+    # with no policy the solve starts from the rest policy, q = 0 at every
+    # node: it takes the same steps to the same solution
     n = grid_c.num_nodes
     rest = build_discounted_lp(quad, grid_c, vs7, 0.5, 0, transition=tr_c)
-    assert np.array_equal(rest.start[0], np.arange(n) * vs7.size + vs7.zero_index())
-    assert np.array_equal(rest.start[0] // vs7.size, np.arange(n))
+    assert rest.policy is None
     built = build_discounted_lp(quad, grid_c, vs7, 0.5, 0, transition=tr_c,
                                 policy=np.full(n, vs7.zero_index()))
-    for got, want in zip(built.start, rest.start):
-        assert np.array_equal(got, want)
+    got, want = lp_solve(built), lp_solve(rest)
+    assert got.iterations == want.iterations > 0
+    for name in ("measure", "duals", "policy"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
 
 
 def test_one_column_per_node_bases_have_nonnegative_inverses(disc_setup):
@@ -256,7 +258,8 @@ def test_one_column_per_node_bases_have_nonnegative_inverses(disc_setup):
         node = np.arange(g.num_nodes * vs.size) // vs.size
         for _ in range(5):
             basis = [rng.choice(np.flatnonzero(node == i)) for i in range(g.num_nodes)]
-            assert np.all(np.linalg.inv(problem.A.dense(basis)) >= 0.0), lam
+            B = dense_lp_matrix(problem, lam)[:, basis]
+            assert np.all(np.linalg.inv(B) >= 0.0), lam
 
 
 def test_discounted_lp_holonomy_residual(disc_setup):
@@ -456,13 +459,15 @@ def test_the_tree_start_is_the_dirac_mass_at_its_root(quad, grid_c, vs7, tr_c, q
     root = quad_crit.aubry_nodes[np.argmin(L[quad_crit.aubry_nodes, zero])]
     # the root rests and every other node moves
     np.testing.assert_array_equal(np.flatnonzero(tree == zero), [root])
-    basis, xB, _ = problem.start
-    np.testing.assert_array_equal(basis, np.arange(grid_c.num_nodes) * vs7.size + tree)
-    # the Dirac mass on (y*, 0) solves the basis system exactly, and it is
-    # the start's basic solution
-    dirac = (basis == root * vs7.size + zero).astype(float)
-    np.testing.assert_array_equal(problem.A.matvec(dirac, basis), problem.b)
-    np.testing.assert_array_equal(xB, dirac)
+    res = lp_solve(problem)
+    # the tree's measure, the Dirac mass on (y*, 0), is the solution,
+    # exactly, with the optimum L(y*, 0); one step moves nodes off it but
+    # keeps y* at rest
+    assert res.iterations == 1 and res.policy[root] == zero
+    dirac = np.zeros((grid_c.num_nodes, vs7.size))
+    dirac[root, zero] = 1.0
+    np.testing.assert_array_equal(res.measure, dirac)
+    assert res.objective == L[root, zero]
 
 
 def _study_model(name):
@@ -480,45 +485,179 @@ def _study_model(name):
 @pytest.mark.parametrize("name", ["acceptance", "eikonal_abs.json", "quadratic.json",
                                   "double_well"])
 def test_the_start_values_match_dense_solves_of_the_basis(name):
-    # the tree's prices come from the pinned solve, a discounted start's
-    # basic solution and prices from its policy's block factor; each is a
-    # dense solve of the basis system, to round-off
+    # the ergodic prices come from the pinned solve, a discounted policy's
+    # measure and prices from its policy's block factor; each is a dense
+    # solve of the basis system of the optimal policy, to round-off
     model, g, vs = _study_model(name)
     tr = build_transition(g, vs)
     tree = measures.aubry_tree(model, g, vs, tr, build_critical_data(model, g, vs,
                                                                      transition=tr))
-    problems = [build_ergodic_lp(model, g, vs, transition=tr, policy=tree)]
+    problems = [(build_ergodic_lp(model, g, vs, transition=tr, policy=tree), None)]
     for lam in (0.5, 0.01):
         sol = solve_discounted(model, g, vs, lam, transition=tr)
-        problems.append(build_discounted_lp(model, g, vs, lam, g.num_nodes // 3,
-                                            transition=tr, policy=sol.policy))
-    for problem in problems:
-        basis, start_xB, start_y = problem.start
-        B = problem.A.dense(basis)
+        problems.append((build_discounted_lp(model, g, vs, lam, g.num_nodes // 3,
+                                             transition=tr, policy=sol.policy), lam))
+    for problem, lam in problems:
+        res = lp_solve(problem)
+        basis = np.arange(g.num_nodes) * vs.size + res.policy
+        B = dense_lp_matrix(problem, lam)[:, basis]
         xB = np.linalg.solve(B, problem.b)
         y = np.linalg.solve(B.T, problem.c[basis])
-        np.testing.assert_allclose(start_xB, xB, rtol=0.0, atol=1e-12 * np.max(np.abs(xB)))
-        np.testing.assert_allclose(start_y, y, rtol=0.0, atol=1e-12 * np.max(np.abs(y)))
+        got = res.measure.reshape(-1)[basis]
+        np.testing.assert_allclose(got, np.where(xB > 1e-9, xB, 0.0), rtol=0.0,
+                                   atol=1e-12 * np.max(np.abs(xB)))
+        np.testing.assert_allclose(res.duals, y, rtol=0.0, atol=1e-12 * np.max(np.abs(y)))
 
 
 @pytest.mark.parametrize("name", ["acceptance", "eikonal_abs.json", "quadratic.json",
                                   "double_well"])
-def test_the_tree_start_keeps_the_phase_1_optimum_and_face(name):
+def test_the_tree_start_keeps_the_cold_optimum_and_face(name):
+    # from the rest policy (the ergodic program built with no policy) and
+    # from the Aubry tree, the solve reaches the same optimum and face; the
+    # tree takes at most one step, and no more than the rest policy
     model, g, vs = _study_model(name)
     tr = build_transition(g, vs)
     tree = measures.aubry_tree(model, g, vs, tr, build_critical_data(model, g, vs,
                                                                      transition=tr))
-    assert tree is not None
     cold = build_ergodic_lp(model, g, vs, transition=tr)
     warm = build_ergodic_lp(model, g, vs, transition=tr, policy=tree)
-    assert cold.start is None
+    assert cold.policy is None
     runs = [(problem, lp_solve(problem)) for problem in (cold, warm)]
-    (_, phase_1), (_, started) = runs
-    assert started.iterations < phase_1.iterations
-    assert started.objective == pytest.approx(phase_1.objective, rel=0.0, abs=1e-12)
+    (_, rest), (_, started) = runs
+    assert started.iterations <= min(1, rest.iterations)
+    assert started.objective == pytest.approx(rest.objective, rel=0.0, abs=1e-12)
     faces = [mather_face(problem, res) for problem, res in runs]
     np.testing.assert_array_equal(faces[0].columns, faces[1].columns)
     assert closedness_residual(started.measure, tr) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# policy iteration: lp_solve against basis enumeration
+# ---------------------------------------------------------------------------
+
+def _two_node_cycle_model(g):
+    """H(x_i, p) = (p - (-1)^i)^2/2 - x_i^2/2, tabulated: odd nodes are
+    pushed right and even nodes left, so the cheapest closed measure
+    cycles between two nodes and no node of it rests."""
+    from weakkam.models import SampledTable
+    x = g.coords[:, 0]
+    pg = np.linspace(-8.0, 8.0, 65)
+    sign = (-1.0) ** np.arange(g.num_nodes)
+    values = (pg[None, :] - sign[:, None]) ** 2 / 2 - x[:, None] ** 2 / 2
+    return make_model("sampled", sampled=SampledTable(x_coords=x.copy(), p_grid=pg,
+                                                      values=values))
+
+
+@pytest.fixture(scope="module")
+def tiny_cycle():
+    # 5 nodes and 3 velocities: 15 columns, 3003 bases to enumerate
+    g = build_grid([[-1.0, 1.0]], 0.5)
+    vs = build_velocity_set(1.0, 3)
+    return g, vs, build_transition(g, vs), _two_node_cycle_model(g)
+
+
+def test_the_two_node_cycle_is_solved_by_a_bordered_evaluation_and_a_repair(
+        tiny_cycle, monkeypatch):
+    # from the rest policy every node is its own closed class, so the start
+    # is repaired; the one step closes the cycle (1, 2) beside the rest at
+    # node 0 and is repaired again; the cycle does not rest, so its gain
+    # and measure come from the bordered solve
+    g, vs, tr, model = tiny_cycle
+    calls = []
+    unichain = measures._unichain
+
+    def recording(transition, policy, cost, switched=None):
+        calls.append((switched is not None,
+                      len(measures._closed_classes(transition, policy))))
+        return unichain(transition, policy, cost, switched)
+
+    monkeypatch.setattr(measures, "_unichain", recording)
+    problem = build_ergodic_lp(model, g, vs, transition=tr)
+    res = lp_solve(problem)
+    assert calls == [(False, 5), (True, 2)]
+    assert res.iterations == 1
+    want = brute_force_lp(problem.c, dense_lp_matrix(problem), problem.b)
+    assert res.objective == pytest.approx(want, rel=0.0, abs=1e-12)
+    assert res.objective == pytest.approx(-0.4375, rel=0.0, abs=1e-12)
+    # the stationary measure of the cycle: half on each of its two moves
+    left, right = vs.zero_index() - 1, vs.zero_index() + 1
+    np.testing.assert_allclose(res.measure, _measure(g, vs, {(1, right): 0.5,
+                                                             (2, left): 0.5}),
+                               rtol=0.0, atol=1e-15)
+    with pytest.raises(NoSelfLoop, match="node 1 "):
+        mather_face(problem, res)
+
+
+@pytest.mark.parametrize("lam", [1.0, 0.1])
+def test_discounted_lp_solve_matches_basis_enumeration(tiny_cycle, lam):
+    g, vs, tr, model = tiny_cycle
+    for z in range(g.num_nodes):
+        problem = build_discounted_lp(model, g, vs, lam, z, transition=tr)
+        res = lp_solve(problem)
+        want = brute_force_lp(problem.c, dense_lp_matrix(problem, lam), problem.b)
+        assert res.objective == pytest.approx(want, rel=0.0, abs=1e-12), z
+        assert holonomy_residual(res.measure, lam, z, tr) <= 1e-15
+
+
+@pytest.mark.parametrize("potential", ["half_square", "double_well"])
+def test_ergodic_lp_solve_matches_basis_enumeration(potential):
+    # built with no policy: the rest policy's closed classes are every
+    # node, and the one at the least L(i, 0) is kept
+    g = build_grid([[-1.0, 1.0]], 0.5)
+    vs = build_velocity_set(1.0, 3)
+    model = make_model("quadratic", potential)
+    problem = build_ergodic_lp(model, g, vs, transition=build_transition(g, vs))
+    res = lp_solve(problem)
+    want = brute_force_lp(problem.c, dense_lp_matrix(problem), problem.b)
+    assert res.objective == pytest.approx(want, rel=0.0, abs=1e-12)
+
+
+SCALED = [  # 1e6-scaled potentials of the contract sweep (seeds 29, 111 and 47)
+    ("quadratic", "abs", [[-4.0, 4.0]], 0.25, 1.0, 7, 1.0, [-0.85]),
+    ("eikonal", "double_well", [[0.0, 3.0]], 0.2, 1.5, 9, 0.5, [2.39]),
+    ("quadratic", "half_square", [[-2.0, 2.0], [-2.0, 2.0]], 0.25, 0.5, 3, 0.5, [-1.2, 1.43]),
+]
+
+
+@pytest.mark.parametrize("family, potential, box, h, q_max, count, lam, z", SCALED,
+                         ids=["quadratic_abs", "eikonal_double_well", "quadratic_half_square_2d"])
+def test_the_switching_tolerance_scales_with_the_prices(family, potential, box, h, q_max,
+                                                        count, lam, z):
+    # with prices of 1e7 to 2e8 the optimal policy's reduced costs go down
+    # to -1e-8 by round-off alone: an absolute 1e-9 would switch forever,
+    # while TOL (1 + max(max|c|, max|y|)) stops on the optimum
+    g = build_grid(box, h)
+    vs = build_velocity_set(q_max, count, dimension=g.dimension)
+    tr = build_transition(g, vs)
+    model = make_model(family, {"name": potential, "scale": 1e6}, dimension=g.dimension)
+    if family == "eikonal":
+        model = superlinearize(model, g)
+    sol = solve_discounted(model, g, vs, lam, transition=tr)
+    lam_u = lam * float(sol.u[g.node_near(z)])
+    problems = [build_ergodic_lp(model, g, vs, transition=tr),
+                build_discounted_lp(model, g, vs, lam, z, transition=tr),
+                build_discounted_lp(model, g, vs, lam, z, transition=tr, policy=sol.policy)]
+    least = []
+    for problem in problems:
+        res = lp_solve(problem)
+        reduced = problem.c - problem.A.vecmat(res.duals)
+        least.append(float(np.min(reduced)))
+        assert res.iterations <= 3
+        assert np.min(reduced) >= -1e-9 * (1.0 + np.max(np.abs(problem.c)))
+        want = 0.0 if problem.kind == "ergodic" else lam_u
+        assert abs(res.objective - want) <= 1e-9 * (1.0 + abs(want)), problem.kind
+    assert problems[2].policy is not None and lp_solve(problems[2]).iterations == 0
+    assert min(least) < -1e-9
+
+
+def test_a_node_with_no_move_to_the_kept_class_raises_unreachable():
+    # node 2 only rests: it reaches neither node 0 nor node 1
+    from weakkam.errors import Unreachable
+    from types import SimpleNamespace
+    idx, w = _chain(3, [[0, 1], [1, 0], [2, 2]])
+    tr = SimpleNamespace(idx=idx, w=w, grid=SimpleNamespace(coords=np.zeros((3, 1))))
+    with pytest.raises(Unreachable, match="node 2 "):
+        measures._reach(tr, np.array([0, 0, 0]), [0], np.zeros((3, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -550,7 +689,7 @@ def test_column_store_equals_dense_reference(three_lps):
         m, n = A.shape
         dense = dense_lp_matrix(problem, DISCOUNT)
         assert dense.shape == (m, n)
-        np.testing.assert_array_equal(A.dense(np.arange(n)), dense)
+        np.testing.assert_array_equal([A.vecmat(e) for e in np.eye(m)], dense)
         assert A.nnz == np.count_nonzero(dense)
         # no row is stored twice in one column
         P = A.rows.shape[1]
@@ -566,10 +705,6 @@ def test_column_pricing_matches_dense_products(three_lps):
         dense = dense_lp_matrix(problem, DISCOUNT)
         y = rng.normal(size=m)
         np.testing.assert_allclose(A.vecmat(y), y @ dense, rtol=0.0, atol=1e-13)
-        B = rng.normal(size=(m, m))
-        for j in rng.choice(n, size=10, replace=False):
-            np.testing.assert_allclose(A.matcol(B, j), B @ dense[:, j],
-                                       rtol=0.0, atol=1e-12)
 
 
 def test_vecmat_sums_the_slots_in_numpy_order(three_lps):
@@ -606,8 +741,8 @@ def test_ergodic_lp_stores_order_nnz_bytes_on_the_2d_grid():
 
 
 def test_lp_solve_forms_no_m_by_n_array(quad):
-    # 33 velocities make n = 33 m, so an m x n array (a dense A or the
-    # phase-1 [A | I]) would dwarf the m x m basis inverse
+    # 33 velocities make n = 33 m, so an m x n array (a dense A) would
+    # dwarf every array of a policy step
     g = build_grid([[-4.0, 4.0]], 0.05)
     vs = build_velocity_set(2.0, 33)
     problem = build_ergodic_lp(quad, g, vs, transition=build_transition(g, vs))

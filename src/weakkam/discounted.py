@@ -7,15 +7,15 @@ The scheme is the implicit fixed point
 with the foot value interpolated multilinearly and feet clipped to the box
 (the state-constraint boundary condition: trajectories may not exit, which
 matches the untruncated solution at interior points once lambda is small).
-Howard's algorithm alternates a greedy policy choice with the exact
-evaluation of that policy, the linear solve ((1 + lambda h) I - W_q) u =
-h L_q, and stops when the policy repeats: the result is the discrete fixed
-point itself, in a number of steps that does not grow as lambda -> 0 the
-way value iteration's 1/(lambda h) sweeps do.  Started from a constant
-upper bound the iterates decrease monotonically (Bokanowski, Maroso &
-Zidani, SIAM J. Numer. Anal. 47, 2009), so the order doubles as a
-from-above Perron construction.  A policy's matrix is block tridiagonal
-(`policy_solve`); its transpose is the basis of the policy's LP (`measures`).
+Howard's algorithm (`solve_discounted`) evaluates a policy exactly, the
+solve ((1 + lambda h) I - W_q) u = h L_q, and improves it on the loop of
+the occupation-measure programs (`measures.policy_iteration`), from the
+rest policy: it reaches the discrete fixed point itself in a number of
+steps that does not grow as lambda -> 0 the way value iteration's
+1/(lambda h) sweeps do, its iterates decreasing after the first
+(Bokanowski, Maroso & Zidani, SIAM J. Numer. Anal. 47, 2009).  A policy's
+matrix is block tridiagonal (`policy_solve`); its transpose is the
+policy's LP basis (`measures`).
 
 Closed-form oracles: for H = |p| - |x| the bounded-below solution is
 u(x) = |x|/lambda + (exp(-lambda |x|) - 1)/lambda^2; for H = |p|^2/2 - x^2/2
@@ -159,69 +159,52 @@ def transposed_policy_solve(factor, rhs):
 
 def solve_discounted(model, grid, velocity_set, lam, tol=RESIDUAL_TOL, max_iter=None, *,
                      transition, policy0=None):
-    """Howard policy iteration to the discrete fixed point.
-
-    Each step improves the policy greedily (a node keeps its action unless
-    another is strictly cheaper; among new actions the lowest velocity
-    index wins) and evaluates it exactly; it stops when the improvement
-    returns a policy already evaluated, and returns the last policy it
-    evaluated with its values.  max_iter caps the policy steps
-    (default 2n + 64 for n nodes) and raises MaxIterExceeded with the
-    Bellman residual sup |T u - u| at the last iterate.  The
-    monotone-decrease invariant is checked every step, and the final
-    Bellman residual must not exceed tol.
-
-    policy0, a velocity index per node, is evaluated as the first step in
-    place of the greedy policy of the constant upper start.  The value u_q
-    of any policy q satisfies T u_q <= u_q, so the steps after it decrease
-    monotonically as from the constant; its own step is not checked
-    against the constant, which it may exceed where q is poor.  A policy
-    that is already optimal ends the solve after that one step.
+    """Howard policy iteration to the discrete fixed point: the steps of
+    `measures.policy_iteration` on the stage costs h L from policy0 (a
+    velocity index per node) or the rest policy, the start's evaluation the
+    first.  max_iter caps the steps (default 2n + 64 for n nodes, at most
+    the loop's cap) and raises MaxIterExceeded with the Bellman residual
+    sup |T u - u| at the last iterate.  Each later step must decrease
+    (T u_q <= u_q for the value u_q of any policy q) to within 1e-10 (1 + U)
+    for U = `upper_start`; the final Bellman residual must not exceed tol.
     """
+    from .measures import policy_iteration  # measures imports this module
     if lam <= 0:
         raise ValueError("discount rate lambda must be positive")
     n = grid.num_nodes
     rows = np.arange(n)
     stage = grid.h * lagrangian_table(model, grid.coords, velocity_set.vectors)
     lam_h = lam * grid.h
-    u = np.full(n, upper_start(model, grid, velocity_set, lam))
-    scale = 1.0 + float(np.max(np.abs(u)))
+    top = upper_start(model, grid, velocity_set, lam)
     if max_iter is None:
-        # the sweep cap of critical.relax_batch; on 1D grids of 9 to 161
-        # nodes the most seen was 0.67 n (6 steps on 9 nodes)
-        max_iter = 2 * n + 64
-    q = None
-    trace, changes, seen = [], [], set()
-    if policy0 is not None:
-        q = np.array(policy0, dtype=np.intp)
-        seen.add(q.tobytes())
-        changes.append(n)
-        new = policy_solve(transition, q, stage[rows, q], lam_h)
-        trace.append((1, float(np.max(u - new))))
-        u = new
-    while True:
-        vals = stage + interpolate(transition, u)
-        new_q = np.argmin(vals, axis=1)
-        residual = float(np.max(np.abs(vals[rows, new_q] / (1.0 + lam_h) - u)))
-        if q is not None:
-            new_q = np.where(vals[rows, q] <= vals[rows, new_q], q, new_q)
-        # exact arithmetic never revisits a policy; round-off between two
-        # tied actions can, and then either policy is the fixed point
-        if new_q.tobytes() in seen:
-            break
-        seen.add(new_q.tobytes())
+        max_iter = 2 * n + 64  # critical.relax_batch's sweep cap; 1D grids take <= 0.67 n
+    u, q, residual = np.full(n, top), None, math.inf
+    trace, changes = [], []
+
+    def evaluate(new_q):
+        nonlocal u, q
         if len(trace) == max_iter:
             raise MaxIterExceeded(f"policy still changing after {max_iter} steps",
                                   residual=residual, iterations=max_iter)
-        changes.append(n if q is None else int(np.count_nonzero(new_q != q)))
-        q = new_q
-        new = policy_solve(transition, q, stage[rows, q], lam_h)
+        new = policy_solve(transition, new_q, stage[rows, new_q], lam_h)
         rise = float(np.max(new - u))
-        if rise > 1e-10 * scale:
+        if q is not None and rise > 1e-10 * (1.0 + abs(top)):
             raise WeakKAMError(f"monotone decrease violated by {rise:.3e} "
                                f"at policy step {len(trace) + 1}")
+        changes.append(n if q is None else int(np.count_nonzero(new_q != q)))
         trace.append((len(trace) + 1, float(np.max(u - new))))
-        u = new
+        u, q = new, new_q
+        return new, None
+
+    def price(values):
+        nonlocal residual
+        vals = stage + interpolate(transition, values)
+        residual = float(np.max(np.abs(np.min(vals, axis=1) / (1.0 + lam_h) - values)))
+        return vals
+
+    start = np.full(n, velocity_set.zero_index()) if policy0 is None else policy0
+    policy_iteration(stage, np.array(start, dtype=np.intp), evaluate, price,
+                     "discounted scheme")
     if residual > tol:
         raise WeakKAMError(f"Bellman residual {residual:.3e} of the final policy "
                            f"exceeds tol {tol:g}")

@@ -281,7 +281,7 @@ def vanishing_discount_study(model, grid, velocity_set, schedule, probes=((0.0,)
     schedule; any other exception propagates.  The Aubry tree
     (`measures.aubry_tree`) starts both the ergodic program and the first
     solve; each later solve starts from the policy the solve before it
-    ended on, and from the constant upper bound after a failed solve.  A
+    ended on, and from the rest policy after a failed solve.  A
     limit or barrier value at the INF sentinel on an agreement node raises
     Unreachable.
     """

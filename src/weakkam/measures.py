@@ -28,16 +28,17 @@ otherwise).  Two programs are built against the foot-point transition:
 Both are Markov decision problems over the scheme's transition, one with
 average cost and one discounted, and `lp_solve` solves each by policy
 iteration (Howard, Dynamic Programming and Markov Processes, 1960;
-Puterman, Markov Decision Processes, 1994, ch. 6, 8.6 and 9).  A policy is
-one velocity index per node; its columns (i, policy[i]) are a basis of the
-program.  Each step evaluates the policy with one block factorization
+Puterman, Markov Decision Processes, 1994, ch. 6, 8.6 and 9), on the loop
+that solves the scheme too (`policy_iteration`).  A policy is one velocity
+index per node; its columns (i, policy[i]) are a basis of the program.
+Each step evaluates the policy with one block factorization
 (`discounted.policy_solve`), prices every column against its duals, and
-switches each node that has a strictly cheaper column; the step that
-switches none is the simplex's own certificate of optimality, with a
-nonnegative closed (or holonomic) measure.  An ergodic policy is kept to
-one closed class (`_unichain`).  Each program starts from the policy it is
-built with: the Aubry tree (`aubry_tree`) for the ergodic program, the
-policy Howard's iteration ended on for a discounted one.
+switches each node whose cheapest column beats its own past round-off;
+the step that switches none is the simplex's own certificate of
+optimality, with a nonnegative closed (or holonomic) measure.  An ergodic
+policy is kept to one closed class (`_unichain`).  A program starts from
+the policy it is built with (the study's: the Aubry tree, `aubry_tree`,
+then Howard's last policy) or from the rest policy.
 
 Each constraint matrix is a `Columns` store built column by column (no
 m x n array is formed).  The minimizing (Mather) measures are read off the
@@ -57,8 +58,7 @@ from .grids import Transition, interpolate
 from .models import lagrangian_table
 
 SUPPORT_TOL = 1e-9
-TOL = 1e-9          # a column is strictly cheaper when its reduced cost is below
-                    # -TOL (1 + max(max|c|, max|y|)), the round-off of the pricing
+TOL = 1e-9          # the switching tolerance relative to the costs (`policy_iteration`)
 FEAS_TOL = 1e-9     # the residual a solution's measure may leave in its rows
 
 
@@ -351,58 +351,74 @@ def _evaluate_ergodic(problem, policy, cost, r):
     return np.append(psi[:-1] - psi[-1], g), xB
 
 
-def lp_solve(problem):
-    """Solve the program by policy iteration from its own policy; returns
-    the measure, the optimum, the duals (the multipliers on the
-    stationarity rows approximate a subsolution potential and are reported
-    for diagnostics), the number of policy steps and the optimal policy.
+def policy_iteration(cost, policy, evaluate, price, what, repair=None):
+    """The one policy-iteration loop, of `lp_solve` and
+    `discounted.solve_discounted`: from `policy`, a velocity index per node,
+    evaluate(policy) gives the values y and the rest of the evaluation, and
+    price(y) the (n, M) prices of every pair.  A node switches to its
+    cheapest pair (the lowest index on a tie) only when that beats its own
+    by more than tol = TOL (1 + max|cost|) + 64 eps max|y|, the round-off of
+    the prices; repair amends each step's policy.  Returns (policy, y,
+    evaluation, priced, tol, steps after the start) at the first policy
+    that switches no node; more than 2n + 64 steps raise MaxIterExceeded.
+    """
+    rows = np.arange(len(policy))
+    max_steps = 2 * len(policy) + 64
+    floor = TOL * (1.0 + float(np.max(np.abs(cost))))
+    steps = 0
+    while True:
+        y, evaluation = evaluate(policy)
+        priced = price(y)
+        tol = floor + 64.0 * np.finfo(float).eps * float(np.max(np.abs(y)))
+        best = np.argmin(priced, axis=1)
+        switched = priced[rows, best] < priced[rows, policy] - tol
+        if not switched.any():
+            return policy, y, evaluation, priced, tol, steps
+        if steps == max_steps:
+            raise MaxIterExceeded(f"policy iteration on the {what} still switching after "
+                                  f"{max_steps} steps", iterations=max_steps)
+        steps += 1
+        policy = np.where(switched, best, policy)
+        if repair is not None:
+            policy = repair(policy, priced, switched)
 
-    Each step evaluates the policy (`_evaluate_ergodic`,
-    `_evaluate_discounted`), prices every column, and switches each node
-    to its cheapest column (the lowest velocity index on a tie) when that
-    is another column with a reduced cost below -TOL (1 + max(max|c|,
-    max|y|)), the round-off of the prices y.  It stops at the first policy
-    with none, which must then be certified: its own columns price to 0
-    within tol, so every reduced cost is >= -tol, and its measure is
-    nonnegative and satisfies the rows within FEAS_TOL; otherwise
-    SingularBasis is raised.  An ergodic policy is kept to one closed class
-    (`_unichain`).  More than 2n + 64 steps raise MaxIterExceeded.  Masses
-    at or below SUPPORT_TOL are zeroed.
+
+def lp_solve(problem):
+    """Solve the program by `policy_iteration` from its own policy, or the
+    rest policy; returns the measure, the optimum, the duals (the
+    multipliers on the stationarity rows approximate a subsolution
+    potential, reported for diagnostics), the policy steps and the policy.
+
+    The last policy must be certified: its own columns price to 0 within
+    tol, so every reduced cost is >= -tol, and its measure is nonnegative
+    and satisfies the rows within FEAS_TOL; otherwise SingularBasis is
+    raised.  An ergodic policy is kept to one closed class (`_unichain`).
+    Masses at or below SUPPORT_TOL are zeroed.
     """
     tr = problem.transition
     n, M = tr.grid.num_nodes, tr.velocity_set.size
     rows = np.arange(n)
     L = problem.c.reshape(n, M)
     ergodic = problem.kind == "ergodic"
-    if problem.policy is None:
-        policy = np.full(n, tr.velocity_set.zero_index())
-    else:
-        policy = np.array(problem.policy, dtype=np.intp)
+    policy = (np.full(n, tr.velocity_set.zero_index()) if problem.policy is None
+              else np.array(problem.policy, dtype=np.intp))
+    repair = None
     if ergodic:
         policy, r = _unichain(tr, policy, L)
-    scale = float(np.max(np.abs(problem.c)))
-    max_steps = 2 * n + 64
-    steps = 0
-    while True:
-        cost = L[rows, policy]
-        if ergodic:
-            y, xB = _evaluate_ergodic(problem, policy, cost, r)
-        else:
-            y, xB = _evaluate_discounted(problem, policy, cost)
-        reduced = (problem.c - problem.A.vecmat(y)).reshape(n, M)
-        tol = TOL * (1.0 + max(scale, float(np.max(np.abs(y)))))
-        best = np.argmin(reduced, axis=1)
-        switched = (reduced[rows, best] < -tol) & (best != policy)
-        if not switched.any():
-            break
-        if steps == max_steps:
-            raise MaxIterExceeded(f"policy iteration on the {problem.kind} program still "
-                                  f"switching after {max_steps} steps",
-                                  iterations=max_steps)
-        steps += 1
-        policy = np.where(switched, best, policy)
-        if ergodic:
+
+        def repair(policy, reduced, switched):
+            nonlocal r
             policy, r = _unichain(tr, policy, reduced, switched)
+            return policy
+
+    def evaluate(policy):
+        if ergodic:
+            return _evaluate_ergodic(problem, policy, L[rows, policy], r)
+        return _evaluate_discounted(problem, policy, L[rows, policy])
+
+    policy, y, xB, reduced, tol, steps = policy_iteration(
+        L, policy, evaluate, lambda y: (problem.c - problem.A.vecmat(y)).reshape(n, M),
+        f"{problem.kind} program", repair=repair)
     x = np.zeros(n * M)
     x[rows * M + policy] = np.maximum(xB, 0.0)
     mu = x.reshape(n, M)

@@ -501,6 +501,25 @@ def test_small_lambda_solve_and_mather_exit_0(tmp_path, config, lam):
     assert rep["duality_gap"]["value"] <= 1e-9
 
 
+@pytest.mark.parametrize("lam", ["1e-8", "1e-10"])
+def test_eikonal_solve_at_small_lambda_keeps_its_steps_decreasing(tmp_path, lam):
+    # started from the greedy policy of the constant U = max min L / lambda
+    # (4e8 at 1e-8), a later step rose by about 10, past the monotone
+    # check's 1e-10 (1 + U), and exited 3; from the rest policy it takes 3
+    # steps
+    cfg = str(CONFIGS / "eikonal_abs.json")
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "s"),
+                 "--lambda", lam]) == 0
+    rep = json.loads((tmp_path / "s" / "solve.json").read_text())
+    assert rep["iterations"] == 3
+    assert rep["residual"]["value"] <= 1e-14
+    assert main(["mather", "--config", cfg, "--out", str(tmp_path / "m"),
+                 "--lambda", lam]) == 0
+    rep = json.loads((tmp_path / "m" / "mather.json").read_text())
+    assert rep["iterations"] == 0
+    assert rep["duality_gap"]["value"] <= 1e-9
+
+
 def test_csv_is_rfc4180_with_full_precision(tmp_path):
     cfg = write_cfg(tmp_path, TINY_STUDY)
     out = tmp_path / "prec"
@@ -619,9 +638,16 @@ def test_a3_violation_exits_2(tmp_path, capsys):
 
 
 def test_solver_failure_exits_3_without_traceback(tmp_path, capsys, monkeypatch):
-    # a start below the fixed point breaks the monotone-decrease guard
+    # each policy evaluation 1e3 above the last breaks the monotone-decrease
+    # guard at the second policy step
     import weakkam.discounted
-    monkeypatch.setattr(weakkam.discounted, "upper_start", lambda *args: -1e3)
+    policy_solve, calls = weakkam.discounted.policy_solve, []
+
+    def rising(*args, **kwargs):
+        calls.append(1)
+        return policy_solve(*args, **kwargs) + 1e3 * len(calls)
+
+    monkeypatch.setattr(weakkam.discounted, "policy_solve", rising)
     cfg = write_cfg(tmp_path, TINY_STUDY)
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o"),
                  "--lambda", "0.5"]) == 3

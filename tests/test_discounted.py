@@ -96,7 +96,7 @@ def test_lambda_u_bounded_below_by_minus_b(eik_super_m, quad, grid_m, vs_m, tr_m
 
 
 def test_iterates_start_above_and_decrease(quad, grid_m, vs_m, tr_m):
-    # the upper start dominates the fixed point
+    # the constant upper bound dominates the fixed point
     sol = solve_discounted(quad, grid_m, vs_m, 0.5, tol=1e-7, transition=tr_m)
     assert float(np.max(sol.u)) <= upper_start(quad, grid_m, vs_m, 0.5) + 1e-9
     # residual trace is the sup-norm of a monotone decreasing sequence
@@ -312,7 +312,7 @@ def test_trace_has_one_row_per_policy_step(quad, grid_m, vs_m, tr_m):
     sol = solve_discounted(quad, grid_m, vs_m, 0.25, tol=1e-9, transition=tr_m)
     assert [it for it, _ in sol.trace] == list(range(1, sol.iterations + 1))
     assert len(sol.policy_changes) == sol.iterations
-    # the first step sets every node's action; later steps switch some
+    # the start's evaluation sets every node's action; later steps switch some
     assert sol.policy_changes[0] == grid_m.num_nodes
     assert all(c > 0 for c in sol.policy_changes)
 
@@ -347,7 +347,7 @@ def test_warm_start_from_the_last_lambda_ends_on_the_same_fixed_point(
 
 
 def test_warm_start_above_the_constant_start_still_decreases(quad, grid_m, vs_m, tr_m):
-    # a random policy's value exceeds the constant upper start at some
+    # a random policy's value exceeds the constant upper bound at some
     # nodes; every step after its evaluation decreases, since T u_q <= u_q
     lam = 0.5
     rows = np.arange(grid_m.num_nodes)
@@ -364,8 +364,9 @@ def test_warm_start_above_the_constant_start_still_decreases(quad, grid_m, vs_m,
 
 def test_round_off_tie_does_not_cycle(quad):
     # here two actions tie at one node, and each policy's exact evaluation
-    # makes the other strictly cheaper by round-off: the policy would
-    # alternate forever, so the loop stops at the first revisited policy
+    # makes the other strictly cheaper by round-off: a node that switched
+    # on any gain would alternate forever, so it switches only on a gain
+    # past the round-off of the prices
     g = build_grid([[-2.0, 2.0]], 0.1)
     vs = build_velocity_set(1.5, 7)
     sol = solve_discounted(quad, g, vs, 1.0, tol=1e-12, transition=build_transition(g, vs))

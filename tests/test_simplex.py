@@ -2,11 +2,13 @@
 
 Policy iteration is a simplex method that pivots in blocks: a policy's
 columns (i, policy[i]) are a basis of the occupation-measure program, and a
-step exchanges every column of a node that has a strictly cheaper one.  So
-the simplex's claims are claims on the policy steps: the optimum agrees with
+step exchanges every column of a node that has one cheaper past round-off.
+So the simplex's claims are claims on the policy steps: the optimum agrees with
 basis enumeration, the duals certify it, ties resolve deterministically, an
 optimal basis is certified without a step or an inverse, no basis is solved
-densely, a step cap raises, and perturbed start values are refused.
+densely, a step cap raises, and perturbed start values are refused.  The
+same loop (`measures.policy_iteration`) runs `solve_discounted`, so the
+step count and the step cap are held for it too.
 """
 
 from dataclasses import replace
@@ -14,7 +16,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from weakkam import measures
+from weakkam import discounted, measures
 from weakkam.critical import build_critical_data
 from weakkam.discounted import solve_discounted
 from weakkam.errors import MaxIterExceeded, SingularBasis, WeakKAMError
@@ -25,6 +27,7 @@ from weakkam.measures import (
     closedness_residual,
     holonomy_residual,
     lp_solve,
+    mather_face,
 )
 from weakkam.models import make_model, superlinearize
 
@@ -197,16 +200,18 @@ def test_badly_scaled_lps_return_a_point_with_no_clipping_residual():
 
 
 def test_iterations_count_every_pivot(monkeypatch):
-    # each policy step is one block pivot and one evaluation after the start's
+    # each policy step is one block pivot and one evaluation after the
+    # start's; solve_discounted counts its start's evaluation as a step
     calls = []
-    for name in ("_evaluate_ergodic", "_evaluate_discounted"):
-        evaluate = getattr(measures, name)
+    for module, name in ((measures, "_evaluate_ergodic"), (measures, "_evaluate_discounted"),
+                         (discounted, "policy_solve")):
+        evaluate = getattr(module, name)
 
-        def counting(*args, evaluate=evaluate):
+        def counting(*args, evaluate=evaluate, **kwargs):
             calls.append(1)
-            return evaluate(*args)
+            return evaluate(*args, **kwargs)
 
-        monkeypatch.setattr(measures, name, counting)
+        monkeypatch.setattr(module, name, counting)
     model, g, vs, tr = _double_well()
     for problem in (build_ergodic_lp(model, g, vs, transition=tr),
                     build_discounted_lp(model, g, vs, 0.5, 7, transition=tr)):
@@ -214,6 +219,10 @@ def test_iterations_count_every_pivot(monkeypatch):
         res = lp_solve(problem)
         assert res.iterations > 0, problem.kind
         assert res.iterations == len(calls) - 1, problem.kind
+    calls.clear()
+    sol = solve_discounted(model, g, vs, 0.5, transition=tr)
+    assert sol.iterations > 1
+    assert sol.iterations == len(sol.trace) == len(calls)
 
 
 def _unsettled_prices(monkeypatch):
@@ -243,6 +252,62 @@ def test_iteration_cap_raises_max_iter_exceeded(quad, monkeypatch):
         with pytest.raises(MaxIterExceeded, match=r"after 146 steps") as caught:
             lp_solve(problem)
         assert caught.value.iterations == 2 * g.num_nodes + 64
+    # Howard's values fall by at least 1e6 a step, so the monotone check
+    # holds, and random shifts of up to 1e6 keep some node switching
+    rng = np.random.default_rng(7)
+    policy_solve, calls = discounted.policy_solve, []
+
+    def unsettled(*args, **kwargs):
+        calls.append(1)
+        return (policy_solve(*args, **kwargs)
+                - 1e6 * (2 * len(calls) + rng.uniform(size=g.num_nodes)))
+
+    monkeypatch.setattr(discounted, "policy_solve", unsettled)
+    with pytest.raises(MaxIterExceeded, match=r"after 146 steps") as caught:
+        solve_discounted(quad, g, vs, 0.5, transition=tr)
+    assert caught.value.iterations == len(calls) == 2 * g.num_nodes + 64
+    assert caught.value.residual > 0
+
+
+def test_the_2d_double_well_steps_past_no_round_off_gain():
+    # h = 0.2: 441 nodes and 13 velocities.  Many pairs tie here; a rule
+    # that switches on any gain, round-off included, still switched after
+    # the step cap from the rest policy
+    g = build_grid([[-2.0, 2.0], [-2.0, 2.0]], 0.2)
+    vs = build_velocity_set(1.5, 5, dimension=2)
+    model = make_model("quadratic", "double_well", dimension=2)
+    tr = build_transition(g, vs)
+    tree = measures.aubry_tree(model, g, vs, tr,
+                               build_critical_data(model, g, vs, transition=tr))
+    problems = [build_ergodic_lp(model, g, vs, transition=tr, policy=policy)
+                for policy in (tree, None)]
+    started, rest = [lp_solve(problem) for problem in problems]
+    assert started.iterations <= 4
+    assert rest.iterations <= 5
+    assert started.objective == pytest.approx(rest.objective, rel=0.0, abs=1e-12)
+    np.testing.assert_array_equal(mather_face(problems[0], started).columns,
+                                  mather_face(problems[1], rest).columns)
+
+
+@pytest.mark.parametrize("lam", [1e-12, 1e-8])
+def test_a_poor_start_at_small_lambda_reaches_the_discounted_optimum(lam):
+    # eikonal_abs.json's model anchored at x = 0 and started with q = -1 at
+    # every node.  A tolerance of 1e-9 (1 + max(max|c|, max|y|)) grew with
+    # the prices y, about 4 / (lambda h): at 1e-12 it was 8e4 and certified
+    # this start (objective 4, duals 8e13 off) against a best reduced cost
+    # of -9.84; at 1e-8 the solve stopped at objective 0.785
+    g = build_grid([[-4.0, 4.0]], 0.05)
+    vs = build_velocity_set(1.5, 7)
+    model = superlinearize(make_model("eikonal", "abs"), g)
+    tr = build_transition(g, vs)
+    z = g.node_near([0.0])
+    assert vs.vectors[1].tolist() == [-1.0]
+    u = solve_discounted(model, g, vs, lam, transition=tr).u
+    res = lp_solve(build_discounted_lp(model, g, vs, lam, z, transition=tr,
+                                       policy=np.full(g.num_nodes, 1)))
+    assert res.objective == pytest.approx(lam * u[z], rel=0.0, abs=1e-9)
+    want = u / g.h
+    assert np.max(np.abs(res.duals - want)) <= 1e-9 * np.max(np.abs(want))
 
 
 def test_singular_basis_raises_a_weakkam_error(quad):

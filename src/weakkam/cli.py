@@ -508,7 +508,8 @@ def _write_w(out, grid, rep):
 
 
 def _agreement_claim(rep):
-    return _claim(rep.estimator_agreement, "sup |barrier-form - trace-form|", 0.03)
+    return _claim(rep.estimator_agreement,
+                  "sup |policy-iteration w - min-plus-swept w|", 0.03)
 
 
 def _agreement_code(claim, failed=""):

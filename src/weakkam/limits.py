@@ -1,32 +1,28 @@
 """Vanishing-discount study: the selected limit and its two estimators.
 
-The distinguished limit of the discounted solutions is computed two ways
-that share no code path with the PDE solver, both quantified over the
-Mather measures, the exact face of the ergodic program
-(`measures.mather_face`):
+The discounted solutions u_lambda of the scheme converge, as lambda -> 0,
+to the largest subsolution that is <= 0 against every Mather measure
+(Davini, Fathi, Iturriaga & Zavidovique, Math. Z. 284, 2016, for the
+discrete case).  Every Mather measure here is a mixture of Dirac rest
+measures on the face nodes F of the ergodic program (`measures.mather_face`
+refuses a face node without one), so that limit is w_h, the value of the
+scheme's stochastic shortest path to F: stage costs h (L + c_h), with
+c_h = -(ergodic optimum), on the scheme's own transition, and 0 on F
+(Bertsekas & Tsitsiklis, Math. Oper. Res. 16, 1991).  It is solved twice,
+by two solvers that share no code:
 
-  * barrier form: w(x) = min over Mather measures mu of <mu, P(., x)>, with
-    P the Peierls barrier;
-  * maximal-trace form: the largest Aubry trace t with t(y) - t(y') bounded
-    by the intrinsic distances and <mu, v_t> <= 0 for every Mather measure
-    mu, v_t being the weak KAM min-formula field of t (coordinate ascent
-    over t), extended by that same min-formula.
-
-Both read a measure through its node marginal alone.  Every face node
-carries the Dirac measure of a self-loop face column (the face refuses a
-node that does not), so the Mather measures' marginals are exactly the
-probability vectors on the face nodes F: the barrier form is min over y in
-F of P(y, x), the trace form is constrained by one Dirac marginal per face
-node, and the Mather set is F dilated by one cell.  A trace is an array
-aligned with `critical.aubry_nodes`, so the pairings are array expressions
-over the (k, n) distance array S_from.
+  * policy iteration (`policy_limit`): the loop of the occupation-measure
+    programs and the discounted solve, each policy evaluated with F
+    absorbing;
+  * min-plus sweeps (`swept_limit`): the relaxation of the intrinsic
+    distances, from 0 on F.
 
 The study drives a decreasing discount schedule, records the sup-norm gap
 between each discounted solution and the limit on the central half of the
 box (`Grid.central_half`: the truncation pollutes the outer shell), checks
 the duality identity <mu, L> = lambda u_lambda(z) per probe, and tracks the
 transport distance from the discounted occupation measures to the ergodic
-minimizer.
+minimizer.  The Mather set is F dilated by one cell.
 """
 
 from __future__ import annotations
@@ -37,16 +33,18 @@ from typing import Optional
 
 import numpy as np
 
-from .critical import INF, build_critical_data, peierls_field_to, weak_kam_solution
-from .discounted import solve_discounted
-from .errors import MaxIterExceeded, NoMeasures, Unreachable, WeakKAMError
+from .critical import INF, build_aubry_data, relax_batch, weak_kam_solution
+from .discounted import policy_solve, solve_discounted
+from .errors import NoMeasures, Unreachable, WeakKAMError
+from .grids import interpolate
 from .measures import (
+    _reach,
     aubry_tree,
     build_discounted_lp,
     build_ergodic_lp,
     lp_solve,
     mather_face,
-    sequential_sum,
+    policy_iteration,
     transport_distance,
 )
 
@@ -56,104 +54,45 @@ _STATUS_NA = "NotApplicable"
 
 
 # ---------------------------------------------------------------------------
-# estimator 1: barrier form
+# the limit w_h, by two solvers
 # ---------------------------------------------------------------------------
 
-def enric1_values(critical, face_nodes, query_nodes):
-    """min over the Mather measures of <mu, P(., x)> at each node index x of
-    query_nodes: min over the face nodes y of P(y, x), since the measures'
-    node marginals are the probability vectors on the face nodes."""
-    return np.array([np.min(peierls_field_to(critical, int(x))[face_nodes])
-                     for x in query_nodes], dtype=float)
+def policy_limit(transition, stage, face_nodes, policy):
+    """w_h by `measures.policy_iteration`: the least expected sum of the
+    (n, M) `stage` costs to reach the face nodes F, an (n,) array, 0 on F.
 
-
-# ---------------------------------------------------------------------------
-# estimator 2: maximal admissible Aubry trace
-# ---------------------------------------------------------------------------
-
-TRACE_SWEEPS = 200     # coordinate-ascent sweeps at most
-TRACE_TOL = 1e-12      # a sweep raising no coordinate by more (relative) ends it
-
-
-def maximal_trace(critical, marginals):
-    """Coordinate ascent for the largest trace t on the Aubry nodes with
-    t(y) - t(y') <= S(y', y) and <mu, v_t> <= 0 per measure, where v_t is
-    the min-formula field of t.  `marginals` holds the measures' node
-    marginals, one row of n masses each.  Returns t as an array aligned
-    with critical.aubry_nodes.
-
-    Starts from t = 0 (feasible: constant traces are compatible and the
-    measure rows vanish) and raises each coordinate in a fixed order to its
-    ceiling.  Measure mass sitting off the trace nodes is priced at the
-    current field value; a final downward shift restores feasibility
-    exactly when that lagged pricing overshoots.  The pairings <mu, v_t>
-    add the nodes in index order, left to right.  A trace still rising
-    after TRACE_SWEEPS sweeps need not be maximal, and raises
-    MaxIterExceeded.
+    The start is `policy` (a velocity index per node, such as the ergodic
+    optimum's) with every node that does not reach F sent there by the
+    backward search from F (`measures._reach`), so it is proper.  A policy
+    is evaluated by one solve with F absorbing, and F's prices are pinned
+    at 0, so F never switches.  An empty F raises NoMeasures.
     """
-    marg = np.asarray(marginals, dtype=float)
-    if len(marg) == 0:
-        raise NoMeasures("maximal_trace needs at least one Mather measure")
-    nodes = critical.aubry_nodes
-    S = critical.S_from
-    k = len(nodes)
-    support = np.flatnonzero(marg.any(axis=0))
-    P = marg[:, support]
-    row = np.full(S.shape[1], -1)
-    row[nodes] = np.arange(k)
-    # support nodes on the trace are priced at t, the others at the field
-    on_trace = row[support] >= 0
-    trace_rows = row[support][on_trace]
-    S_off = S[:, support[~on_trace]]
-    # S between trace nodes; the diagonal is left out of each ceiling
-    S_nodes = S[:, nodes]
-    np.fill_diagonal(S_nodes, np.inf)
-    t = np.zeros(k)
+    if len(face_nodes) == 0:
+        raise NoMeasures("the limit needs at least one Mather face node")
+    rows = np.arange(len(policy))
 
-    def support_values():
-        vals = np.empty(len(support))
-        vals[on_trace] = t[trace_rows]
-        vals[~on_trace] = np.min(t[:, None] + S_off, axis=0)
-        return vals
+    def evaluate(policy):
+        rhs = stage[rows, policy]
+        rhs[face_nodes] = 0.0
+        return policy_solve(transition, policy, rhs, 0.0, absorbing=face_nodes), None
 
-    # INF marks an unreachable node, not a distance: it sets no scale or ceiling
-    scale = 1.0 + float(np.max(np.abs(S[S < INF / 2])))
-    for _ in range(TRACE_SWEEPS):
-        change = 0.0
-        for r in range(k):
-            ceil = np.min(t + S_nodes[:, r])
-            my = marg[:, nodes[r]]
-            priced = my > 1e-12
-            if priced.any():
-                terms = P[priced] * support_values()
-                terms[:, np.searchsorted(support, nodes[r])] = 0.0
-                ceil = min(ceil, np.min(-sequential_sum(terms, axis=1) / my[priced]))
-            if t[r] < ceil < INF / 2:
-                change = max(change, ceil - t[r])
-                t[r] = ceil
-        if change <= TRACE_TOL * scale:
-            break
-    else:
-        raise MaxIterExceeded(f"maximal_trace still rising after {TRACE_SWEEPS} sweeps "
-                              f"(last change {change:.3e})", residual=change,
-                              iterations=TRACE_SWEEPS)
-    # lagged off-trace pricing can overshoot; shift down to restore <mu, v_t> <= 0
-    worst = max(0.0, float(np.max(sequential_sum(P * support_values(), axis=1))))
-    return t - worst
+    def price(y):
+        priced = stage + interpolate(transition, y)
+        priced[face_nodes] = 0.0
+        return priced
+
+    start = _reach(transition, np.array(policy, dtype=np.intp), list(face_nodes), stage)
+    return policy_iteration(stage, start, evaluate, price,
+                            "shortest path to the Mather face")[1]
 
 
-def selected_solution_deflim(critical, marginals):
-    """Limit candidate as the weak KAM field of the maximal admissible trace,
-    an (n,) array."""
-    t = maximal_trace(critical, marginals)
-    return weak_kam_solution(critical, t)
-
-
-def dirac_marginals(nodes, num_nodes):
-    """One Dirac node marginal per node of `nodes`, (len(nodes), num_nodes)."""
-    marg = np.zeros((len(nodes), num_nodes))
-    marg[np.arange(len(nodes)), nodes] = 1.0
-    return marg
+def swept_limit(transition, stage, face_nodes):
+    """w_h by `critical.relax_batch` on the `stage` costs, from 0 on the
+    face nodes and INF elsewhere, an (n,) array; a node with no route to
+    the face stays at INF."""
+    D0 = np.full((1, transition.grid.num_nodes), INF)
+    D0[0, face_nodes] = 0.0
+    return relax_batch(stage, transition, D0)[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +184,7 @@ class StudyReport:
     estimator_agreement: float
     rows: list
     failures: list
-    critical: object
+    critical: object                  # `build_aubry_data`: S_from is not built
     ergodic_objective: float
     critical_crosscheck: float        # |c_bisection + ergodic LP optimum|
 
@@ -267,6 +206,27 @@ def _agreement_nodes(grid, probes):
     return list(dict.fromkeys(nodes))       # first occurrences, in order
 
 
+def _selected_limit(problem, ergodic, face_nodes, agree_nodes):
+    """(w, agreement): `policy_limit` on the scheme's stage costs at the
+    critical level c_h = -(ergodic optimum), and its largest distance to
+    `swept_limit` on the agreement nodes.  A value of either at the INF
+    sentinel on an agreement node raises Unreachable."""
+    tr = problem.transition
+    grid = tr.grid
+    stage = grid.h * (problem.c.reshape(grid.num_nodes, -1) - ergodic.objective)
+    w = policy_limit(tr, stage, face_nodes, ergodic.policy)
+    swept = swept_limit(tr, stage, face_nodes)
+    for name, values in (("swept limit", swept[agree_nodes]),
+                         ("limit w", w[agree_nodes])):
+        far = np.flatnonzero(values >= INF / 2)
+        if far.size:
+            node = agree_nodes[far[0]]
+            raise Unreachable(f"the {name} at node {node} (x = {grid.coords[node].tolist()}) "
+                              f"is the INF sentinel: no route of the scheme links it to "
+                              f"the Mather face")
+    return w, float(np.max(np.abs(swept[agree_nodes] - w[agree_nodes])))
+
+
 def vanishing_discount_study(model, grid, velocity_set, schedule, probes=((0.0,),),
                              eps_aubry=None, *, transition):
     """Decreasing-discount convergence study against the selected limit.
@@ -281,17 +241,18 @@ def vanishing_discount_study(model, grid, velocity_set, schedule, probes=((0.0,)
     schedule; any other exception propagates.  The Aubry tree
     (`measures.aubry_tree`) starts both the ergodic program and the first
     solve; each later solve starts from the policy the solve before it
-    ended on, and from the rest policy after a failed solve.  A
-    limit or barrier value at the INF sentinel on an agreement node raises
-    Unreachable.
+    ended on, and from the rest policy after a failed solve.  The limit
+    w is `policy_limit`, started from the ergodic optimum's policy, and the
+    agreement is its distance to `swept_limit`; a value of either at the
+    INF sentinel on an agreement node raises Unreachable.
     """
     schedule = [float(l) for l in schedule]
     if any(b >= a for a, b in zip(schedule, schedule[1:])):
         raise ValueError("schedule must be strictly decreasing")
     probes = [tuple(float(v) for v in np.atleast_1d(p)) for p in probes]
 
-    critical = build_critical_data(model, grid, velocity_set, eps_aubry=eps_aubry,
-                                   transition=transition)
+    critical = build_aubry_data(model, grid, velocity_set, eps_aubry=eps_aubry,
+                                transition=transition)
     tree = aubry_tree(model, grid, velocity_set, transition, critical)
     problem = build_ergodic_lp(model, grid, velocity_set, transition=transition,
                                policy=tree)
@@ -299,17 +260,8 @@ def vanishing_discount_study(model, grid, velocity_set, schedule, probes=((0.0,)
     face_nodes = mather_face(problem, ergodic).nodes
     mnodes = mather_set(face_nodes, grid)
 
-    w = selected_solution_deflim(critical, dirac_marginals(face_nodes, grid.num_nodes))
-    agree_nodes = _agreement_nodes(grid, probes)
-    barrier = enric1_values(critical, face_nodes, agree_nodes)
-    for name, values in (("barrier form", barrier), ("limit w", w[agree_nodes])):
-        far = np.flatnonzero(values >= INF / 2)
-        if far.size:
-            node = agree_nodes[far[0]]
-            raise Unreachable(f"the {name} at node {node} (x = {grid.coords[node].tolist()}) "
-                              f"is the INF sentinel: no route of the scheme links it to "
-                              f"the Mather face")
-    agreement = float(np.max(np.abs(barrier - w[agree_nodes])))
+    w, agreement = _selected_limit(problem, ergodic, face_nodes,
+                                   _agreement_nodes(grid, probes))
 
     mask = grid.box_mask(grid.central_half())
     rows, failures, sup_gaps = [], [], []

@@ -538,7 +538,8 @@ def end_components(allowed, idx, w):
     the strongly connected component of its node under the kept pairs.
     Raises NoMeasures when no pair is left, and NoSelfLoop when a face node
     has no self-loop pair (all weight on its own node): the limit
-    estimators read the face through the Dirac measures of those (`limits`).
+    (`limits`) holds the face nodes at 0, exact when every minimizing
+    measure is a mixture of the Dirac measures of those.
     """
     n, M, K = idx.shape
     src = np.repeat(np.arange(n), M)
@@ -561,7 +562,7 @@ def end_components(allowed, idx, w):
     if bare.size:
         pairs = ", ".join(f"({c // M}, {c % M})" for c in columns[:8])
         raise NoSelfLoop(f"Mather face node {bare[0]} carries no self-loop face column, "
-                         f"so the limit estimators' node formulas are not exact there; "
+                         f"so the limit's shortest path to the face nodes is not exact there; "
                          f"the face is the (node, velocity) pairs {pairs}"
                          + (", ..." if columns.size > 8 else ""))
     return MatherFace(columns=columns, nodes=nodes)

@@ -379,46 +379,6 @@ def make_asymmetric_sampled(grid, offset=0.3, p_span=3.0, p_count=121):
     return make_model("sampled", sampled=table)
 
 
-def maximal_trace_loop(critical, marginals, sweeps=200, tol=1e-12):
-    """`limits.maximal_trace` as a loop over per-node dicts: each row of
-    node marginals becomes a map node -> mass, the trace maps Aubry node ->
-    value, and every min and pairing is a Python loop.  Returns the dict
-    trace."""
-    nodes = [int(z) for z in critical.aubry_nodes]
-    S = dict(zip(nodes, critical.S_from))
-    marginals = [{int(i): float(row[i]) for i in np.flatnonzero(row)} for row in marginals]
-    t = {z: 0.0 for z in nodes}
-
-    def field_at(i):
-        return min(t[z] + float(S[z][i]) for z in nodes)
-
-    scale = 1.0 + max(float(np.max(np.abs(S[z][S[z] < BIG / 2]))) for z in nodes)
-    for _ in range(sweeps):
-        change = 0.0
-        for y in nodes:
-            ceil = min((t[z] + float(S[z][y]) for z in nodes if z != y),
-                       default=np.inf)
-            for m in marginals:
-                my = m.get(y, 0.0)
-                if my > 1e-12:
-                    rest = sum(mass * (t[i] if i in t else field_at(i))
-                               for i, mass in m.items() if i != y)
-                    ceil = min(ceil, -rest / my)
-            if t[y] < ceil < BIG / 2:
-                change = max(change, ceil - t[y])
-                t[y] = ceil
-        if change <= tol * scale:
-            break
-    worst = 0.0
-    for m in marginals:
-        worst = max(worst, sum(mass * (t[i] if i in t else field_at(i))
-                               for i, mass in m.items()))
-    if worst > 0.0:
-        for z in nodes:
-            t[z] -= worst
-    return t
-
-
 def mather_set_loop(nodes, grid):
     """`limits.mather_set` with one dilation step per node, in coordinates."""
     pts = grid.coords

@@ -212,8 +212,7 @@ def test_dimension_follows_box(tmp_path):
 
 
 DOUBLE_WELL = ["--set", 'model.potential="double_well"']
-# the 2D double well at h = 0.25 with 13 velocities: a face of 4 rest
-# columns, on which the two estimators stay 0.114 apart
+# the 2D double well at h = 0.25 with 13 velocities: a face of 4 rest columns
 DOUBLE_WELL_2D = [*DOUBLE_WELL, "--set", "grid.box=[[-2,2],[-2,2]]", "--set", "grid.h=0.25",
                   "--set", "velocity.q_max=1.5", "--set", "velocity.per_axis_count=5",
                   "--set", "probes=[[0,0],[1,0]]"]
@@ -221,23 +220,18 @@ DOUBLE_WELL_2D = [*DOUBLE_WELL, "--set", "grid.box=[[-2,2],[-2,2]]", "--set", "g
 
 def test_limit_matches_study_double_well(tmp_path, capsys):
     # the limit subcommand is the study's limit w without a discount
-    # schedule: on the 1D double well both exit 0 with the same w.csv.  On
-    # the 2D double well the estimators disagree beyond their tolerance:
-    # both commands write every artifact and the manifest, then exit 3
-    # naming the breached claim
+    # schedule: on the 1D and the 2D double well both commands write every
+    # artifact and the manifest, exit 0 with the estimators within their
+    # tolerance, and write the same w.csv
     cfg = str(CONFIGS / "quadratic.json")
-    for case, extra, code in (("1d", DOUBLE_WELL, 0), ("2d", DOUBLE_WELL_2D, 3)):
+    for case, extra in (("1d", DOUBLE_WELL), ("2d", DOUBLE_WELL_2D)):
         for command in ("limit", "study"):
             out = tmp_path / f"{command}{case}"
-            assert main([command, "--config", cfg, "--out", str(out), *extra]) == code, (
+            assert main([command, "--config", cfg, "--out", str(out), *extra]) == 0, (
                 command, case)
-            err = capsys.readouterr().err
-            if code:
-                assert_one_error(err, "error: estimator_agreement: ")
-            else:
-                assert "error" not in err
+            assert "error" not in capsys.readouterr().err
             claim = json.loads((out / f"{command}.json").read_text())["estimator_agreement"]
-            assert (claim["value"] <= claim["tolerance"]) == (code == 0)
+            assert claim["value"] <= claim["tolerance"] == 0.03
             manifest = json.loads((out / "manifest.json").read_text())
             assert f"{command}.json" in {a["name"] for a in manifest["artifacts"]}
         assert ((tmp_path / f"limit{case}" / "w.csv").read_bytes()
@@ -683,8 +677,10 @@ def test_distance_runs_only_the_bisection(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("command,artifact", [("aubry", "aubry.csv"),
                                               ("critical", "aubry.csv"),
-                                              ("mather", "measure.csv")],
-                         ids=["aubry", "critical", "mather"])
+                                              ("mather", "measure.csv"),
+                                              ("limit", "w.csv"),
+                                              ("study", "w.csv")],
+                         ids=["aubry", "critical", "mather", "limit", "study"])
 def test_aubry_and_critical_skip_the_weak_kam_fields(tmp_path, monkeypatch, command,
                                                      artifact):
     import weakkam.critical
@@ -755,8 +751,8 @@ def test_policy_iteration_past_its_step_cap_exits_3_without_traceback(tmp_path, 
 def test_a_face_without_a_self_loop_exits_3_naming_it(tmp_path, capsys):
     # H(x_i, p) = (p - (-1)^i)^2/2 - x_i^2/2 pushes odd nodes right and even
     # nodes left: the face is the two-node cycle (7, 4) -> (8, 0) -> (7, 4),
-    # whose Dirac measures are not closed, so neither estimator's node
-    # formula holds; validate still passes
+    # whose Dirac measures are not closed, so the limit's shortest path to
+    # the face nodes is not exact; validate still passes
     box, h = [-2.0, 2.0], 0.25
     nodes = np.arange(box[0], box[1] + h / 2, h)
     p_grid = np.linspace(-8.0, 8.0, 65)
@@ -795,15 +791,15 @@ def test_a_model_with_no_usable_edge_exits_without_a_traceback(tmp_path, capsys)
 
 @pytest.mark.parametrize("command", ["limit", "study"])
 def test_a_limit_at_the_inf_sentinel_exits_3_naming_the_node(tmp_path, capsys, command):
-    # every edge cost overflows, so the distances to the Mather face are the
-    # INF sentinel off the face: the estimator agreement read 1e+30
+    # every edge cost overflows, so the min-plus sweeps leave the INF
+    # sentinel off the Mather face: the estimator agreement read 1e+30
     code = main([command, "--config", str(CONFIGS / "quadratic.json"),
                  "--out", str(tmp_path / "o"), "--set", "grid.h=0.2",
                  "--set", 'model.potential={"name":"abs","scale":1e300}'])
     assert code == 3
     err = capsys.readouterr().err
     lines = [line for line in err.splitlines() if line.startswith("error")]
-    assert len(lines) == 1 and lines[0].startswith("error[Unreachable]: the barrier form "
+    assert len(lines) == 1 and lines[0].startswith("error[Unreachable]: the swept limit "
                                                    "at node 10 (x = [-2.0])"), err
     assert "Traceback" not in err
 
@@ -851,9 +847,20 @@ def test_a_discount_lost_to_rounding_exits_3_without_traceback(tmp_path, capsys)
         assert "Traceback" not in err
 
 
-def test_a_breached_claim_and_a_failed_stage_print_one_error_line(tmp_path, capsys):
-    # the estimators disagree and the solve at lambda 1e-20 fails: one line
-    # names both
+def test_a_breached_claim_and_a_failed_stage_print_one_error_line(tmp_path, capsys,
+                                                                   monkeypatch):
+    # the estimators disagree (the swept limit is shifted by 0.1 off the
+    # face) and the solve at lambda 1e-20 fails: one line names both.
+    # Unshifted, this steep double well's estimators agree to 1e-9
+    import weakkam.limits
+    swept_limit = weakkam.limits.swept_limit
+
+    def shifted(transition, stage, face_nodes):
+        values = swept_limit(transition, stage, face_nodes) + 0.1
+        values[face_nodes] = 0.0
+        return values
+
+    monkeypatch.setattr(weakkam.limits, "swept_limit", shifted)
     cfg = write_cfg(tmp_path, {
         "model": {"family": "eikonal", "potential": {"name": "double_well", "scale": 1e6}},
         "grid": {"box": [[0.0, 3.0]], "h": 0.2},
@@ -861,10 +868,14 @@ def test_a_breached_claim_and_a_failed_stage_print_one_error_line(tmp_path, caps
         "schedule": {"lambdas": [0.5, 1e-20]},
         "probes": [[2.39]],
     })
-    assert main(["study", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    out = tmp_path / "o"
+    assert main(["study", "--config", cfg, "--out", str(out)]) == 3
     err = capsys.readouterr().err
-    assert_one_error(err, "error: estimator_agreement: ")
-    assert "; study: solve at lambda 1e-20: SingularBasis(" in err
+    assert_one_error(err, "error: estimator_agreement: sup |")
+    assert "exceeds its tolerance 0.03; study: solve at lambda 1e-20: SingularBasis(" in err
+    claim = json.loads((out / "study.json").read_text())["estimator_agreement"]
+    assert claim["value"] == pytest.approx(0.1, abs=1e-8)
+    assert (out / "manifest.json").exists()
 
 
 def _imports_numpy_random(tmp_path, command):

@@ -1,36 +1,32 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
 from weakkam import limits, measures
-from weakkam.critical import INF, build_critical_data, peierls_field_to, weak_kam_solution
+from weakkam.critical import build_critical_data, peierls_field_to, weak_kam_solution
 from weakkam.errors import MaxIterExceeded, NoMeasures, SingularBasis
 from weakkam.grids import build_grid, build_transition, build_velocity_set, interpolate
 from weakkam.limits import (
-    dirac_marginals,
-    enric1_values,
     mather_set,
-    maximal_trace,
-    selected_solution_deflim,
+    policy_limit,
+    swept_limit,
     uniqueness_test,
     vanishing_discount_study,
 )
 from weakkam.measures import build_ergodic_lp, lp_solve, mather_face
 from weakkam.models import lagrangian_table, make_model, superlinearize
 
-from helpers import mather_set_loop, maximal_trace_loop
-
-
-def marginals(*measures):
-    """The node marginals of (n, M) measures, one row each."""
-    return np.array([mu.sum(axis=1) for mu in measures])
+from helpers import mather_set_loop
 
 
 def face_of(model, grid, vs, tr):
     problem = build_ergodic_lp(model, grid, vs, transition=tr)
     ergodic = lp_solve(problem)
     return ergodic, mather_face(problem, ergodic)
+
+
+def stage_of(model, grid, vs, ergodic):
+    """The scheme's stage costs h (L + c_h), c_h = -(ergodic optimum)."""
+    return grid.h * (lagrangian_table(model, grid.coords, vs.vectors) - ergodic.objective)
 
 
 @pytest.fixture(scope="module")
@@ -40,15 +36,28 @@ def quad_setup(quad, grid_c, vs7, tr_c):
     return crit, ergodic, face
 
 
+@pytest.fixture(scope="module")
+def quad_limit(quad, grid_c, vs7, tr_c, quad_setup):
+    """The scheme's limit on the quadratic model: (stage costs, w)."""
+    _, ergodic, face = quad_setup
+    stage = stage_of(quad, grid_c, vs7, ergodic)
+    return stage, policy_limit(tr_c, stage, face.nodes, ergodic.policy)
+
+
 # ---------------------------------------------------------------------------
-# the two estimators
+# the Peierls barrier over the face
 # ---------------------------------------------------------------------------
+
+def barrier_form(crit, face_nodes, x):
+    """min over the face nodes y of P(y, x)."""
+    return float(np.min(peierls_field_to(crit, x)[face_nodes]))
+
 
 def test_enric1_barrier_values(quad_setup, grid_c):
     crit, ergodic, face = quad_setup
-    v1 = float(enric1_values(crit, face.nodes, [grid_c.node_near([1.0])])[0])
+    v1 = barrier_form(crit, face.nodes, grid_c.node_near([1.0]))
     assert v1 == pytest.approx(0.5, abs=3 * grid_c.h)
-    vz = float(enric1_values(crit, face.nodes, [int(crit.aubry_nodes[0])])[0])
+    vz = barrier_form(crit, face.nodes, int(crit.aubry_nodes[0]))
     assert abs(vz) <= 2 * crit.eps_aubry + 1e-6
 
 
@@ -57,87 +66,94 @@ def test_enric1_eikonal(grid_c, vs7):
     tr = build_transition(grid_c, vs7)
     crit = build_critical_data(eik, grid_c, vs7, transition=tr)
     _, face = face_of(eik, grid_c, vs7, tr)
-    v2 = float(enric1_values(crit, face.nodes, [grid_c.node_near([2.0])])[0])
+    v2 = barrier_form(crit, face.nodes, grid_c.node_near([2.0]))
     assert v2 == pytest.approx(2.0, abs=0.12)
 
 
-def test_deflim_field_and_trace(quad_setup, grid_c):
-    crit, ergodic, face = quad_setup
-    w = selected_solution_deflim(crit, marginals(ergodic.measure))
+# ---------------------------------------------------------------------------
+# the limit w_h and its two solvers
+# ---------------------------------------------------------------------------
+
+def test_deflim_field_and_trace(quad, grid_c):
+    # configs/quadratic.json's velocities (q_max 2): the optimal speed |x|
+    # stays under the velocity cap on [-2, 2]; w is 0 on the face, the origin
+    vs = build_velocity_set(2.0, 17)
+    tr = build_transition(grid_c, vs)
+    ergodic, face = face_of(quad, grid_c, vs, tr)
+    w = policy_limit(tr, stage_of(quad, grid_c, vs, ergodic), face.nodes, ergodic.policy)
     xg = grid_c.coords[:, 0]
     mask = np.abs(xg) <= 2.0
     assert np.max(np.abs(w - 0.5 * xg ** 2)[mask]) <= 2 * grid_c.h
-    t = maximal_trace(crit, marginals(ergodic.measure))
-    origin = list(crit.aubry_nodes).index(grid_c.node_near([0.0]))
-    assert t[origin] == pytest.approx(0.0, abs=1e-12)
+    np.testing.assert_array_equal(face.nodes, [grid_c.node_near([0.0])])
+    assert w[face.nodes[0]] == 0.0
 
 
-def test_deflim_requires_measures(quad_setup):
-    crit, _, _ = quad_setup
+def test_deflim_requires_measures(quad_setup, quad_limit, tr_c):
+    _, ergodic, _ = quad_setup
+    stage, _ = quad_limit
     with pytest.raises(NoMeasures):
-        selected_solution_deflim(crit, [])
+        policy_limit(tr_c, stage, np.array([], dtype=int), ergodic.policy)
 
 
-def test_maximal_trace_raises_when_its_sweeps_run_out(quad_setup, monkeypatch):
-    # the ascent takes two sweeps here: one raises the trace, the next
-    # finds no change; a trace cut off while still rising need not be maximal
-    crit, ergodic, _ = quad_setup
-    monkeypatch.setattr(limits, "TRACE_SWEEPS", 1)
-    with pytest.raises(MaxIterExceeded, match="still rising after 1 sweeps") as info:
-        maximal_trace(crit, marginals(ergodic.measure))
-    assert info.value.iterations == 1 and info.value.residual > 0
+def test_estimators_agree(quad_setup, quad_limit, tr_c):
+    # the two solvers share no code and reach the same fixed point
+    _, _, face = quad_setup
+    stage, w = quad_limit
+    swept = swept_limit(tr_c, stage, face.nodes)
+    assert float(np.max(np.abs(swept - w))) <= 1e-12 * (1.0 + float(np.max(np.abs(w))))
 
 
-@pytest.fixture(scope="module")
-def double_well_ergodic():
-    # only the ergodic measure: the ascent creeps up the unmeasured well by
-    # about its cycle cost per sweep, and needs more than TRACE_SWEEPS
-    g = build_grid([[-2.0, 2.0]], 0.05)
-    vs = build_velocity_set(1.0, 3)
-    model = make_model("quadratic", "double_well")
-    tr = build_transition(g, vs)
-    crit = build_critical_data(model, g, vs, transition=tr)
-    return crit, marginals(lp_solve(build_ergodic_lp(model, g, vs, transition=tr)).measure)
+def test_policy_limit_makes_any_start_proper(quad_setup, quad_limit, grid_c, vs7, tr_c):
+    # under the rest policy no node off the face reaches it, and the policy
+    # matrix with F absorbing is singular; the backward search from F sends
+    # every node there first, and the iteration ends at the same w
+    _, _, face = quad_setup
+    stage, w = quad_limit
+    rest = np.full(grid_c.num_nodes, vs7.zero_index())
+    np.testing.assert_allclose(policy_limit(tr_c, stage, face.nodes, rest), w,
+                               rtol=0.0, atol=1e-12 * (1.0 + float(np.max(w))))
 
 
-def test_maximal_trace_reads_the_unreachable_sentinel_as_no_bound(double_well_ergodic,
-                                                                   monkeypatch):
-    # node 0 (x = -2) is not an Aubry node and carries no mass, so a first
-    # Aubry node that cannot reach it bounds nothing; read as a distance,
-    # INF = 1e30 set the stop tolerance and the ascent ended after one sweep
-    crit, ergodic = double_well_ergodic
-    assert 0 not in crit.aubry_nodes and not ergodic[:, 0].any()
-    cut = dataclasses.replace(crit, S_from=crit.S_from.copy())
-    cut.S_from[0, 0] = INF
-    for data in (crit, cut):
-        with pytest.raises(MaxIterExceeded):
-            maximal_trace(data, ergodic)
-    monkeypatch.setattr(limits, "TRACE_SWEEPS", 2000)
-    full = maximal_trace(crit, ergodic)
-    assert np.max(full) > 1.0
-    np.testing.assert_array_equal(maximal_trace(cut, ergodic), full)
+def test_deflim_constraint_validates_post_hoc(quad_setup, quad_limit):
+    # <mu, w> <= 0 for every Mather measure: w is 0 on the face nodes
+    _, ergodic, _ = quad_setup
+    _, w = quad_limit
+    assert float(np.sum(ergodic.measure * w[:, None])) == 0.0
 
 
-def test_estimators_agree(quad_setup, grid_c):
-    crit, ergodic, face = quad_setup
-    w = selected_solution_deflim(crit, dirac_marginals(face.nodes, grid_c.num_nodes))
-    nodes = [grid_c.node_near([x]) for x in (-1.5, -0.5, 0.0, 0.5, 1.5)]
-    e1 = enric1_values(crit, face.nodes, nodes)
-    assert float(np.max(np.abs(e1 - w[nodes]))) <= 4 * grid_c.h
+def test_w_reconstructs_through_min_formula(quad_setup, quad_limit, tr_c):
+    # w = min over q of [stage + w(foot)] off the face, and 0 on it
+    _, _, face = quad_setup
+    stage, w = quad_limit
+    bellman = np.min(stage + interpolate(tr_c, w), axis=1)
+    off = np.ones(len(w), dtype=bool)
+    off[face.nodes] = False
+    assert float(np.max(np.abs(bellman - w)[off])) <= 1e-12 * (1.0 + float(np.max(w)))
+    assert np.all(w[face.nodes] == 0.0)
 
 
-def test_deflim_constraint_validates_post_hoc(quad_setup):
-    crit, ergodic, _ = quad_setup
-    w = selected_solution_deflim(crit, marginals(ergodic.measure))
-    pairing = float(np.sum(ergodic.measure * w[:, None]))
-    assert pairing <= 4 * crit.grid.h
-
-
-def test_w_reconstructs_through_min_formula(quad_setup):
-    crit, ergodic, _ = quad_setup
-    w = selected_solution_deflim(crit, marginals(ergodic.measure))
-    rec = weak_kam_solution(crit, w[crit.aubry_nodes])
-    assert float(np.max(np.abs(rec - w))) <= 1e-9
+def test_the_limit_is_the_limit_of_the_schemes_u_lambda():
+    # sup |u_lambda - w| / lambda on the central half-box is bounded and
+    # constant over four decades (1.43, 1.13, 0.435 and 0.552 here); a
+    # limit off the scheme's own leaves a floor in sup |u_lambda - w|, and
+    # the ratio grows like 1 / lambda
+    lams = [1e-2, 1e-3, 1e-4, 1e-5, 1e-6]
+    g1 = build_grid([[-4.0, 4.0]], 0.05)
+    g2 = build_grid([[-2.0, 2.0], [-2.0, 2.0]], 0.2)
+    cases = [  # configs/eikonal_abs.json, configs/quadratic.json, then with a double well
+        (superlinearize(make_model("eikonal", "abs"), g1), g1, build_velocity_set(1.5, 7)),
+        (make_model("quadratic", "half_square"), g1, build_velocity_set(2.0, 17)),
+        (make_model("quadratic", "double_well"), g1, build_velocity_set(2.0, 17)),
+        (make_model("quadratic", "double_well", dimension=2), g2,
+         build_velocity_set(1.5, 5, dimension=2)),
+    ]
+    for model, g, vs in cases:
+        rep = vanishing_discount_study(model, g, vs, lams, probes=[(0.0,) * g.dimension],
+                                       transition=build_transition(g, vs))
+        assert not rep.failures
+        ratio = np.array(rep.sup_gaps) / lams
+        assert np.max(ratio) <= 2.0, ratio
+        assert np.max(ratio) <= 1.02 * np.min(ratio), ratio
 
 
 # ---------------------------------------------------------------------------
@@ -185,8 +201,7 @@ def test_mather_set_zero_objectives(quad_setup, grid_c):
 
 @pytest.fixture(scope="module", params=["double_well_1d", "double_well_2d"])
 def loop_case(request):
-    # configs/quadratic.json with the double well (65 Aubry nodes), and the
-    # 2D double well, whose Aubry set is the unit circle (112 nodes)
+    # configs/quadratic.json with the double well, and the 2D double well
     if request.param == "double_well_1d":
         g = build_grid([[-4.0, 4.0]], 0.05)
         vs = build_velocity_set(2.0, 17)
@@ -194,35 +209,17 @@ def loop_case(request):
         g = build_grid([[-1.5, 1.5], [-1.5, 1.5]], 0.25)
         vs = build_velocity_set(1.5, 5, dimension=2)
     model = make_model("quadratic", "double_well", dimension=g.dimension)
-    tr = build_transition(g, vs)
-    crit = build_critical_data(model, g, vs, transition=tr)
-    ergodic, face = face_of(model, g, vs, tr)
-    # the LP measures sit on a node or two; add scattered masses, whose
-    # pairings add many terms, among them three nodes of mass 6e-5 on
-    # every velocity
-    rng = np.random.default_rng(0)
-    mass = np.zeros((g.num_nodes, vs.size))
-    mass.reshape(-1)[rng.choice(mass.size, 40, replace=False)] = rng.uniform(0.0, 2e-4, 40)
-    mass[rng.choice(g.num_nodes, 3), :] = 6e-5
-    marg = np.vstack([marginals(ergodic.measure, mass),
-                      dirac_marginals(face.nodes, g.num_nodes)])
+    _, face = face_of(model, g, vs, build_transition(g, vs))
     # the face nodes, the box corners and a scatter: the dilation is
     # clipped at the box
+    rng = np.random.default_rng(0)
     nodes = np.concatenate([face.nodes, [0, g.num_nodes - 1],
                             rng.choice(g.num_nodes, 5, replace=False)])
-    return g, crit, marg, nodes
-
-
-def test_maximal_trace_matches_the_dict_loop(loop_case):
-    g, crit, marg, _ = loop_case
-    assert len(crit.aubry_nodes) > 50
-    ref = maximal_trace_loop(crit, marg)
-    np.testing.assert_array_equal(maximal_trace(crit, marg),
-                                  [ref[int(z)] for z in crit.aubry_nodes])
+    return g, nodes
 
 
 def test_mather_set_matches_the_per_node_loop(loop_case):
-    g, crit, _, nodes = loop_case
+    g, nodes = loop_case
     got = mather_set(nodes, g)
     assert len(got) > len(nodes)
     np.testing.assert_array_equal(got, mather_set_loop(nodes, g))
@@ -234,7 +231,7 @@ def test_mather_set_matches_the_per_node_loop(loop_case):
 
 def test_uniqueness_equal_fields_pass(quad_setup, grid_c):
     crit, ergodic, _ = quad_setup
-    w = selected_solution_deflim(crit, marginals(ergodic.measure))
+    w = weak_kam_solution(crit, 0.0)
     mnodes = crit.aubry_nodes
     verdict = uniqueness_test(crit, mnodes, w, w)
     assert verdict.status == "PASS"
@@ -243,7 +240,7 @@ def test_uniqueness_equal_fields_pass(quad_setup, grid_c):
 
 def test_uniqueness_vacuous_hypothesis(quad_setup):
     crit, ergodic, _ = quad_setup
-    w = selected_solution_deflim(crit, marginals(ergodic.measure))
+    w = weak_kam_solution(crit, 0.0)
     v = w + 1.0
     verdict = uniqueness_test(crit, crit.aubry_nodes, v, w)
     assert verdict.status == "NotApplicable"
@@ -355,10 +352,11 @@ def test_two_dimensional_smoke():
     assert abs(lp.objective - lam_u) <= 1e-4
 
 
-def test_w_is_subsolution_at_critical_level(quad_setup, grid_c, quad, vs7, tr_c):
+def test_w_is_subsolution_at_critical_level(quad_setup, quad_limit, grid_c, quad, vs7,
+                                           tr_c):
     from weakkam.critical import is_subsolution
-    crit, ergodic, _ = quad_setup
-    w = selected_solution_deflim(crit, marginals(ergodic.measure))
+    crit, _, _ = quad_setup
+    _, w = quad_limit
     lip = 4.0 * 1.5
     ok, worst = is_subsolution(w, quad, grid_c, vs7, crit.level,
                                slack=2 * grid_c.h * lip, transition=tr_c)
@@ -463,7 +461,7 @@ def test_barrier_form_is_at_most_the_ergodic_pairing(quad_setup, grid_c, vs7):
     # minimizes over; on a one-node face it is the face's only measure
     crit, ergodic, face = quad_setup
     nodes = [grid_c.node_near([x]) for x in (-1.5, -0.5, 0.0, 0.5, 1.5)]
-    values = enric1_values(crit, face.nodes, nodes)
+    values = np.array([barrier_form(crit, face.nodes, x) for x in nodes])
     pairing = [float(np.sum(ergodic.measure * peierls_field_to(crit, x)[:, None]))
                for x in nodes]
     assert np.all(values <= np.array(pairing) + 1e-12)
@@ -527,7 +525,7 @@ def test_study_records_lp_solver_failures(monkeypatch):
 
 def test_uniqueness_test_propagates_programming_errors(quad_setup, monkeypatch):
     crit, ergodic, _ = quad_setup
-    w = selected_solution_deflim(crit, marginals(ergodic.measure))
+    w = weak_kam_solution(crit, 0.0)
 
     def broken(*args, **kwargs):
         raise TypeError("broken reconstruction")

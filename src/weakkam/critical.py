@@ -37,7 +37,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import (BracketInvalid, EmptyAubrySet, EmptySublevel, IncompatibleTrace,
-                     NegativeCycle)
+                     NegativeCycle, WeakKAMError)
 from .grids import interpolate
 from .models import (
     h_at_zero,
@@ -415,10 +415,20 @@ def build_critical_data(model, grid, velocity_set, eps_aubry=None, *, transition
 # Peierls barrier and weak KAM solutions
 # ---------------------------------------------------------------------------
 
+def _distances_from(critical):
+    """critical.S_from; a WeakKAMError when the data was built without it."""
+    if critical.S_from is None:
+        raise WeakKAMError("the Peierls barrier and the weak KAM min-formula read S_from, "
+                           "the distances from the Aubry nodes, which build_aubry_data "
+                           "does not build: build the data with build_critical_data")
+    return critical.S_from
+
+
 def peierls_field_to(critical, y):
     """P(., y) as a vector over nodes: P(x, y) = min over Aubry z of
     S(x,z) + S(z,y), from the stored fields."""
-    return np.min(critical.S_to + critical.S_from[:, y, None], axis=0, initial=np.inf)
+    return np.min(critical.S_to + _distances_from(critical)[:, y, None], axis=0,
+                  initial=np.inf)
 
 
 def weak_kam_solution(critical, v0):
@@ -433,7 +443,7 @@ def weak_kam_solution(critical, v0):
     nodes = critical.aubry_nodes
     t = np.broadcast_to(np.asarray(v0, dtype=float), nodes.shape)
     scale = 1.0 + float(np.max(np.abs(t)))
-    S_from = critical.S_from
+    S_from = _distances_from(critical)
     # bad[r, s]: v0(y_s) - v0(z_r) exceeds S(z_r, y_s)
     bad = t[None, :] - t[:, None] > S_from[:, nodes] + COMPAT_TOL * scale
     if bad.any():

@@ -3,17 +3,21 @@
 The discounted solutions u_lambda of the scheme converge, as lambda -> 0,
 to the largest subsolution that is <= 0 against every Mather measure
 (Davini, Fathi, Iturriaga & Zavidovique, Math. Z. 284, 2016, for the
-discrete case).  Every Mather measure here is a mixture of Dirac rest
-measures on the face nodes F of the ergodic program (`measures.mather_face`
-refuses a face node without one), so that limit is w_h, the value of the
-scheme's stochastic shortest path to F: stage costs h (L + c_h), with
-c_h = -(ergodic optimum), on the scheme's own transition, and 0 on F
-(Bertsekas & Tsitsiklis, Math. Oper. Res. 16, 1991).  It is solved twice,
-by two solvers that share no code:
+discrete case).  Every Mather measure here lives on the face nodes F of
+the ergodic program, and each face node carries one, the Dirac measure of
+a self-loop column (`measures.mather_face` refuses a face node without
+one), so that limit is the largest subsolution that is <= 0 on F.  It is
+w_h, the value of the scheme's stochastic shortest path with a stop at F:
+stage costs h (L + c_h), with c_h = -(ergodic optimum), on the scheme's
+own transition, and a stop of cost 0 at any face node (Bertsekas &
+Tsitsiklis, Math. Oper. Res. 16, 1991).  A face node need not stop: where
+a route from one face node to another costs less than 0 (a non-reversible
+H), w is below 0 at the first.  w_h is solved twice, by two solvers that
+share no code:
 
   * policy iteration (`policy_limit`): the loop of the occupation-measure
-    programs and the discounted solve, each policy evaluated with F
-    absorbing;
+    programs and the discounted solve, each policy evaluated with its
+    stopped face nodes absorbing;
   * min-plus sweeps (`swept_limit`): the relaxation of the intrinsic
     distances, from 0 on F.
 
@@ -35,7 +39,7 @@ import numpy as np
 
 from .critical import INF, build_aubry_data, relax_batch, weak_kam_solution
 from .discounted import policy_solve, solve_discounted
-from .errors import NoMeasures, Unreachable, WeakKAMError
+from .errors import IncompatibleTrace, NoMeasures, Unreachable, WeakKAMError
 from .grids import interpolate
 from .measures import (
     _reach,
@@ -57,42 +61,61 @@ _STATUS_NA = "NotApplicable"
 # the limit w_h, by two solvers
 # ---------------------------------------------------------------------------
 
-def policy_limit(transition, stage, face_nodes, policy):
-    """w_h by `measures.policy_iteration`: the least expected sum of the
-    (n, M) `stage` costs to reach the face nodes F, an (n,) array, 0 on F.
+def stage_costs(problem, ergodic):
+    """The scheme's stage costs at the critical level, h (L + c_h) with
+    c_h = -(ergodic optimum): an (n, M) table from the ergodic `problem`,
+    whose c holds L by column, and its solve `ergodic`."""
+    grid = problem.transition.grid
+    return grid.h * (problem.c.reshape(grid.num_nodes, -1) - ergodic.objective)
 
-    The start is `policy` (a velocity index per node, such as the ergodic
-    optimum's) with every node that does not reach F sent there by the
-    backward search from F (`measures._reach`), so it is proper.  A policy
-    is evaluated by one solve with F absorbing, and F's prices are pinned
-    at 0, so F never switches.  An empty F raises NoMeasures.
+
+def policy_limit(problem, ergodic, face_nodes):
+    """w_h by `measures.policy_iteration`: the least expected sum of the
+    `stage_costs` paid until the chain stops at one of the face nodes F,
+    an (n,) array.
+
+    At a face node the rest column is the stop: it is priced 0, and while a
+    node's policy takes it, the node is absorbing with value 0.  A face node
+    leaves instead when a route to another costs less than 0 (a
+    non-reversible H), so w <= 0 on F, and w at a face node is its cheapest
+    route to a stop.  The start is the ergodic optimum's policy with F
+    stopped and every node that does not reach F sent there by the backward
+    search from F (`measures._reach`), so it is proper.  An empty F raises
+    NoMeasures.
     """
     if len(face_nodes) == 0:
         raise NoMeasures("the limit needs at least one Mather face node")
-    rows = np.arange(len(policy))
+    tr = problem.transition
+    stage = stage_costs(problem, ergodic)
+    rest = tr.velocity_set.zero_index()
+    rows = np.arange(len(stage))
 
     def evaluate(policy):
+        stopped = face_nodes[policy[face_nodes] == rest]
         rhs = stage[rows, policy]
-        rhs[face_nodes] = 0.0
-        return policy_solve(transition, policy, rhs, 0.0, absorbing=face_nodes), None
+        rhs[stopped] = 0.0
+        return policy_solve(tr, policy, rhs, 0.0, absorbing=stopped), None
 
     def price(y):
-        priced = stage + interpolate(transition, y)
-        priced[face_nodes] = 0.0
+        priced = stage + interpolate(tr, y)
+        priced[face_nodes, rest] = 0.0
         return priced
 
-    start = _reach(transition, np.array(policy, dtype=np.intp), list(face_nodes), stage)
+    start = np.array(ergodic.policy, dtype=np.intp)
+    start[face_nodes] = rest
+    start = _reach(tr, start, list(face_nodes), stage)
     return policy_iteration(stage, start, evaluate, price,
                             "shortest path to the Mather face")[1]
 
 
-def swept_limit(transition, stage, face_nodes):
-    """w_h by `critical.relax_batch` on the `stage` costs, from 0 on the
+def swept_limit(problem, ergodic, face_nodes):
+    """w_h by `critical.relax_batch` on the `stage_costs`, from 0 on the
     face nodes and INF elsewhere, an (n,) array; a node with no route to
     the face stays at INF."""
-    D0 = np.full((1, transition.grid.num_nodes), INF)
+    tr = problem.transition
+    D0 = np.full((1, tr.grid.num_nodes), INF)
     D0[0, face_nodes] = 0.0
-    return relax_batch(stage, transition, D0)[0][0]
+    return relax_batch(stage_costs(problem, ergodic), tr, D0)[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +166,7 @@ def uniqueness_test(critical, mather_nodes, v, w):
     for fld in (vv, ww):
         try:
             rec = weak_kam_solution(critical, fld[critical.aubry_nodes])
-        except WeakKAMError as exc:
+        except IncompatibleTrace as exc:
             raise ValueError(f"field is not weak-KAM reconstructible: {exc}") from exc
         errs.append(float(np.max(np.abs(rec - fld)[region_mask])))
     if max(errs) > recon_tol:
@@ -207,15 +230,12 @@ def _agreement_nodes(grid, probes):
 
 
 def _selected_limit(problem, ergodic, face_nodes, agree_nodes):
-    """(w, agreement): `policy_limit` on the scheme's stage costs at the
-    critical level c_h = -(ergodic optimum), and its largest distance to
+    """(w, agreement): `policy_limit` and its largest distance to
     `swept_limit` on the agreement nodes.  A value of either at the INF
     sentinel on an agreement node raises Unreachable."""
-    tr = problem.transition
-    grid = tr.grid
-    stage = grid.h * (problem.c.reshape(grid.num_nodes, -1) - ergodic.objective)
-    w = policy_limit(tr, stage, face_nodes, ergodic.policy)
-    swept = swept_limit(tr, stage, face_nodes)
+    grid = problem.transition.grid
+    w = policy_limit(problem, ergodic, face_nodes)
+    swept = swept_limit(problem, ergodic, face_nodes)
     for name, values in (("swept limit", swept[agree_nodes]),
                          ("limit w", w[agree_nodes])):
         far = np.flatnonzero(values >= INF / 2)

@@ -538,8 +538,9 @@ def end_components(allowed, idx, w):
     the strongly connected component of its node under the kept pairs.
     Raises NoMeasures when no pair is left, and NoSelfLoop when a face node
     has no self-loop pair (all weight on its own node): the limit
-    (`limits`) holds the face nodes at 0, exact when every minimizing
-    measure is a mixture of the Dirac measures of those.
+    (`limits`) is the largest subsolution <= 0 on the face nodes, which is
+    <= 0 against every minimizing measure exactly when each face node
+    carries a Dirac one.
     """
     n, M, K = idx.shape
     src = np.repeat(np.arange(n), M)

@@ -855,8 +855,8 @@ def test_a_breached_claim_and_a_failed_stage_print_one_error_line(tmp_path, caps
     import weakkam.limits
     swept_limit = weakkam.limits.swept_limit
 
-    def shifted(transition, stage, face_nodes):
-        values = swept_limit(transition, stage, face_nodes) + 0.1
+    def shifted(problem, ergodic, face_nodes):
+        values = swept_limit(problem, ergodic, face_nodes) + 0.1
         values[face_nodes] = 0.0
         return values
 

@@ -20,7 +20,7 @@ from weakkam.critical import (
     reverse_edge_costs,
     weak_kam_solution,
 )
-from weakkam.errors import EmptySublevel, IncompatibleTrace, NegativeCycle
+from weakkam.errors import EmptySublevel, IncompatibleTrace, NegativeCycle, WeakKAMError
 from weakkam.grids import VelocitySet, build_grid, build_transition, build_velocity_set
 from weakkam.models import make_model
 
@@ -527,6 +527,19 @@ def test_aubry_data_relaxes_one_distance_batch(quad, grid_c, vs7, tr_c, quad_cri
     assert data.S_from is None
     np.testing.assert_array_equal(data.aubry_nodes, quad_crit.aubry_nodes)
     np.testing.assert_array_equal(data.S_to, quad_crit.S_to)
+
+
+def test_the_weak_kam_fields_refuse_data_without_s_from(quad, grid_c, vs7, tr_c):
+    # the Aubry data (the study's `critical`) stops before S_from: each
+    # reader of it names the builder that makes it
+    from weakkam.limits import uniqueness_test
+    data = build_aubry_data(quad, grid_c, vs7, transition=tr_c)
+    zero = np.zeros(grid_c.num_nodes)
+    for call in (lambda: weak_kam_solution(data, 0.0),
+                 lambda: peierls_field_to(data, int(data.aubry_nodes[0])),
+                 lambda: uniqueness_test(data, data.aubry_nodes, zero, zero)):
+        with pytest.raises(WeakKAMError, match="build_critical_data"):
+            call()
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,40 +10,44 @@ from weakkam.grids import build_grid, build_transition, build_velocity_set, inte
 from weakkam.limits import (
     mather_set,
     policy_limit,
+    stage_costs,
     swept_limit,
     uniqueness_test,
     vanishing_discount_study,
 )
 from weakkam.measures import build_ergodic_lp, lp_solve, mather_face
-from weakkam.models import lagrangian_table, make_model, superlinearize
+from weakkam.models import SampledTable, lagrangian_table, make_model, superlinearize
 
 from helpers import mather_set_loop
 
 
-def face_of(model, grid, vs, tr):
+def ergodic_of(model, grid, vs, tr):
+    """(the ergodic program, its solve, its Mather face)."""
     problem = build_ergodic_lp(model, grid, vs, transition=tr)
     ergodic = lp_solve(problem)
-    return ergodic, mather_face(problem, ergodic)
+    return problem, ergodic, mather_face(problem, ergodic)
 
 
-def stage_of(model, grid, vs, ergodic):
-    """The scheme's stage costs h (L + c_h), c_h = -(ergodic optimum)."""
-    return grid.h * (lagrangian_table(model, grid.coords, vs.vectors) - ergodic.objective)
+def face_of(model, grid, vs, tr):
+    return ergodic_of(model, grid, vs, tr)[1:]
 
 
 @pytest.fixture(scope="module")
-def quad_setup(quad, grid_c, vs7, tr_c):
+def quad_ergodic(quad, grid_c, vs7, tr_c):
+    return ergodic_of(quad, grid_c, vs7, tr_c)
+
+
+@pytest.fixture(scope="module")
+def quad_setup(quad, grid_c, vs7, tr_c, quad_ergodic):
     crit = build_critical_data(quad, grid_c, vs7, transition=tr_c)
-    ergodic, face = face_of(quad, grid_c, vs7, tr_c)
-    return crit, ergodic, face
+    return (crit,) + quad_ergodic[1:]
 
 
 @pytest.fixture(scope="module")
-def quad_limit(quad, grid_c, vs7, tr_c, quad_setup):
+def quad_limit(quad_ergodic):
     """The scheme's limit on the quadratic model: (stage costs, w)."""
-    _, ergodic, face = quad_setup
-    stage = stage_of(quad, grid_c, vs7, ergodic)
-    return stage, policy_limit(tr_c, stage, face.nodes, ergodic.policy)
+    problem, ergodic, face = quad_ergodic
+    return stage_costs(problem, ergodic), policy_limit(problem, ergodic, face.nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -78,9 +84,8 @@ def test_deflim_field_and_trace(quad, grid_c):
     # configs/quadratic.json's velocities (q_max 2): the optimal speed |x|
     # stays under the velocity cap on [-2, 2]; w is 0 on the face, the origin
     vs = build_velocity_set(2.0, 17)
-    tr = build_transition(grid_c, vs)
-    ergodic, face = face_of(quad, grid_c, vs, tr)
-    w = policy_limit(tr, stage_of(quad, grid_c, vs, ergodic), face.nodes, ergodic.policy)
+    problem, ergodic, face = ergodic_of(quad, grid_c, vs, build_transition(grid_c, vs))
+    w = policy_limit(problem, ergodic, face.nodes)
     xg = grid_c.coords[:, 0]
     mask = np.abs(xg) <= 2.0
     assert np.max(np.abs(w - 0.5 * xg ** 2)[mask]) <= 2 * grid_c.h
@@ -88,29 +93,28 @@ def test_deflim_field_and_trace(quad, grid_c):
     assert w[face.nodes[0]] == 0.0
 
 
-def test_deflim_requires_measures(quad_setup, quad_limit, tr_c):
-    _, ergodic, _ = quad_setup
-    stage, _ = quad_limit
+def test_deflim_requires_measures(quad_ergodic):
+    problem, ergodic, _ = quad_ergodic
     with pytest.raises(NoMeasures):
-        policy_limit(tr_c, stage, np.array([], dtype=int), ergodic.policy)
+        policy_limit(problem, ergodic, np.array([], dtype=int))
 
 
-def test_estimators_agree(quad_setup, quad_limit, tr_c):
+def test_estimators_agree(quad_ergodic, quad_limit):
     # the two solvers share no code and reach the same fixed point
-    _, _, face = quad_setup
-    stage, w = quad_limit
-    swept = swept_limit(tr_c, stage, face.nodes)
+    problem, ergodic, face = quad_ergodic
+    _, w = quad_limit
+    swept = swept_limit(problem, ergodic, face.nodes)
     assert float(np.max(np.abs(swept - w))) <= 1e-12 * (1.0 + float(np.max(np.abs(w))))
 
 
-def test_policy_limit_makes_any_start_proper(quad_setup, quad_limit, grid_c, vs7, tr_c):
+def test_policy_limit_makes_any_start_proper(quad_ergodic, quad_limit, grid_c, vs7):
     # under the rest policy no node off the face reaches it, and the policy
     # matrix with F absorbing is singular; the backward search from F sends
     # every node there first, and the iteration ends at the same w
-    _, _, face = quad_setup
-    stage, w = quad_limit
-    rest = np.full(grid_c.num_nodes, vs7.zero_index())
-    np.testing.assert_allclose(policy_limit(tr_c, stage, face.nodes, rest), w,
+    problem, ergodic, face = quad_ergodic
+    _, w = quad_limit
+    rest = replace(ergodic, policy=np.full(grid_c.num_nodes, vs7.zero_index()))
+    np.testing.assert_allclose(policy_limit(problem, rest, face.nodes), w,
                                rtol=0.0, atol=1e-12 * (1.0 + float(np.max(w))))
 
 
@@ -121,9 +125,9 @@ def test_deflim_constraint_validates_post_hoc(quad_setup, quad_limit):
     assert float(np.sum(ergodic.measure * w[:, None])) == 0.0
 
 
-def test_w_reconstructs_through_min_formula(quad_setup, quad_limit, tr_c):
+def test_w_reconstructs_through_min_formula(quad_ergodic, quad_limit, tr_c):
     # w = min over q of [stage + w(foot)] off the face, and 0 on it
-    _, _, face = quad_setup
+    _, _, face = quad_ergodic
     stage, w = quad_limit
     bellman = np.min(stage + interpolate(tr_c, w), axis=1)
     off = np.ones(len(w), dtype=bool)
@@ -154,6 +158,39 @@ def test_the_limit_is_the_limit_of_the_schemes_u_lambda():
         ratio = np.array(rep.sup_gaps) / lams
         assert np.max(ratio) <= 2.0, ratio
         assert np.max(ratio) <= 1.02 * np.min(ratio), ratio
+
+
+def test_a_face_node_leaves_for_a_route_below_0_to_another():
+    # H = (p + 1.2)^2 / 2 - (x^2 - 1)^2, tabulated: both wells are face
+    # nodes, and the drift makes the route from -1 to 1 cost about
+    # 4 sqrt(2) / 3 - 2.4 = -0.51, so the largest subsolution <= 0 on the
+    # face is below 0 at -1.  Both solvers find that route, face nodes
+    # included, and u_lambda converges to it at rate lambda; a limit held
+    # at 0 on the face leaves a floor of 0.5 in sup |u_lambda - w|
+    g = build_grid([[-2.0, 2.0]], 0.05)
+    x = g.coords[:, 0]
+    pg = np.linspace(-6.0, 6.0, 241)
+    values = 0.5 * (pg[None, :] + 1.2) ** 2 - (x[:, None] ** 2 - 1.0) ** 2
+    model = make_model("sampled", sampled=SampledTable(x_coords=x.copy(), p_grid=pg,
+                                                       values=values))
+    vs = build_velocity_set(2.0, 17)
+    tr = build_transition(g, vs)
+    problem, ergodic, face = ergodic_of(model, g, vs, tr)
+    np.testing.assert_array_equal(face.nodes, [g.node_near([-1.0]), g.node_near([1.0])])
+    w = policy_limit(problem, ergodic, face.nodes)
+    swept = swept_limit(problem, ergodic, face.nodes)
+    assert float(np.max(np.abs(swept - w))) <= 1e-12 * (1.0 + float(np.max(np.abs(w))))
+    assert w[face.nodes[0]] == pytest.approx(-0.50, abs=0.01)
+    assert w[face.nodes[1]] == 0.0
+    # a subsolution at every node, the face nodes too
+    bellman = np.min(stage_costs(problem, ergodic) + interpolate(tr, w), axis=1)
+    assert np.all(w <= bellman + 1e-12)
+    lams = [1e-3, 1e-4, 1e-5]
+    rep = vanishing_discount_study(model, g, vs, lams, probes=[(-1.0,)], transition=tr)
+    assert not rep.failures and rep.estimator_agreement <= 1e-12
+    np.testing.assert_array_equal(rep.w, w)
+    ratio = np.array(rep.sup_gaps) / lams
+    assert np.max(ratio) <= 1.0 and np.max(ratio) <= 1.02 * np.min(ratio), ratio
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,12 @@ rest policy: it reaches the discrete fixed point itself in a number of
 steps that does not grow as lambda -> 0 the way value iteration's
 1/(lambda h) sweeps do, its iterates decreasing after the first
 (Bokanowski, Maroso & Zidani, SIAM J. Numer. Anal. 47, 2009).  A policy's
-matrix is block tridiagonal (`policy_solve`); its transpose is the
-policy's LP basis (`measures`).
+matrix is the LP basis of the policy, transposed (`measures`).  On a 2D or
+higher grid, the chain of a policy (self-weights left out) is as a rule
+acyclic.  Its matrix is then triangular in the chain's level order, and
+`policy_solve` substitutes one level at a time (Dai, Mausam, Weld &
+Goldsmith, "Topological Value Iteration Algorithms", JAIR 42, 2011).  A
+cyclic chain, and every 1D one, is solved as a block tridiagonal matrix.
 
 Closed-form oracles: for H = |p| - |x| the bounded-below solution is
 u(x) = |x|/lambda + (exp(-lambda |x|) - 1)/lambda^2; for H = |p|^2/2 - x^2/2
@@ -33,13 +37,14 @@ from .errors import MaxIterExceeded, SingularBasis, WeakKAMError
 from .grids import interpolate
 from .models import lagrangian_table
 
-# Narrower blocks cost more in per-block overhead than they save in
-# arithmetic: on 801 nodes in 1D one policy solve takes 15 ms at B = 1
-# and 3 ms at B = 16.
+# The block elimination (`_block_solve`) runs on every 1D policy and on a
+# 2D policy only when its chain has a cycle.  Narrower blocks cost more in
+# per-block overhead than they save in arithmetic: on 801 nodes in 1D one
+# policy solve takes 15 ms at B = 1 and 3 ms at B = 16.
 MIN_BLOCK = 16
 # Bytes of the band formed at once: a 1D band (26 blocks of 16 x 48 at 401
-# nodes, 160 KB) stays one bincount, a 2D band is formed a block or a few
-# at a time.
+# nodes, 160 KB) stays one bincount, the band of a cyclic 2D policy is
+# formed a block or a few at a time.
 SLAB_BYTES = 1 << 18
 RESIDUAL_TOL = 1e-7  # bound on the final Bellman residual sup |T u - u|
 
@@ -67,12 +72,110 @@ def policy_solve(transition, q, rhs, lam_h, keep=False, absorbing=None):
     weights of the foot (i, q[i]); the row of the node `absorbing`, when
     given, is zero.  rhs is one value per node, or an (n, k) array of k
     right-hand sides solved with the one factorization.  Returns u, or with
-    `keep` (u, factor): the factor (S, L, C) of the matrix solves with its
-    transpose (`transposed_policy_solve`).
+    `keep` (u, factor): the factor solves with the matrix's transpose
+    (`transposed_policy_solve`).
 
     The diagonal is formed as (1 - w_ii) + lam_h, so a node that rests
     (w_ii = 1) keeps lam_h exactly, where (1 + lam_h) - 1 errs by up to
     eps / lam_h relative.  A lam_h > 0 lost in 1 + lam_h raises SingularBasis.
+
+    On a grid of two or more dimensions the solve follows the policy's
+    chain: when the chain i -> foot nodes of positive weight, self-weights
+    left out, has no cycle (`chain_levels`), the matrix is triangular in
+    level order and is solved by substitution a level at a time
+    (`ChainFactor`).  A cyclic chain, and every 1D one (a 1D band is a few
+    small blocks, cheaper than the level-by-level loop), is solved by block
+    elimination (`_block_solve`).
+    """
+    if lam_h > 0.0 and 1.0 + lam_h == 1.0:
+        raise SingularBasis(f"1 + lambda h rounds to 1 at lambda h = {lam_h:g}: the discount "
+                            f"is lost, and the policy matrix is the singular I - W")
+    n = len(q)
+    rows = np.arange(n)
+    idx, w = transition.idx[rows, q], transition.w[rows, q]        # (n, K)
+    if absorbing is not None:
+        w[absorbing] = 0.0
+    if transition.grid.dimension > 1:
+        levels = chain_levels(idx, w)
+        if levels is not None:
+            factor = ChainFactor(levels, idx, w, lam_h)
+            u = factor.solve(rhs)
+            return (u, factor) if keep else u
+    return _block_solve(idx, w, rhs, lam_h, keep)
+
+
+def chain_levels(idx, w):
+    """The nodes of the chain i -> idx[i, k] (w[i, k] != 0, idx[i, k] != i)
+    by level, a sorted array of nodes each: level 0 reads no other node, and
+    each later level only nodes of the levels before it.  The levels are
+    peeled off in turn (Kahn's order), each as one array step over the
+    readers of the last level.  None when a step finds no ready node: the
+    chain has a cycle."""
+    n = len(idx)
+    reads = (w != 0.0) & (idx != np.arange(n)[:, None])
+    src, dst = np.nonzero(reads)[0], idx[reads]
+    order = np.argsort(dst, kind="stable")
+    src, dst = src[order], dst[order]
+    count = np.bincount(dst, minlength=n)
+    # row j lists the readers of node j, padded with the dummy node n
+    readers = np.full((n, max(int(count.max(initial=0)), 1)), n)
+    readers[dst, np.arange(len(dst)) - (np.cumsum(count) - count)[dst]] = src
+    pending = np.append(np.bincount(src, minlength=n), -1)  # unsolved reads per node
+    level = np.flatnonzero(pending == 0)
+    levels, placed = [], 0
+    while level.size:
+        levels.append(level)
+        placed += level.size
+        pending[level] = -1
+        pending -= np.bincount(readers[level].ravel(), minlength=n + 1)
+        level = np.flatnonzero(pending == 0)
+    return levels if placed == n else None
+
+
+class ChainFactor:
+    """The policy matrix diag I - W of an acyclic chain in level order: W's
+    self-weights are folded into diag = (1 - w_ii) + lam_h, and every other
+    weight reads a node of an earlier level (`chain_levels`).  A zero
+    diagonal entry makes the triangular matrix singular and raises
+    SingularBasis."""
+
+    def __init__(self, levels, idx, w, lam_h):
+        own = idx == np.arange(len(idx))[:, None]
+        self.levels, self.idx = levels, idx
+        self.w = np.where(own, 0.0, w)
+        self.diag = (1.0 - np.where(own, w, 0.0).sum(axis=1)) + lam_h
+        if not np.all(self.diag):
+            i = int(np.flatnonzero(self.diag == 0.0)[0])
+            raise SingularBasis(f"node {i} rests at lambda h = {lam_h!r}: its row of the policy "
+                                f"matrix I - W, the transpose of its LP basis, is 0")
+
+    def solve(self, rhs):
+        """u with (diag I - W) u = rhs, rhs (n,) or (n, k): each level at
+        once, u = (rhs + W u) / diag, from the levels before it."""
+        rhs = np.asarray(rhs, dtype=float)
+        extra = (1,) * (rhs.ndim - 1)
+        w = self.w.reshape(self.w.shape + extra)
+        diag = self.diag.reshape(self.diag.shape + extra)
+        u = np.zeros(rhs.shape)
+        for level in self.levels:
+            u[level] = (rhs[level] + (w[level] * u[self.idx[level]]).sum(axis=1)) / diag[level]
+        return u
+
+    def transposed_solve(self, rhs):
+        """x with (diag I - W)^T x = rhs, rhs (n,): the levels in reverse,
+        each level's x = (rhs + the contributions of its readers) / diag,
+        then its own contributions added to the nodes it reads."""
+        acc = np.array(rhs, dtype=float)
+        x = np.zeros(len(acc))
+        for level in reversed(self.levels):
+            x[level] = acc[level] / self.diag[level]
+            np.add.at(acc, self.idx[level], self.w[level] * x[level, None])
+        return x
+
+
+def _block_solve(idx, w, rhs, lam_h, keep):
+    """`policy_solve` by block elimination, for the weights idx, w (n, K) of
+    the policy's rows; with `keep` the factor (S, L, C).
 
     Every weight links nodes at most max |j - i| apart, so with nodes
     grouped in blocks of B >= that distance the matrix is block
@@ -89,14 +192,8 @@ def policy_solve(transition, q, rhs, lam_h, keep=False, absorbing=None):
     substitution, about a third of the full (blocks, B, 3B) band; `keep`
     also keeps the Schur complements S and the sub-diagonal blocks L.
     """
-    if lam_h > 0.0 and 1.0 + lam_h == 1.0:
-        raise SingularBasis(f"1 + lambda h rounds to 1 at lambda h = {lam_h:g}: the discount "
-                            f"is lost, and the policy matrix is the singular I - W")
-    n = len(q)
+    n = len(idx)
     rows = np.arange(n)
-    idx, w = transition.idx[rows, q], transition.w[rows, q]        # (n, K)
-    if absorbing is not None:
-        w[absorbing] = 0.0
     B = max(int(np.max(np.abs(idx - rows[:, None]))), MIN_BLOCK)
     nb = -(-n // B)
     # entry (row r*B + a, column (r-1)*B + c) sits at (r*B + a)*3B + c of
@@ -140,9 +237,12 @@ def policy_solve(transition, q, rhs, lam_h, keep=False, absorbing=None):
 
 
 def transposed_policy_solve(factor, rhs):
-    """x with (diag I - W_q)^T x = rhs, from the factor (S, L, C) of
-    `policy_solve`: the matrix is (block lower, S and L) times (unit block
-    upper, C), so forward with C^T, then back with S^T and L^T."""
+    """x with (diag I - W_q)^T x = rhs, from the factor of `policy_solve`:
+    a `ChainFactor` by its levels in reverse, or the block factor (S, L, C),
+    the matrix (block lower, S and L) times (unit block upper, C), so
+    forward with C^T, then back with S^T and L^T."""
+    if isinstance(factor, ChainFactor):
+        return factor.transposed_solve(rhs)
     S, L, C = factor
     nb, B, _ = C.shape
     n = len(rhs)

@@ -31,8 +31,10 @@ iteration (Howard, Dynamic Programming and Markov Processes, 1960;
 Puterman, Markov Decision Processes, 1994, ch. 6, 8.6 and 9), on the loop
 that solves the scheme too (`policy_iteration`).  A policy is one velocity
 index per node; its columns (i, policy[i]) are a basis of the program.
-Each step evaluates the policy with one block factorization
-(`discounted.policy_solve`), prices every column against its duals, and
+Each step evaluates the policy with one factorization
+(`discounted.policy_solve`: substitution in the order of the policy's
+chain where that chain is acyclic on a 2D grid, block elimination
+otherwise), prices every column against its duals, and
 switches each node whose cheapest column beats its own past round-off;
 the step that switches none is the simplex's own certificate of
 optimality, with a nonnegative closed (or holonomic) measure.  An ergodic

@@ -186,8 +186,9 @@ def relax_batch_unsliced(costs, transition, D0):
 
 
 def policy_solve_full_band(transition, q, rhs, lam_h):
-    """`discounted.policy_solve` with the whole (blocks, B, 3B) band formed
-    by one bincount before the block elimination."""
+    """The block elimination of `discounted.policy_solve` (the path of 1D
+    and of cyclic chains) with the whole (blocks, B, 3B) band formed by one
+    bincount before the elimination."""
     from weakkam.discounted import MIN_BLOCK
     n = len(q)
     rows = np.arange(n)

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from weakkam import limits, measures
+from weakkam import discounted, limits, measures
 from weakkam.critical import build_critical_data, peierls_field_to, weak_kam_solution
 from weakkam.errors import MaxIterExceeded, NoMeasures, SingularBasis
 from weakkam.grids import build_grid, build_transition, build_velocity_set, interpolate
@@ -387,6 +387,38 @@ def test_two_dimensional_smoke():
     lp = lp_solve(build_discounted_lp(model, g, vs, 0.5, [1.0, 0.0], transition=tr))
     lam_u = 0.5 * float(sol.u[g.node_near([1.0, 0.0])])
     assert abs(lp.objective - lam_u) <= 1e-4
+
+
+def test_the_2d_double_well_study_follows_each_policys_chain(monkeypatch):
+    # the study on a 2D grid, end to end: every policy solve (Howard's,
+    # both LPs' with their transposed solves, and the limit's with its
+    # absorbing face nodes) is acyclic and runs level by level, with no
+    # block elimination; the study's checks hold and the sup gaps fall
+    # with lambda
+    def no_block(*args, **kwargs):
+        raise AssertionError("a policy solve of the 2D study took the block elimination")
+
+    transposed, real = [], discounted.ChainFactor.transposed_solve
+
+    def counted(factor, rhs):
+        transposed.append(len(rhs))
+        return real(factor, rhs)
+
+    monkeypatch.setattr(discounted, "_block_solve", no_block)
+    monkeypatch.setattr(discounted.ChainFactor, "transposed_solve", counted)
+    g = build_grid([[-2.0, 2.0], [-2.0, 2.0]], 0.25)
+    vs = build_velocity_set(1.5, 5, dimension=2)
+    lams = [0.5, 0.25, 0.125]
+    rep = vanishing_discount_study(make_model("quadratic", "double_well", dimension=2), g,
+                                   vs, lams, probes=[(0.0, 0.0), (1.0, 0.0)],
+                                   transition=build_transition(g, vs))
+    assert rep.failures == []
+    assert rep.critical_crosscheck <= 0.02
+    assert rep.estimator_agreement <= 0.03
+    rep81 = [r.rep81_gap for r in rep.rows if r.rep81_gap is not None]
+    assert len(rep81) == 2 * len(lams) and max(rep81) <= 0.03, rep81
+    assert all(b < a for a, b in zip(rep.sup_gaps, rep.sup_gaps[1:])), rep.sup_gaps
+    assert len(transposed) >= 2 * len(lams)
 
 
 def test_w_is_subsolution_at_critical_level(quad_setup, quad_limit, grid_c, quad, vs7,
